@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .linalg import (
+    InternalMismatch,
     basis_vec,
     mat_add,
     mat_identity,
@@ -24,10 +25,12 @@ from .linalg import (
     mat_transpose,
     mat_vec,
     mat_zero,
-    t3_add,
+    scaled,
+    scaled_combine,
+    scaled_leg,
+    scaled_permute,
     t3_is_zero,
-    t3_neg,
-    t3_sub,
+    unscaled,
     vec_is_zero,
     vec_sub,
 )
@@ -73,10 +76,6 @@ class NotAnSLSBA(ValueError):
     pass
 
 
-class InternalMismatch(AssertionError):
-    pass
-
-
 @dataclass(frozen=True)
 class CoproductPair:
     n: int
@@ -93,33 +92,7 @@ class ParaKahlerData:
 
 
 # ---------------------------------------------------------------------------
-# leg helpers
-
-def apply_leg(m, t, leg):
-    """Apply a matrix to one leg (0, 1 or 2) of a cubical rank-3 tensor."""
-    n = len(t)
-    rng = range(n)
-    if leg == 0:
-        return tuple(tuple(tuple(sum((m[a][p] * t[p][b][c] for p in rng), Fraction(0))
-                                 for c in rng) for b in rng) for a in rng)
-    if leg == 1:
-        return tuple(tuple(tuple(sum((m[b][q] * t[a][q][c] for q in rng), Fraction(0))
-                                 for c in rng) for b in rng) for a in rng)
-    return tuple(tuple(tuple(sum((m[c][s] * t[a][b][s] for s in rng), Fraction(0))
-                             for c in rng) for b in rng) for a in rng)
-
-
-def swap12(t):
-    """Exchange the first two legs: out[a][b][c] = t[b][a][c]."""
-    n = len(t)
-    return tuple(tuple(t[b][a] for b in range(n)) for a in range(n))
-
-
-def outer3(m, v):
-    """T[a][b][c] = m[a][b] * v[c]."""
-    return tuple(tuple(tuple(m[a][b] * v[c] for c in range(len(v)))
-                       for b in range(len(m[a]))) for a in range(len(m)))
-
+# helpers
 
 def combo(mats, v):
     """Linear combination sum_k v[k] * mats[k]."""
@@ -135,10 +108,6 @@ def combo(mats, v):
                 if mk[a][b]:
                     out[a][b] += q * mk[a][b]
     return tuple(tuple(row) for row in out)
-
-
-def _freeze3(t):
-    return tuple(tuple(tuple(row) for row in plane) for plane in t)
 
 
 def zero_coproducts(n):
@@ -173,28 +142,18 @@ def coproducts_from_products(prec, succ):
 def _coproduct_operators(cp):
     """The three obstruction tensors per basis vector: co-commutativity of
     alpha, mixed co-compatibility, and co-left-symmetry of beta."""
-    n = cp.n
-    al, be = cp.alpha, cp.beta
-    ab = [mat_add(al[k], be[k]) for k in range(n)]
-    rng = range(n)
-    R1, R2, R3 = [], [], []
-    for i in rng:
-        A, B = al[i], be[i]
-        R1.append(mat_sub(A, mat_transpose(A)))
-        t1 = tuple(tuple(tuple(sum((B[a][q] * al[q][b][c] for q in rng), Fraction(0))
-                               for c in rng) for b in rng) for a in rng)
-        t2 = tuple(tuple(tuple(sum((A[p][c] * ab[p][a][b] for p in rng), Fraction(0))
-                               for c in rng) for b in rng) for a in rng)
-        S = tuple(tuple(tuple(sum((A[a][q] * ab[q][b][c] for q in rng), Fraction(0))
-                              for c in rng) for b in rng) for a in rng)
-        R2.append(t3_sub(t3_sub(t1, t2), swap12(S)))
-        u1 = tuple(tuple(tuple(sum((B[p][c] * be[p][a][b] for p in rng), Fraction(0))
-                               for c in rng) for b in rng) for a in rng)
-        u2 = tuple(tuple(tuple(sum((B[a][q] * be[q][b][c] for q in rng), Fraction(0))
-                               for c in rng) for b in rng) for a in rng)
-        D = t3_sub(u1, u2)
-        R3.append(t3_sub(D, swap12(D)))
-    return R1, R2, R3
+    al, be = scaled(cp.alpha), scaled(cp.beta)
+    alT = scaled_permute(al, (0, 2, 1))  # alT[i] = alpha_i transposed
+    ab = scaled_combine(((1, al), (1, be)))
+    R2 = []
+    for i in range(cp.n):
+        t1 = scaled_leg(be.plane(i), al, 0)  # sum_q B[a][q] al[q][b][c]
+        # sum_p A[p][c] ab[p][a][b], and sum_q A[b][q] ab[q][a][c]
+        t2 = scaled_permute(scaled_leg(alT.plane(i), ab, 0), (1, 2, 0))
+        s = scaled_permute(scaled_leg(al.plane(i), ab, 0), (1, 0, 2))
+        R2.append(unscaled(scaled_combine(((1, t1), (-1, t2), (-1, s)))))
+    R1 = unscaled(scaled_combine(((1, al), (-1, alT))))
+    return list(R1), R2, _co_left_symmetry(cp.beta)
 
 
 def plsca_check(cp, cross_check=True):
@@ -380,49 +339,23 @@ def rr_brackets(plsa, r):
                         - sum r[u][q] r[v][t] br[q][t][w]
     """
     prec, succ = plsa
-    n = prec.n
     dot = op_add(prec, succ)
     br = sub_adjacent(dot)
-    rng = range(n)
-    t1 = [[[Fraction(0)] * n for _ in rng] for _ in rng]
-    t2 = [[[Fraction(0)] * n for _ in rng] for _ in rng]
-    for u in rng:
-        for v in rng:
-            for w in rng:
-                s1 = Fraction(0)
-                s2 = Fraction(0)
-                for q in rng:
-                    ruq = r[u][q]
-                    if ruq:
-                        for t in rng:
-                            rvt = r[v][t]
-                            if rvt:
-                                if dot.c[q][t][w]:
-                                    s1 += ruq * rvt * dot.c[q][t][w]
-                                if br.c[q][t][w]:
-                                    s2 -= ruq * rvt * br.c[q][t][w]
-                        for s in rng:
-                            rsw = r[s][w]
-                            if rsw:
-                                if dot.c[q][s][v]:
-                                    s1 += ruq * rsw * dot.c[q][s][v]
-                                if succ.c[q][s][v]:
-                                    s2 -= ruq * rsw * succ.c[q][s][v]
-                for p in rng:
-                    rpv = r[p][v]
-                    if not rpv:
-                        continue
-                    for s in rng:
-                        rsw = r[s][w]
-                        if not rsw:
-                            continue
-                        if prec.c[p][s][u]:
-                            s1 += rpv * rsw * prec.c[p][s][u]
-                        if succ.c[p][s][u]:
-                            s2 += rpv * rsw * succ.c[p][s][u]
-                t1[u][v][w] = s1
-                t2[u][v][w] = s2
-    return _freeze3(t1), _freeze3(t2)
+    R, RT = scaled(r), scaled(mat_transpose(r))
+
+    def uqt(c):  # sum r[u][q] r[v][t] c[q][t][w]
+        return scaled_leg(R, scaled_leg(R, c, 0), 1)
+
+    def uqs(c):  # sum r[u][q] r[s][w] c[q][s][v]
+        return scaled_permute(scaled_leg(RT, scaled_leg(R, c, 0), 1), (0, 2, 1))
+
+    def pvs(c):  # sum r[p][v] r[s][w] c[p][s][u]
+        return scaled_permute(scaled_leg(RT, scaled_leg(RT, c, 0), 1), (2, 0, 1))
+
+    P, S, D, B = (scaled(op.c) for op in (prec, succ, dot, br))
+    first = scaled_combine(((1, uqt(D)), (1, uqs(D)), (1, pvs(P))))
+    second = scaled_combine(((1, pvs(S)), (-1, uqs(S)), (-1, uqt(B))))
+    return unscaled(first), unscaled(second)
 
 
 def R_operators(plsa, r, cross_check=True):
@@ -448,50 +381,46 @@ def R_operators(plsa, r, cross_check=True):
 
 
 def _closed_form_operators(plsa, r):
+    """The obstructions through T1, T2 = rr_brackets; u = r - r^T, and Ld,
+    Ls, ad (left) and Rp, Rs (right multiplications) are per basis vector:
+        R1_i = base_i = Ld_i u + u Ld_i^T
+        R2_i = -(Ls_i, Ld_i, Ld_i on legs 0, 1, 2 of T1) + sum_p Rp_p base_i (x) r[p]
+        R3_i = (Ls_i, Ls_i, ad_i on legs 0, 1, 2 of T2) - sum_p Rs_p W_i (x) r[p]
+               + sum_p W(e_i succ e_p) (x) r[p] + sum_pq r[p][q] W_p (x) [e_i, e_q]
+    with W(x) = ad(x) u + u Ls(x)^T linear in x, W_p = W(e_p); each sum is
+    one leg contraction."""
     prec, succ = plsa
-    n = prec.n
-    rng = range(n)
     dot = op_add(prec, succ)
     br = sub_adjacent(dot)
-    u = mat_sub(r, mat_transpose(r))
-    Ld = [left_mult_basis(dot, i) for i in rng]
-    Ls = [left_mult_basis(succ, i) for i in rng]
-    ad = [left_mult_basis(br, i) for i in rng]
-    Rp = [right_mult_basis(prec, p) for p in rng]
-    Rs = [right_mult_basis(succ, p) for p in rng]
-    T1, T2 = rr_brackets(plsa, r)
-    R1, R2, R3 = [], [], []
-    for i in rng:
-        base = mat_add(mat_mul(Ld[i], u), mat_mul(u, mat_transpose(Ld[i])))
-        R1.append(base)
-        q1 = t3_add(apply_leg(Ls[i], T1, 0),
-                    t3_add(apply_leg(Ld[i], T1, 1), apply_leg(Ld[i], T1, 2)))
-        acc = t3_neg(q1)
-        for p in rng:
-            row = r[p]
-            if any(row):
-                acc = t3_add(acc, outer3(mat_mul(Rp[p], base), row))
-        R2.append(acc)
-        q2 = t3_add(apply_leg(Ls[i], T2, 0),
-                    t3_add(apply_leg(Ls[i], T2, 1), apply_leg(ad[i], T2, 2)))
-        acc3 = q2
-        inner = mat_add(mat_mul(ad[i], u), mat_mul(u, mat_transpose(Ls[i])))
-        for p in rng:
-            sp = succ.c[i][p]
-            adsp = left_mult(br, sp)
-            lssp = left_mult(succ, sp)
-            p2 = mat_add(mat_mul(adsp, u), mat_mul(u, mat_transpose(lssp)))
-            p2 = mat_sub(p2, mat_mul(Rs[p], inner))
-            row = r[p]
-            if any(row):
-                acc3 = t3_add(acc3, outer3(p2, row))
-            sp_u = mat_add(mat_mul(ad[p], u), mat_mul(u, mat_transpose(Ls[p])))
-            for q in rng:
-                if r[p][q]:
-                    scaled = tuple(tuple(r[p][q] * x for x in rw) for rw in sp_u)
-                    acc3 = t3_add(acc3, outer3(scaled, br.c[i][q]))
-        R3.append(acc3)
-    return R1, R2, R3
+    P, S, D, B = (scaled(op.c) for op in (prec, succ, dot, br))
+    U = scaled(mat_sub(r, mat_transpose(r)))
+    R, RT = scaled(r), scaled(mat_transpose(r))
+    T1, T2 = (scaled(t) for t in rr_brackets(plsa, r))
+    # U D[i][a][b] = (u Ld_i^T)[a][b], and u^T = -u, so base = UD - UD^T
+    UD = scaled_leg(U, D, 1)
+    base = scaled_combine(((1, UD), (-1, scaled_permute(UD, (0, 2, 1)))))
+    baseT = scaled_permute(base, (0, 2, 1))
+    W = scaled_combine(((1, scaled_leg(U, S, 1)),
+                        (-1, scaled_permute(scaled_leg(U, B, 1), (0, 2, 1)))))
+    WT = scaled_permute(W, (0, 2, 1))
+    Yp = scaled_leg(RT, P, 1)  # Yp[x][c][a] = sum_p r[p][c] prec[x][p][a]
+    Ys = scaled_leg(RT, S, 1)
+    # K[i][c][k] = sum_p r[p][c] succ[i][p][k] + sum_q r[k][q] br[i][q][c]
+    K = scaled_combine(((1, Ys), (1, scaled_permute(scaled_leg(R, B, 1), (0, 2, 1)))))
+    LsT, LdT, adT = (scaled_permute(t, (0, 2, 1)) for t in (S, D, B))
+    R2, R3 = [], []
+    for i in range(prec.n):
+        Ls, Ld, ad = LsT.plane(i), LdT.plane(i), adT.plane(i)
+        R2.append(unscaled(scaled_combine((
+            (-1, scaled_leg(Ls, T1, 0)), (-1, scaled_leg(Ld, T1, 1)),
+            (-1, scaled_leg(Ld, T1, 2)),
+            (1, scaled_permute(scaled_leg(baseT.plane(i), Yp, 0), (2, 0, 1)))))))
+        R3.append(unscaled(scaled_combine((
+            (1, scaled_leg(Ls, T2, 0)), (1, scaled_leg(Ls, T2, 1)),
+            (1, scaled_leg(ad, T2, 2)),
+            (1, scaled_permute(scaled_leg(K.plane(i), W, 0), (1, 2, 0))),
+            (-1, scaled_permute(scaled_leg(WT.plane(i), Ys, 0), (2, 0, 1)))))))
+    return list(unscaled(base)), R2, R3
 
 
 # ---------------------------------------------------------------------------
@@ -669,17 +598,15 @@ def slsba_check(lsa, alpha, cross_check=True):
 
 
 def _co_left_symmetry(alpha):
-    n = len(alpha)
-    rng = range(n)
+    """Per basis vector: D - swap12(D), where D[a][b][c] is
+    sum_p A[p][c] alpha[p][a][b] - sum_q A[a][q] alpha[q][b][c], A = alpha_i."""
+    al = scaled(alpha)
+    alT = scaled_permute(al, (0, 2, 1))
     out = []
-    for i in rng:
-        A = alpha[i]
-        t1 = tuple(tuple(tuple(sum((A[p][c] * alpha[p][a][b] for p in rng), Fraction(0))
-                               for c in rng) for b in rng) for a in rng)
-        t2 = tuple(tuple(tuple(sum((A[a][q] * alpha[q][b][c] for q in rng), Fraction(0))
-                               for c in rng) for b in rng) for a in rng)
-        D = t3_sub(t1, t2)
-        out.append(t3_sub(D, swap12(D)))
+    for i in range(len(alpha)):
+        D = scaled_combine(((1, scaled_permute(scaled_leg(alT.plane(i), al, 0), (1, 2, 0))),
+                            (-1, scaled_leg(al.plane(i), al, 0))))
+        out.append(unscaled(scaled_combine(((1, D), (-1, scaled_permute(D, (1, 0, 2)))))))
     return out
 
 
@@ -708,25 +635,15 @@ def slsba_coboundary(lsa, r, cross_check=True):
                     if res[a][b]:
                         viol.append(Violation("action-condition", (i, j, a, b),
                                               res[a][b]))
-    m3 = [[[Fraction(0)] * n for _ in rng] for _ in rng]
-    for a in rng:
-        for b in rng:
-            for s in rng:
-                acc = Fraction(0)
-                for q in rng:
-                    for t in rng:
-                        if r[a][q] and r[t][s] and lsa.c[q][t][b]:
-                            acc += r[a][q] * r[t][s] * lsa.c[q][t][b]
-                        if r[b][q] and r[t][s] and lsa.c[q][t][a]:
-                            acc -= r[b][q] * r[t][s] * lsa.c[q][t][a]
-                        if r[a][q] and r[b][t] and br.c[q][t][s]:
-                            acc += r[a][q] * r[b][t] * br.c[q][t][s]
-                m3[a][b][s] = acc
+    # m3[a][b][s] = sum r[a][q] r[t][s] lsa[q][t][b] - (a <-> b)
+    #             + sum r[a][q] r[b][t] br[q][t][s]
+    R = scaled(r)
+    Z = scaled_leg(scaled(mat_transpose(r)), scaled_leg(R, scaled(lsa.c), 0), 1)
+    m3 = scaled_combine(((1, scaled_permute(Z, (0, 2, 1))), (-1, scaled_permute(Z, (2, 0, 1))),
+                         (1, scaled_leg(R, scaled_leg(R, scaled(br.c), 1), 0))))
     tq = []
     for i in rng:
-        ti = tuple(tuple(tuple(sum((Rd[i][c][s] * m3[a][b][s] for s in rng),
-                                   Fraction(0)) for c in rng) for b in rng)
-                   for a in rng)
+        ti = unscaled(scaled_leg(scaled(Rd[i]), m3, 2))
         tq.append(ti)
         for a in rng:
             for b in rng:
@@ -768,7 +685,7 @@ def slsba_double(slsba):
                 c[n + i][n + j][n + k] = dual.c[i][j][k]
                 c[i][n + j][n + k] = la.t[i][k][j]
                 c[n + i][j][k] = lb.t[i][k][j]
-    lsa_d = StructureTensor(d, _freeze3(c))
+    lsa_d = StructureTensor(d, tuple(tuple(tuple(row) for row in plane) for plane in c))
     r = canonical_r(n)
     alpha_d, cobrep = slsba_coboundary(lsa_d, r)
     fullrep = slsba_check(lsa_d, alpha_d)

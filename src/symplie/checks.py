@@ -23,15 +23,11 @@ from .linalg import (
     mat_transpose,
     mat_vec,
     t3_add,
-    t3_is_zero,
-    t3_neg,
     t3_sub,
-    t3_zero,
     tensor_contract,
     vec_add,
     vec_is_zero,
     vec_sub,
-    vec_zero,
 )
 
 
@@ -103,10 +99,6 @@ def st(n, entries=None):
     return StructureTensor(n, tuple(tuple(tuple(row) for row in plane) for plane in c))
 
 
-def st_zero(n):
-    return StructureTensor(n, t3_zero(n))
-
-
 def op_apply(op, x, y):
     """Coordinates of x o y for coordinate vectors x, y."""
     n = op.n
@@ -155,17 +147,9 @@ def op_sub(a, b):
     return StructureTensor(a.n, t3_sub(a.c, b.c))
 
 
-def op_neg(a):
-    return StructureTensor(a.n, t3_neg(a.c))
-
-
 def op_swap_args(a):
     n = a.n
     return StructureTensor(n, tuple(tuple(a.c[j][i] for j in range(n)) for i in range(n)))
-
-
-def op_is_zero(a):
-    return t3_is_zero(a.c)
 
 
 def sub_adjacent(op):
@@ -202,14 +186,6 @@ def rep_zero(n, m=None):
 def form_apply(w, x, y):
     return sum((x[i] * sum((w.m[i][j] * y[j] for j in range(w.n)), Fraction(0))
                 for i in range(w.n)), Fraction(0))
-
-
-def endo_apply(e, x):
-    return mat_vec(e.m, x)
-
-
-def endo_identity(n):
-    return Endo(n, mat_identity(n))
 
 
 # ---------------------------------------------------------------------------

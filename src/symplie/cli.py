@@ -108,6 +108,8 @@ class AlgebraFile:
     warnings: tuple = ()
 
 
+MAX_DIM = 64  # room for a third Drinfeld double (32); dense n^3 defaults stay small
+
 _TERM_RE = re.compile(r"^(-?\d+(?:/\d+)?)\*e(\d+)$")
 _LABEL_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_-]*$")
 
@@ -189,6 +191,9 @@ def parse_algebra_file(text):
                 raise ParseError("bad dimension %r" % rest.strip(), lineno)
             if dim < 1:
                 raise ParseError("dimension must be positive", lineno)
+            if dim > MAX_DIM:
+                raise ParseError("dimension %d exceeds the limit of %d" % (dim, MAX_DIM),
+                                 lineno)
             continue
         if kw not in ("op", "form", "map", "tensor2", "rep"):
             raise ParseError("unknown keyword %r" % kw, lineno)
@@ -349,11 +354,6 @@ def _endo(af, label):
 def _rep(af, label):
     got = af.reps.get(label)
     return got if got is not None else rep_zero(af.dim)
-
-
-def _tensor2(af, label):
-    got = af.tensor2s.get(label)
-    return got if got is not None else mat_zero(af.dim)
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ from fractions import Fraction
 
 from .linalg import (
     DimensionMismatch,
+    InternalMismatch,
     basis_vec,
     frac,
     mat_identity,
@@ -330,9 +331,12 @@ def family_JE(p, f):
         raise BadParams("unknown family %r" % (p.family,))
     d = J.n
     ident = mat_identity(d)
-    assert mat_mul(J.m, J.m) == mat_neg(ident), "built J does not square to -id"
-    assert mat_mul(E.m, E.m) == ident, "built E does not square to id"
-    assert mat_mul(J.m, E.m) == mat_neg(mat_mul(E.m, J.m)), "J and E do not anticommute"
+    if mat_mul(J.m, J.m) != mat_neg(ident):
+        raise InternalMismatch("built J does not square to -id")
+    if mat_mul(E.m, E.m) != ident:
+        raise InternalMismatch("built E does not square to id")
+    if mat_mul(J.m, E.m) != mat_neg(mat_mul(E.m, J.m)):
+        raise InternalMismatch("J and E do not anticommute")
     return J, E
 
 
@@ -376,8 +380,10 @@ def lsa_from_symplectic(br, w):
             plane[k] = mat_vec(phinv, v)
         c.append(tuple(plane))
     conn = StructureTensor(n, tuple(c))
-    assert check_torsion_free(br, conn).verdict, "derived product has torsion"
-    assert check_flat(br, conn).verdict, "derived product is not flat"
+    if not check_torsion_free(br, conn).verdict:
+        raise InternalMismatch("derived product has torsion")
+    if not check_flat(br, conn).verdict:
+        raise InternalMismatch("derived product is not flat")
     return conn
 
 
@@ -407,10 +413,10 @@ def plsa_from_special_symplectic(s):
         succ_c.append(tuple(srow))
     prec = StructureTensor(n, tuple(prec_c))
     succ = StructureTensor(n, tuple(succ_c))
-    assert t3_is_zero(op_sub(op_sub(s.conn, prec), succ).c), \
-        "parts do not sum back to the connection"
-    rep = check_plsa(prec, succ)
-    assert rep.verdict, "derived pair fails the product-pair axioms"
+    if not t3_is_zero(op_sub(op_sub(s.conn, prec), succ).c):
+        raise InternalMismatch("parts do not sum back to the connection")
+    if not check_plsa(prec, succ).verdict:
+        raise InternalMismatch("derived pair fails the product-pair axioms")
     return prec, succ
 
 

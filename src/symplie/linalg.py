@@ -1,17 +1,23 @@
 """Exact rational vectors, matrices and rank-3 tensors.
 
-Everything is a nested tuple of fractions.Fraction, built once and never
-mutated, so values are hashable and safe to share.  Target dimensions are
-small (doubles of doubles of 2-dimensional algebras), so dense storage is
-the right trade-off.
+The package's values are nested tuples of fractions.Fraction, built once and
+never mutated, so they are hashable and safe to share.  The products here
+skip zero entries, because structure constants are mostly zero.
 
 Rank and inversion run a fraction-free (Bareiss-style) forward elimination
 on integer-scaled rows, which keeps intermediate entries as minors of the
 input instead of letting numerators and denominators blow up.
+
+Chains of tensor contractions run on the scaled form instead: Python int
+numerators over one common denominator per tensor (``Scaled``).  A Fraction
+operation normalises through a gcd on every step; an int product or sum does
+not, so the chain stays exact and converts back to Fractions only once, at
+its end.
 """
 
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm
+from typing import NamedTuple
 
 
 class SingularMatrix(Exception):
@@ -22,6 +28,10 @@ class DimensionMismatch(Exception):
     pass
 
 
+class InternalMismatch(AssertionError):
+    """Two routes that must agree by construction did not: a bug in symplie."""
+
+
 def frac(x, y=None):
     if y is None:
         return Fraction(x)
@@ -30,14 +40,6 @@ def frac(x, y=None):
 
 # ---------------------------------------------------------------------------
 # vectors
-
-def vec(entries):
-    return tuple(Fraction(e) for e in entries)
-
-
-def vec_zero(n):
-    return (Fraction(0),) * n
-
 
 def basis_vec(n, i):
     return tuple(Fraction(1 if j == i else 0) for j in range(n))
@@ -55,10 +57,6 @@ def vec_sub(u, v):
     return tuple(a - b for a, b in zip(u, v))
 
 
-def vec_neg(u):
-    return tuple(-a for a in u)
-
-
 def vec_scale(q, u):
     q = Fraction(q)
     return tuple(q * a for a in u)
@@ -66,12 +64,6 @@ def vec_scale(q, u):
 
 def vec_is_zero(u):
     return all(a == 0 for a in u)
-
-
-def dot(u, v):
-    if len(u) != len(v):
-        raise DimensionMismatch("vector lengths %d and %d" % (len(u), len(v)))
-    return sum((a * b for a, b in zip(u, v)), Fraction(0))
 
 
 # ---------------------------------------------------------------------------
@@ -184,7 +176,8 @@ def mat_rank(m):
         for i in range(r + 1, nr):
             for j in range(c + 1, nc):
                 q, rem = divmod(rows[r][c] * rows[i][j] - rows[i][c] * rows[r][j], prev)
-                assert rem == 0, "Bareiss division not exact"
+                if rem:
+                    raise InternalMismatch("Bareiss division not exact")
                 rows[i][j] = q
             rows[i][c] = 0
         prev = rows[r][c]
@@ -217,7 +210,8 @@ def mat_inverse(m):
         for i in range(k + 1, n):
             for j in range(k + 1, 2 * n):
                 q, rem = divmod(aug[k][k] * aug[i][j] - aug[i][k] * aug[k][j], prev)
-                assert rem == 0, "Bareiss division not exact"
+                if rem:
+                    raise InternalMismatch("Bareiss division not exact")
                 aug[i][j] = q
             aug[i][k] = 0
         prev = aug[k][k]
@@ -268,11 +262,6 @@ def t3_sub(a, b):
 
 def t3_neg(a):
     return tuple(tuple(tuple(-x for x in row) for row in plane) for plane in a)
-
-
-def t3_scale(q, a):
-    q = Fraction(q)
-    return tuple(tuple(tuple(q * x for x in row) for row in plane) for plane in a)
 
 
 def t3_is_zero(a):
@@ -329,6 +318,113 @@ def tensor_contract(t, v, slot):
             out.append(tuple(arow))
         return tuple(out)
     raise DimensionMismatch("slot must be 0, 1 or 2, got %r" % (slot,))
+
+
+# ---------------------------------------------------------------------------
+# scaled form: int numerators over one common denominator
+
+class Scaled(NamedTuple):
+    """A matrix or rank-3 tensor whose entries are num[...] / den: nested
+    lists of ints over one positive int denominator.  Operations build new
+    lists and never mutate their inputs, so results may share rows."""
+    num: list
+    den: int
+
+    def plane(self, i):
+        return Scaled(self.num[i], self.den)
+
+
+def scaled(t):
+    """Scaled form of a matrix or rank-3 tensor of Fractions."""
+    rank3 = isinstance(t[0][0], (tuple, list))
+    rows = [row for plane in t for row in plane] if rank3 else t
+    den = lcm(*(x.denominator for row in rows for x in row))
+    num = [[x.numerator * (den // x.denominator) for x in row] for row in rows]
+    if rank3:
+        num = [num[k:k + len(t[0])] for k in range(0, len(num), len(t[0]))]
+    return Scaled(num, den)
+
+
+def unscaled(t):
+    """The rank-3 tensor of Fractions that t stands for: one Fraction per
+    nonzero entry, one shared zero everywhere else."""
+    zero = Fraction(0)
+    den = t.den
+    return tuple(tuple(tuple(Fraction(x, den) if x else zero for x in row)
+                       for row in plane) for plane in t.num)
+
+
+def _int_mat_mul(a, b):
+    """a b for nested lists of ints, skipping zero entries."""
+    out = []
+    for arow in a:
+        acc = [0] * len(b[0])
+        for x, brow in zip(arow, b):
+            if x:
+                for c, y in enumerate(brow):
+                    if y:
+                        acc[c] += x * y
+        out.append(acc)
+    return out
+
+
+def scaled_leg(m, t, leg):
+    """Apply the matrix m to leg 0, 1 or 2 of the rank-3 tensor t:
+
+        leg 0: out[a][b][c] = sum_p m[a][p] t[p][b][c]
+        leg 1: out[a][b][c] = sum_q m[b][q] t[a][q][c]
+        leg 2: out[a][b][c] = sum_s m[c][s] t[a][b][s]
+    """
+    M, T = m.num, t.num
+    dims = (len(T), len(T[0]), len(T[0][0]))
+    if leg not in (0, 1, 2) or len(M[0]) != dims[leg]:
+        raise DimensionMismatch("matrix cols %d, leg %r of a %s tensor"
+                                % (len(M[0]), leg, "x".join(map(str, dims))))
+    if leg == 0:  # m times t flattened to d1 rows of d2 * d3 entries
+        flat = _int_mat_mul(M, [[x for row in plane for x in row] for plane in T])
+        d3 = dims[2]
+        out = [[f[k:k + d3] for k in range(0, len(f), d3)] for f in flat]
+    elif leg == 1:
+        out = [_int_mat_mul(M, plane) for plane in T]
+    else:
+        mT = [list(col) for col in zip(*M)]
+        out = [_int_mat_mul(plane, mT) for plane in T]
+    return Scaled(out, m.den * t.den)
+
+
+def scaled_permute(t, axes):
+    """Reorder the legs of a rank-3 tensor as numpy.transpose does: leg k
+    of the result is leg axes[k] of t, so (1, 0, 2) swaps the first two."""
+    if sorted(axes) != [0, 1, 2]:
+        raise DimensionMismatch("axes must order the legs 0, 1, 2, got %r" % (axes,))
+    T, legs = t.num, [0, 1, 2]
+    # bubble the legs into place by adjacent swaps, each one a zip
+    for k in (0, 1, 0):
+        if axes.index(legs[k]) > axes.index(legs[k + 1]):
+            legs[k], legs[k + 1] = legs[k + 1], legs[k]
+            if k == 0:
+                T = [list(rows) for rows in zip(*T)]
+            else:
+                T = [[list(col) for col in zip(*plane)] for plane in T]
+    return Scaled(T, t.den)
+
+
+def scaled_combine(terms):
+    """sum k * t over (k, t) pairs: int coefficients and rank-3 tensors of
+    one shape, over the lcm of their denominators."""
+    den = lcm(*(t.den for _, t in terms))
+    out = None
+    for k, t in terms:
+        f = k * (den // t.den)
+        if out is None:
+            out = [[[f * x for x in row] for row in plane] for plane in t.num]
+            continue
+        for oplane, tplane in zip(out, t.num):
+            for orow, trow in zip(oplane, tplane):
+                for c, x in enumerate(trow):
+                    if x:
+                        orow[c] += f * x
+    return Scaled(out, den)
 
 
 def rational_sqrt(q):

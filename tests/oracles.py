@@ -68,6 +68,62 @@ def mat_mul_plain(a, b):
                        for j in range(m)) for i in range(n))
 
 
+# --- rank-3 tensor operations, entry by entry (vs the package's scaled
+# int-numerator kernel) ---
+
+def _shape(t):
+    return len(t), len(t[0]), len(t[0][0])
+
+
+def leg_plain(m, t, leg):
+    """out = m applied to one leg of t: the leg index of out runs over the
+    rows of m, and sum_p m[row][p] replaces that index of t by p."""
+    shape = list(_shape(t))
+    shape[leg] = len(m)
+    out = {}
+    for a in range(shape[0]):
+        for b in range(shape[1]):
+            for c in range(shape[2]):
+                idx = [a, b, c]
+                s = Fraction(0)
+                for p in range(len(m[0])):
+                    j = list(idx)
+                    j[leg] = p
+                    s += m[idx[leg]][p] * t[j[0]][j[1]][j[2]]
+                out[a, b, c] = s
+    return _from_dict(out, shape)
+
+
+def permute_plain(t, axes):
+    """numpy.transpose semantics: out[i0][i1][i2] = t[j] with j[axes[k]] = i_k."""
+    shape = [_shape(t)[a] for a in axes]
+    out = {}
+    for a in range(shape[0]):
+        for b in range(shape[1]):
+            for c in range(shape[2]):
+                j = [0, 0, 0]
+                for k, i in zip(axes, (a, b, c)):
+                    j[k] = i
+                out[a, b, c] = t[j[0]][j[1]][j[2]]
+    return _from_dict(out, shape)
+
+
+def combine_plain(terms):
+    """sum k * t over (k, t) pairs."""
+    shape = _shape(terms[0][1])
+    out = {}
+    for a in range(shape[0]):
+        for b in range(shape[1]):
+            for c in range(shape[2]):
+                out[a, b, c] = sum((k * t[a][b][c] for k, t in terms), Fraction(0))
+    return _from_dict(out, shape)
+
+
+def _from_dict(out, shape):
+    return tuple(tuple(tuple(out[a, b, c] for c in range(shape[2]))
+                       for b in range(shape[1])) for a in range(shape[0]))
+
+
 # --- products from raw structure constants ---
 
 def product_vec(c, u, v):

@@ -224,6 +224,20 @@ class TestCoboundary:
         with pytest.raises(InvalidInput):
             R_operators((bad_prec, st(2)), mat_zero(2))
 
+    def test_closed_form_disagreement_raises(self, monkeypatch):
+        # the exception lives in linalg and stays importable where it was
+        import symplie
+        from symplie import bialgebra, linalg
+        assert symplie.InternalMismatch is bialgebra.InternalMismatch is linalg.InternalMismatch
+        pair = plsa("plsa-2d-II")
+        r = ((Q(1), Q(2)), (Q(-1, 3), Q(0)))
+        R_operators(pair, r)
+        t1, t2 = rr_brackets(pair, r)
+        bumped = tuple(tuple(tuple(x + 1 for x in row) for row in plane) for plane in t1)
+        monkeypatch.setattr(bialgebra, "rr_brackets", lambda *_: (bumped, t2))
+        with pytest.raises(symplie.InternalMismatch, match="second operator"):
+            R_operators(pair, r)
+
 
 class TestCanonicalR:
     def test_entries(self):

@@ -8,6 +8,7 @@ from hypothesis import strategies as hs
 
 from symplie.checks import Endo, Form, RepTensor, st
 from symplie.cli import (
+    MAX_DIM,
     AlgebraFile,
     DuplicateAssignment,
     IndexOutOfRange,
@@ -78,6 +79,11 @@ class TestParse:
     def test_missing_dim(self):
         with pytest.raises(ParseError, match="dim N"):
             parse("algebra a\n")
+
+    def test_dim_cap(self):
+        assert parse("algebra a\ndim %d\n" % MAX_DIM).dim == MAX_DIM
+        with pytest.raises(ParseError, match="exceeds the limit of %d" % MAX_DIM):
+            parse("algebra a\ndim %d\n" % (MAX_DIM + 1))
 
     def test_entry_before_dim(self):
         with pytest.raises(ParseError, match="line 2") as exc:
@@ -308,6 +314,15 @@ class TestVerifyCommand:
         assert run(["verify", str(p), "--check", "lsa"]) == 2
         err = capsys.readouterr().err
         assert "line 2" in err
+
+    def test_huge_dim_exit_two(self, tmp_path, capsys):
+        # a dense zero default at this size would exhaust memory
+        p = tmp_path / "big.alg"
+        p.write_text("algebra big\ndim 100000\n")
+        assert run(["verify", str(p), "--check", "plsa"]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "line 2: dimension 100000 exceeds the limit of 64" in err
 
     def test_json_schema(self, tmp_path, capsys):
         bad = tmp_path / "bad.alg"

@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -209,6 +212,34 @@ class TestLsaFromSymplectic:
                     lhs = form_value(w.m, product_vec(prod.c, x, y), z)
                     rhs = form_value(w.m, product_vec(br.c, x, z), y)
                     assert lhs == rhs
+
+    def test_self_check_survives_optimize(self):
+        # under python -O an assert would vanish; the explicit raise must not
+        code = "\n".join([
+            "import sys",
+            "from fractions import Fraction as Q",
+            "from symplie import constructions",
+            "from symplie.checks import CheckReport, Form, st",
+            "from symplie.linalg import InternalMismatch",
+            "if sys.flags.optimize != 1:",
+            "    sys.exit(3)",
+            "constructions.check_flat = lambda br, conn: CheckReport('flat', False, ())",
+            "br = st(2, {(0, 1, 0): Q(1), (1, 0, 0): Q(-1)})",
+            "w = Form(2, ((Q(0), Q(1)), (Q(-1), Q(0))))",
+            "try:",
+            "    constructions.lsa_from_symplectic(br, w)",
+            "except InternalMismatch as e:",
+            "    print(e)",
+            "    sys.exit(0)",
+            "sys.exit(4)",
+        ])
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+        done = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert "derived product is not flat" in done.stdout
 
     def test_non_closed_form_rejected(self):
         br = st(4, {(0, 1, 2): Q(1), (1, 0, 2): Q(-1)})

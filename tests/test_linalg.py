@@ -5,6 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as hs
 
 from symplie.linalg import (
+    DimensionMismatch,
+    InternalMismatch,
     SingularMatrix,
     frac,
     basis_vec,
@@ -15,12 +17,29 @@ from symplie.linalg import (
     mat_transpose,
     mat_vec,
     rational_sqrt,
+    scaled,
+    scaled_combine,
+    scaled_leg,
+    scaled_permute,
     tensor_contract,
+    unscaled,
     vec_add,
     vec_scale,
 )
 
-from oracles import gauss_inverse, gauss_rank, mat_mul_plain, product_vec, rand_mat, rand_tensor, rand_vec, rng
+from oracles import (
+    combine_plain,
+    gauss_inverse,
+    gauss_rank,
+    leg_plain,
+    mat_mul_plain,
+    permute_plain,
+    product_vec,
+    rand_mat,
+    rand_tensor,
+    rand_vec,
+    rng,
+)
 
 rationals = hs.fractions(min_value=-5, max_value=5, max_denominator=6)
 
@@ -140,3 +159,100 @@ class TestRationalSqrt:
 
 def test_basis_vec():
     assert basis_vec(3, 1) == (frac(0), frac(1), frac(0))
+
+
+# --- the scaled int-numerator kernel against entry-by-entry Fraction loops ---
+
+# mixed denominators, given negative as often as positive
+entries = hs.builds(Fraction, hs.integers(-9, 9), hs.integers(1, 12) | hs.integers(-12, -1))
+dims = hs.integers(1, 5)
+
+
+def tensors(shape):
+    """Dense, all-zero or single-nonzero tensors of one shape."""
+    d0, d1, d2 = shape
+    size = d0 * d1 * d2
+    zero = Fraction(0)
+    flat = hs.one_of(
+        hs.lists(entries, min_size=size, max_size=size),
+        hs.just([zero] * size),
+        hs.tuples(hs.integers(0, size - 1), entries.filter(bool)).map(
+            lambda kq: [kq[1] if k == kq[0] else zero for k in range(size)]))
+    return flat.map(lambda xs: tuple(
+        tuple(tuple(xs[(a * d1 + b) * d2 + c] for c in range(d2)) for b in range(d1))
+        for a in range(d0)))
+
+
+def matrices(rows, cols):
+    return tensors((1, rows, cols)).map(lambda t: t[0])
+
+
+def all_fractions(t):
+    return all(type(x) is Fraction for plane in t for row in plane for x in row)
+
+
+class TestScaled:
+    @given(hs.tuples(dims, dims, dims).flatmap(tensors))
+    def test_roundtrip(self, t):
+        s = scaled(t)
+        assert s.den > 0
+        back = unscaled(s)
+        assert back == t
+        assert all_fractions(back)
+
+    @given(hs.tuples(dims, dims).flatmap(lambda rc: matrices(*rc)))
+    def test_matrix_entries(self, m):
+        s = scaled(m)
+        assert all(type(x) is int for row in s.num for x in row)
+        assert [[Fraction(x, s.den) for x in row] for row in s.num] == [list(r) for r in m]
+
+    @given(hs.data())
+    def test_leg_matches_plain(self, data):
+        shape = data.draw(hs.tuples(dims, dims, dims))
+        leg = data.draw(hs.integers(0, 2))
+        t = data.draw(tensors(shape))
+        m = data.draw(matrices(data.draw(dims), shape[leg]))
+        got = unscaled(scaled_leg(scaled(m), scaled(t), leg))
+        assert got == leg_plain(m, t, leg)
+        assert all_fractions(got)
+
+    @given(hs.tuples(dims, dims, dims).flatmap(tensors),
+           hs.permutations((0, 1, 2)))
+    def test_permute_matches_plain(self, t, axes):
+        got = unscaled(scaled_permute(scaled(t), tuple(axes)))
+        assert got == permute_plain(t, axes)
+        assert all_fractions(got)
+
+    @given(hs.data())
+    def test_combine_matches_plain(self, data):
+        shape = data.draw(hs.tuples(dims, dims, dims))
+        terms = data.draw(hs.lists(hs.tuples(hs.integers(-3, 3), tensors(shape)),
+                                   min_size=1, max_size=4))
+        got = unscaled(scaled_combine([(k, scaled(t)) for k, t in terms]))
+        assert got == combine_plain(terms)
+        assert all_fractions(got)
+
+    def test_cancellation_gives_fraction_zero(self):
+        t = rand_tensor(rng(5), 3)
+        got = unscaled(scaled_combine([(1, scaled(t)), (-1, scaled(t))]))
+        assert all_fractions(got)
+        assert got == tuple(tuple((Fraction(0),) * 3 for _ in range(3)) for _ in range(3))
+
+    def test_shape_errors(self):
+        t = scaled(rand_tensor(rng(3), 3))
+        with pytest.raises(DimensionMismatch):
+            scaled_leg(scaled(rand_mat(rng(4), 3, 2)), t, 1)
+        with pytest.raises(DimensionMismatch):
+            scaled_leg(scaled(rand_mat(rng(4), 3)), t, 3)
+        with pytest.raises(DimensionMismatch):
+            scaled_permute(t, (0, 1, 1))
+
+
+def test_bareiss_raises_without_assert(monkeypatch):
+    # an inexact Bareiss division is a bug, reported even under python -O
+    import symplie.linalg as linalg
+    monkeypatch.setattr(linalg, "divmod", lambda a, b: (0, 1), raising=False)
+    with pytest.raises(InternalMismatch):
+        mat_rank(((frac(1), frac(2)), (frac(3), frac(4))))
+    with pytest.raises(InternalMismatch):
+        mat_inverse(((frac(1), frac(2)), (frac(3), frac(4))))
