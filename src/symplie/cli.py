@@ -23,7 +23,7 @@ import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .linalg import DimensionMismatch, SingularMatrix, mat_zero
+from .linalg import DimensionMismatch, InternalMismatch, SingularMatrix, mat_zero
 from .checks import (
     Endo,
     Form,
@@ -789,6 +789,9 @@ def main(argv=None):
     except _USAGE_ERRORS as e:
         print("error: %s" % e, file=sys.stderr)
         return 2
+    except InternalMismatch as e:
+        print("internal error (a bug in symplie): %s" % e, file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

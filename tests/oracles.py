@@ -210,6 +210,65 @@ def brute_closed(bracket_c, form_m):
     return True
 
 
+# --- the verifiers that contract on the scaled kernel, one basis tuple at a
+# time (vs checks.check_closed, check_parallel_form and nijenhuis_torsion) ---
+
+def closed_violations(bracket_c, form_m):
+    """check_closed's violations as (where, indices, residual): dw(e_i, e_j,
+    e_k) = w(e_i, [e_j, e_k]) + w(e_j, [e_k, e_i]) + w(e_k, [e_i, e_j]) on
+    each triple i < j < k with a nonzero value."""
+    n = len(bracket_c)
+    out = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            for k in range(j + 1, n):
+                r = (form_value(form_m, _basis(n, i), bracket_c[j][k])
+                     + form_value(form_m, _basis(n, j), bracket_c[k][i])
+                     + form_value(form_m, _basis(n, k), bracket_c[i][j]))
+                if r != 0:
+                    out.append(("closed", (i, j, k), r))
+    return out
+
+
+def parallel_violations(conn_c, form_m):
+    """check_parallel_form's violations: w(e_i . e_j, e_k) - w(e_i . e_k, e_j)
+    on each i and j < k with a nonzero value."""
+    n = len(conn_c)
+    out = []
+    for i in range(n):
+        for j in range(n):
+            for k in range(j + 1, n):
+                r = (form_value(form_m, conn_c[i][j], _basis(n, k))
+                     - form_value(form_m, conn_c[i][k], _basis(n, j)))
+                if r != 0:
+                    out.append(("parallel", (i, j, k), r))
+    return out
+
+
+def nijenhuis_plain(bracket_c, m):
+    """T(N)(e_i, e_j) = [Ne_i, Ne_j] + N^2[e_i, e_j] - N([Ne_i, e_j] + [e_i, Ne_j])
+    for the matrix m of N acting on column coordinates."""
+    n = len(bracket_c)
+
+    def apply(v):
+        return tuple(sum((m[a][b] * v[b] for b in range(n)), Fraction(0))
+                     for a in range(n))
+
+    cols = [apply(_basis(n, i)) for i in range(n)]
+    planes = []
+    for i in range(n):
+        rows = []
+        for j in range(n):
+            mixed = [p + q for p, q in zip(product_vec(bracket_c, cols[i], _basis(n, j)),
+                                           product_vec(bracket_c, _basis(n, i), cols[j]))]
+            rows.append(tuple(a + b - d for a, b, d in zip(
+                product_vec(bracket_c, cols[i], cols[j]),
+                apply(apply(bracket_c[i][j])),
+                apply(mixed))))
+        planes.append(tuple(rows))
+    return tuple(planes)
+
+
 # --- seeded random rational data ---
 
 _POOL = [Fraction(q) for q in

@@ -1,6 +1,10 @@
 from fractions import Fraction
 
+from hypothesis import given, settings
+from hypothesis import strategies as hs
+
 from symplie.checks import (
+    CheckReport,
     Violation,
     Endo,
     Form,
@@ -43,6 +47,8 @@ from oracles import (
     rand_invertible,
     _basis,
 )
+from oracles import closed_violations, nijenhuis_plain, parallel_violations
+from test_linalg import all_fractions, matrices, tensors
 
 Q = Fraction
 AREA = Form(2, ((Q(0), Q(1)), (Q(-1), Q(0))))
@@ -268,3 +274,42 @@ def test_merge_reports_prefixing():
     assert not merged.verdict
     assert merged.violations[0].where == "flat: curvature"
     assert "top" in merged.notes
+
+
+# --- the verifiers on the scaled kernel against their basis-tuple oracles:
+# random brackets are not antisymmetric and random forms not skew ---
+
+dims6 = hs.integers(1, 6)
+
+
+def _oracle_report(check, violations):
+    return CheckReport(check, not violations, tuple(Violation(*v) for v in violations))
+
+
+class TestKernelVerifiersMatchOracles:
+    @settings(max_examples=30)
+    @given(hs.data())
+    def test_closed(self, data):
+        n = data.draw(dims6)
+        c, w = data.draw(tensors((n, n, n))), data.draw(matrices(n, n))
+        got = check_closed(StructureTensor(n, c), Form(n, w))
+        assert got == _oracle_report("closed", closed_violations(c, w))
+        assert all(type(v.residual) is Fraction for v in got.violations)
+
+    @settings(max_examples=30)
+    @given(hs.data())
+    def test_parallel_form(self, data):
+        n = data.draw(dims6)
+        c, w = data.draw(tensors((n, n, n))), data.draw(matrices(n, n))
+        got = check_parallel_form(StructureTensor(n, c), Form(n, w))
+        assert got == _oracle_report("parallel-form", parallel_violations(c, w))
+        assert all(type(v.residual) is Fraction for v in got.violations)
+
+    @settings(max_examples=30)
+    @given(hs.data())
+    def test_nijenhuis(self, data):
+        n = data.draw(dims6)
+        c, m = data.draw(tensors((n, n, n))), data.draw(matrices(n, n))
+        got = nijenhuis_torsion(StructureTensor(n, c), Endo(n, m))
+        assert got == StructureTensor(n, nijenhuis_plain(c, m))
+        assert all_fractions(got.c)

@@ -488,3 +488,18 @@ class TestCatalogCommand:
             assert run(["catalog", "show", name, "--export",
                         "--out", str(path)]) == 0
             assert run(["verify", str(path), "--check", checks[kind]]) == 0
+
+
+def test_internal_mismatch_exit_three(ssla3, tmp_path, monkeypatch, capsys):
+    # a cross-check that fails on valid input is a bug in the package, not in
+    # the input: its own exit code and one line, no traceback, no output file
+    from symplie import constructions
+    from symplie.checks import Violation, report
+    monkeypatch.setattr(constructions, "check_flat", lambda br, conn: report(
+        "flat", [Violation("flat", (0, 0, 0), (Q(1), Q(0)))]))
+    out = tmp_path / "lsa.alg"
+    code = run(["construct", "lsa-from-symplectic", ssla3, "--out", str(out)])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err == "internal error (a bug in symplie): derived product is not flat\n"
+    assert not out.exists()
