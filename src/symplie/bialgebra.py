@@ -35,8 +35,8 @@ from .linalg import (
     vec_sub,
 )
 from .checks import (
-    CheckReport,
     Endo,
+    RepTensor,
     StructureTensor,
     Violation,
     check_closed,
@@ -49,11 +49,14 @@ from .checks import (
     check_torsion_free,
     left_mult,
     left_mult_basis,
+    mat_violations,
     merge_reports,
     nijenhuis_torsion,
     op_add,
     op_apply,
+    relabel,
     report,
+    rep_apply,
     rep_zero,
     right_mult_basis,
     sub_adjacent,
@@ -93,22 +96,6 @@ class ParaKahlerData:
 
 # ---------------------------------------------------------------------------
 # helpers
-
-def combo(mats, v):
-    """Linear combination sum_k v[k] * mats[k]."""
-    rows = len(mats[0])
-    cols = len(mats[0][0])
-    out = [[Fraction(0)] * cols for _ in range(rows)]
-    for k, q in enumerate(v):
-        if q == 0:
-            continue
-        mk = mats[k]
-        for a in range(rows):
-            for b in range(cols):
-                if mk[a][b]:
-                    out[a][b] += q * mk[a][b]
-    return tuple(tuple(row) for row in out)
-
 
 def zero_coproducts(n):
     z = tuple(mat_zero(n) for _ in range(n))
@@ -214,42 +201,37 @@ def plsba_check(plsa, cp, cross_check=True):
     al, be = cp.alpha, cp.beta
     ab = [mat_add(al[k], be[k]) for k in range(n)]
     sab = [mat_transpose(m) for m in ab]
+    al_rep, ab_rep = RepTensor(n, n, al), RepTensor(n, n, ab)
+    skew_rep = RepTensor(n, n, tuple(mat_sub(ab[k], sab[k]) for k in range(n)))
     Ld = [left_mult_basis(dot, i) for i in range(n)]
     Ls = [left_mult_basis(succ, i) for i in range(n)]
     Lp = [left_mult_basis(prec, i) for i in range(n)]
     Rd = [right_mult_basis(dot, j) for j in range(n)]
     Rp = [right_mult_basis(prec, j) for j in range(n)]
     viol = []
-
-    def add(name, i, j, m):
-        for a in range(n):
-            for b in range(n):
-                if m[a][b]:
-                    viol.append(Violation(name, (i, j, a, b), m[a][b]))
-
     for i in range(n):
         for j in range(n):
             if i < j:
-                lhs = combo(al, br.c[i][j])
+                lhs = rep_apply(al_rep, br.c[i][j])
                 rhs = mat_add(mat_mul(al[j], mat_transpose(Ld[i])),
                               mat_mul(Ld[i], al[j]))
                 rhs = mat_sub(rhs, mat_mul(al[i], mat_transpose(Ld[j])))
                 rhs = mat_sub(rhs, mat_mul(Ld[j], al[i]))
-                add("bialgebra-1", i, j, mat_sub(lhs, rhs))
-            lhs2 = combo(ab, dot.c[i][j])
+                viol += mat_violations("bialgebra-1", mat_sub(lhs, rhs), (i, j))
+            lhs2 = rep_apply(ab_rep, dot.c[i][j])
             common = mat_add(mat_mul(Ls[i], ab[j]),
                              mat_add(mat_mul(ab[j], mat_transpose(Ld[i])),
                                      mat_mul(be[i], mat_transpose(Rd[j]))))
-            add("bialgebra-2", i, j,
-                mat_sub(lhs2, mat_sub(common, mat_mul(Lp[j], al[i]))))
-            add("bialgebra-4", i, j,
-                mat_sub(lhs2, mat_sub(common, mat_mul(Rp[j], mat_transpose(al[i])))))
-            lhs3 = combo([mat_sub(ab[k], sab[k]) for k in range(n)], prec.c[i][j])
+            viol += mat_violations("bialgebra-2", mat_sub(
+                lhs2, mat_sub(common, mat_mul(Lp[j], al[i]))), (i, j))
+            viol += mat_violations("bialgebra-4", mat_sub(
+                lhs2, mat_sub(common, mat_mul(Rp[j], mat_transpose(al[i])))), (i, j))
+            lhs3 = rep_apply(skew_rep, prec.c[i][j])
             rhs3 = mat_neg(mat_mul(Rp[j], sab[i]))
             rhs3 = mat_add(rhs3, mat_mul(ab[i], mat_transpose(Rp[j])))
             rhs3 = mat_add(rhs3, mat_mul(ab[j], mat_transpose(Lp[i])))
             rhs3 = mat_sub(rhs3, mat_mul(Lp[i], sab[j]))
-            add("bialgebra-3", i, j, mat_sub(lhs3, rhs3))
+            viol += mat_violations("bialgebra-3", mat_sub(lhs3, rhs3), (i, j))
     notes = []
     if cross_check:
         mp = dual_actions(plsa, dualize_coproducts(cp))
@@ -554,18 +536,14 @@ def slsba_check(lsa, alpha, cross_check=True):
     viol = []
     Ld = [left_mult_basis(lsa, i) for i in range(n)]
     Rd = [right_mult_basis(lsa, j) for j in range(n)]
+    alpha_rep = RepTensor(n, n, alpha)
     for i in range(n):
         for j in range(n):
-            lhs = combo(alpha, lsa.c[i][j])
+            lhs = rep_apply(alpha_rep, lsa.c[i][j])
             rhs = mat_add(mat_mul(Ld[i], alpha[j]),
                           mat_add(mat_mul(alpha[j], mat_transpose(Ld[i])),
                                   mat_mul(alpha[i], mat_transpose(Rd[j]))))
-            res = mat_sub(lhs, rhs)
-            for a in range(n):
-                for b in range(n):
-                    if res[a][b]:
-                        viol.append(Violation("coproduct-compat", (i, j, a, b),
-                                              res[a][b]))
+            viol += mat_violations("coproduct-compat", mat_sub(lhs, rhs), (i, j))
     tops = _co_left_symmetry(alpha)
     co_ok = all(t3_is_zero(t) for t in tops)
     for i in range(n):
@@ -697,11 +675,7 @@ def slsba_double(slsba):
     pk = ParaKahlerData(sub_adjacent(lsa_d), canonical_skew_pairing(n), E, lsa_d)
     pkrep = check_parakahler(pk)
     rep = merge_reports("slsba-double",
-                        [_relabel(cobrep, "coboundary"),
-                         _relabel(fullrep, "double-check"),
-                         _relabel(pkrep, "para-kahler")])
+                        [relabel(cobrep, "coboundary"),
+                         relabel(fullrep, "double-check"),
+                         relabel(pkrep, "para-kahler")])
     return lsa_d, alpha_d, rep
-
-
-def _relabel(rep, name):
-    return CheckReport(name, rep.verdict, rep.violations, rep.notes)

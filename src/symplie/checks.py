@@ -6,11 +6,13 @@ matrices over Fraction.  Every verifier returns a CheckReport listing each
 violating basis tuple with its exact residual, so a failing check pinpoints
 the offending structure constants.
 
-Most verifiers walk the basis tuples literally.  check_closed,
-check_parallel_form and nijenhuis_torsion instead contract the whole input
-once on the exact integer kernel of linalg (Scaled) and read each tuple's
-residual off the result.  check_plsa and check_left_symmetric stay on plain
-Fraction loops, because they are the independent cross-checks.
+check_closed, check_parallel_form and nijenhuis_torsion contract the whole
+input once on the exact integer kernel of linalg (Scaled) and read each
+tuple's residual off the result.  check_plsa, check_left_symmetric and
+check_jacobi evaluate sparse sums over the nonzero structure constants in
+plain Fraction; they stay off Scaled because they are the independent
+cross-check routes.  The remaining verifiers walk the basis tuples with
+matrix and vector helpers.
 """
 
 from dataclasses import dataclass, field
@@ -83,6 +85,11 @@ class CheckReport:
 def report(check, violations, notes=()):
     violations = tuple(violations)
     return CheckReport(check, not violations, violations, tuple(notes))
+
+
+def relabel(rep, name):
+    """The report rep under another check name."""
+    return CheckReport(name, rep.verdict, rep.violations, rep.notes)
 
 
 def merge_reports(check, parts, extra_violations=(), notes=()):
@@ -218,6 +225,23 @@ def check_nondegenerate(B):
     return report("nondegenerate", viol)
 
 
+def _nonzeros(op):
+    """nz[i][j] = [(k, c[i][j][k]) for each nonzero entry]."""
+    return [[[(k, q) for k, q in enumerate(row) if q] for row in plane]
+            for plane in op.c]
+
+
+def _residual(n, terms):
+    """The vector sum of sign * q * p * e_t over the (outer, rows, sign)
+    terms, with (s, q) in outer and (t, p) in rows[s]."""
+    acc = [Fraction(0)] * n
+    for outer, rows, sign in terms:
+        for s, q in outer:
+            for t, p in rows[s]:
+                acc[t] = acc[t] + q * p if sign > 0 else acc[t] - q * p
+    return tuple(acc)
+
+
 def check_jacobi(br):
     n = br.n
     viol = []
@@ -226,34 +250,33 @@ def check_jacobi(br):
             r = vec_add(br.c[i][j], br.c[j][i])
             if not vec_is_zero(r):
                 viol.append(Violation("antisymmetry", (i, j), r))
+    nz = _nonzeros(br)
+    col = list(zip(*nz))  # col[k][s] = nz[s][k]
     for i in range(n):
         for j in range(i + 1, n):
             for k in range(j + 1, n):
-                r = vec_add(
-                    vec_add(op_apply(br, br.c[i][j], basis_vec(n, k)),
-                            op_apply(br, br.c[j][k], basis_vec(n, i))),
-                    op_apply(br, br.c[k][i], basis_vec(n, j)))
-                if not vec_is_zero(r):
+                # [[e_i, e_j], e_k] + [[e_j, e_k], e_i] + [[e_k, e_i], e_j]
+                r = _residual(n, ((nz[i][j], col[k], 1), (nz[j][k], col[i], 1),
+                                  (nz[k][i], col[j], 1)))
+                if any(r):
                     viol.append(Violation("jacobi", (i, j, k), r))
     return report("jacobi", viol)
-
-
-def _associator(op, i, j, k):
-    """(e_i o e_j) o e_k - e_i o (e_j o e_k) as a coordinate vector."""
-    n = op.n
-    return vec_sub(op_apply(op, op.c[i][j], basis_vec(n, k)),
-                   op_apply(op, basis_vec(n, i), op.c[j][k]))
 
 
 def check_left_symmetric(op):
     # the defect is antisymmetric under swapping the first two arguments,
     # so i < j covers everything
+    n = op.n
+    nz = _nonzeros(op)
+    col = list(zip(*nz))
     viol = []
-    for i in range(op.n):
-        for j in range(i + 1, op.n):
-            for k in range(op.n):
-                r = vec_sub(_associator(op, i, j, k), _associator(op, j, i, k))
-                if not vec_is_zero(r):
+    for i in range(n):
+        for j in range(i + 1, n):
+            for k in range(n):
+                # (e_i e_j) e_k - e_i (e_j e_k) - (e_j e_i) e_k + e_j (e_i e_k)
+                r = _residual(n, ((nz[i][j], col[k], 1), (nz[j][k], nz[i], -1),
+                                  (nz[j][i], col[k], -1), (nz[i][k], nz[j], 1)))
+                if any(r):
                     viol.append(Violation("left-symmetric", (i, j, k), r))
     return report("left-symmetric", viol)
 
@@ -282,15 +305,16 @@ def check_plsa(prec, succ):
     total = op_add(prec, succ)
     comm = check_commutative(prec)
     lsymm = check_left_symmetric(succ)
+    nzp, nzs, nzt = _nonzeros(prec), _nonzeros(succ), _nonzeros(total)
+    colp = list(zip(*nzp))
     viol = []
     for i in range(n):
         for j in range(n):
             for k in range(n):
-                lhs = op_apply(succ, basis_vec(n, i), prec.c[j][k])
-                rhs = vec_add(op_apply(prec, total.c[i][j], basis_vec(n, k)),
-                              op_apply(prec, basis_vec(n, j), total.c[i][k]))
-                r = vec_sub(lhs, rhs)
-                if not vec_is_zero(r):
+                # e_i succ (e_j prec e_k) - (e_i . e_j) prec e_k - e_j prec (e_i . e_k)
+                r = _residual(n, ((nzp[j][k], nzs[i], 1), (nzt[i][j], colp[k], -1),
+                                  (nzt[i][k], nzp[j], -1)))
+                if any(r):
                     viol.append(Violation("compatibility", (i, j, k), r))
     sum_ls = check_left_symmetric(total)
     notes = []
@@ -415,12 +439,13 @@ def nijenhuis_torsion(br, N):
     return StructureTensor(br.n, unscaled(T))
 
 
-def _mat_violations(where, m):
+def mat_violations(where, m, at=()):
+    """A violation at indices at + (i, j) for each nonzero entry m[i][j]."""
     viol = []
     for i, row in enumerate(m):
         for j, x in enumerate(row):
             if x != 0:
-                viol.append(Violation(where, (i, j), x))
+                viol.append(Violation(where, at + (i, j), x))
     return viol
 
 
@@ -432,13 +457,13 @@ def check_complex_product(br, J, E):
     n = br.n
     ident = mat_identity(n)
     viol = []
-    viol += _mat_violations("J^2+id", mat_sub(mat_mul(J.m, J.m), mat_neg(ident)))
-    viol += _mat_violations("E^2-id", mat_sub(mat_mul(E.m, E.m), ident))
+    viol += mat_violations("J^2+id", mat_sub(mat_mul(J.m, J.m), mat_neg(ident)))
+    viol += mat_violations("E^2-id", mat_sub(mat_mul(E.m, E.m), ident))
     if E.m == ident:
         viol.append(Violation("E-is-scalar", (), Fraction(1)))
     elif E.m == mat_neg(ident):
         viol.append(Violation("E-is-scalar", (), Fraction(-1)))
-    viol += _mat_violations("JE+EJ", mat_add(mat_mul(J.m, E.m), mat_mul(E.m, J.m)))
+    viol += mat_violations("JE+EJ", mat_add(mat_mul(J.m, E.m), mat_mul(E.m, J.m)))
     for name, N in (("torsion-J", J), ("torsion-E", E)):
         T = nijenhuis_torsion(br, N)
         for i in range(n):
@@ -463,9 +488,9 @@ def check_metric_compatible(g, J, E):
             if r != 0:
                 viol.append(Violation("symmetric", (i, j), r))
     viol += check_nondegenerate(g).violations
-    viol += _mat_violations("J-invariance",
+    viol += mat_violations("J-invariance",
                             mat_sub(mat_mul(mat_transpose(J.m), mat_mul(g.m, J.m)), g.m))
-    viol += _mat_violations("E-anti-invariance",
+    viol += mat_violations("E-anti-invariance",
                             mat_add(mat_mul(mat_transpose(E.m), mat_mul(g.m, E.m)), g.m))
     return report("metric-compatible", viol)
 
@@ -539,11 +564,11 @@ def check_bimodule(lsa, l, r):
             lhs = mat_sub(mat_mul(l.t[i], l.t[j]), rep_apply(l, lsa.c[i][j]))
             rhs = mat_sub(mat_mul(l.t[j], l.t[i]), rep_apply(l, lsa.c[j][i]))
             diff = mat_sub(lhs, rhs)
-            viol += _mat_violations("bimodule-1 at (%d,%d)" % (i, j), diff)
+            viol += mat_violations("bimodule-1 at (%d,%d)" % (i, j), diff)
     for i in range(n):
         for j in range(n):
             lhs = mat_sub(mat_mul(l.t[i], r.t[j]), mat_mul(r.t[j], l.t[i]))
             rhs = mat_sub(rep_apply(r, lsa.c[i][j]), mat_mul(r.t[j], r.t[i]))
             diff = mat_sub(lhs, rhs)
-            viol += _mat_violations("bimodule-2 at (%d,%d)" % (i, j), diff)
+            viol += mat_violations("bimodule-2 at (%d,%d)" % (i, j), diff)
     return report("bimodule", viol)

@@ -33,7 +33,6 @@ from .linalg import (
     vec_sub,
 )
 from .checks import (
-    CheckReport,
     Endo,
     Form,
     RepTensor,
@@ -54,6 +53,7 @@ from .checks import (
     merge_reports,
     op_apply,
     op_sub,
+    relabel,
     rep_from_op_left,
 )
 
@@ -158,6 +158,11 @@ def semidirect_lie(br, rho):
     if not rep.verdict:
         raise NotARepresentation("action is not a representation at %s"
                                  % (rep.violations[0].indices,))
+    return _semidirect_bracket(br, rho)
+
+
+def _semidirect_bracket(br, rho):
+    """semidirect_lie for a bracket and representation already verified."""
     n, m = br.n, rho.m
     d = n + m
     c = [[[Fraction(0)] * d for _ in range(d)] for _ in range(d)]
@@ -190,10 +195,10 @@ def tangent_double(s):
     connection sends ((x,z),(y,w)) to (conn_x y, conn_x w); the metric pairs
     the two copies through omega.
     """
-    _require_special_symplectic(s)
+    _require_special_symplectic(s)  # Jacobi, and flatness: rho is a representation
     n = s.bracket.n
     rho = rep_from_op_left(s.conn)
-    br2 = semidirect_lie(s.bracket, rho)
+    br2 = _semidirect_bracket(s.bracket, rho)
     d = 2 * n
     c = [[[Fraction(0)] * d for _ in range(d)] for _ in range(d)]
     for i in range(n):
@@ -217,7 +222,8 @@ def tangent_double(s):
 def _cotangent_core(br, conn):
     n = br.n
     rho_star = dual_left_action(conn)
-    br2 = semidirect_lie(br, rho_star)
+    # every caller has verified Jacobi and flatness, so rho_star is a representation
+    br2 = _semidirect_bracket(br, rho_star)
     d = 2 * n
     c = [[[Fraction(0)] * d for _ in range(d)] for _ in range(d)]
     for i in range(n):
@@ -505,10 +511,10 @@ def post_affine_check(nabla, nabla_tilde, br):
         raise DimensionMismatch("dimensions %d, %d, %d"
                                 % (nabla.n, nabla_tilde.n, br.n))
     n = br.n
-    parts = [_relabel(check_torsion_free(br, nabla), "torsion-free(nabla)"),
-             _relabel(check_flat(br, nabla), "flat(nabla)"),
-             _relabel(check_torsion_free(br, nabla_tilde), "torsion-free(nabla-tilde)"),
-             _relabel(check_flat(br, nabla_tilde), "flat(nabla-tilde)")]
+    parts = [relabel(check_torsion_free(br, nabla), "torsion-free(nabla)"),
+             relabel(check_flat(br, nabla), "flat(nabla)"),
+             relabel(check_torsion_free(br, nabla_tilde), "torsion-free(nabla-tilde)"),
+             relabel(check_flat(br, nabla_tilde), "flat(nabla-tilde)")]
     D = op_sub(nabla_tilde, nabla)
     viol = []
     for i in range(n):
@@ -533,7 +539,3 @@ def post_affine_check(nabla, nabla_tilde, br):
         notes.append("product-pair route agrees: %s"
                      % ("pass" if pair_rep.verdict else "fail"))
     return merge_reports("post-affine", parts, viol, notes)
-
-
-def _relabel(rep, name):
-    return CheckReport(name, rep.verdict, rep.violations, rep.notes)

@@ -12,7 +12,6 @@ from fractions import Fraction
 
 from .linalg import DimensionMismatch, basis_vec, mat_vec, t3, vec_add, vec_is_zero, vec_sub
 from .checks import (
-    CheckReport,
     Form,
     RepTensor,
     StructureTensor,
@@ -24,6 +23,7 @@ from .checks import (
     merge_reports,
     op_add,
     op_apply,
+    relabel,
     rep_apply,
     sub_adjacent,
 )
@@ -61,8 +61,8 @@ def check_matched_pair(mp):
     if not (mp.l1.n == mp.r1.n == n and mp.l1.m == mp.r1.m == m
             and mp.l2.n == mp.r2.n == m and mp.l2.m == mp.r2.m == n):
         raise DimensionMismatch("inconsistent action dimensions")
-    parts = [_relabel(check_bimodule(mp.A1, mp.l1, mp.r1), "bimodule(A1)"),
-             _relabel(check_bimodule(mp.A2, mp.l2, mp.r2), "bimodule(A2)")]
+    parts = [relabel(check_bimodule(mp.A1, mp.l1, mp.r1), "bimodule(A1)"),
+             relabel(check_bimodule(mp.A2, mp.l2, mp.r2), "bimodule(A2)")]
     viol = []
     viol += _mixed_12(mp.A1, mp.l1, mp.r1, mp.l2, mp.r2, m, "mixed-compat-1",
                       "mixed-compat-2")
@@ -176,9 +176,9 @@ def double_extension(plsaA, plsaAstar):
     glued = glue_product(mp)
     n = precA.n
     omega_p = canonical_skew_pairing(n)
-    parts = [_relabel(check_parallel_form(glued, omega_p), "omega-p-parallel"),
-             _relabel(check_special_symplectic(sub_adjacent(glued), glued, omega_p),
-                      "special-symplectic")]
+    parts = [relabel(check_parallel_form(glued, omega_p), "omega-p-parallel"),
+             relabel(check_special_symplectic(sub_adjacent(glued), glued, omega_p),
+                     "special-symplectic")]
     rep = merge_reports("double-extension", parts, ())
     return DoubleExtensionData(plsaA, plsaAstar, glued, omega_p), rep
 
@@ -274,7 +274,3 @@ def build_double_plsa(plsaA, plsaAstar):
                 succ_c[i][n + a][k] = x_succ_a.c[i][n + a][k]
                 succ_c[n + a][i][k] = a_succ_x.c[n + a][i][k]
     return StructureTensor(d, t3(prec_c)), StructureTensor(d, t3(succ_c))
-
-
-def _relabel(rep, name):
-    return CheckReport(name, rep.verdict, rep.violations, rep.notes)

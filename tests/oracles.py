@@ -269,6 +269,78 @@ def nijenhuis_plain(bracket_c, m):
     return tuple(planes)
 
 
+# --- the verifiers that sum over sparse structure constants, one basis tuple
+# at a time through full products (vs checks.check_left_symmetric,
+# check_jacobi and check_plsa's compatibility loop) ---
+
+def _vsub(u, v):
+    return tuple(p - q for p, q in zip(u, v))
+
+
+def _vadd(u, v):
+    return tuple(p + q for p, q in zip(u, v))
+
+
+def left_symmetric_violations(c):
+    """check_left_symmetric's violations: the associator (x o y) o z -
+    x o (y o z) minus the same with x and y swapped, on each basis triple
+    with i < j and a nonzero value."""
+    n = len(c)
+
+    def assoc(i, j, k):
+        return _vsub(product_vec(c, c[i][j], _basis(n, k)),
+                     product_vec(c, _basis(n, i), c[j][k]))
+
+    out = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            for k in range(n):
+                r = _vsub(assoc(i, j, k), assoc(j, i, k))
+                if any(r):
+                    out.append(("left-symmetric", (i, j, k), r))
+    return out
+
+
+def jacobi_violations(c):
+    """check_jacobi's violations: [e_i, e_j] + [e_j, e_i] on each i <= j,
+    then the cyclic sum of [[e_i, e_j], e_k] on each i < j < k."""
+    n = len(c)
+    out = []
+    for i in range(n):
+        for j in range(i, n):
+            r = _vadd(c[i][j], c[j][i])
+            if any(r):
+                out.append(("antisymmetry", (i, j), r))
+    for i in range(n):
+        for j in range(i + 1, n):
+            for k in range(j + 1, n):
+                r = _vadd(_vadd(product_vec(c, c[i][j], _basis(n, k)),
+                                product_vec(c, c[j][k], _basis(n, i))),
+                          product_vec(c, c[k][i], _basis(n, j)))
+                if any(r):
+                    out.append(("jacobi", (i, j, k), r))
+    return out
+
+
+def plsa_compat_violations(prec_c, succ_c):
+    """check_plsa's compatibility violations: e_i succ (e_j prec e_k) -
+    (e_i . e_j) prec e_k - e_j prec (e_i . e_k), with . = prec + succ, on
+    each basis triple with a nonzero value."""
+    n = len(prec_c)
+    total = [[_vadd(prec_c[i][j], succ_c[i][j]) for j in range(n)] for i in range(n)]
+    out = []
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                lhs = product_vec(succ_c, _basis(n, i), prec_c[j][k])
+                rhs = _vadd(product_vec(prec_c, total[i][j], _basis(n, k)),
+                            product_vec(prec_c, _basis(n, j), total[i][k]))
+                r = _vsub(lhs, rhs)
+                if any(r):
+                    out.append(("compatibility", (i, j, k), r))
+    return out
+
+
 # --- seeded random rational data ---
 
 _POOL = [Fraction(q) for q in

@@ -48,7 +48,9 @@ from oracles import (
     _basis,
 )
 from oracles import closed_violations, nijenhuis_plain, parallel_violations
-from test_linalg import all_fractions, matrices, tensors
+from oracles import jacobi_violations, left_symmetric_violations, plsa_compat_violations
+from symplie.constructions import cotangent_double
+from test_linalg import all_fractions, dims, matrices, tensors
 
 Q = Fraction
 AREA = Form(2, ((Q(0), Q(1)), (Q(-1), Q(0))))
@@ -313,3 +315,96 @@ class TestKernelVerifiersMatchOracles:
         got = nijenhuis_torsion(StructureTensor(n, c), Endo(n, m))
         assert got == StructureTensor(n, nijenhuis_plain(c, m))
         assert all_fractions(got.c)
+
+
+# --- the sparse structure-constant verifiers against their full-product
+# oracles, and their verdicts under a change of basis ---
+
+def _residual_entries_are_fractions(rep):
+    return all(type(x) is Fraction for v in rep.violations for x in v.residual)
+
+
+def _commutative_violations(c):
+    n = len(c)
+    return [("commutative", (i, j), tuple(p - q for p, q in zip(c[i][j], c[j][i])))
+            for i in range(n) for j in range(i + 1, n) if c[i][j] != c[j][i]]
+
+
+def _plsa_oracle_report(prec_c, succ_c):
+    n = len(prec_c)
+    total_c = tuple(tuple(tuple(p + q for p, q in zip(prec_c[i][j], succ_c[i][j]))
+                          for j in range(n)) for i in range(n))
+    comm = _oracle_report("commutative", _commutative_violations(prec_c))
+    lsymm = _oracle_report("left-symmetric", left_symmetric_violations(succ_c))
+    compat = [Violation(*v) for v in plsa_compat_violations(prec_c, succ_c)]
+    sum_ok = not left_symmetric_violations(total_c)
+    word = {True: "pass", False: "fail"}
+    if sum_ok == lsymm.verdict:
+        notes = ["sum-product left-symmetry agrees with succ left-symmetry (%s)"
+                 % word[sum_ok]]
+    else:
+        notes = ["ALERT: sum-product left-symmetry (%s) disagrees with succ "
+                 "left-symmetry (%s)" % (word[sum_ok], word[lsymm.verdict])]
+        if comm.verdict and not compat:
+            notes.append("ALERT: disagreement despite commutativity and compatibility "
+                         "holding; this indicates a verifier bug")
+    return merge_reports("plsa", [comm, lsymm], compat, notes)
+
+
+def _transported(op, p):
+    return StructureTensor(op.n, transport_product(op.c, p))
+
+
+def _bumped(op):
+    """op with 1 added to its e_0 o e_1 -> e_0 constant."""
+    n = op.n
+    return StructureTensor(n, tuple(tuple(tuple(
+        x + (1 if (i, j, k) == (0, 1, 0) else 0) for k, x in enumerate(row))
+        for j, row in enumerate(plane)) for i, plane in enumerate(op.c)))
+
+
+class TestSparseVerifiersMatchOracles:
+    @settings(max_examples=30)
+    @given(hs.data())
+    def test_left_symmetric(self, data):
+        n = data.draw(dims)
+        c = data.draw(tensors((n, n, n)))
+        got = check_left_symmetric(StructureTensor(n, c))
+        assert got == _oracle_report("left-symmetric", left_symmetric_violations(c))
+        assert _residual_entries_are_fractions(got)
+
+    @settings(max_examples=30)
+    @given(hs.data())
+    def test_jacobi(self, data):
+        n = data.draw(dims)
+        c = data.draw(tensors((n, n, n)))
+        got = check_jacobi(StructureTensor(n, c))
+        assert got == _oracle_report("jacobi", jacobi_violations(c))
+        assert _residual_entries_are_fractions(got)
+
+    @settings(max_examples=30)
+    @given(hs.data())
+    def test_plsa(self, data):
+        n = data.draw(dims)
+        prec_c, succ_c = data.draw(tensors((n, n, n))), data.draw(tensors((n, n, n)))
+        got = check_plsa(StructureTensor(n, prec_c), StructureTensor(n, succ_c))
+        assert got == _plsa_oracle_report(prec_c, succ_c)
+        assert _residual_entries_are_fractions(got)
+
+    @settings(max_examples=30)
+    @given(hs.sampled_from(range(1, 5)), hs.integers(0, 10 ** 6), hs.booleans())
+    def test_verdicts_survive_basis_change(self, index, seed, bump):
+        """Passing inputs (a 2-dim product pair, the 4-dim cotangent double's
+        bracket and connection) and the same with one constant bumped keep
+        their verdicts when carried to a random basis."""
+        prec, succ = catalog_get("plsa-2d-%s" % ("I", "II", "III", "IV")[index - 1]).payload
+        double = cotangent_double(catalog_get("ssla-2d-%d" % index).payload)
+        br, conn = double.bracket, double.conn
+        if bump:
+            prec, br, conn = _bumped(prec), _bumped(br), _bumped(conn)
+        p2, p4 = rand_invertible(rng(seed), 2), rand_invertible(rng(seed), 4)
+        assert (check_plsa(prec, succ).verdict
+                == check_plsa(_transported(prec, p2), _transported(succ, p2)).verdict)
+        assert check_jacobi(br).verdict == check_jacobi(_transported(br, p4)).verdict
+        assert (check_left_symmetric(conn).verdict
+                == check_left_symmetric(_transported(conn, p4)).verdict)
