@@ -68,6 +68,7 @@ from .matched import (
     canonical_skew_pairing,
     check_matched_pair,
     dual_actions,
+    glue_product,
 )
 
 
@@ -105,15 +106,16 @@ def zero_coproducts(n):
 # ---------------------------------------------------------------------------
 # duality
 
+def _dual_product(n, t):
+    """The product on the dual space whose f_k coefficient of f_p f_q is
+    t[k][p][q], the (p, q) coefficient of the coproduct of e_k."""
+    return StructureTensor(n, tuple(tuple(tuple(t[k][p][q] for k in range(n))
+                                          for q in range(n)) for p in range(n)))
+
+
 def dualize_coproducts(cp):
-    """Products on the dual space: the f_k coefficient of f_p f_q is the
-    (p, q) coefficient of the corresponding coproduct of e_k."""
-    n = cp.n
-    prec = StructureTensor(n, tuple(tuple(tuple(cp.alpha[k][p][q] for k in range(n))
-                                          for q in range(n)) for p in range(n)))
-    succ = StructureTensor(n, tuple(tuple(tuple(cp.beta[k][p][q] for k in range(n))
-                                          for q in range(n)) for p in range(n)))
-    return prec, succ
+    """Products on the dual space of the two coproducts (_dual_product)."""
+    return _dual_product(cp.n, cp.alpha), _dual_product(cp.n, cp.beta)
 
 
 def coproducts_from_products(prec, succ):
@@ -555,12 +557,7 @@ def slsba_check(lsa, alpha, cross_check=True):
                                               tops[i][a][b][c]))
     notes = []
     if cross_check and co_ok:
-        dual = StructureTensor(n, tuple(tuple(tuple(alpha[k][p][q] for k in range(n))
-                                              for q in range(n)) for p in range(n)))
-        mp = MatchedPairData(lsa, dual,
-                             dual_left_action(lsa), rep_zero(n),
-                             dual_left_action(dual), rep_zero(n))
-        mrep = check_matched_pair(mp)
+        mrep = check_matched_pair(_left_dual_actions(lsa, _dual_product(n, alpha)))
         compat_ok = not any(v.where == "coproduct-compat" for v in viol)
         if mrep.verdict != compat_ok:
             raise InternalMismatch("coproduct identity (%s) disagrees with the "
@@ -573,6 +570,15 @@ def slsba_check(lsa, alpha, cross_check=True):
         notes.append("matched-pair route skipped: dual product is not "
                      "left-symmetric")
     return report("slsba", viol, notes)
+
+
+def _left_dual_actions(lsa, dual):
+    """The matched-pair candidate of an LSA and the dual product of its
+    coproduct: each acts on the other's space by its dual left action, and
+    both right actions are zero."""
+    n = lsa.n
+    return MatchedPairData(lsa, dual, dual_left_action(lsa), rep_zero(n),
+                           dual_left_action(dual), rep_zero(n))
 
 
 def _co_left_symmetry(alpha):
@@ -650,20 +656,8 @@ def slsba_double(slsba):
         v = inrep.violations[0]
         raise NotAnSLSBA("%s fails at %s" % (v.where, v.indices))
     n = lsa.n
-    dual = StructureTensor(n, tuple(tuple(tuple(alpha[k][p][q] for k in range(n))
-                                          for q in range(n)) for p in range(n)))
-    la = dual_left_action(lsa)
-    lb = dual_left_action(dual)
     d = 2 * n
-    c = [[[Fraction(0)] * d for _ in range(d)] for _ in range(d)]
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                c[i][j][k] = lsa.c[i][j][k]
-                c[n + i][n + j][n + k] = dual.c[i][j][k]
-                c[i][n + j][n + k] = la.t[i][k][j]
-                c[n + i][j][k] = lb.t[i][k][j]
-    lsa_d = StructureTensor(d, tuple(tuple(tuple(row) for row in plane) for plane in c))
+    lsa_d = glue_product(_left_dual_actions(lsa, _dual_product(n, alpha)))
     r = canonical_r(n)
     alpha_d, cobrep = slsba_coboundary(lsa_d, r)
     fullrep = slsba_check(lsa_d, alpha_d)

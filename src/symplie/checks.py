@@ -8,11 +8,11 @@ the offending structure constants.
 
 check_closed, check_parallel_form and nijenhuis_torsion contract the whole
 input once on the exact integer kernel of linalg (Scaled) and read each
-tuple's residual off the result.  check_plsa, check_left_symmetric and
-check_jacobi evaluate sparse sums over the nonzero structure constants in
-plain Fraction; they stay off Scaled because they are the independent
-cross-check routes.  The remaining verifiers walk the basis tuples with
-matrix and vector helpers.
+tuple's residual off the result.  check_plsa, check_left_symmetric,
+check_jacobi and check_bimodule evaluate sparse sums over the nonzero
+structure constants (and action entries) in plain Fraction; they stay off
+Scaled because they are the independent cross-check routes.  The remaining
+verifiers walk the basis tuples with matrix and vector helpers.
 """
 
 from dataclasses import dataclass, field
@@ -225,10 +225,10 @@ def check_nondegenerate(B):
     return report("nondegenerate", viol)
 
 
-def _nonzeros(op):
-    """nz[i][j] = [(k, c[i][j][k]) for each nonzero entry]."""
+def _nonzeros(t):
+    """nz[i][j] = [(k, t[i][j][k]) for each nonzero entry] of a rank-3 tensor."""
     return [[[(k, q) for k, q in enumerate(row) if q] for row in plane]
-            for plane in op.c]
+            for plane in t]
 
 
 def _residual(n, terms):
@@ -250,7 +250,7 @@ def check_jacobi(br):
             r = vec_add(br.c[i][j], br.c[j][i])
             if not vec_is_zero(r):
                 viol.append(Violation("antisymmetry", (i, j), r))
-    nz = _nonzeros(br)
+    nz = _nonzeros(br.c)
     col = list(zip(*nz))  # col[k][s] = nz[s][k]
     for i in range(n):
         for j in range(i + 1, n):
@@ -267,7 +267,7 @@ def check_left_symmetric(op):
     # the defect is antisymmetric under swapping the first two arguments,
     # so i < j covers everything
     n = op.n
-    nz = _nonzeros(op)
+    nz = _nonzeros(op.c)
     col = list(zip(*nz))
     viol = []
     for i in range(n):
@@ -305,7 +305,7 @@ def check_plsa(prec, succ):
     total = op_add(prec, succ)
     comm = check_commutative(prec)
     lsymm = check_left_symmetric(succ)
-    nzp, nzs, nzt = _nonzeros(prec), _nonzeros(succ), _nonzeros(total)
+    nzp, nzs, nzt = _nonzeros(prec.c), _nonzeros(succ.c), _nonzeros(total.c)
     colp = list(zip(*nzp))
     viol = []
     for i in range(n):
@@ -555,20 +555,26 @@ def check_bimodule(lsa, l, r):
     if l.n != lsa.n or r.n != lsa.n:
         raise DimensionMismatch("algebra dim %d, actions on dims %d, %d"
                                 % (lsa.n, l.n, r.n))
-    if l.m != r.m:
-        raise DimensionMismatch("module dims %d and %d" % (l.m, r.m))
-    n = lsa.n
+    n, m = lsa.n, l.m
+    if r.m != m or len(l.t) != l.n or len(r.t) != r.n or any(
+            len(mat) != m or any(len(row) != m for row in mat) for mat in (*l.t, *r.t)):
+        raise DimensionMismatch("actions on a module of dim %d must be %d x %d matrices"
+                                % (m, m, m))
+    nz, rl, rr = _nonzeros(lsa.c), _nonzeros(l.t), _nonzeros(r.t)
+    rlt, rrt = list(zip(*rl)), list(zip(*rr))  # rlt[a][s] = rl[s][a], row a of l(e_s)
     viol = []
     for i in range(n):
         for j in range(i + 1, n):
-            lhs = mat_sub(mat_mul(l.t[i], l.t[j]), rep_apply(l, lsa.c[i][j]))
-            rhs = mat_sub(mat_mul(l.t[j], l.t[i]), rep_apply(l, lsa.c[j][i]))
-            diff = mat_sub(lhs, rhs)
+            # row a of l(e_i)l(e_j) - l(e_i e_j) - l(e_j)l(e_i) + l(e_j e_i)
+            diff = [_residual(m, ((rl[i][a], rl[j], 1), (nz[i][j], rlt[a], -1),
+                                  (rl[j][a], rl[i], -1), (nz[j][i], rlt[a], 1)))
+                    for a in range(m)]
             viol += mat_violations("bimodule-1 at (%d,%d)" % (i, j), diff)
     for i in range(n):
         for j in range(n):
-            lhs = mat_sub(mat_mul(l.t[i], r.t[j]), mat_mul(r.t[j], l.t[i]))
-            rhs = mat_sub(rep_apply(r, lsa.c[i][j]), mat_mul(r.t[j], r.t[i]))
-            diff = mat_sub(lhs, rhs)
+            # row a of l(e_i)r(e_j) - r(e_j)l(e_i) - r(e_i e_j) + r(e_j)r(e_i)
+            diff = [_residual(m, ((rl[i][a], rr[j], 1), (rr[j][a], rl[i], -1),
+                                  (nz[i][j], rrt[a], -1), (rr[j][a], rr[i], 1)))
+                    for a in range(m)]
             viol += mat_violations("bimodule-2 at (%d,%d)" % (i, j), diff)
     return report("bimodule", viol)

@@ -5,26 +5,30 @@ Index conventions for mixed-compat violations: equations 1 and 2 report
 (i, j, c) with i, j basis indices of the first algebra and c of the second;
 equations 3 and 4 report (a, b, c) with a, b in the second algebra and c in
 the first.
+
+The matched-pair route (check_bimodule, _mixed_12) sums products of nonzero
+structure constants and action entries in plain Fraction, off linalg.Scaled,
+as the independent cross-check of the bialgebra verifiers.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .linalg import DimensionMismatch, basis_vec, mat_vec, t3, vec_add, vec_is_zero, vec_sub
+from .linalg import DimensionMismatch, t3
 from .checks import (
     Form,
     RepTensor,
     StructureTensor,
     Violation,
+    _nonzeros,
+    _residual,
     check_bimodule,
     check_parallel_form,
     check_plsa,
     check_special_symplectic,
     merge_reports,
     op_add,
-    op_apply,
     relabel,
-    rep_apply,
     sub_adjacent,
 )
 from .constructions import InvalidInput, coadjoint, dual_left_action, dual_right_action
@@ -63,41 +67,38 @@ def check_matched_pair(mp):
         raise DimensionMismatch("inconsistent action dimensions")
     parts = [relabel(check_bimodule(mp.A1, mp.l1, mp.r1), "bimodule(A1)"),
              relabel(check_bimodule(mp.A2, mp.l2, mp.r2), "bimodule(A2)")]
-    viol = []
-    viol += _mixed_12(mp.A1, mp.l1, mp.r1, mp.l2, mp.r2, m, "mixed-compat-1",
-                      "mixed-compat-2")
-    viol += _mixed_12(mp.A2, mp.l2, mp.r2, mp.l1, mp.r1, n, "mixed-compat-3",
-                      "mixed-compat-4")
+    viol = (_mixed_12(mp.A1, mp.l1, mp.r1, mp.l2, mp.r2, m, "mixed-compat-1", "mixed-compat-2")
+            + _mixed_12(mp.A2, mp.l2, mp.r2, mp.l1, mp.r1, n, "mixed-compat-3", "mixed-compat-4"))
     return merge_reports("matched-pair", parts, viol)
 
 
 def _mixed_12(A, lA, rA, lB, rB, mdim, name1, name2):
     """The two compatibility identities with products taken in A; lA/rA are
-    A's actions on the other space, lB/rB the other algebra's actions on A."""
+    A's actions on the other space, lB/rB the other algebra's actions on A.
+    Each residual is a signed sum over nonzero structure constants and
+    action-matrix entries (checks._residual)."""
     n = A.n
+    nz = _nonzeros(A.c)
+    nzcol = list(zip(*nz))  # nzcol[j][s] = nz[s][j]
+    # cols[c][s] = [(k, t[c][k][s]) ...], the nonzero column s of t[c]
+    cLA, cRA, cLB, cRB = (_nonzeros([tuple(zip(*mat)) for mat in rep.t])
+                          for rep in (lA, rA, lB, rB))
+    cLBt, cRBt = list(zip(*cLB)), list(zip(*cRB))  # cRBt[i][d] = cRB[d][i]
     out = []
     for c in range(mdim):
-        fc = basis_vec(mdim, c)
         for i in range(n):
-            ei = basis_vec(n, i)
             for j in range(n):
-                ej = basis_vec(n, j)
                 if i < j:
-                    lhs = mat_vec(rB.t[c], vec_sub(A.c[i][j], A.c[j][i]))
-                    res = vec_sub(lhs, mat_vec(rep_apply(rB, mat_vec(lA.t[j], fc)), ei))
-                    res = vec_add(res, mat_vec(rep_apply(rB, mat_vec(lA.t[i], fc)), ej))
-                    res = vec_sub(res, op_apply(A, ei, mat_vec(rB.t[c], ej)))
-                    res = vec_add(res, op_apply(A, ej, mat_vec(rB.t[c], ei)))
-                    if not vec_is_zero(res):
+                    res = _residual(n, ((nz[i][j], cRB[c], 1), (nz[j][i], cRB[c], -1),
+                                        (cLA[j][c], cRBt[i], -1), (cLA[i][c], cRBt[j], 1),
+                                        (cRB[c][j], nz[i], -1), (cRB[c][i], nz[j], 1)))
+                    if any(res):
                         out.append(Violation(name1, (i, j, c), res))
-                res = mat_vec(lB.t[c], A.c[i][j])
-                res = vec_add(res, mat_vec(
-                    rep_apply(lB, vec_sub(mat_vec(lA.t[i], fc), mat_vec(rA.t[i], fc))), ej))
-                res = vec_sub(res, op_apply(
-                    A, vec_sub(mat_vec(lB.t[c], ei), mat_vec(rB.t[c], ei)), ej))
-                res = vec_sub(res, mat_vec(rep_apply(rB, mat_vec(rA.t[j], fc)), ei))
-                res = vec_sub(res, op_apply(A, ei, mat_vec(lB.t[c], ej)))
-                if not vec_is_zero(res):
+                res = _residual(n, ((nz[i][j], cLB[c], 1), (cLA[i][c], cLBt[j], 1),
+                                    (cRA[i][c], cLBt[j], -1), (cLB[c][i], nzcol[j], -1),
+                                    (cRB[c][i], nzcol[j], 1), (cRA[j][c], cRBt[i], -1),
+                                    (cLB[c][j], nz[i], -1)))
+                if any(res):
                     out.append(Violation(name2, (i, j, c), res))
     return out
 
@@ -119,12 +120,10 @@ def glue_product(mp):
     c = [[[Fraction(0)] * d for _ in range(d)] for _ in range(d)]
     for i in range(n):
         for j in range(n):
-            for k in range(n):
-                c[i][j][k] = mp.A1.c[i][j][k]
+            c[i][j][:n] = mp.A1.c[i][j]
     for a in range(m):
         for b in range(m):
-            for k in range(m):
-                c[n + a][n + b][n + k] = mp.A2.c[a][b][k]
+            c[n + a][n + b][n:] = mp.A2.c[a][b]
     for i in range(n):
         for b in range(m):
             for k in range(n):

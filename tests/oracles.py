@@ -341,6 +341,83 @@ def plsa_compat_violations(prec_c, succ_c):
     return out
 
 
+# --- the matched-pair route, one basis tuple at a time through dense
+# matrices and full products (vs checks.check_bimodule and matched._mixed_12;
+# an action is a tuple of square matrices, one per basis vector) ---
+
+def _mat_vec(m, v):
+    return tuple(sum((m[a][b] * v[b] for b in range(len(v))), Fraction(0))
+                 for a in range(len(m)))
+
+
+def _msub(a, b):
+    return tuple(_vsub(p, q) for p, q in zip(a, b))
+
+
+def _act(t, x):
+    """sum_i x[i] t[i], the action of the vector x."""
+    size = len(t[0])
+    return tuple(tuple(sum((x[i] * t[i][a][b] for i in range(len(t))), Fraction(0))
+                       for b in range(size)) for a in range(size))
+
+
+def _entries(where, m):
+    return [(where, (a, b), x) for a, row in enumerate(m) for b, x in enumerate(row) if x]
+
+
+def bimodule_violations(c, l, r):
+    """check_bimodule's violations for the product c and actions l, r:
+    l(e_i)l(e_j) - l(e_i e_j) - (l(e_j)l(e_i) - l(e_j e_i)) on each i < j,
+    then l(e_i)r(e_j) - r(e_j)l(e_i) - (r(e_i e_j) - r(e_j)r(e_i)) on each
+    (i, j), one violation per nonzero matrix entry."""
+    n = len(c)
+    out = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            lhs = _msub(mat_mul_plain(l[i], l[j]), _act(l, c[i][j]))
+            rhs = _msub(mat_mul_plain(l[j], l[i]), _act(l, c[j][i]))
+            out += _entries("bimodule-1 at (%d,%d)" % (i, j), _msub(lhs, rhs))
+    for i in range(n):
+        for j in range(n):
+            lhs = _msub(mat_mul_plain(l[i], r[j]), mat_mul_plain(r[j], l[i]))
+            rhs = _msub(_act(r, c[i][j]), mat_mul_plain(r[j], r[i]))
+            out += _entries("bimodule-2 at (%d,%d)" % (i, j), _msub(lhs, rhs))
+    return out
+
+
+def mixed_compat_violations(c, lA, rA, lB, rB, name1, name2):
+    """_mixed_12's violations: products in A (constants c), A's actions lA,
+    rA on the other space, and the other algebra's actions lB, rB on A.  For
+    each basis vector f_d of the other space, identity 1 on each i < j, then
+    identity 2 on each (i, j), with a nonzero value."""
+    n, m = len(c), len(lB)
+    out = []
+    for d in range(m):
+        f = _basis(m, d)
+        for i in range(n):
+            ei = _basis(n, i)
+            for j in range(n):
+                ej = _basis(n, j)
+                if i < j:
+                    res = _mat_vec(rB[d], _vsub(c[i][j], c[j][i]))
+                    res = _vsub(res, _mat_vec(_act(rB, _mat_vec(lA[j], f)), ei))
+                    res = _vadd(res, _mat_vec(_act(rB, _mat_vec(lA[i], f)), ej))
+                    res = _vsub(res, product_vec(c, ei, _mat_vec(rB[d], ej)))
+                    res = _vadd(res, product_vec(c, ej, _mat_vec(rB[d], ei)))
+                    if any(res):
+                        out.append((name1, (i, j, d), res))
+                res = _mat_vec(lB[d], c[i][j])
+                res = _vadd(res, _mat_vec(
+                    _act(lB, _vsub(_mat_vec(lA[i], f), _mat_vec(rA[i], f))), ej))
+                res = _vsub(res, product_vec(
+                    c, _vsub(_mat_vec(lB[d], ei), _mat_vec(rB[d], ei)), ej))
+                res = _vsub(res, _mat_vec(_act(rB, _mat_vec(rA[j], f)), ei))
+                res = _vsub(res, product_vec(c, ei, _mat_vec(lB[d], ej)))
+                if any(res):
+                    out.append((name2, (i, j, d), res))
+    return out
+
+
 # --- seeded random rational data ---
 
 _POOL = [Fraction(q) for q in

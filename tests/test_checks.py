@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hs
 
@@ -49,7 +50,9 @@ from oracles import (
 )
 from oracles import closed_violations, nijenhuis_plain, parallel_violations
 from oracles import jacobi_violations, left_symmetric_violations, plsa_compat_violations
+from oracles import bimodule_violations
 from symplie.constructions import cotangent_double
+from symplie.linalg import DimensionMismatch
 from test_linalg import all_fractions, dims, matrices, tensors
 
 Q = Fraction
@@ -408,3 +411,31 @@ class TestSparseVerifiersMatchOracles:
         assert check_jacobi(br).verdict == check_jacobi(_transported(br, p4)).verdict
         assert (check_left_symmetric(conn).verdict
                 == check_left_symmetric(_transported(conn, p4)).verdict)
+
+
+sides = hs.integers(1, 4)
+
+
+class TestBimoduleMatchesOracle:
+    @settings(max_examples=30)
+    @given(hs.data())
+    def test_bimodule(self, data):
+        """Whole reports against the dense oracle, with the module dimension
+        m independent of the algebra dimension n."""
+        n, m = data.draw(sides), data.draw(sides)
+        c = data.draw(tensors((n, n, n)))
+        l, r = data.draw(tensors((n, m, m))), data.draw(tensors((n, m, m)))
+        got = check_bimodule(StructureTensor(n, c), RepTensor(n, m, l), RepTensor(n, m, r))
+        assert got == _oracle_report("bimodule", bimodule_violations(c, l, r))
+        assert all(type(v.residual) is Fraction for v in got.violations)
+
+    def test_misshapen_actions_raise(self):
+        one = ((Q(1),),)
+        two = ((Q(1), Q(0)), (Q(0), Q(1)))
+        good = RepTensor(2, 2, (two, two))
+        for bad in (RepTensor(2, 2, (one, one)),        # 1 x 1 matrices
+                    RepTensor(2, 2, (two,)),            # one matrix for two basis vectors
+                    RepTensor(2, 2, (two, ((Q(1), Q(0)),)))):  # a 1 x 2 matrix
+            for l, r in ((bad, good), (good, bad)):
+                with pytest.raises(DimensionMismatch):
+                    check_bimodule(NONAB, l, r)

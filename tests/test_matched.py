@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
 
 from symplie.checks import (
     RepTensor,
@@ -28,6 +30,9 @@ from symplie.matched import (
 from symplie.catalog import catalog_get
 
 from oracles import brute_left_symmetric
+from oracles import bimodule_violations, mixed_compat_violations
+from symplie.checks import CheckReport, StructureTensor, Violation
+from test_linalg import tensors
 
 Q = Fraction
 PLSA_NAMES = ("plsa-2d-I", "plsa-2d-II", "plsa-2d-III", "plsa-2d-IV")
@@ -226,3 +231,63 @@ class TestDoublePlsa:
     def test_mixed_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
             mixed_products((st(2), st(2)), (st(3), st(3)))
+
+
+def _oracle_report(mp):
+    """check_matched_pair's report from the dense oracles: the four mixed
+    identities, then both bimodule reports under their sub-check names."""
+    c1, c2, l1, r1, l2, r2 = mp.A1.c, mp.A2.c, mp.l1.t, mp.r1.t, mp.l2.t, mp.r2.t
+    viol = (mixed_compat_violations(c1, l1, r1, l2, r2, "mixed-compat-1", "mixed-compat-2")
+            + mixed_compat_violations(c2, l2, r2, l1, r1, "mixed-compat-3", "mixed-compat-4"))
+    for name, c, l, r in (("bimodule(A1)", c1, l1, r1), ("bimodule(A2)", c2, l2, r2)):
+        viol += [("%s: %s" % (name, w), idx, res) for w, idx, res in bimodule_violations(c, l, r)]
+    return CheckReport("matched-pair", not viol, tuple(Violation(*v) for v in viol))
+
+
+def _residual_entries_are_fractions(rep):
+    return all(type(x) is Fraction for v in rep.violations
+               for x in (v.residual if isinstance(v.residual, tuple) else (v.residual,)))
+
+
+def _prec_bumped(pair):
+    """The pair with 1 added to the e_0 prec e_1 -> e_0 constant of prec."""
+    prec, succ = pair
+    return st(prec.n, {(i, j, k): x + (1 if (i, j, k) == (0, 1, 0) else 0)
+                       for i, plane in enumerate(prec.c) for j, row in enumerate(plane)
+                       for k, x in enumerate(row)}), succ
+
+
+class TestMatchedPairMatchesOracles:
+    @settings(max_examples=30)
+    @given(hs.data())
+    def test_whole_report(self, data):
+        """Random products and actions on sides of unequal dimension."""
+        n, m = data.draw(hs.integers(1, 4)), data.draw(hs.integers(1, 4))
+        c1, c2 = data.draw(tensors((n, n, n))), data.draw(tensors((m, m, m)))
+        l1, r1 = data.draw(tensors((n, m, m))), data.draw(tensors((n, m, m)))
+        l2, r2 = data.draw(tensors((m, n, n))), data.draw(tensors((m, n, n)))
+        mp = MatchedPairData(StructureTensor(n, c1), StructureTensor(m, c2),
+                             RepTensor(n, m, l1), RepTensor(n, m, r1),
+                             RepTensor(m, n, l2), RepTensor(m, n, r2))
+        got = check_matched_pair(mp)
+        assert got == _oracle_report(mp)
+        assert _residual_entries_are_fractions(got)
+
+    def test_catalog_dual_actions_pass_and_a_bump_fails(self):
+        for name in PLSA_NAMES:
+            mp = dual_actions(plsa(name), ZERO_PAIR)
+            rep = check_matched_pair(mp)
+            assert rep.verdict and rep == _oracle_report(mp), name
+            bumped = dual_actions(_prec_bumped(plsa(name)), ZERO_PAIR)
+            rep = check_matched_pair(bumped)
+            assert not rep.verdict and rep == _oracle_report(bumped), name
+            assert _residual_entries_are_fractions(rep)
+
+    def test_misshapen_action_raises(self):
+        one = ((Q(1),),)
+        small = RepTensor(2, 2, (one, one))  # 1 x 1 matrices for a 2-dim module
+        for slot in range(4):
+            acts = [zero_rep(2, 2) for _ in range(4)]
+            acts[slot] = small
+            with pytest.raises(DimensionMismatch):
+                check_matched_pair(MatchedPairData(st(2), st(2), *acts))
