@@ -3,6 +3,12 @@ built from an element r of A tensor A, the operators deciding coproduct
 validity (computed two ways and cross-asserted), doubles carrying the
 canonical r, and para-Kahler verification.
 
+A public verifier validates its preconditions and raises the typed error
+(checks.require); its private _..._identities core evaluates the identities
+on input it trusts, so a chain that has already validated its data calls the
+core and each precondition is verified once.  Every cross-check route
+always runs.
+
 Coordinate conventions: an element of A tensor A is the matrix r[p][q] of
 coefficients of e_p tensor e_q; a coproduct is stored as one such matrix per
 basis vector (alpha[i][p][q] is the e_p tensor e_q coefficient of the
@@ -56,6 +62,7 @@ from .checks import (
     op_apply,
     relabel,
     report,
+    require,
     rep_apply,
     rep_zero,
     right_mult_basis,
@@ -145,11 +152,11 @@ def _coproduct_operators(cp):
     return list(R1), R2, _co_left_symmetry(cp.beta)
 
 
-def plsca_check(cp, cross_check=True):
+def plsca_check(cp):
     """Coproduct-pair validity: all three obstruction tensors vanish.
 
-    With cross_check the verdict is compared against check_plsa on the
-    dualized products, which must agree by construction."""
+    The verdict is compared against check_plsa on the dualized products,
+    which must agree by construction."""
     R1, R2, R3 = _coproduct_operators(cp)
     n = cp.n
     viol = []
@@ -165,38 +172,35 @@ def plsca_check(cp, cross_check=True):
                     if R3[i][p][q][s]:
                         viol.append(Violation("co-left-symmetry", (i, p, q, s),
                                               R3[i][p][q][s]))
-    notes = []
-    if cross_check:
-        dual = check_plsa(*dualize_coproducts(cp))
-        mine = not viol
-        if dual.verdict != mine:
-            raise InternalMismatch("coproduct operators (%s) disagree with the dual "
-                                   "product route (%s)"
-                                   % ("pass" if mine else "fail",
-                                      "pass" if dual.verdict else "fail"))
-        notes.append("dual product-pair route agrees (%s)"
-                     % ("pass" if mine else "fail"))
-    return report("plsca", viol, notes)
+    dual = check_plsa(*dualize_coproducts(cp))
+    mine = not viol
+    if dual.verdict != mine:
+        raise InternalMismatch("coproduct operators (%s) disagree with the dual "
+                               "product route (%s)"
+                               % ("pass" if mine else "fail",
+                                  "pass" if dual.verdict else "fail"))
+    return report("plsca", viol, ["dual product-pair route agrees (%s)"
+                                  % ("pass" if mine else "fail")])
 
 
 # ---------------------------------------------------------------------------
 # bialgebra compatibility
 
-def plsba_check(plsa, cp, cross_check=True):
-    """The four compatibility identities tying a product pair to a coproduct
-    pair, in matrix form on basis pairs.
+def plsba_check(plsa, cp):
+    """Bialgebra compatibility of a product pair and a coproduct pair: raises
+    InvalidInput unless both pairs are valid, then _plsba_identities."""
+    require(check_plsa(*plsa), InvalidInput, "product pair invalid: %s at %s")
+    require(plsca_check(cp), InvalidInput, "coproduct pair invalid: %s at %s")
+    return _plsba_identities(plsa, cp)
 
-    With cross_check the verdict is recomputed as check_matched_pair on the
-    dualized data and asserted to agree."""
+
+def _plsba_identities(plsa, cp):
+    """The four compatibility identities tying a product pair to a coproduct
+    pair, in matrix form on basis pairs; both pairs are trusted to be valid.
+
+    The verdict is recomputed as check_matched_pair on the dualized data and
+    asserted to agree."""
     prec, succ = plsa
-    prep = check_plsa(prec, succ)
-    if not prep.verdict:
-        v = prep.violations[0]
-        raise InvalidInput("product pair invalid: %s at %s" % (v.where, v.indices))
-    crep = plsca_check(cp, cross_check=cross_check)
-    if not crep.verdict:
-        v = crep.violations[0]
-        raise InvalidInput("coproduct pair invalid: %s at %s" % (v.where, v.indices))
     n = prec.n
     dot = op_add(prec, succ)
     br = sub_adjacent(dot)
@@ -234,18 +238,15 @@ def plsba_check(plsa, cp, cross_check=True):
             rhs3 = mat_add(rhs3, mat_mul(ab[j], mat_transpose(Lp[i])))
             rhs3 = mat_sub(rhs3, mat_mul(Lp[i], sab[j]))
             viol += mat_violations("bialgebra-3", mat_sub(lhs3, rhs3), (i, j))
-    notes = []
-    if cross_check:
-        mp = dual_actions(plsa, dualize_coproducts(cp))
-        mrep = check_matched_pair(mp)
-        mine = not viol
-        if mrep.verdict != mine:
-            raise InternalMismatch("tensor identities (%s) disagree with the "
-                                   "matched-pair route (%s)"
-                                   % ("pass" if mine else "fail",
-                                      "pass" if mrep.verdict else "fail"))
-        notes.append("matched-pair route agrees (%s)" % ("pass" if mine else "fail"))
-    return report("plsba", viol, notes)
+    mrep = check_matched_pair(dual_actions(plsa, dualize_coproducts(cp)))
+    mine = not viol
+    if mrep.verdict != mine:
+        raise InternalMismatch("tensor identities (%s) disagree with the "
+                               "matched-pair route (%s)"
+                               % ("pass" if mine else "fail",
+                                  "pass" if mrep.verdict else "fail"))
+    return report("plsba", viol, ["matched-pair route agrees (%s)"
+                                  % ("pass" if mine else "fail")])
 
 
 # ---------------------------------------------------------------------------
@@ -274,14 +275,18 @@ def coboundary_coproducts(plsa, r):
 
 
 def coboundary_conditions(plsa, r):
-    """Two closure conditions on the skew part u = r - r^T: a quadratic
-    identity in left multiplications of the first product per unordered
-    basis pair, and a right-multiplication condition per ordered pair."""
+    """Raises InvalidInput unless the product pair is valid, then
+    _coboundary_identities."""
+    require(check_plsa(*plsa), InvalidInput, "product pair invalid: %s at %s")
+    return _coboundary_identities(plsa, r)
+
+
+def _coboundary_identities(plsa, r):
+    """Two closure conditions on the skew part u = r - r^T, for a product
+    pair trusted to be valid: a quadratic identity in left multiplications
+    of the first product per unordered basis pair, and a
+    right-multiplication condition per ordered pair."""
     prec, succ = plsa
-    prep = check_plsa(prec, succ)
-    if not prep.verdict:
-        v = prep.violations[0]
-        raise InvalidInput("product pair invalid: %s at %s" % (v.where, v.indices))
     n = prec.n
     dot = op_add(prec, succ)
     u = mat_sub(r, mat_transpose(r))
@@ -296,17 +301,10 @@ def coboundary_conditions(plsa, r):
                 res = mat_add(mat_mul(M, u), mat_mul(u, mat_transpose(M)))
                 res = mat_sub(res, mat_mul(Lp[j], mat_mul(u, mat_transpose(Lp[i]))))
                 res = mat_sub(res, mat_mul(Lp[i], mat_mul(u, mat_transpose(Lp[j]))))
-                for a in range(n):
-                    for b in range(n):
-                        if res[a][b]:
-                            viol.append(Violation("coboundary-1", (i, j, a, b),
-                                                  res[a][b]))
+                viol += mat_violations("coboundary-1", res, (i, j))
             res2 = mat_mul(Rp[j], mat_add(mat_mul(Ld[i], u),
                                           mat_mul(u, mat_transpose(Ld[i]))))
-            for a in range(n):
-                for b in range(n):
-                    if res2[a][b]:
-                        viol.append(Violation("coboundary-2", (i, j, a, b), res2[a][b]))
+            viol += mat_violations("coboundary-2", res2, (i, j))
     return report("coboundary-conditions", viol)
 
 
@@ -342,25 +340,19 @@ def rr_brackets(plsa, r):
     return unscaled(first), unscaled(second)
 
 
-def R_operators(plsa, r, cross_check=True):
-    """The three coproduct obstructions of the coboundary pair built from r,
-    evaluated directly; with cross_check they are recomputed through closed
-    forms in the quadratic tensors of r and the two routes are asserted to
-    agree entry for entry."""
-    prec, succ = plsa
-    prep = check_plsa(prec, succ)
-    if not prep.verdict:
-        v = prep.violations[0]
-        raise InvalidInput("product pair invalid: %s at %s" % (v.where, v.indices))
-    cp = coboundary_coproducts(plsa, r)
-    R1, R2, R3 = _coproduct_operators(cp)
-    if cross_check:
-        C1, C2, C3 = _closed_form_operators(plsa, r)
-        for name, direct, closed in (("first", R1, C1), ("second", R2, C2),
-                                     ("third", R3, C3)):
-            if tuple(direct) != tuple(closed):
-                raise InternalMismatch("%s operator: direct and closed-form routes "
-                                       "disagree" % name)
+def R_operators(plsa, r):
+    """The three coproduct obstructions of the coboundary pair built from r
+    (InvalidInput unless the product pair is valid), evaluated directly and
+    again through closed forms in the quadratic tensors of r; the two routes
+    are asserted to agree entry for entry."""
+    require(check_plsa(*plsa), InvalidInput, "product pair invalid: %s at %s")
+    R1, R2, R3 = _coproduct_operators(coboundary_coproducts(plsa, r))
+    C1, C2, C3 = _closed_form_operators(plsa, r)
+    for name, direct, closed in (("first", R1, C1), ("second", R2, C2),
+                                 ("third", R3, C3)):
+        if tuple(direct) != tuple(closed):
+            raise InternalMismatch("%s operator: direct and closed-form routes "
+                                   "disagree" % name)
     return R1, R2, R3
 
 
@@ -426,31 +418,24 @@ def drinfeld_double(plsa, cp):
 
     The report covers: vanishing of both quadratic tensors of r, the three
     closure identities of the canonical r, coproduct validity on the double,
-    and the full bialgebra compatibility of the double."""
+    and the full bialgebra compatibility of the double.  The double's product
+    pair and coproduct pair are each validated once (InvalidInput)."""
     try:
         inrep = plsba_check(plsa, cp)
     except InvalidInput as e:
         raise NotAPLSBA(str(e))
-    if not inrep.verdict:
-        v = inrep.violations[0]
-        raise NotAPLSBA("bialgebra compatibility fails: %s at %s"
-                        % (v.where, v.indices))
-    dual_pair = dualize_coproducts(cp)
-    prec_d, succ_d = build_double_plsa(plsa, dual_pair)
+    require(inrep, NotAPLSBA, "bialgebra compatibility fails: %s at %s")
+    pair_d = build_double_plsa(plsa, dualize_coproducts(cp))
+    require(check_plsa(*pair_d), InvalidInput, "product pair invalid: %s at %s")
+    prec_d, succ_d = pair_d
     n2 = prec_d.n
     r = canonical_r(n2 // 2)
-    cp_d = coboundary_coproducts((prec_d, succ_d), r)
+    cp_d = coboundary_coproducts(pair_d, r)
     dot_d = op_add(prec_d, succ_d)
     br_d = sub_adjacent(dot_d)
     u = mat_sub(r, mat_transpose(r))
-    viol = []
-    T1, T2 = rr_brackets((prec_d, succ_d), r)
-    for name, T in (("r-bracket-1", T1), ("r-bracket-2", T2)):
-        for a in range(n2):
-            for b in range(n2):
-                for c in range(n2):
-                    if T[a][b][c]:
-                        viol.append(Violation(name, (a, b, c), T[a][b][c]))
+    T1, T2 = rr_brackets(pair_d, r)
+    viol = mat_violations("r-bracket-1", T1) + mat_violations("r-bracket-2", T2)
     for i in range(n2):
         Ldi = left_mult_basis(dot_d, i)
         Lsi = left_mult_basis(succ_d, i)
@@ -463,13 +448,12 @@ def drinfeld_double(plsa, cp):
                     viol.append(Violation("double-r-1", (i, a, b), m1[a][b]))
                 if m3[a][b]:
                     viol.append(Violation("double-r-3", (i, a, b), m3[a][b]))
-    cob = coboundary_conditions((prec_d, succ_d), r)
-    for v in cob.violations:
+    for v in _coboundary_identities(pair_d, r).violations:
         if v.where == "coboundary-1":
             viol.append(Violation("double-r-2", v.indices, v.residual))
-    parts = [plsca_check(cp_d), plsba_check((prec_d, succ_d), cp_d)]
-    rep = merge_reports("double", parts, viol)
-    return (prec_d, succ_d), r, cp_d, rep
+    crep = require(plsca_check(cp_d), InvalidInput, "coproduct pair invalid: %s at %s")
+    rep = merge_reports("double", [crep, _plsba_identities(pair_d, cp_d)], viol)
+    return pair_d, r, cp_d, rep
 
 
 # ---------------------------------------------------------------------------
@@ -482,13 +466,8 @@ def check_parakahler(pk):
     br, w, E = pk.bracket, pk.omega, pk.E
     n = br.n
     parts = [check_skew(w), check_nondegenerate(w), check_closed(br, w)]
-    viol = []
     ident = mat_identity(n)
-    sq = mat_sub(mat_mul(E.m, E.m), ident)
-    for a in range(n):
-        for b in range(n):
-            if sq[a][b]:
-                viol.append(Violation("E-squared", (a, b), sq[a][b]))
+    viol = mat_violations("E-squared", mat_sub(mat_mul(E.m, E.m), ident))
     T = nijenhuis_torsion(br, E)
     for i in range(n):
         for j in range(i + 1, n):
@@ -498,11 +477,8 @@ def check_parakahler(pk):
     dminus = n - mat_rank(mat_add(E.m, ident))
     if dplus != dminus:
         viol.append(Violation("eigenspace-dims", (), Fraction(dplus - dminus)))
-    comp = mat_add(mat_mul(mat_transpose(E.m), mat_mul(w.m, E.m)), w.m)
-    for a in range(n):
-        for b in range(n):
-            if comp[a][b]:
-                viol.append(Violation("compatibility", (a, b), comp[a][b]))
+    viol += mat_violations("compatibility",
+                           mat_add(mat_mul(mat_transpose(E.m), mat_mul(w.m, E.m)), w.m))
     if pk.conn is not None:
         conn = pk.conn
         parts += [check_flat(br, conn), check_torsion_free(br, conn),
@@ -523,17 +499,21 @@ def check_parakahler(pk):
 # ---------------------------------------------------------------------------
 # the one-coproduct theory over an LSA
 
-def slsba_check(lsa, alpha, cross_check=True):
-    """A single coproduct alpha over an LSA: the action-compatibility
-    identity on all basis pairs plus vanishing co-left-symmetry.
+def slsba_check(lsa, alpha):
+    """A single coproduct alpha over a product: raises NotAnLSA unless the
+    product is left-symmetric, then _slsba_identities."""
+    require(check_left_symmetric(lsa), NotAnLSA, "base product is not %s at %s")
+    return _slsba_identities(lsa, alpha)
 
-    With cross_check, and whenever the dualized product is itself
-    left-symmetric, the verdict of the action identity is compared against
-    the matched-pair formulation with zero right actions."""
-    lrep = check_left_symmetric(lsa)
-    if not lrep.verdict:
-        raise NotAnLSA("base product is not left-symmetric at %s"
-                       % (lrep.violations[0].indices,))
+
+def _slsba_identities(lsa, alpha):
+    """A single coproduct alpha over an LSA trusted to be one: the
+    action-compatibility identity on all basis pairs plus vanishing
+    co-left-symmetry.
+
+    Whenever the dualized product is itself left-symmetric, the verdict of
+    the action identity is compared against the matched-pair formulation
+    with zero right actions; otherwise a note says the route was skipped."""
     n = lsa.n
     viol = []
     Ld = [left_mult_basis(lsa, i) for i in range(n)]
@@ -547,16 +527,8 @@ def slsba_check(lsa, alpha, cross_check=True):
                                   mat_mul(alpha[i], mat_transpose(Rd[j]))))
             viol += mat_violations("coproduct-compat", mat_sub(lhs, rhs), (i, j))
     tops = _co_left_symmetry(alpha)
-    co_ok = all(t3_is_zero(t) for t in tops)
-    for i in range(n):
-        for a in range(n):
-            for b in range(n):
-                for c in range(n):
-                    if tops[i][a][b][c]:
-                        viol.append(Violation("co-left-symmetry", (i, a, b, c),
-                                              tops[i][a][b][c]))
-    notes = []
-    if cross_check and co_ok:
+    viol += mat_violations("co-left-symmetry", tops)
+    if all(t3_is_zero(t) for t in tops):
         mrep = check_matched_pair(_left_dual_actions(lsa, _dual_product(n, alpha)))
         compat_ok = not any(v.where == "coproduct-compat" for v in viol)
         if mrep.verdict != compat_ok:
@@ -564,12 +536,10 @@ def slsba_check(lsa, alpha, cross_check=True):
                                    "matched-pair route (%s)"
                                    % ("pass" if compat_ok else "fail",
                                       "pass" if mrep.verdict else "fail"))
-        notes.append("matched-pair route agrees (%s)"
-                     % ("pass" if compat_ok else "fail"))
-    elif cross_check:
-        notes.append("matched-pair route skipped: dual product is not "
-                     "left-symmetric")
-    return report("slsba", viol, notes)
+        note = "matched-pair route agrees (%s)" % ("pass" if compat_ok else "fail")
+    else:
+        note = "matched-pair route skipped: dual product is not left-symmetric"
+    return report("slsba", viol, [note])
 
 
 def _left_dual_actions(lsa, dual):
@@ -594,15 +564,13 @@ def _co_left_symmetry(alpha):
     return out
 
 
-def slsba_coboundary(lsa, r, cross_check=True):
-    """alpha(x) = (id tensor R.(x)) r; the report checks the action closure
+def slsba_coboundary(lsa, r):
+    """alpha(x) = (id tensor R.(x)) r, over a product that must be
+    left-symmetric (NotAnLSA); the report checks the action closure
     condition on all pairs and the vanishing of co-left-symmetry computed
     through the quadratic expression in r (cross-asserted against the
     direct evaluation)."""
-    lrep = check_left_symmetric(lsa)
-    if not lrep.verdict:
-        raise NotAnLSA("base product is not left-symmetric at %s"
-                       % (lrep.violations[0].indices,))
+    require(check_left_symmetric(lsa), NotAnLSA, "base product is not %s at %s")
     n = lsa.n
     rng = range(n)
     br = sub_adjacent(lsa)
@@ -613,36 +581,21 @@ def slsba_coboundary(lsa, r, cross_check=True):
     for i in rng:
         base = mat_add(mat_mul(Ld[i], r), mat_mul(r, mat_transpose(Ld[i])))
         for j in rng:
-            res = mat_mul(base, mat_transpose(Rd[j]))
-            for a in rng:
-                for b in rng:
-                    if res[a][b]:
-                        viol.append(Violation("action-condition", (i, j, a, b),
-                                              res[a][b]))
+            viol += mat_violations("action-condition",
+                                   mat_mul(base, mat_transpose(Rd[j])), (i, j))
     # m3[a][b][s] = sum r[a][q] r[t][s] lsa[q][t][b] - (a <-> b)
     #             + sum r[a][q] r[b][t] br[q][t][s]
     R = scaled(r)
     Z = scaled_leg(scaled(mat_transpose(r)), scaled_leg(R, scaled(lsa.c), 0), 1)
     m3 = scaled_combine(((1, scaled_permute(Z, (0, 2, 1))), (-1, scaled_permute(Z, (2, 0, 1))),
                          (1, scaled_leg(R, scaled_leg(R, scaled(br.c), 1), 0))))
-    tq = []
-    for i in rng:
-        ti = unscaled(scaled_leg(scaled(Rd[i]), m3, 2))
-        tq.append(ti)
-        for a in rng:
-            for b in rng:
-                for c in rng:
-                    if ti[a][b][c]:
-                        viol.append(Violation("co-left-symmetry", (i, a, b, c),
-                                              ti[a][b][c]))
-    notes = []
-    if cross_check:
-        direct = _co_left_symmetry(alpha)
-        if tuple(tq) != tuple(direct):
-            raise InternalMismatch("co-left-symmetry via r disagrees with the "
-                                   "direct evaluation")
-        notes.append("direct co-left-symmetry route agrees")
-    return alpha, report("slsba-coboundary", viol, notes)
+    tq = [unscaled(scaled_leg(scaled(Rd[i]), m3, 2)) for i in rng]
+    viol += mat_violations("co-left-symmetry", tq)
+    if tuple(tq) != tuple(_co_left_symmetry(alpha)):
+        raise InternalMismatch("co-left-symmetry via r disagrees with the "
+                               "direct evaluation")
+    return alpha, report("slsba-coboundary", viol,
+                         ["direct co-left-symmetry route agrees"])
 
 
 def slsba_double(slsba):
@@ -651,16 +604,13 @@ def slsba_double(slsba):
     re-check, and the para-Kahler package (canonical skew pairing, the
     block reflection E, the glued product as connection)."""
     lsa, alpha = slsba
-    inrep = slsba_check(lsa, alpha)
-    if not inrep.verdict:
-        v = inrep.violations[0]
-        raise NotAnSLSBA("%s fails at %s" % (v.where, v.indices))
+    require(slsba_check(lsa, alpha), NotAnSLSBA, "%s fails at %s")
     n = lsa.n
     d = 2 * n
     lsa_d = glue_product(_left_dual_actions(lsa, _dual_product(n, alpha)))
     r = canonical_r(n)
-    alpha_d, cobrep = slsba_coboundary(lsa_d, r)
-    fullrep = slsba_check(lsa_d, alpha_d)
+    alpha_d, cobrep = slsba_coboundary(lsa_d, r)  # verifies lsa_d is an LSA
+    fullrep = _slsba_identities(lsa_d, alpha_d)
     em = [[Fraction(0)] * d for _ in range(d)]
     for i in range(n):
         em[i][i] = Fraction(1)

@@ -13,6 +13,7 @@ from .checks import (
     check_left_symmetric,
     check_plsa,
     check_special_symplectic,
+    require,
     st,
 )
 from .constructions import SpecialSymplecticData
@@ -102,10 +103,7 @@ def _validate(entry):
         rep = check_left_symmetric(entry.payload)
     else:
         raise AssertionError("unknown catalog kind %r" % entry.kind)
-    if not rep.verdict:
-        v = rep.violations[0]
-        raise AssertionError("catalog entry %s fails %s at %s"
-                             % (entry.name, v.where, v.indices))
+    require(rep, AssertionError, "catalog entry %s fails %%s at %%s" % entry.name)
 
 
 _ENTRIES = _entries()

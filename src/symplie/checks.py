@@ -4,7 +4,9 @@ An n-dimensional bilinear operation is a StructureTensor: c[i][j][k] is the
 e_k coefficient of e_i o e_j.  Forms, endomorphisms and representations are
 matrices over Fraction.  Every verifier returns a CheckReport listing each
 violating basis tuple with its exact residual, so a failing check pinpoints
-the offending structure constants.
+the offending structure constants; mat_violations lists them from a residual
+tensor of any rank, and require turns a failing report into the caller's
+typed error.
 
 check_closed, check_parallel_form and nijenhuis_torsion contract the whole
 input once on the exact integer kernel of linalg (Scaled) and read each
@@ -85,6 +87,15 @@ class CheckReport:
 def report(check, violations, notes=()):
     violations = tuple(violations)
     return CheckReport(check, not violations, violations, tuple(notes))
+
+
+def require(rep, error, fmt):
+    """Raise error(fmt % (where, indices)) of the first violation when rep
+    fails, else return rep.  An explicit raise, so it runs under python -O."""
+    if not rep.verdict:
+        v = rep.violations[0]
+        raise error(fmt % (v.where, v.indices))
+    return rep
 
 
 def relabel(rep, name):
@@ -439,13 +450,15 @@ def nijenhuis_torsion(br, N):
     return StructureTensor(br.n, unscaled(T))
 
 
-def mat_violations(where, m, at=()):
-    """A violation at indices at + (i, j) for each nonzero entry m[i][j]."""
+def mat_violations(where, t, at=()):
+    """A violation at indices at + index for each nonzero scalar of the
+    nested tuples or lists t, in row-major order."""
     viol = []
-    for i, row in enumerate(m):
-        for j, x in enumerate(row):
-            if x != 0:
-                viol.append(Violation(where, at + (i, j), x))
+    for i, x in enumerate(t):
+        if isinstance(x, (tuple, list)):
+            viol += mat_violations(where, x, at + (i,))
+        elif x != 0:
+            viol.append(Violation(where, at + (i,), x))
     return viol
 
 

@@ -67,12 +67,12 @@ from .bialgebra import (
     NotAnSLSBA,
     ParaKahlerData,
     R_operators,
+    _plsba_identities,
+    _slsba_identities,
     check_parakahler,
     coboundary_coproducts,
     drinfeld_double,
-    plsba_check,
     plsca_check,
-    slsba_check,
     slsba_double,
 )
 from .catalog import UnknownEntry, catalog_get, catalog_list
@@ -395,7 +395,7 @@ def _chk_plsba(af):
     pre2 = plsca_check(cp)
     if not (pre1.verdict and pre2.verdict):
         return merge_reports("plsba", [pre1, pre2])
-    return plsba_check((prec, succ), cp)
+    return _plsba_identities((prec, succ), cp)
 
 
 def _chk_slsba(af):
@@ -403,7 +403,7 @@ def _chk_slsba(af):
     pre = check_left_symmetric(lsa)
     if not pre.verdict:
         return merge_reports("slsba", [pre])
-    return slsba_check(lsa, _rep(af, "alpha").t)
+    return _slsba_identities(lsa, _rep(af, "alpha").t)
 
 
 def _chk_parakahler(af):

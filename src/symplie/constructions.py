@@ -50,11 +50,13 @@ from .checks import (
     check_torsion_free,
     form_apply,
     left_mult_basis,
+    mat_violations,
     merge_reports,
     op_apply,
     op_sub,
     relabel,
     rep_from_op_left,
+    require,
 )
 
 
@@ -181,11 +183,8 @@ def _semidirect_bracket(br, rho):
 
 
 def _require_special_symplectic(s):
-    rep = check_special_symplectic(s.bracket, s.conn, s.omega)
-    if not rep.verdict:
-        v = rep.violations[0]
-        raise InvalidInput("not special symplectic: %s at %s" % (v.where, v.indices))
-    return rep
+    require(check_special_symplectic(s.bracket, s.conn, s.omega), InvalidInput,
+            "not special symplectic: %s at %s")
 
 
 def tangent_double(s):
@@ -442,10 +441,7 @@ def affine_cotangent_extension(d):
     be symmetric in x and y).
     """
     base, l, r, phi = d.base, d.l, d.r, d.phi
-    lsarep = check_left_symmetric(base)
-    if not lsarep.verdict:
-        raise NotAnLSA("base product is not left-symmetric at %s"
-                       % (lsarep.violations[0].indices,))
+    require(check_left_symmetric(base), NotAnLSA, "base product is not %s at %s")
     n = base.n
     dd = 2 * n
     c = [[[Fraction(0)] * dd for _ in range(dd)] for _ in range(dd)]
@@ -458,14 +454,9 @@ def affine_cotangent_extension(d):
                 c[n + j][i][n + k] = r.t[i][k][j]
     product = StructureTensor(dd, t3(c))
 
-    viol = []
     dla = dual_left_action(base)
-    for i in range(n):
-        diff = mat_sub(l.t[i], dla.t[i])
-        for a in range(n):
-            for b in range(n):
-                if diff[a][b]:
-                    viol.append(Violation("l-is-dual-left-action", (i, a, b), diff[a][b]))
+    viol = mat_violations("l-is-dual-left-action",
+                          [mat_sub(l.t[i], dla.t[i]) for i in range(n)])
 
     prec = StructureTensor(n, tuple(tuple(tuple(-r.t[i][j][k] for k in range(n))
                                           for j in range(n)) for i in range(n)))

@@ -29,6 +29,7 @@ from .checks import (
     merge_reports,
     op_add,
     relabel,
+    require,
     sub_adjacent,
 )
 from .constructions import InvalidInput, coadjoint, dual_left_action, dual_right_action
@@ -161,11 +162,8 @@ def double_extension(plsaA, plsaAstar):
     if precA.n != precB.n:
         raise DimensionMismatch("sides have dimensions %d and %d" % (precA.n, precB.n))
     for name, pair in (("A", plsaA), ("A*", plsaAstar)):
-        rep = check_plsa(*pair)
-        if not rep.verdict:
-            v = rep.violations[0]
-            raise InvalidInput("side %s is not a product pair: %s at %s"
-                               % (name, v.where, v.indices))
+        require(check_plsa(*pair), InvalidInput,
+                "side %s is not a product pair: %%s at %%s" % name)
     mp = dual_actions(plsaA, plsaAstar)
     mprep = check_matched_pair(mp)
     if not mprep.verdict:

@@ -1,9 +1,20 @@
+import collections
+import re
 from fractions import Fraction
 
 import pytest
 
-from symplie.checks import Endo, check_left_symmetric, op_add, st, sub_adjacent
-from symplie.constructions import InvalidInput, NotAnLSA
+from symplie import bialgebra, catalog, cli
+from symplie.checks import Endo, Form, check_left_symmetric, op_add, st, sub_adjacent
+from symplie.constructions import (
+    CotangentExtensionData,
+    InvalidInput,
+    NotAnLSA,
+    SpecialSymplecticData,
+    affine_cotangent_extension,
+    dual_left_action,
+    tangent_double,
+)
 from symplie.bialgebra import (
     CoproductPair,
     NotAPLSBA,
@@ -27,7 +38,7 @@ from symplie.bialgebra import (
 )
 from symplie.matched import canonical_skew_pairing, double_extension
 from symplie.linalg import mat_zero, t3_is_zero
-from symplie.catalog import catalog_get
+from symplie.catalog import CatalogEntry, catalog_get
 
 from oracles import brute_left_symmetric, rand_mat, rng
 
@@ -409,3 +420,126 @@ class TestSlsbaDouble:
                             for p in range(2)) for k in range(2))
         with pytest.raises(NotAnSLSBA):
             slsba_double((dot, alpha))
+
+
+class TestPreconditionsOncePerChain:
+    """Each precondition is verified once per call chain.  The counts are of
+    the calls made through the bialgebra and cli module namespaces."""
+
+    COUNTED = ("check_plsa", "plsca_check", "check_left_symmetric", "check_matched_pair")
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        counts = collections.Counter()
+        for mod in (bialgebra, cli):
+            for name in self.COUNTED:
+                fn = getattr(mod, name, None)
+                if fn is None:
+                    continue
+
+                def counted(*args, _fn=fn, _name=name, **kwargs):
+                    counts[_name] += 1
+                    return _fn(*args, **kwargs)
+
+                monkeypatch.setattr(mod, name, counted)
+        return counts
+
+    def test_drinfeld_double_4_to_8(self, calls):
+        pair_d, _, cp_d, _ = drinfeld_double(plsa("plsa-2d-IV"), zero_coproducts(2))
+        calls.clear()
+        _, _, _, rep = drinfeld_double(pair_d, cp_d)
+        assert rep.verdict
+        # the input, its dual, the double and the double's dual
+        assert calls["check_plsa"] == 4
+        assert calls["plsca_check"] == 2
+        # the matched-pair cross-check still runs once per bialgebra check
+        assert calls["check_matched_pair"] == 2
+
+    def test_slsba_double_2_to_4(self, calls):
+        alpha = tuple(mat_zero(2) for _ in range(2))
+        _, _, rep = slsba_double((op_add(*plsa("plsa-2d-IV")), alpha))
+        assert rep.verdict
+        assert calls["check_left_symmetric"] == 2
+
+    def test_cli_verify_plsba(self, calls, tmp_path, capsys):
+        d2, d4 = str(tmp_path / "d2.alg"), str(tmp_path / "d4.alg")
+        assert cli.main(["catalog", "show", "plsa-2d-IV", "--export", "--out", d2]) == 0
+        assert cli.main(["construct", "drinfeld-double", d2, "--out", d4]) == 0
+        calls.clear()
+        assert cli.main(["verify", d4, "--check", "plsba"]) == 0
+        assert "plsba: PASS" in capsys.readouterr().out
+        assert calls["check_plsa"] == 2
+        assert calls["plsca_check"] == 1
+
+
+BAD_PREC = st(3, {(0, 1, 2): Q(1)})  # not commutative; compatible with zero succ
+BAD_PAIR = (BAD_PREC, st(3))
+BAD_PAIR_MSG = "product pair invalid: commutative: commutative at (0, 1)"
+BAD_LSA = st(2, {(0, 0, 0): Q(1), (1, 0, 0): Q(1)})
+NOT_LSA_MSG = "base product is not left-symmetric at (0, 1, 0)"
+
+
+def _not_cocommutative(n):
+    return coproducts_from_products(st(n, {(0, 1, 0): Q(1)}), st(n))
+
+
+def _double_with(monkeypatch, name, value):
+    monkeypatch.setattr(bialgebra, name, lambda *_: value)
+    drinfeld_double(plsa("plsa-2d-II"), zero_coproducts(2))
+
+
+def _bad_catalog_entry():
+    catalog._validate(CatalogEntry("bad", "plsa", BAD_PAIR, "test"))
+
+
+def _skew_failing_package():
+    s = catalog_get("ssla-2d-3").payload
+    tangent_double(SpecialSymplecticData(s.bracket, s.conn,
+                                         Form(2, ((Q(0), Q(1)), (Q(1), Q(0))))))
+
+
+def _affine_over(base):
+    zero_rep = dual_left_action(st(2))
+    zero_phi = tuple(mat_zero(2) for _ in range(2))
+    affine_cotangent_extension(CotangentExtensionData(base, zero_rep, zero_rep, zero_phi))
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda mp: plsba_check(BAD_PAIR, zero_coproducts(3)), InvalidInput, BAD_PAIR_MSG),
+    (lambda mp: plsba_check(plsa("plsa-2d-I"), _not_cocommutative(2)), InvalidInput,
+     "coproduct pair invalid: co-commutativity at (0, 0, 1)"),
+    (lambda mp: coboundary_conditions(BAD_PAIR, mat_zero(3)), InvalidInput, BAD_PAIR_MSG),
+    (lambda mp: R_operators(BAD_PAIR, mat_zero(3)), InvalidInput, BAD_PAIR_MSG),
+    (lambda mp: drinfeld_double(BAD_PAIR, zero_coproducts(3)), NotAPLSBA, BAD_PAIR_MSG),
+    (lambda mp: drinfeld_double(plsa("plsa-2d-I"), _not_cocommutative(2)), NotAPLSBA,
+     "coproduct pair invalid: co-commutativity at (0, 0, 1)"),
+    (lambda mp: drinfeld_double(plsa("plsa-2d-II"),
+                                coproducts_from_products(*plsa("plsa-2d-III"))),
+     NotAPLSBA, "bialgebra compatibility fails: bialgebra-2 at (0, 0, 1, 1)"),
+    (lambda mp: _double_with(mp, "build_double_plsa",
+                             (st(4, {(0, 1, 2): Q(1)}), st(4))),
+     InvalidInput, BAD_PAIR_MSG),
+    (lambda mp: _double_with(mp, "coboundary_coproducts", _not_cocommutative(4)),
+     InvalidInput, "coproduct pair invalid: co-commutativity at (0, 0, 1)"),
+    (lambda mp: slsba_check(BAD_LSA, tuple(mat_zero(2) for _ in range(2))),
+     NotAnLSA, NOT_LSA_MSG),
+    (lambda mp: slsba_coboundary(BAD_LSA, mat_zero(2)), NotAnLSA, NOT_LSA_MSG),
+    (lambda mp: slsba_double((op_add(*plsa("plsa-2d-II")),
+                              coproducts_from_products(st(2, {(0, 1, 0): Q(1)}),
+                                                       st(2)).alpha)),
+     NotAnSLSBA, "coproduct-compat fails at (0, 0, 1, 1)"),
+    (lambda mp: _skew_failing_package(), InvalidInput,
+     "not special symplectic: skew: skew at (0, 1)"),
+    (lambda mp: double_extension((st(3), st(3)), BAD_PAIR), InvalidInput,
+     "side A* is not a product pair: commutative: commutative at (0, 1)"),
+    (lambda mp: _affine_over(BAD_LSA), NotAnLSA, NOT_LSA_MSG),
+    (lambda mp: _bad_catalog_entry(), AssertionError,
+     "catalog entry bad fails commutative: commutative at (0, 1)"),
+], ids=["plsba-pair", "plsba-coproducts", "coboundary-conditions", "R-operators",
+        "double-input-pair", "double-input-coproducts", "double-compatibility",
+        "double-own-pair", "double-own-coproducts", "slsba", "slsba-coboundary",
+        "slsba-double", "tangent-double", "double-extension-side", "affine-extension",
+        "catalog-entry"])
+def test_precondition_messages(monkeypatch, call, error, message):
+    with pytest.raises(error, match="^%s$" % re.escape(message)):
+        call(monkeypatch)

@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -27,9 +30,11 @@ from symplie.checks import (
     check_special_symplectic,
     check_torsion_free,
     left_mult_basis,
+    mat_violations,
     merge_reports,
     nijenhuis_torsion,
     report,
+    require,
     st,
     sub_adjacent,
 )
@@ -439,3 +444,59 @@ class TestBimoduleMatchesOracle:
             for l, r in ((bad, good), (good, bad)):
                 with pytest.raises(DimensionMismatch):
                     check_bimodule(NONAB, l, r)
+
+
+class TestViolationCollector:
+    def test_rank_two_with_prefix(self):
+        m = ((Q(0), Q(2)), (Q(-1), Q(0)))
+        assert mat_violations("m", m, (5,)) == [Violation("m", (5, 0, 1), Q(2)),
+                                                Violation("m", (5, 1, 0), Q(-1))]
+
+    def test_nested_lists_and_tuples_in_row_major_order(self):
+        t = [((Q(0), Q(1)), (Q(2), Q(0))), [[Q(0), Q(0)], (Q(0), Q(-3))]]
+        assert mat_violations("t", t) == [Violation("t", (0, 0, 1), Q(1)),
+                                          Violation("t", (0, 1, 0), Q(2)),
+                                          Violation("t", (1, 1, 1), Q(-3))]
+
+    def test_all_zero(self):
+        assert mat_violations("z", [[[Q(0)] * 2] * 2] * 3) == []
+
+
+class TestRequire:
+    NOT_LSA = st(2, {(0, 0, 0): Q(1), (1, 0, 0): Q(1)})
+
+    def test_raises_first_violation(self):
+        rep = check_left_symmetric(self.NOT_LSA)
+        with pytest.raises(KeyError, match=r"not left-symmetric at \(0, 1, 0\)"):
+            require(rep, KeyError, "not %s at %s")
+
+    def test_passing_report_is_returned(self):
+        rep = check_left_symmetric(st(2))
+        assert require(rep, KeyError, "not %s at %s") is rep
+
+    def test_raises_under_optimize(self):
+        # an explicit raise, so it does not vanish under python -O as an
+        # assert would
+        code = "\n".join([
+            "import sys",
+            "from fractions import Fraction as Q",
+            "from symplie.bialgebra import slsba_check",
+            "from symplie.checks import st",
+            "from symplie.constructions import NotAnLSA",
+            "if sys.flags.optimize != 1:",
+            "    sys.exit(3)",
+            "bad = st(2, {(0, 0, 0): Q(1), (1, 0, 0): Q(1)})",
+            "try:",
+            "    slsba_check(bad, ((), ()))",
+            "except NotAnLSA as e:",
+            "    print(e)",
+            "    sys.exit(0)",
+            "sys.exit(4)",
+        ])
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+        done = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == "base product is not left-symmetric at (0, 1, 0)\n"

@@ -503,3 +503,40 @@ def test_internal_mismatch_exit_three(ssla3, tmp_path, monkeypatch, capsys):
     err = capsys.readouterr().err
     assert err == "internal error (a bug in symplie): derived product is not flat\n"
     assert not out.exists()
+
+
+class TestPreconditionFailureReports:
+    """verify reports a failed precondition of plsba and slsba as the failing
+    sub-reports, without evaluating the identities."""
+
+    def test_plsba_on_invalid_coproducts(self, tmp_path, capsys):
+        bad = tmp_path / "bad.alg"
+        bad.write_text("algebra bad\ndim 2\nop prec 1 1 = 1*e2\nrep alpha 1 1 2 = 1\n")
+        assert run(["verify", str(bad), "--check", "plsba"]) == 1
+        out = capsys.readouterr().out
+        assert "plsba: FAIL" in out
+        assert "  plsca: co-commutativity (1, 1, 2): 1\n" in out
+        assert run(["verify", str(bad), "--check", "plsba", "--json"]) == 1
+        assert json.loads(capsys.readouterr().out) == [{
+            "check": "plsba", "verdict": False,
+            "violations": [
+                {"where": "plsca: co-commutativity", "indices": [1, 1, 2], "residual": "1"},
+                {"where": "plsca: co-compatibility", "indices": [1, 1, 2, 2],
+                 "residual": "-1"},
+                {"where": "plsca: co-commutativity", "indices": [1, 2, 1], "residual": "-1"}],
+            "notes": ["plsa: sum-product left-symmetry agrees with succ left-symmetry (pass)",
+                      "plsca: dual product-pair route agrees (fail)"]}]
+
+    def test_slsba_on_non_lsa_product(self, tmp_path, capsys):
+        bad = tmp_path / "bad.alg"
+        bad.write_text("algebra bad\ndim 2\nop prod 1 1 = 1*e1\nop prod 2 1 = 1*e1\n")
+        assert run(["verify", str(bad), "--check", "slsba"]) == 1
+        out = capsys.readouterr().out
+        assert "slsba: FAIL" in out
+        assert "  left-symmetric: left-symmetric (1, 2, 1): ['-1', '0']\n" in out
+        assert run(["verify", str(bad), "--check", "slsba", "--json"]) == 1
+        assert json.loads(capsys.readouterr().out) == [{
+            "check": "slsba", "verdict": False,
+            "violations": [{"where": "left-symmetric: left-symmetric",
+                            "indices": [1, 2, 1], "residual": ["-1", "0"]}],
+            "notes": []}]
