@@ -8,13 +8,15 @@ the offending structure constants; mat_violations lists them from a residual
 tensor of any rank, and require turns a failing report into the caller's
 typed error.
 
-check_closed, check_parallel_form and nijenhuis_torsion contract the whole
-input once on the exact integer kernel of linalg (Scaled) and read each
-tuple's residual off the result.  check_plsa, check_left_symmetric,
-check_jacobi and check_bimodule evaluate sparse sums over the nonzero
-structure constants (and action entries) in plain Fraction; they stay off
-Scaled because they are the independent cross-check routes.  The remaining
-verifiers walk the basis tuples with matrix and vector helpers.
+Every identity on basis tuples takes one of two routes.  check_closed,
+check_parallel_form and nijenhuis_torsion contract the whole input once on
+the exact integer kernel of linalg (Scaled) and read each tuple's residual
+off the result.  check_plsa, check_left_symmetric, check_jacobi,
+check_bimodule, check_flat and check_representation evaluate sparse sums
+over the nonzero structure constants (and action entries) in plain Fraction
+(_residual); the first four stay off Scaled because they are the
+independent cross-check routes.  The remaining verifiers compare single
+matrices or structure constants directly.
 """
 
 from dataclasses import dataclass, field
@@ -22,10 +24,9 @@ from fractions import Fraction
 
 from .linalg import (
     DimensionMismatch,
-    basis_vec,
+    Scaled,
     mat_add,
     mat_identity,
-    mat_is_zero,
     mat_mul,
     mat_neg,
     mat_rank,
@@ -36,7 +37,6 @@ from .linalg import (
     scaled_leg,
     t3_add,
     t3_sub,
-    tensor_contract,
     unscaled,
     vec_add,
     vec_is_zero,
@@ -126,42 +126,6 @@ def st(n, entries=None):
     return StructureTensor(n, tuple(tuple(tuple(row) for row in plane) for plane in c))
 
 
-def op_apply(op, x, y):
-    """Coordinates of x o y for coordinate vectors x, y."""
-    n = op.n
-    out = [Fraction(0)] * n
-    for i in range(n):
-        if x[i] == 0:
-            continue
-        for j in range(n):
-            if y[j] == 0:
-                continue
-            q = x[i] * y[j]
-            row = op.c[i][j]
-            for k in range(n):
-                if row[k]:
-                    out[k] += q * row[k]
-    return tuple(out)
-
-
-def left_mult(op, x):
-    """Matrix of y -> x o y on column coordinates."""
-    return mat_transpose(tensor_contract(op.c, x, 0))
-
-
-def right_mult(op, y):
-    """Matrix of x -> x o y on column coordinates."""
-    return mat_transpose(tensor_contract(op.c, y, 1))
-
-
-def left_mult_basis(op, i):
-    return left_mult(op, basis_vec(op.n, i))
-
-
-def right_mult_basis(op, j):
-    return right_mult(op, basis_vec(op.n, j))
-
-
 def op_add(a, b):
     if a.n != b.n:
         raise DimensionMismatch("operations on dimensions %d and %d" % (a.n, b.n))
@@ -185,22 +149,9 @@ def sub_adjacent(op):
 
 
 def rep_from_op_left(op):
-    """Left multiplications of op packaged as a representation tensor."""
-    return RepTensor(op.n, op.n, tuple(left_mult_basis(op, i) for i in range(op.n)))
-
-
-def rep_apply(rho, xvec):
-    """The matrix rho(x) for a coordinate vector x."""
-    out = [[Fraction(0)] * rho.m for _ in range(rho.m)]
-    for i in range(rho.n):
-        if xvec[i] == 0:
-            continue
-        ti = rho.t[i]
-        for a in range(rho.m):
-            for b in range(rho.m):
-                if ti[a][b]:
-                    out[a][b] += xvec[i] * ti[a][b]
-    return tuple(tuple(row) for row in out)
+    """Left multiplications of op packaged as a representation tensor: the
+    matrix of e_i is t[i][k][j] = c[i][j][k] on column coordinates."""
+    return RepTensor(op.n, op.n, tuple(mat_transpose(plane) for plane in op.c))
 
 
 def rep_zero(n, m=None):
@@ -208,11 +159,6 @@ def rep_zero(n, m=None):
         m = n
     from .linalg import mat_zero
     return RepTensor(n, m, tuple(mat_zero(m) for _ in range(n)))
-
-
-def form_apply(w, x, y):
-    return sum((x[i] * sum((w.m[i][j] * y[j] for j in range(w.n)), Fraction(0))
-                for i in range(w.n)), Fraction(0))
 
 
 # ---------------------------------------------------------------------------
@@ -360,16 +306,17 @@ def check_flat(br, conn):
     if br.n != conn.n:
         raise DimensionMismatch("bracket dim %d, connection dim %d" % (br.n, conn.n))
     n = br.n
-    L = [left_mult_basis(conn, i) for i in range(n)]
+    nz, nzb = _nonzeros(conn.c), _nonzeros(br.c)
+    col = list(zip(*nz))  # col[k][s] = nz[s][k]
     viol = []
     for i in range(n):
         for j in range(i + 1, n):
-            cur = mat_sub(mat_sub(mat_mul(L[i], L[j]), mat_mul(L[j], L[i])),
-                          left_mult(conn, br.c[i][j]))
             for k in range(n):
-                col = tuple(cur[a][k] for a in range(n))
-                if not vec_is_zero(col):
-                    viol.append(Violation("flat", (i, j, k), col))
+                # e_i (e_j e_k) - e_j (e_i e_k) - [e_i, e_j] e_k
+                r = _residual(n, ((nz[j][k], nz[i], 1), (nz[i][k], nz[j], -1),
+                                  (nzb[i][j], col[k], -1)))
+                if any(r):
+                    viol.append(Violation("flat", (i, j, k), r))
     return report("flat", viol)
 
 
@@ -452,14 +399,20 @@ def nijenhuis_torsion(br, N):
 
 def mat_violations(where, t, at=()):
     """A violation at indices at + index for each nonzero scalar of the
-    nested tuples or lists t, in row-major order."""
-    viol = []
+    nested tuples or lists t, in row-major order.  For a Scaled t each
+    residual is the Fraction of a nonzero numerator over t.den."""
+    if isinstance(t, Scaled):
+        return [Violation(where, idx, Fraction(x, t.den))
+                for idx, x in _nonzero_entries(t.num, at)]
+    return [Violation(where, idx, x) for idx, x in _nonzero_entries(t, at)]
+
+
+def _nonzero_entries(t, at):
     for i, x in enumerate(t):
         if isinstance(x, (tuple, list)):
-            viol += mat_violations(where, x, at + (i,))
+            yield from _nonzero_entries(x, at + (i,))
         elif x != 0:
-            viol.append(Violation(where, at + (i,), x))
-    return viol
+            yield at + (i,), x
 
 
 def check_complex_product(br, J, E):
@@ -545,17 +498,17 @@ def check_representation(br, rho):
     """rho([x,y]) = rho(x)rho(y) - rho(y)rho(x) on all basis pairs."""
     if rho.n != br.n:
         raise DimensionMismatch("bracket dim %d, representation dim %d" % (br.n, rho.n))
+    nzb, rl = _nonzeros(br.c), _nonzeros(rho.t)
+    rlt = list(zip(*rl))  # rlt[a][s] = rl[s][a], row a of rho(e_s)
     viol = []
     for i in range(br.n):
         for j in range(i + 1, br.n):
-            lhs = rep_apply(rho, br.c[i][j])
-            rhs = mat_sub(mat_mul(rho.t[i], rho.t[j]), mat_mul(rho.t[j], rho.t[i]))
-            diff = mat_sub(lhs, rhs)
-            if not mat_is_zero(diff):
-                for a in range(rho.m):
-                    col = tuple(diff[a][b] for b in range(rho.m))
-                    if not vec_is_zero(col):
-                        viol.append(Violation("representation", (i, j, a), col))
+            for a in range(rho.m):
+                # row a of rho([e_i, e_j]) - rho(e_i)rho(e_j) + rho(e_j)rho(e_i)
+                row = _residual(rho.m, ((nzb[i][j], rlt[a], 1), (rl[i][a], rl[j], -1),
+                                        (rl[j][a], rl[i], 1)))
+                if any(row):
+                    viol.append(Violation("representation", (i, j, a), row))
     return report("representation", viol)
 
 

@@ -6,6 +6,11 @@ and the affine cotangent extension.
 Every constructor validates its preconditions with the verifiers from
 checks and refuses bad input with a typed error, so downstream code can
 rely on the returned data without re-checking.
+
+lsa_from_symplectic and plsa_from_special_symplectic contract their input
+on the exact integer kernel of linalg (Scaled); the identities that
+post_affine_check and affine_cotangent_extension evaluate on basis tuples
+are sparse sums over nonzero structure constants (checks._residual).
 """
 
 from dataclasses import dataclass
@@ -14,7 +19,6 @@ from fractions import Fraction
 from .linalg import (
     DimensionMismatch,
     InternalMismatch,
-    basis_vec,
     frac,
     mat_identity,
     mat_inverse,
@@ -24,13 +28,15 @@ from .linalg import (
     mat_scale,
     mat_sub,
     mat_transpose,
-    mat_vec,
     rational_sqrt,
+    scaled,
+    scaled_combine,
+    scaled_leg,
+    scaled_permute,
     t3,
     t3_is_zero,
-    vec_add,
-    vec_is_zero,
-    vec_sub,
+    t3_neg,
+    unscaled,
 )
 from .checks import (
     Endo,
@@ -38,6 +44,8 @@ from .checks import (
     RepTensor,
     StructureTensor,
     Violation,
+    _nonzeros,
+    _residual,
     check_closed,
     check_flat,
     check_jacobi,
@@ -48,11 +56,8 @@ from .checks import (
     check_skew,
     check_special_symplectic,
     check_torsion_free,
-    form_apply,
-    left_mult_basis,
     mat_violations,
     merge_reports,
-    op_apply,
     op_sub,
     relabel,
     rep_from_op_left,
@@ -124,10 +129,10 @@ def dual_left_action(op):
     """Left multiplications of op pushed to the dual space.
 
     The matrix of x acting on a* is minus the transpose of left
-    multiplication by x, so that <x.a*, y> = -<a*, x o y> on all triples.
+    multiplication by x, so that <x.a*, y> = -<a*, x o y> on all triples:
+    t[i][j][k] = -c[i][j][k].
     """
-    ts = tuple(mat_neg(mat_transpose(left_mult_basis(op, i))) for i in range(op.n))
-    return RepTensor(op.n, op.n, ts)
+    return RepTensor(op.n, op.n, t3_neg(op.c))
 
 
 def dual_right_action(op):
@@ -374,17 +379,10 @@ def lsa_from_symplectic(br, w):
             raise InvalidInput("%s fails at %s" % (rep.check, v.indices))
     if not check_nondegenerate(w).verdict:
         raise DegenerateForm("form has rank %d < %d" % (mat_rank(w.m), w.n))
-    n = br.n
+    # w(e_i . e_k, e_j) = w([e_i, e_j], e_k) for each j, solved through (w^T)^-1
     phinv = mat_inverse(mat_transpose(w.m))
-    c = []
-    for i in range(n):
-        plane = [None] * n
-        for k in range(n):
-            ek = basis_vec(n, k)
-            v = tuple(form_apply(w, br.c[i][j], ek) for j in range(n))
-            plane[k] = mat_vec(phinv, v)
-        c.append(tuple(plane))
-    conn = StructureTensor(n, tuple(c))
+    conn = StructureTensor(br.n, unscaled(_through_form(phinv, mat_transpose(w.m),
+                                                        scaled(br.c))))
     if not check_torsion_free(br, conn).verdict:
         raise InternalMismatch("derived product has torsion")
     if not check_flat(br, conn).verdict:
@@ -405,24 +403,25 @@ def plsa_from_special_symplectic(s):
     _require_special_symplectic(s)
     n = s.bracket.n
     phinv = mat_inverse(mat_transpose(s.omega.m))
-    prec_c, succ_c = [], []
-    for i in range(n):
-        prow, srow = [], []
-        for j in range(n):
-            ej = basis_vec(n, j)
-            vp = tuple(-form_apply(s.omega, ej, s.conn.c[k][i]) for k in range(n))
-            vs = tuple(form_apply(s.omega, ej, s.bracket.c[k][i]) for k in range(n))
-            prow.append(mat_vec(phinv, vp))
-            srow.append(mat_vec(phinv, vs))
-        prec_c.append(tuple(prow))
-        succ_c.append(tuple(srow))
-    prec = StructureTensor(n, tuple(prec_c))
-    succ = StructureTensor(n, tuple(succ_c))
+
+    def split(c):  # w(e_i o e_j, e_k) = w(e_j, c(e_k, e_i)) for each k, solved as above
+        return _through_form(phinv, s.omega.m, scaled_permute(scaled(c), (1, 0, 2)))
+
+    prec = StructureTensor(n, unscaled(scaled_combine(((-1, split(s.conn.c)),))))
+    succ = StructureTensor(n, unscaled(split(s.bracket.c)))
     if not t3_is_zero(op_sub(op_sub(s.conn, prec), succ).c):
         raise InternalMismatch("parts do not sum back to the connection")
     if not check_plsa(prec, succ).verdict:
         raise InternalMismatch("derived pair fails the product-pair axioms")
     return prec, succ
+
+
+def _through_form(phinv, m, t):
+    """out[i][j][l] = sum_k phinv[l][k] sum_b m[j][b] t[i][k][b], for Fraction
+    matrices phinv and m and a Scaled rank-3 t: row (i, j) of out is phinv
+    applied to the vector of the sums over b."""
+    v = scaled_leg(scaled(m), t, 2)  # v[i][k][j]
+    return scaled_permute(scaled_leg(scaled(phinv), v, 1), (0, 2, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -470,20 +469,20 @@ def affine_cotangent_extension(d):
                 if q:
                     viol.append(Violation("phi-symmetry", (i, j, k), q))
 
-    def cocycle(i, j, k):
-        out = mat_vec(r.t[k], phi[i][j])
-        out = vec_add(out, tuple(sum((base.c[i][j][p] * phi[p][k][q] for p in range(n)),
-                                     Fraction(0)) for q in range(n)))
-        out = vec_sub(out, mat_vec(l.t[i], phi[j][k]))
-        out = vec_sub(out, tuple(sum((base.c[j][k][p] * phi[i][p][q] for p in range(n)),
-                                     Fraction(0)) for q in range(n)))
-        return out
-
+    nzb, nzphi = _nonzeros(base.c), _nonzeros(phi)
+    colphi = list(zip(*nzphi))  # colphi[k][p] = nzphi[p][k]
+    # cl[i][s] = [(q, l.t[i][q][s]) ...], the nonzero column s of l(e_i)
+    cl, cr = (_nonzeros([tuple(zip(*m)) for m in rep.t]) for rep in (l, r))
     for i in range(n):
         for j in range(i + 1, n):
             for k in range(n):
-                res = vec_sub(cocycle(i, j, k), cocycle(j, i, k))
-                if not vec_is_zero(res):
+                # the defect at (e_i, e_j, e_k) minus the defect at (e_j, e_i, e_k)
+                res = _residual(n, (
+                    (nzphi[i][j], cr[k], 1), (nzb[i][j], colphi[k], 1),
+                    (nzphi[j][k], cl[i], -1), (nzb[j][k], nzphi[i], -1),
+                    (nzphi[j][i], cr[k], -1), (nzb[j][i], colphi[k], -1),
+                    (nzphi[i][k], cl[j], 1), (nzb[i][k], nzphi[j], 1)))
+                if any(res):
                     viol.append(Violation("phi-cocycle", (i, j, k), res))
 
     rep = merge_reports("affine-cotangent-extension", [pair_rep], viol)
@@ -507,15 +506,16 @@ def post_affine_check(nabla, nabla_tilde, br):
              relabel(check_torsion_free(br, nabla_tilde), "torsion-free(nabla-tilde)"),
              relabel(check_flat(br, nabla_tilde), "flat(nabla-tilde)")]
     D = op_sub(nabla_tilde, nabla)
+    nzd, nzn, nzt = _nonzeros(D.c), _nonzeros(nabla.c), _nonzeros(nabla_tilde.c)
     viol = []
     for i in range(n):
         for j in range(n):
             for k in range(n):
-                lhs = op_apply(nabla, basis_vec(n, i), D.c[j][k])
-                rhs = vec_add(op_apply(D, basis_vec(n, k), nabla_tilde.c[i][j]),
-                              op_apply(D, basis_vec(n, j), nabla_tilde.c[i][k]))
-                res = vec_sub(lhs, rhs)
-                if not vec_is_zero(res):
+                # nabla(e_i, D(e_j, e_k)) - D(e_k, nabla-tilde(e_i, e_j))
+                # - D(e_j, nabla-tilde(e_i, e_k))
+                res = _residual(n, ((nzd[j][k], nzn[i], 1), (nzt[i][j], nzd[k], -1),
+                                    (nzt[i][k], nzd[j], -1)))
+                if any(res):
                     viol.append(Violation("post-connection", (i, j, k), res))
     identity_ok = not viol
     pair_rep = check_plsa(D, nabla)

@@ -41,10 +41,6 @@ def frac(x, y=None):
 # ---------------------------------------------------------------------------
 # vectors
 
-def basis_vec(n, i):
-    return tuple(Fraction(1 if j == i else 0) for j in range(n))
-
-
 def vec_add(u, v):
     if len(u) != len(v):
         raise DimensionMismatch("vector lengths %d and %d" % (len(u), len(v)))
@@ -126,26 +122,8 @@ def mat_mul(a, b):
     return tuple(out)
 
 
-def mat_vec(a, v):
-    if len(a[0]) != len(v):
-        raise DimensionMismatch("matrix cols %d, vector length %d" % (len(a[0]), len(v)))
-    zero = Fraction(0)
-    out = []
-    for row in a:
-        s = zero
-        for x, y in zip(row, v):
-            if x and y:
-                s += x * y
-        out.append(s)
-    return tuple(out)
-
-
 def mat_transpose(a):
     return tuple(zip(*a))
-
-
-def mat_is_zero(a):
-    return all(x == 0 for row in a for x in row)
 
 
 def _integer_rows(m):

@@ -68,6 +68,18 @@ def mat_mul_plain(a, b):
                        for j in range(m)) for i in range(n))
 
 
+def mat_vec_plain(m, v):
+    return tuple(sum((m[a][b] * v[b] for b in range(len(v))), Fraction(0))
+                 for a in range(len(m)))
+
+
+def left_mult_plain(c, i):
+    """The matrix of y -> e_i o y on column coordinates: entry (k, j) is
+    c[i][j][k]."""
+    n = len(c)
+    return tuple(tuple(c[i][j][k] for j in range(n)) for k in range(n))
+
+
 # --- rank-3 tensor operations, entry by entry (vs the package's scaled
 # int-numerator kernel) ---
 
@@ -345,11 +357,6 @@ def plsa_compat_violations(prec_c, succ_c):
 # matrices and full products (vs checks.check_bimodule and matched._mixed_12;
 # an action is a tuple of square matrices, one per basis vector) ---
 
-def _mat_vec(m, v):
-    return tuple(sum((m[a][b] * v[b] for b in range(len(v))), Fraction(0))
-                 for a in range(len(m)))
-
-
 def _msub(a, b):
     return tuple(_vsub(p, q) for p, q in zip(a, b))
 
@@ -399,23 +406,359 @@ def mixed_compat_violations(c, lA, rA, lB, rB, name1, name2):
             for j in range(n):
                 ej = _basis(n, j)
                 if i < j:
-                    res = _mat_vec(rB[d], _vsub(c[i][j], c[j][i]))
-                    res = _vsub(res, _mat_vec(_act(rB, _mat_vec(lA[j], f)), ei))
-                    res = _vadd(res, _mat_vec(_act(rB, _mat_vec(lA[i], f)), ej))
-                    res = _vsub(res, product_vec(c, ei, _mat_vec(rB[d], ej)))
-                    res = _vadd(res, product_vec(c, ej, _mat_vec(rB[d], ei)))
+                    res = mat_vec_plain(rB[d], _vsub(c[i][j], c[j][i]))
+                    res = _vsub(res, mat_vec_plain(_act(rB, mat_vec_plain(lA[j], f)), ei))
+                    res = _vadd(res, mat_vec_plain(_act(rB, mat_vec_plain(lA[i], f)), ej))
+                    res = _vsub(res, product_vec(c, ei, mat_vec_plain(rB[d], ej)))
+                    res = _vadd(res, product_vec(c, ej, mat_vec_plain(rB[d], ei)))
                     if any(res):
                         out.append((name1, (i, j, d), res))
-                res = _mat_vec(lB[d], c[i][j])
-                res = _vadd(res, _mat_vec(
-                    _act(lB, _vsub(_mat_vec(lA[i], f), _mat_vec(rA[i], f))), ej))
+                res = mat_vec_plain(lB[d], c[i][j])
+                res = _vadd(res, mat_vec_plain(
+                    _act(lB, _vsub(mat_vec_plain(lA[i], f), mat_vec_plain(rA[i], f))), ej))
                 res = _vsub(res, product_vec(
-                    c, _vsub(_mat_vec(lB[d], ei), _mat_vec(rB[d], ei)), ej))
-                res = _vsub(res, _mat_vec(_act(rB, _mat_vec(rA[j], f)), ei))
-                res = _vsub(res, product_vec(c, ei, _mat_vec(lB[d], ej)))
+                    c, _vsub(mat_vec_plain(lB[d], ei), mat_vec_plain(rB[d], ei)), ej))
+                res = _vsub(res, mat_vec_plain(_act(rB, mat_vec_plain(rA[j], f)), ei))
+                res = _vsub(res, product_vec(c, ei, mat_vec_plain(lB[d], ej)))
                 if any(res):
                     out.append((name2, (i, j, d), res))
     return out
+
+
+# --- the identities that walked basis tuples with dense matrix products,
+# written the same way with plain loops (vs the kernel and sparse-sum routes
+# of bialgebra, checks.check_flat, check_representation and constructions);
+# a product or coproduct is nested tuples of Fractions, an action a tuple of
+# square matrices, one per basis vector ---
+
+def _madd(a, b):
+    return tuple(_vadd(p, q) for p, q in zip(a, b))
+
+
+def _mneg(a):
+    return tuple(tuple(-x for x in row) for row in a)
+
+
+def _mT(a):
+    return tuple(zip(*a))
+
+
+def right_mult_plain(c, j):
+    """The matrix of x -> x o e_j on column coordinates: entry (k, i) is
+    c[i][j][k]."""
+    n = len(c)
+    return tuple(tuple(c[i][j][k] for i in range(n)) for k in range(n))
+
+
+def _sum_and_bracket(prec_c, succ_c):
+    n = len(prec_c)
+    dot = tuple(tuple(_vadd(prec_c[i][j], succ_c[i][j]) for j in range(n)) for i in range(n))
+    br = tuple(tuple(_vsub(dot[i][j], dot[j][i]) for j in range(n)) for i in range(n))
+    return dot, br
+
+
+def nonzero_entries(where, t, at=()):
+    """(where, at + index, x) for each nonzero scalar x of the nested tuples
+    or lists t, in row-major order."""
+    out = []
+    for i, x in enumerate(t):
+        if isinstance(x, (tuple, list)):
+            out += nonzero_entries(where, x, at + (i,))
+        elif x:
+            out.append((where, at + (i,), x))
+    return out
+
+
+def plsba_violations(prec_c, succ_c, al, be):
+    """The four bialgebra compatibility identities on each basis pair (i, j):
+    bialgebra-1 (i < j only), then -2, -4 and -3, one violation per nonzero
+    matrix entry, indices (i, j, a, b)."""
+    n = len(prec_c)
+    dot, br = _sum_and_bracket(prec_c, succ_c)
+    mm = mat_mul_plain
+    ab = [_madd(al[k], be[k]) for k in range(n)]
+    sab = [_mT(m) for m in ab]
+    skew = [_msub(ab[k], sab[k]) for k in range(n)]
+    Ld = [left_mult_plain(dot, i) for i in range(n)]
+    Ls = [left_mult_plain(succ_c, i) for i in range(n)]
+    Lp = [left_mult_plain(prec_c, i) for i in range(n)]
+    Rd = [right_mult_plain(dot, j) for j in range(n)]
+    Rp = [right_mult_plain(prec_c, j) for j in range(n)]
+    out = []
+    for i in range(n):
+        for j in range(n):
+            if i < j:
+                rhs = _madd(mm(al[j], _mT(Ld[i])), mm(Ld[i], al[j]))
+                rhs = _msub(_msub(rhs, mm(al[i], _mT(Ld[j]))), mm(Ld[j], al[i]))
+                out += nonzero_entries("bialgebra-1", _msub(_act(al, br[i][j]), rhs), (i, j))
+            lhs2 = _act(ab, dot[i][j])
+            common = _madd(_madd(mm(Ls[i], ab[j]), mm(ab[j], _mT(Ld[i]))),
+                           mm(be[i], _mT(Rd[j])))
+            out += nonzero_entries("bialgebra-2",
+                            _msub(lhs2, _msub(common, mm(Lp[j], al[i]))), (i, j))
+            out += nonzero_entries("bialgebra-4",
+                            _msub(lhs2, _msub(common, mm(Rp[j], _mT(al[i])))), (i, j))
+            rhs3 = _madd(_mneg(mm(Rp[j], sab[i])), mm(ab[i], _mT(Rp[j])))
+            rhs3 = _msub(_madd(rhs3, mm(ab[j], _mT(Lp[i]))), mm(Lp[i], sab[j]))
+            out += nonzero_entries("bialgebra-3", _msub(_act(skew, prec_c[i][j]), rhs3), (i, j))
+    return out
+
+
+def coboundary_coproducts_plain(prec_c, succ_c, r):
+    """alpha_i = r Ldot_i^T + Ldot_i r and beta_i = -(r ad_i^T + Lsucc_i r)."""
+    n = len(prec_c)
+    dot, br = _sum_and_bracket(prec_c, succ_c)
+    mm = mat_mul_plain
+    alpha, beta = [], []
+    for i in range(n):
+        Ld, Ls, ad = (left_mult_plain(c, i) for c in (dot, succ_c, br))
+        alpha.append(_madd(mm(r, _mT(Ld)), mm(Ld, r)))
+        beta.append(_mneg(_madd(mm(r, _mT(ad)), mm(Ls, r))))
+    return tuple(alpha), tuple(beta)
+
+
+def coboundary_violations(prec_c, succ_c, r):
+    """coboundary-1 on each i <= j, then coboundary-2 on each (i, j), for
+    u = r - r^T; indices (i, j, a, b)."""
+    n = len(prec_c)
+    dot, _ = _sum_and_bracket(prec_c, succ_c)
+    mm = mat_mul_plain
+    u = _msub(r, _mT(r))
+    Lp = [left_mult_plain(prec_c, i) for i in range(n)]
+    Rp = [right_mult_plain(prec_c, j) for j in range(n)]
+    Ld = [left_mult_plain(dot, i) for i in range(n)]
+    out = []
+    for i in range(n):
+        for j in range(n):
+            if i <= j:
+                M = _act(Lp, prec_c[i][j])
+                res = _madd(mm(M, u), mm(u, _mT(M)))
+                res = _msub(res, mm(Lp[j], mm(u, _mT(Lp[i]))))
+                res = _msub(res, mm(Lp[i], mm(u, _mT(Lp[j]))))
+                out += nonzero_entries("coboundary-1", res, (i, j))
+            res2 = mm(Rp[j], _madd(mm(Ld[i], u), mm(u, _mT(Ld[i]))))
+            out += nonzero_entries("coboundary-2", res2, (i, j))
+    return out
+
+
+def rr_brackets_plain(prec_c, succ_c, r):
+    """The two quadratic tensors of r over a product pair, entry by entry."""
+    n = len(prec_c)
+    dot, br = _sum_and_bracket(prec_c, succ_c)
+    rng = range(n)
+    first, second = {}, {}
+    for u in rng:
+        for v in rng:
+            for w in rng:
+                first[u, v, w] = sum(
+                    (r[u][q] * r[v][t] * dot[q][t][w] for q in rng for t in rng),
+                    Fraction(0)) + sum(
+                    (r[u][q] * r[s][w] * dot[q][s][v] for q in rng for s in rng),
+                    Fraction(0)) + sum(
+                    (r[p][v] * r[s][w] * prec_c[p][s][u] for p in rng for s in rng),
+                    Fraction(0))
+                second[u, v, w] = sum(
+                    (r[p][v] * r[s][w] * succ_c[p][s][u] for p in rng for s in rng),
+                    Fraction(0)) - sum(
+                    (r[u][q] * r[s][w] * succ_c[q][s][v] for q in rng for s in rng),
+                    Fraction(0)) - sum(
+                    (r[u][q] * r[v][t] * br[q][t][w] for q in rng for t in rng),
+                    Fraction(0))
+    return _from_dict(first, (n, n, n)), _from_dict(second, (n, n, n))
+
+
+def double_r_violations(prec_c, succ_c, r):
+    """drinfeld_double's closure conditions of r on the double's pair:
+    double-r-1 (Ld_i u + u Ld_i^T) and double-r-3 (u Ls_i^T + ad_i u)
+    interleaved entry by entry, indices (i, a, b); then double-r-2, the
+    coboundary-1 condition, indices (i, j, a, b)."""
+    n = len(prec_c)
+    dot, br = _sum_and_bracket(prec_c, succ_c)
+    mm = mat_mul_plain
+    u = _msub(r, _mT(r))
+    out = []
+    for i in range(n):
+        Ld, Ls, ad = (left_mult_plain(c, i) for c in (dot, succ_c, br))
+        m1 = _madd(mm(Ld, u), mm(u, _mT(Ld)))
+        m3 = _madd(mm(u, _mT(Ls)), mm(ad, u))
+        for a in range(n):
+            for b in range(n):
+                if m1[a][b]:
+                    out.append(("double-r-1", (i, a, b), m1[a][b]))
+                if m3[a][b]:
+                    out.append(("double-r-3", (i, a, b), m3[a][b]))
+    return out + [("double-r-2", idx, x) for where, idx, x
+                  in coboundary_violations(prec_c, succ_c, r) if where == "coboundary-1"]
+
+
+def coproduct_compat_violations(c, alpha):
+    """slsba's coproduct-compat identity alpha(e_i e_j) = L_i alpha_j +
+    alpha_j L_i^T + alpha_i R_j^T on each (i, j); indices (i, j, a, b)."""
+    n = len(c)
+    mm = mat_mul_plain
+    out = []
+    for i in range(n):
+        L = left_mult_plain(c, i)
+        for j in range(n):
+            rhs = _madd(mm(L, alpha[j]), _madd(mm(alpha[j], _mT(L)),
+                                               mm(alpha[i], _mT(right_mult_plain(c, j)))))
+            out += nonzero_entries("coproduct-compat", _msub(_act(alpha, c[i][j]), rhs), (i, j))
+    return out
+
+
+def co_left_symmetry_plain(alpha):
+    """Per basis vector e_i, with A = alpha_i: D[a][b][c] - D[b][a][c] for
+    D[a][b][c] = sum_p A[p][c] alpha[p][a][b] - sum_q A[a][q] alpha[q][b][c]."""
+    n = len(alpha)
+    out = []
+    for i in range(n):
+        A = alpha[i]
+
+        def d(a, b, c):
+            return (sum((A[p][c] * alpha[p][a][b] for p in range(n)), Fraction(0))
+                    - sum((A[a][q] * alpha[q][b][c] for q in range(n)), Fraction(0)))
+
+        out.append(tuple(tuple(tuple(d(a, b, c) - d(b, a, c) for c in range(n))
+                               for b in range(n)) for a in range(n)))
+    return out
+
+
+def slsba_coboundary_plain(c, r):
+    """alpha_i = r R_i^T and the action-condition (L_i r + r L_i^T) R_j^T on
+    each (i, j); indices (i, j, a, b)."""
+    n = len(c)
+    mm = mat_mul_plain
+    R = [right_mult_plain(c, i) for i in range(n)]
+    alpha = tuple(mm(r, _mT(R[i])) for i in range(n))
+    out = []
+    for i in range(n):
+        L = left_mult_plain(c, i)
+        base = _madd(mm(L, r), mm(r, _mT(L)))
+        for j in range(n):
+            out += nonzero_entries("action-condition", mm(base, _mT(R[j])), (i, j))
+    return alpha, out
+
+
+def conn_e_violations(conn_c, e):
+    """check_parakahler's conn-E-symmetric residual on each i < j:
+    conn(e_i, E e_j) - E conn(e_i, e_j) minus the same with i and j swapped."""
+    n = len(conn_c)
+    ecols = [tuple(e[a][j] for a in range(n)) for j in range(n)]
+    out = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            di = _vsub(product_vec(conn_c, _basis(n, i), ecols[j]),
+                       mat_vec_plain(e, conn_c[i][j]))
+            dj = _vsub(product_vec(conn_c, _basis(n, j), ecols[i]),
+                       mat_vec_plain(e, conn_c[j][i]))
+            res = _vsub(di, dj)
+            if any(res):
+                out.append(("conn-E-symmetric", (i, j), res))
+    return out
+
+
+def flat_violations(br_c, conn_c):
+    """check_flat's violations: column k of L_i L_j - L_j L_i - L([e_i, e_j])
+    on each i < j, L the left multiplications of the connection."""
+    n = len(br_c)
+    mm = mat_mul_plain
+    L = [left_mult_plain(conn_c, i) for i in range(n)]
+    out = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            cur = _msub(_msub(mm(L[i], L[j]), mm(L[j], L[i])), _act(L, br_c[i][j]))
+            for k in range(n):
+                col = tuple(cur[a][k] for a in range(n))
+                if any(col):
+                    out.append(("flat", (i, j, k), col))
+    return out
+
+
+def representation_violations(br_c, rho):
+    """check_representation's violations: row a of rho([e_i, e_j]) -
+    (rho_i rho_j - rho_j rho_i) on each i < j."""
+    n = len(br_c)
+    out = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            diff = _msub(_act(rho, br_c[i][j]),
+                         _msub(mat_mul_plain(rho[i], rho[j]), mat_mul_plain(rho[j], rho[i])))
+            for a, row in enumerate(diff):
+                if any(row):
+                    out.append(("representation", (i, j, a), tuple(row)))
+    return out
+
+
+def post_connection_violations(nabla_c, tilde_c):
+    """post_affine_check's identity nabla(e_i, D(e_j, e_k)) = D(e_k,
+    tilde(e_i, e_j)) + D(e_j, tilde(e_i, e_k)), D = tilde - nabla, on each
+    basis triple."""
+    n = len(nabla_c)
+    d = tuple(tuple(_vsub(tilde_c[i][j], nabla_c[i][j]) for j in range(n)) for i in range(n))
+    out = []
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                lhs = product_vec(nabla_c, _basis(n, i), d[j][k])
+                rhs = _vadd(product_vec(d, _basis(n, k), tilde_c[i][j]),
+                            product_vec(d, _basis(n, j), tilde_c[i][k]))
+                res = _vsub(lhs, rhs)
+                if any(res):
+                    out.append(("post-connection", (i, j, k), res))
+    return out
+
+
+def phi_cocycle_violations(base_c, l, r, phi):
+    """affine_cotangent_extension's cocycle defect r(z)phi(x,y) + phi(x.y, z)
+    - l(x)phi(y,z) - phi(x, y.z), minus the same with x and y swapped, on
+    each (i, j, k) with i < j."""
+    n = len(base_c)
+
+    def cocycle(i, j, k):
+        out = mat_vec_plain(r[k], phi[i][j])
+        out = _vadd(out, tuple(sum((base_c[i][j][p] * phi[p][k][q] for p in range(n)),
+                                   Fraction(0)) for q in range(n)))
+        out = _vsub(out, mat_vec_plain(l[i], phi[j][k]))
+        return _vsub(out, tuple(sum((base_c[j][k][p] * phi[i][p][q] for p in range(n)),
+                                    Fraction(0)) for q in range(n)))
+
+    out = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            for k in range(n):
+                res = _vsub(cocycle(i, j, k), cocycle(j, i, k))
+                if any(res):
+                    out.append(("phi-cocycle", (i, j, k), res))
+    return out
+
+
+def lsa_from_symplectic_plain(br_c, w):
+    """The product with w(e_i . e_k, e_j) = w([e_i, e_j], e_k), solved for
+    e_i . e_k through the inverse of w^T."""
+    n = len(br_c)
+    phinv = gauss_inverse(_mT(w))
+    return tuple(tuple(
+        mat_vec_plain(phinv, tuple(form_value(w, br_c[i][j], _basis(n, k)) for j in range(n)))
+        for k in range(n)) for i in range(n))
+
+
+def plsa_from_special_symplectic_plain(br_c, conn_c, w):
+    """w(x prec y, z) = -w(y, z . x) and w(x succ y, z) = w(y, [z, x]),
+    solved through the inverse of w^T."""
+    n = len(br_c)
+    phinv = gauss_inverse(_mT(w))
+    prec, succ = [], []
+    for i in range(n):
+        prow, srow = [], []
+        for j in range(n):
+            ej = _basis(n, j)
+            prow.append(mat_vec_plain(phinv, tuple(-form_value(w, ej, conn_c[k][i])
+                                                   for k in range(n))))
+            srow.append(mat_vec_plain(phinv, tuple(form_value(w, ej, br_c[k][i])
+                                                   for k in range(n))))
+        prec.append(tuple(prow))
+        succ.append(tuple(srow))
+    return tuple(prec), tuple(succ)
 
 
 # --- seeded random rational data ---

@@ -1,0 +1,462 @@
+"""The identities evaluated on basis tuples by the kernel and sparse-sum
+routes, against plain-loop oracles (tests/oracles.py): whole reports,
+returned tensors, and Fraction residuals, on dims 1-4 with dense, all-zero
+and single-nonzero inputs, inputs that meet each function's preconditions,
+and inputs that fail its identities."""
+
+import re
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
+
+from symplie import bialgebra
+from symplie.bialgebra import (
+    NotAPLSBA,
+    ParaKahlerData,
+    canonical_r,
+    check_parakahler,
+    coboundary_conditions,
+    coboundary_coproducts,
+    coproducts_from_products,
+    drinfeld_double,
+    plsba_check,
+    plsca_check,
+    slsba_check,
+    slsba_coboundary,
+    zero_coproducts,
+)
+from symplie.catalog import catalog_get
+from symplie.checks import (
+    Endo,
+    Form,
+    RepTensor,
+    StructureTensor,
+    Violation,
+    check_closed,
+    check_flat,
+    check_nondegenerate,
+    check_parallel_form,
+    check_plsa,
+    check_representation,
+    check_skew,
+    check_torsion_free,
+    merge_reports,
+    op_add,
+    relabel,
+    rep_from_op_left,
+    report,
+    sub_adjacent,
+)
+from symplie.constructions import (
+    CotangentExtensionData,
+    DegenerateForm,
+    InvalidInput,
+    SpecialSymplecticData,
+    affine_cotangent_extension,
+    dual_left_action,
+    lsa_from_symplectic,
+    plsa_from_special_symplectic,
+    post_affine_check,
+)
+
+from oracles import (
+    coboundary_coproducts_plain,
+    coboundary_violations,
+    co_left_symmetry_plain,
+    conn_e_violations,
+    coproduct_compat_violations,
+    double_r_violations,
+    flat_violations,
+    left_mult_plain,
+    lsa_from_symplectic_plain,
+    nonzero_entries,
+    phi_cocycle_violations,
+    plsa_from_special_symplectic_plain,
+    plsba_violations,
+    post_connection_violations,
+    representation_violations,
+    rand_invertible,
+    rng,
+    rr_brackets_plain,
+    slsba_coboundary_plain,
+    transport_product,
+)
+from test_linalg import all_fractions, entries, matrices, tensors
+
+PLSA_NAMES = ("plsa-2d-I", "plsa-2d-II", "plsa-2d-III", "plsa-2d-IV")
+SSLA_NAMES = ("ssla-2d-1", "ssla-2d-2", "ssla-2d-3", "ssla-2d-4")
+dims = hs.integers(1, 4)
+seeds = hs.integers(0, 10 ** 6)
+
+
+def _direct_sum(blocks):
+    """Block-diagonal rank-3 tensor of the given blocks."""
+    n = sum(len(b) for b in blocks)
+    c = [[[Fraction(0)] * n for _ in range(n)] for _ in range(n)]
+    at = 0
+    for b in blocks:
+        m = len(b)
+        for i in range(m):
+            for j in range(m):
+                for k in range(m):
+                    c[at + i][at + j][at + k] = b[i][j][k]
+        at += m
+    return tuple(tuple(tuple(row) for row in plane) for plane in c)
+
+
+def _scale(t, q):
+    return tuple(tuple(tuple(q * x for x in row) for row in plane) for plane in t)
+
+
+def _transport_form(w, p):
+    """w(P x, P y): the form that P^T w P stands for."""
+    n = len(w)
+    return tuple(tuple(sum((p[a][i] * w[a][b] * p[b][j] for a in range(n) for b in range(n)),
+                           Fraction(0)) for j in range(n)) for i in range(n))
+
+
+@hs.composite
+def product_pairs(draw, n):
+    """Valid product pairs of dim n: a direct sum of scaled catalog pairs and
+    one-dimensional pairs (0, b) or (a, -2a), carried to a random basis.
+    Catalog blocks are drawn three times in four where they fit, as only
+    they make the sum product noncommutative."""
+    precs, succs = [], []
+    while sum(len(b) for b in precs) < n:
+        if n - sum(len(b) for b in precs) >= 2 and draw(hs.integers(0, 3)):
+            prec, succ = catalog_get(draw(hs.sampled_from(PLSA_NAMES))).payload
+            q = draw(entries)
+            precs.append(_scale(prec.c, q))
+            succs.append(_scale(succ.c, q))
+        else:
+            a, b = draw(entries), draw(entries)
+            a, b = (Fraction(0), b) if draw(hs.booleans()) else (a, -2 * a)
+            precs.append((((a,),),))
+            succs.append((((b,),),))
+    prec_c, succ_c = _direct_sum(precs), _direct_sum(succs)
+    if draw(hs.booleans()):
+        p = rand_invertible(rng(draw(seeds)), n)
+        prec_c, succ_c = transport_product(prec_c, p), transport_product(succ_c, p)
+    return StructureTensor(n, prec_c), StructureTensor(n, succ_c)
+
+
+@hs.composite
+def coproduct_pairs(draw, n):
+    """Zero coproducts, or the coproducts dual to a valid product pair."""
+    if draw(hs.booleans()):
+        return zero_coproducts(n)
+    return coproducts_from_products(*draw(product_pairs(n)))
+
+
+@hs.composite
+def special_symplectic(draw, n):
+    """A special symplectic package of even dim n: a direct sum of catalog
+    packages, carried to a random basis."""
+    parts = [catalog_get(draw(hs.sampled_from(SSLA_NAMES))).payload for _ in range(n // 2)]
+    br = _direct_sum([s.bracket.c for s in parts])
+    conn = _direct_sum([s.conn.c for s in parts])
+    w = [[Fraction(0)] * n for _ in range(n)]
+    for k, s in enumerate(parts):
+        for a in range(2):
+            for b in range(2):
+                w[2 * k + a][2 * k + b] = s.omega.m[a][b]
+    w = tuple(tuple(row) for row in w)
+    p = rand_invertible(rng(draw(seeds)), n)
+    return SpecialSymplecticData(StructureTensor(n, transport_product(br, p)),
+                                 StructureTensor(n, transport_product(conn, p)),
+                                 Form(n, _transport_form(w, p)))
+
+
+def _report(check, violations, notes=()):
+    return report(check, [Violation(*v) for v in violations], notes)
+
+
+def _fraction_residuals(rep):
+    for v in rep.violations:
+        xs = v.residual if isinstance(v.residual, tuple) else (v.residual,)
+        assert all(type(x) is Fraction for x in xs), v
+
+
+def _word(ok):
+    return "pass" if ok else "fail"
+
+
+def _plsba_report(pair, cp):
+    viol = plsba_violations(pair[0].c, pair[1].c, cp.alpha, cp.beta)
+    return _report("plsba", viol, ["matched-pair route agrees (%s)" % _word(not viol)])
+
+
+class TestBialgebraRoutes:
+    @settings(max_examples=30)
+    @given(hs.data())
+    def test_plsba_check(self, data):
+        n = data.draw(dims)
+        pair, cp = data.draw(product_pairs(n)), data.draw(coproduct_pairs(n))
+        got = plsba_check(pair, cp)
+        assert got == _plsba_report(pair, cp)
+        _fraction_residuals(got)
+
+    @settings(max_examples=30)
+    @given(hs.data())
+    def test_coboundary(self, data):
+        n = data.draw(dims)
+        pair, r = data.draw(product_pairs(n)), data.draw(matrices(n, n))
+        got = coboundary_conditions(pair, r)
+        assert got == _report("coboundary-conditions",
+                              coboundary_violations(pair[0].c, pair[1].c, r))
+        _fraction_residuals(got)
+        cp = coboundary_coproducts(pair, r)
+        assert (cp.alpha, cp.beta) == coboundary_coproducts_plain(pair[0].c, pair[1].c, r)
+        assert all_fractions(cp.alpha) and all_fractions(cp.beta)
+
+    @settings(max_examples=30)
+    @given(hs.data())
+    def test_drinfeld_double(self, data):
+        """Inputs of dims 1 and 2, doubles of dims 2 and 4; an incompatible
+        input is refused with its first bialgebra violation."""
+        n = data.draw(hs.integers(1, 2))
+        pair, cp = data.draw(product_pairs(n)), data.draw(coproduct_pairs(n))
+        inviol = plsba_violations(pair[0].c, pair[1].c, cp.alpha, cp.beta)
+        if inviol:
+            where, at, _ = inviol[0]
+            msg = "bialgebra compatibility fails: %s at %s" % (where, at)
+            with pytest.raises(NotAPLSBA, match="^%s$" % re.escape(msg)):
+                drinfeld_double(pair, cp)
+            return
+        pair_d, r, cp_d, rep = drinfeld_double(pair, cp)
+        prec_c, succ_c = pair_d[0].c, pair_d[1].c
+        assert r == canonical_r(n)
+        assert (cp_d.alpha, cp_d.beta) == coboundary_coproducts_plain(prec_c, succ_c, r)
+        t1, t2 = rr_brackets_plain(prec_c, succ_c, r)
+        viol = (nonzero_entries("r-bracket-1", t1) + nonzero_entries("r-bracket-2", t2)
+                + double_r_violations(prec_c, succ_c, r))
+        assert rep == merge_reports("double", [plsca_check(cp_d), _plsba_report(pair_d, cp_d)],
+                                    [Violation(*v) for v in viol])
+        assert rep.verdict
+        _fraction_residuals(rep)
+
+    @settings(max_examples=30)
+    @given(hs.data())
+    def test_double_r_conditions_fail_for_other_r(self, data):
+        """The closure conditions of r on a double, with a random r in place
+        of the canonical one; the coproduct checks that r would fail are
+        stubbed, so the report holds exactly the r conditions."""
+        n = data.draw(hs.integers(1, 2))
+        pair = data.draw(product_pairs(n))
+        r = data.draw(matrices(2 * n, 2 * n))
+        passed = {"plsca_check": report("plsca", []),
+                  "_plsba_identities": report("plsba", [])}
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(bialgebra, "canonical_r", lambda _: r)
+            for name, rep in passed.items():
+                mp.setattr(bialgebra, name, lambda *_, rep=rep: rep)
+            pair_d, _, cp_d, got = drinfeld_double(pair, zero_coproducts(n))
+        prec_c, succ_c = pair_d[0].c, pair_d[1].c
+        assert (cp_d.alpha, cp_d.beta) == coboundary_coproducts_plain(prec_c, succ_c, r)
+        t1, t2 = rr_brackets_plain(prec_c, succ_c, r)
+        viol = (nonzero_entries("r-bracket-1", t1) + nonzero_entries("r-bracket-2", t2)
+                + double_r_violations(prec_c, succ_c, r))
+        assert got == merge_reports("double", list(passed.values()),
+                                    [Violation(*v) for v in viol])
+        _fraction_residuals(got)
+
+
+@hs.composite
+def coproducts(draw, n):
+    """The coproduct dual to a left-symmetric product, or a dense, all-zero
+    or single-nonzero one."""
+    if draw(hs.booleans()):
+        return draw(tensors((n, n, n)))
+    c = op_add(*draw(product_pairs(n))).c
+    return tuple(tuple(tuple(c[p][q][k] for q in range(n)) for p in range(n))
+                 for k in range(n))
+
+
+class TestOneCoproductRoutes:
+    @settings(max_examples=30)
+    @given(hs.data())
+    def test_slsba_check(self, data):
+        n = data.draw(dims)
+        lsa = op_add(*data.draw(product_pairs(n)))
+        alpha = data.draw(coproducts(n))
+        got = slsba_check(lsa, alpha)
+        compat = coproduct_compat_violations(lsa.c, alpha)
+        cls = nonzero_entries("co-left-symmetry", co_left_symmetry_plain(alpha))
+        if cls:
+            note = "matched-pair route skipped: dual product is not left-symmetric"
+        else:
+            note = "matched-pair route agrees (%s)" % _word(not compat)
+        assert got == _report("slsba", compat + cls, [note])
+        _fraction_residuals(got)
+
+    @settings(max_examples=30)
+    @given(hs.data())
+    def test_slsba_coboundary(self, data):
+        n = data.draw(dims)
+        lsa = op_add(*data.draw(product_pairs(n)))
+        r = data.draw(matrices(n, n))
+        alpha, got = slsba_coboundary(lsa, r)
+        alpha_o, action = slsba_coboundary_plain(lsa.c, r)
+        assert alpha == alpha_o
+        assert all_fractions(alpha)
+        cls = nonzero_entries("co-left-symmetry", co_left_symmetry_plain(alpha_o))
+        assert got == _report("slsba-coboundary", action + cls,
+                              ["direct co-left-symmetry route agrees"])
+        _fraction_residuals(got)
+
+
+class TestConnectionRoutes:
+    @settings(max_examples=30)
+    @given(hs.data())
+    def test_parakahler(self, data):
+        """The whole report, with the connection branch's flat and
+        conn-E-symmetric parts from the oracles."""
+        n = data.draw(dims)
+        br, conn = data.draw(tensors((n, n, n))), data.draw(tensors((n, n, n)))
+        w, e = data.draw(matrices(n, n)), data.draw(matrices(n, n))
+        B, C, W, E = StructureTensor(n, br), StructureTensor(n, conn), Form(n, w), Endo(n, e)
+        got = check_parakahler(ParaKahlerData(B, W, E, C))
+        without = check_parakahler(ParaKahlerData(B, W, E))
+        extra = [v for v in without.violations
+                 if v.where in ("E-squared", "E-torsion", "eigenspace-dims", "compatibility")]
+        parts = [check_skew(W), check_nondegenerate(W), check_closed(B, W),
+                 _report("flat", flat_violations(br, conn)), check_torsion_free(B, C),
+                 check_parallel_form(C, W)]
+        extra += [Violation(*v) for v in conn_e_violations(conn, e)]
+        assert got == merge_reports("para-kahler", parts, extra)
+        _fraction_residuals(got)
+
+    @settings(max_examples=30)
+    @given(hs.data())
+    def test_flat(self, data):
+        n = data.draw(dims)
+        if n % 2 == 0 and data.draw(hs.booleans()):
+            s = data.draw(special_symplectic(n))
+            br, conn = s.bracket.c, s.conn.c
+        else:
+            br, conn = data.draw(tensors((n, n, n))), data.draw(tensors((n, n, n)))
+        got = check_flat(StructureTensor(n, br), StructureTensor(n, conn))
+        assert got == _report("flat", flat_violations(br, conn))
+        _fraction_residuals(got)
+
+    @settings(max_examples=30)
+    @given(hs.data())
+    def test_representation(self, data):
+        """Module dim m independent of n; the left multiplications of a flat
+        connection represent its bracket."""
+        n = data.draw(dims)
+        if n % 2 == 0 and data.draw(hs.booleans()):
+            s = data.draw(special_symplectic(n))
+            br, rho = s.bracket.c, rep_from_op_left(s.conn)
+        else:
+            m = data.draw(dims)
+            br = data.draw(tensors((n, n, n)))
+            rho = RepTensor(n, m, data.draw(tensors((n, m, m))))
+        got = check_representation(StructureTensor(n, br), rho)
+        assert got == _report("representation", representation_violations(br, rho.t))
+        _fraction_residuals(got)
+
+    @settings(max_examples=30)
+    @given(hs.data())
+    def test_post_affine(self, data):
+        """Random connections, and the post-connection of a valid product
+        pair: succ over prec + succ, with the commutator bracket."""
+        n = data.draw(dims)
+        if data.draw(hs.booleans()):
+            prec, succ = data.draw(product_pairs(n))
+            nabla, tilde = succ, op_add(prec, succ)
+            br = sub_adjacent(tilde)
+        else:
+            nabla, tilde, br = (StructureTensor(n, data.draw(tensors((n, n, n))))
+                                for _ in range(3))
+        got = post_affine_check(nabla, tilde, br)
+        parts = [relabel(check_torsion_free(br, nabla), "torsion-free(nabla)"),
+                 relabel(_report("flat", flat_violations(br.c, nabla.c)), "flat(nabla)"),
+                 relabel(check_torsion_free(br, tilde), "torsion-free(nabla-tilde)"),
+                 relabel(_report("flat", flat_violations(br.c, tilde.c)),
+                         "flat(nabla-tilde)")]
+        viol = post_connection_violations(nabla.c, tilde.c)
+        d = StructureTensor(n, tuple(tuple(tuple(p - q for p, q in zip(x, y))
+                                           for x, y in zip(tp, np_))
+                                     for tp, np_ in zip(tilde.c, nabla.c)))
+        pair_ok = check_plsa(d, nabla).verdict
+        if all(p.verdict for p in parts) and (not viol) != pair_ok:
+            note = ("ALERT: direct identity (%s) disagrees with the product-pair route "
+                    "(%s) on flat torsion-free input; report a bug"
+                    % (_word(not viol), _word(pair_ok)))
+        else:
+            note = "product-pair route agrees: %s" % _word(pair_ok)
+        assert got == merge_reports("post-affine", parts, [Violation(*v) for v in viol],
+                                    [note])
+        _fraction_residuals(got)
+
+
+class TestConstructionRoutes:
+    @settings(max_examples=30)
+    @given(hs.data())
+    def test_affine_cotangent_extension(self, data):
+        """The whole report over a left-symmetric base, with the dual left
+        action or a random l, and random r and phi."""
+        n = data.draw(dims)
+        base = op_add(*data.draw(product_pairs(n)))
+        l = (dual_left_action(base).t if data.draw(hs.booleans())
+             else data.draw(tensors((n, n, n))))
+        r, phi = data.draw(tensors((n, n, n))), data.draw(tensors((n, n, n)))
+        _, got = affine_cotangent_extension(CotangentExtensionData(
+            base, RepTensor(n, n, l), RepTensor(n, n, r), phi))
+        prec = StructureTensor(n, tuple(tuple(tuple(-x for x in row) for row in m) for m in r))
+        succ = StructureTensor(n, tuple(tuple(tuple(p - q for p, q in zip(x, y))
+                                              for x, y in zip(bp, pp))
+                                        for bp, pp in zip(base.c, prec.c)))
+        viol = nonzero_entries("l-is-dual-left-action",
+                               [[[l[i][a][b] + base.c[i][a][b] for b in range(n)]
+                                 for a in range(n)] for i in range(n)])
+        viol += [("phi-symmetry", (i, j, k), phi[i][j][k] - phi[i][k][j])
+                 for i in range(n) for j in range(n) for k in range(j + 1, n)
+                 if phi[i][j][k] != phi[i][k][j]]
+        viol += phi_cocycle_violations(base.c, l, r, phi)
+        assert got == merge_reports("affine-cotangent-extension", [check_plsa(prec, succ)],
+                                    [Violation(*v) for v in viol])
+        _fraction_residuals(got)
+
+    @settings(max_examples=30)
+    @given(hs.sampled_from((2, 4)).flatmap(special_symplectic), entries)
+    def test_lsa_from_symplectic(self, s, q):
+        """Dims 2 and 4 (a symplectic form needs an even dim); a zero
+        multiple of the form is refused as degenerate."""
+        n = s.bracket.n
+        w = Form(n, tuple(tuple(q * x for x in row) for row in s.omega.m))
+        if q == 0:
+            with pytest.raises(DegenerateForm):
+                lsa_from_symplectic(s.bracket, w)
+            return
+        got = lsa_from_symplectic(s.bracket, w)
+        assert got == StructureTensor(n, lsa_from_symplectic_plain(s.bracket.c, w.m))
+        assert all_fractions(got.c)
+
+    @settings(max_examples=30)
+    @given(hs.sampled_from((2, 4)).flatmap(special_symplectic), entries)
+    def test_plsa_from_special_symplectic(self, s, q):
+        n = s.bracket.n
+        s = SpecialSymplecticData(s.bracket, s.conn,
+                                  Form(n, tuple(tuple(q * x for x in row) for row in s.omega.m)))
+        if q == 0:
+            with pytest.raises(InvalidInput):
+                plsa_from_special_symplectic(s)
+            return
+        prec, succ = plsa_from_special_symplectic(s)
+        prec_o, succ_o = plsa_from_special_symplectic_plain(s.bracket.c, s.conn.c, s.omega.m)
+        assert (prec.c, succ.c) == (prec_o, succ_o)
+        assert all_fractions(prec.c) and all_fractions(succ.c)
+
+    @settings(max_examples=30)
+    @given(dims.flatmap(lambda n: tensors((n, n, n))))
+    def test_actions_read_the_structure_constants(self, c):
+        op = StructureTensor(len(c), c)
+        n = op.n
+        dual, left = dual_left_action(op), rep_from_op_left(op)
+        assert dual.t == tuple(tuple(tuple(-x for x in row) for row in plane) for plane in c)
+        assert left.t == tuple(left_mult_plain(c, i) for i in range(n))
+        assert all_fractions(dual.t) and all_fractions(left.t)
