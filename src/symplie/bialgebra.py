@@ -156,16 +156,6 @@ def dualize_coproducts(cp):
     return _dual_product(cp.n, cp.alpha), _dual_product(cp.n, cp.beta)
 
 
-def coproducts_from_products(prec, succ):
-    """Inverse of dualize_coproducts."""
-    n = prec.n
-    alpha = tuple(tuple(tuple(prec.c[p][q][k] for q in range(n)) for p in range(n))
-                  for k in range(n))
-    beta = tuple(tuple(tuple(succ.c[p][q][k] for q in range(n)) for p in range(n))
-                 for k in range(n))
-    return CoproductPair(n, alpha, beta)
-
-
 def _coproduct_operators(cp):
     """The three obstruction tensors per basis vector: co-commutativity of
     alpha, mixed co-compatibility, and co-left-symmetry of beta."""

@@ -36,6 +36,7 @@ from .linalg import (
     scaled_combine,
     scaled_leg,
     t3_add,
+    t3_neg,
     t3_sub,
     unscaled,
     vec_add,
@@ -152,6 +153,10 @@ def rep_from_op_left(op):
     """Left multiplications of op packaged as a representation tensor: the
     matrix of e_i is t[i][k][j] = c[i][j][k] on column coordinates."""
     return RepTensor(op.n, op.n, tuple(mat_transpose(plane) for plane in op.c))
+
+
+def rep_neg(rep):
+    return RepTensor(rep.n, rep.m, t3_neg(rep.t))
 
 
 def rep_zero(n, m=None):

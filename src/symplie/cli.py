@@ -563,7 +563,7 @@ def _r_cotangent_double(afs, args):
 def _family_params(family, args):
     lam = _fracarg(args.lam, "lambda")
     mu = _fracarg(args.mu if args.mu is not None else "0", "mu")
-    k = Fraction(args.k) if args.k is not None else None
+    k = _fracarg(args.k, "k") if args.k is not None else None
     return FamilyParams(family, lam, mu, k, args.sign)
 
 

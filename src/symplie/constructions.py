@@ -1,7 +1,12 @@
-"""Constructions on verified structures: dual actions, semidirect products,
-tangent and cotangent doubles of a flat symplectic connection, the three
-parameter families of anticommuting (J, E) pairs, product-pair extraction,
-and the affine cotangent extension.
+"""Constructions on verified structures: dual actions, the glued product on
+a sum of two spaces, semidirect products, tangent and cotangent doubles of a
+flat symplectic connection, the three parameter families of anticommuting
+(J, E) pairs, product-pair extraction, and the affine cotangent extension.
+
+glue_product is the one builder of a product on a sum of two spaces: two
+products on the diagonal blocks and four actions on the mixed ones.  The
+semidirect bracket, the doubled connection, the affine cotangent product and
+matched's double products and double extension are all glued through it.
 
 Every constructor validates its preconditions with the verifiers from
 checks and refuses bad input with a typed error, so downstream code can
@@ -33,7 +38,6 @@ from .linalg import (
     scaled_combine,
     scaled_leg,
     scaled_permute,
-    t3,
     t3_is_zero,
     t3_neg,
     unscaled,
@@ -61,7 +65,10 @@ from .checks import (
     op_sub,
     relabel,
     rep_from_op_left,
+    rep_neg,
+    rep_zero,
     require,
+    st,
 )
 
 
@@ -87,6 +94,16 @@ class NotARepresentation(ValueError):
 
 class NotAnLSA(ValueError):
     pass
+
+
+@dataclass(frozen=True)
+class MatchedPairData:
+    A1: StructureTensor
+    A2: StructureTensor
+    l1: RepTensor  # A1 acting on A2's space
+    r1: RepTensor
+    l2: RepTensor  # A2 acting on A1's space
+    r2: RepTensor
 
 
 @dataclass(frozen=True)
@@ -152,6 +169,40 @@ def coadjoint(br):
 
 
 # ---------------------------------------------------------------------------
+# products on a sum of two spaces
+
+def glue_product(mp):
+    """The bowtie product on the sum of mp's two spaces, without the
+    matched-pair check:
+
+        (x+a)(y+b) = (x.y + l2(a)y + r2(b)x) + (a.b + l1(x)b + r1(y)a).
+    """
+    n, m = mp.A1.n, mp.A2.n
+    # l1[i][b] = column b of l1(e_i), the A2 part of e_i . f_b; and so on
+    l1, r1, l2, r2 = ([tuple(zip(*mat)) for mat in rep.t]
+                      for rep in (mp.l1, mp.r1, mp.l2, mp.r2))
+    zn, zm = (Fraction(0),) * n, (Fraction(0),) * m
+    top = tuple(tuple(tuple(row) + zm for row in mp.A1.c[i])
+                + tuple(r2[b][i] + l1[i][b] for b in range(m)) for i in range(n))
+    bottom = tuple(tuple(l2[a][j] + r1[j][a] for j in range(n))
+                   + tuple(zn + tuple(row) for row in mp.A2.c[a]) for a in range(m))
+    return StructureTensor(n + m, top + bottom)
+
+
+def _antidiagonal_form(upper, lower):
+    """The form [[0, upper], [lower, 0]] on the sum of two n-dimensional spaces."""
+    z = (Fraction(0),) * len(upper)
+    return Form(2 * len(upper), tuple(z + tuple(row) for row in upper)
+                + tuple(tuple(row) + z for row in lower))
+
+
+def canonical_skew_pairing(n):
+    """omega_p on A + A*: -<x,b*> + <a*,y> in block form [[0,-I],[I,0]]."""
+    ident = mat_identity(n)
+    return _antidiagonal_form(mat_neg(ident), ident)
+
+
+# ---------------------------------------------------------------------------
 # semidirect products and doubles
 
 def semidirect_lie(br, rho):
@@ -170,21 +221,18 @@ def semidirect_lie(br, rho):
 
 def _semidirect_bracket(br, rho):
     """semidirect_lie for a bracket and representation already verified."""
+    zero = rep_zero(rho.m, br.n)
+    return glue_product(MatchedPairData(br, st(rho.m), rho, rep_neg(rho), zero, zero))
+
+
+def _double(br, conn, rho, metric, omega_p):
+    """The double on the sum of br's space and rho's module: the semidirect
+    bracket, and the connection sending ((x,u),(y,v)) to (conn_x y, rho(x)v)."""
     n, m = br.n, rho.m
-    d = n + m
-    c = [[[Fraction(0)] * d for _ in range(d)] for _ in range(d)]
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                c[i][j][k] = br.c[i][j][k]
-    for i in range(n):
-        for j in range(m):
-            for k in range(m):
-                q = rho.t[i][k][j]
-                if q:
-                    c[i][n + j][n + k] = q
-                    c[n + j][i][n + k] = -q
-    return StructureTensor(d, t3(c))
+    zero = rep_zero(m, n)
+    conn2 = glue_product(MatchedPairData(conn, st(m), rho, rep_zero(n, m), zero, zero))
+    return DoubleData(_semidirect_bracket(br, rho), conn2, metric, omega_p,
+                      ((0, n), (n, n + m)))
 
 
 def _require_special_symplectic(s):
@@ -200,55 +248,17 @@ def tangent_double(s):
     the two copies through omega.
     """
     _require_special_symplectic(s)  # Jacobi, and flatness: rho is a representation
-    n = s.bracket.n
-    rho = rep_from_op_left(s.conn)
-    br2 = _semidirect_bracket(s.bracket, rho)
-    d = 2 * n
-    c = [[[Fraction(0)] * d for _ in range(d)] for _ in range(d)]
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                q = s.conn.c[i][j][k]
-                if q:
-                    c[i][j][k] = q
-                    c[i][n + j][n + k] = q
-    conn2 = StructureTensor(d, t3(c))
     w = s.omega.m
-    g = [[Fraction(0)] * d for _ in range(d)]
-    for i in range(n):
-        for j in range(n):
-            g[i][n + j] = w[i][j]
-            g[n + i][j] = w[j][i]
-    metric = Form(d, tuple(tuple(row) for row in g))
-    return DoubleData(br2, conn2, metric, None, ((0, n), (n, d)))
+    return _double(s.bracket, s.conn, rep_from_op_left(s.conn),
+                   _antidiagonal_form(w, mat_transpose(w)), None)
 
 
 def _cotangent_core(br, conn):
-    n = br.n
-    rho_star = dual_left_action(conn)
-    # every caller has verified Jacobi and flatness, so rho_star is a representation
-    br2 = _semidirect_bracket(br, rho_star)
-    d = 2 * n
-    c = [[[Fraction(0)] * d for _ in range(d)] for _ in range(d)]
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                if conn.c[i][j][k]:
-                    c[i][j][k] = conn.c[i][j][k]
-                q = rho_star.t[i][k][j]
-                if q:
-                    c[i][n + j][n + k] = q
-    conn2 = StructureTensor(d, t3(c))
-    g = [[Fraction(0)] * d for _ in range(d)]
-    wp = [[Fraction(0)] * d for _ in range(d)]
-    for i in range(n):
-        g[i][n + i] = Fraction(1)
-        g[n + i][i] = Fraction(1)
-        wp[i][n + i] = Fraction(-1)
-        wp[n + i][i] = Fraction(1)
-    metric = Form(d, tuple(tuple(row) for row in g))
-    omega_p = Form(d, tuple(tuple(row) for row in wp))
-    return DoubleData(br2, conn2, metric, omega_p, ((0, n), (n, d)))
+    # every caller has verified Jacobi and flatness, so the dual action is a
+    # representation
+    ident = mat_identity(br.n)
+    return _double(br, conn, dual_left_action(conn), _antidiagonal_form(ident, ident),
+                   canonical_skew_pairing(br.n))
 
 
 def cotangent_double(s):
@@ -442,16 +452,11 @@ def affine_cotangent_extension(d):
     base, l, r, phi = d.base, d.l, d.r, d.phi
     require(check_left_symmetric(base), NotAnLSA, "base product is not %s at %s")
     n = base.n
-    dd = 2 * n
-    c = [[[Fraction(0)] * dd for _ in range(dd)] for _ in range(dd)]
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                c[i][j][k] = base.c[i][j][k]
-                c[i][j][n + k] = phi[i][j][k]
-                c[i][n + j][n + k] = l.t[i][k][j]
-                c[n + j][i][n + k] = r.t[i][k][j]
-    product = StructureTensor(dd, t3(c))
+    g = glue_product(MatchedPairData(base, st(n), l, r, rep_zero(n), rep_zero(n))).c
+    # phi(x, y) is the A* part of x.y
+    product = StructureTensor(2 * n, tuple(
+        tuple(g[i][j][:n] + tuple(phi[i][j]) for j in range(n)) + g[i][n:]
+        for i in range(n)) + g[n:])
 
     dla = dual_left_action(base)
     viol = mat_violations("l-is-dual-left-action",

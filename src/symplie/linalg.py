@@ -53,11 +53,6 @@ def vec_sub(u, v):
     return tuple(a - b for a, b in zip(u, v))
 
 
-def vec_scale(q, u):
-    q = Fraction(q)
-    return tuple(q * a for a in u)
-
-
 def vec_is_zero(u):
     return all(a == 0 for a in u)
 
@@ -207,18 +202,6 @@ def mat_inverse(m):
 
 # ---------------------------------------------------------------------------
 # rank-3 tensors (tuple of matrices)
-
-def t3(entries):
-    return tuple(tuple(tuple(Fraction(e) for e in row) for row in plane) for plane in entries)
-
-
-def t3_zero(d1, d2=None, d3=None):
-    if d2 is None:
-        d2 = d1
-    if d3 is None:
-        d3 = d2
-    return tuple(tuple((Fraction(0),) * d3 for _ in range(d2)) for _ in range(d1))
-
 
 def t3_dims(t):
     return len(t), len(t[0]), len(t[0][0])

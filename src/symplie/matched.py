@@ -1,5 +1,7 @@
-"""Matched pairs of left-symmetric algebras, the glued product on the sum,
-and double extensions pairing an algebra with its dual.
+"""Matched pairs of left-symmetric algebras, and the double product pair and
+double extension on A + A*.  Every product on a sum here is glued by
+constructions.glue_product, which this module re-exports together with
+MatchedPairData and canonical_skew_pairing.
 
 Index conventions for mixed-compat violations: equations 1 and 2 report
 (i, j, c) with i, j basis indices of the first algebra and c of the second;
@@ -12,12 +14,10 @@ as the independent cross-check of the bialgebra verifiers.
 """
 
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .linalg import DimensionMismatch, t3
+from .linalg import DimensionMismatch
 from .checks import (
     Form,
-    RepTensor,
     StructureTensor,
     Violation,
     _nonzeros,
@@ -29,26 +29,25 @@ from .checks import (
     merge_reports,
     op_add,
     relabel,
+    rep_neg,
     require,
     sub_adjacent,
 )
-from .constructions import InvalidInput, coadjoint, dual_left_action, dual_right_action
+from .constructions import (
+    InvalidInput,
+    MatchedPairData,
+    canonical_skew_pairing,
+    coadjoint,
+    dual_left_action,
+    dual_right_action,
+    glue_product,
+)
 
 
 class NotMatched(ValueError):
     def __init__(self, msg, report=None):
         super().__init__(msg)
         self.report = report
-
-
-@dataclass(frozen=True)
-class MatchedPairData:
-    A1: StructureTensor
-    A2: StructureTensor
-    l1: RepTensor  # A1 acting on A2's space
-    r1: RepTensor
-    l2: RepTensor  # A2 acting on A1's space
-    r2: RepTensor
 
 
 @dataclass(frozen=True)
@@ -114,32 +113,6 @@ def bowtie_lsa(mp):
     return glue_product(mp)
 
 
-def glue_product(mp):
-    """The bowtie product tensor without the precondition check."""
-    n, m = mp.A1.n, mp.A2.n
-    d = n + m
-    c = [[[Fraction(0)] * d for _ in range(d)] for _ in range(d)]
-    for i in range(n):
-        for j in range(n):
-            c[i][j][:n] = mp.A1.c[i][j]
-    for a in range(m):
-        for b in range(m):
-            c[n + a][n + b][n:] = mp.A2.c[a][b]
-    for i in range(n):
-        for b in range(m):
-            for k in range(n):
-                c[i][n + b][k] = mp.r2.t[b][k][i]
-            for k in range(m):
-                c[i][n + b][n + k] = mp.l1.t[i][k][b]
-    for a in range(m):
-        for j in range(n):
-            for k in range(n):
-                c[n + a][j][k] = mp.l2.t[a][k][j]
-            for k in range(m):
-                c[n + a][j][n + k] = mp.r1.t[j][k][a]
-    return StructureTensor(d, t3(c))
-
-
 def dual_actions(plsaA, plsaAstar):
     """The canonical matched-pair candidate of two product pairs in duality:
     each side acts on the other through the dual left actions of its full
@@ -180,94 +153,23 @@ def double_extension(plsaA, plsaAstar):
     return DoubleExtensionData(plsaA, plsaAstar, glued, omega_p), rep
 
 
-def canonical_skew_pairing(n):
-    """omega_p on A + A*: -<x,b*> + <a*,y> in block form [[0,-I],[I,0]]."""
-    d = 2 * n
-    m = [[Fraction(0)] * d for _ in range(d)]
-    for i in range(n):
-        m[i][n + i] = Fraction(-1)
-        m[n + i][i] = Fraction(1)
-    return Form(d, tuple(tuple(row) for row in m))
-
-
-def mixed_products(plsaA, plsaAstar):
-    """The four cross products between A and A* as block tensors on the sum:
-
-        x prec a*  =  (dual right action of A*'s product on x,
-                       dual right action of A's product on a*)
-        x succ a*  =  (minus dual right action of A*'s succ on x,
-                       coadjoint action of A's bracket on a*)
-
-    and mirrored for a* prec x (identical, the mixed prec is symmetric) and
-    a* succ x.  Returned in the order (x prec a*, a* prec x, x succ a*,
-    a* succ x).
-    """
-    precA, succA = plsaA
-    precB, succB = plsaAstar
-    n = precA.n
-    if precB.n != n:
-        raise DimensionMismatch("sides have dimensions %d and %d" % (n, precB.n))
-    dotA = op_add(precA, succA)
-    dotB = op_add(precB, succB)
-    RdotA = dual_right_action(dotA)
-    RdotB = dual_right_action(dotB)
-    RsuccA = dual_right_action(succA)
-    RsuccB = dual_right_action(succB)
-    adA = coadjoint(sub_adjacent(dotA))
-    adB = coadjoint(sub_adjacent(dotB))
-    d = 2 * n
-
-    def cross(first_from_A, apart, bpart):
-        c = [[[Fraction(0)] * d for _ in range(d)] for _ in range(d)]
-        for i in range(n):
-            for a in range(n):
-                av, bv = apart(i, a), bpart(i, a)
-                row, col = (i, n + a) if first_from_A else (n + a, i)
-                for k in range(n):
-                    c[row][col][k] = av[k]
-                    c[row][col][n + k] = bv[k]
-        return StructureTensor(d, t3(c))
-
-    def col(mat_, j):
-        return tuple(mat_[k][j] for k in range(n))
-
-    x_prec_a = cross(True,
-                     lambda i, a: col(RdotB.t[a], i),
-                     lambda i, a: col(RdotA.t[i], a))
-    a_prec_x = cross(False,
-                     lambda i, a: col(RdotB.t[a], i),
-                     lambda i, a: col(RdotA.t[i], a))
-    x_succ_a = cross(True,
-                     lambda i, a: tuple(-q for q in col(RsuccB.t[a], i)),
-                     lambda i, a: col(adA.t[i], a))
-    a_succ_x = cross(False,
-                     lambda i, a: col(adB.t[a], i),
-                     lambda i, a: tuple(-q for q in col(RsuccA.t[i], a)))
-    return x_prec_a, a_prec_x, x_succ_a, a_succ_x
-
-
 def build_double_plsa(plsaA, plsaAstar):
-    """The product pair on A + A* built from the two summand pairs and the
-    mixed cross products."""
+    """The product pair on A + A*, each half glued from the summands' halves
+    and the mixed products
+
+        x prec a* = a* prec x = (Rd*(a*)x, Rd(x)a*),
+        x succ a* = (-Rs*(a*)x, ad(x)a*),    a* succ x = (ad*(a*)x, -Rs(x)a*),
+
+    with Rd, Rs the dual right actions of A's sum product and succ, ad the
+    coadjoint action of A's bracket, and the starred ones those of A*."""
     precA, succA = plsaA
     precB, succB = plsaAstar
-    n = precA.n
-    x_prec_a, a_prec_x, x_succ_a, a_succ_x = mixed_products(plsaA, plsaAstar)
-    d = 2 * n
-    prec_c = [[[Fraction(0)] * d for _ in range(d)] for _ in range(d)]
-    succ_c = [[[Fraction(0)] * d for _ in range(d)] for _ in range(d)]
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                prec_c[i][j][k] = precA.c[i][j][k]
-                succ_c[i][j][k] = succA.c[i][j][k]
-                prec_c[n + i][n + j][n + k] = precB.c[i][j][k]
-                succ_c[n + i][n + j][n + k] = succB.c[i][j][k]
-    for i in range(n):
-        for a in range(n):
-            for k in range(d):
-                prec_c[i][n + a][k] = x_prec_a.c[i][n + a][k]
-                prec_c[n + a][i][k] = a_prec_x.c[n + a][i][k]
-                succ_c[i][n + a][k] = x_succ_a.c[i][n + a][k]
-                succ_c[n + a][i][k] = a_succ_x.c[n + a][i][k]
-    return StructureTensor(d, t3(prec_c)), StructureTensor(d, t3(succ_c))
+    if precB.n != precA.n:
+        raise DimensionMismatch("sides have dimensions %d and %d" % (precA.n, precB.n))
+    dotA, dotB = op_add(precA, succA), op_add(precB, succB)
+    RdA, RdB = dual_right_action(dotA), dual_right_action(dotB)
+    prec = glue_product(MatchedPairData(precA, precB, RdA, RdA, RdB, RdB))
+    succ = glue_product(MatchedPairData(
+        succA, succB, coadjoint(sub_adjacent(dotA)), rep_neg(dual_right_action(succA)),
+        coadjoint(sub_adjacent(dotB)), rep_neg(dual_right_action(succB))))
+    return prec, succ

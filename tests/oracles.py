@@ -8,6 +8,8 @@ and checker code paths.
 import random
 from fractions import Fraction
 
+from symplie.bialgebra import CoproductPair
+
 
 # --- plain Gaussian elimination over Fraction (vs the package's fraction-free
 # Bareiss routines) ---
@@ -759,6 +761,139 @@ def plsa_from_special_symplectic_plain(br_c, conn_c, w):
         prec.append(tuple(prow))
         succ.append(tuple(srow))
     return tuple(prec), tuple(succ)
+
+
+# --- products on a sum of two spaces, block by block with plain loops (vs
+# constructions.glue_product and its callers: matched.build_double_plsa, the
+# semidirect bracket, the doubles and affine_cotangent_extension); an action
+# is a tuple of matrices, t[i][k][j] the e_k coefficient of e_i acting on
+# e_j ---
+
+def _zero3(d):
+    return [[[Fraction(0)] * d for _ in range(d)] for _ in range(d)]
+
+
+def _frozen(c):
+    return tuple(tuple(tuple(row) for row in plane) for plane in c)
+
+
+def glue_plain(c1, c2, l1, r1, l2, r2):
+    """(x+a)(y+b) = (x.y + l2(a)y + r2(b)x) + (a.b + l1(x)b + r1(y)a)."""
+    n, m = len(c1), len(c2)
+    c = _zero3(n + m)
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                c[i][j][k] = c1[i][j][k]
+    for a in range(m):
+        for b in range(m):
+            for k in range(m):
+                c[n + a][n + b][n + k] = c2[a][b][k]
+    for i in range(n):
+        for b in range(m):
+            for k in range(n):
+                c[i][n + b][k] = r2[b][k][i]
+                c[n + b][i][k] = l2[b][k][i]
+            for k in range(m):
+                c[i][n + b][n + k] = l1[i][k][b]
+                c[n + b][i][n + k] = r1[i][k][b]
+    return _frozen(c)
+
+
+def double_plsa_plain(precA, succA, precB, succB):
+    """The product pair on A + A*: each side's pair on its diagonal block and,
+    for e_i in A and f_a in A*, with o the sum product of each side,
+
+        e_i prec f_a = f_a prec e_i = -sum_k (f_k o f_a)_i e_k
+                                      - sum_k (e_k o e_i)_a f_k,
+        e_i succ f_a = sum_k (f_k succ f_a)_i e_k - sum_k [e_i, e_k]_a f_k,
+        f_a succ e_i = -sum_k [f_a, f_k]_i e_k + sum_k (e_k succ e_i)_a f_k.
+    """
+    n = len(precA)
+    dotA, brA = _sum_and_bracket(precA, succA)
+    dotB, brB = _sum_and_bracket(precB, succB)
+    prec, succ = _zero3(2 * n), _zero3(2 * n)
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                prec[i][j][k], succ[i][j][k] = precA[i][j][k], succA[i][j][k]
+                prec[n + i][n + j][n + k] = precB[i][j][k]
+                succ[n + i][n + j][n + k] = succB[i][j][k]
+    for i in range(n):
+        for a in range(n):
+            for k in range(n):
+                prec[i][n + a][k] = prec[n + a][i][k] = -dotB[k][a][i]
+                prec[i][n + a][n + k] = prec[n + a][i][n + k] = -dotA[k][i][a]
+                succ[i][n + a][k] = succB[k][a][i]
+                succ[i][n + a][n + k] = -brA[i][k][a]
+                succ[n + a][i][k] = -brB[a][k][i]
+                succ[n + a][i][n + k] = succA[k][i][a]
+    return _frozen(prec), _frozen(succ)
+
+
+def semidirect_plain(br, rho):
+    """[(x,u),(y,v)] = ([x,y], rho(x)v - rho(y)u)."""
+    n, m = len(br), len(rho[0])
+    c = _zero3(n + m)
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                c[i][j][k] = br[i][j][k]
+        for j in range(m):
+            for k in range(m):
+                c[i][n + j][n + k] = rho[i][k][j]
+                c[n + j][i][n + k] = -rho[i][k][j]
+    return _frozen(c)
+
+
+def double_conn_plain(conn, rho):
+    """The doubled connection ((x,u),(y,v)) -> (conn_x y, rho(x)v)."""
+    n, m = len(conn), len(rho[0])
+    c = _zero3(n + m)
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                c[i][j][k] = conn[i][j][k]
+        for j in range(m):
+            for k in range(m):
+                c[i][n + j][n + k] = rho[i][k][j]
+    return _frozen(c)
+
+
+def antidiagonal_plain(upper, lower):
+    """The matrix [[0, upper], [lower, 0]]."""
+    n = len(upper)
+    g = [[Fraction(0)] * (2 * n) for _ in range(2 * n)]
+    for i in range(n):
+        for j in range(n):
+            g[i][n + j] = upper[i][j]
+            g[n + i][j] = lower[i][j]
+    return tuple(tuple(row) for row in g)
+
+
+def affine_product_plain(base, l, r, phi):
+    """(x,a*)(y,b*) = (x.y, l(x)b* + r(y)a* + phi(x,y))."""
+    n = len(base)
+    c = _zero3(2 * n)
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                c[i][j][k] = base[i][j][k]
+                c[i][j][n + k] = phi[i][j][k]
+                c[i][n + j][n + k] = l[i][k][j]
+                c[n + j][i][n + k] = r[i][k][j]
+    return _frozen(c)
+
+
+def coproducts_from_products(prec, succ):
+    """The coproduct pair whose dual products are prec and succ (the inverse
+    of bialgebra.dualize_coproducts): alpha[k][p][q] = prec.c[p][q][k]."""
+    n = prec.n
+    alpha = tuple(tuple(tuple(prec.c[p][q][k] for q in range(n)) for p in range(n))
+                  for k in range(n))
+    beta = tuple(tuple(tuple(succ.c[p][q][k] for q in range(n)) for p in range(n))
+                 for k in range(n))
+    return CoproductPair(n, alpha, beta)
 
 
 # --- seeded random rational data ---

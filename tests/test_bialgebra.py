@@ -25,7 +25,6 @@ from symplie.bialgebra import (
     check_parakahler,
     coboundary_conditions,
     coboundary_coproducts,
-    coproducts_from_products,
     drinfeld_double,
     dualize_coproducts,
     plsba_check,
@@ -40,7 +39,7 @@ from symplie.matched import canonical_skew_pairing, double_extension
 from symplie.linalg import mat_zero, t3_is_zero
 from symplie.catalog import CatalogEntry, catalog_get
 
-from oracles import brute_left_symmetric, rand_mat, rng
+from oracles import brute_left_symmetric, coproducts_from_products, rand_mat, rng
 
 Q = Fraction
 PLSA_NAMES = ("plsa-2d-I", "plsa-2d-II", "plsa-2d-III", "plsa-2d-IV")

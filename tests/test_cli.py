@@ -390,6 +390,12 @@ class TestConstructCommand:
         assert run(["construct", "hypersymplectic-f1", ssla3]) == 2
         assert "--lambda" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("k", ["abc", "1/0"])
+    def test_bad_k_exit_two(self, ssla3, capsys, k):
+        assert run(["construct", "hypersymplectic-f3", ssla3, "--lambda", "1", "--k", k]) == 2
+        err = capsys.readouterr().err
+        assert "--k" in err and "Traceback" not in err and len(err.strip().splitlines()) == 1
+
     def test_unknown_recipe_exit_two(self, ssla3, capsys):
         assert run(["construct", "frobnicate", ssla3]) == 2
         assert "unknown recipe" in capsys.readouterr().err

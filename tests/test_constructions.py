@@ -48,7 +48,7 @@ from symplie.constructions import (
 from symplie.constructions import DegenerateForm, InvalidInput
 from symplie.matched import canonical_skew_pairing
 from symplie.catalog import catalog_get
-from symplie.linalg import frac, t3_zero
+from symplie.linalg import frac
 
 from oracles import _basis, brute_left_symmetric, form_value, product_vec, rand_tensor, rng
 
@@ -271,7 +271,7 @@ class TestAffineCotangentExtension:
             prec, succ = plsa(name)
             base = op_add(prec, succ)
             data = CotangentExtensionData(base, dual_left_action(base),
-                                          dual_left_action(prec), t3_zero(2))
+                                          dual_left_action(prec), st(2).c)
             product, rep = affine_cotangent_extension(data)
             assert rep.verdict, (name, rep.violations[:3])
             assert brute_left_symmetric(product.c)
@@ -280,7 +280,7 @@ class TestAffineCotangentExtension:
         prec, succ = plsa("plsa-2d-III")
         base = op_add(prec, succ)
         data = CotangentExtensionData(base, dual_left_action(prec),
-                                      dual_left_action(prec), t3_zero(2))
+                                      dual_left_action(prec), st(2).c)
         _, rep = affine_cotangent_extension(data)
         assert any(v.where == "l-is-dual-left-action" for v in rep.violations)
 
@@ -327,7 +327,7 @@ class TestAffineCotangentExtension:
                 rt = rand_tensor(r, 2)
                 data = CotangentExtensionData(
                     base, dual_left_action(base), RepTensor(2, 2, rt),
-                    t3_zero(2))
+                    st(2).c)
                 product, rep = affine_cotangent_extension(data)
                 assert rep.verdict == brute_left_symmetric(product.c), name
 
@@ -336,7 +336,7 @@ class TestAffineCotangentExtension:
         zero_rep = dual_left_action(st(2))
         with pytest.raises(NotAnLSA):
             affine_cotangent_extension(
-                CotangentExtensionData(bad, zero_rep, zero_rep, t3_zero(2)))
+                CotangentExtensionData(bad, zero_rep, zero_rep, st(2).c))
 
 
 class TestPostAffine:

@@ -2,7 +2,8 @@
 routes, against plain-loop oracles (tests/oracles.py): whole reports,
 returned tensors, and Fraction residuals, on dims 1-4 with dense, all-zero
 and single-nonzero inputs, inputs that meet each function's preconditions,
-and inputs that fail its identities."""
+and inputs that fail its identities.  The products that glue_product builds
+on a sum of two spaces are compared with block-by-block loops the same way."""
 
 import re
 from fractions import Fraction
@@ -19,7 +20,6 @@ from symplie.bialgebra import (
     check_parakahler,
     coboundary_conditions,
     coboundary_coproducts,
-    coproducts_from_products,
     drinfeld_double,
     plsba_check,
     plsca_check,
@@ -52,23 +52,36 @@ from symplie.checks import (
 from symplie.constructions import (
     CotangentExtensionData,
     DegenerateForm,
+    DoubleData,
     InvalidInput,
+    MatchedPairData,
     SpecialSymplecticData,
     affine_cotangent_extension,
+    cotangent_double,
     dual_left_action,
+    glue_product,
     lsa_from_symplectic,
     plsa_from_special_symplectic,
     post_affine_check,
+    semidirect_lie,
+    tangent_double,
 )
+from symplie.matched import build_double_plsa
 
 from oracles import (
+    affine_product_plain,
+    antidiagonal_plain,
     coboundary_coproducts_plain,
     coboundary_violations,
     co_left_symmetry_plain,
+    coproducts_from_products,
     conn_e_violations,
     coproduct_compat_violations,
+    double_conn_plain,
+    double_plsa_plain,
     double_r_violations,
     flat_violations,
+    glue_plain,
     left_mult_plain,
     lsa_from_symplectic_plain,
     nonzero_entries,
@@ -80,6 +93,7 @@ from oracles import (
     rand_invertible,
     rng,
     rr_brackets_plain,
+    semidirect_plain,
     slsba_coboundary_plain,
     transport_product,
 )
@@ -404,8 +418,10 @@ class TestConstructionRoutes:
         l = (dual_left_action(base).t if data.draw(hs.booleans())
              else data.draw(tensors((n, n, n))))
         r, phi = data.draw(tensors((n, n, n))), data.draw(tensors((n, n, n)))
-        _, got = affine_cotangent_extension(CotangentExtensionData(
+        product, got = affine_cotangent_extension(CotangentExtensionData(
             base, RepTensor(n, n, l), RepTensor(n, n, r), phi))
+        assert product == StructureTensor(2 * n, affine_product_plain(base.c, l, r, phi))
+        assert all_fractions(product.c)
         prec = StructureTensor(n, tuple(tuple(tuple(-x for x in row) for row in m) for m in r))
         succ = StructureTensor(n, tuple(tuple(tuple(p - q for p, q in zip(x, y))
                                               for x, y in zip(bp, pp))
@@ -460,3 +476,73 @@ class TestConstructionRoutes:
         assert dual.t == tuple(tuple(tuple(-x for x in row) for row in plane) for plane in c)
         assert left.t == tuple(left_mult_plain(c, i) for i in range(n))
         assert all_fractions(dual.t) and all_fractions(left.t)
+
+
+class TestSumProductRoutes:
+    @settings(max_examples=30)
+    @given(hs.data())
+    def test_glue_product(self, data):
+        """Summands of unequal dims, with dense, zero or single-nonzero blocks."""
+        n, m = data.draw(dims), data.draw(dims)
+        c1, c2 = data.draw(tensors((n, n, n))), data.draw(tensors((m, m, m)))
+        l1, r1 = data.draw(tensors((n, m, m))), data.draw(tensors((n, m, m)))
+        l2, r2 = data.draw(tensors((m, n, n))), data.draw(tensors((m, n, n)))
+        got = glue_product(MatchedPairData(
+            StructureTensor(n, c1), StructureTensor(m, c2), RepTensor(n, m, l1),
+            RepTensor(n, m, r1), RepTensor(m, n, l2), RepTensor(m, n, r2)))
+        assert got == StructureTensor(n + m, glue_plain(c1, c2, l1, r1, l2, r2))
+        assert all_fractions(got.c)
+
+    @settings(max_examples=30)
+    @given(hs.data())
+    def test_build_double_plsa(self, data):
+        """Valid product pairs on both sides, or arbitrary tensors."""
+        n = data.draw(dims)
+        if data.draw(hs.booleans()):
+            pA, pB = data.draw(product_pairs(n)), data.draw(product_pairs(n))
+        else:
+            pA, pB = [tuple(StructureTensor(n, data.draw(tensors((n, n, n))))
+                            for _ in range(2)) for _ in range(2)]
+        prec, succ = build_double_plsa(pA, pB)
+        prec_o, succ_o = double_plsa_plain(pA[0].c, pA[1].c, pB[0].c, pB[1].c)
+        assert (prec.c, succ.c) == (prec_o, succ_o)
+        assert all_fractions(prec.c) and all_fractions(succ.c)
+
+    @settings(max_examples=30)
+    @given(hs.data())
+    def test_semidirect_lie(self, data):
+        """An abelian bracket with commuting actions q_i M on a module of
+        another dim, or a package's bracket with the left multiplications of
+        its flat connection."""
+        if data.draw(hs.booleans()):
+            n, m = data.draw(dims), data.draw(dims)
+            br = StructureTensor(n, (((Fraction(0),) * n,) * n,) * n)
+            M, qs = data.draw(matrices(m, m)), [data.draw(entries) for _ in range(n)]
+            rho = RepTensor(n, m, tuple(tuple(tuple(q * x for x in row) for row in M)
+                                        for q in qs))
+        else:
+            s = data.draw(hs.sampled_from((2, 4)).flatmap(special_symplectic))
+            br, rho = s.bracket, rep_from_op_left(s.conn)
+        got = semidirect_lie(br, rho)
+        assert got == StructureTensor(br.n + rho.m, semidirect_plain(br.c, rho.t))
+        assert all_fractions(got.c)
+
+    @settings(max_examples=30)
+    @given(hs.sampled_from((2, 4)).flatmap(special_symplectic))
+    def test_doubles(self, s):
+        """The tangent double pairs the copies through omega; the cotangent
+        double pairs A with A* canonically and carries omega_p."""
+        n, w = s.bracket.n, s.omega.m
+        one = tuple(tuple(Fraction(int(i == j)) for j in range(n)) for i in range(n))
+        minus_one = tuple(tuple(-x for x in row) for row in one)
+        for build, rho, metric, omega_p in (
+                (tangent_double, rep_from_op_left(s.conn).t,
+                 antidiagonal_plain(w, tuple(zip(*w))), None),
+                (cotangent_double, dual_left_action(s.conn).t, antidiagonal_plain(one, one),
+                 Form(2 * n, antidiagonal_plain(minus_one, one)))):
+            got = build(s)
+            assert got == DoubleData(
+                StructureTensor(2 * n, semidirect_plain(s.bracket.c, rho)),
+                StructureTensor(2 * n, double_conn_plain(s.conn.c, rho)),
+                Form(2 * n, metric), omega_p, ((0, n), (n, 2 * n)))
+            assert all_fractions(got.bracket.c) and all_fractions(got.conn.c)

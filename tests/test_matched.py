@@ -25,7 +25,6 @@ from symplie.matched import (
     double_extension,
     dual_actions,
     glue_product,
-    mixed_products,
 )
 from symplie.catalog import catalog_get
 
@@ -222,15 +221,14 @@ class TestDoublePlsa:
     def test_mixed_prec_is_symmetric(self):
         for n1 in PLSA_NAMES:
             for n2 in PLSA_NAMES:
-                x_prec_a, a_prec_x, _, _ = mixed_products(plsa(n1), plsa(n2))
+                prec_d, _ = build_double_plsa(plsa(n1), plsa(n2))
                 for i in range(2):
                     for a in range(2):
-                        assert (x_prec_a.c[i][2 + a]
-                                == a_prec_x.c[2 + a][i]), (n1, n2)
+                        assert prec_d.c[i][2 + a] == prec_d.c[2 + a][i], (n1, n2)
 
     def test_mixed_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
-            mixed_products((st(2), st(2)), (st(3), st(3)))
+            build_double_plsa((st(2), st(2)), (st(3), st(3)))
 
 
 def _oracle_report(mp):

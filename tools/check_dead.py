@@ -4,8 +4,10 @@ Run from the repository root:
     python3 tools/check_dead.py
 
 A function counts as used when its name is read (as a name or as an
-attribute) anywhere in src/ or tests/ outside its own body, or when
-__init__.py re-exports it.  Exits 1 if any function is unused.
+attribute) anywhere in src/ outside its own body, when __init__.py
+re-exports it, or when bench/tracer.py wraps it by name (its LAYERS table,
+from which it builds TRACED).  Tests do not count: a function that only
+tests call is dead.  Exits 1 if any function is unused.
 """
 
 import ast
@@ -14,7 +16,7 @@ import sys
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC = os.path.join(ROOT, "src", "symplie")
-SCANNED = (os.path.join(ROOT, "src"), os.path.join(ROOT, "tests"))
+TRACER = os.path.join(ROOT, "bench", "tracer.py")
 
 
 def _parse(path):
@@ -32,11 +34,21 @@ def _names_read(node):
 
 
 def _python_files():
-    for top in SCANNED:
-        for dirpath, _, files in os.walk(top):
-            for fname in sorted(files):
-                if fname.endswith(".py"):
-                    yield os.path.join(dirpath, fname)
+    for dirpath, _, files in os.walk(os.path.join(ROOT, "src")):
+        for fname in sorted(files):
+            if fname.endswith(".py"):
+                yield os.path.join(dirpath, fname)
+
+
+def _traced():
+    """The "module.function" names in bench/tracer.py's LAYERS, read from its
+    source without importing it."""
+    for node in _parse(TRACER).body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "LAYERS" for t in node.targets):
+            return {"%s.%s" % (mod, fn)
+                    for mod, fns in ast.literal_eval(node.value).items() for fn in fns}
+    raise SystemExit("bench/tracer.py has no LAYERS table")
 
 
 def dead_functions():
@@ -54,8 +66,10 @@ def dead_functions():
     exported = {alias.asname or alias.name
                 for node in _parse(os.path.join(SRC, "__init__.py")).body
                 if isinstance(node, ast.ImportFrom) for alias in node.names}
+    traced = _traced()
     return [(fname, line, name) for fname, line, name, inner in defs
-            if name not in exported and reads.get(name, 0) == inner.count(name)]
+            if name not in exported and "%s.%s" % (fname[:-3], name) not in traced
+            and reads.get(name, 0) == inner.count(name)]
 
 
 def main():
