@@ -30,9 +30,7 @@ from fractions import Fraction
 from .linalg import (
     InternalMismatch,
     mat_add,
-    mat_identity,
     mat_mul,
-    mat_rank,
     mat_sub,
     mat_transpose,
     mat_zero,
@@ -56,14 +54,16 @@ from .checks import (
     check_plsa,
     check_skew,
     check_torsion_free,
+    eigenspace_violations,
     mat_violations,
     merge_reports,
-    nijenhuis_torsion,
     relabel,
     report,
     require,
     rep_zero,
+    square_violations,
     sub_adjacent,
+    torsion_violations,
 )
 from .constructions import InvalidInput, NotAnLSA, dual_left_action
 from .matched import (
@@ -473,17 +473,8 @@ def check_parakahler(pk):
     br, w, E = pk.bracket, pk.omega, pk.E
     n = br.n
     parts = [check_skew(w), check_nondegenerate(w), check_closed(br, w)]
-    ident = mat_identity(n)
-    viol = mat_violations("E-squared", mat_sub(mat_mul(E.m, E.m), ident))
-    T = nijenhuis_torsion(br, E)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if not vec_is_zero(T.c[i][j]):
-                viol.append(Violation("E-torsion", (i, j), T.c[i][j]))
-    dplus = n - mat_rank(mat_sub(E.m, ident))
-    dminus = n - mat_rank(mat_add(E.m, ident))
-    if dplus != dminus:
-        viol.append(Violation("eigenspace-dims", (), Fraction(dplus - dminus)))
+    viol = square_violations("E-squared", E, 1) + torsion_violations("E-torsion", br, E)
+    viol += eigenspace_violations(E)
     viol += mat_violations("compatibility",
                            mat_add(mat_mul(mat_transpose(E.m), mat_mul(w.m, E.m)), w.m))
     if pk.conn is not None:

@@ -420,31 +420,57 @@ def _nonzero_entries(t, at):
             yield at + (i,), x
 
 
+# ---------------------------------------------------------------------------
+# identities of a complex structure J and a product structure E, shared by
+# check_complex_product, bialgebra.check_parakahler and the self-check of
+# constructions.family_JE
+
+def _minus_scalar(m, q):
+    """m - q id, as lists."""
+    return [[x - q if i == j else x for j, x in enumerate(row)] for i, row in enumerate(m)]
+
+
+def square_violations(where, N, sign):
+    """N^2 = sign * id: sign -1 for a complex structure, +1 for a product
+    structure."""
+    return mat_violations(where, _minus_scalar(mat_mul(N.m, N.m), sign))
+
+
+def anticommute_violations(where, J, E):
+    """JE = -EJ."""
+    return mat_violations(where, mat_add(mat_mul(J.m, E.m), mat_mul(E.m, J.m)))
+
+
+def torsion_violations(where, br, N):
+    """The Nijenhuis torsion of N vanishes, on basis pairs i < j."""
+    T = nijenhuis_torsion(br, N)
+    return [Violation(where, (i, j), T.c[i][j])
+            for i in range(br.n) for j in range(i + 1, br.n) if not vec_is_zero(T.c[i][j])]
+
+
+def eigenspace_violations(E):
+    """The +1 and -1 eigenspaces of E have equal dimension."""
+    dplus = E.n - mat_rank(_minus_scalar(E.m, 1))
+    dminus = E.n - mat_rank(_minus_scalar(E.m, -1))
+    if dplus == dminus:
+        return []
+    return [Violation("eigenspace-dims", (), Fraction(dplus - dminus))]
+
+
 def check_complex_product(br, J, E):
     """J^2 = -id, E^2 = id (E not +-id), JE = -EJ, both torsion-free, and the
     two eigenspaces of E have equal dimension."""
     if not (br.n == J.n == E.n):
         raise DimensionMismatch("dimensions %d, %d, %d" % (br.n, J.n, E.n))
-    n = br.n
-    ident = mat_identity(n)
-    viol = []
-    viol += mat_violations("J^2+id", mat_sub(mat_mul(J.m, J.m), mat_neg(ident)))
-    viol += mat_violations("E^2-id", mat_sub(mat_mul(E.m, E.m), ident))
+    ident = mat_identity(br.n)
+    viol = square_violations("J^2+id", J, -1) + square_violations("E^2-id", E, 1)
     if E.m == ident:
         viol.append(Violation("E-is-scalar", (), Fraction(1)))
     elif E.m == mat_neg(ident):
         viol.append(Violation("E-is-scalar", (), Fraction(-1)))
-    viol += mat_violations("JE+EJ", mat_add(mat_mul(J.m, E.m), mat_mul(E.m, J.m)))
-    for name, N in (("torsion-J", J), ("torsion-E", E)):
-        T = nijenhuis_torsion(br, N)
-        for i in range(n):
-            for j in range(i + 1, n):
-                if not vec_is_zero(T.c[i][j]):
-                    viol.append(Violation(name, (i, j), T.c[i][j]))
-    dplus = n - mat_rank(mat_sub(E.m, ident))
-    dminus = n - mat_rank(mat_add(E.m, ident))
-    if dplus != dminus:
-        viol.append(Violation("eigenspace-dims", (), Fraction(dplus - dminus)))
+    viol += anticommute_violations("JE+EJ", J, E)
+    viol += torsion_violations("torsion-J", br, J) + torsion_violations("torsion-E", br, E)
+    viol += eigenspace_violations(E)
     return report("complex-product", viol)
 
 

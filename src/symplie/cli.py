@@ -13,6 +13,13 @@ File grammar (1-based indices, `#` comments, blank lines ignored):
 Omitted entries are zero.  Skew completion is never performed: a form with
 entry (i, j) but not (j, i) parses, fails check_skew, and draws a warning.
 Internally everything is 0-based.
+
+SECTIONS holds one row per entry keyword: the AlgebraFile field it fills,
+its index count, its entry kind (a vector of q*eK terms or one rational) and
+how the entries, nested by index, become the stored object (StructureTensor,
+Form, Endo with column i the image of e_i, a plain matrix, or RepTensor) and
+back.  parse_algebra_file, emit_algebra_file, the zero defaults of _get and
+cmd_construct's output file all read that table.
 """
 
 import argparse
@@ -22,8 +29,9 @@ import re
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
-from .linalg import DimensionMismatch, InternalMismatch, SingularMatrix, mat_zero
+from .linalg import DimensionMismatch, InternalMismatch, SingularMatrix, mat_transpose
 from .checks import (
     Endo,
     Form,
@@ -39,8 +47,6 @@ from .checks import (
     check_special_symplectic,
     check_torsion_free,
     merge_reports,
-    rep_zero,
-    st,
     sub_adjacent,
 )
 from .constructions import (
@@ -108,6 +114,29 @@ class AlgebraFile:
     warnings: tuple = ()
 
 
+class Section(NamedTuple):
+    """One kind of entry line: `keyword LABEL i1 .. i<nidx> = entry`."""
+    keyword: str
+    field: str      # the AlgebraFile dict that holds the section's objects
+    nidx: int       # number of indices before '='
+    terms: bool     # entry is a sum of q*eK terms (a vector); else one rational
+    build: object   # (dim, entries nested by index) -> stored object
+    entries: object  # stored object -> its entries nested by index
+
+
+# the file's sections, in the order the emitter writes them
+SECTIONS = {s.keyword: s for s in (
+    Section("op", "ops", 2, True, StructureTensor, lambda t: t.c),
+    Section("form", "forms", 2, False, Form, lambda f: f.m),
+    # a map line gives the image of e_i, which is column i of the matrix
+    Section("map", "maps", 1, True, lambda n, cols: Endo(n, mat_transpose(cols)),
+            lambda e: mat_transpose(e.m)),
+    Section("tensor2", "tensor2s", 2, False, lambda n, m: m, lambda m: m),
+    Section("rep", "reps", 3, False, lambda n, t: RepTensor(n, n, t), lambda r: r.t),
+)}
+
+_INDEX_COUNT = {1: "one index", 2: "two indices", 3: "three indices"}
+
 MAX_DIM = 64  # room for a third Drinfeld double (32); dense n^3 defaults stay small
 
 _TERM_RE = re.compile(r"^(-?\d+(?:/\d+)?)\*e(\d+)$")
@@ -155,20 +184,22 @@ def _label(tok, lineno):
     return tok
 
 
+def _assemble(sec, dim, entries):
+    """A section's stored object from its entries {0-based index tuple:
+    entry}; an omitted entry is zero."""
+    zero = (Fraction(0),) * dim if sec.terms else Fraction(0)
+
+    def nest(at):
+        if len(at) == sec.nidx:
+            return entries.get(at, zero)
+        return tuple(nest(at + (i,)) for i in range(dim))
+    return sec.build(dim, nest(()))
+
+
 def parse_algebra_file(text):
     name = None
     dim = None
-    ops, forms, maps, tensor2s, reps = {}, {}, {}, {}, {}
-    seen = set()
-
-    def need_dim(lineno):
-        if dim is None:
-            raise ParseError("dim must be declared before entries", lineno)
-
-    def claim(key, lineno):
-        if key in seen:
-            raise DuplicateAssignment("duplicate assignment %s" % (key,), lineno)
-        seen.add(key)
+    found = {kw: {} for kw in SECTIONS}  # keyword -> label -> {indices: entry}
 
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
@@ -195,85 +226,39 @@ def parse_algebra_file(text):
                 raise ParseError("dimension %d exceeds the limit of %d" % (dim, MAX_DIM),
                                  lineno)
             continue
-        if kw not in ("op", "form", "map", "tensor2", "rep"):
+        sec = SECTIONS.get(kw)
+        if sec is None:
             raise ParseError("unknown keyword %r" % kw, lineno)
-        need_dim(lineno)
+        if dim is None:
+            raise ParseError("dim must be declared before entries", lineno)
         if "=" not in rest:
             raise ParseError("missing '='", lineno)
         lhs, rhs = rest.split("=", 1)
         toks = lhs.split()
-        rhs = rhs.strip()
         if not toks:
             raise ParseError("missing label", lineno)
         label = _label(toks[0], lineno)
-        idx = toks[1:]
-        if kw == "op":
-            if len(idx) != 2:
-                raise ParseError("op needs two indices", lineno)
-            i, j = (_index(t, dim, lineno) for t in idx)
-            claim(("op", label, i, j), lineno)
-            tgt = ops.setdefault(label,
-                                 [[None] * dim for _ in range(dim)])
-            tgt[i][j] = _terms(rhs, dim, lineno)
-        elif kw == "form":
-            if len(idx) != 2:
-                raise ParseError("form needs two indices", lineno)
-            i, j = (_index(t, dim, lineno) for t in idx)
-            claim(("form", label, i, j), lineno)
-            tgt = forms.setdefault(label, [[Fraction(0)] * dim for _ in range(dim)])
-            tgt[i][j] = _rational(rhs, lineno)
-        elif kw == "map":
-            if len(idx) != 1:
-                raise ParseError("map needs one index", lineno)
-            i = _index(idx[0], dim, lineno)
-            claim(("map", label, i), lineno)
-            tgt = maps.setdefault(label, [None] * dim)
-            tgt[i] = _terms(rhs, dim, lineno)
-        elif kw == "tensor2":
-            if len(idx) != 2:
-                raise ParseError("tensor2 needs two indices", lineno)
-            i, j = (_index(t, dim, lineno) for t in idx)
-            claim(("tensor2", label, i, j), lineno)
-            tgt = tensor2s.setdefault(label,
-                                      [[Fraction(0)] * dim for _ in range(dim)])
-            tgt[i][j] = _rational(rhs, lineno)
-        else:  # rep
-            if len(idx) != 3:
-                raise ParseError("rep needs three indices", lineno)
-            i, j, k = (_index(t, dim, lineno) for t in idx)
-            claim(("rep", label, i, j, k), lineno)
-            tgt = reps.setdefault(label,
-                                  [[[Fraction(0)] * dim for _ in range(dim)]
-                                   for _ in range(dim)])
-            tgt[i][j][k] = _rational(rhs, lineno)
+        if len(toks) - 1 != sec.nidx:
+            raise ParseError("%s needs %s" % (kw, _INDEX_COUNT[sec.nidx]), lineno)
+        idx = tuple(_index(t, dim, lineno) for t in toks[1:])
+        entries = found[kw].setdefault(label, {})
+        if idx in entries:
+            raise DuplicateAssignment("duplicate assignment %s" % ((kw, label) + idx,),
+                                      lineno)
+        rhs = rhs.strip()
+        entries[idx] = _terms(rhs, dim, lineno) if sec.terms else _rational(rhs, lineno)
 
     if name is None:
         raise ParseError("missing 'algebra NAME' line")
     if dim is None:
         raise ParseError("missing 'dim N' line")
 
-    zero = tuple(Fraction(0) for _ in range(dim))
-    fops = {}
-    for label, rows in ops.items():
-        fops[label] = StructureTensor(
-            dim, tuple(tuple(rows[i][j] if rows[i][j] is not None else zero
-                             for j in range(dim)) for i in range(dim)))
-    fforms = {label: Form(dim, tuple(tuple(row) for row in m))
-              for label, m in forms.items()}
-    fmaps = {}
-    for label, cols in maps.items():
-        # column i is the image of e_i
-        fmaps[label] = Endo(dim, tuple(
-            tuple((cols[j][a] if cols[j] is not None else Fraction(0))
-                  for j in range(dim)) for a in range(dim)))
-    ftensor2s = {label: tuple(tuple(row) for row in m)
-                 for label, m in tensor2s.items()}
-    freps = {label: RepTensor(dim, dim, tuple(tuple(tuple(row) for row in mat)
-                                              for mat in t))
-             for label, t in reps.items()}
+    objs = {sec.field: {label: _assemble(sec, dim, entries)
+                        for label, entries in found[sec.keyword].items()}
+            for sec in SECTIONS.values()}
     warnings = []
-    for label in sorted(fforms):
-        m = fforms[label].m
+    for label in sorted(objs["forms"]):
+        m = objs["forms"][label].m
         for i in range(dim):
             for j in range(dim):
                 if m[i][j] != 0 and m[j][i] == 0 and i != j:
@@ -281,8 +266,7 @@ def parse_algebra_file(text):
                         "form %s has entry (%d, %d) but not (%d, %d); skew "
                         "completion is never automatic"
                         % (label, i + 1, j + 1, j + 1, i + 1))
-    return AlgebraFile(name, dim, fops, fforms, fmaps, ftensor2s, freps,
-                       tuple(warnings))
+    return AlgebraFile(name, dim, warnings=tuple(warnings), **objs)
 
 
 def _fmt_terms(v):
@@ -290,129 +274,112 @@ def _fmt_terms(v):
     return " + ".join(parts)
 
 
+def _emit_entries(lines, head, nested, depth, terms):
+    """One line per nonzero entry, row by row; head is the line's start up
+    to the indices still to come."""
+    if depth > 1:
+        for i, sub in enumerate(nested, 1):
+            _emit_entries(lines, "%s %d" % (head, i), sub, depth - 1, terms)
+        return
+    for i, x in enumerate(nested, 1):
+        body = _fmt_terms(x) if terms else x
+        if body:
+            lines.append("%s %d = %s" % (head, i, body))
+
+
 def emit_algebra_file(af):
     """Canonical text: sections in a fixed order, labels sorted, indices
     ascending, zero entries omitted, rationals in lowest terms."""
     lines = ["algebra %s" % af.name, "dim %d" % af.dim]
-    n = af.dim
-    for label in sorted(af.ops):
-        t = af.ops[label]
-        for i in range(n):
-            for j in range(n):
-                body = _fmt_terms(t.c[i][j])
-                if body:
-                    lines.append("op %s %d %d = %s" % (label, i + 1, j + 1, body))
-    for label in sorted(af.forms):
-        m = af.forms[label].m
-        for i in range(n):
-            for j in range(n):
-                if m[i][j]:
-                    lines.append("form %s %d %d = %s" % (label, i + 1, j + 1, m[i][j]))
-    for label in sorted(af.maps):
-        m = af.maps[label].m
-        for i in range(n):
-            col = tuple(m[a][i] for a in range(n))
-            body = _fmt_terms(col)
-            if body:
-                lines.append("map %s %d = %s" % (label, i + 1, body))
-    for label in sorted(af.tensor2s):
-        m = af.tensor2s[label]
-        for i in range(n):
-            for j in range(n):
-                if m[i][j]:
-                    lines.append("tensor2 %s %d %d = %s"
-                                 % (label, i + 1, j + 1, m[i][j]))
-    for label in sorted(af.reps):
-        t = af.reps[label].t
-        for i in range(n):
-            for j in range(n):
-                for k in range(n):
-                    if t[i][j][k]:
-                        lines.append("rep %s %d %d %d = %s"
-                                     % (label, i + 1, j + 1, k + 1, t[i][j][k]))
+    for sec in SECTIONS.values():
+        objs = getattr(af, sec.field)
+        for label in sorted(objs):
+            _emit_entries(lines, "%s %s" % (sec.keyword, label),
+                          sec.entries(objs[label]), sec.nidx, sec.terms)
     return "\n".join(lines) + "\n"
 
 
-# ---------------------------------------------------------------------------
-# object access with zero defaults ("omitted means zero")
-
-def _op(af, label):
-    got = af.ops.get(label)
-    return got if got is not None else st(af.dim)
-
-
-def _form(af, label):
-    got = af.forms.get(label)
-    return got if got is not None else Form(af.dim, mat_zero(af.dim))
-
-
-def _endo(af, label):
-    got = af.maps.get(label)
-    return got if got is not None else Endo(af.dim, mat_zero(af.dim))
-
-
-def _rep(af, label):
-    got = af.reps.get(label)
-    return got if got is not None else rep_zero(af.dim)
+def _get(af, keyword, label):
+    """The object af holds under label in that section; zero if omitted."""
+    sec = SECTIONS[keyword]
+    got = getattr(af, sec.field).get(label)
+    return got if got is not None else _assemble(sec, af.dim, {})
 
 
 # ---------------------------------------------------------------------------
 # verify
 
 def _chk_lie(af):
-    return check_jacobi(_op(af, "bracket"))
+    return check_jacobi(_get(af, "op", "bracket"))
 
 
 def _chk_lsa(af):
-    return check_left_symmetric(_op(af, "prod"))
+    return check_left_symmetric(_get(af, "op", "prod"))
+
+
+def _plsa_of(af):
+    return _get(af, "op", "prec"), _get(af, "op", "succ")
+
+
+def _coproducts_of(af):
+    return CoproductPair(af.dim, _get(af, "rep", "alpha").t, _get(af, "rep", "beta").t)
+
+
+def _matched_pair_of(af):
+    return MatchedPairData(_get(af, "op", "a1"), _get(af, "op", "a2"),
+                           _get(af, "rep", "l1"), _get(af, "rep", "r1"),
+                           _get(af, "rep", "l2"), _get(af, "rep", "r2"))
+
+
+def _ssla_of(af):
+    return SpecialSymplecticData(_get(af, "op", "bracket"), _get(af, "op", "conn"),
+                                 _get(af, "form", "omega"))
 
 
 def _chk_plsa(af):
-    return check_plsa(_op(af, "prec"), _op(af, "succ"))
+    return check_plsa(*_plsa_of(af))
 
 
 def _chk_special_symplectic(af):
-    return check_special_symplectic(_op(af, "bracket"), _op(af, "conn"),
-                                    _form(af, "omega"))
+    s = _ssla_of(af)
+    return check_special_symplectic(s.bracket, s.conn, s.omega)
 
 
 def _chk_hypersymplectic(af):
-    return check_hypersymplectic(_op(af, "bracket"), _endo(af, "J"),
-                                 _endo(af, "E"), _form(af, "g"))
+    return check_hypersymplectic(_get(af, "op", "bracket"), _get(af, "map", "J"),
+                                 _get(af, "map", "E"), _get(af, "form", "g"))
 
 
 def _chk_matched_pair(af):
-    mp = MatchedPairData(_op(af, "a1"), _op(af, "a2"),
-                         _rep(af, "l1"), _rep(af, "r1"),
-                         _rep(af, "l2"), _rep(af, "r2"))
-    return check_matched_pair(mp)
+    return check_matched_pair(_matched_pair_of(af))
 
 
 def _chk_plsba(af):
-    prec, succ = _op(af, "prec"), _op(af, "succ")
-    cp = CoproductPair(af.dim, _rep(af, "alpha").t, _rep(af, "beta").t)
-    pre1 = check_plsa(prec, succ)
+    plsa, cp = _plsa_of(af), _coproducts_of(af)
+    pre1 = check_plsa(*plsa)
     pre2 = plsca_check(cp)
     if not (pre1.verdict and pre2.verdict):
         return merge_reports("plsba", [pre1, pre2])
-    return _plsba_identities((prec, succ), cp)
+    return _plsba_identities(plsa, cp)
 
 
 def _chk_slsba(af):
-    lsa = _op(af, "prod")
+    lsa = _get(af, "op", "prod")
     pre = check_left_symmetric(lsa)
     if not pre.verdict:
         return merge_reports("slsba", [pre])
-    return _slsba_identities(lsa, _rep(af, "alpha").t)
+    return _slsba_identities(lsa, _get(af, "rep", "alpha").t)
 
 
 def _chk_parakahler(af):
-    return check_parakahler(ParaKahlerData(_op(af, "bracket"), _form(af, "omega"),
-                                           _endo(af, "E"), af.ops.get("conn")))
+    return check_parakahler(ParaKahlerData(_get(af, "op", "bracket"),
+                                           _get(af, "form", "omega"),
+                                           _get(af, "map", "E"), af.ops.get("conn")))
 
 
 def _chk_post_affine(af):
-    return post_affine_check(_op(af, "conn"), _op(af, "conn2"), _op(af, "bracket"))
+    return post_affine_check(_get(af, "op", "conn"), _get(af, "op", "conn2"),
+                             _get(af, "op", "bracket"))
 
 
 CHECKS = {
@@ -521,18 +488,13 @@ def _parse_r(text, dim):
     return tuple(tuple(row) for row in m)
 
 
-def _ssla_of(af):
-    return SpecialSymplecticData(_op(af, "bracket"), _op(af, "conn"),
-                                 _form(af, "omega"))
-
-
 def _r_sub_adjacent(afs, args):
-    br = sub_adjacent(_op(afs[0], "prod"))
+    br = sub_adjacent(_get(afs[0], "op", "prod"))
     return {"ops": {"bracket": br}}, [check_jacobi(br)]
 
 
 def _r_lsa_from_symplectic(afs, args):
-    prod = lsa_from_symplectic(_op(afs[0], "bracket"), _form(afs[0], "omega"))
+    prod = lsa_from_symplectic(_get(afs[0], "op", "bracket"), _get(afs[0], "form", "omega"))
     return {"ops": {"prod": prod}}, [check_left_symmetric(prod)]
 
 
@@ -581,34 +543,26 @@ def _r_hypersymplectic(family):
 
 
 def _r_semidirect(afs, args):
-    br2 = semidirect_lie(_op(afs[0], "bracket"), _rep(afs[0], "rho"))
+    br2 = semidirect_lie(_get(afs[0], "op", "bracket"), _get(afs[0], "rep", "rho"))
     return {"ops": {"bracket": br2}}, [check_jacobi(br2)]
 
 
 def _r_bowtie(afs, args):
-    af = afs[0]
-    mp = MatchedPairData(_op(af, "a1"), _op(af, "a2"),
-                         _rep(af, "l1"), _rep(af, "r1"),
-                         _rep(af, "l2"), _rep(af, "r2"))
-    prod = bowtie_lsa(mp)
+    prod = bowtie_lsa(_matched_pair_of(afs[0]))
     return {"ops": {"prod": prod}}, [check_left_symmetric(prod)]
 
 
 def _r_double_extension(afs, args):
     if len(afs) != 2:
         raise BadParams("double-extension needs two input files")
-    a = (_op(afs[0], "prec"), _op(afs[0], "succ"))
-    b = (_op(afs[1], "prec"), _op(afs[1], "succ"))
-    ded, rep = double_extension(a, b)
+    ded, rep = double_extension(_plsa_of(afs[0]), _plsa_of(afs[1]))
     return ({"ops": {"bracket": sub_adjacent(ded.glued), "conn": ded.glued},
              "forms": {"omega": ded.omega_p}}, [rep])
 
 
 def _r_drinfeld_double(afs, args):
-    af = afs[0]
-    plsa = (_op(af, "prec"), _op(af, "succ"))
-    cp = CoproductPair(af.dim, _rep(af, "alpha").t, _rep(af, "beta").t)
-    (prec_d, succ_d), r, cp_d, rep = drinfeld_double(plsa, cp)
+    (prec_d, succ_d), r, cp_d, rep = drinfeld_double(_plsa_of(afs[0]),
+                                                     _coproducts_of(afs[0]))
     d = prec_d.n
     return ({"ops": {"prec": prec_d, "succ": succ_d},
              "reps": {"alpha": RepTensor(d, d, cp_d.alpha),
@@ -618,7 +572,8 @@ def _r_drinfeld_double(afs, args):
 
 def _r_slsba_double(afs, args):
     af = afs[0]
-    lsa_d, alpha_d, rep = slsba_double((_op(af, "prod"), _rep(af, "alpha").t))
+    lsa_d, alpha_d, rep = slsba_double((_get(af, "op", "prod"),
+                                        _get(af, "rep", "alpha").t))
     d = lsa_d.n
     return ({"ops": {"prod": lsa_d},
              "reps": {"alpha": RepTensor(d, d, alpha_d)}}, [rep])
@@ -626,7 +581,7 @@ def _r_slsba_double(afs, args):
 
 def _r_coboundary(afs, args):
     af = afs[0]
-    plsa = (_op(af, "prec"), _op(af, "succ"))
+    plsa = _plsa_of(af)
     r = _parse_r(args.r, af.dim)
     R_operators(plsa, r)  # cross-asserts the two evaluation routes
     cp = coboundary_coproducts(plsa, r)
@@ -657,11 +612,9 @@ RECIPES = {
 
 
 def _payload_dim(payload):
-    for group in ("ops", "forms", "maps", "reps"):
-        for obj in payload.get(group, {}).values():
-            return obj.n
-    for m in payload.get("tensor2s", {}).values():
-        return len(m)
+    for sec in SECTIONS.values():
+        for obj in payload.get(sec.field, {}).values():
+            return len(sec.entries(obj))
     raise AssertionError("empty construction payload")
 
 
@@ -684,11 +637,8 @@ def cmd_construct(args):
     stem = os.path.splitext(os.path.basename(args.inputs[0]))[0]
     name = args.name or ("%s-%s" % (stem, args.recipe))
     out_af = AlgebraFile(name, _payload_dim(payload),
-                         dict(payload.get("ops", {})),
-                         dict(payload.get("forms", {})),
-                         dict(payload.get("maps", {})),
-                         dict(payload.get("tensor2s", {})),
-                         dict(payload.get("reps", {})))
+                         **{sec.field: dict(payload.get(sec.field, {}))
+                            for sec in SECTIONS.values()})
     path = args.out or os.path.join(os.path.dirname(args.inputs[0]) or ".",
                                     "%s-%s.alg" % (stem, args.recipe))
     with open(path, "w", encoding="utf-8") as fh:

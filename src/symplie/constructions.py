@@ -28,7 +28,6 @@ from .linalg import (
     mat_identity,
     mat_inverse,
     mat_neg,
-    mat_mul,
     mat_rank,
     mat_scale,
     mat_sub,
@@ -50,6 +49,7 @@ from .checks import (
     Violation,
     _nonzeros,
     _residual,
+    anticommute_violations,
     check_closed,
     check_flat,
     check_jacobi,
@@ -68,6 +68,7 @@ from .checks import (
     rep_neg,
     rep_zero,
     require,
+    square_violations,
     st,
 )
 
@@ -349,13 +350,11 @@ def family_JE(p, f):
         E = build_N(k, e2, (1 - e2 * e2) / k, -e2, f)
     else:
         raise BadParams("unknown family %r" % (p.family,))
-    d = J.n
-    ident = mat_identity(d)
-    if mat_mul(J.m, J.m) != mat_neg(ident):
+    if square_violations("J^2+id", J, -1):
         raise InternalMismatch("built J does not square to -id")
-    if mat_mul(E.m, E.m) != ident:
+    if square_violations("E^2-id", E, 1):
         raise InternalMismatch("built E does not square to id")
-    if mat_mul(J.m, E.m) != mat_neg(mat_mul(E.m, J.m)):
+    if anticommute_violations("JE+EJ", J, E):
         raise InternalMismatch("J and E do not anticommute")
     return J, E
 

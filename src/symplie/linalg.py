@@ -16,7 +16,7 @@ its end.
 """
 
 from fractions import Fraction
-from math import gcd, isqrt, lcm
+from math import isqrt, lcm
 from typing import NamedTuple
 
 
@@ -59,13 +59,6 @@ def vec_is_zero(u):
 
 # ---------------------------------------------------------------------------
 # matrices (tuple of row tuples)
-
-def mat(rows):
-    out = tuple(tuple(Fraction(e) for e in row) for row in rows)
-    if out and any(len(row) != len(out[0]) for row in out):
-        raise DimensionMismatch("ragged rows")
-    return out
-
 
 def mat_zero(n, m=None):
     if m is None:
@@ -125,23 +118,20 @@ def _integer_rows(m):
     """Scale each row by the lcm of its denominators (rank/solve invariant)."""
     out = []
     for row in m:
-        d = 1
-        for e in row:
-            d = d * e.denominator // gcd(d, e.denominator)
-        out.append([int(e * d) for e in row])
+        d = lcm(*(e.denominator for e in row))
+        out.append([e.numerator * (d // e.denominator) for e in row])
     return out
 
 
-def mat_rank(m):
-    """Rank over the rationals, by fraction-free (Bareiss) elimination."""
-    if not m:
-        return 0
-    rows = _integer_rows(m)
-    nr, nc = len(rows), len(rows[0])
-    rank = 0
+def _bareiss_forward(rows, npivot):
+    """Fraction-free (Bareiss) forward elimination, in place on integer rows:
+    pivots come from the first npivot columns, and every column right of a
+    pivot is updated.  Returns the number of pivots found, the rank of those
+    columns."""
+    nr, nc = len(rows), len(rows[0]) if rows else 0
     r = 0
     prev = 1
-    for c in range(nc):
+    for c in range(npivot):
         p = next((i for i in range(r, nr) if rows[i][c] != 0), None)
         if p is None:
             continue
@@ -155,10 +145,16 @@ def mat_rank(m):
             rows[i][c] = 0
         prev = rows[r][c]
         r += 1
-        rank += 1
         if r == nr:
             break
-    return rank
+    return r
+
+
+def mat_rank(m):
+    """Rank over the rationals, by fraction-free (Bareiss) elimination."""
+    if not m:
+        return 0
+    return _bareiss_forward(_integer_rows(m), len(m[0]))
 
 
 def mat_inverse(m):
@@ -166,28 +162,10 @@ def mat_inverse(m):
     n = len(m)
     if any(len(row) != n for row in m):
         raise DimensionMismatch("matrix is not square")
-    # scale row i by d_i; then m X = I becomes (scaled m) X = diag(d_i)
-    aug = []
-    for i, row in enumerate(m):
-        d = 1
-        for e in row:
-            d = d * e.denominator // gcd(d, e.denominator)
-        aug.append([int(e * d) for e in row] + [d if j == i else 0 for j in range(n)])
-    prev = 1
-    for k in range(n):
-        p = next((i for i in range(k, n) if aug[i][k] != 0), None)
-        if p is None:
-            raise SingularMatrix("rank < %d" % n)
-        if p != k:
-            aug[k], aug[p] = aug[p], aug[k]
-        for i in range(k + 1, n):
-            for j in range(k + 1, 2 * n):
-                q, rem = divmod(aug[k][k] * aug[i][j] - aug[i][k] * aug[k][j], prev)
-                if rem:
-                    raise InternalMismatch("Bareiss division not exact")
-                aug[i][j] = q
-            aug[i][k] = 0
-        prev = aug[k][k]
+    # scale row i of (m | I) by d_i; then m X = I becomes (scaled m) X = diag(d_i)
+    aug = _integer_rows([tuple(row) + e for row, e in zip(m, mat_identity(n))])
+    if _bareiss_forward(aug, n) < n:
+        raise SingularMatrix("rank < %d" % n)
     cols = []
     for c in range(n):
         x = [Fraction(0)] * n

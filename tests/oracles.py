@@ -896,6 +896,53 @@ def coproducts_from_products(prec, succ):
     return CoproductPair(n, alpha, beta)
 
 
+# --- the .alg emitter as one loop per section (vs the section table) ---
+
+def _terms_plain(v):
+    return " + ".join("%s*e%d" % (q, k + 1) for k, q in enumerate(v) if q != 0)
+
+
+def emit_plain(af):
+    """Canonical .alg text of af: sections op, form, map, tensor2, rep,
+    labels sorted, indices ascending, zero entries omitted."""
+    lines = ["algebra %s" % af.name, "dim %d" % af.dim]
+    n = af.dim
+    for label in sorted(af.ops):
+        t = af.ops[label]
+        for i in range(n):
+            for j in range(n):
+                body = _terms_plain(t.c[i][j])
+                if body:
+                    lines.append("op %s %d %d = %s" % (label, i + 1, j + 1, body))
+    for label in sorted(af.forms):
+        m = af.forms[label].m
+        for i in range(n):
+            for j in range(n):
+                if m[i][j]:
+                    lines.append("form %s %d %d = %s" % (label, i + 1, j + 1, m[i][j]))
+    for label in sorted(af.maps):
+        m = af.maps[label].m
+        for i in range(n):
+            body = _terms_plain(tuple(m[a][i] for a in range(n)))
+            if body:
+                lines.append("map %s %d = %s" % (label, i + 1, body))
+    for label in sorted(af.tensor2s):
+        m = af.tensor2s[label]
+        for i in range(n):
+            for j in range(n):
+                if m[i][j]:
+                    lines.append("tensor2 %s %d %d = %s" % (label, i + 1, j + 1, m[i][j]))
+    for label in sorted(af.reps):
+        t = af.reps[label].t
+        for i in range(n):
+            for j in range(n):
+                for k in range(n):
+                    if t[i][j][k]:
+                        lines.append("rep %s %d %d %d = %s"
+                                     % (label, i + 1, j + 1, k + 1, t[i][j][k]))
+    return "\n".join(lines) + "\n"
+
+
 # --- seeded random rational data ---
 
 _POOL = [Fraction(q) for q in

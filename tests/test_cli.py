@@ -1,5 +1,6 @@
 import json
 import os
+import re
 from fractions import Fraction
 
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import strategies as hs
 from symplie.checks import Endo, Form, RepTensor, st
 from symplie.cli import (
     MAX_DIM,
+    SECTIONS,
     AlgebraFile,
     DuplicateAssignment,
     IndexOutOfRange,
@@ -124,6 +126,12 @@ class TestParse:
             parse("algebra a\ndim 2\nop prod 1 = 1*e1\n")
         with pytest.raises(ParseError, match="three indices"):
             parse("algebra a\ndim 2\nrep rho 1 1 = 1\n")
+        for line, msg in (("map J 1 2 = 1*e1", "line 3: map needs one index"),
+                          ("form w 1 = 1", "line 3: form needs two indices"),
+                          ("tensor2 r 1 = 1", "line 3: tensor2 needs two indices")):
+            with pytest.raises(ParseError) as exc:
+                parse("algebra a\ndim 2\n%s\n" % line)
+            assert str(exc.value) == msg
 
     def test_bad_dimension(self):
         with pytest.raises(ParseError, match="bad dimension"):
@@ -145,6 +153,13 @@ class TestParse:
             parse("algebra a\nalgebra b\ndim 2\n")
         with pytest.raises(DuplicateAssignment, match="already declared"):
             parse("algebra a\ndim 2\ndim 3\n")
+        for line, key in (("op prod 1 2 = 1*e1", "('op', 'prod', 0, 1)"),
+                          ("map J 2 = 1*e1", "('map', 'J', 1)"),
+                          ("tensor2 r 2 1 = 1", "('tensor2', 'r', 1, 0)"),
+                          ("rep rho 1 2 2 = 1", "('rep', 'rho', 0, 1, 1)")):
+            with pytest.raises(DuplicateAssignment) as exc:
+                parse("algebra a\ndim 2\n%s\n%s\n" % (line, line))
+            assert str(exc.value) == "line 4: duplicate assignment %s" % key
 
     def test_duplicate_is_parse_error_with_line(self):
         with pytest.raises(DuplicateAssignment) as exc:
@@ -181,6 +196,16 @@ class TestEmit:
                          forms={"w": Form(2, ((Q(0),) * 2,) * 2)})
         text = emit_algebra_file(af)
         assert text == "algebra x\ndim 2\n"
+
+    def test_readme_section_table(self):
+        # the README's file-format table lists the code's section table
+        path = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+        with open(path, encoding="utf-8") as fh:
+            rows = re.findall(r"^\| `(\w+)` +\| ([ijk ]+?) +\| (.+?) +\| `(\w+)`:",
+                              fh.read(), re.M)
+        assert rows == [(s.keyword, "i j k"[:2 * s.nidx - 1],
+                         "`q*eK` terms" if s.terms else "one rational", s.field)
+                        for s in SECTIONS.values()]
 
     def test_roundtrip_handmade(self):
         af = AlgebraFile("y", 3, ops={"prec": st(3, {(0, 1, 2): Q(-5, 3)})})

@@ -3,7 +3,8 @@ routes, against plain-loop oracles (tests/oracles.py): whole reports,
 returned tensors, and Fraction residuals, on dims 1-4 with dense, all-zero
 and single-nonzero inputs, inputs that meet each function's preconditions,
 and inputs that fail its identities.  The products that glue_product builds
-on a sum of two spaces are compared with block-by-block loops the same way."""
+on a sum of two spaces are compared with block-by-block loops the same way,
+and the .alg emitter's section table with one loop per section."""
 
 import re
 from fractions import Fraction
@@ -12,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hs
 
-from symplie import bialgebra
+from symplie import bialgebra, cli
 from symplie.bialgebra import (
     NotAPLSBA,
     ParaKahlerData,
@@ -27,7 +28,7 @@ from symplie.bialgebra import (
     slsba_coboundary,
     zero_coproducts,
 )
-from symplie.catalog import catalog_get
+from symplie.catalog import catalog_get, catalog_list
 from symplie.checks import (
     Endo,
     Form,
@@ -80,6 +81,7 @@ from oracles import (
     double_conn_plain,
     double_plsa_plain,
     double_r_violations,
+    emit_plain,
     flat_violations,
     glue_plain,
     left_mult_plain,
@@ -97,6 +99,7 @@ from oracles import (
     slsba_coboundary_plain,
     transport_product,
 )
+from test_cli import algebra_files
 from test_linalg import all_fractions, entries, matrices, tensors
 
 PLSA_NAMES = ("plsa-2d-I", "plsa-2d-II", "plsa-2d-III", "plsa-2d-IV")
@@ -546,3 +549,28 @@ class TestSumProductRoutes:
                 StructureTensor(2 * n, double_conn_plain(s.conn.c, rho)),
                 Form(2 * n, metric), omega_p, ((0, n), (n, 2 * n)))
             assert all_fractions(got.bracket.c) and all_fractions(got.conn.c)
+
+
+class TestEmitRoutes:
+    """emit_algebra_file walks cli.SECTIONS; emit_plain writes each section
+    with its own loop."""
+
+    @given(algebra_files())
+    def test_generated_files(self, af):
+        assert cli.emit_algebra_file(af) == emit_plain(af)
+
+    def test_catalog_exports(self):
+        for name, _, _ in catalog_list():
+            af = cli._entry_to_afile(catalog_get(name))
+            assert cli.emit_algebra_file(af) == emit_plain(af), name
+
+    def test_drinfeld_doubles(self):
+        pair, cp = catalog_get("plsa-2d-IV").payload, zero_coproducts(2)
+        for n in (4, 8):
+            pair, r, cp, rep = drinfeld_double(pair, cp)
+            assert rep.verdict
+            af = cli.AlgebraFile("d%d" % n, n, ops={"prec": pair[0], "succ": pair[1]},
+                                 tensor2s={"r": r},
+                                 reps={"alpha": RepTensor(n, n, cp.alpha),
+                                       "beta": RepTensor(n, n, cp.beta)})
+            assert cli.emit_algebra_file(af) == emit_plain(af), n

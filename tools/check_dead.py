@@ -4,7 +4,8 @@ Run from the repository root:
     python3 tools/check_dead.py
 
 A function counts as used when its name is read (as a name or as an
-attribute) anywhere in src/ outside its own body, when __init__.py
+attribute) anywhere in src/ outside its own body and outside functions that
+bind that name as a local variable, when __init__.py
 re-exports it, or when bench/tracer.py wraps it by name (its LAYERS table,
 from which it builds TRACED).  Tests do not count: a function that only
 tests call is dead.  Exits 1 if any function is unused.
@@ -24,13 +25,23 @@ def _parse(path):
         return ast.parse(fh.read(), path)
 
 
-def _names_read(node):
-    """Every name a subtree reads, as a name or as an attribute."""
-    for sub in ast.walk(node):
-        if isinstance(sub, ast.Name):
-            yield sub.id
-        elif isinstance(sub, ast.Attribute):
-            yield sub.attr
+def _names_read(node, bound=frozenset()):
+    """Every name a subtree reads, as a name or as an attribute.  A name that
+    a function binds itself (a parameter, or an assignment, `for` or
+    comprehension target) is a local variable there, not a reference to the
+    module-level function of that name, so its reads inside that function
+    do not count."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+        bound = bound | {sub.id for sub in ast.walk(node)
+                         if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Store)}
+        bound |= {a.arg for a in ast.walk(node.args) if isinstance(a, ast.arg)}
+    if isinstance(node, ast.Name):
+        if node.id not in bound:
+            yield node.id
+    elif isinstance(node, ast.Attribute):
+        yield node.attr
+    for child in ast.iter_child_nodes(node):
+        yield from _names_read(child, bound)
 
 
 def _python_files():
