@@ -26,6 +26,7 @@ e_a tensor e_b tensor e_c.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 
 from .linalg import (
     InternalMismatch,
@@ -40,7 +41,6 @@ from .linalg import (
     scaled_permute,
     t3_is_zero,
     unscaled,
-    vec_is_zero,
 )
 from .checks import (
     Endo,
@@ -64,6 +64,7 @@ from .checks import (
     square_violations,
     sub_adjacent,
     torsion_violations,
+    violations,
 )
 from .constructions import InvalidInput, NotAnLSA, dual_left_action
 from .matched import (
@@ -486,10 +487,8 @@ def check_parakahler(pk):
         X = scaled_combine(((1, scaled_leg(scaled(mat_transpose(E.m)), N, 1)),
                             (-1, scaled_leg(scaled(E.m), N, 2))))
         res = unscaled(scaled_combine(((1, X), (-1, scaled_permute(X, (1, 0, 2))))))
-        for i in range(n):
-            for j in range(i + 1, n):
-                if not vec_is_zero(res[i][j]):
-                    viol.append(Violation("conn-E-symmetric", (i, j), res[i][j]))
+        viol += violations("conn-E-symmetric", combinations(range(n), 2),
+                           lambda i, j: res[i][j])
     return merge_reports("para-kahler", parts, viol)
 
 

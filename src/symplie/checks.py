@@ -4,9 +4,10 @@ An n-dimensional bilinear operation is a StructureTensor: c[i][j][k] is the
 e_k coefficient of e_i o e_j.  Forms, endomorphisms and representations are
 matrices over Fraction.  Every verifier returns a CheckReport listing each
 violating basis tuple with its exact residual, so a failing check pinpoints
-the offending structure constants; mat_violations lists them from a residual
-tensor of any rank, and require turns a failing report into the caller's
-typed error.
+the offending structure constants.  One collector, violations, lists the
+nonzero residuals of either route below over the basis tuples it is given;
+mat_violations lists them from a residual tensor of any rank, and require
+turns a failing report into the caller's typed error.
 
 Every identity on basis tuples takes one of two routes.  check_closed,
 check_parallel_form and nijenhuis_torsion contract the whole input once on
@@ -21,6 +22,7 @@ matrices or structure constants directly.
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import combinations, combinations_with_replacement, product
 
 from .linalg import (
     DimensionMismatch,
@@ -40,7 +42,6 @@ from .linalg import (
     t3_sub,
     unscaled,
     vec_add,
-    vec_is_zero,
     vec_sub,
 )
 
@@ -85,9 +86,9 @@ class CheckReport:
     notes: tuple = field(default=())
 
 
-def report(check, violations, notes=()):
-    violations = tuple(violations)
-    return CheckReport(check, not violations, violations, tuple(notes))
+def report(check, viol, notes=()):
+    viol = tuple(viol)
+    return CheckReport(check, not viol, viol, tuple(notes))
 
 
 def require(rep, error, fmt):
@@ -106,14 +107,14 @@ def relabel(rep, name):
 
 def merge_reports(check, parts, extra_violations=(), notes=()):
     """Combine sub-reports, prefixing each violation with its sub-check name."""
-    violations = list(extra_violations)
+    viol = list(extra_violations)
     all_notes = list(notes)
     for sub in parts:
         for v in sub.violations:
-            violations.append(Violation("%s: %s" % (sub.check, v.where) if v.where else sub.check,
-                                        v.indices, v.residual))
+            viol.append(Violation("%s: %s" % (sub.check, v.where) if v.where else sub.check,
+                                  v.indices, v.residual))
         all_notes.extend("%s: %s" % (sub.check, note) for note in sub.notes)
-    return report(check, violations, all_notes)
+    return report(check, viol, all_notes)
 
 
 # ---------------------------------------------------------------------------
@@ -170,13 +171,9 @@ def rep_zero(n, m=None):
 # verifiers
 
 def check_skew(B):
-    viol = []
-    for i in range(B.n):
-        for j in range(i, B.n):
-            r = B.m[i][j] + B.m[j][i]
-            if r != 0:
-                viol.append(Violation("skew", (i, j), r))
-    return report("skew", viol)
+    m = B.m
+    return report("skew", violations("skew", combinations_with_replacement(range(B.n), 2),
+                                     lambda i, j: m[i][j] + m[j][i]))
 
 
 def check_nondegenerate(B):
@@ -205,23 +202,14 @@ def _residual(n, terms):
 
 
 def check_jacobi(br):
-    n = br.n
-    viol = []
-    for i in range(n):
-        for j in range(i, n):
-            r = vec_add(br.c[i][j], br.c[j][i])
-            if not vec_is_zero(r):
-                viol.append(Violation("antisymmetry", (i, j), r))
-    nz = _nonzeros(br.c)
+    n, c = br.n, br.c
+    viol = violations("antisymmetry", combinations_with_replacement(range(n), 2),
+                      lambda i, j: vec_add(c[i][j], c[j][i]))
+    nz = _nonzeros(c)
     col = list(zip(*nz))  # col[k][s] = nz[s][k]
-    for i in range(n):
-        for j in range(i + 1, n):
-            for k in range(j + 1, n):
-                # [[e_i, e_j], e_k] + [[e_j, e_k], e_i] + [[e_k, e_i], e_j]
-                r = _residual(n, ((nz[i][j], col[k], 1), (nz[j][k], col[i], 1),
-                                  (nz[k][i], col[j], 1)))
-                if any(r):
-                    viol.append(Violation("jacobi", (i, j, k), r))
+    # [[e_i, e_j], e_k] + [[e_j, e_k], e_i] + [[e_k, e_i], e_j]
+    viol += violations("jacobi", combinations(range(n), 3), lambda i, j, k: _residual(
+        n, ((nz[i][j], col[k], 1), (nz[j][k], col[i], 1), (nz[k][i], col[j], 1))))
     return report("jacobi", viol)
 
 
@@ -231,26 +219,17 @@ def check_left_symmetric(op):
     n = op.n
     nz = _nonzeros(op.c)
     col = list(zip(*nz))
-    viol = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            for k in range(n):
-                # (e_i e_j) e_k - e_i (e_j e_k) - (e_j e_i) e_k + e_j (e_i e_k)
-                r = _residual(n, ((nz[i][j], col[k], 1), (nz[j][k], nz[i], -1),
-                                  (nz[j][i], col[k], -1), (nz[i][k], nz[j], 1)))
-                if any(r):
-                    viol.append(Violation("left-symmetric", (i, j, k), r))
-    return report("left-symmetric", viol)
+    # (e_i e_j) e_k - e_i (e_j e_k) - (e_j e_i) e_k + e_j (e_i e_k)
+    return report("left-symmetric", violations(
+        "left-symmetric", pairs_then(n, n), lambda i, j, k: _residual(
+            n, ((nz[i][j], col[k], 1), (nz[j][k], nz[i], -1),
+                (nz[j][i], col[k], -1), (nz[i][k], nz[j], 1)))))
 
 
 def check_commutative(op):
-    viol = []
-    for i in range(op.n):
-        for j in range(i + 1, op.n):
-            r = vec_sub(op.c[i][j], op.c[j][i])
-            if not vec_is_zero(r):
-                viol.append(Violation("commutative", (i, j), r))
-    return report("commutative", viol)
+    c = op.c
+    return report("commutative", violations("commutative", combinations(range(op.n), 2),
+                                            lambda i, j: vec_sub(c[i][j], c[j][i])))
 
 
 def check_plsa(prec, succ):
@@ -269,15 +248,9 @@ def check_plsa(prec, succ):
     lsymm = check_left_symmetric(succ)
     nzp, nzs, nzt = _nonzeros(prec.c), _nonzeros(succ.c), _nonzeros(total.c)
     colp = list(zip(*nzp))
-    viol = []
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                # e_i succ (e_j prec e_k) - (e_i . e_j) prec e_k - e_j prec (e_i . e_k)
-                r = _residual(n, ((nzp[j][k], nzs[i], 1), (nzt[i][j], colp[k], -1),
-                                  (nzt[i][k], nzp[j], -1)))
-                if any(r):
-                    viol.append(Violation("compatibility", (i, j, k), r))
+    # e_i succ (e_j prec e_k) - (e_i . e_j) prec e_k - e_j prec (e_i . e_k)
+    viol = violations("compatibility", product(range(n), repeat=3), lambda i, j, k: _residual(
+        n, ((nzp[j][k], nzs[i], 1), (nzt[i][j], colp[k], -1), (nzt[i][k], nzp[j], -1))))
     sum_ls = check_left_symmetric(total)
     notes = []
     if sum_ls.verdict == lsymm.verdict:
@@ -297,13 +270,10 @@ def check_plsa(prec, succ):
 def check_torsion_free(br, conn):
     if br.n != conn.n:
         raise DimensionMismatch("bracket dim %d, connection dim %d" % (br.n, conn.n))
-    viol = []
-    for i in range(br.n):
-        for j in range(i + 1, br.n):
-            r = vec_sub(vec_sub(conn.c[i][j], conn.c[j][i]), br.c[i][j])
-            if not vec_is_zero(r):
-                viol.append(Violation("torsion-free", (i, j), r))
-    return report("torsion-free", viol)
+    c, b = conn.c, br.c
+    return report("torsion-free", violations(
+        "torsion-free", combinations(range(br.n), 2),
+        lambda i, j: vec_sub(vec_sub(c[i][j], c[j][i]), b[i][j])))
 
 
 def check_flat(br, conn):
@@ -313,16 +283,9 @@ def check_flat(br, conn):
     n = br.n
     nz, nzb = _nonzeros(conn.c), _nonzeros(br.c)
     col = list(zip(*nz))  # col[k][s] = nz[s][k]
-    viol = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            for k in range(n):
-                # e_i (e_j e_k) - e_j (e_i e_k) - [e_i, e_j] e_k
-                r = _residual(n, ((nz[j][k], nz[i], 1), (nz[i][k], nz[j], -1),
-                                  (nzb[i][j], col[k], -1)))
-                if any(r):
-                    viol.append(Violation("flat", (i, j, k), r))
-    return report("flat", viol)
+    # e_i (e_j e_k) - e_j (e_i e_k) - [e_i, e_j] e_k
+    return report("flat", violations("flat", pairs_then(n, n), lambda i, j, k: _residual(
+        n, ((nz[j][k], nz[i], 1), (nz[i][k], nz[j], -1), (nzb[i][j], col[k], -1)))))
 
 
 def check_closed(br, w):
@@ -333,14 +296,9 @@ def check_closed(br, w):
     n = br.n
     # T[a][b][c] = sum_s w[c][s] br[a][b][s] = w(e_c, [e_a, e_b])
     T, den = scaled_leg(scaled(w.m), scaled(br.c), 2)
-    viol = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            for k in range(j + 1, n):
-                r = T[j][k][i] + T[k][i][j] + T[i][j][k]
-                if r:
-                    viol.append(Violation("closed", (i, j, k), Fraction(r, den)))
-    return report("closed", viol)
+    return report("closed", violations(
+        "closed", combinations(range(n), 3),
+        lambda i, j, k: T[j][k][i] + T[k][i][j] + T[i][j][k], den))
 
 
 def check_parallel_form(conn, w):
@@ -350,14 +308,9 @@ def check_parallel_form(conn, w):
     n = conn.n
     # P[i][j][k] = sum_a w[a][k] conn[i][j][a] = w(conn_i e_j, e_k)
     P, den = scaled_leg(scaled(mat_transpose(w.m)), scaled(conn.c), 2)
-    viol = []
-    for i in range(n):
-        for j in range(n):
-            for k in range(j + 1, n):
-                r = P[i][j][k] - P[i][k][j]
-                if r:
-                    viol.append(Violation("parallel", (i, j, k), Fraction(r, den)))
-    return report("parallel-form", viol)
+    return report("parallel-form", violations(
+        "parallel", ((i, j, k) for i in range(n) for j, k in combinations(range(n), 2)),
+        lambda i, j, k: P[i][j][k] - P[i][k][j], den))
 
 
 def check_special_symplectic(br, conn, w):
@@ -402,6 +355,24 @@ def nijenhuis_torsion(br, N):
     return StructureTensor(br.n, unscaled(T))
 
 
+def violations(where, tuples, residual, den=None):
+    """A violation at each index tuple idx of tuples, in the order given,
+    whose residual r = residual(*idx) is nonzero: a scalar other than 0, or
+    a tuple with a nonzero entry.  With den, each r is an int numerator
+    read off a Scaled and is stored as Fraction(r, den)."""
+    out = []
+    for idx in tuples:
+        r = residual(*idx)
+        if (any(r) if isinstance(r, tuple) else r != 0):
+            out.append(Violation(where, idx, r if den is None else Fraction(r, den)))
+    return out
+
+
+def pairs_then(n, m):
+    """(i, j, k) for each i < j < n, then each k < m."""
+    return ((i, j, k) for i, j in combinations(range(n), 2) for k in range(m))
+
+
 def mat_violations(where, t, at=()):
     """A violation at indices at + index for each nonzero scalar of the
     nested tuples or lists t, in row-major order.  For a Scaled t each
@@ -443,9 +414,8 @@ def anticommute_violations(where, J, E):
 
 def torsion_violations(where, br, N):
     """The Nijenhuis torsion of N vanishes, on basis pairs i < j."""
-    T = nijenhuis_torsion(br, N)
-    return [Violation(where, (i, j), T.c[i][j])
-            for i in range(br.n) for j in range(i + 1, br.n) if not vec_is_zero(T.c[i][j])]
+    T = nijenhuis_torsion(br, N).c
+    return violations(where, combinations(range(br.n), 2), lambda i, j: T[i][j])
 
 
 def eigenspace_violations(E):
@@ -478,12 +448,8 @@ def check_metric_compatible(g, J, E):
     """g symmetric nondegenerate with g(Jx,Jy)=g(x,y) and g(Ex,Ey)=-g(x,y)."""
     if not (g.n == J.n == E.n):
         raise DimensionMismatch("dimensions %d, %d, %d" % (g.n, J.n, E.n))
-    viol = []
-    for i in range(g.n):
-        for j in range(i + 1, g.n):
-            r = g.m[i][j] - g.m[j][i]
-            if r != 0:
-                viol.append(Violation("symmetric", (i, j), r))
+    m = g.m
+    viol = violations("symmetric", combinations(range(g.n), 2), lambda i, j: m[i][j] - m[j][i])
     viol += check_nondegenerate(g).violations
     viol += mat_violations("J-invariance",
                             mat_sub(mat_mul(mat_transpose(J.m), mat_mul(g.m, J.m)), g.m))
@@ -531,16 +497,10 @@ def check_representation(br, rho):
         raise DimensionMismatch("bracket dim %d, representation dim %d" % (br.n, rho.n))
     nzb, rl = _nonzeros(br.c), _nonzeros(rho.t)
     rlt = list(zip(*rl))  # rlt[a][s] = rl[s][a], row a of rho(e_s)
-    viol = []
-    for i in range(br.n):
-        for j in range(i + 1, br.n):
-            for a in range(rho.m):
-                # row a of rho([e_i, e_j]) - rho(e_i)rho(e_j) + rho(e_j)rho(e_i)
-                row = _residual(rho.m, ((nzb[i][j], rlt[a], 1), (rl[i][a], rl[j], -1),
-                                        (rl[j][a], rl[i], 1)))
-                if any(row):
-                    viol.append(Violation("representation", (i, j, a), row))
-    return report("representation", viol)
+    # row a of rho([e_i, e_j]) - rho(e_i)rho(e_j) + rho(e_j)rho(e_i)
+    return report("representation", violations(
+        "representation", pairs_then(br.n, rho.m), lambda i, j, a: _residual(
+            rho.m, ((nzb[i][j], rlt[a], 1), (rl[i][a], rl[j], -1), (rl[j][a], rl[i], 1)))))
 
 
 def check_bimodule(lsa, l, r):

@@ -470,7 +470,7 @@ def _fracarg(value, name):
 def _parse_r(text, dim):
     if text is None:
         raise BadParams("missing --r (format: i,j,q;i,j,q;...)")
-    m = [[Fraction(0)] * dim for _ in range(dim)]
+    entries = {}
     if text.strip():
         for chunk in text.split(";"):
             bits = chunk.split(",")
@@ -484,8 +484,11 @@ def _parse_r(text, dim):
             if not (1 <= i <= dim and 1 <= j <= dim):
                 raise BadParams("--r index (%d, %d) out of range 1..%d"
                                 % (i, j, dim))
-            m[i - 1][j - 1] = q
-    return tuple(tuple(row) for row in m)
+            if (i, j) in entries:
+                raise BadParams("--r entry (%d, %d) given twice" % (i, j))
+            entries[i, j] = q
+    return tuple(tuple(entries.get((i, j), Fraction(0)) for j in range(1, dim + 1))
+                 for i in range(1, dim + 1))
 
 
 def _r_sub_adjacent(afs, args):

@@ -20,6 +20,7 @@ are sparse sums over nonzero structure constants (checks._residual).
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations, product
 
 from .linalg import (
     DimensionMismatch,
@@ -46,7 +47,6 @@ from .checks import (
     Form,
     RepTensor,
     StructureTensor,
-    Violation,
     _nonzeros,
     _residual,
     anticommute_violations,
@@ -63,6 +63,7 @@ from .checks import (
     mat_violations,
     merge_reports,
     op_sub,
+    pairs_then,
     relabel,
     rep_from_op_left,
     rep_neg,
@@ -70,6 +71,7 @@ from .checks import (
     require,
     square_violations,
     st,
+    violations,
 )
 
 
@@ -453,7 +455,7 @@ def affine_cotangent_extension(d):
     n = base.n
     g = glue_product(MatchedPairData(base, st(n), l, r, rep_zero(n), rep_zero(n))).c
     # phi(x, y) is the A* part of x.y
-    product = StructureTensor(2 * n, tuple(
+    ext = StructureTensor(2 * n, tuple(
         tuple(g[i][j][:n] + tuple(phi[i][j]) for j in range(n)) + g[i][n:]
         for i in range(n)) + g[n:])
 
@@ -466,31 +468,23 @@ def affine_cotangent_extension(d):
     succ = op_sub(base, prec)
     pair_rep = check_plsa(prec, succ)
 
-    for i in range(n):
-        for j in range(n):
-            for k in range(j + 1, n):
-                q = phi[i][j][k] - phi[i][k][j]
-                if q:
-                    viol.append(Violation("phi-symmetry", (i, j, k), q))
+    viol += violations("phi-symmetry",
+                       ((i, j, k) for i in range(n) for j, k in combinations(range(n), 2)),
+                       lambda i, j, k: phi[i][j][k] - phi[i][k][j])
 
     nzb, nzphi = _nonzeros(base.c), _nonzeros(phi)
     colphi = list(zip(*nzphi))  # colphi[k][p] = nzphi[p][k]
     # cl[i][s] = [(q, l.t[i][q][s]) ...], the nonzero column s of l(e_i)
     cl, cr = (_nonzeros([tuple(zip(*m)) for m in rep.t]) for rep in (l, r))
-    for i in range(n):
-        for j in range(i + 1, n):
-            for k in range(n):
-                # the defect at (e_i, e_j, e_k) minus the defect at (e_j, e_i, e_k)
-                res = _residual(n, (
-                    (nzphi[i][j], cr[k], 1), (nzb[i][j], colphi[k], 1),
-                    (nzphi[j][k], cl[i], -1), (nzb[j][k], nzphi[i], -1),
-                    (nzphi[j][i], cr[k], -1), (nzb[j][i], colphi[k], -1),
-                    (nzphi[i][k], cl[j], 1), (nzb[i][k], nzphi[j], 1)))
-                if any(res):
-                    viol.append(Violation("phi-cocycle", (i, j, k), res))
+    # the defect at (e_i, e_j, e_k) minus the defect at (e_j, e_i, e_k)
+    viol += violations("phi-cocycle", pairs_then(n, n), lambda i, j, k: _residual(n, (
+        (nzphi[i][j], cr[k], 1), (nzb[i][j], colphi[k], 1),
+        (nzphi[j][k], cl[i], -1), (nzb[j][k], nzphi[i], -1),
+        (nzphi[j][i], cr[k], -1), (nzb[j][i], colphi[k], -1),
+        (nzphi[i][k], cl[j], 1), (nzb[i][k], nzphi[j], 1))))
 
     rep = merge_reports("affine-cotangent-extension", [pair_rep], viol)
-    return product, rep
+    return ext, rep
 
 
 def post_affine_check(nabla, nabla_tilde, br):
@@ -511,16 +505,9 @@ def post_affine_check(nabla, nabla_tilde, br):
              relabel(check_flat(br, nabla_tilde), "flat(nabla-tilde)")]
     D = op_sub(nabla_tilde, nabla)
     nzd, nzn, nzt = _nonzeros(D.c), _nonzeros(nabla.c), _nonzeros(nabla_tilde.c)
-    viol = []
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                # nabla(e_i, D(e_j, e_k)) - D(e_k, nabla-tilde(e_i, e_j))
-                # - D(e_j, nabla-tilde(e_i, e_k))
-                res = _residual(n, ((nzd[j][k], nzn[i], 1), (nzt[i][j], nzd[k], -1),
-                                    (nzt[i][k], nzd[j], -1)))
-                if any(res):
-                    viol.append(Violation("post-connection", (i, j, k), res))
+    # nabla(e_i, D(e_j, e_k)) - D(e_k, nabla-tilde(e_i, e_j)) - D(e_j, nabla-tilde(e_i, e_k))
+    viol = violations("post-connection", product(range(n), repeat=3), lambda i, j, k: _residual(
+        n, ((nzd[j][k], nzn[i], 1), (nzt[i][j], nzd[k], -1), (nzt[i][k], nzd[j], -1))))
     identity_ok = not viol
     pair_rep = check_plsa(D, nabla)
     notes = []

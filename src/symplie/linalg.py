@@ -53,10 +53,6 @@ def vec_sub(u, v):
     return tuple(a - b for a, b in zip(u, v))
 
 
-def vec_is_zero(u):
-    return all(a == 0 for a in u)
-
-
 # ---------------------------------------------------------------------------
 # matrices (tuple of row tuples)
 

@@ -355,6 +355,108 @@ def plsa_compat_violations(prec_c, succ_c):
     return out
 
 
+# --- the verifiers that compare single matrices or structure constants
+# entry by entry, written as plain loops (vs checks.check_skew,
+# check_commutative, check_torsion_free, check_metric_compatible and
+# check_complex_product) ---
+
+def skew_violations(m):
+    """check_skew's violations: B(e_i, e_j) + B(e_j, e_i) on each i <= j."""
+    n = len(m)
+    out = []
+    for i in range(n):
+        for j in range(i, n):
+            r = m[i][j] + m[j][i]
+            if r != 0:
+                out.append(("skew", (i, j), r))
+    return out
+
+
+def commutative_violations(c):
+    """check_commutative's violations: e_i o e_j - e_j o e_i on each i < j."""
+    n = len(c)
+    out = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            r = _vsub(c[i][j], c[j][i])
+            if any(r):
+                out.append(("commutative", (i, j), r))
+    return out
+
+
+def torsion_free_violations(br_c, conn_c):
+    """check_torsion_free's violations: conn(e_i, e_j) - conn(e_j, e_i) -
+    [e_i, e_j] on each i < j."""
+    n = len(br_c)
+    out = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            r = _vsub(_vsub(conn_c[i][j], conn_c[j][i]), br_c[i][j])
+            if any(r):
+                out.append(("torsion-free", (i, j), r))
+    return out
+
+
+def _ident_plus(m, q):
+    """m + q id."""
+    return tuple(tuple(x + q if a == b else x for b, x in enumerate(row))
+                 for a, row in enumerate(m))
+
+
+def metric_compatible_violations(g, J, E):
+    """check_metric_compatible's violations: g(e_i, e_j) - g(e_j, e_i) on
+    each i < j, the rank defect of g, then the nonzero entries of
+    J^T g J - g and of E^T g E + g."""
+    n = len(g)
+    out = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            r = g[i][j] - g[j][i]
+            if r != 0:
+                out.append(("symmetric", (i, j), r))
+    rank = gauss_rank(g)
+    if rank != n:
+        out.append(("rank", (), Fraction(n - rank)))
+    mm = mat_mul_plain
+    out += _entries("J-invariance", _msub(mm(_mT(J), mm(g, J)), g))
+    out += _entries("E-anti-invariance", _madd(mm(_mT(E), mm(g, E)), g))
+    return out
+
+
+def torsion_plain_violations(where, bracket_c, m):
+    """The Nijenhuis torsion of m (nijenhuis_plain) at each i < j with a
+    nonzero value."""
+    t = nijenhuis_plain(bracket_c, m)
+    n = len(bracket_c)
+    out = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            if any(t[i][j]):
+                out.append((where, (i, j), t[i][j]))
+    return out
+
+
+def complex_product_violations(bracket_c, J, E):
+    """check_complex_product's violations: the nonzero entries of J^2 + id
+    and E^2 - id, E equal to +-id, the entries of JE + EJ, the torsion of J
+    and of E on each i < j, and unequal +1 and -1 eigenspace dimensions."""
+    n = len(J)
+    mm = mat_mul_plain
+    out = _entries("J^2+id", _ident_plus(mm(J, J), 1))
+    out += _entries("E^2-id", _ident_plus(mm(E, E), -1))
+    for sign in (1, -1):
+        if all(E[a][b] == (sign if a == b else 0) for a in range(n) for b in range(n)):
+            out.append(("E-is-scalar", (), Fraction(sign)))
+    out += _entries("JE+EJ", _madd(mm(J, E), mm(E, J)))
+    out += torsion_plain_violations("torsion-J", bracket_c, J)
+    out += torsion_plain_violations("torsion-E", bracket_c, E)
+    dplus = n - gauss_rank(_ident_plus(E, -1))
+    dminus = n - gauss_rank(_ident_plus(E, 1))
+    if dplus != dminus:
+        out.append(("eigenspace-dims", (), Fraction(dplus - dminus)))
+    return out
+
+
 # --- the matched-pair route, one basis tuple at a time through dense
 # matrices and full products (vs checks.check_bimodule and matched._mixed_12;
 # an action is a tuple of square matrices, one per basis vector) ---

@@ -32,10 +32,12 @@ from symplie.checks import (
     mat_violations,
     merge_reports,
     nijenhuis_torsion,
+    pairs_then,
     report,
     require,
     st,
     sub_adjacent,
+    violations,
 )
 from symplie.linalg import frac, t3_is_zero
 from symplie.catalog import catalog_get
@@ -44,7 +46,9 @@ from oracles import (
     brute_closed,
     brute_jacobi,
     brute_left_symmetric,
+    gauss_inverse,
     left_mult_plain,
+    mat_mul_plain,
     mat_vec_plain,
     product_vec,
     rand_mat,
@@ -57,6 +61,13 @@ from oracles import (
 from oracles import closed_violations, nijenhuis_plain, parallel_violations
 from oracles import jacobi_violations, left_symmetric_violations, plsa_compat_violations
 from oracles import bimodule_violations
+from oracles import (
+    commutative_violations,
+    complex_product_violations,
+    metric_compatible_violations,
+    skew_violations,
+    torsion_free_violations,
+)
 from symplie.constructions import cotangent_double
 from symplie.linalg import DimensionMismatch
 from test_linalg import all_fractions, dims, matrices, tensors
@@ -330,20 +341,17 @@ class TestKernelVerifiersMatchOracles:
 # oracles, and their verdicts under a change of basis ---
 
 def _residual_entries_are_fractions(rep):
-    return all(type(x) is Fraction for v in rep.violations for x in v.residual)
-
-
-def _commutative_violations(c):
-    n = len(c)
-    return [("commutative", (i, j), tuple(p - q for p, q in zip(c[i][j], c[j][i])))
-            for i in range(n) for j in range(i + 1, n) if c[i][j] != c[j][i]]
+    """Every residual is a Fraction or a tuple of Fractions."""
+    return all(type(x) is Fraction
+               for v in rep.violations
+               for x in (v.residual if isinstance(v.residual, tuple) else (v.residual,)))
 
 
 def _plsa_oracle_report(prec_c, succ_c):
     n = len(prec_c)
     total_c = tuple(tuple(tuple(p + q for p, q in zip(prec_c[i][j], succ_c[i][j]))
                           for j in range(n)) for i in range(n))
-    comm = _oracle_report("commutative", _commutative_violations(prec_c))
+    comm = _oracle_report("commutative", commutative_violations(prec_c))
     lsymm = _oracle_report("left-symmetric", left_symmetric_violations(succ_c))
     compat = [Violation(*v) for v in plsa_compat_violations(prec_c, succ_c)]
     sum_ok = not left_symmetric_violations(total_c)
@@ -364,11 +372,14 @@ def _transported(op, p):
     return StructureTensor(op.n, transport_product(op.c, p))
 
 
-def _bumped(op):
-    """op with 1 added to its e_0 o e_1 -> e_0 constant."""
+def _bumped(op, skew=False):
+    """op with 1 added to its e_0 o e_1 -> e_0 constant and, with skew, 1
+    taken from its e_1 o e_0 -> e_0 constant, so that a skew bracket stays
+    skew."""
     n = op.n
+    bump = {(0, 1, 0): 1, (1, 0, 0): -1 if skew else 0}
     return StructureTensor(n, tuple(tuple(tuple(
-        x + (1 if (i, j, k) == (0, 1, 0) else 0) for k, x in enumerate(row))
+        x + bump.get((i, j, k), 0) for k, x in enumerate(row))
         for j, row in enumerate(plane)) for i, plane in enumerate(op.c)))
 
 
@@ -404,19 +415,37 @@ class TestSparseVerifiersMatchOracles:
     @given(hs.sampled_from(range(1, 5)), hs.integers(0, 10 ** 6), hs.booleans())
     def test_verdicts_survive_basis_change(self, index, seed, bump):
         """Passing inputs (a 2-dim product pair, the 4-dim cotangent double's
-        bracket and connection) and the same with one constant bumped keep
-        their verdicts when carried to a random basis."""
+        bracket, connection and omega_p) and the same with one constant
+        bumped keep their verdicts when carried to a random basis: products
+        as P^-1(Px o Py), forms as P^T w P, endomorphisms as P^-1 N P.  The
+        Nijenhuis torsion of the block reflection (zero on the double) and
+        of a random endomorphism stays zero or nonzero.  check_closed,
+        check_flat and check_torsion_free read a skew bracket on i < j
+        only, so they get a bracket bumped skew."""
         prec, succ = catalog_get("plsa-2d-%s" % ("I", "II", "III", "IV")[index - 1]).payload
         double = cotangent_double(catalog_get("ssla-2d-%d" % index).payload)
-        br, conn = double.bracket, double.conn
-        if bump:
-            prec, br, conn = _bumped(prec), _bumped(br), _bumped(conn)
+        br, conn, w = double.bracket, double.conn, double.omega_p
         p2, p4 = rand_invertible(rng(seed), 2), rand_invertible(rng(seed), 4)
+        if bump:
+            assert not check_jacobi(_bumped(br)).verdict
+            assert not check_jacobi(_transported(_bumped(br), p4)).verdict
+            prec, br, conn = _bumped(prec), _bumped(br, skew=True), _bumped(conn)
         assert (check_plsa(prec, succ).verdict
                 == check_plsa(_transported(prec, p2), _transported(succ, p2)).verdict)
-        assert check_jacobi(br).verdict == check_jacobi(_transported(br, p4)).verdict
-        assert (check_left_symmetric(conn).verdict
-                == check_left_symmetric(_transported(conn, p4)).verdict)
+        brt, connt = _transported(br, p4), _transported(conn, p4)
+        wt = Form(4, mat_mul_plain(tuple(zip(*p4)), mat_mul_plain(w.m, p4)))
+        assert check_jacobi(br).verdict == check_jacobi(brt).verdict
+        assert check_left_symmetric(conn).verdict == check_left_symmetric(connt).verdict
+        assert check_closed(br, w).verdict == check_closed(brt, wt).verdict
+        assert check_parallel_form(conn, w).verdict == check_parallel_form(connt, wt).verdict
+        assert check_flat(br, conn).verdict == check_flat(brt, connt).verdict
+        assert check_torsion_free(br, conn).verdict == check_torsion_free(brt, connt).verdict
+        reflection = tuple(tuple(Q((a == b) * (1 if a < 2 else -1)) for b in range(4))
+                           for a in range(4))
+        for m in (reflection, rand_mat(rng(seed + 1), 4)):
+            mt = mat_mul_plain(gauss_inverse(p4), mat_mul_plain(m, p4))
+            assert (t3_is_zero(nijenhuis_torsion(br, Endo(4, m)).c)
+                    == t3_is_zero(nijenhuis_torsion(brt, Endo(4, mt)).c))
 
 
 sides = hs.integers(1, 4)
@@ -447,6 +476,64 @@ class TestBimoduleMatchesOracle:
                     check_bimodule(NONAB, l, r)
 
 
+# --- the entry-by-entry verifiers against their plain-loop oracles ---
+
+def _endos(n):
+    """Random matrices, and the identity and its negative."""
+    one = tuple(tuple(Q(int(a == b)) for b in range(n)) for a in range(n))
+    return hs.one_of(matrices(n, n), hs.just(one), hs.just(tuple(
+        tuple(-x for x in row) for row in one)))
+
+
+class TestEntrywiseVerifiersMatchOracles:
+    @settings(max_examples=30)
+    @given(hs.data())
+    def test_skew(self, data):
+        n = data.draw(dims6)
+        w = data.draw(matrices(n, n))
+        got = check_skew(Form(n, w))
+        assert got == _oracle_report("skew", skew_violations(w))
+        assert _residual_entries_are_fractions(got)
+
+    @settings(max_examples=30)
+    @given(hs.data())
+    def test_commutative(self, data):
+        n = data.draw(dims)
+        c = data.draw(tensors((n, n, n)))
+        got = check_commutative(StructureTensor(n, c))
+        assert got == _oracle_report("commutative", commutative_violations(c))
+        assert _residual_entries_are_fractions(got)
+
+    @settings(max_examples=30)
+    @given(hs.data())
+    def test_torsion_free(self, data):
+        n = data.draw(dims)
+        br, conn = data.draw(tensors((n, n, n))), data.draw(tensors((n, n, n)))
+        got = check_torsion_free(StructureTensor(n, br), StructureTensor(n, conn))
+        assert got == _oracle_report("torsion-free", torsion_free_violations(br, conn))
+        assert _residual_entries_are_fractions(got)
+
+    @settings(max_examples=30)
+    @given(hs.data())
+    def test_metric_compatible(self, data):
+        n = data.draw(dims)
+        g, J, E = (data.draw(_endos(n)) for _ in range(3))
+        got = check_metric_compatible(Form(n, g), Endo(n, J), Endo(n, E))
+        assert got == _oracle_report("metric-compatible",
+                                     metric_compatible_violations(g, J, E))
+        assert _residual_entries_are_fractions(got)
+
+    @settings(max_examples=30)
+    @given(hs.data())
+    def test_complex_product(self, data):
+        n = data.draw(dims)
+        c = data.draw(tensors((n, n, n)))
+        J, E = data.draw(_endos(n)), data.draw(_endos(n))
+        got = check_complex_product(StructureTensor(n, c), Endo(n, J), Endo(n, E))
+        assert got == _oracle_report("complex-product", complex_product_violations(c, J, E))
+        assert _residual_entries_are_fractions(got)
+
+
 class TestViolationCollector:
     def test_rank_two_with_prefix(self):
         m = ((Q(0), Q(2)), (Q(-1), Q(0)))
@@ -461,6 +548,33 @@ class TestViolationCollector:
 
     def test_all_zero(self):
         assert mat_violations("z", [[[Q(0)] * 2] * 2] * 3) == []
+
+    def test_tuples_keep_the_given_order(self):
+        got = violations("v", [(2, 0), (0, 1), (1, 1)], lambda i, j: Q(i + j + 1))
+        assert [v.indices for v in got] == [(2, 0), (0, 1), (1, 1)]
+
+    def test_zero_scalar_and_zero_tuple_skipped(self):
+        res = [Q(0), (Q(0), Q(0)), 0, Q(1, 2)]
+        got = violations("z", [(i,) for i in range(4)], lambda i: res[i])
+        assert got == [Violation("z", (3,), Q(1, 2))]
+
+    def test_partly_nonzero_tuple_kept_unchanged(self):
+        r = (Q(0), Q(-3), Q(0))
+        got = violations("p", [(0, 1)], lambda i, j: r)
+        assert got == [Violation("p", (0, 1), r)] and got[0].residual is r
+
+    def test_int_numerator_over_den(self):
+        got = violations("d", [(0,), (1,), (2,)], lambda i: (0, 3, -4)[i], den=6)
+        assert got == [Violation("d", (1,), Q(1, 2)), Violation("d", (2,), Q(-2, 3))]
+        assert all(type(v.residual) is Fraction for v in got)
+
+    def test_empty_tuple_set(self):
+        assert violations("e", [], lambda *idx: Q(1)) == []
+        assert violations("e", pairs_then(1, 3), lambda *idx: Q(1)) == []
+
+    def test_pairs_then_order(self):
+        assert list(pairs_then(3, 2)) == [(0, 1, 0), (0, 1, 1), (0, 2, 0), (0, 2, 1),
+                                          (1, 2, 0), (1, 2, 1)]
 
 
 class TestRequire:

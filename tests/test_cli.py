@@ -437,6 +437,15 @@ class TestConstructCommand:
         assert "nothing written" in captured.err
         assert "plsca: FAIL" in captured.out
 
+    def test_repeated_r_entry_exit_two(self, plsa2, tmp_path, capsys):
+        out = tmp_path / "cb.alg"
+        assert run(["construct", "coboundary", plsa2, "--r", "1,2,1;1,2,5",
+                    "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "(1, 2) given twice" in err and "Traceback" not in err
+        assert len(err.strip().splitlines()) == 1
+        assert not out.exists()
+
     def test_coboundary_success(self, plsa2, tmp_path):
         out = tmp_path / "cb.alg"
         code = run(["construct", "coboundary", plsa2,
