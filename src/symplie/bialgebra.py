@@ -30,8 +30,6 @@ from itertools import combinations
 
 from .linalg import (
     InternalMismatch,
-    mat_add,
-    mat_mul,
     mat_sub,
     mat_transpose,
     mat_zero,
@@ -48,12 +46,14 @@ from .checks import (
     Violation,
     check_closed,
     check_flat,
+    check_jacobi,
     check_left_symmetric,
     check_nondegenerate,
     check_parallel_form,
     check_plsa,
     check_skew,
     check_torsion_free,
+    congruence_violations,
     eigenspace_violations,
     mat_violations,
     merge_reports,
@@ -468,16 +468,16 @@ def drinfeld_double(plsa, cp):
 # para-Kahler
 
 def check_parakahler(pk):
-    """Symplectic form, paracomplex E, and their compatibility; when a
-    connection is present, also flatness, torsion-freeness, parallelism of
-    the form, and symmetry of the covariant derivative of E."""
+    """A Lie bracket, a symplectic form, paracomplex E, and their
+    compatibility; when a connection is present, also flatness,
+    torsion-freeness, parallelism of the form, and symmetry of the covariant
+    derivative of E."""
     br, w, E = pk.bracket, pk.omega, pk.E
     n = br.n
-    parts = [check_skew(w), check_nondegenerate(w), check_closed(br, w)]
+    parts = [check_jacobi(br), check_skew(w), check_nondegenerate(w), check_closed(br, w)]
     viol = square_violations("E-squared", E, 1) + torsion_violations("E-torsion", br, E)
     viol += eigenspace_violations(E)
-    viol += mat_violations("compatibility",
-                           mat_add(mat_mul(mat_transpose(E.m), mat_mul(w.m, E.m)), w.m))
+    viol += congruence_violations("compatibility", w, E, -1)
     if pk.conn is not None:
         conn = pk.conn
         parts += [check_flat(br, conn), check_torsion_free(br, conn),

@@ -16,8 +16,9 @@ off the result.  check_plsa, check_left_symmetric, check_jacobi,
 check_bimodule, check_flat and check_representation evaluate sparse sums
 over the nonzero structure constants (and action entries) in plain Fraction
 (_residual); the first four stay off Scaled because they are the
-independent cross-check routes.  The remaining verifiers compare single
-matrices or structure constants directly.
+independent cross-check routes.  The matrix identities (N^2 = +-id,
+JE = -EJ, N^T B N = +-B) and three_forms contract on the kernel through one
+helper, _mat_chain; the remaining verifiers compare entries directly.
 """
 
 from dataclasses import dataclass, field
@@ -27,13 +28,10 @@ from itertools import combinations, combinations_with_replacement, product
 from .linalg import (
     DimensionMismatch,
     Scaled,
-    mat_add,
     mat_identity,
-    mat_mul,
-    mat_neg,
     mat_rank,
-    mat_sub,
     mat_transpose,
+    mat_zero,
     scaled,
     scaled_combine,
     scaled_leg,
@@ -163,7 +161,6 @@ def rep_neg(rep):
 def rep_zero(n, m=None):
     if m is None:
         m = n
-    from .linalg import mat_zero
     return RepTensor(n, m, tuple(mat_zero(m) for _ in range(n)))
 
 
@@ -392,24 +389,45 @@ def _nonzero_entries(t, at):
 
 
 # ---------------------------------------------------------------------------
-# identities of a complex structure J and a product structure E, shared by
-# check_complex_product, bialgebra.check_parakahler and the self-check of
-# constructions.family_JE
+# identities of a complex structure J, a product structure E and a form,
+# shared by check_complex_product, check_metric_compatible,
+# bialgebra.check_parakahler and the self-check of constructions.family_JE
 
 def _minus_scalar(m, q):
     """m - q id, as lists."""
     return [[x - q if i == j else x for j, x in enumerate(row)] for i, row in enumerate(m)]
 
 
+def _mat_chain(terms):
+    """sum k * M1 M2 ... over the (k, (M1, M2, ...)) terms of square Fraction
+    matrices, as a one-plane Scaled tensor: the last matrix of each term is
+    the plane, and the others act on it in turn through leg 1."""
+    parts = []
+    for k, mats in terms:
+        last = scaled(mats[-1])
+        t = Scaled([last.num], last.den)
+        for m in reversed(mats[:-1]):
+            t = scaled_leg(scaled(m), t, 1)
+        parts.append((k, t))
+    return scaled_combine(parts)
+
+
 def square_violations(where, N, sign):
     """N^2 = sign * id: sign -1 for a complex structure, +1 for a product
     structure."""
-    return mat_violations(where, _minus_scalar(mat_mul(N.m, N.m), sign))
+    res = _mat_chain(((1, (N.m, N.m)), (-sign, (mat_identity(N.n),))))
+    return mat_violations(where, res.plane(0))
 
 
 def anticommute_violations(where, J, E):
     """JE = -EJ."""
-    return mat_violations(where, mat_add(mat_mul(J.m, E.m), mat_mul(E.m, J.m)))
+    return mat_violations(where, _mat_chain(((1, (J.m, E.m)), (1, (E.m, J.m)))).plane(0))
+
+
+def congruence_violations(where, B, N, sign):
+    """N^T B N = sign * B for the form B and the endomorphism N."""
+    res = _mat_chain(((1, (mat_transpose(N.m), B.m, N.m)), (-sign, (B.m,))))
+    return mat_violations(where, res.plane(0))
 
 
 def torsion_violations(where, br, N):
@@ -432,12 +450,11 @@ def check_complex_product(br, J, E):
     two eigenspaces of E have equal dimension."""
     if not (br.n == J.n == E.n):
         raise DimensionMismatch("dimensions %d, %d, %d" % (br.n, J.n, E.n))
-    ident = mat_identity(br.n)
     viol = square_violations("J^2+id", J, -1) + square_violations("E^2-id", E, 1)
-    if E.m == ident:
-        viol.append(Violation("E-is-scalar", (), Fraction(1)))
-    elif E.m == mat_neg(ident):
-        viol.append(Violation("E-is-scalar", (), Fraction(-1)))
+    for q in (1, -1):
+        if not any(map(any, _minus_scalar(E.m, q))):  # E = q id
+            viol.append(Violation("E-is-scalar", (), Fraction(q)))
+            break
     viol += anticommute_violations("JE+EJ", J, E)
     viol += torsion_violations("torsion-J", br, J) + torsion_violations("torsion-E", br, E)
     viol += eigenspace_violations(E)
@@ -451,20 +468,17 @@ def check_metric_compatible(g, J, E):
     m = g.m
     viol = violations("symmetric", combinations(range(g.n), 2), lambda i, j: m[i][j] - m[j][i])
     viol += check_nondegenerate(g).violations
-    viol += mat_violations("J-invariance",
-                            mat_sub(mat_mul(mat_transpose(J.m), mat_mul(g.m, J.m)), g.m))
-    viol += mat_violations("E-anti-invariance",
-                            mat_add(mat_mul(mat_transpose(E.m), mat_mul(g.m, E.m)), g.m))
+    viol += congruence_violations("J-invariance", g, J, 1)
+    viol += congruence_violations("E-anti-invariance", g, E, -1)
     return report("metric-compatible", viol)
 
 
 def three_forms(g, J, E):
-    """The forms w1 = g(J.,.), w2 = g(E.,.), w3 = g(JE.,.) as Form values."""
-    n = g.n
-    w1 = mat_mul(mat_transpose(J.m), g.m)
-    w2 = mat_mul(mat_transpose(E.m), g.m)
-    w3 = mat_mul(mat_transpose(mat_mul(J.m, E.m)), g.m)
-    return Form(n, w1), Form(n, w2), Form(n, w3)
+    """The forms w1 = g(J.,.), w2 = g(E.,.), w3 = g(JE.,.) as Form values:
+    J^T g, E^T g and (JE)^T g = E^T J^T g."""
+    Jt, Et = mat_transpose(J.m), mat_transpose(E.m)
+    return tuple(Form(g.n, unscaled(_mat_chain(((1, mats),)))[0])
+                 for mats in ((Jt, g.m), (Et, g.m), (Et, Jt, g.m)))
 
 
 def check_hypersymplectic(br, J, E, g):

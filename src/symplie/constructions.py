@@ -28,10 +28,7 @@ from .linalg import (
     frac,
     mat_identity,
     mat_inverse,
-    mat_neg,
     mat_rank,
-    mat_scale,
-    mat_sub,
     mat_transpose,
     rational_sqrt,
     scaled,
@@ -60,7 +57,6 @@ from .checks import (
     check_skew,
     check_special_symplectic,
     check_torsion_free,
-    mat_violations,
     merge_reports,
     op_sub,
     pairs_then,
@@ -156,14 +152,11 @@ def dual_left_action(op):
 
 
 def dual_right_action(op):
-    """Right multiplications on the dual: <x.a*, y> = -<a*, y o x>."""
-    n = op.n
-    ts = []
-    for i in range(n):
-        # right multiplication by e_i, then minus transpose
-        rm = tuple(tuple(op.c[k][i][j] for k in range(n)) for j in range(n))
-        ts.append(mat_neg(mat_transpose(rm)))
-    return RepTensor(n, n, tuple(ts))
+    """Right multiplications on the dual: <x.a*, y> = -<a*, y o x>, so
+    t[i][a][b] = -c[a][i][b]."""
+    n, c = op.n, op.c
+    return RepTensor(n, n, tuple(tuple(tuple(-x for x in c[a][i]) for a in range(n))
+                                 for i in range(n)))
 
 
 def coadjoint(br):
@@ -202,7 +195,7 @@ def _antidiagonal_form(upper, lower):
 def canonical_skew_pairing(n):
     """omega_p on A + A*: -<x,b*> + <a*,y> in block form [[0,-I],[I,0]]."""
     ident = mat_identity(n)
-    return _antidiagonal_form(mat_neg(ident), ident)
+    return _antidiagonal_form([[-x for x in row] for row in ident], ident)
 
 
 # ---------------------------------------------------------------------------
@@ -326,14 +319,12 @@ def family_JE(p, f):
         raise BadParams("lambda must be nonzero")
     J = build_N(lam, mu, (-1 - mu * mu) / lam, -mu, f)
     if p.family == "F1":
-        E = build_N(0, 1, -2 * mu / lam, -1, f)
-        E = Endo(E.n, mat_scale(sg, E.m))
+        E = build_N(0, sg, -2 * sg * mu / lam, -sg, f)
     elif p.family == "F2":
         if mu == 0:
             raise BadParams("family F2 needs mu nonzero")
         khat = 2 * mu * lam / (1 + mu * mu)
-        E = build_N(khat, 1, 0, -1, f)
-        E = Endo(E.n, mat_scale(sg, E.m))
+        E = build_N(sg * khat, sg, 0, -sg, f)
     elif p.family == "F3":
         if p.k is None:
             raise BadParams("family F3 needs the parameter k")
@@ -459,9 +450,9 @@ def affine_cotangent_extension(d):
         tuple(g[i][j][:n] + tuple(phi[i][j]) for j in range(n)) + g[i][n:]
         for i in range(n)) + g[n:])
 
-    dla = dual_left_action(base)
-    viol = mat_violations("l-is-dual-left-action",
-                          [mat_sub(l.t[i], dla.t[i]) for i in range(n)])
+    # l(e_i) minus the dual left action -c[i] of e_i
+    viol = violations("l-is-dual-left-action", product(range(n), repeat=3),
+                      lambda i, a, b: l.t[i][a][b] + base.c[i][a][b])
 
     prec = StructureTensor(n, tuple(tuple(tuple(-r.t[i][j][k] for k in range(n))
                                           for j in range(n)) for i in range(n)))
@@ -488,8 +479,9 @@ def affine_cotangent_extension(d):
 
 
 def post_affine_check(nabla, nabla_tilde, br):
-    """Whether nabla is a post-connection for nabla_tilde over br: both flat
-    and torsion free, and nabla_x(D(y,z)) = D(z, nabla_tilde_x y) +
+    """Whether nabla is a post-connection for nabla_tilde over the Lie
+    bracket br: br satisfies Jacobi, both connections are flat and torsion
+    free, and nabla_x(D(y,z)) = D(z, nabla_tilde_x y) +
     D(y, nabla_tilde_x z) with D = nabla_tilde - nabla on all basis triples.
 
     The same content phrased through check_plsa on (D, nabla) is computed
@@ -499,7 +491,8 @@ def post_affine_check(nabla, nabla_tilde, br):
         raise DimensionMismatch("dimensions %d, %d, %d"
                                 % (nabla.n, nabla_tilde.n, br.n))
     n = br.n
-    parts = [relabel(check_torsion_free(br, nabla), "torsion-free(nabla)"),
+    parts = [check_jacobi(br),
+             relabel(check_torsion_free(br, nabla), "torsion-free(nabla)"),
              relabel(check_flat(br, nabla), "flat(nabla)"),
              relabel(check_torsion_free(br, nabla_tilde), "torsion-free(nabla-tilde)"),
              relabel(check_flat(br, nabla_tilde), "flat(nabla-tilde)")]

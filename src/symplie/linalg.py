@@ -1,18 +1,24 @@
 """Exact rational vectors, matrices and rank-3 tensors.
 
 The package's values are nested tuples of fractions.Fraction, built once and
-never mutated, so they are hashable and safe to share.  The products here
-skip zero entries, because structure constants are mostly zero.
+never mutated, so they are hashable and safe to share.
+
+Every chain of matrix or tensor products runs on the scaled form: Python int
+numerators over one common denominator per tensor (``Scaled``).  A Fraction
+operation normalises through a gcd on every step; an int product or sum does
+not, so the chain stays exact and converts back to Fractions only once, at
+its end.  The products skip zero entries, because structure constants are
+mostly zero.
 
 Rank and inversion run a fraction-free (Bareiss-style) forward elimination
 on integer-scaled rows, which keeps intermediate entries as minors of the
 input instead of letting numerators and denominators blow up.
 
-Chains of tensor contractions run on the scaled form instead: Python int
-numerators over one common denominator per tensor (``Scaled``).  A Fraction
-operation normalises through a gcd on every step; an int product or sum does
-not, so the chain stays exact and converts back to Fractions only once, at
-its end.
+The dense Fraction helpers left are entrywise: zero, identity and transpose
+for the parser and other builders, the vec_* and t3_* sums for sum products,
+dual actions and the cross-check residuals, and mat_sub for r - r^T in
+bialgebra.  mat_mul and tensor_contract have no caller in the package; they
+stay only because the benchmark tracer wraps them.
 """
 
 from fractions import Fraction
@@ -66,25 +72,10 @@ def mat_identity(n):
     return tuple(tuple(Fraction(1 if i == j else 0) for j in range(n)) for i in range(n))
 
 
-def mat_add(a, b):
-    if len(a) != len(b) or len(a[0]) != len(b[0]):
-        raise DimensionMismatch("matrix shapes differ")
-    return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-
-
 def mat_sub(a, b):
     if len(a) != len(b) or len(a[0]) != len(b[0]):
         raise DimensionMismatch("matrix shapes differ")
     return tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-
-
-def mat_neg(a):
-    return tuple(tuple(-x for x in row) for row in a)
-
-
-def mat_scale(q, a):
-    q = Fraction(q)
-    return tuple(tuple(q * x for x in row) for row in a)
 
 
 def mat_mul(a, b):

@@ -457,6 +457,22 @@ def complex_product_violations(bracket_c, J, E):
     return out
 
 
+def parakahler_violations(bracket_c, w, E):
+    """check_parakahler's own violations without a connection: the nonzero
+    entries of E^2 - id, the torsion of E on each i < j, unequal +1 and -1
+    eigenspace dimensions, then the entries of E^T w E + w."""
+    n = len(E)
+    mm = mat_mul_plain
+    out = _entries("E-squared", _ident_plus(mm(E, E), -1))
+    out += torsion_plain_violations("E-torsion", bracket_c, E)
+    dplus = n - gauss_rank(_ident_plus(E, -1))
+    dminus = n - gauss_rank(_ident_plus(E, 1))
+    if dplus != dminus:
+        out.append(("eigenspace-dims", (), Fraction(dplus - dminus)))
+    out += _entries("compatibility", _madd(mm(_mT(E), mm(w, E)), w))
+    return out
+
+
 # --- the matched-pair route, one basis tuple at a time through dense
 # matrices and full products (vs checks.check_bimodule and matched._mixed_12;
 # an action is a tuple of square matrices, one per basis vector) ---

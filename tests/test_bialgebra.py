@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from symplie import bialgebra, catalog, cli
-from symplie.checks import Endo, Form, check_left_symmetric, op_add, st, sub_adjacent
+from symplie.checks import Endo, Form, Violation, check_left_symmetric, op_add, st, sub_adjacent
 from symplie.constructions import (
     CotangentExtensionData,
     InvalidInput,
@@ -327,6 +327,16 @@ class TestCheckParakahler:
         rep = check_parakahler(pk)
         assert not rep.verdict
         assert any(v.where == "E-squared" for v in rep.violations)
+
+    def test_non_lie_bracket_fails(self):
+        # only e_2 o e_1 = e_1: every other sub-check passes, so only the
+        # bracket's missing antisymmetry can fail the report
+        br = st(2, {(1, 0, 0): Q(1)})
+        area = Form(2, ((Q(0), Q(1)), (Q(-1), Q(0))))
+        E = Endo(2, ((Q(1), Q(0)), (Q(0), Q(-1))))
+        rep = check_parakahler(ParaKahlerData(br, area, E))
+        assert not rep.verdict
+        assert rep.violations == (Violation("jacobi: antisymmetry", (0, 1), (Q(1), Q(0))),)
 
     def test_identity_reflection_has_unbalanced_eigenspaces(self):
         ded, _ = self._standard("plsa-2d-I")

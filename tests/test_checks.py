@@ -37,6 +37,7 @@ from symplie.checks import (
     require,
     st,
     sub_adjacent,
+    three_forms,
     violations,
 )
 from symplie.linalg import frac, t3_is_zero
@@ -532,6 +533,18 @@ class TestEntrywiseVerifiersMatchOracles:
         got = check_complex_product(StructureTensor(n, c), Endo(n, J), Endo(n, E))
         assert got == _oracle_report("complex-product", complex_product_violations(c, J, E))
         assert _residual_entries_are_fractions(got)
+
+    @settings(max_examples=30)
+    @given(hs.data())
+    def test_three_forms(self, data):
+        n = data.draw(dims)
+        g, J, E = (data.draw(matrices(n, n)) for _ in range(3))
+        got = three_forms(Form(n, g), Endo(n, J), Endo(n, E))
+        mm = mat_mul_plain
+        Jt, Et = tuple(zip(*J)), tuple(zip(*E))
+        assert got == (Form(n, mm(Jt, g)), Form(n, mm(Et, g)),
+                       Form(n, mm(tuple(zip(*mm(J, E))), g)))
+        assert all_fractions([w.m for w in got])
 
 
 class TestViolationCollector:

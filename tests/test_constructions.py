@@ -9,6 +9,7 @@ from symplie.checks import (
     Endo,
     Form,
     RepTensor,
+    StructureTensor,
     check_flat,
     check_hypersymplectic,
     check_jacobi,
@@ -348,6 +349,16 @@ class TestPostAffine:
             rep = post_affine_check(succ, dot, br)
             assert rep.verdict, (name, rep.violations[:3])
             assert any("agrees: pass" in note for note in rep.notes)
+
+    def test_non_lie_bracket_fails(self):
+        s = catalog_get("ssla-2d-3").payload
+        c = [[list(row) for row in plane] for plane in s.bracket.c]
+        c[1][0] = [Q(0), Q(0)]  # [e_2, e_1] zeroed, [e_1, e_2] kept
+        br = StructureTensor(2, tuple(tuple(map(tuple, plane)) for plane in c))
+        rep = post_affine_check(s.conn, s.conn, br)
+        assert not rep.verdict
+        assert {v.where for v in rep.violations} == {"jacobi: antisymmetry"}
+        assert not any(note.startswith("ALERT") for note in rep.notes)
 
     def test_incompatible_connections_fail(self):
         br = st(2, {(0, 1, 0): Q(1), (1, 0, 0): Q(-1)})

@@ -84,9 +84,11 @@ from oracles import (
     emit_plain,
     flat_violations,
     glue_plain,
+    jacobi_violations,
     left_mult_plain,
     lsa_from_symplectic_plain,
     nonzero_entries,
+    parakahler_violations,
     phi_cocycle_violations,
     plsa_from_special_symplectic_plain,
     plsba_violations,
@@ -328,19 +330,21 @@ class TestConnectionRoutes:
     @settings(max_examples=30)
     @given(hs.data())
     def test_parakahler(self, data):
-        """The whole report, with the connection branch's flat and
-        conn-E-symmetric parts from the oracles."""
+        """The whole report with and without a connection, with the
+        jacobi, E, compatibility, flat and conn-E-symmetric parts from the
+        oracles."""
         n = data.draw(dims)
         br, conn = data.draw(tensors((n, n, n))), data.draw(tensors((n, n, n)))
         w, e = data.draw(matrices(n, n)), data.draw(matrices(n, n))
         B, C, W, E = StructureTensor(n, br), StructureTensor(n, conn), Form(n, w), Endo(n, e)
         got = check_parakahler(ParaKahlerData(B, W, E, C))
         without = check_parakahler(ParaKahlerData(B, W, E))
-        extra = [v for v in without.violations
-                 if v.where in ("E-squared", "E-torsion", "eigenspace-dims", "compatibility")]
-        parts = [check_skew(W), check_nondegenerate(W), check_closed(B, W),
-                 _report("flat", flat_violations(br, conn)), check_torsion_free(B, C),
-                 check_parallel_form(C, W)]
+        parts = [_report("jacobi", jacobi_violations(br)), check_skew(W),
+                 check_nondegenerate(W), check_closed(B, W)]
+        extra = [Violation(*v) for v in parakahler_violations(br, w, e)]
+        assert without == merge_reports("para-kahler", parts, extra)
+        parts += [_report("flat", flat_violations(br, conn)), check_torsion_free(B, C),
+                  check_parallel_form(C, W)]
         extra += [Violation(*v) for v in conn_e_violations(conn, e)]
         assert got == merge_reports("para-kahler", parts, extra)
         _fraction_residuals(got)
@@ -389,7 +393,8 @@ class TestConnectionRoutes:
             nabla, tilde, br = (StructureTensor(n, data.draw(tensors((n, n, n))))
                                 for _ in range(3))
         got = post_affine_check(nabla, tilde, br)
-        parts = [relabel(check_torsion_free(br, nabla), "torsion-free(nabla)"),
+        parts = [_report("jacobi", jacobi_violations(br.c)),
+                 relabel(check_torsion_free(br, nabla), "torsion-free(nabla)"),
                  relabel(_report("flat", flat_violations(br.c, nabla.c)), "flat(nabla)"),
                  relabel(check_torsion_free(br, tilde), "torsion-free(nabla-tilde)"),
                  relabel(_report("flat", flat_violations(br.c, tilde.c)),

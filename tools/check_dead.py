@@ -9,6 +9,9 @@ bind that name as a local variable, when __init__.py
 re-exports it, or when bench/tracer.py wraps it by name (its LAYERS table,
 from which it builds TRACED).  Tests do not count: a function that only
 tests call is dead.  Exits 1 if any function is unused.
+
+The functions that only LAYERS keeps alive are listed too, without failing:
+they are what a change to the benchmark's layer table can delete.
 """
 
 import ast
@@ -63,7 +66,8 @@ def _traced():
 
 
 def dead_functions():
-    """(file, line, name) for each unreferenced module-level function."""
+    """(file, line, name) for each unreferenced module-level function, and
+    for each one that only bench/tracer.py's LAYERS refers to."""
     defs = []  # (fname, line, name, names read inside the def)
     for fname in sorted(os.listdir(SRC)):
         if fname.endswith(".py") and fname != "__init__.py":
@@ -77,14 +81,18 @@ def dead_functions():
     exported = {alias.asname or alias.name
                 for node in _parse(os.path.join(SRC, "__init__.py")).body
                 if isinstance(node, ast.ImportFrom) for alias in node.names}
+    unused = [(fname, line, name) for fname, line, name, inner in defs
+              if name not in exported and reads.get(name, 0) == inner.count(name)]
     traced = _traced()
-    return [(fname, line, name) for fname, line, name, inner in defs
-            if name not in exported and "%s.%s" % (fname[:-3], name) not in traced
-            and reads.get(name, 0) == inner.count(name)]
+    held = [d for d in unused if "%s.%s" % (d[0][:-3], d[2]) in traced]
+    return [d for d in unused if d not in held], held
 
 
 def main():
-    found = dead_functions()
+    found, held = dead_functions()
+    for fname, line, name in held:
+        print("src/symplie/%s:%d: %s is referenced only by bench/tracer.py LAYERS"
+              % (fname, line, name))
     for fname, line, name in found:
         print("src/symplie/%s:%d: %s has no reference" % (fname, line, name))
     print("%d unreferenced functions" % len(found))
