@@ -113,7 +113,7 @@ def _scaled_pair(plsa):
     For a product X, plane i of X permuted by (0, 2, 1) is the matrix Lx_i of
     left multiplication by e_i, and plane j of X permuted by (1, 0, 2) is
     Rx_j^T, the transposed right multiplication by e_j."""
-    P, S = (scaled(op.c) for op in plsa)
+    P, S = (op.scaled for op in plsa)
     D = scaled_combine(((1, P), (1, S)))
     return P, S, D, scaled_combine(((1, D), (-1, scaled_permute(D, (1, 0, 2)))))
 
@@ -483,9 +483,9 @@ def check_parakahler(pk):
         parts += [check_flat(br, conn), check_torsion_free(br, conn),
                   check_parallel_form(conn, w)]
         # X[i][j] = conn(e_i, E e_j) - E conn(e_i, e_j)
-        N = scaled(conn.c)
-        X = scaled_combine(((1, scaled_leg(scaled(mat_transpose(E.m)), N, 1)),
-                            (-1, scaled_leg(scaled(E.m), N, 2))))
+        N = conn.scaled
+        X = scaled_combine(((1, scaled_leg(E.scaled_t, N, 1)),
+                            (-1, scaled_leg(E.scaled, N, 2))))
         res = unscaled(scaled_combine(((1, X), (-1, scaled_permute(X, (1, 0, 2))))))
         viol += violations("conn-E-symmetric", combinations(range(n), 2),
                            lambda i, j: res[i][j])
@@ -513,7 +513,7 @@ def _slsba_identities(lsa, alpha):
     n = lsa.n
     viol = []
     # alpha(e_i e_j) = L_i alpha_j + alpha_j L_i^T + alpha_i R_j^T
-    C, AL = scaled(lsa.c), scaled(alpha)
+    C, AL = lsa.scaled, scaled(alpha)
     for i, defect in enumerate(_compat_defect(C, C, AL, AL)):
         for j in range(n):
             viol += mat_violations("coproduct-compat", defect.plane(j), (i, j))
@@ -563,7 +563,7 @@ def slsba_coboundary(lsa, r):
     direct evaluation)."""
     require(check_left_symmetric(lsa), NotAnLSA, "base product is not %s at %s")
     n = lsa.n
-    R, C = scaled(r), scaled(lsa.c)
+    R, C = scaled(r), lsa.scaled
     Cr = scaled_permute(C, (1, 0, 2))  # Cr[j] = R_j^T, R_j right multiplication by e_j
     alpha = unscaled(scaled_leg(R, Cr, 1))  # alpha_i = r R_i^T
     base = _two_sided(r, C, C)  # L_i r + r L_i^T

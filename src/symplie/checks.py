@@ -18,17 +18,20 @@ over the nonzero structure constants (and action entries) in plain Fraction
 (_residual); the first four stay off Scaled because they are the
 independent cross-check routes.  The matrix identities (N^2 = +-id,
 JE = -EJ, N^T B N = +-B) and three_forms contract on the kernel through one
-helper, _mat_chain; the remaining verifiers compare entries directly.
+helper, _mat_chain; the remaining verifiers compare entries directly.  The
+kernel routes read each StructureTensor, Form and Endo through its cached
+Scaled form (.scaled, and .scaled_t for the transpose of a matrix), so an
+object is converted once however many identities contract it.
 """
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations, combinations_with_replacement, product
 
 from .linalg import (
     DimensionMismatch,
     Scaled,
-    mat_identity,
     mat_rank,
     mat_transpose,
     mat_zero,
@@ -49,15 +52,35 @@ class StructureTensor:
     n: int
     c: tuple  # c[i][j][k]: e_i o e_j = sum_k c[i][j][k] e_k
 
+    @cached_property
+    def scaled(self):
+        """c in the Scaled form of linalg, converted on first use and shared
+        by every kernel route that reads this tensor."""
+        return scaled(self.c)
+
+
+class _ScaledMatrix:
+    """The cached Scaled forms of a matrix m and of its transpose, for Form
+    and Endo.  Not a field: equality, hashing and dataclasses.fields see n
+    and m only."""
+
+    @cached_property
+    def scaled(self):
+        return scaled(self.m)
+
+    @cached_property
+    def scaled_t(self):
+        return Scaled([list(col) for col in zip(*self.scaled.num)], self.scaled.den)
+
 
 @dataclass(frozen=True)
-class Form:
+class Form(_ScaledMatrix):
     n: int
     m: tuple  # m[i][j] = B(e_i, e_j)
 
 
 @dataclass(frozen=True)
-class Endo:
+class Endo(_ScaledMatrix):
     n: int
     m: tuple  # acts on column coordinates
 
@@ -292,7 +315,7 @@ def check_closed(br, w):
         raise DimensionMismatch("bracket dim %d, form dim %d" % (br.n, w.n))
     n = br.n
     # T[a][b][c] = sum_s w[c][s] br[a][b][s] = w(e_c, [e_a, e_b])
-    T, den = scaled_leg(scaled(w.m), scaled(br.c), 2)
+    T, den = scaled_leg(w.scaled, br.scaled, 2)
     return report("closed", violations(
         "closed", combinations(range(n), 3),
         lambda i, j, k: T[j][k][i] + T[k][i][j] + T[i][j][k], den))
@@ -304,7 +327,7 @@ def check_parallel_form(conn, w):
         raise DimensionMismatch("connection dim %d, form dim %d" % (conn.n, w.n))
     n = conn.n
     # P[i][j][k] = sum_a w[a][k] conn[i][j][a] = w(conn_i e_j, e_k)
-    P, den = scaled_leg(scaled(mat_transpose(w.m)), scaled(conn.c), 2)
+    P, den = scaled_leg(w.scaled_t, conn.scaled, 2)
     return report("parallel-form", violations(
         "parallel", ((i, j, k) for i in range(n) for j, k in combinations(range(n), 2)),
         lambda i, j, k: P[i][j][k] - P[i][k][j], den))
@@ -341,9 +364,7 @@ def nijenhuis_torsion(br, N):
     """T(N)(x,y) = [Nx,Ny] + N^2[x,y] - N([Nx,y] + [x,Ny]) as a StructureTensor."""
     if br.n != N.n:
         raise DimensionMismatch("bracket dim %d, endomorphism dim %d" % (br.n, N.n))
-    C = scaled(br.c)
-    M = scaled(N.m)
-    Mt = scaled(mat_transpose(N.m))
+    C, M, Mt = br.scaled, N.scaled, N.scaled_t
     A = scaled_leg(Mt, C, 0)  # A[i][j] = [Ne_i, e_j]
     B = scaled_leg(Mt, C, 1)  # B[i][j] = [e_i, Ne_j]
     T = scaled_combine([(1, scaled_leg(Mt, A, 1)),
@@ -399,15 +420,14 @@ def _minus_scalar(m, q):
 
 
 def _mat_chain(terms):
-    """sum k * M1 M2 ... over the (k, (M1, M2, ...)) terms of square Fraction
-    matrices, as a one-plane Scaled tensor: the last matrix of each term is
-    the plane, and the others act on it in turn through leg 1."""
+    """sum k * M1 M2 ... over the (k, (M1, M2, ...)) terms of square Scaled
+    matrices, as a one-plane Scaled tensor of fresh lists: the last matrix of
+    each term is the plane, and the others act on it in turn through leg 1."""
     parts = []
     for k, mats in terms:
-        last = scaled(mats[-1])
-        t = Scaled([last.num], last.den)
+        t = Scaled([mats[-1].num], mats[-1].den)
         for m in reversed(mats[:-1]):
-            t = scaled_leg(scaled(m), t, 1)
+            t = scaled_leg(m, t, 1)
         parts.append((k, t))
     return scaled_combine(parts)
 
@@ -415,18 +435,21 @@ def _mat_chain(terms):
 def square_violations(where, N, sign):
     """N^2 = sign * id: sign -1 for a complex structure, +1 for a product
     structure."""
-    res = _mat_chain(((1, (N.m, N.m)), (-sign, (mat_identity(N.n),))))
-    return mat_violations(where, res.plane(0))
+    res = _mat_chain(((1, (N.scaled, N.scaled)),)).plane(0)
+    for i, row in enumerate(res.num):
+        row[i] -= sign * res.den
+    return mat_violations(where, res)
 
 
 def anticommute_violations(where, J, E):
     """JE = -EJ."""
-    return mat_violations(where, _mat_chain(((1, (J.m, E.m)), (1, (E.m, J.m)))).plane(0))
+    chain = ((1, (J.scaled, E.scaled)), (1, (E.scaled, J.scaled)))
+    return mat_violations(where, _mat_chain(chain).plane(0))
 
 
 def congruence_violations(where, B, N, sign):
     """N^T B N = sign * B for the form B and the endomorphism N."""
-    res = _mat_chain(((1, (mat_transpose(N.m), B.m, N.m)), (-sign, (B.m,))))
+    res = _mat_chain(((1, (N.scaled_t, B.scaled, N.scaled)), (-sign, (B.scaled,))))
     return mat_violations(where, res.plane(0))
 
 
@@ -476,9 +499,9 @@ def check_metric_compatible(g, J, E):
 def three_forms(g, J, E):
     """The forms w1 = g(J.,.), w2 = g(E.,.), w3 = g(JE.,.) as Form values:
     J^T g, E^T g and (JE)^T g = E^T J^T g."""
-    Jt, Et = mat_transpose(J.m), mat_transpose(E.m)
+    Jt, Et, G = J.scaled_t, E.scaled_t, g.scaled
     return tuple(Form(g.n, unscaled(_mat_chain(((1, mats),)))[0])
-                 for mats in ((Jt, g.m), (Et, g.m), (Et, Jt, g.m)))
+                 for mats in ((Jt, G), (Et, G), (Et, Jt, G)))
 
 
 def check_hypersymplectic(br, J, E, g):

@@ -143,9 +143,18 @@ _TERM_RE = re.compile(r"^(-?\d+(?:/\d+)?)\*e(\d+)$")
 _LABEL_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_-]*$")
 
 
+def _exact(text):
+    """Fraction(text) for an integer, p/q or a plain decimal.  Exponent
+    notation raises ValueError: Fraction expands 10**exp, so an entry as
+    short as 1e999999999 would build a huge int before any check runs."""
+    if "e" in text.lower():
+        raise ValueError("exponent notation in %r" % text)
+    return Fraction(text)
+
+
 def _rational(text, lineno):
     try:
-        return Fraction(text)
+        return _exact(text)
     except (ValueError, ZeroDivisionError):
         raise ParseError("bad rational %r" % text, lineno)
 
@@ -432,8 +441,12 @@ def _print_report(rep, out=None):
 
 
 def _load(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_algebra_file(fh.read())
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as e:
+        raise ParseError("%s is not UTF-8 text (byte %d)" % (path, e.start))
+    return parse_algebra_file(text)
 
 
 def cmd_verify(args):
@@ -462,7 +475,7 @@ def _fracarg(value, name):
     if value is None:
         raise BadParams("missing --%s" % name)
     try:
-        return Fraction(value)
+        return _exact(value)
     except (ValueError, ZeroDivisionError):
         raise BadParams("bad rational for --%s: %r" % (name, value))
 
@@ -478,7 +491,7 @@ def _parse_r(text, dim):
                 raise BadParams("bad --r chunk %r" % chunk)
             try:
                 i, j = int(bits[0]), int(bits[1])
-                q = Fraction(bits[2])
+                q = _exact(bits[2])
             except (ValueError, ZeroDivisionError):
                 raise BadParams("bad --r chunk %r" % chunk)
             if not (1 <= i <= dim and 1 <= j <= dim):

@@ -384,7 +384,7 @@ def lsa_from_symplectic(br, w):
     # w(e_i . e_k, e_j) = w([e_i, e_j], e_k) for each j, solved through (w^T)^-1
     phinv = mat_inverse(mat_transpose(w.m))
     conn = StructureTensor(br.n, unscaled(_through_form(phinv, mat_transpose(w.m),
-                                                        scaled(br.c))))
+                                                        br.scaled)))
     if not check_torsion_free(br, conn).verdict:
         raise InternalMismatch("derived product has torsion")
     if not check_flat(br, conn).verdict:
@@ -406,11 +406,11 @@ def plsa_from_special_symplectic(s):
     n = s.bracket.n
     phinv = mat_inverse(mat_transpose(s.omega.m))
 
-    def split(c):  # w(e_i o e_j, e_k) = w(e_j, c(e_k, e_i)) for each k, solved as above
-        return _through_form(phinv, s.omega.m, scaled_permute(scaled(c), (1, 0, 2)))
+    def split(op):  # w(e_i o e_j, e_k) = w(e_j, op(e_k, e_i)) for each k, solved as above
+        return _through_form(phinv, s.omega.m, scaled_permute(op.scaled, (1, 0, 2)))
 
-    prec = StructureTensor(n, unscaled(scaled_combine(((-1, split(s.conn.c)),))))
-    succ = StructureTensor(n, unscaled(split(s.bracket.c)))
+    prec = StructureTensor(n, unscaled(scaled_combine(((-1, split(s.conn)),))))
+    succ = StructureTensor(n, unscaled(split(s.bracket)))
     if not t3_is_zero(op_sub(op_sub(s.conn, prec), succ).c):
         raise InternalMismatch("parts do not sum back to the connection")
     if not check_plsa(prec, succ).verdict:

@@ -8,7 +8,9 @@ numerators over one common denominator per tensor (``Scaled``).  A Fraction
 operation normalises through a gcd on every step; an int product or sum does
 not, so the chain stays exact and converts back to Fractions only once, at
 its end.  The products skip zero entries, because structure constants are
-mostly zero.
+mostly zero.  The data objects of checks (StructureTensor, Form, Endo)
+convert themselves once and cache the result, so scaled() here is for raw
+tuples that belong to no such object.
 
 Rank and inversion run a fraction-free (Bareiss-style) forward elimination
 on integer-scaled rows, which keeps intermediate entries as minors of the
@@ -252,7 +254,8 @@ def tensor_contract(t, v, slot):
 class Scaled(NamedTuple):
     """A matrix or rank-3 tensor whose entries are num[...] / den: nested
     lists of ints over one positive int denominator.  Operations build new
-    lists and never mutate their inputs, so results may share rows."""
+    lists and never mutate their inputs, so results may share rows, and the
+    cached forms of the checks data types are shared by all their readers."""
     num: list
     den: int
 

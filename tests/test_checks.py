@@ -1,3 +1,5 @@
+import copy
+import dataclasses
 import os
 import subprocess
 import sys
@@ -69,7 +71,21 @@ from oracles import (
     skew_violations,
     torsion_free_violations,
 )
-from symplie.constructions import cotangent_double
+from symplie import bialgebra, checks, constructions, linalg
+from symplie.bialgebra import (
+    ParaKahlerData,
+    check_parakahler,
+    drinfeld_double,
+    slsba_double,
+    zero_coproducts,
+)
+from symplie.checks import check_hypersymplectic, op_add
+from symplie.constructions import (
+    FamilyParams,
+    canonical_skew_pairing,
+    cotangent_double,
+    hypersymplectic_from_tangent,
+)
 from symplie.linalg import DimensionMismatch
 from test_linalg import all_fractions, dims, matrices, tensors
 
@@ -628,3 +644,97 @@ class TestRequire:
                               capture_output=True, text=True, timeout=120)
         assert done.returncode == 0, done.stderr
         assert done.stdout == "base product is not left-symmetric at (0, 1, 0)\n"
+
+
+def _fresh(x):
+    """A new instance with x's fields: equal to x, with no cached forms."""
+    return type(x)(*(getattr(x, f.name) for f in dataclasses.fields(x)))
+
+
+def _fresh_hypersymplectic():
+    s = catalog_get("ssla-2d-3").payload
+    d, J, E, g = hypersymplectic_from_tangent(s, FamilyParams("F1", Q(2), Q(-1, 2)))
+    return tuple(map(_fresh, (d.bracket, J, E, g)))
+
+
+def _fresh_parakahler():
+    lsa_d, _, _ = slsba_double((op_add(*catalog_get("plsa-2d-IV").payload),
+                                tuple(((Q(0),) * 2,) * 2 for _ in range(2))))
+    E = Endo(4, tuple(tuple(Q(0) if a != b else Q(1) if a < 2 else Q(-1) for b in range(4))
+                      for a in range(4)))
+    return ParaKahlerData(sub_adjacent(lsa_d), canonical_skew_pairing(2), E, _fresh(lsa_d))
+
+
+def _cached_forms(x):
+    return (x.scaled,) if isinstance(x, StructureTensor) else (x.scaled, x.scaled_t)
+
+
+class TestScaledFormsConvertedOnce:
+    """Each data object is converted to the Scaled form once, on first use,
+    however many kernel routes read it; raw tuples of no data object (and no
+    identity matrix) are converted only where a route needs them."""
+
+    @pytest.fixture
+    def converted(self, monkeypatch):
+        seen = []
+        real = linalg.scaled
+
+        def counted(t):
+            seen.append(t)
+            return real(t)
+        for mod in (linalg, checks, bialgebra, constructions):
+            monkeypatch.setattr(mod, "scaled", counted)
+        return seen
+
+    @staticmethod
+    def _is_identity(t):
+        return not isinstance(t[0][0], tuple) and all(
+            x == (1 if i == j else 0) for i, row in enumerate(t) for j, x in enumerate(row))
+
+    def test_hypersymplectic(self, converted):
+        br, J, E, g = _fresh_hypersymplectic()
+        converted.clear()
+        assert check_hypersymplectic(br, J, E, g).verdict
+        # the four inputs and the three forms, each once
+        assert len(converted) == 7
+        assert len({id(t) for t in converted}) == 7
+        assert {id(br.c), id(J.m), id(E.m), id(g.m)} <= {id(t) for t in converted}
+        assert not any(map(self._is_identity, converted))
+
+    def test_parakahler(self, converted):
+        pk = _fresh_parakahler()
+        converted.clear()
+        assert check_parakahler(pk).verdict
+        assert sorted(map(id, converted)) == sorted(
+            map(id, (pk.bracket.c, pk.omega.m, pk.E.m, pk.conn.c)))
+
+
+class TestScaledFormsInvisible:
+    """The cached forms are not fields and never change under the routes that
+    share them (Scaled operations never mutate their inputs)."""
+
+    def test_not_part_of_the_value(self):
+        pk = _fresh_parakahler()
+        for x in (*_fresh_hypersymplectic(), pk.omega, pk.E):
+            names = [f.name for f in dataclasses.fields(x)]
+            twin = _fresh(x)
+            _cached_forms(x)
+            assert [f.name for f in dataclasses.fields(x)] == names
+            assert names == ["n", "c" if isinstance(x, StructureTensor) else "m"]
+            assert x == twin and hash(x) == hash(twin) and repr(x) == repr(twin)
+            # the canonical form the benchmark digests: fields by name, in order
+            assert [[f.name, getattr(x, f.name)] for f in dataclasses.fields(x)] == \
+                [[f.name, getattr(twin, f.name)] for f in dataclasses.fields(twin)]
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                x.scaled = None
+
+    def test_never_mutated(self):
+        br, J, E, g = _fresh_hypersymplectic()
+        pk = _fresh_parakahler()
+        plsa = catalog_get("plsa-2d-IV").payload
+        objs = (br, J, E, g, pk.bracket, pk.omega, pk.E, pk.conn, *plsa)
+        before = [copy.deepcopy(_cached_forms(x)) for x in objs]
+        assert check_hypersymplectic(br, J, E, g).verdict
+        assert check_parakahler(pk).verdict
+        assert drinfeld_double(plsa, zero_coproducts(2))[3].verdict
+        assert [_cached_forms(x) for x in objs] == before

@@ -104,6 +104,14 @@ class TestParse:
         with pytest.raises(ParseError, match="bad rational"):
             parse("algebra a\ndim 2\nform w 1 1 = x\n")
 
+    @pytest.mark.parametrize("line", ["form w 1 1 = 1e3", "tensor2 r 1 2 = 1E3",
+                                      "rep rho 1 1 2 = 2.5e-1"])
+    def test_exponent_is_a_bad_rational(self, line):
+        # Fraction expands 10**exp, so an exponent entry could build a huge
+        # int before any check runs; a small exponent shows the refusal
+        with pytest.raises(ParseError, match="line 3: bad rational"):
+            parse("algebra a\ndim 2\n%s\n" % line)
+
     def test_decimal_form_value_is_exact(self):
         # Fraction accepts decimal strings without any float detour
         af = parse("algebra a\ndim 2\nform w 1 1 = 1.5\n")
@@ -340,6 +348,13 @@ class TestVerifyCommand:
         err = capsys.readouterr().err
         assert "line 2" in err
 
+    def test_non_utf8_file_exit_two(self, tmp_path, capsys):
+        p = tmp_path / "bad.alg"
+        p.write_bytes(b"\xff\xfealgebra a\ndim 2\n")
+        assert run(["verify", str(p), "--check", "lie"]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: %s is not UTF-8 text (byte 0)\n" % p
+
     def test_huge_dim_exit_two(self, tmp_path, capsys):
         # a dense zero default at this size would exhaust memory
         p = tmp_path / "big.alg"
@@ -421,6 +436,15 @@ class TestConstructCommand:
         err = capsys.readouterr().err
         assert "--k" in err and "Traceback" not in err and len(err.strip().splitlines()) == 1
 
+    @pytest.mark.parametrize("opt,args", [
+        ("--lambda", ["--lambda=1e3", "--mu=0"]), ("--mu", ["--lambda=1", "--mu=1e-3"])])
+    def test_exponent_param_exit_two(self, ssla3, tmp_path, capsys, opt, args):
+        out = tmp_path / "hs.alg"
+        assert run(["construct", "hypersymplectic-f1", ssla3, *args, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "bad rational for %s" % opt in err and len(err.strip().splitlines()) == 1
+        assert not out.exists()
+
     def test_unknown_recipe_exit_two(self, ssla3, capsys):
         assert run(["construct", "frobnicate", ssla3]) == 2
         assert "unknown recipe" in capsys.readouterr().err
@@ -444,6 +468,14 @@ class TestConstructCommand:
         err = capsys.readouterr().err
         assert "(1, 2) given twice" in err and "Traceback" not in err
         assert len(err.strip().splitlines()) == 1
+        assert not out.exists()
+
+    def test_exponent_r_entry_exit_two(self, plsa2, tmp_path, capsys):
+        out = tmp_path / "cb.alg"
+        assert run(["construct", "coboundary", plsa2, "--r", "1,2,1e3",
+                    "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "bad --r chunk '1,2,1e3'" in err and len(err.strip().splitlines()) == 1
         assert not out.exists()
 
     def test_coboundary_success(self, plsa2, tmp_path):
