@@ -13,9 +13,11 @@ The primary routes (the coproduct operators, the bialgebra, coboundary and
 one-coproduct identities, the coboundary coproducts and the closure
 conditions of the double's r) contract on the exact integer kernel of linalg
 (Scaled), one residual tensor per basis vector e_i, and read the violations
-off its nonzero numerators.  Their cross-checks (check_plsa on dualized
-coproducts, check_matched_pair) sum over nonzero structure constants in
-plain Fraction, independent of the kernel.
+off its nonzero numerators with checks.mat_violations; identities reported
+interleaved per tuple are collected one by one and merged by a stable sort
+on the tuple.  Their cross-checks (check_plsa on dualized coproducts,
+check_matched_pair) sum over nonzero structure constants in plain Fraction,
+independent of the kernel; _route_agrees compares the two verdicts.
 
 Coordinate conventions: an element of A tensor A is the matrix r[p][q] of
 coefficients of e_p tensor e_q; a coproduct is stored as one such matrix per
@@ -37,13 +39,11 @@ from .linalg import (
     scaled_combine,
     scaled_leg,
     scaled_permute,
-    t3_is_zero,
     unscaled,
 )
 from .checks import (
     Endo,
     StructureTensor,
-    Violation,
     check_closed,
     check_flat,
     check_jacobi,
@@ -177,32 +177,28 @@ def _coproduct_operators(cp):
 def plsca_check(cp):
     """Coproduct-pair validity: all three obstruction tensors vanish.
 
-    The verdict is compared against check_plsa on the dualized products,
-    which must agree by construction."""
+    Per tuple, co-commutativity at (i, p, q) comes before co-compatibility
+    and co-left-symmetry at each (i, p, q, s); one stable sort on the
+    indices merges the three lists in that order.  The verdict is compared
+    against check_plsa on the dualized products, which must agree by
+    construction."""
     R1, R2, R3 = _coproduct_operators(cp)
-    n = cp.n
-    viol = []
-    for i in range(n):
-        for p in range(n):
-            for q in range(n):
-                if R1[i][p][q]:
-                    viol.append(Violation("co-commutativity", (i, p, q), R1[i][p][q]))
-                for s in range(n):
-                    if R2[i][p][q][s]:
-                        viol.append(Violation("co-compatibility", (i, p, q, s),
-                                              R2[i][p][q][s]))
-                    if R3[i][p][q][s]:
-                        viol.append(Violation("co-left-symmetry", (i, p, q, s),
-                                              R3[i][p][q][s]))
-    dual = check_plsa(*dualize_coproducts(cp))
-    mine = not viol
-    if dual.verdict != mine:
-        raise InternalMismatch("coproduct operators (%s) disagree with the dual "
-                               "product route (%s)"
-                               % ("pass" if mine else "fail",
-                                  "pass" if dual.verdict else "fail"))
-    return report("plsca", viol, ["dual product-pair route agrees (%s)"
-                                  % ("pass" if mine else "fail")])
+    viol = sorted(mat_violations("co-commutativity", R1) + mat_violations("co-compatibility", R2)
+                  + mat_violations("co-left-symmetry", R3), key=lambda v: v.indices)
+    note = _route_agrees(not viol, check_plsa(*dualize_coproducts(cp)).verdict,
+                         "coproduct operators", "dual product-pair route")
+    return report("plsca", viol, [note])
+
+
+def _route_agrees(mine, theirs, what, route):
+    """The note that the independent route's verdict theirs equals mine, the
+    verdict of what; InternalMismatch when they differ (an explicit raise,
+    so it runs under python -O)."""
+    word = "pass" if mine else "fail"
+    if mine != theirs:
+        raise InternalMismatch("%s (%s) disagree with the %s (%s)"
+                               % (what, word, route, "pass" if theirs else "fail"))
+    return "%s agrees (%s)" % (route, word)
 
 
 # ---------------------------------------------------------------------------
@@ -259,14 +255,8 @@ def _plsba_identities(plsa, cp):
             viol += mat_violations("bialgebra-4", b4.plane(j), (i, j))
             viol += mat_violations("bialgebra-3", b3.plane(j), (i, j))
     mrep = check_matched_pair(dual_actions(plsa, dualize_coproducts(cp)))
-    mine = not viol
-    if mrep.verdict != mine:
-        raise InternalMismatch("tensor identities (%s) disagree with the "
-                               "matched-pair route (%s)"
-                               % ("pass" if mine else "fail",
-                                  "pass" if mrep.verdict else "fail"))
-    return report("plsba", viol, ["matched-pair route agrees (%s)"
-                                  % ("pass" if mine else "fail")])
+    return report("plsba", viol, [_route_agrees(not viol, mrep.verdict, "tensor identities",
+                                                "matched-pair route")])
 
 
 # ---------------------------------------------------------------------------
@@ -446,15 +436,9 @@ def drinfeld_double(plsa, cp):
     viol = mat_violations("r-bracket-1", T1) + mat_violations("r-bracket-2", T2)
     P, S, D, B = _scaled_pair(pair_d)
     u = mat_sub(r, mat_transpose(r))
-    # Ld_i u + u Ld_i^T and u Ls_i^T + ad_i u, interleaved entry by entry
-    m1, m3 = _two_sided(u, D, D), _two_sided(u, S, B)
-    for i in range(n2):
-        for a in range(n2):
-            for b in range(n2):
-                for where, m in (("double-r-1", m1), ("double-r-3", m3)):
-                    x = m.num[i][a][b]
-                    if x:
-                        viol.append(Violation(where, (i, a, b), Fraction(x, m.den)))
+    # Ld_i u + u Ld_i^T and u Ls_i^T + ad_i u, merged by (i, a, b) in a stable sort
+    viol += sorted(mat_violations("double-r-1", _two_sided(u, D, D))
+                   + mat_violations("double-r-3", _two_sided(u, S, B)), key=lambda v: v.indices)
     # coboundary-1 of the double; its coboundary-2 half is not part of the report
     for i, C1 in enumerate(_coboundary_one(P, u)):
         for j in range(i, n2):
@@ -510,27 +494,18 @@ def _slsba_identities(lsa, alpha):
     Whenever the dualized product is itself left-symmetric, the verdict of
     the action identity is compared against the matched-pair formulation
     with zero right actions; otherwise a note says the route was skipped."""
-    n = lsa.n
-    viol = []
     # alpha(e_i e_j) = L_i alpha_j + alpha_j L_i^T + alpha_i R_j^T
     C, AL = lsa.scaled, scaled(alpha)
-    for i, defect in enumerate(_compat_defect(C, C, AL, AL)):
-        for j in range(n):
-            viol += mat_violations("coproduct-compat", defect.plane(j), (i, j))
-    tops = _co_left_symmetry(alpha)
-    viol += mat_violations("co-left-symmetry", tops)
-    if all(t3_is_zero(t) for t in tops):
-        mrep = check_matched_pair(_left_dual_actions(lsa, _dual_product(n, alpha)))
-        compat_ok = not any(v.where == "coproduct-compat" for v in viol)
-        if mrep.verdict != compat_ok:
-            raise InternalMismatch("coproduct identity (%s) disagrees with the "
-                                   "matched-pair route (%s)"
-                                   % ("pass" if compat_ok else "fail",
-                                      "pass" if mrep.verdict else "fail"))
-        note = "matched-pair route agrees (%s)" % ("pass" if compat_ok else "fail")
-    else:
+    viol = [v for i, defect in enumerate(_compat_defect(C, C, AL, AL))
+            for v in mat_violations("coproduct-compat", defect, (i,))]
+    cls = mat_violations("co-left-symmetry", _co_left_symmetry(alpha))
+    if cls:
         note = "matched-pair route skipped: dual product is not left-symmetric"
-    return report("slsba", viol, [note])
+    else:
+        mrep = check_matched_pair(_left_dual_actions(lsa, _dual_product(lsa.n, alpha)))
+        note = _route_agrees(not viol, mrep.verdict, "coproduct-compat identities",
+                             "matched-pair route")
+    return report("slsba", viol + cls, [note])
 
 
 def _left_dual_actions(lsa, dual):
@@ -567,11 +542,9 @@ def slsba_coboundary(lsa, r):
     Cr = scaled_permute(C, (1, 0, 2))  # Cr[j] = R_j^T, R_j right multiplication by e_j
     alpha = unscaled(scaled_leg(R, Cr, 1))  # alpha_i = r R_i^T
     base = _two_sided(r, C, C)  # L_i r + r L_i^T
-    viol = []
-    for i in range(n):
-        cond = scaled_leg(base.plane(i), Cr, 1)  # base_i R_j^T over j
-        for j in range(n):
-            viol += mat_violations("action-condition", cond.plane(j), (i, j))
+    # base_i R_j^T over j, per basis vector e_i
+    viol = [v for i in range(n)
+            for v in mat_violations("action-condition", scaled_leg(base.plane(i), Cr, 1), (i,))]
     # m3[a][b][s] = sum r[a][q] r[t][s] lsa[q][t][b] - (a <-> b)
     #             + sum r[a][q] r[b][t] br[q][t][s]
     Z = scaled_leg(scaled(mat_transpose(r)), scaled_leg(R, C, 0), 1)

@@ -6,8 +6,12 @@ matrices over Fraction.  Every verifier returns a CheckReport listing each
 violating basis tuple with its exact residual, so a failing check pinpoints
 the offending structure constants.  One collector, violations, lists the
 nonzero residuals of either route below over the basis tuples it is given;
-mat_violations lists them from a residual tensor of any rank, and require
-turns a failing report into the caller's typed error.
+mat_violations lists them from a residual tensor of any rank, row by row.
+Every violation list in the package comes from these two (prefixed renames
+them for a parent report); a report that interleaves identities per tuple
+collects each identity on its own and merges the lists with one stable sort
+on the tuple order.  require turns a failing report into the caller's typed
+error.
 
 Every identity on basis tuples takes one of two routes.  check_closed,
 check_parallel_form and nijenhuis_torsion contract the whole input once on
@@ -126,14 +130,19 @@ def relabel(rep, name):
     return CheckReport(name, rep.verdict, rep.violations, rep.notes)
 
 
+def prefixed(name, viol):
+    """The violations viol with each where read as "name: where" (name
+    alone for an empty where)."""
+    return [Violation("%s: %s" % (name, v.where) if v.where else name, v.indices, v.residual)
+            for v in viol]
+
+
 def merge_reports(check, parts, extra_violations=(), notes=()):
     """Combine sub-reports, prefixing each violation with its sub-check name."""
     viol = list(extra_violations)
     all_notes = list(notes)
     for sub in parts:
-        for v in sub.violations:
-            viol.append(Violation("%s: %s" % (sub.check, v.where) if v.where else sub.check,
-                                  v.indices, v.residual))
+        viol += prefixed(sub.check, sub.violations)
         all_notes.extend("%s: %s" % (sub.check, note) for note in sub.notes)
     return report(check, viol, all_notes)
 
@@ -355,8 +364,7 @@ def check_special_symplectic(br, conn, w):
         if skew_ok and tf_ok and par_ok:
             notes.append("ALERT: form is parallel for a torsion-free connection yet "
                          "not closed; mathematically impossible, report a bug")
-            extra = [Violation("closed (consequence): %s" % v.where, v.indices, v.residual)
-                     for v in closed.violations]
+            extra = prefixed("closed (consequence)", closed.violations)
     return merge_reports("special-symplectic", parts, extra, notes)
 
 
@@ -393,20 +401,17 @@ def pairs_then(n, m):
 
 def mat_violations(where, t, at=()):
     """A violation at indices at + index for each nonzero scalar of the
-    nested tuples or lists t, in row-major order.  For a Scaled t each
+    nested tuples or lists t, all of one depth, in row-major order.  It walks
+    rows of scalars, so an all-zero row costs one any().  For a Scaled t each
     residual is the Fraction of a nonzero numerator over t.den."""
+    den = None
     if isinstance(t, Scaled):
-        return [Violation(where, idx, Fraction(x, t.den))
-                for idx, x in _nonzero_entries(t.num, at)]
-    return [Violation(where, idx, x) for idx, x in _nonzero_entries(t, at)]
-
-
-def _nonzero_entries(t, at):
-    for i, x in enumerate(t):
-        if isinstance(x, (tuple, list)):
-            yield from _nonzero_entries(x, at + (i,))
-        elif x != 0:
-            yield at + (i,), x
+        t, den = t.num, t.den
+    rows = [(at, t)]
+    while rows and rows[0][1] and isinstance(rows[0][1][0], (tuple, list)):
+        rows = [(idx + (i,), x) for idx, row in rows for i, x in enumerate(row)]
+    return [Violation(where, idx + (k,), x if den is None else Fraction(x, den))
+            for idx, row in rows if any(row) for k, x in enumerate(row) if x]
 
 
 # ---------------------------------------------------------------------------
@@ -515,10 +520,8 @@ def check_hypersymplectic(br, J, E, g):
              check_metric_compatible(g, J, E)]
     w1, w2, w3 = three_forms(g, J, E)
     closed = [check_closed(br, w1), check_closed(br, w2), check_closed(br, w3)]
-    viol = []
-    for name, rep_ in zip(("dw1", "dw2", "dw3"), closed):
-        viol.extend(Violation("%s: %s" % (name, v.where), v.indices, v.residual)
-                    for v in rep_.violations)
+    viol = [v for name, rep_ in zip(("dw1", "dw2", "dw3"), closed)
+            for v in prefixed(name, rep_.violations)]
     notes = []
     if parts[1].verdict and parts[2].verdict and closed[0].verdict and \
             not (closed[1].verdict and closed[2].verdict):

@@ -453,13 +453,11 @@ def cmd_verify(args):
     af = _load(args.file)
     for w in af.warnings:
         print("warning: %s" % w, file=sys.stderr)
-    reports = []
-    for name in args.check:
-        fn = CHECKS.get(name)
-        if fn is None:
-            raise UnknownCheck("unknown check %r; valid: %s"
-                               % (name, ", ".join(sorted(CHECKS))))
-        reports.append(fn(af))
+    unknown = [name for name in args.check if name not in CHECKS]
+    if unknown:  # refused before any check runs
+        raise UnknownCheck("unknown check %r; valid: %s"
+                           % (unknown[0], ", ".join(sorted(CHECKS))))
+    reports = [CHECKS[name](af) for name in args.check]
     if args.json:
         print(json.dumps([report_to_dict(r) for r in reports], indent=2))
     else:

@@ -204,14 +204,8 @@ def canonical_skew_pairing(n):
 def semidirect_lie(br, rho):
     """Bracket on the sum of br's space and rho's module:
     [(x,u),(y,v)] = ([x,y], rho(x)v - rho(y)u)."""
-    jac = check_jacobi(br)
-    if not jac.verdict:
-        raise NotARepresentation("bracket fails the Lie axioms at %s"
-                                 % (jac.violations[0].indices,))
-    rep = check_representation(br, rho)
-    if not rep.verdict:
-        raise NotARepresentation("action is not a representation at %s"
-                                 % (rep.violations[0].indices,))
+    require(check_jacobi(br), NotARepresentation, "bracket fails the Lie axioms (%s) at %s")
+    require(check_representation(br, rho), NotARepresentation, "action is not a %s at %s")
     return _semidirect_bracket(br, rho)
 
 
@@ -273,9 +267,7 @@ def cotangent_double_from_connection(br, conn):
     """Relaxed entry point: only a flat torsion-free connection is needed,
     no symplectic form on the base; omega_p is produced on the double."""
     for rep in (check_jacobi(br), check_torsion_free(br, conn), check_flat(br, conn)):
-        if not rep.verdict:
-            v = rep.violations[0]
-            raise InvalidInput("%s fails at %s" % (rep.check, v.indices))
+        require(rep, InvalidInput, "%s fails at %s")
     return _cotangent_core(br, conn)
 
 
@@ -376,9 +368,7 @@ def lsa_from_symplectic(br, w):
     """The unique product with w([x,y],z) = -w(y, x.z); flat and torsion
     free for its own commutator bracket, which equals br."""
     for rep in (check_jacobi(br), check_skew(w), check_closed(br, w)):
-        if not rep.verdict:
-            v = rep.violations[0]
-            raise InvalidInput("%s fails at %s" % (rep.check, v.indices))
+        require(rep, InvalidInput, "%s fails at %s")
     if not check_nondegenerate(w).verdict:
         raise DegenerateForm("form has rank %d < %d" % (mat_rank(w.m), w.n))
     # w(e_i . e_k, e_j) = w([e_i, e_j], e_k) for each j, solved through (w^T)^-1

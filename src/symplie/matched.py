@@ -6,7 +6,9 @@ MatchedPairData and canonical_skew_pairing.
 Index conventions for mixed-compat violations: equations 1 and 2 report
 (i, j, c) with i, j basis indices of the first algebra and c of the second;
 equations 3 and 4 report (a, b, c) with a, b in the second algebra and c in
-the first.
+the first.  Each pair is listed per c, then per (i, j), equation 1 before
+equation 2: checks.violations collects each equation, and a stable sort on
+(c, i, j) merges the two lists.
 
 The matched-pair route (check_bimodule, _mixed_12) sums products of nonzero
 structure constants and action entries in plain Fraction, off linalg.Scaled,
@@ -14,12 +16,12 @@ as the independent cross-check of the bialgebra verifiers.
 """
 
 from dataclasses import dataclass
+from itertools import product
 
 from .linalg import DimensionMismatch
 from .checks import (
     Form,
     StructureTensor,
-    Violation,
     _nonzeros,
     _residual,
     check_bimodule,
@@ -28,10 +30,12 @@ from .checks import (
     check_special_symplectic,
     merge_reports,
     op_add,
+    pairs_then,
     relabel,
     rep_neg,
     require,
     sub_adjacent,
+    violations,
 )
 from .constructions import (
     InvalidInput,
@@ -84,23 +88,15 @@ def _mixed_12(A, lA, rA, lB, rB, mdim, name1, name2):
     cLA, cRA, cLB, cRB = (_nonzeros([tuple(zip(*mat)) for mat in rep.t])
                           for rep in (lA, rA, lB, rB))
     cLBt, cRBt = list(zip(*cLB)), list(zip(*cRB))  # cRBt[i][d] = cRB[d][i]
-    out = []
-    for c in range(mdim):
-        for i in range(n):
-            for j in range(n):
-                if i < j:
-                    res = _residual(n, ((nz[i][j], cRB[c], 1), (nz[j][i], cRB[c], -1),
-                                        (cLA[j][c], cRBt[i], -1), (cLA[i][c], cRBt[j], 1),
-                                        (cRB[c][j], nz[i], -1), (cRB[c][i], nz[j], 1)))
-                    if any(res):
-                        out.append(Violation(name1, (i, j, c), res))
-                res = _residual(n, ((nz[i][j], cLB[c], 1), (cLA[i][c], cLBt[j], 1),
-                                    (cRA[i][c], cLBt[j], -1), (cLB[c][i], nzcol[j], -1),
-                                    (cRB[c][i], nzcol[j], 1), (cRA[j][c], cRBt[i], -1),
-                                    (cLB[c][j], nz[i], -1)))
-                if any(res):
-                    out.append(Violation(name2, (i, j, c), res))
-    return out
+    out = violations(name1, pairs_then(n, mdim), lambda i, j, c: _residual(
+        n, ((nz[i][j], cRB[c], 1), (nz[j][i], cRB[c], -1), (cLA[j][c], cRBt[i], -1),
+            (cLA[i][c], cRBt[j], 1), (cRB[c][j], nz[i], -1), (cRB[c][i], nz[j], 1))))
+    out += violations(name2, product(range(n), range(n), range(mdim)), lambda i, j, c: _residual(
+        n, ((nz[i][j], cLB[c], 1), (cLA[i][c], cLBt[j], 1), (cRA[i][c], cLBt[j], -1),
+            (cLB[c][i], nzcol[j], -1), (cRB[c][i], nzcol[j], 1), (cRA[j][c], cRBt[i], -1),
+            (cLB[c][j], nz[i], -1))))
+    # per (c, i, j), identity 1 before identity 2 (a stable sort)
+    return sorted(out, key=lambda v: (v.indices[2],) + v.indices[:2])
 
 
 def bowtie_lsa(mp):

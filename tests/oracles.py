@@ -743,6 +743,33 @@ def co_left_symmetry_plain(alpha):
     return out
 
 
+def plsca_violations(alpha, beta):
+    """plsca_check's violations in one loop over (i, p, q): co-commutativity
+    alpha_i[p][q] - alpha_i[q][p] at (i, p, q), then for each s the
+    co-compatibility
+        sum_k B[p][k] alpha[k][q][s] - A[k][s] ab[k][p][q] - A[q][k] ab[k][p][s]
+    and the co-left-symmetry of beta at (i, p, q, s); A = alpha_i,
+    B = beta_i and ab = alpha + beta."""
+    n = len(alpha)
+    ab = [_madd(alpha[k], beta[k]) for k in range(n)]
+    cls = co_left_symmetry_plain(beta)
+    out = []
+    for i in range(n):
+        A, B = alpha[i], beta[i]
+        for p in range(n):
+            for q in range(n):
+                if A[p][q] - A[q][p]:
+                    out.append(("co-commutativity", (i, p, q), A[p][q] - A[q][p]))
+                for s in range(n):
+                    x = sum((B[p][k] * alpha[k][q][s] - A[k][s] * ab[k][p][q]
+                             - A[q][k] * ab[k][p][s] for k in range(n)), Fraction(0))
+                    if x:
+                        out.append(("co-compatibility", (i, p, q, s), x))
+                    if cls[i][p][q][s]:
+                        out.append(("co-left-symmetry", (i, p, q, s), cls[i][p][q][s]))
+    return out
+
+
 def slsba_coboundary_plain(c, r):
     """alpha_i = r R_i^T and the action-condition (L_i r + r L_i^T) R_j^T on
     each (i, j); indices (i, j, a, b)."""

@@ -1,11 +1,23 @@
 import collections
+import os
 import re
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
 from symplie import bialgebra, catalog, cli
-from symplie.checks import Endo, Form, Violation, check_left_symmetric, op_add, st, sub_adjacent
+from symplie.checks import (
+    CheckReport,
+    Endo,
+    Form,
+    Violation,
+    check_left_symmetric,
+    op_add,
+    st,
+    sub_adjacent,
+)
 from symplie.constructions import (
     CotangentExtensionData,
     InvalidInput,
@@ -36,7 +48,7 @@ from symplie.bialgebra import (
     zero_coproducts,
 )
 from symplie.matched import canonical_skew_pairing, double_extension
-from symplie.linalg import mat_zero, t3_is_zero
+from symplie.linalg import InternalMismatch, mat_zero, t3_is_zero
 from symplie.catalog import CatalogEntry, catalog_get
 
 from oracles import brute_left_symmetric, coproducts_from_products, rand_mat, rng
@@ -555,3 +567,110 @@ def _affine_over(base):
 def test_precondition_messages(monkeypatch, call, error, message):
     with pytest.raises(error, match="^%s$" % re.escape(message)):
         call(monkeypatch)
+
+
+def _dot_coproduct(name):
+    """The single coproduct dual to the sum product of a catalog pair."""
+    return coproducts_from_products(op_add(*plsa(name)), st(2)).alpha
+
+
+# each verifier with its independent route (a name in bialgebra) and the
+# note it adds when the two agree
+CROSS_ROUTES = [
+    (lambda: plsca_check(zero_coproducts(2)), "check_plsa",
+     "dual product-pair route agrees (pass)"),
+    (lambda: plsca_check(_not_cocommutative(2)), "check_plsa",
+     "dual product-pair route agrees (fail)"),
+    (lambda: plsba_check(plsa("plsa-2d-II"), zero_coproducts(2)), "check_matched_pair",
+     "matched-pair route agrees (pass)"),
+    (lambda: plsba_check(plsa("plsa-2d-II"), coproducts_from_products(*plsa("plsa-2d-III"))),
+     "check_matched_pair", "matched-pair route agrees (fail)"),
+    (lambda: slsba_check(op_add(*plsa("plsa-2d-IV")), _dot_coproduct("plsa-2d-I")),
+     "check_matched_pair", "matched-pair route agrees (pass)"),
+    (lambda: slsba_check(op_add(*plsa("plsa-2d-IV")), _dot_coproduct("plsa-2d-II")),
+     "check_matched_pair", "matched-pair route agrees (fail)"),
+]
+CROSS_IDS = ["plsca-pass", "plsca-fail", "plsba-pass", "plsba-fail", "slsba-pass",
+             "slsba-fail"]
+
+
+def _flipped(route):
+    def flipped(*args):
+        rep = route(*args)
+        return CheckReport(rep.check, not rep.verdict, rep.violations, rep.notes)
+    return flipped
+
+
+class TestCrossRouteAgreement:
+    """plsca_check, plsba_check and slsba_check compare their verdict with an
+    independent route: a note when the two agree, InternalMismatch when not."""
+
+    @pytest.mark.parametrize("call, route, note", CROSS_ROUTES, ids=CROSS_IDS)
+    def test_agreement_note(self, call, route, note):
+        assert call().notes == (note,)
+
+    @pytest.mark.parametrize("call, route, note", CROSS_ROUTES, ids=CROSS_IDS)
+    def test_flipped_route_raises(self, monkeypatch, call, route, note):
+        monkeypatch.setattr(bialgebra, route, _flipped(getattr(bialgebra, route)))
+        with pytest.raises(InternalMismatch, match="disagree"):
+            call()
+
+    def test_flipped_route_raises_under_optimize(self):
+        # explicit raises, so they do not vanish under python -O as asserts
+        # would; one subprocess runs a passing and a failing call per verifier
+        code = "\n".join([
+            "import sys",
+            "from fractions import Fraction as Q",
+            "from symplie import bialgebra",
+            "from symplie.catalog import catalog_get",
+            "from symplie.checks import CheckReport, op_add, st",
+            "from symplie.linalg import InternalMismatch",
+            "if sys.flags.optimize != 1:",
+            "    sys.exit(3)",
+            "def flipped(route):",
+            "    def call(*args):",
+            "        rep = route(*args)",
+            "        return CheckReport(rep.check, not rep.verdict, rep.violations, rep.notes)",
+            "    return call",
+            "def pair(name):",
+            "    return catalog_get(name).payload",
+            "def dual(prec, succ):",
+            "    n = prec.n",
+            "    return tuple(tuple(tuple(prec.c[p][q][k] for q in range(n)) for p in range(n))",
+            "                 for k in range(n)), tuple(tuple(tuple(succ.c[p][q][k]",
+            "                 for q in range(n)) for p in range(n)) for k in range(n))",
+            "def cp(prec, succ):",
+            "    return bialgebra.CoproductPair(prec.n, *dual(prec, succ))",
+            "bad = cp(st(2, {(0, 1, 0): Q(1)}), st(2))",
+            "lsa = op_add(*pair('plsa-2d-IV'))",
+            "calls = [",
+            "    ('check_plsa', lambda: bialgebra.plsca_check(bialgebra.zero_coproducts(2))),",
+            "    ('check_plsa', lambda: bialgebra.plsca_check(bad)),",
+            "    ('check_matched_pair', lambda: bialgebra.plsba_check(",
+            "        pair('plsa-2d-II'), bialgebra.zero_coproducts(2))),",
+            "    ('check_matched_pair', lambda: bialgebra.plsba_check(",
+            "        pair('plsa-2d-II'), cp(*pair('plsa-2d-III')))),",
+            "    ('check_matched_pair', lambda: bialgebra.slsba_check(",
+            "        lsa, dual(op_add(*pair('plsa-2d-I')), st(2))[0])),",
+            "    ('check_matched_pair', lambda: bialgebra.slsba_check(",
+            "        lsa, dual(op_add(*pair('plsa-2d-II')), st(2))[0])),",
+            "]",
+            "for route, call in calls:",
+            "    original = getattr(bialgebra, route)",
+            "    setattr(bialgebra, route, flipped(original))",
+            "    try:",
+            "        call()",
+            "    except InternalMismatch as e:",
+            "        print(e)",
+            "    else:",
+            "        sys.exit(4)",
+            "    setattr(bialgebra, route, original)",
+        ])
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+        done = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        lines = done.stdout.splitlines()
+        assert len(lines) == 6 and all("disagree" in line for line in lines), lines

@@ -42,7 +42,7 @@ from symplie.checks import (
     three_forms,
     violations,
 )
-from symplie.linalg import frac, t3_is_zero
+from symplie.linalg import Scaled, frac, t3_is_zero
 from symplie.catalog import catalog_get
 
 from oracles import (
@@ -577,6 +577,24 @@ class TestViolationCollector:
 
     def test_all_zero(self):
         assert mat_violations("z", [[[Q(0)] * 2] * 2] * 3) == []
+
+    def test_rank_four_list_of_tensors(self):
+        # the shape of plsca_check's co-compatibility: one rank-3 tuple per e_i
+        z = Q(0)
+        t = [(((z, Q(1)), (z, z)), ((z, z), (Q(-2), z))),
+             (((z, z), (z, z)), ((z, z), (z, z))),
+             (((z, z), (z, z)), ((z, z), (z, Q(3))))]
+        assert mat_violations("r", t, (4,)) == [Violation("r", (4, 0, 0, 0, 1), Q(1)),
+                                                Violation("r", (4, 0, 1, 1, 0), Q(-2)),
+                                                Violation("r", (4, 2, 1, 1, 1), Q(3))]
+
+    def test_scaled_with_all_zero_rows(self):
+        s = Scaled([[[0, 0], [0, 3]], [[0, 0], [0, 0]], [[-4, 0], [0, 0]]], 6)
+        got = mat_violations("s", s, (7,))
+        assert got == [Violation("s", (7, 0, 1, 1), Q(1, 2)),
+                       Violation("s", (7, 2, 0, 0), Q(-2, 3))]
+        assert all(type(v.residual) is Fraction for v in got)
+        assert mat_violations("s", Scaled([[0, 0], [0, 0]], 5)) == []
 
     def test_tuples_keep_the_given_order(self):
         got = violations("v", [(2, 0), (0, 1), (1, 1)], lambda i, j: Q(i + j + 1))

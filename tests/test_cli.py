@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as hs
 
 from symplie.checks import Endo, Form, RepTensor, st
+from symplie import cli
 from symplie.cli import (
     MAX_DIM,
     SECTIONS,
@@ -336,6 +337,14 @@ class TestVerifyCommand:
     def test_unknown_check_exit_two(self, ssla3, capsys):
         assert run(["verify", ssla3, "--check", "bogus"]) == 2
         assert "unknown check" in capsys.readouterr().err
+
+    def test_unknown_check_refused_before_any_check_runs(self, ssla3, monkeypatch, capsys):
+        calls = []
+        monkeypatch.setitem(cli.CHECKS, "special-symplectic", calls.append)
+        assert run(["verify", ssla3, "--check", "special-symplectic",
+                    "--check", "typo"]) == 2
+        assert "unknown check 'typo'" in capsys.readouterr().err
+        assert calls == []
 
     def test_missing_file_exit_two(self, capsys):
         assert run(["verify", "/nonexistent/x.alg", "--check", "lie"]) == 2

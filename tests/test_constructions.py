@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -369,3 +370,28 @@ class TestPostAffine:
         where = {v.where for v in rep.violations}
         assert "post-connection" in where
         assert not any(note.startswith("ALERT") for note in rep.notes)
+
+
+NON_SKEW = st(2, {(0, 1, 0): Q(1), (1, 0, 0): Q(1)})  # [e1, e2] = [e2, e1] = e1
+NON_COMMUTING = RepTensor(2, 2, (((Q(1), Q(0)), (Q(0), Q(0))),
+                                 ((Q(0), Q(1)), (Q(0), Q(0)))))
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: semidirect_lie(NON_SKEW, RepTensor(2, 1, (((Q(0),),),) * 2)),
+     NotARepresentation, "bracket fails the Lie axioms (antisymmetry) at (0, 1)"),
+    (lambda: semidirect_lie(st(2), NON_COMMUTING), NotARepresentation,
+     "action is not a representation at (0, 1, 0)"),
+    (lambda: cotangent_double_from_connection(NON_SKEW, st(2)), InvalidInput,
+     "antisymmetry fails at (0, 1)"),
+    (lambda: cotangent_double_from_connection(st(2), st(2, {(0, 1, 0): Q(1)})),
+     InvalidInput, "torsion-free fails at (0, 1)"),
+    (lambda: lsa_from_symplectic(NON_SKEW, canonical_skew_pairing(1)), InvalidInput,
+     "antisymmetry fails at (0, 1)"),
+    (lambda: lsa_from_symplectic(st(2), Form(2, ((Q(1), Q(0)), (Q(0), Q(1))))),
+     InvalidInput, "skew fails at (0, 0)"),
+], ids=["semidirect-bracket", "semidirect-action", "cotangent-bracket",
+        "cotangent-torsion", "lsa-bracket", "lsa-form"])
+def test_precondition_messages_name_the_violation(call, error, message):
+    with pytest.raises(error, match="^%s$" % re.escape(message)):
+        call()

@@ -15,6 +15,7 @@ from hypothesis import strategies as hs
 
 from symplie import bialgebra, cli
 from symplie.bialgebra import (
+    CoproductPair,
     NotAPLSBA,
     ParaKahlerData,
     canonical_r,
@@ -92,6 +93,7 @@ from oracles import (
     phi_cocycle_violations,
     plsa_from_special_symplectic_plain,
     plsba_violations,
+    plsca_violations,
     post_connection_violations,
     representation_violations,
     rand_invertible,
@@ -208,6 +210,22 @@ def _plsba_report(pair, cp):
 
 
 class TestBialgebraRoutes:
+    @settings(max_examples=25)
+    @given(hs.data())
+    def test_plsca_check(self, data):
+        """Whole reports on valid coproduct pairs and on random ones, whose
+        three obstructions interleave their violations tuple by tuple."""
+        n = data.draw(hs.integers(1, 3))
+        if data.draw(hs.booleans()):
+            cp = data.draw(coproduct_pairs(n))
+        else:
+            cp = CoproductPair(n, data.draw(tensors((n, n, n))), data.draw(tensors((n, n, n))))
+        viol = plsca_violations(cp.alpha, cp.beta)
+        got = plsca_check(cp)
+        assert got == _report("plsca", viol, ["dual product-pair route agrees (%s)"
+                                              % _word(not viol)])
+        _fraction_residuals(got)
+
     @settings(max_examples=30)
     @given(hs.data())
     def test_plsba_check(self, data):
