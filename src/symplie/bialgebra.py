@@ -16,8 +16,9 @@ conditions of the double's r) contract on the exact integer kernel of linalg
 off its nonzero numerators with checks.mat_violations; identities reported
 interleaved per tuple are collected one by one and merged by a stable sort
 on the tuple.  Their cross-checks (check_plsa on dualized coproducts,
-check_matched_pair) sum over nonzero structure constants in plain Fraction,
-independent of the kernel; _route_agrees compares the two verdicts.
+check_matched_pair) sum over nonzero structure constants in exact int
+arithmetic (checks._residual), independent of the kernel; _route_agrees
+compares the two verdicts.
 
 Coordinate conventions: an element of A tensor A is the matrix r[p][q] of
 coefficients of e_p tensor e_q; a coproduct is stored as one such matrix per

@@ -18,8 +18,9 @@ check_parallel_form and nijenhuis_torsion contract the whole input once on
 the exact integer kernel of linalg (Scaled) and read each tuple's residual
 off the result.  check_plsa, check_left_symmetric, check_jacobi,
 check_bimodule, check_flat and check_representation evaluate sparse sums
-over the nonzero structure constants (and action entries) in plain Fraction
-(_residual); the first four stay off Scaled because they are the
+over the nonzero structure constants (and action entries) in exact int
+arithmetic (_residual), building Fractions only for the entries of a
+nonzero residual; the first four stay off Scaled because they are the
 independent cross-check routes.  The matrix identities (N^2 = +-id,
 JE = -EJ, N^T B N = +-B) and three_forms contract on the kernel through one
 helper, _mat_chain; the remaining verifiers compare entries directly.  The
@@ -32,6 +33,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations, combinations_with_replacement, product
+from math import gcd
 
 from .linalg import (
     DimensionMismatch,
@@ -214,20 +216,37 @@ def check_nondegenerate(B):
 
 
 def _nonzeros(t):
-    """nz[i][j] = [(k, t[i][j][k]) for each nonzero entry] of a rank-3 tensor."""
-    return [[[(k, q) for k, q in enumerate(row) if q] for row in plane]
-            for plane in t]
+    """nz[i][j] = [(k, numerator, denominator) for each nonzero t[i][j][k]]
+    of a rank-3 tensor of Fractions or ints."""
+    return [[[(k, q.numerator, q.denominator) for k, q in enumerate(row) if q]
+             for row in plane] for plane in t]
 
 
 def _residual(n, terms):
     """The vector sum of sign * q * p * e_t over the (outer, rows, sign)
-    terms, with (s, q) in outer and (t, p) in rows[s]."""
-    acc = [Fraction(0)] * n
+    terms, with q = a/b for each (s, a, b) in outer and p = c/d for each
+    (t, c, d) in rows[s]: a tuple of n Fractions, or () when it is zero.
+
+    Each signed product a*c is summed as an int in a bucket keyed by
+    (t, b*d); the buckets of a target are then added with int gcd
+    arithmetic, so a Fraction is built only for the entries of a nonzero
+    residual."""
+    acc = {}
     for outer, rows, sign in terms:
-        for s, q in outer:
-            for t, p in rows[s]:
-                acc[t] = acc[t] + q * p if sign > 0 else acc[t] - q * p
-    return tuple(acc)
+        for s, a, b in outer:
+            a *= sign
+            for t, c, d in rows[s]:
+                key = t, b * d
+                acc[key] = acc.get(key, 0) + a * c
+    num, den = [0] * n, [1] * n
+    for (t, d), x in acc.items():
+        if x:
+            g = gcd(den[t], d)
+            num[t] = num[t] * (d // g) + x * (den[t] // g)
+            den[t] *= d // g
+    if not any(num):
+        return ()
+    return tuple(map(Fraction, num, den))
 
 
 def check_jacobi(br):
@@ -401,8 +420,9 @@ def pairs_then(n, m):
 
 def mat_violations(where, t, at=()):
     """A violation at indices at + index for each nonzero scalar of the
-    nested tuples or lists t, all of one depth, in row-major order.  It walks
-    rows of scalars, so an all-zero row costs one any().  For a Scaled t each
+    nested tuples or lists t, all of one depth, in row-major order; a row of
+    scalars may be empty, as _residual's zero residual is.  It walks rows of
+    scalars, so an all-zero row costs one any().  For a Scaled t each
     residual is the Fraction of a nonzero numerator over t.den."""
     den = None
     if isinstance(t, Scaled):

@@ -15,7 +15,8 @@ rely on the returned data without re-checking.
 lsa_from_symplectic and plsa_from_special_symplectic contract their input
 on the exact integer kernel of linalg (Scaled); the identities that
 post_affine_check and affine_cotangent_extension evaluate on basis tuples
-are sparse sums over nonzero structure constants (checks._residual).
+are sparse sums over nonzero structure constants in exact int arithmetic
+(checks._residual).
 """
 
 from dataclasses import dataclass
@@ -455,7 +456,7 @@ def affine_cotangent_extension(d):
 
     nzb, nzphi = _nonzeros(base.c), _nonzeros(phi)
     colphi = list(zip(*nzphi))  # colphi[k][p] = nzphi[p][k]
-    # cl[i][s] = [(q, l.t[i][q][s]) ...], the nonzero column s of l(e_i)
+    # cl[i][s] = [(q, num, den) ...] of each nonzero l.t[i][q][s], column s of l(e_i)
     cl, cr = (_nonzeros([tuple(zip(*m)) for m in rep.t]) for rep in (l, r))
     # the defect at (e_i, e_j, e_k) minus the defect at (e_j, e_i, e_k)
     viol += violations("phi-cocycle", pairs_then(n, n), lambda i, j, k: _residual(n, (

@@ -11,8 +11,9 @@ equation 2: checks.violations collects each equation, and a stable sort on
 (c, i, j) merges the two lists.
 
 The matched-pair route (check_bimodule, _mixed_12) sums products of nonzero
-structure constants and action entries in plain Fraction, off linalg.Scaled,
-as the independent cross-check of the bialgebra verifiers.
+structure constants and action entries in exact int arithmetic
+(checks._residual), off linalg.Scaled, as the independent cross-check of the
+bialgebra verifiers.
 """
 
 from dataclasses import dataclass
@@ -84,7 +85,7 @@ def _mixed_12(A, lA, rA, lB, rB, mdim, name1, name2):
     n = A.n
     nz = _nonzeros(A.c)
     nzcol = list(zip(*nz))  # nzcol[j][s] = nz[s][j]
-    # cols[c][s] = [(k, t[c][k][s]) ...], the nonzero column s of t[c]
+    # cols[c][s] = [(k, num, den) ...] of each nonzero t[c][k][s], column s of t[c]
     cLA, cRA, cLB, cRB = (_nonzeros([tuple(zip(*mat)) for mat in rep.t])
                           for rep in (lA, rA, lB, rB))
     cLBt, cRBt = list(zip(*cLB)), list(zip(*cRB))  # cRBt[i][d] = cRB[d][i]

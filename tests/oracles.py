@@ -82,6 +82,20 @@ def left_mult_plain(c, i):
     return tuple(tuple(c[i][j][k] for j in range(n)) for k in range(n))
 
 
+# --- the sparse sum of the cross-check routes, one Fraction product at a
+# time (vs checks._residual's int buckets) ---
+
+def residual_plain(n, terms):
+    """sum of sign * q * p e_t over the (outer, rows, sign) terms, with
+    (s, q) in outer and (t, p) in rows[s], as a tuple of n Fractions."""
+    acc = [Fraction(0)] * n
+    for outer, rows, sign in terms:
+        for s, q in outer:
+            for t, p in rows[s]:
+                acc[t] += sign * Fraction(q) * Fraction(p)
+    return tuple(acc)
+
+
 # --- rank-3 tensor operations, entry by entry (vs the package's scaled
 # int-numerator kernel) ---
 

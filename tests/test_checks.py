@@ -63,7 +63,7 @@ from oracles import (
 )
 from oracles import closed_violations, nijenhuis_plain, parallel_violations
 from oracles import jacobi_violations, left_symmetric_violations, plsa_compat_violations
-from oracles import bimodule_violations
+from oracles import bimodule_violations, residual_plain
 from oracles import (
     commutative_violations,
     complex_product_violations,
@@ -87,7 +87,7 @@ from symplie.constructions import (
     hypersymplectic_from_tangent,
 )
 from symplie.linalg import DimensionMismatch
-from test_linalg import all_fractions, dims, matrices, tensors
+from test_linalg import all_fractions, dims, entries, matrices, tensors
 
 Q = Fraction
 AREA = Form(2, ((Q(0), Q(1)), (Q(-1), Q(0))))
@@ -491,6 +491,87 @@ class TestBimoduleMatchesOracle:
             for l, r in ((bad, good), (good, bad)):
                 with pytest.raises(DimensionMismatch):
                     check_bimodule(NONAB, l, r)
+
+
+# --- checks._residual, the sparse sum of the cross-check routes, against a
+# plain Fraction loop ---
+
+@hs.composite
+def sparse_terms(draw):
+    """(n, terms): up to four (outer, rows, sign) terms of (index, value)
+    lists with Fraction and int values, some of them empty."""
+    n, m = draw(hs.integers(1, 4)), draw(hs.integers(1, 4))
+    value = entries.filter(bool) | hs.integers(-9, 9).filter(bool)
+
+    def sparse(size):
+        return hs.lists(hs.tuples(hs.integers(0, size - 1), value), max_size=4)
+
+    terms = draw(hs.lists(hs.tuples(sparse(m), hs.lists(sparse(n), min_size=m, max_size=m),
+                                    hs.sampled_from((1, -1))), max_size=4))
+    return n, terms
+
+
+def _int_terms(terms):
+    """terms with each (index, value) as (index, numerator, denominator)."""
+    def ints(pairs):
+        return [(k, q.numerator, q.denominator) for k, q in pairs]
+    return [(ints(outer), [ints(row) for row in rows], sign) for outer, rows, sign in terms]
+
+
+def _sparse_residual(n, terms):
+    return checks._residual(n, _int_terms(terms))
+
+
+ONE = [[(0, Q(1))]]  # rows for one outer index, e_0 with coefficient 1
+
+
+class TestSparseResidual:
+    @settings(max_examples=50)
+    @given(sparse_terms())
+    def test_matches_plain_loop(self, drawn):
+        n, terms = drawn
+        got, want = _sparse_residual(n, terms), residual_plain(n, terms)
+        if any(want):
+            assert got == want and all(type(x) is Fraction for x in got)
+        else:
+            assert got == ()
+
+    def test_buckets_cancel_across_denominators(self):
+        # 1/2 + 1/3 - 5/6 on e_0: three products, three denominators
+        terms = [([(0, Q(1, 2))], ONE, 1), ([(0, Q(1, 3))], ONE, 1),
+                 ([(0, Q(5, 6))], ONE, -1)]
+        assert residual_plain(2, terms) == (0, 0)
+        assert _sparse_residual(2, terms) == ()
+        assert violations("c", [(0,)], lambda i: _sparse_residual(2, terms)) == []
+
+    def test_int_entries_and_negative_numerators(self):
+        nz = checks._nonzeros((((0, 2, Q(-3, 4)), (0, 0, 0)),))
+        assert nz == [[[(1, 2, 1), (2, -3, 4)], []]]
+        terms = [([(0, 2)], [[(1, -3)]], -1), ([(0, Q(-1, 2))], [[(1, Q(1, 3)), (2, 1)]], 1)]
+        got = _sparse_residual(3, terms)
+        assert got == (Q(0), Q(35, 6), Q(-1, 2))
+        assert all(type(x) is Fraction for x in got)
+
+    def test_empty_term_lists(self):
+        assert checks._residual(3, ()) == ()
+        assert checks._residual(2, [([], [[]], 1)]) == ()
+        assert checks._residual(2, [([(0, 1, 1)], [[]], -1)]) == ()
+
+    def test_nonzero_residual_is_all_fractions(self):
+        terms = [([(0, Q(1, 2))], [[(1, Q(-1, 3))]], 1)]
+        got = _sparse_residual(3, terms)
+        assert got == (Q(0), Q(-1, 6), Q(0))
+        assert [type(x) for x in got] == [Fraction] * 3
+
+    def test_bimodule_zero_first_row_then_nonzero_row(self):
+        # bimodule-2 at (0,0) is r(e_1)^2 on a zero product and a zero l:
+        # its first row is zero, its second (1, 1)
+        zero = RepTensor(1, 2, (((Q(0), Q(0)), (Q(0), Q(0))),))
+        r = RepTensor(1, 2, (((Q(0), Q(0)), (Q(1), Q(1))),))
+        got = check_bimodule(st(1), zero, r)
+        assert got.violations == (Violation("bimodule-2 at (0,0)", (1, 0), Q(1)),
+                                  Violation("bimodule-2 at (0,0)", (1, 1), Q(1)))
+        assert got == _oracle_report("bimodule", bimodule_violations(st(1).c, zero.t, r.t))
 
 
 # --- the entry-by-entry verifiers against their plain-loop oracles ---

@@ -299,6 +299,24 @@ class TestBialgebraRoutes:
                                     [Violation(*v) for v in viol])
         _fraction_residuals(got)
 
+    def test_double_r_merge_order(self):
+        """double-r-1 and double-r-3 both fail at (i, a, b) = (2, 3, 2), and
+        double-r-3 also fails at (0, 0, 3) and (0, 3, 0): the report lists
+        them by (i, a, b), double-r-1 before double-r-3 at one tuple."""
+        one = Fraction(1)
+        r = tuple(tuple(Fraction(-((p, q) == (3, 1))) for q in range(4)) for p in range(4))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(bialgebra, "canonical_r", lambda _: r)
+            mp.setattr(bialgebra, "plsca_check", lambda *_: report("plsca", []))
+            mp.setattr(bialgebra, "_plsba_identities", lambda *_: report("plsba", []))
+            _, _, _, got = drinfeld_double(catalog_get("plsa-2d-III").payload,
+                                           zero_coproducts(2))
+        assert got.violations == (Violation("double-r-3", (0, 0, 3), one),
+                                  Violation("double-r-3", (0, 3, 0), -one),
+                                  Violation("double-r-1", (2, 2, 3), one),
+                                  Violation("double-r-1", (2, 3, 2), -one),
+                                  Violation("double-r-3", (2, 3, 2), -one))
+
 
 @hs.composite
 def coproducts(draw, n):

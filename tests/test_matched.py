@@ -271,6 +271,22 @@ class TestMatchedPairMatchesOracles:
         assert got == _oracle_report(mp)
         assert _residual_entries_are_fractions(got)
 
+    def test_mixed_compat_merge_order(self):
+        """Identities 1 and 2 both fail at (i, j, c) = (0, 1, 0), and
+        identity 2 also fails at (0, 0, 0): the report lists them by (c, i, j),
+        identity 1 before identity 2 at one tuple."""
+        zero = RepTensor(2, 1, (((Q(0),),), ((Q(0),),)))
+        mp = MatchedPairData(st(2, {(0, 0, 1): -1, (0, 1, 0): -1}), st(1), zero, zero,
+                             RepTensor(1, 2, (((Q(0), Q(0)), (Q(0), Q(0))),)),
+                             RepTensor(1, 2, (((Q(1), Q(0)), (Q(0), Q(0))),)))
+        rep = check_matched_pair(mp)
+        assert rep.violations == (
+            Violation("mixed-compat-2", (0, 0, 0), (Q(0), Q(-1))),
+            Violation("mixed-compat-1", (0, 1, 0), (Q(-1), Q(0))),
+            Violation("mixed-compat-2", (0, 1, 0), (Q(-1), Q(0))),
+            Violation("bimodule(A2): bimodule-2 at (0,0)", (0, 0), Q(1)))
+        assert rep == _oracle_report(mp)
+
     def test_catalog_dual_actions_pass_and_a_bump_fails(self):
         for name in PLSA_NAMES:
             mp = dual_actions(plsa(name), ZERO_PAIR)
