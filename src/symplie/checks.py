@@ -21,12 +21,19 @@ check_bimodule, check_flat and check_representation evaluate sparse sums
 over the nonzero structure constants (and action entries) in exact int
 arithmetic (_residual), building Fractions only for the entries of a
 nonzero residual; the first four stay off Scaled because they are the
-independent cross-check routes.  The matrix identities (N^2 = +-id,
-JE = -EJ, N^T B N = +-B) and three_forms contract on the kernel through one
-helper, _mat_chain; the remaining verifiers compare entries directly.  The
-kernel routes read each StructureTensor, Form and Endo through its cached
-Scaled form (.scaled, and .scaled_t for the transpose of a matrix), so an
-object is converted once however many identities contract it.
+independent cross-check routes.  check_jacobi's antisymmetry half compares
+the (k, numerator, denominator) lists of [e_i, e_j] and [e_j, e_i], exact
+because a Fraction is stored in lowest terms, and adds the two vectors only
+at a violating pair.  The matrix identities (N^2 = +-id, JE = -EJ,
+N^T B N = +-B) and three_forms contract on the kernel through one helper,
+_mat_chain; the remaining verifiers compare entries directly.  The kernel
+routes read each StructureTensor, Form and Endo through its cached Scaled
+form (.scaled, and .scaled_t for the transpose of a matrix), so an object
+is converted once however many identities contract it.  The rank of a form
+and the eigenspace dimensions of E are read off the same cached int rows:
+linalg.int_rank eliminates a fresh copy of them (less q times the
+denominator on the diagonal, for E - q id), and E = +-id is read off that
+copy too.
 """
 
 from dataclasses import dataclass, field
@@ -38,7 +45,7 @@ from math import gcd
 from .linalg import (
     DimensionMismatch,
     Scaled,
-    mat_rank,
+    int_rank,
     mat_transpose,
     mat_zero,
     scaled,
@@ -208,7 +215,7 @@ def check_skew(B):
 
 
 def check_nondegenerate(B):
-    r = mat_rank(B.m)
+    r = int_rank([list(row) for row in B.scaled.num])  # a copy: int_rank works in place
     viol = []
     if r != B.n:
         viol.append(Violation("rank", (), Fraction(B.n - r)))
@@ -251,9 +258,12 @@ def _residual(n, terms):
 
 def check_jacobi(br):
     n, c = br.n, br.c
-    viol = violations("antisymmetry", combinations_with_replacement(range(n), 2),
-                      lambda i, j: vec_add(c[i][j], c[j][i]))
     nz = _nonzeros(c)
+    # a Fraction is stored in lowest terms, so c[i][j] + c[j][i] is zero
+    # exactly when the two lists of (k, numerator, denominator) are opposite
+    viol = violations("antisymmetry", combinations_with_replacement(range(n), 2),
+                      lambda i, j: () if nz[i][j] == [(k, -a, b) for k, a, b in nz[j][i]]
+                      else vec_add(c[i][j], c[j][i]))
     col = list(zip(*nz))  # col[k][s] = nz[s][k]
     # [[e_i, e_j], e_k] + [[e_j, e_k], e_i] + [[e_k, e_i], e_j]
     viol += violations("jacobi", combinations(range(n), 3), lambda i, j, k: _residual(
@@ -388,15 +398,14 @@ def check_special_symplectic(br, conn, w):
 
 
 def nijenhuis_torsion(br, N):
-    """T(N)(x,y) = [Nx,Ny] + N^2[x,y] - N([Nx,y] + [x,Ny]) as a StructureTensor."""
+    """T(N)(x,y) = [Nx,Ny] + N(N[x,y] - [Nx,y] - [x,Ny]) as a StructureTensor."""
     if br.n != N.n:
         raise DimensionMismatch("bracket dim %d, endomorphism dim %d" % (br.n, N.n))
     C, M, Mt = br.scaled, N.scaled, N.scaled_t
     A = scaled_leg(Mt, C, 0)  # A[i][j] = [Ne_i, e_j]
     B = scaled_leg(Mt, C, 1)  # B[i][j] = [e_i, Ne_j]
-    T = scaled_combine([(1, scaled_leg(Mt, A, 1)),
-                        (1, scaled_leg(M, scaled_leg(M, C, 2), 2)),
-                        (-1, scaled_leg(M, scaled_combine([(1, A), (1, B)]), 2))])
+    inner = scaled_combine([(1, scaled_leg(M, C, 2)), (-1, A), (-1, B)])
+    T = scaled_combine([(1, scaled_leg(Mt, A, 1)), (1, scaled_leg(M, inner, 2))])
     return StructureTensor(br.n, unscaled(T))
 
 
@@ -439,9 +448,11 @@ def mat_violations(where, t, at=()):
 # shared by check_complex_product, check_metric_compatible,
 # bialgebra.check_parakahler and the self-check of constructions.family_JE
 
-def _minus_scalar(m, q):
-    """m - q id, as lists."""
-    return [[x - q if i == j else x for j, x in enumerate(row)] for i, row in enumerate(m)]
+def _minus_scalar(M, q):
+    """The int rows of M - q id, numerators over M.den for a square Scaled M:
+    fresh lists, so int_rank may eliminate them in place."""
+    return [[x - q * M.den if i == j else x for j, x in enumerate(row)]
+            for i, row in enumerate(M.num)]
 
 
 def _mat_chain(terms):
@@ -486,8 +497,8 @@ def torsion_violations(where, br, N):
 
 def eigenspace_violations(E):
     """The +1 and -1 eigenspaces of E have equal dimension."""
-    dplus = E.n - mat_rank(_minus_scalar(E.m, 1))
-    dminus = E.n - mat_rank(_minus_scalar(E.m, -1))
+    dplus = E.n - int_rank(_minus_scalar(E.scaled, 1))
+    dminus = E.n - int_rank(_minus_scalar(E.scaled, -1))
     if dplus == dminus:
         return []
     return [Violation("eigenspace-dims", (), Fraction(dplus - dminus))]
@@ -500,7 +511,7 @@ def check_complex_product(br, J, E):
         raise DimensionMismatch("dimensions %d, %d, %d" % (br.n, J.n, E.n))
     viol = square_violations("J^2+id", J, -1) + square_violations("E^2-id", E, 1)
     for q in (1, -1):
-        if not any(map(any, _minus_scalar(E.m, q))):  # E = q id
+        if not any(map(any, _minus_scalar(E.scaled, q))):  # E = q id
             viol.append(Violation("E-is-scalar", (), Fraction(q)))
             break
     viol += anticommute_violations("JE+EJ", J, E)

@@ -282,11 +282,12 @@ def phi_from_omega(w):
     return Endo(w.n, mat_transpose(w.m))
 
 
-def build_N(l1, l2, l3, l4, f):
-    """Block operator [[l2*I, l1*f^-1], [l3*f, l4*I]] on V + V."""
+def build_N(l1, l2, l3, l4, f, finv):
+    """Block operator [[l2*I, l1*f^-1], [l3*f, l4*I]] on V + V, for the
+    Endo f and finv = mat_inverse(f.m), which the caller computes once for
+    all the operators it builds over f."""
     l1, l2, l3, l4 = frac(l1), frac(l2), frac(l3), frac(l4)
     n = f.n
-    finv = mat_inverse(f.m)
     d = 2 * n
     m = [[Fraction(0)] * d for _ in range(d)]
     for i in range(n):
@@ -310,14 +311,15 @@ def family_JE(p, f):
         raise BadParams("sign must be +1 or -1, got %r" % (p.sign,))
     if lam == 0:
         raise BadParams("lambda must be nonzero")
-    J = build_N(lam, mu, (-1 - mu * mu) / lam, -mu, f)
+    finv = mat_inverse(f.m)
+    J = build_N(lam, mu, (-1 - mu * mu) / lam, -mu, f, finv)
     if p.family == "F1":
-        E = build_N(0, sg, -2 * sg * mu / lam, -sg, f)
+        E = build_N(0, sg, -2 * sg * mu / lam, -sg, f, finv)
     elif p.family == "F2":
         if mu == 0:
             raise BadParams("family F2 needs mu nonzero")
         khat = 2 * mu * lam / (1 + mu * mu)
-        E = build_N(sg * khat, sg, 0, -sg, f)
+        E = build_N(sg * khat, sg, 0, -sg, f, finv)
     elif p.family == "F3":
         if p.k is None:
             raise BadParams("family F3 needs the parameter k")
@@ -333,7 +335,7 @@ def family_JE(p, f):
             raise IrrationalSquareRoot("1 - k^2/lambda^2 = %s is not a square"
                                        % (1 - k * k / (lam * lam),))
         e2 = k * mu / lam + sg * s
-        E = build_N(k, e2, (1 - e2 * e2) / k, -e2, f)
+        E = build_N(k, e2, (1 - e2 * e2) / k, -e2, f, finv)
     else:
         raise BadParams("unknown family %r" % (p.family,))
     if square_violations("J^2+id", J, -1):

@@ -14,7 +14,8 @@ tuples that belong to no such object.
 
 Rank and inversion run a fraction-free (Bareiss-style) forward elimination
 on integer-scaled rows, which keeps intermediate entries as minors of the
-input instead of letting numerators and denominators blow up.
+input instead of letting numerators and denominators blow up.  int_rank
+takes int rows directly, such as a copy of a cached Scaled matrix's.
 
 The dense Fraction helpers left are entrywise: zero, identity and transpose
 for the parser and other builders, the vec_* and t3_* sums for sum products,
@@ -139,11 +140,17 @@ def _bareiss_forward(rows, npivot):
     return r
 
 
-def mat_rank(m):
-    """Rank over the rationals, by fraction-free (Bareiss) elimination."""
-    if not m:
+def int_rank(rows):
+    """Rank over the rationals of a matrix given as lists of ints, by
+    fraction-free (Bareiss) elimination in place on those lists."""
+    if not rows:
         return 0
-    return _bareiss_forward(_integer_rows(m), len(m[0]))
+    return _bareiss_forward(rows, len(rows[0]))
+
+
+def mat_rank(m):
+    """Rank over the rationals of a matrix of Fractions."""
+    return int_rank(_integer_rows(m))
 
 
 def mat_inverse(m):

@@ -31,6 +31,7 @@ from symplie.checks import (
     check_skew,
     check_special_symplectic,
     check_torsion_free,
+    eigenspace_violations,
     mat_violations,
     merge_reports,
     nijenhuis_torsion,
@@ -50,6 +51,7 @@ from oracles import (
     brute_jacobi,
     brute_left_symmetric,
     gauss_inverse,
+    gauss_rank,
     left_mult_plain,
     mat_mul_plain,
     mat_vec_plain,
@@ -60,6 +62,7 @@ from oracles import (
     transport_product,
     rand_invertible,
     _basis,
+    _ident_plus,
 )
 from oracles import closed_violations, nijenhuis_plain, parallel_violations
 from oracles import jacobi_violations, left_symmetric_violations, plsa_compat_violations
@@ -130,6 +133,20 @@ class TestJacobi:
     def test_heisenberg(self):
         h = st(3, {(0, 1, 2): Q(1), (1, 0, 2): Q(-1)})
         assert check_jacobi(h).verdict
+
+    def test_exact_antisymmetry_residuals(self):
+        # [e_0, e_1] + [e_1, e_0] = (1/2 - 1/3) e_0, a nonzero [e_1, e_1]
+        # counts twice, and an int entry cancels its opposite Fraction
+        c = [[[Q(0)] * 3 for _ in range(3)] for _ in range(3)]
+        c[0][1][0], c[1][0][0], c[1][1][1] = Q(1, 2), Q(-1, 3), Q(3, 4)
+        c[1][2][2], c[2][1][2] = 5, Q(-5)
+        c = tuple(tuple(map(tuple, plane)) for plane in c)
+        got = check_jacobi(StructureTensor(3, c))
+        assert got == _oracle_report("jacobi", jacobi_violations(c))
+        assert [(v.where, v.indices, v.residual) for v in got.violations] == [
+            ("antisymmetry", (0, 1), (Q(1, 6), Q(0), Q(0))),
+            ("antisymmetry", (1, 1), (Q(0), Q(3, 2), Q(0)))]
+        assert _residual_entries_are_fractions(got)
 
 
 class TestLeftSymmetric:
@@ -806,6 +823,48 @@ class TestScaledFormsConvertedOnce:
         assert check_parakahler(pk).verdict
         assert sorted(map(id, converted)) == sorted(
             map(id, (pk.bracket.c, pk.omega.m, pk.E.m, pk.conn.c)))
+
+
+class TestRanksFromCachedRows:
+    """Rank, eigenspace dimensions and E = +-id are read off fresh copies of
+    the cached int rows, which int_rank eliminates in place; the cached rows
+    themselves never change."""
+
+    def test_cached_rows_untouched(self):
+        br, J, E, g = _fresh_hypersymplectic()
+        before = copy.deepcopy([x.scaled.num for x in (g, J, E)])
+        assert check_nondegenerate(g).verdict
+        assert eigenspace_violations(E) == []
+        assert check_complex_product(br, J, E).verdict
+        assert [x.scaled.num for x in (g, J, E)] == before
+
+    def test_rank_deficient_form(self):
+        # row 2 = 1/2 row 0 - 3 row 1
+        m = ((Q(1, 2), Q(2), Q(-1, 3)), (Q(0), Q(1, 5), Q(1)), (Q(1, 4), Q(2, 5), Q(-19, 6)))
+        w = Form(3, m)
+        before = copy.deepcopy(w.scaled.num)
+        assert gauss_rank(m) == 2
+        assert check_nondegenerate(w).violations == (Violation("rank", (), Q(1)),)
+        assert w.scaled.num == before
+
+    @pytest.mark.parametrize("diag", [(1, 1, -1), (1, -1, -1), (1, 1, 1), (-1, -1, -1)])
+    def test_eigenspaces_and_scalar_e(self, diag):
+        # E = P diag P^-1 squares to id, with eigenspaces of unequal dims
+        P = ((Q(1), Q(2), Q(0)), (Q(0), Q(1, 3), Q(1)), (Q(1, 2), Q(0), Q(1)))
+        D = tuple(tuple(Q(d if a == b else 0) for b in range(3)) for a, d in enumerate(diag))
+        em = mat_mul_plain(mat_mul_plain(P, D), gauss_inverse(P))
+        J = ((Q(0), Q(-1), Q(2)), (Q(1), Q(0), Q(0)), (Q(0), Q(1, 2), Q(0)))
+        br, E = st(3, {(0, 1, 0): Q(1), (1, 0, 0): Q(-1)}), Endo(3, em)
+        before = copy.deepcopy([E.scaled.num, E.scaled_t])
+        dplus = 3 - gauss_rank(_ident_plus(em, -1))
+        dminus = 3 - gauss_rank(_ident_plus(em, 1))
+        assert (dplus, dminus) == (diag.count(1), diag.count(-1))
+        assert eigenspace_violations(E) == [Violation("eigenspace-dims", (), Q(dplus - dminus))]
+        got = check_complex_product(br, Endo(3, J), E)
+        assert got == _oracle_report("complex-product",
+                                     complex_product_violations(br.c, J, em))
+        assert ("E-is-scalar" in [v.where for v in got.violations]) == (len(set(diag)) == 1)
+        assert [E.scaled.num, E.scaled_t] == before
 
 
 class TestScaledFormsInvisible:

@@ -38,6 +38,7 @@ from symplie.constructions import (
     cotangent_double,
     cotangent_double_from_connection,
     dual_left_action,
+    family_JE,
     hypersymplectic_from_cotangent,
     hypersymplectic_from_tangent,
     lsa_from_symplectic,
@@ -49,6 +50,7 @@ from symplie.constructions import (
 )
 from symplie.constructions import DegenerateForm, InvalidInput
 from symplie.matched import canonical_skew_pairing
+from symplie import constructions
 from symplie.catalog import catalog_get
 from symplie.linalg import frac
 
@@ -186,6 +188,22 @@ class TestFamilies:
         w1, w2, w3 = three_forms(g, J, E)
         for w in (w1, w2, w3):
             assert check_closed(d.bracket, w).verdict
+
+    @pytest.mark.parametrize("fam, lam, mu, k", [("F1", Q(2), Q(-1, 2), None),
+                                                 ("F2", Q(1), Q(1), None),
+                                                 ("F3", Q(5), Q(0), Q(3))])
+    def test_one_inverse_per_family(self, monkeypatch, fam, lam, mu, k):
+        # J and E are both built over f, which is inverted once for the two
+        calls = []
+        real = constructions.mat_inverse
+
+        def counted(m):
+            calls.append(m)
+            return real(m)
+        monkeypatch.setattr(constructions, "mat_inverse", counted)
+        f = phi_from_omega(ssla("ssla-2d-3").omega)
+        family_JE(FamilyParams(fam, lam, mu, k), f)
+        assert calls == [f.m]
 
     def test_sign_flips_e(self):
         s = ssla("ssla-2d-1")
