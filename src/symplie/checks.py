@@ -13,10 +13,13 @@ collects each identity on its own and merges the lists with one stable sort
 on the tuple order.  require turns a failing report into the caller's typed
 error.
 
-Every identity on basis tuples takes one of two routes.  check_closed,
-check_parallel_form and nijenhuis_torsion contract the whole input once on
-the exact integer kernel of linalg (Scaled) and read each tuple's residual
-off the result.  check_plsa, check_left_symmetric, check_jacobi,
+Every identity on basis tuples takes one of two routes.  check_closed and
+check_parallel_form contract the whole input once on the exact integer
+kernel of linalg (Scaled) and read each tuple's residual off the result.
+torsion_violations contracts the Nijenhuis torsion on the same kernel one
+plane at a time, and only the rows j > i that it reads, building Fractions
+only for a violating pair; nijenhuis_torsion takes every row from the same
+per-plane core.  check_plsa, check_left_symmetric, check_jacobi,
 check_bimodule, check_flat and check_representation evaluate sparse sums
 over the nonzero structure constants (and action entries) in exact int
 arithmetic (_residual), building Fractions only for the entries of a
@@ -45,6 +48,7 @@ from math import gcd
 from .linalg import (
     DimensionMismatch,
     Scaled,
+    int_mat_mul,
     int_rank,
     mat_transpose,
     mat_zero,
@@ -397,16 +401,31 @@ def check_special_symplectic(br, conn, w):
     return merge_reports("special-symplectic", parts, extra, notes)
 
 
-def nijenhuis_torsion(br, N):
-    """T(N)(x,y) = [Nx,Ny] + N(N[x,y] - [Nx,y] - [x,Ny]) as a StructureTensor."""
+def _torsion(br, N, upper):
+    """The Nijenhuis torsion of N as int rows over M.den^2 C.den, plane by
+    plane: plane i holds T(e_i, e_j) for j > i with upper, else for every j.
+    With D_i = [Ne_i, .] - N[e_i, .], T(e_i, e_j) = sum_q N_qj D_i(e_q)
+    - N D_i(e_j): only the kept rows j are contracted."""
     if br.n != N.n:
         raise DimensionMismatch("bracket dim %d, endomorphism dim %d" % (br.n, N.n))
     C, M, Mt = br.scaled, N.scaled, N.scaled_t
-    A = scaled_leg(Mt, C, 0)  # A[i][j] = [Ne_i, e_j]
-    B = scaled_leg(Mt, C, 1)  # B[i][j] = [e_i, Ne_j]
-    inner = scaled_combine([(1, scaled_leg(M, C, 2)), (-1, A), (-1, B)])
-    T = scaled_combine([(1, scaled_leg(Mt, A, 1)), (1, scaled_leg(M, inner, 2))])
-    return StructureTensor(br.n, unscaled(T))
+    nt = Mt.num  # row j: N e_j
+    A = scaled_leg(Mt, C, 0).num  # A[i][q] = [Ne_i, e_q]
+    planes = []
+    for i, Ci in enumerate(C.num):
+        D = [[a - b for a, b in zip(arow, brow)]
+             for arow, brow in zip(A[i], int_mat_mul(Ci, nt))]
+        j0 = i + 1 if upper else 0
+        planes.append([[p - q for p, q in zip(prow, qrow)] for prow, qrow in
+                       zip(int_mat_mul(nt[j0:], D), int_mat_mul(D[j0:], nt))])
+    return Scaled(planes, M.den ** 2 * C.den)
+
+
+def nijenhuis_torsion(br, N):
+    """T(N)(x,y) = [Nx,Ny] + N(N[x,y] - [Nx,y] - [x,Ny]) as a StructureTensor:
+    every plane in full, through the core that torsion_violations runs on
+    the pairs i < j only."""
+    return StructureTensor(br.n, unscaled(_torsion(br, N, upper=False)))
 
 
 def violations(where, tuples, residual, den=None):
@@ -490,9 +509,16 @@ def congruence_violations(where, B, N, sign):
 
 
 def torsion_violations(where, br, N):
-    """The Nijenhuis torsion of N vanishes, on basis pairs i < j."""
-    T = nijenhuis_torsion(br, N).c
-    return violations(where, combinations(range(br.n), 2), lambda i, j: T[i][j])
+    """The Nijenhuis torsion of N vanishes, on basis pairs i < j: only those
+    rows are contracted, and the residual, the row of n Fractions, is built
+    only at a violating pair."""
+    num, den = _torsion(br, N, upper=True)
+    zero = Fraction(0)
+
+    def residual(i, j):
+        row = num[i][j - i - 1]  # plane i holds the rows j = i + 1, ..., n - 1
+        return tuple(Fraction(x, den) if x else zero for x in row) if any(row) else ()
+    return violations(where, combinations(range(br.n), 2), residual)
 
 
 def eigenspace_violations(E):

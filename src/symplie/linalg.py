@@ -10,12 +10,17 @@ not, so the chain stays exact and converts back to Fractions only once, at
 its end.  The products skip zero entries, because structure constants are
 mostly zero.  The data objects of checks (StructureTensor, Form, Endo)
 convert themselves once and cache the result, so scaled() here is for raw
-tuples that belong to no such object.
+tuples that belong to no such object.  The operations on that form are
+scaled_leg (a matrix on one leg of a rank-3 tensor), scaled_permute,
+scaled_combine and unscaled (back to Fractions).
 
+int_mat_mul and int_rank take int rows directly, such as a data object's
+cached Scaled rows: int_mat_mul is the product scaled_leg runs on, for a
+caller that contracts only some rows (the Nijenhuis torsion in checks).
 Rank and inversion run a fraction-free (Bareiss-style) forward elimination
 on integer-scaled rows, which keeps intermediate entries as minors of the
-input instead of letting numerators and denominators blow up.  int_rank
-takes int rows directly, such as a copy of a cached Scaled matrix's.
+input instead of letting numerators and denominators blow up; int_rank
+eliminates in place, so it takes a copy.
 
 The dense Fraction helpers left are entrywise: zero, identity and transpose
 for the parser and other builders, the vec_* and t3_* sums for sum products,
@@ -146,6 +151,21 @@ def int_rank(rows):
     if not rows:
         return 0
     return _bareiss_forward(rows, len(rows[0]))
+
+
+def int_mat_mul(a, b):
+    """a b for matrices given as lists of int rows, skipping zero entries:
+    fresh lists, one per row of a, so a may have no rows."""
+    out = []
+    for arow in a:
+        acc = [0] * len(b[0])
+        for x, brow in zip(arow, b):
+            if x:
+                for c, y in enumerate(brow):
+                    if y:
+                        acc[c] += x * y
+        out.append(acc)
+    return out
 
 
 def mat_rank(m):
@@ -290,20 +310,6 @@ def unscaled(t):
                        for row in plane) for plane in t.num)
 
 
-def _int_mat_mul(a, b):
-    """a b for nested lists of ints, skipping zero entries."""
-    out = []
-    for arow in a:
-        acc = [0] * len(b[0])
-        for x, brow in zip(arow, b):
-            if x:
-                for c, y in enumerate(brow):
-                    if y:
-                        acc[c] += x * y
-        out.append(acc)
-    return out
-
-
 def scaled_leg(m, t, leg):
     """Apply the matrix m to leg 0, 1 or 2 of the rank-3 tensor t:
 
@@ -317,14 +323,14 @@ def scaled_leg(m, t, leg):
         raise DimensionMismatch("matrix cols %d, leg %r of a %s tensor"
                                 % (len(M[0]), leg, "x".join(map(str, dims))))
     if leg == 0:  # m times t flattened to d1 rows of d2 * d3 entries
-        flat = _int_mat_mul(M, [[x for row in plane for x in row] for plane in T])
+        flat = int_mat_mul(M, [[x for row in plane for x in row] for plane in T])
         d3 = dims[2]
         out = [[f[k:k + d3] for k in range(0, len(f), d3)] for f in flat]
     elif leg == 1:
-        out = [_int_mat_mul(M, plane) for plane in T]
+        out = [int_mat_mul(M, plane) for plane in T]
     else:
         mT = [list(col) for col in zip(*M)]
-        out = [_int_mat_mul(plane, mT) for plane in T]
+        out = [int_mat_mul(plane, mT) for plane in T]
     return Scaled(out, m.den * t.den)
 
 

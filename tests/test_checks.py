@@ -41,6 +41,7 @@ from symplie.checks import (
     st,
     sub_adjacent,
     three_forms,
+    torsion_violations,
     violations,
 )
 from symplie.linalg import Scaled, frac, t3_is_zero
@@ -73,6 +74,7 @@ from oracles import (
     metric_compatible_violations,
     skew_violations,
     torsion_free_violations,
+    torsion_plain_violations,
 )
 from symplie import bialgebra, checks, constructions, linalg
 from symplie.bialgebra import (
@@ -369,6 +371,46 @@ class TestKernelVerifiersMatchOracles:
         got = nijenhuis_torsion(StructureTensor(n, c), Endo(n, m))
         assert got == StructureTensor(n, nijenhuis_plain(c, m))
         assert all_fractions(got.c)
+
+    @settings(max_examples=30)
+    @given(hs.data())
+    def test_torsion_violations(self, data):
+        # a random bracket is not antisymmetric, so T(e_j, e_i) is not
+        # -T(e_i, e_j) and the rows i < j cannot be read off the others
+        n = data.draw(dims6)
+        c, m = data.draw(tensors((n, n, n))), data.draw(matrices(n, n))
+        _assert_torsion_matches_oracle(c, m)
+
+
+def _assert_torsion_matches_oracle(c, m):
+    n = len(c)
+    got = torsion_violations("t", StructureTensor(n, c), Endo(n, m))
+    assert got == [Violation(*v) for v in torsion_plain_violations("t", c, m)]
+    assert all(type(x) is Fraction for v in got for x in v.residual)
+    return got
+
+
+def _dense_input(n):
+    """A bracket tensor and a matrix with no zero entry, neither skew."""
+    c = tuple(tuple(tuple(Q(1 + i + 2 * j + 3 * k, 1 + (i + j + k) % 3) for k in range(n))
+                    for j in range(n)) for i in range(n))
+    m = tuple(tuple(Q(2 * a - b + 7, 1 + a) for b in range(n)) for a in range(n))
+    return c, m
+
+
+class TestTorsionViolationsEdgeCases:
+    def test_dimension_one_has_no_pairs(self):
+        assert _assert_torsion_matches_oracle((((Q(2),),),), ((Q(3),),)) == []
+
+    def test_zero_endomorphism(self):
+        c, _ = _dense_input(4)
+        assert _assert_torsion_matches_oracle(c, tuple((Q(0),) * 4 for _ in range(4))) == []
+
+    def test_fully_dense_input_fails_on_every_pair(self):
+        c, m = _dense_input(4)
+        got = _assert_torsion_matches_oracle(c, m)
+        assert [v.indices for v in got] == [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
+        assert all(all(v.residual) for v in got)
 
 
 # --- the sparse structure-constant verifiers against their full-product
