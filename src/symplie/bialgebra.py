@@ -15,7 +15,14 @@ conditions of the double's r) contract on the exact integer kernel of linalg
 (Scaled), one residual tensor per basis vector e_i, and read the violations
 off its nonzero numerators with checks.mat_violations; identities reported
 interleaved per tuple are collected one by one and merged by a stable sort
-on the tuple.  Their cross-checks (check_plsa on dualized coproducts,
+on the tuple.  The obstructions stay Scaled from the contraction to the
+collector: r, r^T and u = r - r^T are converted once per call (_r_forms),
+the coboundary coproducts of R_operators go straight from their Scaled core
+into _coproduct_operators, and the routes that must agree entry for entry
+(R_operators' direct and closed forms, slsba_coboundary's r route and the
+direct co-left-symmetry) are compared on cross-multiplied numerators
+(linalg.scaled_equal).  Only what a public function returns is turned into
+Fractions.  The cross-checks (check_plsa on dualized coproducts,
 check_matched_pair) sum over nonzero structure constants in exact int
 arithmetic (checks._residual), independent of the kernel; _route_agrees
 compares the two verdicts.
@@ -33,11 +40,11 @@ from itertools import combinations
 
 from .linalg import (
     InternalMismatch,
-    mat_sub,
-    mat_transpose,
+    Scaled,
     mat_zero,
     scaled,
     scaled_combine,
+    scaled_equal,
     scaled_leg,
     scaled_permute,
     unscaled,
@@ -119,12 +126,28 @@ def _scaled_pair(plsa):
     return P, S, D, scaled_combine(((1, D), (-1, scaled_permute(D, (1, 0, 2)))))
 
 
-def _two_sided(m, X, Y):
-    """Per basis vector e_i: m Lx_i^T + Ly_i m, for a Fraction matrix m and
-    Scaled products X, Y with left multiplications Lx_i, Ly_i."""
+def _r_forms(r):
+    """r, r^T, u = r - r^T and u^T = -u as Scaled matrices over one
+    denominator, from a single conversion of the Fraction matrix r."""
+    R = scaled(r)
+    RT = Scaled([list(col) for col in zip(*R.num)], R.den)
+    U = Scaled([[a - b for a, b in zip(x, y)] for x, y in zip(R.num, RT.num)], R.den)
+    return R, RT, U, Scaled([[-a for a in row] for row in U.num], R.den)
+
+
+def _two_sided(M, MT, X, Y):
+    """Per basis vector e_i: m Lx_i^T + Ly_i m, for a Scaled matrix M = m,
+    its transpose MT, and Scaled products X, Y with left multiplications
+    Lx_i, Ly_i."""
     return scaled_combine((
-        (1, scaled_leg(scaled(m), X, 1)),
-        (1, scaled_permute(scaled_leg(scaled(mat_transpose(m)), Y, 1), (0, 2, 1)))))
+        (1, scaled_leg(M, X, 1)),
+        (1, scaled_permute(scaled_leg(MT, Y, 1), (0, 2, 1)))))
+
+
+def _each_violations(where, tensors):
+    """mat_violations of the i-th Scaled tensor at the indices (i, ...), in
+    the order of i: one residual tensor per basis vector e_i."""
+    return [v for i, t in enumerate(tensors) for v in mat_violations(where, t, (i,))]
 
 
 def _compat_defect(D, S, T, A):
@@ -158,21 +181,21 @@ def dualize_coproducts(cp):
     return _dual_product(cp.n, cp.alpha), _dual_product(cp.n, cp.beta)
 
 
-def _coproduct_operators(cp):
-    """The three obstruction tensors per basis vector: co-commutativity of
-    alpha, mixed co-compatibility, and co-left-symmetry of beta."""
-    al, be = scaled(cp.alpha), scaled(cp.beta)
+def _coproduct_operators(al, be):
+    """The three obstructions of the Scaled coproducts al, be: one tensor
+    over (i, p, q) for co-commutativity of alpha, and one Scaled tensor per
+    basis vector for mixed co-compatibility and for co-left-symmetry of
+    beta."""
     alT = scaled_permute(al, (0, 2, 1))  # alT[i] = alpha_i transposed
     ab = scaled_combine(((1, al), (1, be)))
     R2 = []
-    for i in range(cp.n):
+    for i in range(len(al.num)):
         t1 = scaled_leg(be.plane(i), al, 0)  # sum_q B[a][q] al[q][b][c]
         # sum_p A[p][c] ab[p][a][b], and sum_q A[b][q] ab[q][a][c]
         t2 = scaled_permute(scaled_leg(alT.plane(i), ab, 0), (1, 2, 0))
         s = scaled_permute(scaled_leg(al.plane(i), ab, 0), (1, 0, 2))
-        R2.append(unscaled(scaled_combine(((1, t1), (-1, t2), (-1, s)))))
-    R1 = unscaled(scaled_combine(((1, al), (-1, alT))))
-    return list(R1), R2, _co_left_symmetry(cp.beta)
+        R2.append(scaled_combine(((1, t1), (-1, t2), (-1, s))))
+    return scaled_combine(((1, al), (-1, alT))), R2, _co_left_symmetry(be)
 
 
 def plsca_check(cp):
@@ -183,9 +206,9 @@ def plsca_check(cp):
     indices merges the three lists in that order.  The verdict is compared
     against check_plsa on the dualized products, which must agree by
     construction."""
-    R1, R2, R3 = _coproduct_operators(cp)
-    viol = sorted(mat_violations("co-commutativity", R1) + mat_violations("co-compatibility", R2)
-                  + mat_violations("co-left-symmetry", R3), key=lambda v: v.indices)
+    R1, R2, R3 = _coproduct_operators(scaled(cp.alpha), scaled(cp.beta))
+    viol = sorted(mat_violations("co-commutativity", R1) + _each_violations("co-compatibility", R2)
+                  + _each_violations("co-left-symmetry", R3), key=lambda v: v.indices)
     note = _route_agrees(not viol, check_plsa(*dualize_coproducts(cp)).verdict,
                          "coproduct operators", "dual product-pair route")
     return report("plsca", viol, [note])
@@ -271,9 +294,15 @@ def coboundary_coproducts(plsa, r):
 
     where Ldot, Lsucc, ad are left multiplication by e_i in the sum product,
     the second product, and the commutator bracket."""
-    _, S, D, B = _scaled_pair(plsa)
-    return CoproductPair(plsa[0].n, unscaled(_two_sided(r, D, D)),
-                         unscaled(scaled_combine(((-1, _two_sided(r, B, S)),))))
+    al, be = _coboundary_scaled(_scaled_pair(plsa), _r_forms(r))
+    return CoproductPair(plsa[0].n, unscaled(al), unscaled(be))
+
+
+def _coboundary_scaled(pair, rf):
+    """coboundary_coproducts as Scaled alpha, beta, from the Scaled tensors
+    pair of _scaled_pair and rf of _r_forms."""
+    (_, S, D, B), (R, RT, _, _) = pair, rf
+    return _two_sided(R, RT, D, D), scaled_combine(((-1, _two_sided(R, RT, B, S)),))
 
 
 def coboundary_conditions(plsa, r):
@@ -290,11 +319,11 @@ def _coboundary_identities(plsa, r):
     the right-multiplication condition Rp_j (Ld_i u + u Ld_i^T) = 0 per
     ordered pair."""
     P, _, D, _ = _scaled_pair(plsa)
-    u = mat_sub(r, mat_transpose(r))
-    baseT = scaled_permute(_two_sided(u, D, D), (0, 2, 1))
+    _, _, U, UT = _r_forms(r)
+    baseT = scaled_permute(_two_sided(U, UT, D, D), (0, 2, 1))
     Q = scaled_permute(P, (1, 2, 0))  # Q[j] = Rp_j
     viol = []
-    for i, C1 in enumerate(_coboundary_one(P, u)):
+    for i, C1 in enumerate(_coboundary_one(P, UT)):
         C2 = scaled_leg(baseT.plane(i), Q, 2)
         for j in range(plsa[0].n):
             if i <= j:
@@ -303,14 +332,15 @@ def _coboundary_identities(plsa, r):
     return report("coboundary-conditions", viol)
 
 
-def _coboundary_one(P, u):
+def _coboundary_one(P, UT):
     """Per basis vector e_i, lazily, the tensor over (j, a, b) of
 
         M u + u M^T - Lp_j u Lp_i^T - Lp_i u Lp_j^T,   M = Lp(e_i prec e_j),
 
-    for the Scaled first product P and a skew Fraction matrix u.  With
-    V_k = Lp_k u it is Z - Z^T for Z_j = M u - V_j Lp_i^T, as u^T = -u."""
-    V = scaled_permute(scaled_leg(scaled(mat_transpose(u)), P, 1), (0, 2, 1))
+    for the Scaled first product P and the Scaled transpose UT of a skew
+    matrix u.  With V_k = Lp_k u it is Z - Z^T for Z_j = M u - V_j Lp_i^T,
+    as u^T = -u."""
+    V = scaled_permute(scaled_leg(UT, P, 1), (0, 2, 1))
     LP = scaled_permute(P, (0, 2, 1))
     for i in range(len(P.num)):
         Z = scaled_combine(((1, scaled_leg(P.plane(i), V, 0)),
@@ -330,12 +360,13 @@ def rr_brackets(plsa, r):
                         - sum r[u][q] r[s][w] succ[q][s][v]
                         - sum r[u][q] r[v][t] br[q][t][w]
     """
-    return tuple(unscaled(t) for t in _rr_scaled(*_scaled_pair(plsa), r))
+    return tuple(unscaled(t) for t in _rr_scaled(_scaled_pair(plsa), _r_forms(r)))
 
 
-def _rr_scaled(P, S, D, B, r):
-    """rr_brackets on the Scaled tensors of _scaled_pair."""
-    R, RT = scaled(r), scaled(mat_transpose(r))
+def _rr_scaled(pair, rf):
+    """rr_brackets on the Scaled tensors pair of _scaled_pair and rf of
+    _r_forms."""
+    (P, S, D, B), (R, RT, _, _) = pair, rf
 
     def uqt(c):  # sum r[u][q] r[v][t] c[q][t][w]
         return scaled_leg(R, scaled_leg(R, c, 0), 1)
@@ -353,20 +384,24 @@ def _rr_scaled(P, S, D, B, r):
 def R_operators(plsa, r):
     """The three coproduct obstructions of the coboundary pair built from r
     (InvalidInput unless the product pair is valid), evaluated directly and
-    again through closed forms in the quadratic tensors of r; the two routes
-    are asserted to agree entry for entry."""
+    again through closed forms in the quadratic tensors of r.  Both routes
+    stay on Scaled numerators, which are compared entry for entry
+    (scaled_equal; InternalMismatch when they differ), and only the returned
+    operators are turned into Fractions: the first as a list of matrices,
+    the other two as one tensor per basis vector."""
     require(check_plsa(*plsa), InvalidInput, "product pair invalid: %s at %s")
-    R1, R2, R3 = _coproduct_operators(coboundary_coproducts(plsa, r))
-    C1, C2, C3 = _closed_form_operators(plsa, r)
-    for name, direct, closed in (("first", R1, C1), ("second", R2, C2),
+    pair, rf = _scaled_pair(plsa), _r_forms(r)
+    R1, R2, R3 = _coproduct_operators(*_coboundary_scaled(pair, rf))
+    C1, C2, C3 = _closed_form_operators(pair, rf)
+    for name, direct, closed in (("first", [R1], [C1]), ("second", R2, C2),
                                  ("third", R3, C3)):
-        if tuple(direct) != tuple(closed):
+        if not all(map(scaled_equal, direct, closed)):
             raise InternalMismatch("%s operator: direct and closed-form routes "
                                    "disagree" % name)
-    return R1, R2, R3
+    return list(unscaled(R1)), [unscaled(t) for t in R2], [unscaled(t) for t in R3]
 
 
-def _closed_form_operators(plsa, r):
+def _closed_form_operators(pair, rf):
     """The obstructions through T1, T2 = rr_brackets; u = r - r^T, and Ld,
     Ls, ad (left) and Rp, Rs (right multiplications) are per basis vector:
         R1_i = base_i = Ld_i u + u Ld_i^T
@@ -374,12 +409,11 @@ def _closed_form_operators(plsa, r):
         R3_i = (Ls_i, Ls_i, ad_i on legs 0, 1, 2 of T2) - sum_p Rs_p W_i (x) r[p]
                + sum_p W(e_i succ e_p) (x) r[p] + sum_pq r[p][q] W_p (x) [e_i, e_q]
     with W(x) = ad(x) u + u Ls(x)^T linear in x, W_p = W(e_p); each sum is
-    one leg contraction."""
-    P, S, D, B = _scaled_pair(plsa)
-    R, RT = scaled(r), scaled(mat_transpose(r))
-    T1, T2 = _rr_scaled(P, S, D, B, r)
-    u = mat_sub(r, mat_transpose(r))
-    base, W = _two_sided(u, D, D), _two_sided(u, S, B)
+    one leg contraction.  pair holds the Scaled tensors of _scaled_pair and
+    rf those of _r_forms; the result is Scaled, as _coproduct_operators'."""
+    (P, S, D, B), (R, RT, U, UT) = pair, rf
+    T1, T2 = _rr_scaled(pair, rf)
+    base, W = _two_sided(U, UT, D, D), _two_sided(U, UT, S, B)
     baseT = scaled_permute(base, (0, 2, 1))
     WT = scaled_permute(W, (0, 2, 1))
     Yp = scaled_leg(RT, P, 1)  # Yp[x][c][a] = sum_p r[p][c] prec[x][p][a]
@@ -388,18 +422,18 @@ def _closed_form_operators(plsa, r):
     K = scaled_combine(((1, Ys), (1, scaled_permute(scaled_leg(R, B, 1), (0, 2, 1)))))
     LsT, LdT, adT = (scaled_permute(t, (0, 2, 1)) for t in (S, D, B))
     R2, R3 = [], []
-    for i in range(plsa[0].n):
+    for i in range(len(P.num)):
         Ls, Ld, ad = LsT.plane(i), LdT.plane(i), adT.plane(i)
-        R2.append(unscaled(scaled_combine((
+        R2.append(scaled_combine((
             (-1, scaled_leg(Ls, T1, 0)), (-1, scaled_leg(Ld, T1, 1)),
             (-1, scaled_leg(Ld, T1, 2)),
-            (1, scaled_permute(scaled_leg(baseT.plane(i), Yp, 0), (2, 0, 1)))))))
-        R3.append(unscaled(scaled_combine((
+            (1, scaled_permute(scaled_leg(baseT.plane(i), Yp, 0), (2, 0, 1))))))
+        R3.append(scaled_combine((
             (1, scaled_leg(Ls, T2, 0)), (1, scaled_leg(Ls, T2, 1)),
             (1, scaled_leg(ad, T2, 2)),
             (1, scaled_permute(scaled_leg(K.plane(i), W, 0), (1, 2, 0))),
-            (-1, scaled_permute(scaled_leg(WT.plane(i), Ys, 0), (2, 0, 1)))))))
-    return list(unscaled(base)), R2, R3
+            (-1, scaled_permute(scaled_leg(WT.plane(i), Ys, 0), (2, 0, 1))))))
+    return base, R2, R3
 
 
 # ---------------------------------------------------------------------------
@@ -436,12 +470,13 @@ def drinfeld_double(plsa, cp):
     T1, T2 = rr_brackets(pair_d, r)
     viol = mat_violations("r-bracket-1", T1) + mat_violations("r-bracket-2", T2)
     P, S, D, B = _scaled_pair(pair_d)
-    u = mat_sub(r, mat_transpose(r))
+    _, _, U, UT = _r_forms(r)
     # Ld_i u + u Ld_i^T and u Ls_i^T + ad_i u, merged by (i, a, b) in a stable sort
-    viol += sorted(mat_violations("double-r-1", _two_sided(u, D, D))
-                   + mat_violations("double-r-3", _two_sided(u, S, B)), key=lambda v: v.indices)
+    viol += sorted(mat_violations("double-r-1", _two_sided(U, UT, D, D))
+                   + mat_violations("double-r-3", _two_sided(U, UT, S, B)),
+                   key=lambda v: v.indices)
     # coboundary-1 of the double; its coboundary-2 half is not part of the report
-    for i, C1 in enumerate(_coboundary_one(P, u)):
+    for i, C1 in enumerate(_coboundary_one(P, UT)):
         for j in range(i, n2):
             viol += mat_violations("double-r-2", C1.plane(j), (i, j))
     crep = require(plsca_check(cp_d), InvalidInput, "coproduct pair invalid: %s at %s")
@@ -497,9 +532,8 @@ def _slsba_identities(lsa, alpha):
     with zero right actions; otherwise a note says the route was skipped."""
     # alpha(e_i e_j) = L_i alpha_j + alpha_j L_i^T + alpha_i R_j^T
     C, AL = lsa.scaled, scaled(alpha)
-    viol = [v for i, defect in enumerate(_compat_defect(C, C, AL, AL))
-            for v in mat_violations("coproduct-compat", defect, (i,))]
-    cls = mat_violations("co-left-symmetry", _co_left_symmetry(alpha))
+    viol = _each_violations("coproduct-compat", _compat_defect(C, C, AL, AL))
+    cls = _each_violations("co-left-symmetry", _co_left_symmetry(AL))
     if cls:
         note = "matched-pair route skipped: dual product is not left-symmetric"
     else:
@@ -518,16 +552,16 @@ def _left_dual_actions(lsa, dual):
                            dual_left_action(dual), rep_zero(n))
 
 
-def _co_left_symmetry(alpha):
-    """Per basis vector: D - swap12(D), where D[a][b][c] is
-    sum_p A[p][c] alpha[p][a][b] - sum_q A[a][q] alpha[q][b][c], A = alpha_i."""
-    al = scaled(alpha)
+def _co_left_symmetry(al):
+    """Per basis vector, a Scaled tensor: D - swap12(D), where D[a][b][c] is
+    sum_p A[p][c] alpha[p][a][b] - sum_q A[a][q] alpha[q][b][c], A = alpha_i,
+    for the Scaled coproduct al of alpha."""
     alT = scaled_permute(al, (0, 2, 1))
     out = []
-    for i in range(len(alpha)):
+    for i in range(len(al.num)):
         D = scaled_combine(((1, scaled_permute(scaled_leg(alT.plane(i), al, 0), (1, 2, 0))),
                             (-1, scaled_leg(al.plane(i), al, 0))))
-        out.append(unscaled(scaled_combine(((1, D), (-1, scaled_permute(D, (1, 0, 2)))))))
+        out.append(scaled_combine(((1, D), (-1, scaled_permute(D, (1, 0, 2))))))
     return out
 
 
@@ -535,31 +569,32 @@ def slsba_coboundary(lsa, r):
     """alpha(x) = (id tensor R.(x)) r, over a product that must be
     left-symmetric (NotAnLSA); the report checks the action closure
     condition on all pairs and the vanishing of co-left-symmetry computed
-    through the quadratic expression in r (cross-asserted against the
-    direct evaluation)."""
+    through the quadratic expression in r, compared on numerators against
+    the direct evaluation (InternalMismatch when they differ)."""
     require(check_left_symmetric(lsa), NotAnLSA, "base product is not %s at %s")
     n = lsa.n
-    R, C = scaled(r), lsa.scaled
+    C = lsa.scaled
+    R, RT, _, _ = _r_forms(r)
     Cr = scaled_permute(C, (1, 0, 2))  # Cr[j] = R_j^T, R_j right multiplication by e_j
-    alpha = unscaled(scaled_leg(R, Cr, 1))  # alpha_i = r R_i^T
-    base = _two_sided(r, C, C)  # L_i r + r L_i^T
+    AL = scaled_leg(R, Cr, 1)  # alpha_i = r R_i^T
+    base = _two_sided(R, RT, C, C)  # L_i r + r L_i^T
     # base_i R_j^T over j, per basis vector e_i
-    viol = [v for i in range(n)
-            for v in mat_violations("action-condition", scaled_leg(base.plane(i), Cr, 1), (i,))]
+    viol = _each_violations("action-condition",
+                            (scaled_leg(base.plane(i), Cr, 1) for i in range(n)))
     # m3[a][b][s] = sum r[a][q] r[t][s] lsa[q][t][b] - (a <-> b)
     #             + sum r[a][q] r[b][t] br[q][t][s]
-    Z = scaled_leg(scaled(mat_transpose(r)), scaled_leg(R, C, 0), 1)
+    Z = scaled_leg(RT, scaled_leg(R, C, 0), 1)
     br = scaled_combine(((1, C), (-1, Cr)))
     m3 = scaled_combine(((1, scaled_permute(Z, (0, 2, 1))), (-1, scaled_permute(Z, (2, 0, 1))),
                          (1, scaled_leg(R, scaled_leg(R, br, 1), 0))))
     Rd = scaled_permute(C, (1, 2, 0))  # Rd[i] = R_i
-    tq = [unscaled(scaled_leg(Rd.plane(i), m3, 2)) for i in range(n)]
-    viol += mat_violations("co-left-symmetry", tq)
-    if tuple(tq) != tuple(_co_left_symmetry(alpha)):
+    tq = [scaled_leg(Rd.plane(i), m3, 2) for i in range(n)]
+    viol += _each_violations("co-left-symmetry", tq)
+    if not all(map(scaled_equal, tq, _co_left_symmetry(AL))):
         raise InternalMismatch("co-left-symmetry via r disagrees with the "
                                "direct evaluation")
-    return alpha, report("slsba-coboundary", viol,
-                         ["direct co-left-symmetry route agrees"])
+    return unscaled(AL), report("slsba-coboundary", viol,
+                                ["direct co-left-symmetry route agrees"])
 
 
 def slsba_double(slsba):

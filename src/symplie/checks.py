@@ -19,17 +19,21 @@ kernel of linalg (Scaled) and read each tuple's residual off the result.
 torsion_violations contracts the Nijenhuis torsion on the same kernel one
 plane at a time, and only the rows j > i that it reads, building Fractions
 only for a violating pair; nijenhuis_torsion takes every row from the same
-per-plane core.  check_plsa, check_left_symmetric, check_jacobi,
-check_bimodule, check_flat and check_representation evaluate sparse sums
-over the nonzero structure constants (and action entries) in exact int
-arithmetic (_residual), building Fractions only for the entries of a
-nonzero residual; the first four stay off Scaled because they are the
-independent cross-check routes.  check_jacobi's antisymmetry half compares
-the (k, numerator, denominator) lists of [e_i, e_j] and [e_j, e_i], exact
-because a Fraction is stored in lowest terms, and adds the two vectors only
-at a violating pair.  The matrix identities (N^2 = +-id, JE = -EJ,
-N^T B N = +-B) and three_forms contract on the kernel through one helper,
-_mat_chain; the remaining verifiers compare entries directly.  The kernel
+per-plane core, which skips a plane whose [Ne_i, .] - N[e_i, .] is zero.
+check_plsa, check_left_symmetric, check_jacobi, check_bimodule, check_flat
+and check_representation evaluate sparse sums over the nonzero structure
+constants (and action entries) in exact int arithmetic (_residual),
+building Fractions only for the entries of a nonzero residual; the first
+four stay off Scaled because they are the independent cross-check routes.
+A StructureTensor lists its nonzero entries once (.nonzeros), and
+check_plsa reads the sum product off the exact sum of the lists of prec and
+succ (_nonzeros_sum), never building it as a tensor.  check_jacobi's
+antisymmetry half compares the (k, numerator, denominator) lists of
+[e_i, e_j] and [e_j, e_i], exact because a Fraction is stored in lowest
+terms, and adds the two vectors only at a violating pair.  The matrix
+identities (N^2 = +-id, JE = -EJ, N^T B N = +-B) and three_forms contract
+on the kernel through one helper, _mat_chain; the remaining verifiers
+compare entries directly.  The kernel
 routes read each StructureTensor, Form and Endo through its cached Scaled
 form (.scaled, and .scaled_t for the transpose of a matrix), so an object
 is converted once however many identities contract it.  The rank of a form
@@ -74,6 +78,12 @@ class StructureTensor:
         """c in the Scaled form of linalg, converted on first use and shared
         by every kernel route that reads this tensor."""
         return scaled(self.c)
+
+    @cached_property
+    def nonzeros(self):
+        """_nonzeros(c), listed on first use and shared by every sparse route
+        that reads this tensor; never mutated."""
+        return _nonzeros(self.c)
 
 
 class _ScaledMatrix:
@@ -260,9 +270,33 @@ def _residual(n, terms):
     return tuple(map(Fraction, num, den))
 
 
+def _nonzeros_sum(x, y):
+    """The _nonzeros list of the sum of two tensors of one shape, from their
+    lists x and y: coinciding entries are added with int gcd arithmetic and
+    kept in lowest terms, and a sum that cancels to 0 is dropped, so the
+    result equals _nonzeros of the Fraction sum."""
+    return [[_nonzeros_row_sum(ra, rb) for ra, rb in zip(pa, pb)] for pa, pb in zip(x, y)]
+
+
+def _nonzeros_row_sum(ra, rb):
+    if not (ra and rb):
+        return ra or rb
+    acc = {k: (a, b) for k, a, b in ra}
+    for k, c, d in rb:
+        if k in acc:
+            a, b = acc[k]
+            g = gcd(b, d)
+            a, b = a * (d // g) + c * (b // g), b // g * d
+            g = gcd(a, b)
+            acc[k] = a // g, b // g
+        else:
+            acc[k] = c, d
+    return [(k, a, b) for k, (a, b) in sorted(acc.items()) if a]
+
+
 def check_jacobi(br):
     n, c = br.n, br.c
-    nz = _nonzeros(c)
+    nz = br.nonzeros
     # a Fraction is stored in lowest terms, so c[i][j] + c[j][i] is zero
     # exactly when the two lists of (k, numerator, denominator) are opposite
     viol = violations("antisymmetry", combinations_with_replacement(range(n), 2),
@@ -276,10 +310,13 @@ def check_jacobi(br):
 
 
 def check_left_symmetric(op):
+    return _left_symmetric(op.n, op.nonzeros)
+
+
+def _left_symmetric(n, nz):
+    """check_left_symmetric on the _nonzeros list nz of an n-dim product."""
     # the defect is antisymmetric under swapping the first two arguments,
     # so i < j covers everything
-    n = op.n
-    nz = _nonzeros(op.c)
     col = list(zip(*nz))
     # (e_i e_j) e_k - e_i (e_j e_k) - (e_j e_i) e_k + e_j (e_i e_k)
     return report("left-symmetric", violations(
@@ -300,20 +337,23 @@ def check_plsa(prec, succ):
 
     The sum product is an LSA exactly when succ is (given the rest), so its
     left-symmetry is re-verified and the agreement of the two left-symmetry
-    checks is recorded as a note.
+    checks is recorded as a note.  The sum product is never built as a
+    Fraction tensor: its nonzero list is the exact sum of the cached lists
+    of prec and succ (_nonzeros_sum), which the compatibility sums and the
+    left-symmetry core read.
     """
     if prec.n != succ.n:
         raise DimensionMismatch("prec dim %d, succ dim %d" % (prec.n, succ.n))
     n = prec.n
-    total = op_add(prec, succ)
     comm = check_commutative(prec)
     lsymm = check_left_symmetric(succ)
-    nzp, nzs, nzt = _nonzeros(prec.c), _nonzeros(succ.c), _nonzeros(total.c)
+    nzp, nzs = prec.nonzeros, succ.nonzeros
+    nzt = _nonzeros_sum(nzp, nzs)
     colp = list(zip(*nzp))
     # e_i succ (e_j prec e_k) - (e_i . e_j) prec e_k - e_j prec (e_i . e_k)
     viol = violations("compatibility", product(range(n), repeat=3), lambda i, j, k: _residual(
         n, ((nzp[j][k], nzs[i], 1), (nzt[i][j], colp[k], -1), (nzt[i][k], nzp[j], -1))))
-    sum_ls = check_left_symmetric(total)
+    sum_ls = _left_symmetric(n, nzt)
     notes = []
     if sum_ls.verdict == lsymm.verdict:
         notes.append("sum-product left-symmetry agrees with succ left-symmetry (%s)"
@@ -343,7 +383,7 @@ def check_flat(br, conn):
     if br.n != conn.n:
         raise DimensionMismatch("bracket dim %d, connection dim %d" % (br.n, conn.n))
     n = br.n
-    nz, nzb = _nonzeros(conn.c), _nonzeros(br.c)
+    nz, nzb = conn.nonzeros, br.nonzeros
     col = list(zip(*nz))  # col[k][s] = nz[s][k]
     # e_i (e_j e_k) - e_j (e_i e_k) - [e_i, e_j] e_k
     return report("flat", violations("flat", pairs_then(n, n), lambda i, j, k: _residual(
@@ -405,10 +445,11 @@ def _torsion(br, N, upper):
     """The Nijenhuis torsion of N as int rows over M.den^2 C.den, plane by
     plane: plane i holds T(e_i, e_j) for j > i with upper, else for every j.
     With D_i = [Ne_i, .] - N[e_i, .], T(e_i, e_j) = sum_q N_qj D_i(e_q)
-    - N D_i(e_j): only the kept rows j are contracted."""
+    - N D_i(e_j): only the kept rows j are contracted, and none where D_i
+    is zero, whose rows are all zero."""
     if br.n != N.n:
         raise DimensionMismatch("bracket dim %d, endomorphism dim %d" % (br.n, N.n))
-    C, M, Mt = br.scaled, N.scaled, N.scaled_t
+    n, C, M, Mt = br.n, br.scaled, N.scaled, N.scaled_t
     nt = Mt.num  # row j: N e_j
     A = scaled_leg(Mt, C, 0).num  # A[i][q] = [Ne_i, e_q]
     planes = []
@@ -416,6 +457,9 @@ def _torsion(br, N, upper):
         D = [[a - b for a, b in zip(arow, brow)]
              for arow, brow in zip(A[i], int_mat_mul(Ci, nt))]
         j0 = i + 1 if upper else 0
+        if not any(map(any, D)):
+            planes.append([[0] * n for _ in range(j0, n)])
+            continue
         planes.append([[p - q for p, q in zip(prow, qrow)] for prow, qrow in
                        zip(int_mat_mul(nt[j0:], D), int_mat_mul(D[j0:], nt))])
     return Scaled(planes, M.den ** 2 * C.den)
@@ -592,7 +636,7 @@ def check_representation(br, rho):
     """rho([x,y]) = rho(x)rho(y) - rho(y)rho(x) on all basis pairs."""
     if rho.n != br.n:
         raise DimensionMismatch("bracket dim %d, representation dim %d" % (br.n, rho.n))
-    nzb, rl = _nonzeros(br.c), _nonzeros(rho.t)
+    nzb, rl = br.nonzeros, _nonzeros(rho.t)
     rlt = list(zip(*rl))  # rlt[a][s] = rl[s][a], row a of rho(e_s)
     # row a of rho([e_i, e_j]) - rho(e_i)rho(e_j) + rho(e_j)rho(e_i)
     return report("representation", violations(
@@ -614,7 +658,7 @@ def check_bimodule(lsa, l, r):
             len(mat) != m or any(len(row) != m for row in mat) for mat in (*l.t, *r.t)):
         raise DimensionMismatch("actions on a module of dim %d must be %d x %d matrices"
                                 % (m, m, m))
-    nz, rl, rr = _nonzeros(lsa.c), _nonzeros(l.t), _nonzeros(r.t)
+    nz, rl, rr = lsa.nonzeros, _nonzeros(l.t), _nonzeros(r.t)
     rlt, rrt = list(zip(*rl)), list(zip(*rr))  # rlt[a][s] = rl[s][a], row a of l(e_s)
     viol = []
     for i in range(n):

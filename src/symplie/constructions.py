@@ -456,7 +456,7 @@ def affine_cotangent_extension(d):
                        ((i, j, k) for i in range(n) for j, k in combinations(range(n), 2)),
                        lambda i, j, k: phi[i][j][k] - phi[i][k][j])
 
-    nzb, nzphi = _nonzeros(base.c), _nonzeros(phi)
+    nzb, nzphi = base.nonzeros, _nonzeros(phi)
     colphi = list(zip(*nzphi))  # colphi[k][p] = nzphi[p][k]
     # cl[i][s] = [(q, num, den) ...] of each nonzero l.t[i][q][s], column s of l(e_i)
     cl, cr = (_nonzeros([tuple(zip(*m)) for m in rep.t]) for rep in (l, r))
@@ -490,7 +490,7 @@ def post_affine_check(nabla, nabla_tilde, br):
              relabel(check_torsion_free(br, nabla_tilde), "torsion-free(nabla-tilde)"),
              relabel(check_flat(br, nabla_tilde), "flat(nabla-tilde)")]
     D = op_sub(nabla_tilde, nabla)
-    nzd, nzn, nzt = _nonzeros(D.c), _nonzeros(nabla.c), _nonzeros(nabla_tilde.c)
+    nzd, nzn, nzt = D.nonzeros, nabla.nonzeros, nabla_tilde.nonzeros
     # nabla(e_i, D(e_j, e_k)) - D(e_k, nabla-tilde(e_i, e_j)) - D(e_j, nabla-tilde(e_i, e_k))
     viol = violations("post-connection", product(range(n), repeat=3), lambda i, j, k: _residual(
         n, ((nzd[j][k], nzn[i], 1), (nzt[i][j], nzd[k], -1), (nzt[i][k], nzd[j], -1))))

@@ -12,7 +12,9 @@ mostly zero.  The data objects of checks (StructureTensor, Form, Endo)
 convert themselves once and cache the result, so scaled() here is for raw
 tuples that belong to no such object.  The operations on that form are
 scaled_leg (a matrix on one leg of a rank-3 tensor), scaled_permute,
-scaled_combine and unscaled (back to Fractions).
+scaled_combine and unscaled (back to Fractions); scaled_equal compares two
+routes' results on cross-multiplied numerators, so neither is unscaled just
+to be compared.
 
 int_mat_mul and int_rank take int rows directly, such as a data object's
 cached Scaled rows: int_mat_mul is the product scaled_leg runs on, for a
@@ -24,8 +26,7 @@ eliminates in place, so it takes a copy.
 
 The dense Fraction helpers left are entrywise: zero, identity and transpose
 for the parser and other builders, the vec_* and t3_* sums for sum products,
-dual actions and the cross-check residuals, and mat_sub for r - r^T in
-bialgebra.  mat_mul and tensor_contract have no caller in the package; they
+dual actions and the cross-check residuals.  mat_mul and tensor_contract have no caller in the package; they
 stay only because the benchmark tracer wraps them.
 """
 
@@ -78,12 +79,6 @@ def mat_zero(n, m=None):
 
 def mat_identity(n):
     return tuple(tuple(Fraction(1 if i == j else 0) for j in range(n)) for i in range(n))
-
-
-def mat_sub(a, b):
-    if len(a) != len(b) or len(a[0]) != len(b[0]):
-        raise DimensionMismatch("matrix shapes differ")
-    return tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
 
 
 def mat_mul(a, b):
@@ -367,6 +362,22 @@ def scaled_combine(terms):
                     if x:
                         orow[c] += f * x
     return Scaled(out, den)
+
+
+def scaled_equal(a, b):
+    """Whether the rank-3 Scaled tensors a and b stand for the same tensor:
+    one shape, and x * b.den == y * a.den for each pair of entries, so their
+    denominators may differ."""
+    da, db = a.den, b.den
+    if len(a.num) != len(b.num):
+        return False
+    for pa, pb in zip(a.num, b.num):
+        if len(pa) != len(pb):
+            return False
+        for ra, rb in zip(pa, pb):
+            if len(ra) != len(rb) or [x * db for x in ra] != [y * da for y in rb]:
+                return False
+    return True
 
 
 def rational_sqrt(q):

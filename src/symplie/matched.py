@@ -83,7 +83,7 @@ def _mixed_12(A, lA, rA, lB, rB, mdim, name1, name2):
     Each residual is a signed sum over nonzero structure constants and
     action-matrix entries (checks._residual)."""
     n = A.n
-    nz = _nonzeros(A.c)
+    nz = A.nonzeros
     nzcol = list(zip(*nz))  # nzcol[j][s] = nz[s][j]
     # cols[c][s] = [(k, num, den) ...] of each nonzero t[c][k][s], column s of t[c]
     cLA, cRA, cLB, cRB = (_nonzeros([tuple(zip(*mat)) for mat in rep.t])

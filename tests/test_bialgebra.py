@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from symplie import bialgebra, catalog, cli
+from symplie import bialgebra, catalog, checks, cli, constructions, linalg, matched
 from symplie.checks import (
     CheckReport,
     Endo,
@@ -48,7 +48,7 @@ from symplie.bialgebra import (
     zero_coproducts,
 )
 from symplie.matched import canonical_skew_pairing, double_extension
-from symplie.linalg import InternalMismatch, mat_zero, t3_is_zero
+from symplie.linalg import InternalMismatch, Scaled, mat_zero, t3_is_zero
 from symplie.catalog import CatalogEntry, catalog_get
 
 from oracles import brute_left_symmetric, coproducts_from_products, rand_mat, rng
@@ -261,6 +261,110 @@ class TestCoboundary:
                             lambda *_: (linalg.scaled(bumped), linalg.scaled(t2)))
         with pytest.raises(symplie.InternalMismatch, match="second operator"):
             R_operators(pair, r)
+
+
+def _times3(t):
+    """The Scaled t over three times its denominator: the same values."""
+    return Scaled([[[3 * x for x in row] for row in plane] for plane in t.num], 3 * t.den)
+
+
+def _bump_first(t):
+    """A fresh copy of the Scaled t with 1 added to its first numerator."""
+    num = [[list(row) for row in plane] for plane in t.num]
+    num[0][0][0] += 1
+    return Scaled(num, t.den)
+
+
+class TestRoutesComparedOnNumerators:
+    """R_operators and slsba_coboundary compare their two routes on Scaled
+    numerators, cross-multiplied by the other side's denominator: equal
+    values over different denominators agree, and a one-entry change in any
+    operator raises InternalMismatch."""
+
+    PAIR, R = "plsa-2d-II", ((Q(1), Q(2)), (Q(-1, 3), Q(0)))
+    LSA_R = ((Q(1), Q(-2)), (Q(1, 2), Q(3)))
+
+    def test_other_denominators_agree(self, monkeypatch):
+        want = R_operators(plsa(self.PAIR), self.R)
+        real = bialgebra._rr_scaled
+        monkeypatch.setattr(bialgebra, "_rr_scaled", lambda *a: tuple(map(_times3, real(*a))))
+        assert R_operators(plsa(self.PAIR), self.R) == want
+
+    @pytest.mark.parametrize("k, name", ((0, "first"), (1, "second"), (2, "third")))
+    def test_one_entry_bump_raises(self, monkeypatch, k, name):
+        real = bialgebra._closed_form_operators
+
+        def bumped(*args):
+            ops = list(real(*args))
+            ops[k] = _bump_first(ops[k]) if k == 0 else [_bump_first(ops[k][0])] + ops[k][1:]
+            return tuple(ops)
+        monkeypatch.setattr(bialgebra, "_closed_form_operators", bumped)
+        with pytest.raises(InternalMismatch, match="%s operator" % name):
+            R_operators(plsa(self.PAIR), self.R)
+
+    def test_slsba_coboundary_other_denominators_agree(self, monkeypatch):
+        lsa = op_add(*plsa("plsa-2d-IV"))
+        want = slsba_coboundary(lsa, self.LSA_R)
+        real = bialgebra._co_left_symmetry
+        monkeypatch.setattr(bialgebra, "_co_left_symmetry",
+                            lambda al: [_times3(t) for t in real(al)])
+        assert slsba_coboundary(lsa, self.LSA_R) == want
+
+    def test_slsba_coboundary_one_entry_bump_raises(self, monkeypatch):
+        lsa = op_add(*plsa("plsa-2d-IV"))
+        real = bialgebra._co_left_symmetry
+        monkeypatch.setattr(bialgebra, "_co_left_symmetry",
+                            lambda al: [_bump_first(t) for t in real(al)[:1]] + real(al)[1:])
+        with pytest.raises(InternalMismatch, match="co-left-symmetry via r disagrees"):
+            slsba_coboundary(lsa, self.LSA_R)
+
+
+class TestOperatorRoutesConvertOnce:
+    """The obstruction routes stay on Scaled numerators: R_operators turns
+    only the 1 + 2n tensors it returns into Fractions, and converts r, r^T
+    and u = r - r^T to Scaled at most once each; plsca_check and the
+    r route of slsba_coboundary build no Fraction tensor they do not return."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        seen = {"scaled": [], "unscaled": []}
+        for name, got in seen.items():
+            def counted(t, real=getattr(linalg, name), got=got):
+                got.append(t)
+                return real(t)
+            for mod in (linalg, checks, bialgebra, constructions, matched):
+                if hasattr(mod, name):
+                    monkeypatch.setattr(mod, name, counted)
+        return seen
+
+    @staticmethod
+    def _fresh_pair(name):
+        return tuple(checks.StructureTensor(op.n, op.c) for op in plsa(name))
+
+    @pytest.mark.parametrize("name", ("plsa-2d-II", "plsa-2d-IV"))
+    def test_R_operators(self, calls, name):
+        pair = self._fresh_pair(name)
+        r = ((Q(1), Q(2)), (Q(-1, 3), Q(5, 7)))
+        rT = tuple(zip(*r))
+        u = tuple(tuple(a - b for a, b in zip(x, y)) for x, y in zip(r, rT))
+        R1, R2, R3 = R_operators(pair, r)
+        assert len(calls["unscaled"]) == 1 + 2 * 2
+        assert [len(R1), len(R2), len(R3)] == [2, 2, 2]
+        for m in (r, rT, u):
+            assert sum(t == m for t in calls["scaled"]) <= 1
+
+    def test_plsca_check(self, calls):
+        for cp in (coproducts_from_products(*self._fresh_pair("plsa-2d-III")),
+                   coproducts_from_products(st(2, {(0, 1, 0): Q(1, 2)}), st(2))):
+            calls["unscaled"].clear()
+            plsca_check(cp)
+            assert calls["unscaled"] == []
+
+    def test_slsba_coboundary_unscales_alpha_only(self, calls):
+        lsa = op_add(*plsa("plsa-2d-IV"))
+        alpha, _ = slsba_coboundary(lsa, ((Q(1), Q(-2)), (Q(1, 2), Q(3))))
+        assert len(calls["unscaled"]) == 1
+        assert all(type(x) is Q for plane in alpha for row in plane for x in row)
 
 
 class TestCanonicalR:

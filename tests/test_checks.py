@@ -193,6 +193,75 @@ def test_sub_adjacent_is_commutator():
                 assert br.c[i][j][k] == c[i][j][k] - c[j][i][k]
 
 
+def _negated_where(t, mask):
+    """t with the entries at the True places of the flat mask negated."""
+    flat = iter(mask)
+    return tuple(tuple(tuple(-x if next(flat) else x for x in row) for row in plane)
+                 for plane in t)
+
+
+@hs.composite
+def summand_pairs(draw):
+    """(a, b), two n x n x n tensors, n in 1-5: b independent of a, or a
+    with some entries negated (so those cancel in a + b), or all of a
+    negated (so a + b is zero)."""
+    n = draw(dims)
+    a = draw(tensors((n, n, n)))
+    how = draw(hs.sampled_from(("independent", "partly-cancelling", "cancelling")))
+    if how == "independent":
+        return a, draw(tensors((n, n, n)))
+    if how == "cancelling":
+        return a, _negated_where(a, [True] * n ** 3)
+    return a, _negated_where(a, draw(hs.lists(hs.booleans(), min_size=n ** 3,
+                                               max_size=n ** 3)))
+
+
+class TestNonzerosSum:
+    """check_plsa's sum product is the exact sum of the two cached nonzero
+    lists: each entry in lowest terms, entries that cancel dropped, equal
+    to _nonzeros of the dense Fraction sum."""
+
+    @settings(max_examples=60)
+    @given(summand_pairs())
+    def test_matches_dense_sum(self, ab):
+        a, b = (StructureTensor(len(t), t) for t in ab)
+        want = checks._nonzeros(op_add(a, b).c)
+        assert checks._nonzeros_sum(a.nonzeros, b.nonzeros) == want
+        assert checks._nonzeros_sum(b.nonzeros, a.nonzeros) == want
+
+    def test_mixed_denominators_reduce_and_cancel(self):
+        a = st(2, {(0, 0, 0): Q(1, 6), (0, 0, 1): Q(1, 2), (1, 1, 1): Q(3, 4)})
+        b = st(2, {(0, 0, 0): Q(1, 3), (0, 0, 1): Q(-1, 2), (1, 0, 1): Q(-5)})
+        got = checks._nonzeros_sum(a.nonzeros, b.nonzeros)
+        # 1/6 + 1/3 = 1/2 in lowest terms; 1/2 - 1/2 is dropped
+        assert got == [[[(0, 1, 2)], []], [[(1, -5, 1)], [(1, 3, 4)]]]
+        assert got == checks._nonzeros(op_add(a, b).c)
+
+    def test_all_zero_and_dimension_one(self):
+        assert checks._nonzeros_sum(st(3).nonzeros, st(3).nonzeros) == [[[]] * 3] * 3
+        one, minus = st(1, {(0, 0, 0): Q(2, 3)}), st(1, {(0, 0, 0): Q(-2, 3)})
+        assert checks._nonzeros_sum(one.nonzeros, st(1).nonzeros) == [[[(0, 2, 3)]]]
+        assert checks._nonzeros_sum(one.nonzeros, one.nonzeros) == [[[(0, 4, 3)]]]
+        assert checks._nonzeros_sum(one.nonzeros, minus.nonzeros) == [[[]]]
+
+    @pytest.mark.parametrize("name", ("plsa-2d-IV", "perturbed"))
+    def test_check_plsa_builds_no_dense_sum(self, monkeypatch, name):
+        pair = catalog_get("plsa-2d-IV").payload if name == "plsa-2d-IV" else (
+            st(2, {(0, 1, 0): Q(1, 2), (1, 1, 1): Q(-1, 3)}),
+            st(2, {(0, 1, 0): Q(-1, 2), (1, 0, 1): Q(2)}))
+        want = check_plsa(*map(_fresh, pair))
+        prec, succ = map(_fresh, pair)
+        before = copy.deepcopy((prec.nonzeros, succ.nonzeros))
+
+        def refused(*_):
+            raise AssertionError("check_plsa added the dense tensors")
+        monkeypatch.setattr(checks, "op_add", refused)
+        monkeypatch.setattr(checks, "t3_add", refused)
+        assert check_plsa(prec, succ) == want
+        # the cached lists the sum was read from are not changed by it
+        assert (prec.nonzeros, succ.nonzeros) == before
+
+
 class TestPlsa:
     def test_catalog_pairs_pass(self):
         for name in ("plsa-2d-I", "plsa-2d-II", "plsa-2d-III", "plsa-2d-IV"):

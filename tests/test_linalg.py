@@ -16,7 +16,9 @@ from symplie.linalg import (
     mat_transpose,
     rational_sqrt,
     scaled,
+    Scaled,
     scaled_combine,
+    scaled_equal,
     scaled_leg,
     scaled_permute,
     tensor_contract,
@@ -240,6 +242,43 @@ class TestScaled:
             scaled_leg(scaled(rand_mat(rng(4), 3)), t, 3)
         with pytest.raises(DimensionMismatch):
             scaled_permute(t, (0, 1, 1))
+
+
+def _times(t, k):
+    """The Scaled t with numerators and denominator multiplied by k."""
+    return Scaled([[[k * x for x in row] for row in plane] for plane in t.num], k * t.den)
+
+
+def _bumped(t, a, b, c):
+    """A fresh copy of the Scaled t with 1 added to the numerator at (a, b, c)."""
+    num = [[list(row) for row in plane] for plane in t.num]
+    num[a][b][c] += 1
+    return Scaled(num, t.den)
+
+
+class TestScaledEqual:
+    """scaled_equal compares on cross-multiplied numerators, so two routes
+    that reach one tensor over different denominators agree."""
+
+    @given(hs.tuples(dims, dims, dims).flatmap(tensors), hs.integers(1, 6))
+    def test_same_values_over_other_denominators(self, t, k):
+        s = scaled(t)
+        assert scaled_equal(s, _times(s, k)) and scaled_equal(_times(s, k), s)
+
+    @given(hs.data())
+    def test_one_entry_bump_differs(self, data):
+        s = scaled(data.draw(hs.tuples(dims, dims, dims).flatmap(tensors)))
+        a, b, c = (data.draw(hs.integers(0, d - 1))
+                   for d in (len(s.num), len(s.num[0]), len(s.num[0][0])))
+        k = data.draw(hs.integers(1, 6))
+        assert not scaled_equal(_times(s, k), _bumped(s, a, b, c))
+
+    def test_shapes_differ(self):
+        s = scaled(rand_tensor(rng(2), 3))
+        assert not scaled_equal(s, Scaled(s.num[:2], s.den))
+        assert not scaled_equal(s, Scaled([plane[:2] for plane in s.num], s.den))
+        assert not scaled_equal(s, Scaled([[row[:2] for row in plane] for plane in s.num],
+                                          s.den))
 
 
 def test_bareiss_raises_without_assert(monkeypatch):
