@@ -6,8 +6,16 @@ canonical r, and para-Kahler verification.
 A public verifier validates its preconditions and raises the typed error
 (checks.require); its private _..._identities core evaluates the identities
 on input it trusts, so a chain that has already validated its data calls the
-core and each precondition is verified once.  Every cross-check route
-always runs.
+core and each precondition is verified once.  Across separate public calls
+on one frozen pair, its check_plsa verdict and its Scaled tensors
+(_scaled_pair) are kept on the pair's objects (checks._once), so trying many
+r against one pair verifies and converts that pair once; a long-lived pair
+keeps the objects it was paired with alive.  A CoproductPair converts its
+tensors and builds its dual products once (.scaled, .dual), and the pair
+coboundary_coproducts returns starts with the Scaled form it was unscaled
+from.  Every cross-check route runs at least once per object it checks:
+plsca_check itself is evaluated on every call, and the dual's check_plsa
+once per coproduct object.
 
 The primary routes (the coproduct operators, the bialgebra, coboundary and
 one-coproduct identities, the coboundary coproducts and the closure
@@ -36,6 +44,7 @@ e_a tensor e_b tensor e_c.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
 
 from .linalg import (
@@ -52,6 +61,8 @@ from .linalg import (
 from .checks import (
     Endo,
     StructureTensor,
+    _once,
+    _seeded,
     check_closed,
     check_flat,
     check_jacobi,
@@ -99,6 +110,17 @@ class CoproductPair:
     alpha: tuple  # alpha[i][p][q]: e_p tensor e_q coefficient of alpha(e_i)
     beta: tuple
 
+    @cached_property
+    def scaled(self):
+        """(alpha, beta) as Scaled tensors, converted on first use and shared
+        by every route that contracts this pair; never mutated."""
+        return scaled(self.alpha), scaled(self.beta)
+
+    @cached_property
+    def dual(self):
+        """The two dual products (_dual_product), built on first use."""
+        return _dual_product(self.n, self.alpha), _dual_product(self.n, self.beta)
+
 
 @dataclass(frozen=True)
 class ParaKahlerData:
@@ -117,13 +139,16 @@ def zero_coproducts(n):
 
 
 def _scaled_pair(plsa):
-    """prec, succ, their sum dot and its commutator br, as Scaled tensors.
-    For a product X, plane i of X permuted by (0, 2, 1) is the matrix Lx_i of
-    left multiplication by e_i, and plane j of X permuted by (1, 0, 2) is
-    Rx_j^T, the transposed right multiplication by e_j."""
-    P, S = (op.scaled for op in plsa)
-    D = scaled_combine(((1, P), (1, S)))
-    return P, S, D, scaled_combine(((1, D), (-1, scaled_permute(D, (1, 0, 2)))))
+    """prec, succ, their sum dot and its commutator br, as Scaled tensors,
+    built once per pair of objects (checks._once).  For a product X, plane i
+    of X permuted by (0, 2, 1) is the matrix Lx_i of left multiplication by
+    e_i, and plane j of X permuted by (1, 0, 2) is Rx_j^T, the transposed
+    right multiplication by e_j."""
+    def compute():
+        P, S = (op.scaled for op in plsa)
+        D = scaled_combine(((1, P), (1, S)))
+        return P, S, D, scaled_combine(((1, D), (-1, scaled_permute(D, (1, 0, 2)))))
+    return _once(plsa[0], "scaled-pair", (plsa[1],), compute)
 
 
 def _r_forms(r):
@@ -177,8 +202,9 @@ def _dual_product(n, t):
 
 
 def dualize_coproducts(cp):
-    """Products on the dual space of the two coproducts (_dual_product)."""
-    return _dual_product(cp.n, cp.alpha), _dual_product(cp.n, cp.beta)
+    """Products on the dual space of the two coproducts (_dual_product), as
+    cached on cp."""
+    return cp.dual
 
 
 def _coproduct_operators(al, be):
@@ -206,7 +232,7 @@ def plsca_check(cp):
     indices merges the three lists in that order.  The verdict is compared
     against check_plsa on the dualized products, which must agree by
     construction."""
-    R1, R2, R3 = _coproduct_operators(scaled(cp.alpha), scaled(cp.beta))
+    R1, R2, R3 = _coproduct_operators(*cp.scaled)
     viol = sorted(mat_violations("co-commutativity", R1) + _each_violations("co-compatibility", R2)
                   + _each_violations("co-left-symmetry", R3), key=lambda v: v.indices)
     note = _route_agrees(not viol, check_plsa(*dualize_coproducts(cp)).verdict,
@@ -251,7 +277,7 @@ def _plsba_identities(plsa, cp):
     The verdict is recomputed as check_matched_pair on the dualized data and
     asserted to agree."""
     P, S, D, B = _scaled_pair(plsa)
-    AL, BE = scaled(cp.alpha), scaled(cp.beta)
+    AL, BE = cp.scaled
     AB = scaled_combine(((1, AL), (1, BE)))
     ALT = scaled_permute(AL, (0, 2, 1))
     LP, LD = scaled_permute(P, (0, 2, 1)), scaled_permute(D, (0, 2, 1))
@@ -293,9 +319,10 @@ def coboundary_coproducts(plsa, r):
         beta_i  = -(r ad_i^T + Lsucc_i r)
 
     where Ldot, Lsucc, ad are left multiplication by e_i in the sum product,
-    the second product, and the commutator bracket."""
+    the second product, and the commutator bracket.  The pair's cached
+    Scaled form is the one it was unscaled from."""
     al, be = _coboundary_scaled(_scaled_pair(plsa), _r_forms(r))
-    return CoproductPair(plsa[0].n, unscaled(al), unscaled(be))
+    return _seeded(CoproductPair(plsa[0].n, unscaled(al), unscaled(be)), scaled=(al, be))
 
 
 def _coboundary_scaled(pair, rf):
@@ -467,10 +494,11 @@ def drinfeld_double(plsa, cp):
     n2 = pair_d[0].n
     r = canonical_r(n2 // 2)
     cp_d = coboundary_coproducts(pair_d, r)
-    T1, T2 = rr_brackets(pair_d, r)
+    pair, rf = _scaled_pair(pair_d), _r_forms(r)
+    P, S, D, B = pair
+    _, _, U, UT = rf
+    T1, T2 = _rr_scaled(pair, rf)  # rr_brackets, read off its numerators
     viol = mat_violations("r-bracket-1", T1) + mat_violations("r-bracket-2", T2)
-    P, S, D, B = _scaled_pair(pair_d)
-    _, _, U, UT = _r_forms(r)
     # Ld_i u + u Ld_i^T and u Ls_i^T + ad_i u, merged by (i, a, b) in a stable sort
     viol += sorted(mat_violations("double-r-1", _two_sided(U, UT, D, D))
                    + mat_violations("double-r-3", _two_sided(U, UT, S, B)),

@@ -40,7 +40,17 @@ is converted once however many identities contract it.  The rank of a form
 and the eigenspace dimensions of E are read off the same cached int rows:
 linalg.int_rank eliminates a fresh copy of them (less q times the
 denominator on the diagonal, for E - q id), and E = +-id is read off that
-copy too.
+copy too.  A Form that three_forms reads off a contraction is built with
+that Scaled form already cached (_seeded).
+
+A frozen input is verified once per object.  check_plsa,
+check_special_symplectic, square_violations and anticommute_violations
+keep their result on their first operand, keyed by the identities of the
+others (_once), so a later call with the very same objects returns it
+without evaluating again, while equal but distinct objects are evaluated
+afresh.  The kept result is immutable (a report, or a tuple each call
+copies into a fresh list), is no field, and is never an exception.  A
+long-lived owner keeps its kept partners alive.
 """
 
 from dataclasses import dataclass, field
@@ -48,6 +58,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import combinations, combinations_with_replacement, product
 from math import gcd
+from operator import is_
 
 from .linalg import (
     DimensionMismatch,
@@ -132,6 +143,32 @@ class CheckReport:
     verdict: bool
     violations: tuple
     notes: tuple = field(default=())
+
+
+def _once(owner, key, others, compute):
+    """compute(), evaluated once per owner and others, a tuple of objects.
+    The result is kept in owner's __dict__, as functools.cached_property
+    keeps its value (so it is no field), under key and the ids of others,
+    together with others themselves, and is reused only while each of them
+    is the object given now: an id reused after garbage collection never
+    hits.  A kept result is immutable and keeps its others alive as long as
+    owner lives; an exception is raised again on each call, never kept."""
+    memo = owner.__dict__.setdefault("_once", {})
+    slot = (key, *map(id, others))
+    kept = memo.get(slot)
+    if kept is not None and all(map(is_, kept[0], others)):
+        return kept[1]
+    value = compute()
+    memo[slot] = others, value
+    return value
+
+
+def _seeded(obj, **forms):
+    """obj with its cached properties named in forms set to the given values:
+    for an object built from a Scaled form, which it would otherwise convert
+    back."""
+    obj.__dict__.update(forms)
+    return obj
 
 
 def report(check, viol, notes=()):
@@ -340,8 +377,12 @@ def check_plsa(prec, succ):
     checks is recorded as a note.  The sum product is never built as a
     Fraction tensor: its nonzero list is the exact sum of the cached lists
     of prec and succ (_nonzeros_sum), which the compatibility sums and the
-    left-symmetry core read.
+    left-symmetry core read.  Evaluated once per pair of objects (_once).
     """
+    return _once(prec, "plsa", (succ,), lambda: _plsa(prec, succ))
+
+
+def _plsa(prec, succ):
     if prec.n != succ.n:
         raise DimensionMismatch("prec dim %d, succ dim %d" % (prec.n, succ.n))
     n = prec.n
@@ -421,8 +462,14 @@ def check_special_symplectic(br, conn, w):
     Closedness of the form follows from the other conditions, so it is
     evaluated as a consistency probe: if it fails while skewness,
     torsion-freeness and parallelism all pass, that is flagged loudly, since
-    it can only mean a verifier bug.
+    it can only mean a verifier bug.  Evaluated once per triple of objects
+    (_once).
     """
+    return _once(br, "special-symplectic", (conn, w),
+                 lambda: _special_symplectic(br, conn, w))
+
+
+def _special_symplectic(br, conn, w):
     if not (br.n == conn.n == w.n):
         raise DimensionMismatch("dimensions %d, %d, %d" % (br.n, conn.n, w.n))
     parts = [check_jacobi(br), check_torsion_free(br, conn), check_flat(br, conn),
@@ -533,17 +580,22 @@ def _mat_chain(terms):
 
 def square_violations(where, N, sign):
     """N^2 = sign * id: sign -1 for a complex structure, +1 for a product
-    structure."""
-    res = _mat_chain(((1, (N.scaled, N.scaled)),)).plane(0)
-    for i, row in enumerate(res.num):
-        row[i] -= sign * res.den
-    return mat_violations(where, res)
+    structure.  Evaluated once per N, where and sign (_once); each call
+    returns a fresh list."""
+    def compute():
+        res = _mat_chain(((1, (N.scaled, N.scaled)),)).plane(0)
+        for i, row in enumerate(res.num):
+            row[i] -= sign * res.den
+        return tuple(mat_violations(where, res))
+    return list(_once(N, ("square", where, sign), (), compute))
 
 
 def anticommute_violations(where, J, E):
-    """JE = -EJ."""
+    """JE = -EJ, evaluated once per J, E and where (_once); each call returns
+    a fresh list."""
     chain = ((1, (J.scaled, E.scaled)), (1, (E.scaled, J.scaled)))
-    return mat_violations(where, _mat_chain(chain).plane(0))
+    return list(_once(J, ("anticommute", where), (E,),
+                      lambda: tuple(mat_violations(where, _mat_chain(chain).plane(0)))))
 
 
 def congruence_violations(where, B, N, sign):
@@ -604,10 +656,11 @@ def check_metric_compatible(g, J, E):
 
 def three_forms(g, J, E):
     """The forms w1 = g(J.,.), w2 = g(E.,.), w3 = g(JE.,.) as Form values:
-    J^T g, E^T g and (JE)^T g = E^T J^T g."""
+    J^T g, E^T g and (JE)^T g = E^T J^T g, each with its Scaled form seeded
+    from the contraction it was read off."""
     Jt, Et, G = J.scaled_t, E.scaled_t, g.scaled
-    return tuple(Form(g.n, unscaled(_mat_chain(((1, mats),)))[0])
-                 for mats in ((Jt, G), (Et, G), (Et, Jt, G)))
+    chains = [_mat_chain(((1, mats),)) for mats in ((Jt, G), (Et, G), (Et, Jt, G))]
+    return tuple(_seeded(Form(g.n, unscaled(t)[0]), scaled=t.plane(0)) for t in chains)
 
 
 def check_hypersymplectic(br, J, E, g):

@@ -323,7 +323,9 @@ class TestOperatorRoutesConvertOnce:
     """The obstruction routes stay on Scaled numerators: R_operators turns
     only the 1 + 2n tensors it returns into Fractions, and converts r, r^T
     and u = r - r^T to Scaled at most once each; plsca_check and the
-    r route of slsba_coboundary build no Fraction tensor they do not return."""
+    r route of slsba_coboundary build no Fraction tensor they do not return;
+    drinfeld_double converts neither coproduct it builds back to Scaled and
+    unscales no r-bracket tensor."""
 
     @pytest.fixture
     def calls(self, monkeypatch):
@@ -365,6 +367,66 @@ class TestOperatorRoutesConvertOnce:
         alpha, _ = slsba_coboundary(lsa, ((Q(1), Q(-2)), (Q(1, 2), Q(3))))
         assert len(calls["unscaled"]) == 1
         assert all(type(x) is Q for plane in alpha for row in plane for x in row)
+
+
+    def test_drinfeld_double_4_to_8(self, calls, monkeypatch):
+        # the double's coproducts keep the Scaled form they were unscaled
+        # from, and its r-bracket violations are read off the numerators
+        pair_d, _, cp_d, _ = drinfeld_double(self._fresh_pair("plsa-2d-IV"),
+                                             zero_coproducts(2))
+        brackets = []
+        real = bialgebra._rr_scaled
+
+        def recorded(*args):
+            out = real(*args)
+            brackets.extend(out)
+            return out
+        monkeypatch.setattr(bialgebra, "_rr_scaled", recorded)
+        calls["scaled"].clear()
+        calls["unscaled"].clear()
+        _, _, cp, rep = drinfeld_double(pair_d, cp_d)
+        assert rep.verdict and cp.n == 8 and len(brackets) == 2
+        assert not [t for t in calls["scaled"] if t == cp.alpha or t == cp.beta]
+        assert not [t for t in calls["unscaled"] if any(t is b for b in brackets)]
+
+
+class TestPairFormsKeptOnce:
+    """A product pair's Scaled tensors (_scaled_pair) are built once per pair
+    of objects, and a CoproductPair converts its tensors and builds its dual
+    products once, so the dual's check_plsa cross-check runs once per
+    coproduct object; equal but distinct objects build their own."""
+
+    def test_scaled_pair(self):
+        prec, succ = (checks.StructureTensor(op.n, op.c) for op in plsa("plsa-2d-II"))
+        first = bialgebra._scaled_pair((prec, succ))
+        assert bialgebra._scaled_pair((prec, succ)) is first
+        other = bialgebra._scaled_pair((prec, checks.StructureTensor(succ.n, succ.c)))
+        assert other is not first and all(map(linalg.scaled_equal, other, first))
+
+    def test_coproduct_pair(self, monkeypatch):
+        runs = []
+        real = checks._plsa
+        monkeypatch.setattr(checks, "_plsa", lambda *a: runs.append(a) or real(*a))
+        cp = coproducts_from_products(*plsa("plsa-2d-III"))
+        twin = CoproductPair(cp.n, cp.alpha, cp.beta)
+        assert cp.scaled is cp.scaled
+        assert dualize_coproducts(cp) is dualize_coproducts(cp)
+        assert dualize_coproducts(twin) == dualize_coproducts(cp)
+        assert dualize_coproducts(twin) is not dualize_coproducts(cp)
+        first = plsca_check(cp)
+        assert plsca_check(cp) == first and len(runs) == 1
+        assert plsca_check(twin) == first and len(runs) == 2
+
+    def test_coboundary_pair_seeded(self, monkeypatch):
+        # coboundary_coproducts hands its pair the Scaled tensors it unscaled
+        cp = coboundary_coproducts(plsa("plsa-2d-II"), ((Q(1), Q(2)), (Q(-1, 3), Q(0))))
+        want = plsca_check(CoproductPair(cp.n, cp.alpha, cp.beta))
+
+        def refused(t):
+            raise AssertionError("the seeded pair was converted again")
+        monkeypatch.setattr(bialgebra, "scaled", refused)
+        assert plsca_check(cp) == want
+        assert all(map(linalg.scaled_equal, cp.scaled, map(linalg.scaled, (cp.alpha, cp.beta))))
 
 
 class TestCanonicalR:
@@ -671,6 +733,17 @@ def _affine_over(base):
 def test_precondition_messages(monkeypatch, call, error, message):
     with pytest.raises(error, match="^%s$" % re.escape(message)):
         call(monkeypatch)
+
+
+def test_failing_pair_raises_on_every_call():
+    # the failing report of BAD_PAIR is kept on BAD_PREC; each public call
+    # raises from it again, with the same message
+    for _ in range(2):
+        for call in (lambda: R_operators(BAD_PAIR, mat_zero(3)),
+                     lambda: coboundary_conditions(BAD_PAIR, mat_zero(3)),
+                     lambda: plsba_check(BAD_PAIR, zero_coproducts(3))):
+            with pytest.raises(InvalidInput, match="^%s$" % re.escape(BAD_PAIR_MSG)):
+                call()
 
 
 def _dot_coproduct(name):

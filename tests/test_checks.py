@@ -1,5 +1,7 @@
+import collections
 import copy
 import dataclasses
+import importlib.util
 import os
 import subprocess
 import sys
@@ -922,9 +924,10 @@ class TestScaledFormsConvertedOnce:
         br, J, E, g = _fresh_hypersymplectic()
         converted.clear()
         assert check_hypersymplectic(br, J, E, g).verdict
-        # the four inputs and the three forms, each once
-        assert len(converted) == 7
-        assert len({id(t) for t in converted}) == 7
+        # the four inputs, each once; the three forms are built with their
+        # Scaled form seeded from the contraction they are read off
+        assert len(converted) == 4
+        assert len({id(t) for t in converted}) == 4
         assert {id(br.c), id(J.m), id(E.m), id(g.m)} <= {id(t) for t in converted}
         assert not any(map(self._is_identity, converted))
 
@@ -1007,3 +1010,113 @@ class TestScaledFormsInvisible:
         assert check_parakahler(pk).verdict
         assert drinfeld_double(plsa, zero_coproducts(2))[3].verdict
         assert [_cached_forms(x) for x in objs] == before
+
+    def test_memos_not_part_of_the_value(self):
+        # a filled memo (checks._once) and the cached Scaled and dual forms of
+        # a coproduct pair are no fields: value, hash, repr and the canonical
+        # form the benchmark digests are those of a fresh twin
+        workloads = _bench_workloads()
+        prec, succ = map(_fresh, catalog_get("plsa-2d-IV").payload)
+        s = catalog_get("ssla-2d-3").payload
+        br, conn, w = map(_fresh, (s.bracket, s.conn, s.omega))
+        br4, J, E, g = _fresh_hypersymplectic()
+        cp = bialgebra.coboundary_coproducts((prec, succ), ((Q(1), Q(2)), (Q(-1, 3), Q(5))))
+        objs = (prec, succ, br, conn, w, br4, J, E, g, cp)
+        twins = [_fresh(x) for x in objs]
+        assert check_plsa(prec, succ).verdict
+        assert check_special_symplectic(br, conn, w).verdict
+        assert check_hypersymplectic(br4, J, E, g).verdict
+        bialgebra.plsca_check(cp)
+        assert all("_once" in vars(x) for x in (prec, br, J, E))
+        assert {"scaled", "dual"} <= set(vars(cp))
+        for x, twin in zip(objs, twins):
+            assert [f.name for f in dataclasses.fields(x)] == \
+                [f.name for f in dataclasses.fields(twin)]
+            assert x == twin and hash(x) == hash(twin) and repr(x) == repr(twin)
+            assert workloads.canon(x) == workloads.canon(twin)
+
+
+def _bench_workloads():
+    """bench/workloads.py, loaded from its file (it is not a package)."""
+    path = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                        "bench", "workloads.py")
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestOnce:
+    """A frozen input is verified once per object (checks._once): a repeated
+    call with the same objects returns the kept report without running the
+    core again, while an equal but distinct object is evaluated afresh, and
+    so is an owner whose kept partner is not the object given (a copy of the
+    owner carries its entries, with copies of their partners, under the
+    partners' old ids).  An exception is never kept."""
+
+    @pytest.fixture
+    def cores(self, monkeypatch):
+        runs = collections.Counter()
+        for name in ("_plsa", "_special_symplectic"):
+            def counted(*args, _real=getattr(checks, name), _name=name):
+                runs[_name] += 1
+                return _real(*args)
+            monkeypatch.setattr(checks, name, counted)
+        return runs
+
+    def test_check_plsa(self, cores):
+        prec, succ = map(_fresh, catalog_get("plsa-2d-II").payload)
+        first = check_plsa(prec, succ)
+        assert first.verdict
+        assert check_plsa(prec, succ) is first
+        assert cores["_plsa"] == 1
+        assert check_plsa(_fresh(prec), succ) == first
+        assert check_plsa(prec, _fresh(succ)) == first
+        assert cores["_plsa"] == 3
+
+    def test_partner_decides(self, cores):
+        # one owner, two partners: each pair keeps its own report
+        prec, succ = map(_fresh, catalog_get("plsa-2d-III").payload)
+        bad = st(2, {(0, 0, 0): Q(1), (0, 1, 0): Q(-1), (1, 0, 0): Q(-1)})
+        good, failing = check_plsa(prec, succ), check_plsa(prec, bad)
+        assert good.verdict and not failing.verdict
+        assert check_plsa(prec, succ) is good and check_plsa(prec, bad) is failing
+        assert cores["_plsa"] == 2
+
+    def test_kept_partner_must_be_the_object_given(self, cores):
+        prec, succ = map(_fresh, catalog_get("plsa-2d-II").payload)
+        first = check_plsa(prec, succ)
+        twin = copy.deepcopy(prec)
+        assert check_plsa(twin, succ) == first
+        assert cores["_plsa"] == 2
+
+    def test_check_special_symplectic(self, cores):
+        s = catalog_get("ssla-2d-3").payload
+        br, conn, w = map(_fresh, (s.bracket, s.conn, s.omega))
+        first = check_special_symplectic(br, conn, w)
+        assert first.verdict
+        assert check_special_symplectic(br, conn, w) is first
+        assert cores["_special_symplectic"] == 1
+        for args in ((_fresh(br), conn, w), (br, _fresh(conn), w), (br, conn, _fresh(w))):
+            assert check_special_symplectic(*args) == first
+        assert cores["_special_symplectic"] == 4
+
+    def test_failing_report_kept_exception_not(self, cores):
+        prec, succ, other = st(2, {(0, 1, 0): Q(1)}), st(2), st(3)
+        failing = check_plsa(prec, succ)
+        assert not failing.verdict and check_plsa(prec, succ) is failing
+        for _ in range(2):
+            with pytest.raises(DimensionMismatch):
+                check_plsa(prec, other)
+        assert cores["_plsa"] == 3
+
+    def test_violation_lists_are_fresh(self):
+        br, J, E, g = _fresh_hypersymplectic()
+        bent = Endo(J.n, tuple(tuple(x + 1 if i == j == 0 else x for j, x in enumerate(row))
+                               for i, row in enumerate(J.m)))
+        first = checks.square_violations("J^2+id", bent, -1)
+        assert first
+        first.clear()
+        again = checks.square_violations("J^2+id", bent, -1)
+        assert again and again is not first
+        assert again == checks.square_violations("J^2+id", _fresh(bent), -1)

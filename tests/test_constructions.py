@@ -50,7 +50,7 @@ from symplie.constructions import (
 )
 from symplie.constructions import DegenerateForm, InvalidInput
 from symplie.matched import canonical_skew_pairing
-from symplie import constructions
+from symplie import checks, constructions
 from symplie.catalog import catalog_get
 from symplie.linalg import frac
 
@@ -204,6 +204,55 @@ class TestFamilies:
         f = phi_from_omega(ssla("ssla-2d-3").omega)
         family_JE(FamilyParams(fam, lam, mu, k), f)
         assert calls == [f.m]
+
+    def test_identities_evaluated_once(self, monkeypatch):
+        # family_JE's self-check and check_hypersymplectic share one
+        # evaluation of each of J^2 = -id, E^2 = id and JE = -EJ
+        chains = []
+        real = checks._mat_chain
+
+        def recorded(terms):
+            chains.append(terms)
+            return real(terms)
+        monkeypatch.setattr(checks, "_mat_chain", recorded)
+        d, J, E, g = hypersymplectic_from_cotangent(
+            ssla("ssla-2d-3"), FamilyParams("F1", Q(2), Q(-1, 2)))
+        assert check_hypersymplectic(d.bracket, J, E, g).verdict
+        shapes = [tuple((k, tuple(map(id, mats))) for k, mats in terms) for terms in chains]
+        j, e = id(J.scaled), id(E.scaled)
+        assert shapes.count(((1, (j, j)),)) == 1
+        assert shapes.count(((1, (e, e)),)) == 1
+        assert shapes.count(((1, (j, e)), (1, (e, j)))) == 1
+
+    def test_self_check_survives_optimize(self):
+        # a kept evaluation does not turn the self-check into an assert: the
+        # explicit raise still fires under python -O
+        code = "\n".join([
+            "import sys",
+            "from fractions import Fraction as Q",
+            "from symplie import constructions",
+            "from symplie.catalog import catalog_get",
+            "from symplie.linalg import InternalMismatch",
+            "if sys.flags.optimize != 1:",
+            "    sys.exit(3)",
+            "constructions.square_violations = lambda where, N, sign: (",
+            "    ['bent'] if where == 'E^2-id' else [])",
+            "s = catalog_get('ssla-2d-3').payload",
+            "try:",
+            "    constructions.hypersymplectic_from_tangent(",
+            "        s, constructions.FamilyParams('F1', Q(1), Q(0)))",
+            "except InternalMismatch as e:",
+            "    print(e)",
+            "    sys.exit(0)",
+            "sys.exit(4)",
+        ])
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+        done = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == "built E does not square to id\n"
 
     def test_sign_flips_e(self):
         s = ssla("ssla-2d-1")

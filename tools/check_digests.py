@@ -1,12 +1,16 @@
-"""Run every candidate job and probe of every benchmark workload once and
+"""Run every candidate job and probe of every benchmark workload twice and
 compare each output digest with bench/digests.json.  Run from the
 repository root:
 
     python3 tools/check_digests.py
 
-Exits 1 if any job raises, fails its gate or misses its recorded digest, or
-if the pool and the recorded table list different jobs.  Unlike a timed
-benchmark run, which draws a sample of the pool, this covers all of it.
+The second pass runs the same job objects in the same process, so every
+result the package keeps on its inputs (checks._once, the cached Scaled
+forms) is already filled: that is what the repeated batches of a timed
+benchmark run see.  Exits 1 if any job raises, fails its gate or misses its
+recorded digest on either pass, or if the pool and the recorded table list
+different jobs.  Unlike a timed benchmark run, which draws a sample of the
+pool, this covers all of it.
 """
 
 import json
@@ -31,19 +35,21 @@ def main():
             wl = build(0, workdir, full=True)
             expected = recorded.get(name, {})
             jobs = wl.jobs + wl.probes
-            for job in jobs:
-                try:
-                    got = workloads.digest(job.check(job.run()))
-                except Exception as e:
-                    got = "%s: %s" % (type(e).__name__, e)
-                if got != expected.get(job.id):
-                    misses += 1
-                    print("MISS %s: got %s, recorded %s" % (job.id, got, expected.get(job.id)))
+            for run in ("first", "second"):
+                for job in jobs:
+                    try:
+                        got = workloads.digest(job.check(job.run()))
+                    except Exception as e:
+                        got = "%s: %s" % (type(e).__name__, e)
+                    if got != expected.get(job.id):
+                        misses += 1
+                        print("MISS %s (%s pass): got %s, recorded %s"
+                              % (job.id, run, got, expected.get(job.id)))
             extra = set(expected) - {job.id for job in jobs}
             for job_id in sorted(extra):
                 misses += 1
                 print("MISS %s: recorded but not in the pool" % job_id)
-            print("%s: %d jobs checked" % (name, len(jobs)))
+            print("%s: %d jobs checked, twice" % (name, len(jobs)))
     finally:
         shutil.rmtree(workdir, ignore_errors=True)
     print("%d misses" % misses)
