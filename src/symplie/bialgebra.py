@@ -3,19 +3,18 @@ built from an element r of A tensor A, the operators deciding coproduct
 validity (computed two ways and cross-asserted), doubles carrying the
 canonical r, and para-Kahler verification.
 
-A public verifier validates its preconditions and raises the typed error
-(checks.require); its private _..._identities core evaluates the identities
-on input it trusts, so a chain that has already validated its data calls the
-core and each precondition is verified once.  Across separate public calls
-on one frozen pair, its check_plsa verdict and its Scaled tensors
-(_scaled_pair) are kept on the pair's objects (checks._once), so trying many
-r against one pair verifies and converts that pair once; a long-lived pair
-keeps the objects it was paired with alive.  A CoproductPair converts its
-tensors and builds its dual products once (.scaled, .dual), and the pair
-coboundary_coproducts returns starts with the Scaled form it was unscaled
-from.  Every cross-check route runs at least once per object it checks:
-plsca_check itself is evaluated on every call, and the dual's check_plsa
-once per coproduct object.
+A public verifier validates its preconditions, raising the typed error
+(checks.require), then evaluates its identities.  A chain calls the public
+verifiers: check_plsa, check_left_symmetric and plsca_check keep their
+report on the objects they verified (checks._once), so each precondition
+is evaluated once per object and a repeat is a kept result.  So are a
+frozen pair's Scaled tensors (_scaled_pair): trying many r against one pair
+verifies and converts it once, and a long-lived pair keeps the objects it
+was paired with alive.  A CoproductPair converts its tensors and builds its
+dual products once (.scaled, .dual), and the pair coboundary_coproducts
+returns starts with the Scaled form it was unscaled from.  Each cross-check
+route runs once per object it checks: the dual's check_plsa per coproduct
+pair, check_matched_pair per call of plsba_check and slsba_check.
 
 The primary routes (the coproduct operators, the bialgebra, coboundary and
 one-coproduct identities, the coboundary coproducts and the closure
@@ -231,13 +230,16 @@ def plsca_check(cp):
     and co-left-symmetry at each (i, p, q, s); one stable sort on the
     indices merges the three lists in that order.  The verdict is compared
     against check_plsa on the dualized products, which must agree by
-    construction."""
-    R1, R2, R3 = _coproduct_operators(*cp.scaled)
-    viol = sorted(mat_violations("co-commutativity", R1) + _each_violations("co-compatibility", R2)
-                  + _each_violations("co-left-symmetry", R3), key=lambda v: v.indices)
-    note = _route_agrees(not viol, check_plsa(*dualize_coproducts(cp)).verdict,
-                         "coproduct operators", "dual product-pair route")
-    return report("plsca", viol, [note])
+    construction.  Evaluated once per pair object (checks._once)."""
+    def compute():
+        R1, R2, R3 = _coproduct_operators(*cp.scaled)
+        viol = sorted(mat_violations("co-commutativity", R1)
+                      + _each_violations("co-compatibility", R2)
+                      + _each_violations("co-left-symmetry", R3), key=lambda v: v.indices)
+        note = _route_agrees(not viol, check_plsa(*dualize_coproducts(cp)).verdict,
+                             "coproduct operators", "dual product-pair route")
+        return report("plsca", viol, [note])
+    return _once(cp, "plsca", (), compute)
 
 
 def _route_agrees(mine, theirs, what, route):
@@ -255,18 +257,11 @@ def _route_agrees(mine, theirs, what, route):
 # bialgebra compatibility
 
 def plsba_check(plsa, cp):
-    """Bialgebra compatibility of a product pair and a coproduct pair: raises
-    InvalidInput unless both pairs are valid, then _plsba_identities."""
-    require(check_plsa(*plsa), InvalidInput, "product pair invalid: %s at %s")
-    require(plsca_check(cp), InvalidInput, "coproduct pair invalid: %s at %s")
-    return _plsba_identities(plsa, cp)
-
-
-def _plsba_identities(plsa, cp):
     """The four compatibility identities tying a product pair to a coproduct
-    pair, in matrix form on basis pairs (i, j); both pairs are trusted to be
-    valid.  With dot = prec + succ, br its commutator, ab = alpha + beta,
-    L and R left and right multiplications, and X(v) = sum_k v_k X_k:
+    pair, in matrix form on basis pairs (i, j); InvalidInput unless both
+    pairs are valid.  With dot = prec + succ, br its commutator,
+    ab = alpha + beta, L and R left and right multiplications, and
+    X(v) = sum_k v_k X_k:
 
         1 (i < j)  alpha(br_ij) = al_j Ld_i^T + Ld_i al_j - al_i Ld_j^T - Ld_j al_i
         2          ab(dot_ij) = Ls_i ab_j + ab_j Ld_i^T + be_i Rd_j^T - Lp_j al_i
@@ -276,6 +271,8 @@ def _plsba_identities(plsa, cp):
 
     The verdict is recomputed as check_matched_pair on the dualized data and
     asserted to agree."""
+    require(check_plsa(*plsa), InvalidInput, "product pair invalid: %s at %s")
+    require(plsca_check(cp), InvalidInput, "coproduct pair invalid: %s at %s")
     P, S, D, B = _scaled_pair(plsa)
     AL, BE = cp.scaled
     AB = scaled_combine(((1, AL), (1, BE)))
@@ -333,18 +330,12 @@ def _coboundary_scaled(pair, rf):
 
 
 def coboundary_conditions(plsa, r):
-    """Raises InvalidInput unless the product pair is valid, then
-    _coboundary_identities."""
-    require(check_plsa(*plsa), InvalidInput, "product pair invalid: %s at %s")
-    return _coboundary_identities(plsa, r)
-
-
-def _coboundary_identities(plsa, r):
     """Two closure conditions on the skew part u = r - r^T, for a product
-    pair trusted to be valid: a quadratic identity in left multiplications
-    of the first product per unordered basis pair (_coboundary_one), and
-    the right-multiplication condition Rp_j (Ld_i u + u Ld_i^T) = 0 per
-    ordered pair."""
+    pair that must be valid (InvalidInput): a quadratic identity in left
+    multiplications of the first product per unordered basis pair
+    (_coboundary_one), and the right-multiplication condition
+    Rp_j (Ld_i u + u Ld_i^T) = 0 per ordered pair."""
+    require(check_plsa(*plsa), InvalidInput, "product pair invalid: %s at %s")
     P, _, D, _ = _scaled_pair(plsa)
     _, _, U, UT = _r_forms(r)
     baseT = scaled_permute(_two_sided(U, UT, D, D), (0, 2, 1))
@@ -482,15 +473,14 @@ def drinfeld_double(plsa, cp):
 
     The report covers: vanishing of both quadratic tensors of r, the three
     closure identities of the canonical r, coproduct validity on the double,
-    and the full bialgebra compatibility of the double.  The double's product
-    pair and coproduct pair are each validated once (InvalidInput)."""
+    and the full bialgebra compatibility of the double, whose plsba_check
+    validates the double's product pair and coproduct pair (InvalidInput)."""
     try:
         inrep = plsba_check(plsa, cp)
     except InvalidInput as e:
         raise NotAPLSBA(str(e))
     require(inrep, NotAPLSBA, "bialgebra compatibility fails: %s at %s")
     pair_d = build_double_plsa(plsa, dualize_coproducts(cp))
-    require(check_plsa(*pair_d), InvalidInput, "product pair invalid: %s at %s")
     n2 = pair_d[0].n
     r = canonical_r(n2 // 2)
     cp_d = coboundary_coproducts(pair_d, r)
@@ -507,8 +497,7 @@ def drinfeld_double(plsa, cp):
     for i, C1 in enumerate(_coboundary_one(P, UT)):
         for j in range(i, n2):
             viol += mat_violations("double-r-2", C1.plane(j), (i, j))
-    crep = require(plsca_check(cp_d), InvalidInput, "coproduct pair invalid: %s at %s")
-    rep = merge_reports("double", [crep, _plsba_identities(pair_d, cp_d)], viol)
+    rep = merge_reports("double", [plsca_check(cp_d), plsba_check(pair_d, cp_d)], viol)
     return pair_d, r, cp_d, rep
 
 
@@ -544,20 +533,14 @@ def check_parakahler(pk):
 # the one-coproduct theory over an LSA
 
 def slsba_check(lsa, alpha):
-    """A single coproduct alpha over a product: raises NotAnLSA unless the
-    product is left-symmetric, then _slsba_identities."""
-    require(check_left_symmetric(lsa), NotAnLSA, "base product is not %s at %s")
-    return _slsba_identities(lsa, alpha)
-
-
-def _slsba_identities(lsa, alpha):
-    """A single coproduct alpha over an LSA trusted to be one: the
-    action-compatibility identity on all basis pairs plus vanishing
-    co-left-symmetry.
+    """A single coproduct alpha over a product that must be left-symmetric
+    (NotAnLSA): the action-compatibility identity on all basis pairs plus
+    vanishing co-left-symmetry.
 
     Whenever the dualized product is itself left-symmetric, the verdict of
     the action identity is compared against the matched-pair formulation
     with zero right actions; otherwise a note says the route was skipped."""
+    require(check_left_symmetric(lsa), NotAnLSA, "base product is not %s at %s")
     # alpha(e_i e_j) = L_i alpha_j + alpha_j L_i^T + alpha_i R_j^T
     C, AL = lsa.scaled, scaled(alpha)
     viol = _each_violations("coproduct-compat", _compat_defect(C, C, AL, AL))
@@ -637,7 +620,7 @@ def slsba_double(slsba):
     lsa_d = glue_product(_left_dual_actions(lsa, _dual_product(n, alpha)))
     r = canonical_r(n)
     alpha_d, cobrep = slsba_coboundary(lsa_d, r)  # verifies lsa_d is an LSA
-    fullrep = _slsba_identities(lsa_d, alpha_d)
+    fullrep = slsba_check(lsa_d, alpha_d)
     em = [[Fraction(0)] * d for _ in range(d)]
     for i in range(n):
         em[i][i] = Fraction(1)

@@ -43,13 +43,15 @@ denominator on the diagonal, for E - q id), and E = +-id is read off that
 copy too.  A Form that three_forms reads off a contraction is built with
 that Scaled form already cached (_seeded).
 
-A frozen input is verified once per object.  check_plsa,
-check_special_symplectic, square_violations and anticommute_violations
-keep their result on their first operand, keyed by the identities of the
-others (_once), so a later call with the very same objects returns it
-without evaluating again, while equal but distinct objects are evaluated
-afresh.  The kept result is immutable (a report, or a tuple each call
-copies into a fresh list), is no field, and is never an exception.  A
+A frozen input is verified once per object, through one mechanism, _once:
+check_plsa, check_left_symmetric, check_special_symplectic,
+square_violations, anticommute_violations and bialgebra.plsca_check keep
+their result on their first operand, keyed by the identities of the
+others.  A later call with the very same objects returns it without
+evaluating again, so a chain calls the public verifiers and finds the
+preconditions it has verified kept; equal but distinct objects are
+evaluated afresh.  The kept result is immutable (a report, or a tuple each
+call copies into a fresh list), is no field, and is never an exception.  A
 long-lived owner keeps its kept partners alive.
 """
 
@@ -347,7 +349,8 @@ def check_jacobi(br):
 
 
 def check_left_symmetric(op):
-    return _left_symmetric(op.n, op.nonzeros)
+    """Evaluated once per object (_once)."""
+    return _once(op, "left-symmetric", (), lambda: _left_symmetric(op.n, op.nonzeros))
 
 
 def _left_symmetric(n, nz):

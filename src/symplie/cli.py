@@ -73,12 +73,12 @@ from .bialgebra import (
     NotAnSLSBA,
     ParaKahlerData,
     R_operators,
-    _plsba_identities,
-    _slsba_identities,
     check_parakahler,
     coboundary_coproducts,
     drinfeld_double,
+    plsba_check,
     plsca_check,
+    slsba_check,
     slsba_double,
 )
 from .catalog import UnknownEntry, catalog_get, catalog_list
@@ -363,21 +363,24 @@ def _chk_matched_pair(af):
     return check_matched_pair(_matched_pair_of(af))
 
 
+def _gated(name, pre, verifier, *args):
+    """verifier(*args), or, when a report in pre (the verifier's
+    preconditions) fails, those reports merged under name instead of the
+    verifier's typed error; the verifier finds the passing ones kept."""
+    if not all(rep.verdict for rep in pre):
+        return merge_reports(name, pre)
+    return verifier(*args)
+
+
 def _chk_plsba(af):
     plsa, cp = _plsa_of(af), _coproducts_of(af)
-    pre1 = check_plsa(*plsa)
-    pre2 = plsca_check(cp)
-    if not (pre1.verdict and pre2.verdict):
-        return merge_reports("plsba", [pre1, pre2])
-    return _plsba_identities(plsa, cp)
+    return _gated("plsba", [check_plsa(*plsa), plsca_check(cp)], plsba_check, plsa, cp)
 
 
 def _chk_slsba(af):
     lsa = _get(af, "op", "prod")
-    pre = check_left_symmetric(lsa)
-    if not pre.verdict:
-        return merge_reports("slsba", [pre])
-    return _slsba_identities(lsa, _get(af, "rep", "alpha").t)
+    return _gated("slsba", [check_left_symmetric(lsa)], slsba_check, lsa,
+                  _get(af, "rep", "alpha").t)
 
 
 def _chk_parakahler(af):

@@ -29,7 +29,6 @@ from .linalg import (
     frac,
     mat_identity,
     mat_inverse,
-    mat_rank,
     mat_transpose,
     rational_sqrt,
     scaled,
@@ -275,10 +274,18 @@ def cotangent_double_from_connection(br, conn):
 # ---------------------------------------------------------------------------
 # the (J, E) families
 
+def _require_nondegenerate(w):
+    """DegenerateForm naming the rank of w unless w is nondegenerate; the
+    rank is read off check_nondegenerate's residual n - rank."""
+    rep = check_nondegenerate(w)
+    if not rep.verdict:
+        raise DegenerateForm("form has rank %d < %d"
+                             % (w.n - int(rep.violations[0].residual), w.n))
+
+
 def phi_from_omega(w):
     """Matrix of x -> w(x, .) as a map into the dual basis; invertible."""
-    if not check_nondegenerate(w).verdict:
-        raise DegenerateForm("form has rank %d < %d" % (mat_rank(w.m), w.n))
+    _require_nondegenerate(w)
     return Endo(w.n, mat_transpose(w.m))
 
 
@@ -372,8 +379,7 @@ def lsa_from_symplectic(br, w):
     free for its own commutator bracket, which equals br."""
     for rep in (check_jacobi(br), check_skew(w), check_closed(br, w)):
         require(rep, InvalidInput, "%s fails at %s")
-    if not check_nondegenerate(w).verdict:
-        raise DegenerateForm("form has rank %d < %d" % (mat_rank(w.m), w.n))
+    _require_nondegenerate(w)
     # w(e_i . e_k, e_j) = w([e_i, e_j], e_k) for each j, solved through (w^T)^-1
     phinv = mat_inverse(mat_transpose(w.m))
     conn = StructureTensor(br.n, unscaled(_through_form(phinv, mat_transpose(w.m),

@@ -26,8 +26,9 @@ eliminates in place, so it takes a copy.
 
 The dense Fraction helpers left are entrywise: zero, identity and transpose
 for the parser and other builders, the vec_* and t3_* sums for sum products,
-dual actions and the cross-check residuals.  mat_mul and tensor_contract have no caller in the package; they
-stay only because the benchmark tracer wraps them.
+dual actions and the cross-check residuals.  mat_mul, mat_rank and
+tensor_contract have no caller in the package; they stay only because the
+benchmark tracer wraps them.
 """
 
 from fractions import Fraction

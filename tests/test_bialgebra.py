@@ -612,54 +612,80 @@ class TestSlsbaDouble:
             slsba_double((dot, alpha))
 
 
-class TestPreconditionsOncePerChain:
-    """Each precondition is verified once per call chain.  The counts are of
-    the calls made through the bialgebra and cli module namespaces."""
+def _fresh_op(op):
+    """A StructureTensor equal to op, with nothing kept on it yet."""
+    return checks.StructureTensor(op.n, op.c)
 
-    COUNTED = ("check_plsa", "plsca_check", "check_left_symmetric", "check_matched_pair")
+
+class TestPreconditionsOncePerChain:
+    """Each precondition is evaluated once per call chain.  The counts are of
+    evaluations, not calls: the runs of the computation each memoized check
+    keeps (checks._plsa for check_plsa, checks._left_symmetric for
+    check_left_symmetric, bialgebra._coproduct_operators for plsca_check),
+    on fresh objects, so a result kept from an earlier test hides no run.
+    check_matched_pair, kept nowhere, is counted per call."""
+
+    CORES = ((checks, "_plsa"), (checks, "_left_symmetric"),
+             (bialgebra, "_coproduct_operators"), (bialgebra, "check_matched_pair"))
 
     @pytest.fixture
-    def calls(self, monkeypatch):
+    def runs(self, monkeypatch):
         counts = collections.Counter()
-        for mod in (bialgebra, cli):
-            for name in self.COUNTED:
-                fn = getattr(mod, name, None)
-                if fn is None:
-                    continue
-
-                def counted(*args, _fn=fn, _name=name, **kwargs):
-                    counts[_name] += 1
-                    return _fn(*args, **kwargs)
-
-                monkeypatch.setattr(mod, name, counted)
+        for mod, name in self.CORES:
+            def counted(*args, _real=getattr(mod, name), _name=name):
+                counts[_name] += 1
+                return _real(*args)
+            monkeypatch.setattr(mod, name, counted)
         return counts
 
-    def test_drinfeld_double_4_to_8(self, calls):
-        pair_d, _, cp_d, _ = drinfeld_double(plsa("plsa-2d-IV"), zero_coproducts(2))
-        calls.clear()
+    def test_drinfeld_double_4_to_8(self, runs):
+        pair_d, _, cp_d, _ = drinfeld_double(tuple(map(_fresh_op, plsa("plsa-2d-IV"))),
+                                             zero_coproducts(2))
+        pair_d = tuple(map(_fresh_op, pair_d))
+        cp_d = CoproductPair(cp_d.n, cp_d.alpha, cp_d.beta)
+        runs.clear()
         _, _, _, rep = drinfeld_double(pair_d, cp_d)
         assert rep.verdict
         # the input, its dual, the double and the double's dual
-        assert calls["check_plsa"] == 4
-        assert calls["plsca_check"] == 2
+        assert runs["_plsa"] == 4
+        assert runs["_coproduct_operators"] == 2
         # the matched-pair cross-check still runs once per bialgebra check
-        assert calls["check_matched_pair"] == 2
+        assert runs["check_matched_pair"] == 2
 
-    def test_slsba_double_2_to_4(self, calls):
+    def test_slsba_double_2_to_4(self, runs):
         alpha = tuple(mat_zero(2) for _ in range(2))
         _, _, rep = slsba_double((op_add(*plsa("plsa-2d-IV")), alpha))
         assert rep.verdict
-        assert calls["check_left_symmetric"] == 2
+        # the input and the double; slsba_check on the double finds it kept
+        assert runs["_left_symmetric"] == 2
 
-    def test_cli_verify_plsba(self, calls, tmp_path, capsys):
+    def test_cli_verify_plsba(self, runs, tmp_path, capsys):
         d2, d4 = str(tmp_path / "d2.alg"), str(tmp_path / "d4.alg")
         assert cli.main(["catalog", "show", "plsa-2d-IV", "--export", "--out", d2]) == 0
         assert cli.main(["construct", "drinfeld-double", d2, "--out", d4]) == 0
-        calls.clear()
+        runs.clear()
         assert cli.main(["verify", d4, "--check", "plsba"]) == 0
         assert "plsba: PASS" in capsys.readouterr().out
-        assert calls["check_plsa"] == 2
-        assert calls["plsca_check"] == 1
+        # the file's pair and the dual of its coproducts, each once: the
+        # CLI's precondition reports are kept for plsba_check
+        assert runs["_plsa"] == 2
+        assert runs["_coproduct_operators"] == 1
+
+    def test_coboundary_dense_job(self, runs):
+        # the job sequence of the coboundary-dense benchmark on one r: the
+        # pair and the dual of the coproduct pair each once; the coproduct
+        # operators run once in R_operators' direct route and once in
+        # plsca_check, whose report plsba_check finds kept
+        pair = tuple(map(_fresh_op, plsa("plsa-2d-IV")))
+        r = ((Q(0), Q(1)), (Q(-1), Q(0)))
+        R_operators(pair, r)
+        cp = coboundary_coproducts(pair, r)
+        assert plsca_check(cp).verdict
+        assert coboundary_conditions(pair, r).verdict
+        assert plsba_check(pair, cp).verdict
+        assert runs["_plsa"] == 2
+        assert runs["_coproduct_operators"] == 2
+        assert runs["check_matched_pair"] == 1
 
 
 BAD_PREC = st(3, {(0, 1, 2): Q(1)})  # not commutative; compatible with zero succ

@@ -69,7 +69,7 @@ from oracles import (
 )
 from oracles import closed_violations, nijenhuis_plain, parallel_violations
 from oracles import jacobi_violations, left_symmetric_violations, plsa_compat_violations
-from oracles import bimodule_violations, residual_plain
+from oracles import bimodule_violations, coproducts_from_products, residual_plain
 from oracles import (
     commutative_violations,
     complex_product_violations,
@@ -83,6 +83,7 @@ from symplie.bialgebra import (
     ParaKahlerData,
     check_parakahler,
     drinfeld_double,
+    plsca_check,
     slsba_double,
     zero_coproducts,
 )
@@ -1057,11 +1058,12 @@ class TestOnce:
     @pytest.fixture
     def cores(self, monkeypatch):
         runs = collections.Counter()
-        for name in ("_plsa", "_special_symplectic"):
-            def counted(*args, _real=getattr(checks, name), _name=name):
+        for mod, name in ((checks, "_plsa"), (checks, "_special_symplectic"),
+                          (checks, "_left_symmetric"), (bialgebra, "_coproduct_operators")):
+            def counted(*args, _real=getattr(mod, name), _name=name):
                 runs[_name] += 1
                 return _real(*args)
-            monkeypatch.setattr(checks, name, counted)
+            monkeypatch.setattr(mod, name, counted)
         return runs
 
     def test_check_plsa(self, cores):
@@ -1100,6 +1102,34 @@ class TestOnce:
         for args in ((_fresh(br), conn, w), (br, _fresh(conn), w), (br, conn, _fresh(w))):
             assert check_special_symplectic(*args) == first
         assert cores["_special_symplectic"] == 4
+
+    def test_check_left_symmetric(self, cores):
+        lsa = op_add(*catalog_get("plsa-2d-IV").payload)
+        first = check_left_symmetric(lsa)
+        assert first.verdict
+        assert check_left_symmetric(lsa) is first
+        assert cores["_left_symmetric"] == 1
+        assert check_left_symmetric(_fresh(lsa)) == first
+        assert cores["_left_symmetric"] == 2
+
+    def test_plsca_check(self, cores):
+        cp = coproducts_from_products(*map(_fresh, catalog_get("plsa-2d-III").payload))
+        first = plsca_check(cp)
+        assert first.verdict
+        assert plsca_check(cp) is first
+        assert cores["_coproduct_operators"] == 1
+        assert plsca_check(_fresh(cp)) == first
+        assert cores["_coproduct_operators"] == 2
+
+    def test_failing_lsa_and_coproduct_reports_kept(self, cores):
+        lsa = st(2, {(0, 0, 0): Q(1), (1, 0, 0): Q(1)})
+        failing = check_left_symmetric(lsa)
+        assert not failing.verdict and check_left_symmetric(lsa) is failing
+        assert cores["_left_symmetric"] == 1
+        cp = coproducts_from_products(st(2, {(0, 1, 0): Q(1)}), st(2))
+        bad = plsca_check(cp)
+        assert not bad.verdict and plsca_check(cp) is bad
+        assert cores["_coproduct_operators"] == 1
 
     def test_failing_report_kept_exception_not(self, cores):
         prec, succ, other = st(2, {(0, 1, 0): Q(1)}), st(2), st(3)

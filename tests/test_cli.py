@@ -454,6 +454,14 @@ class TestConstructCommand:
         assert "bad rational for %s" % opt in err and len(err.strip().splitlines()) == 1
         assert not out.exists()
 
+    def test_degenerate_form_exit_two(self, tmp_path, capsys):
+        # an abelian bracket and a skew form of rank 2 on a 3-dim space
+        src, out = tmp_path / "w.alg", tmp_path / "lsa.alg"
+        src.write_text("algebra w\ndim 3\nform omega 1 2 = 1\nform omega 2 1 = -1\n")
+        assert run(["construct", "lsa-from-symplectic", str(src), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: form has rank 2 < 3\n"
+        assert not out.exists()
+
     def test_unknown_recipe_exit_two(self, ssla3, capsys):
         assert run(["construct", "frobnicate", ssla3]) == 2
         assert "unknown recipe" in capsys.readouterr().err

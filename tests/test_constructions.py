@@ -150,6 +150,22 @@ class TestPhiFromOmega:
             phi_from_omega(Form(2, ((Q(0),) * 2,) * 2))
 
 
+# a skew form has even rank and lsa_from_symplectic checks skewness first, so
+# through it the degenerate nonzero case needs dimension 3
+RANK_TWO_OF_THREE = Form(3, ((Q(0), Q(1), Q(0)), (Q(-1), Q(0), Q(0)), (Q(0),) * 3))
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: phi_from_omega(Form(2, ((Q(1), Q(0)), (Q(0), Q(0))))), "form has rank 1 < 2"),
+    (lambda: phi_from_omega(RANK_TWO_OF_THREE), "form has rank 2 < 3"),
+    (lambda: lsa_from_symplectic(st(3), RANK_TWO_OF_THREE), "form has rank 2 < 3"),
+    (lambda: lsa_from_symplectic(st(2), Form(2, ((Q(0),) * 2,) * 2)), "form has rank 0 < 2"),
+], ids=["phi-rank-1", "phi-rank-2", "lsa-rank-2", "lsa-rank-0"])
+def test_degenerate_form_names_its_rank(call, message):
+    with pytest.raises(DegenerateForm, match="^%s$" % re.escape(message)):
+        call()
+
+
 class TestFamilies:
     def test_family_parameter_guards(self):
         s = ssla("ssla-2d-1")

@@ -284,7 +284,7 @@ class TestBialgebraRoutes:
         pair = data.draw(product_pairs(n))
         r = data.draw(matrices(2 * n, 2 * n))
         passed = {"plsca_check": report("plsca", []),
-                  "_plsba_identities": report("plsba", [])}
+                  "plsba_check": report("plsba", [])}
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(bialgebra, "canonical_r", lambda _: r)
             for name, rep in passed.items():
@@ -308,7 +308,7 @@ class TestBialgebraRoutes:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(bialgebra, "canonical_r", lambda _: r)
             mp.setattr(bialgebra, "plsca_check", lambda *_: report("plsca", []))
-            mp.setattr(bialgebra, "_plsba_identities", lambda *_: report("plsba", []))
+            mp.setattr(bialgebra, "plsba_check", lambda *_: report("plsba", []))
             _, _, _, got = drinfeld_double(catalog_get("plsa-2d-III").payload,
                                            zero_coproducts(2))
         assert got.violations == (Violation("double-r-3", (0, 0, 3), one),
