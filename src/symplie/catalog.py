@@ -20,7 +20,13 @@ from .constructions import SpecialSymplecticData
 
 
 class UnknownEntry(KeyError):
-    pass
+    """A name with no catalog entry; args[0] is that name.  Its message names
+    the valid entries, as an unknown check or recipe does (a plain KeyError
+    would print only the quoted name)."""
+
+    def __str__(self):
+        return "unknown catalog entry %r; valid: %s" % (self.args[0],
+                                                        ", ".join(sorted(_BY_NAME)))
 
 
 @dataclass(frozen=True)

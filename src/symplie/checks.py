@@ -367,8 +367,9 @@ def _left_symmetric(n, nz):
 
 def check_commutative(op):
     c = op.c
-    return report("commutative", violations("commutative", combinations(range(op.n), 2),
-                                            lambda i, j: vec_sub(c[i][j], c[j][i])))
+    return report("commutative", violations(
+        "commutative", combinations(range(op.n), 2),
+        lambda i, j: () if c[i][j] == c[j][i] else vec_sub(c[i][j], c[j][i])))
 
 
 def check_plsa(prec, succ):

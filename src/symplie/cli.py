@@ -23,6 +23,7 @@ cmd_construct's output file all read that table.
 """
 
 import argparse
+import functools
 import json
 import os
 import re
@@ -710,7 +711,12 @@ _USAGE_ERRORS = (ParseError, UnknownCheck, UnknownEntry, BadParams, InvalidInput
                  DegenerateForm, SingularMatrix, DimensionMismatch, OSError)
 
 
+@functools.cache
 def build_parser():
+    """The symplie argument parser, built once per process and shared by
+    every main call (argparse keeps nothing from one parse to the next).
+    It binds no subcommand function: main looks the command up when it
+    runs."""
     p = argparse.ArgumentParser(
         prog="symplie",
         description="Exact verification and construction of finite-dimensional "
@@ -722,7 +728,6 @@ def build_parser():
     v.add_argument("--check", action="append", required=True,
                    help="one of: %s (repeatable)" % ", ".join(sorted(CHECKS)))
     v.add_argument("--json", action="store_true")
-    v.set_defaults(func=cmd_verify)
 
     c = sub.add_parser("construct", help="build a derived structure from files")
     c.add_argument("recipe",
@@ -738,21 +743,26 @@ def build_parser():
                    default="tangent")
     c.add_argument("--r")
     c.add_argument("--json", action="store_true")
-    c.set_defaults(func=cmd_construct)
 
     g = sub.add_parser("catalog", help="list or export built-in instances")
     g.add_argument("action", choices=("list", "show"))
     g.add_argument("name", nargs="?")
     g.add_argument("--export", action="store_true")
     g.add_argument("--out")
-    g.set_defaults(func=cmd_catalog)
     return p
 
 
 def main(argv=None):
+    """Run one symplie command; the return value is the exit code.  The
+    parser is shared by every call in a process (build_parser); the
+    command's function is looked up in this module at each call, so a
+    rebinding of cmd_verify, cmd_construct or cmd_catalog (the benchmark
+    tracer's, or a test's monkeypatch) takes effect."""
     args = build_parser().parse_args(argv)
+    command = {"verify": cmd_verify, "construct": cmd_construct,
+               "catalog": cmd_catalog}[args.command]
     try:
-        return args.func(args)
+        return command(args)
     except _USAGE_ERRORS as e:
         print("error: %s" % e, file=sys.stderr)
         return 2

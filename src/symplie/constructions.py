@@ -155,7 +155,8 @@ def dual_right_action(op):
     """Right multiplications on the dual: <x.a*, y> = -<a*, y o x>, so
     t[i][a][b] = -c[a][i][b]."""
     n, c = op.n, op.c
-    return RepTensor(n, n, tuple(tuple(tuple(-x for x in c[a][i]) for a in range(n))
+    return RepTensor(n, n, tuple(tuple(tuple(-x if x else x for x in c[a][i])
+                                       for a in range(n))
                                  for i in range(n)))
 
 

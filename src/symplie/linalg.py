@@ -26,7 +26,10 @@ eliminates in place, so it takes a copy.
 
 The dense Fraction helpers left are entrywise: zero, identity and transpose
 for the parser and other builders, the vec_* and t3_* sums for sum products,
-dual actions and the cross-check residuals.  mat_mul, mat_rank and
+dual actions and the cross-check residuals.  t3_add, t3_sub and t3_neg build
+no new Fraction for a zero entry: where the second operand's entry is zero
+they return the first's, and t3_neg returns a zero as it is, so every entry
+is still a Fraction of the same value.  mat_mul, mat_rank and
 tensor_contract have no caller in the package; they stay only because the
 benchmark tracer wraps them.
 """
@@ -200,19 +203,21 @@ def t3_dims(t):
 def t3_add(a, b):
     if t3_dims(a) != t3_dims(b):
         raise DimensionMismatch("tensor shapes differ")
-    return tuple(tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(pa, pb))
+    return tuple(tuple(tuple(x + y if y else x for x, y in zip(ra, rb))
+                       for ra, rb in zip(pa, pb))
                  for pa, pb in zip(a, b))
 
 
 def t3_sub(a, b):
     if t3_dims(a) != t3_dims(b):
         raise DimensionMismatch("tensor shapes differ")
-    return tuple(tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(pa, pb))
+    return tuple(tuple(tuple(x - y if y else x for x, y in zip(ra, rb))
+                       for ra, rb in zip(pa, pb))
                  for pa, pb in zip(a, b))
 
 
 def t3_neg(a):
-    return tuple(tuple(tuple(-x for x in row) for row in plane) for plane in a)
+    return tuple(tuple(tuple(-x if x else x for x in row) for row in plane) for plane in a)
 
 
 def t3_is_zero(a):

@@ -1138,6 +1138,15 @@ def rand_tensor(r, n):
                        for _ in range(n)) for _ in range(n))
 
 
+def rand_share_tensor(r, n, share):
+    """An n x n x n tensor whose entries are each nonzero (from _POOL) with
+    probability share and Fraction(0) otherwise: share 0 gives the zero
+    tensor, 1 a tensor with no zero entry."""
+    nonzero = [q for q in _POOL if q]
+    return tuple(tuple(tuple(r.choice(nonzero) if r.random() < share else Fraction(0)
+                             for _ in range(n)) for _ in range(n)) for _ in range(n))
+
+
 def transport_product(c, p):
     """Structure constants of the conjugated product x o' y = P^-1(Px o Py)."""
     n = len(c)

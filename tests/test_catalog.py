@@ -35,8 +35,12 @@ class TestCatalogGet:
         assert e.kind == "ssla"
 
     def test_unknown_name(self):
-        with pytest.raises(UnknownEntry):
+        with pytest.raises(UnknownEntry) as exc:
             catalog_get("ssla-9d-0")
+        assert isinstance(exc.value, KeyError)
+        assert exc.value.args == ("ssla-9d-0",)
+        valid = ", ".join(sorted(name for name, _, _ in catalog_list()))
+        assert str(exc.value) == "unknown catalog entry 'ssla-9d-0'; valid: %s" % valid
 
 
 class TestEntriesVerify:

@@ -9,6 +9,7 @@ from hypothesis import strategies as hs
 
 from symplie.checks import Endo, Form, RepTensor, st
 from symplie import cli
+from symplie.catalog import catalog_list
 from symplie.cli import (
     MAX_DIM,
     SECTIONS,
@@ -557,7 +558,9 @@ class TestCatalogCommand:
 
     def test_show_unknown_exit_two(self, capsys):
         assert run(["catalog", "show", "nope"]) == 2
-        assert "error:" in capsys.readouterr().err
+        valid = ", ".join(sorted(name for name, _, _ in catalog_list()))
+        assert capsys.readouterr().err == (
+            "error: unknown catalog entry 'nope'; valid: %s\n" % valid)
 
     def test_show_missing_name_exit_two(self, capsys):
         assert run(["catalog", "show"]) == 2
@@ -571,7 +574,6 @@ class TestCatalogCommand:
 
     def test_exported_catalog_files_reverify(self, tmp_path):
         checks = {"ssla": "special-symplectic", "plsa": "plsa", "lsa": "lsa"}
-        from symplie.catalog import catalog_list
         for name, kind, _ in catalog_list():
             path = tmp_path / ("%s.alg" % name)
             assert run(["catalog", "show", name, "--export",
@@ -629,3 +631,61 @@ class TestPreconditionFailureReports:
             "violations": [{"where": "left-symmetric: left-symmetric",
                             "indices": [1, 2, 1], "residual": ["-1", "0"]}],
             "notes": []}]
+
+
+def _help_text(parse, argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        parse(argv)
+    assert exc.value.code == 0
+    return capsys.readouterr().out
+
+
+class TestOneParserPerProcess:
+    """build_parser is built once per process; main looks the command up
+    when it runs, so each call parses from scratch and a rebound command
+    function is the one called (bench/tracer.py rebinds cmd_verify and
+    cmd_construct after the first call)."""
+
+    def test_built_once(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_successive_calls_parse_as_in_a_fresh_process(self, monkeypatch):
+        seen = []
+        for name in ("cmd_verify", "cmd_construct"):
+            monkeypatch.setattr(cli, name, lambda args: seen.append(vars(args)) or 0)
+        argvs = [
+            ["construct", "hypersymplectic-f1", "a.alg", "--lambda", "2",
+             "--sign", "-1", "--double", "cotangent"],
+            ["verify", "a.alg", "--check", "lie", "--check", "lsa"],
+            ["verify", "b.alg", "--check", "plsa", "--json"],
+            ["construct", "hypersymplectic-f2", "b.alg", "c.alg"],
+        ]
+        for argv in argvs:
+            assert main(argv) == 0
+        fresh = [vars(cli.build_parser.__wrapped__().parse_args(argv)) for argv in argvs]
+        assert seen == fresh
+        assert [s.get("check") for s in seen] == [None, ["lie", "lsa"], ["plsa"], None]
+        assert (seen[3]["sign"], seen[3]["double"], seen[3]["lam"]) == (1, "tangent", None)
+        assert seen[2]["json"] and not seen[3]["json"]
+
+    def test_later_verify_runs_only_its_checks(self, ssla3, capsys):
+        assert run(["verify", ssla3, "--check", "lie", "--check", "special-symplectic"]) == 0
+        assert capsys.readouterr().out.count("PASS") == 2
+        assert run(["verify", ssla3, "--check", "lie"]) == 0
+        assert capsys.readouterr().out == "jacobi: PASS\n"
+
+    def test_command_rebound_after_first_call_runs(self, monkeypatch, capsys):
+        assert main(["catalog", "list"]) == 0
+        calls = []
+        monkeypatch.setattr(cli, "cmd_verify", lambda args: calls.append(args.file) or 7)
+        assert main(["verify", "x.alg", "--check", "lie"]) == 7
+        assert calls == ["x.alg"]
+
+    @pytest.mark.parametrize("argv", [["--help"], ["verify", "--help"]])
+    def test_help_unchanged_by_earlier_calls(self, argv, ssla3, capsys):
+        assert run(["verify", ssla3, "--check", "lie"]) == 0
+        capsys.readouterr()
+        first = _help_text(main, argv, capsys)
+        assert _help_text(main, argv, capsys) == first
+        assert first == _help_text(cli.build_parser.__wrapped__().parse_args, argv, capsys)
+        assert first.startswith("usage: symplie")

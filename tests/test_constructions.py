@@ -5,6 +5,8 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as hs
 
 from symplie.checks import (
     Endo,
@@ -38,6 +40,7 @@ from symplie.constructions import (
     cotangent_double,
     cotangent_double_from_connection,
     dual_left_action,
+    dual_right_action,
     family_JE,
     hypersymplectic_from_cotangent,
     hypersymplectic_from_tangent,
@@ -54,7 +57,8 @@ from symplie import checks, constructions
 from symplie.catalog import catalog_get
 from symplie.linalg import frac
 
-from oracles import _basis, brute_left_symmetric, form_value, product_vec, rand_tensor, rng
+from oracles import (_basis, brute_left_symmetric, form_value, product_vec, rand_share_tensor,
+                     rand_tensor, rng)
 
 Q = Fraction
 SSLA_NAMES = ("ssla-2d-1", "ssla-2d-2", "ssla-2d-3", "ssla-2d-4")
@@ -83,6 +87,28 @@ class TestDualActions:
     def test_coadjoint_matches_dual_left_of_bracket(self):
         br = ssla("ssla-2d-3").bracket
         assert coadjoint(br).t == dual_left_action(br).t
+
+    # all-zero, about 5% nonzero and fully dense operands at dims 1-4; the
+    # second is drawn on its own or is -a, and S is commutative, so op_add
+    # and sub_adjacent also meet sums that cancel to zero at every entry
+    @given(hs.randoms(use_true_random=False), hs.integers(1, 4),
+           hs.sampled_from((0, 0.05, 1)), hs.sampled_from((0, 0.05, 1)), hs.booleans())
+    def test_entrywise_builders_match_plain_fraction_arithmetic(self, r, n, sa, sb, neg):
+        def cube(f):
+            return tuple(tuple(tuple(f(i, j, k) for k in range(n)) for j in range(n))
+                         for i in range(n))
+        a = rand_share_tensor(r, n, sa)
+        b = cube(lambda i, j, k: -a[i][j][k]) if neg else rand_share_tensor(r, n, sb)
+        A, B = StructureTensor(n, a), StructureTensor(n, b)
+        S = StructureTensor(n, cube(lambda i, j, k: a[i][j][k] + a[j][i][k]))
+        for got, want in (
+                (dual_left_action(A).t, cube(lambda i, j, k: -a[i][j][k])),
+                (dual_right_action(A).t, cube(lambda i, j, k: -a[j][i][k])),
+                (op_add(A, B).c, cube(lambda i, j, k: a[i][j][k] + b[i][j][k])),
+                (sub_adjacent(A).c, cube(lambda i, j, k: a[i][j][k] - a[j][i][k])),
+                (sub_adjacent(S).c, cube(lambda i, j, k: Q(0)))):
+            assert got == want
+            assert all(type(x) is Fraction for plane in got for row in plane for x in row)
 
 
 class TestSemidirect:

@@ -21,6 +21,9 @@ from symplie.linalg import (
     scaled_equal,
     scaled_leg,
     scaled_permute,
+    t3_add,
+    t3_neg,
+    t3_sub,
     tensor_contract,
     unscaled,
     vec_add,
@@ -36,6 +39,7 @@ from oracles import (
     permute_plain,
     product_vec,
     rand_mat,
+    rand_share_tensor,
     rand_tensor,
     rand_vec,
     rng,
@@ -279,6 +283,53 @@ class TestScaledEqual:
         assert not scaled_equal(s, Scaled([plane[:2] for plane in s.num], s.den))
         assert not scaled_equal(s, Scaled([[row[:2] for row in plane] for plane in s.num],
                                           s.den))
+
+
+# --- the dense entrywise helpers against plain Fraction arithmetic ---
+
+# all-zero, about 5% nonzero (the 4-dim doubles are about 95% zeros) and
+# fully dense
+shares = hs.sampled_from((0, 0.05, 1))
+
+
+def entrywise(f, *ts):
+    return tuple(tuple(tuple(f(*xs) for xs in zip(*rows)) for rows in zip(*planes))
+                 for planes in zip(*ts))
+
+
+@hs.composite
+def tensor_pairs(draw):
+    """(a, b) of one n x n x n shape, n = 1..4; b is drawn on its own, or is
+    -a or a, so that a + b or a - b cancels to zero at every entry."""
+    r = draw(hs.randoms(use_true_random=False))
+    n = draw(hs.integers(1, 4))
+    a = rand_share_tensor(r, n, draw(shares))
+    b = draw(hs.sampled_from(("own", "neg", "same")))
+    if b == "own":
+        return a, rand_share_tensor(r, n, draw(shares))
+    return a, entrywise(lambda x: -x, a) if b == "neg" else a
+
+
+class TestEntrywise:
+    """t3_add, t3_sub and t3_neg reuse an entry where the other operand's is
+    zero instead of building a new Fraction; every entry keeps the value and
+    the type of plain Fraction arithmetic."""
+
+    @given(tensor_pairs())
+    def test_matches_plain_fraction_arithmetic(self, ab):
+        a, b = ab
+        for got, want in ((t3_add(a, b), entrywise(lambda x, y: x + y, a, b)),
+                          (t3_sub(a, b), entrywise(lambda x, y: x - y, a, b)),
+                          (t3_neg(a), entrywise(lambda x: -x, a))):
+            assert got == want
+            assert all_fractions(got)
+
+    def test_zero_entries_reused(self):
+        z = rand_share_tensor(rng(0), 3, 0)
+        t = rand_share_tensor(rng(1), 3, 1)
+        for got, kept in ((t3_neg(z), z), (t3_add(t, z), t), (t3_sub(t, z), t)):
+            assert all(x is y for planes in zip(got, kept) for rows in zip(*planes)
+                       for x, y in zip(*rows))
 
 
 def test_bareiss_raises_without_assert(monkeypatch):
