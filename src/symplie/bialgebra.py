@@ -133,7 +133,7 @@ class ParaKahlerData:
 # helpers
 
 def zero_coproducts(n):
-    z = tuple(mat_zero(n) for _ in range(n))
+    z = (mat_zero(n),) * n
     return CoproductPair(n, z, z)
 
 
@@ -200,12 +200,6 @@ def _dual_product(n, t):
                                           for q in range(n)) for p in range(n)))
 
 
-def dualize_coproducts(cp):
-    """Products on the dual space of the two coproducts (_dual_product), as
-    cached on cp."""
-    return cp.dual
-
-
 def _coproduct_operators(al, be):
     """The three obstructions of the Scaled coproducts al, be: one tensor
     over (i, p, q) for co-commutativity of alpha, and one Scaled tensor per
@@ -236,7 +230,7 @@ def plsca_check(cp):
         viol = sorted(mat_violations("co-commutativity", R1)
                       + _each_violations("co-compatibility", R2)
                       + _each_violations("co-left-symmetry", R3), key=lambda v: v.indices)
-        note = _route_agrees(not viol, check_plsa(*dualize_coproducts(cp)).verdict,
+        note = _route_agrees(not viol, check_plsa(*cp.dual).verdict,
                              "coproduct operators", "dual product-pair route")
         return report("plsca", viol, [note])
     return _once(cp, "plsca", (), compute)
@@ -301,7 +295,7 @@ def plsba_check(plsa, cp):
             viol += mat_violations("bialgebra-2", b2.plane(j), (i, j))
             viol += mat_violations("bialgebra-4", b4.plane(j), (i, j))
             viol += mat_violations("bialgebra-3", b3.plane(j), (i, j))
-    mrep = check_matched_pair(dual_actions(plsa, dualize_coproducts(cp)))
+    mrep = check_matched_pair(dual_actions(plsa, cp.dual))
     return report("plsba", viol, [_route_agrees(not viol, mrep.verdict, "tensor identities",
                                                 "matched-pair route")])
 
@@ -480,7 +474,7 @@ def drinfeld_double(plsa, cp):
     except InvalidInput as e:
         raise NotAPLSBA(str(e))
     require(inrep, NotAPLSBA, "bialgebra compatibility fails: %s at %s")
-    pair_d = build_double_plsa(plsa, dualize_coproducts(cp))
+    pair_d = build_double_plsa(plsa, cp.dual)
     n2 = pair_d[0].n
     r = canonical_r(n2 // 2)
     cp_d = coboundary_coproducts(pair_d, r)

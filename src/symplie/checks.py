@@ -255,7 +255,7 @@ def rep_neg(rep):
 def rep_zero(n, m=None):
     if m is None:
         m = n
-    return RepTensor(n, m, tuple(mat_zero(m) for _ in range(n)))
+    return RepTensor(n, m, (mat_zero(m),) * n)
 
 
 # ---------------------------------------------------------------------------

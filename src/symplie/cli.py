@@ -18,8 +18,15 @@ SECTIONS holds one row per entry keyword: the AlgebraFile field it fills,
 its index count, its entry kind (a vector of q*eK terms or one rational) and
 how the entries, nested by index, become the stored object (StructureTensor,
 Form, Endo with column i the image of e_i, a plain matrix, or RepTensor) and
-back.  parse_algebra_file, emit_algebra_file, the zero defaults of _get and
-cmd_construct's output file all read that table.
+back.  parse_algebra_file, emit_algebra_file and the zero defaults of _read
+all read that table.
+
+A Slot is where a file holds one object, a keyword and a label such as
+`op prec`; a Part is a library object held in several slots, such as the
+coproduct pair (`rep alpha`, `rep beta`).  Each CHECKS entry names its
+verifier and what it reads, each RECIPES entry what it reads from each input
+file, the slots it writes and how it builds and re-verifies them; verify,
+construct and catalog export read and write objects only through these.
 """
 
 import argparse
@@ -309,59 +316,63 @@ def emit_algebra_file(af):
     return "\n".join(lines) + "\n"
 
 
-def _get(af, keyword, label):
-    """The object af holds under label in that section; zero if omitted."""
-    sec = SECTIONS[keyword]
-    got = getattr(af, sec.field).get(label)
-    return got if got is not None else _assemble(sec, af.dim, {})
+class Slot(NamedTuple):
+    """Where a file holds one object: a SECTIONS keyword and a label."""
+    keyword: str
+    label: str
+    optional: bool = False  # an omitted object reads as None, not as zero
+
+
+class Part(NamedTuple):
+    """A library object held in several slots: make(*their objects)."""
+    make: object
+    slots: tuple
+
+
+BRACKET, PROD, CONN = Slot("op", "bracket"), Slot("op", "prod"), Slot("op", "conn")
+OMEGA, MAP_E, ALPHA = Slot("form", "omega"), Slot("map", "E"), Slot("rep", "alpha")
+PLSA = (Slot("op", "prec"), Slot("op", "succ"))
+COPRODUCTS = (ALPHA, Slot("rep", "beta"))
+HYPERSYMPLECTIC = (BRACKET, Slot("map", "J"), MAP_E, Slot("form", "g"))
+DOUBLE = (BRACKET, CONN, Slot("form", "g"))
+COBOUNDARY = PLSA + COPRODUCTS + (Slot("tensor2", "r"),)  # a bialgebra and its r
+
+PAIR = Part(lambda prec, succ: (prec, succ), PLSA)
+COPRODUCT_PAIR = Part(lambda a, b: CoproductPair(a.n, a.t, b.t), COPRODUCTS)
+SSLA = Part(SpecialSymplecticData, (BRACKET, CONN, OMEGA))
+MATCHED_PAIR = Part(MatchedPairData, (Slot("op", "a1"), Slot("op", "a2"),
+                                      Slot("rep", "l1"), Slot("rep", "r1"),
+                                      Slot("rep", "l2"), Slot("rep", "r2")))
+PARA_KAHLER = Part(ParaKahlerData, (BRACKET, OMEGA, MAP_E, Slot("op", "conn", optional=True)))
+
+
+def _read(af, item):
+    """The object af holds in a slot (zero when omitted, or None for an
+    optional slot), or the object a Part makes of its slots."""
+    if isinstance(item, Part):
+        return item.make(*(_read(af, slot) for slot in item.slots))
+    sec = SECTIONS[item.keyword]
+    got = getattr(af, sec.field).get(item.label)
+    if got is None and not item.optional:
+        return _assemble(sec, af.dim, {})
+    return got
+
+
+def _afile(name, slots, objs):
+    """The AlgebraFile holding objs[i] in slots[i]; its dim is theirs."""
+    af = AlgebraFile(name, len(SECTIONS[slots[0].keyword].entries(objs[0])))
+    for slot, obj in zip(slots, objs, strict=True):
+        getattr(af, SECTIONS[slot.keyword].field)[slot.label] = obj
+    return af
 
 
 # ---------------------------------------------------------------------------
 # verify
 
-def _chk_lie(af):
-    return check_jacobi(_get(af, "op", "bracket"))
-
-
-def _chk_lsa(af):
-    return check_left_symmetric(_get(af, "op", "prod"))
-
-
-def _plsa_of(af):
-    return _get(af, "op", "prec"), _get(af, "op", "succ")
-
-
-def _coproducts_of(af):
-    return CoproductPair(af.dim, _get(af, "rep", "alpha").t, _get(af, "rep", "beta").t)
-
-
-def _matched_pair_of(af):
-    return MatchedPairData(_get(af, "op", "a1"), _get(af, "op", "a2"),
-                           _get(af, "rep", "l1"), _get(af, "rep", "r1"),
-                           _get(af, "rep", "l2"), _get(af, "rep", "r2"))
-
-
-def _ssla_of(af):
-    return SpecialSymplecticData(_get(af, "op", "bracket"), _get(af, "op", "conn"),
-                                 _get(af, "form", "omega"))
-
-
-def _chk_plsa(af):
-    return check_plsa(*_plsa_of(af))
-
-
-def _chk_special_symplectic(af):
-    s = _ssla_of(af)
-    return check_special_symplectic(s.bracket, s.conn, s.omega)
-
-
-def _chk_hypersymplectic(af):
-    return check_hypersymplectic(_get(af, "op", "bracket"), _get(af, "map", "J"),
-                                 _get(af, "map", "E"), _get(af, "form", "g"))
-
-
-def _chk_matched_pair(af):
-    return check_matched_pair(_matched_pair_of(af))
+class Check(NamedTuple):
+    """verify --check NAME: verifier(*the objects read from reads)."""
+    verifier: object
+    reads: tuple  # Slots and Parts
 
 
 def _gated(name, pre, verifier, *args):
@@ -373,39 +384,21 @@ def _gated(name, pre, verifier, *args):
     return verifier(*args)
 
 
-def _chk_plsba(af):
-    plsa, cp = _plsa_of(af), _coproducts_of(af)
-    return _gated("plsba", [check_plsa(*plsa), plsca_check(cp)], plsba_check, plsa, cp)
-
-
-def _chk_slsba(af):
-    lsa = _get(af, "op", "prod")
-    return _gated("slsba", [check_left_symmetric(lsa)], slsba_check, lsa,
-                  _get(af, "rep", "alpha").t)
-
-
-def _chk_parakahler(af):
-    return check_parakahler(ParaKahlerData(_get(af, "op", "bracket"),
-                                           _get(af, "form", "omega"),
-                                           _get(af, "map", "E"), af.ops.get("conn")))
-
-
-def _chk_post_affine(af):
-    return post_affine_check(_get(af, "op", "conn"), _get(af, "op", "conn2"),
-                             _get(af, "op", "bracket"))
-
-
 CHECKS = {
-    "lie": _chk_lie,
-    "lsa": _chk_lsa,
-    "plsa": _chk_plsa,
-    "special-symplectic": _chk_special_symplectic,
-    "hypersymplectic": _chk_hypersymplectic,
-    "matched-pair": _chk_matched_pair,
-    "plsba": _chk_plsba,
-    "slsba": _chk_slsba,
-    "para-kahler": _chk_parakahler,
-    "post-affine": _chk_post_affine,
+    "lie": Check(check_jacobi, (BRACKET,)),
+    "lsa": Check(check_left_symmetric, (PROD,)),
+    "plsa": Check(check_plsa, PLSA),
+    "special-symplectic": Check(check_special_symplectic, SSLA.slots),
+    "hypersymplectic": Check(check_hypersymplectic, HYPERSYMPLECTIC),
+    "matched-pair": Check(check_matched_pair, (MATCHED_PAIR,)),
+    "plsba": Check(lambda plsa, cp: _gated("plsba", [check_plsa(*plsa), plsca_check(cp)],
+                                           plsba_check, plsa, cp),
+                   (PAIR, COPRODUCT_PAIR)),
+    "slsba": Check(lambda lsa, alpha: _gated("slsba", [check_left_symmetric(lsa)],
+                                             slsba_check, lsa, alpha.t),
+                   (PROD, ALPHA)),
+    "para-kahler": Check(check_parakahler, (PARA_KAHLER,)),
+    "post-affine": Check(post_affine_check, (CONN, Slot("op", "conn2"), BRACKET)),
 }
 
 
@@ -430,18 +423,23 @@ def report_to_dict(rep):
 _PRINT_CAP = 50
 
 
-def _print_report(rep, out=None):
-    if out is None:
-        out = sys.stdout
-    print("%s: %s" % (rep.check, "PASS" if rep.verdict else "FAIL"), file=out)
-    for note in rep.notes:
-        print("  note: %s" % note, file=out)
-    for v in rep.violations[:_PRINT_CAP]:
-        shown = tuple(i + 1 for i in v.indices)
-        print("  %s %s: %s" % (v.where, shown, _residual_repr(v.residual)), file=out)
-    extra = len(rep.violations) - _PRINT_CAP
-    if extra > 0:
-        print("  ... and %d more violations" % extra, file=out)
+def _emit_reports(reports, as_json):
+    """Print the reports, as one JSON list or as text showing at most
+    _PRINT_CAP violations of each; True if all pass."""
+    if as_json:
+        print(json.dumps([report_to_dict(r) for r in reports], indent=2))
+    else:
+        for rep in reports:
+            print("%s: %s" % (rep.check, "PASS" if rep.verdict else "FAIL"))
+            for note in rep.notes:
+                print("  note: %s" % note)
+            for v in rep.violations[:_PRINT_CAP]:
+                shown = tuple(i + 1 for i in v.indices)
+                print("  %s %s: %s" % (v.where, shown, _residual_repr(v.residual)))
+            extra = len(rep.violations) - _PRINT_CAP
+            if extra > 0:
+                print("  ... and %d more violations" % extra)
+    return all(r.verdict for r in reports)
 
 
 def _load(path):
@@ -461,17 +459,24 @@ def cmd_verify(args):
     if unknown:  # refused before any check runs
         raise UnknownCheck("unknown check %r; valid: %s"
                            % (unknown[0], ", ".join(sorted(CHECKS))))
-    reports = [CHECKS[name](af) for name in args.check]
-    if args.json:
-        print(json.dumps([report_to_dict(r) for r in reports], indent=2))
-    else:
-        for r in reports:
-            _print_report(r)
-    return 0 if all(r.verdict for r in reports) else 1
+    reports = []
+    for name in args.check:
+        check = CHECKS[name]
+        reports.append(check.verifier(*(_read(af, item) for item in check.reads)))
+    return 0 if _emit_reports(reports, args.json) else 1
 
 
 # ---------------------------------------------------------------------------
 # construct
+
+class Recipe(NamedTuple):
+    """construct NAME: build(args, *the objects read) returns the objects to
+    write in the slots of writes, in order, and the reports re-verifying
+    them."""
+    reads: tuple   # per input file, the Slots and Parts read from it
+    writes: tuple  # Slots
+    build: object
+
 
 def _fracarg(value, name):
     if value is None:
@@ -506,134 +511,86 @@ def _parse_r(text, dim):
                  for i in range(1, dim + 1))
 
 
-def _r_sub_adjacent(afs, args):
-    br = sub_adjacent(_get(afs[0], "op", "prod"))
-    return {"ops": {"bracket": br}}, [check_jacobi(br)]
+def _checked(check, *objs):
+    """objs, re-verified by CHECKS[check], whose reads are the slots they
+    are written to."""
+    return objs, [CHECKS[check].verifier(*objs)]
 
 
-def _r_lsa_from_symplectic(afs, args):
-    prod = lsa_from_symplectic(_get(afs[0], "op", "bracket"), _get(afs[0], "form", "omega"))
-    return {"ops": {"prod": prod}}, [check_left_symmetric(prod)]
+def _reps(n, *tensors):
+    return tuple(RepTensor(n, n, t) for t in tensors)
 
 
-def _r_plsa_extract(afs, args):
-    prec, succ = plsa_from_special_symplectic(_ssla_of(afs[0]))
-    return {"ops": {"prec": prec, "succ": succ}}, [check_plsa(prec, succ)]
-
-
-def _double_payload(d):
-    out = {"ops": {"bracket": d.bracket, "conn": d.conn}, "forms": {"g": d.metric}}
+def _double_checked(d):
+    """A tangent or cotangent double's objects, omega_p last if any, and reports."""
+    objs = (d.bracket, d.conn, d.metric)
     reports = [check_jacobi(d.bracket),
                check_torsion_free(d.bracket, d.conn),
                check_flat(d.bracket, d.conn)]
     if d.omega_p is not None:
-        out["forms"]["omega_p"] = d.omega_p
+        objs += (d.omega_p,)
         reports += [check_skew(d.omega_p), check_nondegenerate(d.omega_p)]
-    return out, reports
+    return objs, reports
 
 
-def _r_tangent_double(afs, args):
-    return _double_payload(tangent_double(_ssla_of(afs[0])))
-
-
-def _r_cotangent_double(afs, args):
-    return _double_payload(cotangent_double(_ssla_of(afs[0])))
-
-
-def _family_params(family, args):
+def _hypersymplectic(family, args, s):
     lam = _fracarg(args.lam, "lambda")
     mu = _fracarg(args.mu if args.mu is not None else "0", "mu")
     k = _fracarg(args.k, "k") if args.k is not None else None
-    return FamilyParams(family, lam, mu, k, args.sign)
+    build = (hypersymplectic_from_cotangent if args.double == "cotangent"
+             else hypersymplectic_from_tangent)
+    d, J, E, g = build(s, FamilyParams(family, lam, mu, k, args.sign))
+    return _checked("hypersymplectic", d.bracket, J, E, g)
 
 
-def _r_hypersymplectic(family):
-    def run(afs, args):
-        s = _ssla_of(afs[0])
-        p = _family_params(family, args)
-        build = (hypersymplectic_from_cotangent if args.double == "cotangent"
-                 else hypersymplectic_from_tangent)
-        d, J, E, g = build(s, p)
-        rep = check_hypersymplectic(d.bracket, J, E, g)
-        return ({"ops": {"bracket": d.bracket}, "maps": {"J": J, "E": E},
-                 "forms": {"g": g}}, [rep])
-    return run
+def _double_extension(args, plsa, plsa_star):
+    ded, rep = double_extension(plsa, plsa_star)
+    return (sub_adjacent(ded.glued), ded.glued, ded.omega_p), [rep]
 
 
-def _r_semidirect(afs, args):
-    br2 = semidirect_lie(_get(afs[0], "op", "bracket"), _get(afs[0], "rep", "rho"))
-    return {"ops": {"bracket": br2}}, [check_jacobi(br2)]
+def _drinfeld_double(args, plsa, cp):
+    plsa_d, r, cp_d, rep = drinfeld_double(plsa, cp)
+    return (*plsa_d, *_reps(cp_d.n, cp_d.alpha, cp_d.beta), r), [rep]
 
 
-def _r_bowtie(afs, args):
-    prod = bowtie_lsa(_matched_pair_of(afs[0]))
-    return {"ops": {"prod": prod}}, [check_left_symmetric(prod)]
+def _slsba_double(args, lsa, alpha):
+    lsa_d, alpha_d, rep = slsba_double((lsa, alpha.t))
+    return (lsa_d, *_reps(lsa_d.n, alpha_d)), [rep]
 
 
-def _r_double_extension(afs, args):
-    if len(afs) != 2:
-        raise BadParams("double-extension needs two input files")
-    ded, rep = double_extension(_plsa_of(afs[0]), _plsa_of(afs[1]))
-    return ({"ops": {"bracket": sub_adjacent(ded.glued), "conn": ded.glued},
-             "forms": {"omega": ded.omega_p}}, [rep])
-
-
-def _r_drinfeld_double(afs, args):
-    (prec_d, succ_d), r, cp_d, rep = drinfeld_double(_plsa_of(afs[0]),
-                                                     _coproducts_of(afs[0]))
-    d = prec_d.n
-    return ({"ops": {"prec": prec_d, "succ": succ_d},
-             "reps": {"alpha": RepTensor(d, d, cp_d.alpha),
-                      "beta": RepTensor(d, d, cp_d.beta)},
-             "tensor2s": {"r": r}}, [rep])
-
-
-def _r_slsba_double(afs, args):
-    af = afs[0]
-    lsa_d, alpha_d, rep = slsba_double((_get(af, "op", "prod"),
-                                        _get(af, "rep", "alpha").t))
-    d = lsa_d.n
-    return ({"ops": {"prod": lsa_d},
-             "reps": {"alpha": RepTensor(d, d, alpha_d)}}, [rep])
-
-
-def _r_coboundary(afs, args):
-    af = afs[0]
-    plsa = _plsa_of(af)
-    r = _parse_r(args.r, af.dim)
+def _coboundary(args, plsa):
+    r = _parse_r(args.r, plsa[0].n)
     R_operators(plsa, r)  # cross-asserts the two evaluation routes
     cp = coboundary_coproducts(plsa, r)
-    rep = plsca_check(cp)
-    d = af.dim
-    return ({"ops": {"prec": plsa[0], "succ": plsa[1]},
-             "reps": {"alpha": RepTensor(d, d, cp.alpha),
-                      "beta": RepTensor(d, d, cp.beta)},
-             "tensor2s": {"r": r}}, [rep])
+    return (*plsa, *_reps(cp.n, cp.alpha, cp.beta), r), [plsca_check(cp)]
 
 
 RECIPES = {
-    "sub-adjacent": _r_sub_adjacent,
-    "lsa-from-symplectic": _r_lsa_from_symplectic,
-    "plsa-extract": _r_plsa_extract,
-    "tangent-double": _r_tangent_double,
-    "cotangent-double": _r_cotangent_double,
-    "hypersymplectic-f1": _r_hypersymplectic("F1"),
-    "hypersymplectic-f2": _r_hypersymplectic("F2"),
-    "hypersymplectic-f3": _r_hypersymplectic("F3"),
-    "semidirect": _r_semidirect,
-    "bowtie": _r_bowtie,
-    "double-extension": _r_double_extension,
-    "drinfeld-double": _r_drinfeld_double,
-    "slsba-double": _r_slsba_double,
-    "coboundary": _r_coboundary,
+    "sub-adjacent": Recipe(((PROD,),), (BRACKET,),
+                           lambda args, prod: _checked("lie", sub_adjacent(prod))),
+    "lsa-from-symplectic": Recipe(
+        ((BRACKET, OMEGA),), (PROD,),
+        lambda args, br, w: _checked("lsa", lsa_from_symplectic(br, w))),
+    "plsa-extract": Recipe(((SSLA,),), PLSA,
+                           lambda args, s: _checked("plsa", *plsa_from_special_symplectic(s))),
+    "tangent-double": Recipe(((SSLA,),), DOUBLE,
+                             lambda args, s: _double_checked(tangent_double(s))),
+    "cotangent-double": Recipe(((SSLA,),), DOUBLE + (Slot("form", "omega_p"),),
+                               lambda args, s: _double_checked(cotangent_double(s))),
+    **{"hypersymplectic-" + family.lower(): Recipe(
+        ((SSLA,),), HYPERSYMPLECTIC, functools.partial(_hypersymplectic, family))
+       for family in ("F1", "F2", "F3")},
+    "semidirect": Recipe(((BRACKET, Slot("rep", "rho")),), (BRACKET,),
+                         lambda args, br, rho: _checked("lie", semidirect_lie(br, rho))),
+    "bowtie": Recipe(((MATCHED_PAIR,),), (PROD,),
+                     lambda args, mp: _checked("lsa", bowtie_lsa(mp))),
+    "double-extension": Recipe(((PAIR,), (PAIR,)), (BRACKET, CONN, OMEGA), _double_extension),
+    "drinfeld-double": Recipe(((PAIR, COPRODUCT_PAIR),), COBOUNDARY, _drinfeld_double),
+    "slsba-double": Recipe(((PROD, ALPHA),), (PROD, ALPHA), _slsba_double),
+    "coboundary": Recipe(((PAIR,),), COBOUNDARY, _coboundary),
 }
 
-
-def _payload_dim(payload):
-    for sec in SECTIONS.values():
-        for obj in payload.get(sec.field, {}).values():
-            return len(sec.entries(obj))
-    raise AssertionError("empty construction payload")
+_FILE_COUNT = {1: "one input file", 2: "two input files"}
 
 
 def cmd_construct(args):
@@ -641,26 +598,21 @@ def cmd_construct(args):
     if recipe is None:
         raise BadParams("unknown recipe %r; valid: %s"
                         % (args.recipe, ", ".join(sorted(RECIPES))))
-    afs = [_load(p) for p in args.inputs]
-    payload, reports = recipe(afs, args)
-    if args.json:
-        print(json.dumps([report_to_dict(r) for r in reports], indent=2))
-    else:
-        for r in reports:
-            _print_report(r)
-    if not all(r.verdict for r in reports):
+    if len(args.inputs) != len(recipe.reads):
+        raise BadParams("%s needs %s" % (args.recipe, _FILE_COUNT[len(recipe.reads)]))
+    afs = [_load(path) for path in args.inputs]
+    objs = [_read(af, item) for af, reads in zip(afs, recipe.reads) for item in reads]
+    out, reports = recipe.build(args, *objs)
+    if not _emit_reports(reports, args.json):
         print("construction output failed re-verification; nothing written",
               file=sys.stderr)
         return 1
     stem = os.path.splitext(os.path.basename(args.inputs[0]))[0]
     name = args.name or ("%s-%s" % (stem, args.recipe))
-    out_af = AlgebraFile(name, _payload_dim(payload),
-                         **{sec.field: dict(payload.get(sec.field, {}))
-                            for sec in SECTIONS.values()})
     path = args.out or os.path.join(os.path.dirname(args.inputs[0]) or ".",
                                     "%s-%s.alg" % (stem, args.recipe))
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(emit_algebra_file(out_af))
+        fh.write(emit_algebra_file(_afile(name, recipe.writes, out)))
     print("wrote %s" % path)
     return 0
 
@@ -669,15 +621,12 @@ def cmd_construct(args):
 # catalog
 
 def _entry_to_afile(entry):
+    p = entry.payload
     if entry.kind == "ssla":
-        return AlgebraFile(entry.name, entry.payload.bracket.n,
-                           {"bracket": entry.payload.bracket,
-                            "conn": entry.payload.conn},
-                           {"omega": entry.payload.omega})
+        return _afile(entry.name, SSLA.slots, (p.bracket, p.conn, p.omega))
     if entry.kind == "plsa":
-        prec, succ = entry.payload
-        return AlgebraFile(entry.name, prec.n, {"prec": prec, "succ": succ})
-    return AlgebraFile(entry.name, entry.payload.n, {"prod": entry.payload})
+        return _afile(entry.name, PLSA, p)
+    return _afile(entry.name, (PROD,), (p,))
 
 
 def cmd_catalog(args):

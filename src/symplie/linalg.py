@@ -76,9 +76,11 @@ def vec_sub(u, v):
 # matrices (tuple of row tuples)
 
 def mat_zero(n, m=None):
+    """The n x m zero matrix: one shared row of one shared Fraction(0),
+    which immutable tuples allow."""
     if m is None:
         m = n
-    return tuple((Fraction(0),) * m for _ in range(n))
+    return ((Fraction(0),) * m,) * n
 
 
 def mat_identity(n):

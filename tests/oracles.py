@@ -1046,7 +1046,7 @@ def affine_product_plain(base, l, r, phi):
 
 def coproducts_from_products(prec, succ):
     """The coproduct pair whose dual products are prec and succ (the inverse
-    of bialgebra.dualize_coproducts): alpha[k][p][q] = prec.c[p][q][k]."""
+    of CoproductPair.dual): alpha[k][p][q] = prec.c[p][q][k]."""
     n = prec.n
     alpha = tuple(tuple(tuple(prec.c[p][q][k] for q in range(n)) for p in range(n))
                   for k in range(n))

@@ -38,7 +38,6 @@ from symplie.bialgebra import (
     coboundary_conditions,
     coboundary_coproducts,
     drinfeld_double,
-    dualize_coproducts,
     plsba_check,
     plsca_check,
     rr_brackets,
@@ -70,7 +69,7 @@ class TestCoproductDuality:
         for name in PLSA_NAMES:
             prec, succ = plsa(name)
             cp = coproducts_from_products(prec, succ)
-            back = dualize_coproducts(cp)
+            back = cp.dual
             assert back == (prec, succ), name
 
     def test_entry_convention(self):
@@ -410,9 +409,9 @@ class TestPairFormsKeptOnce:
         cp = coproducts_from_products(*plsa("plsa-2d-III"))
         twin = CoproductPair(cp.n, cp.alpha, cp.beta)
         assert cp.scaled is cp.scaled
-        assert dualize_coproducts(cp) is dualize_coproducts(cp)
-        assert dualize_coproducts(twin) == dualize_coproducts(cp)
-        assert dualize_coproducts(twin) is not dualize_coproducts(cp)
+        assert cp.dual is cp.dual
+        assert twin.dual == cp.dual
+        assert twin.dual is not cp.dual
         first = plsca_check(cp)
         assert plsca_check(cp) == first and len(runs) == 1
         assert plsca_check(twin) == first and len(runs) == 2

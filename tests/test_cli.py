@@ -217,6 +217,47 @@ class TestEmit:
                          "`q*eK` terms" if s.terms else "one rational", s.field)
                         for s in SECTIONS.values()]
 
+    @staticmethod
+    def _readme_table(heading):
+        """The body rows of the README table that follows the line starting
+        with heading, as lists of cells."""
+        path = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
+        at = next(i for i, line in enumerate(lines) if line.startswith(heading))
+        rows = []
+        for line in lines[at + 2:]:
+            if not line.startswith("|"):
+                break
+            rows.append([cell.strip() for cell in line.strip("|").split("|")])
+        return rows[2:]
+
+    def test_readme_check_table(self):
+        # each check's row names the slots CHECKS declares, in order; a
+        # keyword carries over to the labels after it
+        def named(cell):
+            out, keyword = [], None
+            for kw, label, opt in re.findall(
+                    r"(?:(op|form|map|rep)s? )?`(\w+)`( \(optional\))?", cell):
+                keyword = kw or keyword
+                out.append((keyword, label, bool(opt)))
+            return out
+
+        def declared(check):
+            return [(slot.keyword, slot.label, slot.optional) for item in check.reads
+                    for slot in (item.slots if isinstance(item, cli.Part) else (item,))]
+        rows = self._readme_table("Checks and the labels they read")
+        assert [name for name, _ in rows] == list(cli.CHECKS)
+        for name, reads in rows:
+            assert named(reads) == declared(cli.CHECKS[name]), name
+
+    def test_readme_recipe_table(self):
+        names = set()
+        for row in self._readme_table("Recipes:"):
+            head, *tails = row[0].split("/")  # hypersymplectic-f1/f2/f3
+            names |= {head} | {head.rsplit("-", 1)[0] + "-" + t for t in tails}
+        assert names == set(cli.RECIPES)
+
     def test_roundtrip_handmade(self):
         af = AlgebraFile("y", 3, ops={"prec": st(3, {(0, 1, 2): Q(-5, 3)})})
         af2 = parse(emit_algebra_file(af))
@@ -341,7 +382,9 @@ class TestVerifyCommand:
 
     def test_unknown_check_refused_before_any_check_runs(self, ssla3, monkeypatch, capsys):
         calls = []
-        monkeypatch.setitem(cli.CHECKS, "special-symplectic", calls.append)
+        reads = cli.CHECKS["special-symplectic"].reads
+        monkeypatch.setitem(cli.CHECKS, "special-symplectic",
+                            cli.Check(lambda *objs: calls.append(objs), reads))
         assert run(["verify", ssla3, "--check", "special-symplectic",
                     "--check", "typo"]) == 2
         assert "unknown check 'typo'" in capsys.readouterr().err
@@ -515,6 +558,15 @@ class TestConstructCommand:
                     "--check", "plsba"]) == 0
         assert parse(out.read_text()).dim == 4
 
+    def test_each_input_parsed_once(self, plsa2, tmp_path, monkeypatch):
+        # drinfeld-double reads two parts of its one file
+        parsed, real = [], cli.parse_algebra_file
+        monkeypatch.setattr(cli, "parse_algebra_file",
+                            lambda text: parsed.append(text) or real(text))
+        assert run(["construct", "drinfeld-double", plsa2,
+                    "--out", str(tmp_path / "dd.alg")]) == 0
+        assert len(parsed) == 1
+
     def test_double_extension_two_inputs(self, plsa2, tmp_path):
         zero = tmp_path / "zero.alg"
         zero.write_text("algebra zero2\ndim 2\n")
@@ -527,6 +579,19 @@ class TestConstructCommand:
     def test_double_extension_wrong_arity(self, plsa2, capsys):
         assert run(["construct", "double-extension", plsa2]) == 2
         assert "two input files" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("recipe,count", [
+        *((name, 2) for name in sorted(set(cli.RECIPES) - {"double-extension"})),
+        ("double-extension", 1), ("double-extension", 3)])
+    def test_wrong_input_count_exit_two(self, recipe, count, ssla3, tmp_path, capsys):
+        # refused before any input is read: one line, and nothing written;
+        # --lambda and --r would let every recipe run if the count passed
+        out = tmp_path / "x.alg"
+        argv = ["construct", recipe] + [ssla3] * count + ["--out", str(out)]
+        assert run(argv + ["--lambda", "1", "--r", ""]) == 2
+        need = "two input files" if recipe == "double-extension" else "one input file"
+        assert capsys.readouterr().err == "error: %s needs %s\n" % (recipe, need)
+        assert not out.exists()
 
     def test_unmatched_double_extension_exit_two(self, tmp_path, capsys):
         a = tmp_path / "a.alg"

@@ -14,6 +14,7 @@ from symplie.linalg import (
     mat_mul,
     mat_rank,
     mat_transpose,
+    mat_zero,
     rational_sqrt,
     scaled,
     Scaled,
@@ -28,6 +29,7 @@ from symplie.linalg import (
     unscaled,
     vec_add,
 )
+from symplie.checks import RepTensor, rep_zero
 
 from oracles import (
     combine_plain,
@@ -97,6 +99,27 @@ class TestInverse:
     def test_known(self):
         m = ((frac(2), frac(1)), (frac(1), frac(1)))
         assert mat_inverse(m) == ((frac(1), frac(-1)), (frac(-1), frac(2)))
+
+
+class TestZero:
+    """The zero matrix shares one row and the zero representation one
+    plane; every entry is still an exact Fraction(0)."""
+
+    @pytest.mark.parametrize("n,m", [(1, 1), (2, 2), (3, 1), (1, 4), (4, 3)])
+    def test_mat_zero_equals_per_row_construction(self, n, m):
+        got = mat_zero(n, m)
+        assert got == tuple((Fraction(0),) * m for _ in range(n))
+        assert all(type(x) is Fraction and x == 0 for row in got for x in row)
+        assert mat_zero(m) == tuple((Fraction(0),) * m for _ in range(m))
+
+    @pytest.mark.parametrize("n,m", [(1, 1), (2, 2), (3, 2), (2, 3)])
+    def test_rep_zero_equals_per_plane_construction(self, n, m):
+        got = rep_zero(n, m)
+        assert got == RepTensor(n, m, tuple(tuple((Fraction(0),) * m for _ in range(m))
+                                            for _ in range(n)))
+        assert all(type(x) is Fraction and x == 0
+                   for plane in got.t for row in plane for x in row)
+        assert rep_zero(n) == RepTensor(n, n, (mat_zero(n),) * n)
 
 
 class TestMatMul:
