@@ -8,24 +8,29 @@ A public verifier validates its preconditions, raising the typed error
 verifiers: check_plsa, check_left_symmetric and plsca_check keep their
 report on the objects they verified (checks._once), so each precondition
 is evaluated once per object and a repeat is a kept result.  So are a
-frozen pair's Scaled tensors (_scaled_pair): trying many r against one pair
-verifies and converts it once, and a long-lived pair keeps the objects it
-was paired with alive.  A CoproductPair converts its tensors and builds its
-dual products once (.scaled, .dual), and the pair coboundary_coproducts
-returns starts with the Scaled form it was unscaled from.  Each cross-check
+frozen pair's Packed tensors and the permutations of them the chains read
+(_scaled_pair): trying many r against one pair verifies and converts it
+once, and a long-lived pair keeps the objects it was paired with alive.  A
+CoproductPair converts its tensors and builds its dual products once
+(.scaled, .dual), and the pair coboundary_coproducts returns starts with
+the Packed form it was unscaled from.  Each cross-check
 route runs once per object it checks: the dual's check_plsa per coproduct
 pair, check_matched_pair per call of plsba_check and slsba_check.
 
 The primary routes (the coproduct operators, the bialgebra, coboundary and
 one-coproduct identities, the coboundary coproducts and the closure
 conditions of the double's r) contract on the exact integer kernel of linalg
-(Scaled), one residual tensor per basis vector e_i, and read the violations
-off its nonzero numerators with checks.mat_violations; identities reported
-interleaved per tuple are collected one by one and merged by a stable sort
-on the tuple.  The obstructions stay Scaled from the contraction to the
-collector: r, r^T and u = r - r^T are converted once per call (_r_forms),
-the coboundary coproducts of R_operators go straight from their Scaled core
-into _coproduct_operators, and the routes that must agree entry for entry
+(Packed rows), one residual tensor per basis vector e_i, stacked: each term
+of a family over e_i is one contraction by every plane of a tensor at once
+(linalg.scaled_leg_each, scaled_leg_planes), and a permutation that would
+move the packed leg is contracted from a permuted input instead.  The
+violations are read off the nonzero numerators with checks.mat_violations;
+identities reported interleaved per tuple are collected per basis pair
+(_pair_violations) or one by one and merged by a stable sort on the tuple.
+The obstructions stay packed from the contraction to the collector: r,
+r^T and u = r - r^T are converted once per call (_r_forms), the coboundary
+coproducts of R_operators go straight from their packed core into
+_coproduct_operators, and the routes that must agree entry for entry
 (R_operators' direct and closed forms, slsba_coboundary's r route and the
 direct co-left-symmetry) are compared on cross-multiplied numerators
 (linalg.scaled_equal).  Only what a public function returns is turned into
@@ -45,6 +50,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
+from operator import le, lt
 
 from .linalg import (
     InternalMismatch,
@@ -54,6 +60,8 @@ from .linalg import (
     scaled_combine,
     scaled_equal,
     scaled_leg,
+    scaled_leg_each,
+    scaled_leg_planes,
     scaled_permute,
     unscaled,
 )
@@ -111,7 +119,7 @@ class CoproductPair:
 
     @cached_property
     def scaled(self):
-        """(alpha, beta) as Scaled tensors, converted on first use and shared
+        """(alpha, beta) as Packed tensors, converted on first use and shared
         by every route that contracts this pair; never mutated."""
         return scaled(self.alpha), scaled(self.beta)
 
@@ -137,57 +145,90 @@ def zero_coproducts(n):
     return CoproductPair(n, z, z)
 
 
+class _ScaledPair:
+    """prec, succ, their sum dot and its commutator br of a product pair as
+    Packed tensors P, S, D and B; iterating gives these four.  For a
+    product X, plane i of X permuted by (0, 2, 1) is the matrix Lx_i of
+    left multiplication by e_i, and plane j of X permuted by (1, 0, 2) is
+    Rx_j^T, the transposed right multiplication by e_j."""
+
+    def __init__(self, plsa):
+        self.P, self.S = (op.scaled for op in plsa)
+        self.D = scaled_combine(((1, self.P), (1, self.S)))
+        self.B = scaled_combine(((1, self.D), (-1, scaled_permute(self.D, (1, 0, 2)))))
+        self._perms = {}
+
+    def __iter__(self):
+        return iter((self.P, self.S, self.D, self.B))
+
+    def perm(self, name, axes):
+        """The tensor name ("P", "S", "D" or "B") with its legs permuted by
+        axes, built on first use and kept."""
+        key = name, axes
+        if key not in self._perms:
+            self._perms[key] = scaled_permute(getattr(self, name), axes)
+        return self._perms[key]
+
+
 def _scaled_pair(plsa):
-    """prec, succ, their sum dot and its commutator br, as Scaled tensors,
-    built once per pair of objects (checks._once).  For a product X, plane i
-    of X permuted by (0, 2, 1) is the matrix Lx_i of left multiplication by
-    e_i, and plane j of X permuted by (1, 0, 2) is Rx_j^T, the transposed
-    right multiplication by e_j."""
-    def compute():
-        P, S = (op.scaled for op in plsa)
-        D = scaled_combine(((1, P), (1, S)))
-        return P, S, D, scaled_combine(((1, D), (-1, scaled_permute(D, (1, 0, 2)))))
-    return _once(plsa[0], "scaled-pair", (plsa[1],), compute)
+    """The _ScaledPair of a product pair, built once per pair of objects
+    (checks._once)."""
+    return _once(plsa[0], "scaled-pair", (plsa[1],), lambda: _ScaledPair(plsa))
 
 
 def _r_forms(r):
     """r, r^T, u = r - r^T and u^T = -u as Scaled matrices over one
     denominator, from a single conversion of the Fraction matrix r."""
     R = scaled(r)
-    RT = Scaled([list(col) for col in zip(*R.num)], R.den)
+    RT = R.transposed()
     U = Scaled([[a - b for a, b in zip(x, y)] for x, y in zip(R.num, RT.num)], R.den)
     return R, RT, U, Scaled([[-a for a in row] for row in U.num], R.den)
 
 
-def _two_sided(M, MT, X, Y):
+def _two_sided(M, MT, X, YT):
     """Per basis vector e_i: m Lx_i^T + Ly_i m, for a Scaled matrix M = m,
-    its transpose MT, and Scaled products X, Y with left multiplications
-    Lx_i, Ly_i."""
-    return scaled_combine((
-        (1, scaled_leg(M, X, 1)),
-        (1, scaled_permute(scaled_leg(MT, Y, 1), (0, 2, 1)))))
+    its transpose MT, a Packed product X and the Packed product Y permuted
+    by (0, 2, 1), YT, with left multiplications Lx_i, Ly_i."""
+    return scaled_combine(((1, scaled_leg(M, X, 1)), (1, scaled_leg(MT, YT, 2))))
 
 
 def _each_violations(where, tensors):
-    """mat_violations of the i-th Scaled tensor at the indices (i, ...), in
+    """mat_violations of the i-th Packed tensor at the indices (i, ...), in
     the order of i: one residual tensor per basis vector e_i."""
     return [v for i, t in enumerate(tensors) for v in mat_violations(where, t, (i,))]
 
 
+def _swap_each(t, n):
+    """The n tensors stacked in the Packed t, each with its legs 0 and 1
+    swapped, stacked again: every packed row is kept."""
+    k = len(t.num) // n
+    return t._replace(num=[list(rows) for i in range(0, len(t.num), k)
+                           for rows in zip(*t.num[i:i + k])])
+
+
+def _pair_violations(n, *items):
+    """mat_violations per basis pair (i, j), in the order of (i, j) and, at
+    each pair, of items: (where, t, keep) with t the stacked tensors of the
+    basis vectors (plane i * n + j of t is the matrix at (i, j)), collected
+    where keep is None or keep(i, j)."""
+    return [v for i in range(n) for j in range(n) for where, t, keep in items
+            if keep is None or keep(i, j)
+            for v in mat_violations(where, t.plane(i * n + j), (i, j))]
+
+
 def _compat_defect(D, S, T, A):
-    """Per basis vector e_i, lazily, the tensor over (j, a, b) of
+    """Per basis vector e_i, stacked (scaled_leg_each), the tensor over
+    (j, a, b) of
 
         sum_k D[i][j][k] T_k - Ls_i T_j - T_j Ld_i^T - A_i Rd_j^T
 
-    for Scaled products D, S (left multiplications Ld, Ls; right
-    multiplications Rd of D) and Scaled matrix families T, A."""
-    LS, LD = scaled_permute(S, (0, 2, 1)), scaled_permute(D, (0, 2, 1))
+    for Packed products D, S (left multiplications Ld, Ls; right
+    multiplications Rd of D) and Packed matrix families T, A."""
     Dr = scaled_permute(D, (1, 0, 2))  # Dr[j][p][b] = D[p][j][b]
-    return (scaled_combine(((1, scaled_leg(D.plane(i), T, 0)),
-                            (-1, scaled_leg(LS.plane(i), T, 1)),
-                            (-1, scaled_leg(LD.plane(i), T, 2)),
-                            (-1, scaled_leg(A.plane(i), Dr, 1))))
-            for i in range(len(D.num)))
+    return scaled_combine(((1, scaled_leg_each(D, T, 0)),
+                           (-1, scaled_leg_each(S, T, 1, transpose=True)),
+                           (-1, scaled_leg_planes(D, T)),
+                           (-1, scaled_leg_each(A, Dr, 1))))
 
 
 # ---------------------------------------------------------------------------
@@ -201,20 +242,18 @@ def _dual_product(n, t):
 
 
 def _coproduct_operators(al, be):
-    """The three obstructions of the Scaled coproducts al, be: one tensor
-    over (i, p, q) for co-commutativity of alpha, and one Scaled tensor per
+    """The three obstructions of the Packed coproducts al, be: one tensor
+    over (i, p, q) for co-commutativity of alpha, and one Packed tensor per
     basis vector for mixed co-compatibility and for co-left-symmetry of
     beta."""
     alT = scaled_permute(al, (0, 2, 1))  # alT[i] = alpha_i transposed
     ab = scaled_combine(((1, al), (1, be)))
-    R2 = []
-    for i in range(len(al.num)):
-        t1 = scaled_leg(be.plane(i), al, 0)  # sum_q B[a][q] al[q][b][c]
-        # sum_p A[p][c] ab[p][a][b], and sum_q A[b][q] ab[q][a][c]
-        t2 = scaled_permute(scaled_leg(alT.plane(i), ab, 0), (1, 2, 0))
-        s = scaled_permute(scaled_leg(al.plane(i), ab, 0), (1, 0, 2))
-        R2.append(scaled_combine(((1, t1), (-1, t2), (-1, s))))
-    return scaled_combine(((1, al), (-1, alT))), R2, _co_left_symmetry(be)
+    # with A = alpha_i, B = beta_i: sum_q B[a][q] al[q][b][c]
+    # - sum_p A[p][c] ab[p][a][b] - sum_q A[b][q] ab[q][a][c]
+    R2 = scaled_combine(((1, scaled_leg_each(be, al, 0)),
+                         (-1, scaled_leg_planes(al, ab, (1, 2, 0))),
+                         (-1, scaled_leg_each(al, scaled_permute(ab, (1, 0, 2)), 1))))
+    return scaled_combine(((1, al), (-1, alT))), R2.split(len(al.num)), _co_left_symmetry(be)
 
 
 def plsca_check(cp):
@@ -267,34 +306,29 @@ def plsba_check(plsa, cp):
     asserted to agree."""
     require(check_plsa(*plsa), InvalidInput, "product pair invalid: %s at %s")
     require(plsca_check(cp), InvalidInput, "coproduct pair invalid: %s at %s")
-    P, S, D, B = _scaled_pair(plsa)
+    pair = _scaled_pair(plsa)
+    P, S, D, B = pair
     AL, BE = cp.scaled
     AB = scaled_combine(((1, AL), (1, BE)))
-    ALT = scaled_permute(AL, (0, 2, 1))
-    LP, LD = scaled_permute(P, (0, 2, 1)), scaled_permute(D, (0, 2, 1))
-    Pr = scaled_permute(P, (1, 0, 2))  # Pr[j][p][a] = P[p][j][a]: Pr[j] = Rp_j^T
-    viol = []
-    for i, common in enumerate(_compat_defect(D, S, AB, BE)):
-        b1 = scaled_combine((
-            (1, scaled_leg(B.plane(i), AL, 0)), (-1, scaled_leg(LD.plane(i), AL, 2)),
-            (-1, scaled_leg(LD.plane(i), AL, 1)), (1, scaled_leg(AL.plane(i), D, 1)),
-            (1, scaled_permute(scaled_leg(ALT.plane(i), D, 1), (0, 2, 1)))))
-        b2 = scaled_combine(((1, common),
-                             (1, scaled_permute(scaled_leg(ALT.plane(i), P, 1), (0, 2, 1)))))
-        b4 = scaled_combine(((1, common),
-                             (1, scaled_permute(scaled_leg(AL.plane(i), Pr, 1), (0, 2, 1)))))
-        # each side of 3 is M - M^T: M = ab(prec_ij) on the left and
-        # ab_i Rp_j^T + ab_j Lp_i^T on the right
-        Z = scaled_combine(((1, scaled_leg(P.plane(i), AB, 0)),
-                            (-1, scaled_leg(AB.plane(i), Pr, 1)),
-                            (-1, scaled_leg(LP.plane(i), AB, 2))))
-        b3 = scaled_combine(((1, Z), (-1, scaled_permute(Z, (0, 2, 1)))))
-        for j in range(cp.n):
-            if i < j:
-                viol += mat_violations("bialgebra-1", b1.plane(j), (i, j))
-            viol += mat_violations("bialgebra-2", b2.plane(j), (i, j))
-            viol += mat_violations("bialgebra-4", b4.plane(j), (i, j))
-            viol += mat_violations("bialgebra-3", b3.plane(j), (i, j))
+    ALT, ABT = scaled_permute(AL, (0, 2, 1)), scaled_permute(AB, (0, 2, 1))
+    Pr = pair.perm("P", (1, 0, 2))  # Pr[j][p][a] = P[p][j][a]: Pr[j] = Rp_j^T
+    # each identity over (i, j), stacked (scaled_leg_each), one contraction
+    # per term: al_j Ld_i^T, Ld_i al_j and so on
+    b1 = scaled_combine((
+        (1, scaled_leg_each(B, AL, 0)), (-1, scaled_leg_planes(D, AL)),
+        (-1, scaled_leg_each(D, AL, 1, transpose=True)), (1, scaled_leg_each(AL, D, 1)),
+        (1, scaled_leg_planes(AL, D, (0, 2, 1)))))
+    common = _compat_defect(D, S, AB, BE)
+    b2 = scaled_combine(((1, common), (1, scaled_leg_planes(AL, P, (0, 2, 1)))))  # Lp_j al_i
+    b4 = scaled_combine(((1, common), (1, scaled_leg_planes(ALT, P, (1, 2, 0)))))  # Rp_j al_i^T
+    # each side of 3 is M - M^T: M = ab(prec_ij) on the left and
+    # ab_i Rp_j^T + ab_j Lp_i^T on the right; M^T is contracted as it is
+    b3 = scaled_combine((
+        (1, scaled_leg_each(P, AB, 0)), (-1, scaled_leg_each(AB, Pr, 1)),
+        (-1, scaled_leg_planes(P, AB)), (-1, scaled_leg_each(P, ABT, 0)),
+        (1, scaled_leg_planes(ABT, P, (1, 2, 0))), (1, scaled_leg_each(P, ABT, 1, transpose=True))))
+    viol = _pair_violations(cp.n, ("bialgebra-1", b1, lt), ("bialgebra-2", b2, None),
+                            ("bialgebra-4", b4, None), ("bialgebra-3", b3, None))
     mrep = check_matched_pair(dual_actions(plsa, cp.dual))
     return report("plsba", viol, [_route_agrees(not viol, mrep.verdict, "tensor identities",
                                                 "matched-pair route")])
@@ -311,16 +345,17 @@ def coboundary_coproducts(plsa, r):
 
     where Ldot, Lsucc, ad are left multiplication by e_i in the sum product,
     the second product, and the commutator bracket.  The pair's cached
-    Scaled form is the one it was unscaled from."""
+    Packed form is the one it was unscaled from."""
     al, be = _coboundary_scaled(_scaled_pair(plsa), _r_forms(r))
     return _seeded(CoproductPair(plsa[0].n, unscaled(al), unscaled(be)), scaled=(al, be))
 
 
 def _coboundary_scaled(pair, rf):
-    """coboundary_coproducts as Scaled alpha, beta, from the Scaled tensors
-    pair of _scaled_pair and rf of _r_forms."""
-    (_, S, D, B), (R, RT, _, _) = pair, rf
-    return _two_sided(R, RT, D, D), scaled_combine(((-1, _two_sided(R, RT, B, S)),))
+    """coboundary_coproducts as Packed alpha, beta, from the _ScaledPair
+    pair and the Scaled matrices rf of _r_forms."""
+    (_, _, D, B), (R, RT, _, _) = pair, rf
+    return (_two_sided(R, RT, D, pair.perm("D", (0, 2, 1))),
+            scaled_combine(((-1, _two_sided(R, RT, B, pair.perm("S", (0, 2, 1)))),)))
 
 
 def coboundary_conditions(plsa, r):
@@ -330,34 +365,30 @@ def coboundary_conditions(plsa, r):
     (_coboundary_one), and the right-multiplication condition
     Rp_j (Ld_i u + u Ld_i^T) = 0 per ordered pair."""
     require(check_plsa(*plsa), InvalidInput, "product pair invalid: %s at %s")
-    P, _, D, _ = _scaled_pair(plsa)
+    pair = _scaled_pair(plsa)
     _, _, U, UT = _r_forms(r)
-    baseT = scaled_permute(_two_sided(U, UT, D, D), (0, 2, 1))
-    Q = scaled_permute(P, (1, 2, 0))  # Q[j] = Rp_j
-    viol = []
-    for i, C1 in enumerate(_coboundary_one(P, UT)):
-        C2 = scaled_leg(baseT.plane(i), Q, 2)
-        for j in range(plsa[0].n):
-            if i <= j:
-                viol += mat_violations("coboundary-1", C1.plane(j), (i, j))
-            viol += mat_violations("coboundary-2", C2.plane(j), (i, j))
-    return report("coboundary-conditions", viol)
+    base = _two_sided(U, UT, pair.D, pair.perm("D", (0, 2, 1)))
+    C2 = scaled_leg_planes(base, pair.P, (1, 2, 0))  # Rp_j base_i, stacked
+    return report("coboundary-conditions", _pair_violations(
+        plsa[0].n, ("coboundary-1", _coboundary_one(pair, UT), le),
+        ("coboundary-2", C2, None)))
 
 
-def _coboundary_one(P, UT):
-    """Per basis vector e_i, lazily, the tensor over (j, a, b) of
+def _coboundary_one(pair, UT):
+    """Per basis vector e_i, stacked (scaled_leg_each), the tensor over
+    (j, a, b) of
 
         M u + u M^T - Lp_j u Lp_i^T - Lp_i u Lp_j^T,   M = Lp(e_i prec e_j),
 
-    for the Scaled first product P and the Scaled transpose UT of a skew
-    matrix u.  With V_k = Lp_k u it is Z - Z^T for Z_j = M u - V_j Lp_i^T,
-    as u^T = -u."""
-    V = scaled_permute(scaled_leg(UT, P, 1), (0, 2, 1))
-    LP = scaled_permute(P, (0, 2, 1))
-    for i in range(len(P.num)):
-        Z = scaled_combine(((1, scaled_leg(P.plane(i), V, 0)),
-                            (-1, scaled_leg(LP.plane(i), V, 2))))
-        yield scaled_combine(((1, Z), (-1, scaled_permute(Z, (0, 2, 1)))))
+    for the first product P of the _ScaledPair pair and the Scaled
+    transpose UT of a skew matrix u.  With V_k = Lp_k u it is Z - Z^T for
+    Z_j = M u - V_j Lp_i^T, as u^T = -u; Z^T is contracted from V^T."""
+    P = pair.P
+    V = scaled_leg(UT, pair.perm("P", (0, 2, 1)), 2)  # V[k] = Lp_k u
+    VT = scaled_leg(UT, P, 1)
+    return scaled_combine(((1, scaled_leg_each(P, V, 0)), (-1, scaled_leg_planes(P, V)),
+                           (-1, scaled_leg_each(P, VT, 0)),
+                           (1, scaled_leg_each(P, VT, 1, transpose=True))))
 
 
 def rr_brackets(plsa, r):
@@ -376,28 +407,28 @@ def rr_brackets(plsa, r):
 
 
 def _rr_scaled(pair, rf):
-    """rr_brackets on the Scaled tensors pair of _scaled_pair and rf of
+    """rr_brackets on the _ScaledPair pair and the Scaled matrices rf of
     _r_forms."""
-    (P, S, D, B), (R, RT, _, _) = pair, rf
+    R, RT, _, _ = rf
 
     def uqt(c):  # sum r[u][q] r[v][t] c[q][t][w]
-        return scaled_leg(R, scaled_leg(R, c, 0), 1)
+        return scaled_leg(R, scaled_leg(R, getattr(pair, c), 0), 1)
 
     def uqs(c):  # sum r[u][q] r[s][w] c[q][s][v]
-        return scaled_permute(scaled_leg(RT, scaled_leg(R, c, 0), 1), (0, 2, 1))
+        return scaled_leg(RT, scaled_leg(R, pair.perm(c, (0, 2, 1)), 0), 2)
 
     def pvs(c):  # sum r[p][v] r[s][w] c[p][s][u]
-        return scaled_permute(scaled_leg(RT, scaled_leg(RT, c, 0), 1), (2, 0, 1))
+        return scaled_leg(RT, scaled_leg(RT, pair.perm(c, (2, 0, 1)), 2), 1)
 
-    return (scaled_combine(((1, uqt(D)), (1, uqs(D)), (1, pvs(P)))),
-            scaled_combine(((1, pvs(S)), (-1, uqs(S)), (-1, uqt(B)))))
+    return (scaled_combine(((1, uqt("D")), (1, uqs("D")), (1, pvs("P")))),
+            scaled_combine(((1, pvs("S")), (-1, uqs("S")), (-1, uqt("B")))))
 
 
 def R_operators(plsa, r):
     """The three coproduct obstructions of the coboundary pair built from r
     (InvalidInput unless the product pair is valid), evaluated directly and
     again through closed forms in the quadratic tensors of r.  Both routes
-    stay on Scaled numerators, which are compared entry for entry
+    stay on packed numerators, which are compared entry for entry
     (scaled_equal; InternalMismatch when they differ), and only the returned
     operators are turned into Fractions: the first as a list of matrices,
     the other two as one tensor per basis vector."""
@@ -421,31 +452,30 @@ def _closed_form_operators(pair, rf):
         R3_i = (Ls_i, Ls_i, ad_i on legs 0, 1, 2 of T2) - sum_p Rs_p W_i (x) r[p]
                + sum_p W(e_i succ e_p) (x) r[p] + sum_pq r[p][q] W_p (x) [e_i, e_q]
     with W(x) = ad(x) u + u Ls(x)^T linear in x, W_p = W(e_p); each sum is
-    one leg contraction.  pair holds the Scaled tensors of _scaled_pair and
-    rf those of _r_forms; the result is Scaled, as _coproduct_operators'."""
-    (P, S, D, B), (R, RT, U, UT) = pair, rf
+    one leg contraction.  pair is the _ScaledPair and rf the Scaled matrices
+    of _r_forms; the result is Packed, as _coproduct_operators'."""
+    (R, RT, U, UT) = rf
+    P, S, D, B = pair
     T1, T2 = _rr_scaled(pair, rf)
-    base, W = _two_sided(U, UT, D, D), _two_sided(U, UT, S, B)
-    baseT = scaled_permute(base, (0, 2, 1))
-    WT = scaled_permute(W, (0, 2, 1))
-    Yp = scaled_leg(RT, P, 1)  # Yp[x][c][a] = sum_p r[p][c] prec[x][p][a]
-    Ys = scaled_leg(RT, S, 1)
-    # K[i][c][k] = sum_p r[p][c] succ[i][p][k] + sum_q r[k][q] br[i][q][c]
-    K = scaled_combine(((1, Ys), (1, scaled_permute(scaled_leg(R, B, 1), (0, 2, 1)))))
-    LsT, LdT, adT = (scaled_permute(t, (0, 2, 1)) for t in (S, D, B))
-    R2, R3 = [], []
-    for i in range(len(P.num)):
-        Ls, Ld, ad = LsT.plane(i), LdT.plane(i), adT.plane(i)
-        R2.append(scaled_combine((
-            (-1, scaled_leg(Ls, T1, 0)), (-1, scaled_leg(Ld, T1, 1)),
-            (-1, scaled_leg(Ld, T1, 2)),
-            (1, scaled_permute(scaled_leg(baseT.plane(i), Yp, 0), (2, 0, 1))))))
-        R3.append(scaled_combine((
-            (1, scaled_leg(Ls, T2, 0)), (1, scaled_leg(Ls, T2, 1)),
-            (1, scaled_leg(ad, T2, 2)),
-            (1, scaled_permute(scaled_leg(K.plane(i), W, 0), (1, 2, 0))),
-            (-1, scaled_permute(scaled_leg(WT.plane(i), Ys, 0), (2, 0, 1))))))
-    return base, R2, R3
+    base = _two_sided(U, UT, D, pair.perm("D", (0, 2, 1)))
+    W = _two_sided(U, UT, S, pair.perm("B", (0, 2, 1)))
+    # Yp[a][x][c] = sum_p r[p][c] prec[x][p][a], and Ys likewise for succ
+    Yp = scaled_leg(RT, pair.perm("P", (2, 0, 1)), 2)
+    Ys = scaled_leg(RT, pair.perm("S", (2, 0, 1)), 2)
+    # KT[i][k][c] = sum_p r[p][c] succ[i][p][k] + sum_q r[k][q] br[i][q][c]
+    KT = scaled_combine(((1, scaled_leg(RT, pair.perm("S", (0, 2, 1)), 2)),
+                         (1, scaled_leg(R, B, 1))))
+    # per basis vector e_i, stacked (scaled_leg_each)
+    R2 = scaled_combine((
+        (-1, scaled_leg_each(S, T1, 0, transpose=True)),
+        (-1, scaled_leg_each(D, T1, 1, transpose=True)), (-1, scaled_leg_planes(D, T1)),
+        (1, scaled_leg_each(base, Yp, 1, transpose=True))))
+    R3 = scaled_combine((
+        (1, scaled_leg_each(S, T2, 0, transpose=True)),
+        (1, scaled_leg_each(S, T2, 1, transpose=True)), (1, scaled_leg_planes(B, T2)),
+        (1, scaled_leg_planes(KT, W, (1, 2, 0))),
+        (-1, scaled_leg_each(W, Ys, 1, transpose=True))))
+    return base, R2.split(len(P.num)), R3.split(len(P.num))
 
 
 # ---------------------------------------------------------------------------
@@ -479,18 +509,17 @@ def drinfeld_double(plsa, cp):
     r = canonical_r(n2 // 2)
     cp_d = coboundary_coproducts(pair_d, r)
     pair, rf = _scaled_pair(pair_d), _r_forms(r)
-    P, S, D, B = pair
     _, _, U, UT = rf
     T1, T2 = _rr_scaled(pair, rf)  # rr_brackets, read off its numerators
     viol = mat_violations("r-bracket-1", T1) + mat_violations("r-bracket-2", T2)
     # Ld_i u + u Ld_i^T and u Ls_i^T + ad_i u, merged by (i, a, b) in a stable sort
-    viol += sorted(mat_violations("double-r-1", _two_sided(U, UT, D, D))
-                   + mat_violations("double-r-3", _two_sided(U, UT, S, B)),
+    viol += sorted(mat_violations("double-r-1",
+                                  _two_sided(U, UT, pair.D, pair.perm("D", (0, 2, 1))))
+                   + mat_violations("double-r-3",
+                                    _two_sided(U, UT, pair.S, pair.perm("B", (0, 2, 1)))),
                    key=lambda v: v.indices)
     # coboundary-1 of the double; its coboundary-2 half is not part of the report
-    for i, C1 in enumerate(_coboundary_one(P, UT)):
-        for j in range(i, n2):
-            viol += mat_violations("double-r-2", C1.plane(j), (i, j))
+    viol += _pair_violations(n2, ("double-r-2", _coboundary_one(pair, UT), le))
     rep = merge_reports("double", [plsca_check(cp_d), plsba_check(pair_d, cp_d)], viol)
     return pair_d, r, cp_d, rep
 
@@ -537,7 +566,7 @@ def slsba_check(lsa, alpha):
     require(check_left_symmetric(lsa), NotAnLSA, "base product is not %s at %s")
     # alpha(e_i e_j) = L_i alpha_j + alpha_j L_i^T + alpha_i R_j^T
     C, AL = lsa.scaled, scaled(alpha)
-    viol = _each_violations("coproduct-compat", _compat_defect(C, C, AL, AL))
+    viol = _each_violations("coproduct-compat", _compat_defect(C, C, AL, AL).split(lsa.n))
     cls = _each_violations("co-left-symmetry", _co_left_symmetry(AL))
     if cls:
         note = "matched-pair route skipped: dual product is not left-symmetric"
@@ -558,16 +587,15 @@ def _left_dual_actions(lsa, dual):
 
 
 def _co_left_symmetry(al):
-    """Per basis vector, a Scaled tensor: D - swap12(D), where D[a][b][c] is
+    """Per basis vector, a Packed tensor: D - swap12(D), where D[a][b][c] is
     sum_p A[p][c] alpha[p][a][b] - sum_q A[a][q] alpha[q][b][c], A = alpha_i,
-    for the Scaled coproduct al of alpha."""
-    alT = scaled_permute(al, (0, 2, 1))
-    out = []
-    for i in range(len(al.num)):
-        D = scaled_combine(((1, scaled_permute(scaled_leg(alT.plane(i), al, 0), (1, 2, 0))),
-                            (-1, scaled_leg(al.plane(i), al, 0))))
-        out.append(scaled_combine(((1, D), (-1, scaled_permute(D, (1, 0, 2))))))
-    return out
+    for the Packed coproduct al of alpha.  Both halves of D are one
+    contraction each, stacked over the basis vectors, and swap12 keeps
+    their packed rows."""
+    n = len(al.num)
+    D1, D2 = scaled_leg_planes(al, al, (1, 2, 0)), scaled_leg_each(al, al, 0)
+    return scaled_combine(((1, D1), (-1, D2), (-1, _swap_each(D1, n)),
+                           (1, _swap_each(D2, n)))).split(n)
 
 
 def slsba_coboundary(lsa, r):
@@ -582,18 +610,16 @@ def slsba_coboundary(lsa, r):
     R, RT, _, _ = _r_forms(r)
     Cr = scaled_permute(C, (1, 0, 2))  # Cr[j] = R_j^T, R_j right multiplication by e_j
     AL = scaled_leg(R, Cr, 1)  # alpha_i = r R_i^T
-    base = _two_sided(R, RT, C, C)  # L_i r + r L_i^T
+    base = _two_sided(R, RT, C, scaled_permute(C, (0, 2, 1)))  # L_i r + r L_i^T
     # base_i R_j^T over j, per basis vector e_i
-    viol = _each_violations("action-condition",
-                            (scaled_leg(base.plane(i), Cr, 1) for i in range(n)))
+    viol = _each_violations("action-condition", scaled_leg_each(base, Cr, 1).split(n))
     # m3[a][b][s] = sum r[a][q] r[t][s] lsa[q][t][b] - (a <-> b)
     #             + sum r[a][q] r[b][t] br[q][t][s]
     Z = scaled_leg(RT, scaled_leg(R, C, 0), 1)
     br = scaled_combine(((1, C), (-1, Cr)))
     m3 = scaled_combine(((1, scaled_permute(Z, (0, 2, 1))), (-1, scaled_permute(Z, (2, 0, 1))),
                          (1, scaled_leg(R, scaled_leg(R, br, 1), 0))))
-    Rd = scaled_permute(C, (1, 2, 0))  # Rd[i] = R_i
-    tq = [scaled_leg(Rd.plane(i), m3, 2) for i in range(n)]
+    tq = scaled_leg_planes(Cr, m3).split(n)  # R_i on leg 2 of m3, per basis vector e_i
     viol += _each_violations("co-left-symmetry", tq)
     if not all(map(scaled_equal, tq, _co_left_symmetry(AL))):
         raise InternalMismatch("co-left-symmetry via r disagrees with the "

@@ -15,16 +15,17 @@ error.
 
 Every identity on basis tuples takes one of two routes.  check_closed and
 check_parallel_form contract the whole input once on the exact integer
-kernel of linalg (Scaled) and read each tuple's residual off the result.
-torsion_violations contracts the Nijenhuis torsion on the same kernel one
-plane at a time, and only the rows j > i that it reads, building Fractions
-only for a violating pair; nijenhuis_torsion takes every row from the same
+kernel of linalg, one int_mat_mul of the bracket's decoded rows by the
+form, and read each tuple's residual off the result.  torsion_violations
+contracts the Nijenhuis torsion on the same decoded rows one plane at a
+time, and only the rows j > i that it reads, building Fractions only for a
+violating pair; nijenhuis_torsion takes every row from the same
 per-plane core, which skips a plane whose [Ne_i, .] - N[e_i, .] is zero.
 check_plsa, check_left_symmetric, check_jacobi, check_bimodule, check_flat
 and check_representation evaluate sparse sums over the nonzero structure
 constants (and action entries) in exact int arithmetic (_residual),
 building Fractions only for the entries of a nonzero residual; the first
-four stay off Scaled because they are the independent cross-check routes.
+four stay off the kernel because they are the independent cross-check routes.
 A StructureTensor lists its nonzero entries once (.nonzeros), and
 check_plsa reads the sum product off the exact sum of the lists of prec and
 succ (_nonzeros_sum), never building it as a tensor.  check_jacobi's
@@ -34,14 +35,15 @@ terms, and adds the two vectors only at a violating pair.  The matrix
 identities (N^2 = +-id, JE = -EJ, N^T B N = +-B) and three_forms contract
 on the kernel through one helper, _mat_chain; the remaining verifiers
 compare entries directly.  The kernel
-routes read each StructureTensor, Form and Endo through its cached Scaled
-form (.scaled, and .scaled_t for the transpose of a matrix), so an object
-is converted once however many identities contract it.  The rank of a form
+routes read each StructureTensor, Form and Endo through its cached form
+(.scaled: Packed for a StructureTensor, Scaled for a matrix, and .scaled_t
+for the transpose of a matrix), so an object is converted once, and its
+rows decoded once, however many identities contract it.  The rank of a form
 and the eigenspace dimensions of E are read off the same cached int rows:
 linalg.int_rank eliminates a fresh copy of them (less q times the
 denominator on the diagonal, for E - q id), and E = +-id is read off that
 copy too.  A Form that three_forms reads off a contraction is built with
-that Scaled form already cached (_seeded).
+that Scaled matrix already cached (_seeded).
 
 A frozen input is verified once per object, through one mechanism, _once:
 check_plsa, check_left_symmetric, check_special_symplectic,
@@ -58,20 +60,19 @@ long-lived owner keeps its kept partners alive.
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations, combinations_with_replacement, product
-from math import gcd
-from operator import is_
+from itertools import chain, combinations, combinations_with_replacement, product
+from math import gcd, lcm
+from operator import is_, mul
 
 from .linalg import (
     DimensionMismatch,
+    Packed,
     Scaled,
     int_mat_mul,
     int_rank,
     mat_transpose,
     mat_zero,
     scaled,
-    scaled_combine,
-    scaled_leg,
     t3_add,
     t3_neg,
     t3_sub,
@@ -88,7 +89,7 @@ class StructureTensor:
 
     @cached_property
     def scaled(self):
-        """c in the Scaled form of linalg, converted on first use and shared
+        """c in the Packed form of linalg, converted on first use and shared
         by every kernel route that reads this tensor."""
         return scaled(self.c)
 
@@ -110,7 +111,7 @@ class _ScaledMatrix:
 
     @cached_property
     def scaled_t(self):
-        return Scaled([list(col) for col in zip(*self.scaled.num)], self.scaled.den)
+        return self.scaled.transposed()
 
 
 @dataclass(frozen=True)
@@ -167,7 +168,7 @@ def _once(owner, key, others, compute):
 
 def _seeded(obj, **forms):
     """obj with its cached properties named in forms set to the given values:
-    for an object built from a Scaled form, which it would otherwise convert
+    for an object built from a scaled form, which it would otherwise convert
     back."""
     obj.__dict__.update(forms)
     return obj
@@ -238,8 +239,9 @@ def op_swap_args(a):
 
 
 def sub_adjacent(op):
-    """The commutator bracket [x,y] = x o y - y o x."""
-    return op_sub(op, op_swap_args(op))
+    """The commutator bracket [x,y] = x o y - y o x, built once per product
+    object (_once), so every caller of one product shares one bracket."""
+    return _once(op, "sub-adjacent", (), lambda: op_sub(op, op_swap_args(op)))
 
 
 def rep_from_op_left(op):
@@ -441,11 +443,12 @@ def check_closed(br, w):
     if br.n != w.n:
         raise DimensionMismatch("bracket dim %d, form dim %d" % (br.n, w.n))
     n = br.n
-    # T[a][b][c] = sum_s w[c][s] br[a][b][s] = w(e_c, [e_a, e_b])
-    T, den = scaled_leg(w.scaled, br.scaled, 2)
+    # row a * n + b of T is w(e_c, [e_a, e_b]) over c, for the rows (a, b) of br
+    C = br.scaled
+    T = int_mat_mul(C.matrix().num, w.scaled_t.num)
     return report("closed", violations(
         "closed", combinations(range(n), 3),
-        lambda i, j, k: T[j][k][i] + T[k][i][j] + T[i][j][k], den))
+        lambda i, j, k: T[j * n + k][i] + T[k * n + i][j] + T[i * n + j][k], w.scaled.den * C.den))
 
 
 def check_parallel_form(conn, w):
@@ -453,11 +456,12 @@ def check_parallel_form(conn, w):
     if conn.n != w.n:
         raise DimensionMismatch("connection dim %d, form dim %d" % (conn.n, w.n))
     n = conn.n
-    # P[i][j][k] = sum_a w[a][k] conn[i][j][a] = w(conn_i e_j, e_k)
-    P, den = scaled_leg(w.scaled_t, conn.scaled, 2)
+    # row i * n + j of P is w(conn_i e_j, e_k) over k, for the rows (i, j) of conn
+    C = conn.scaled
+    P = int_mat_mul(C.matrix().num, w.scaled.num)
     return report("parallel-form", violations(
         "parallel", ((i, j, k) for i in range(n) for j, k in combinations(range(n), 2)),
-        lambda i, j, k: P[i][j][k] - P[i][k][j], den))
+        lambda i, j, k: P[i * n + j][k] - P[i * n + k][j], w.scaled.den * C.den))
 
 
 def check_special_symplectic(br, conn, w):
@@ -493,41 +497,44 @@ def _special_symplectic(br, conn, w):
 
 
 def _torsion(br, N, upper):
-    """The Nijenhuis torsion of N as int rows over M.den^2 C.den, plane by
-    plane: plane i holds T(e_i, e_j) for j > i with upper, else for every j.
-    With D_i = [Ne_i, .] - N[e_i, .], T(e_i, e_j) = sum_q N_qj D_i(e_q)
-    - N D_i(e_j): only the kept rows j are contracted, and none where D_i
-    is zero, whose rows are all zero."""
+    """The Nijenhuis torsion of N as (planes, den): plane i is the int
+    matrix whose rows, over den = M.den^2 C.den, are T(e_i, e_j) for j > i
+    with upper, else for every j.  With D_i = [Ne_i, .] - N[e_i, .],
+    T(e_i, e_j) = sum_q N_qj D_i(e_q) - N D_i(e_j): each plane is a few
+    matrix products on the bracket's decoded planes, only the kept rows j
+    are contracted, and none where D_i is zero, whose rows are all zero."""
     if br.n != N.n:
         raise DimensionMismatch("bracket dim %d, endomorphism dim %d" % (br.n, N.n))
     n, C, M, Mt = br.n, br.scaled, N.scaled, N.scaled_t
     nt = Mt.num  # row j: N e_j
-    A = scaled_leg(Mt, C, 0).num  # A[i][q] = [Ne_i, e_q]
+    # row i of A is [Ne_i, e_q] over q, the planes of C flattened
+    A = int_mat_mul(nt, [list(chain.from_iterable(plane)) for plane in C.decoded])
     planes = []
-    for i, Ci in enumerate(C.num):
-        D = [[a - b for a, b in zip(arow, brow)]
-             for arow, brow in zip(A[i], int_mat_mul(Ci, nt))]
+    for i, Ci in enumerate(C.decoded):
+        D = [[a - b for a, b in zip(A[i][q:q + n], brow)]
+             for q, brow in zip(range(0, n * n, n), int_mat_mul(Ci, nt))]
         j0 = i + 1 if upper else 0
         if not any(map(any, D)):
             planes.append([[0] * n for _ in range(j0, n)])
             continue
         planes.append([[p - q for p, q in zip(prow, qrow)] for prow, qrow in
                        zip(int_mat_mul(nt[j0:], D), int_mat_mul(D[j0:], nt))])
-    return Scaled(planes, M.den ** 2 * C.den)
+    return planes, M.den ** 2 * C.den
 
 
 def nijenhuis_torsion(br, N):
     """T(N)(x,y) = [Nx,Ny] + N(N[x,y] - [Nx,y] - [x,Ny]) as a StructureTensor:
     every plane in full, through the core that torsion_violations runs on
     the pairs i < j only."""
-    return StructureTensor(br.n, unscaled(_torsion(br, N, upper=False)))
+    planes, den = _torsion(br, N, upper=False)
+    return StructureTensor(br.n, tuple(unscaled(Scaled(plane, den)) for plane in planes))
 
 
 def violations(where, tuples, residual, den=None):
     """A violation at each index tuple idx of tuples, in the order given,
     whose residual r = residual(*idx) is nonzero: a scalar other than 0, or
     a tuple with a nonzero entry.  With den, each r is an int numerator
-    read off a Scaled and is stored as Fraction(r, den)."""
+    read off int rows and is stored as Fraction(r, den)."""
     out = []
     for idx in tuples:
         r = residual(*idx)
@@ -545,9 +552,17 @@ def mat_violations(where, t, at=()):
     """A violation at indices at + index for each nonzero scalar of the
     nested tuples or lists t, all of one depth, in row-major order; a row of
     scalars may be empty, as _residual's zero residual is.  It walks rows of
-    scalars, so an all-zero row costs one any().  For a Scaled t each
-    residual is the Fraction of a nonzero numerator over t.den."""
+    scalars, so an all-zero row costs one any().  For a Scaled matrix or a
+    Packed tensor t each residual is the Fraction of a nonzero numerator
+    over t.den; a Packed row is tested against 0 first and decoded only
+    when it is not."""
     den = None
+    if isinstance(t, Packed):
+        den = t.den
+        return [Violation(where, at + (a, b, k), Fraction(x, den))
+                for a, (plane, rows) in enumerate(zip(t.num, t.decoded))
+                for b, (R, row) in enumerate(zip(plane, rows)) if R
+                for k, x in enumerate(row) if x]
     if isinstance(t, Scaled):
         t, den = t.num, t.den
     rows = [(at, t)]
@@ -571,15 +586,20 @@ def _minus_scalar(M, q):
 
 def _mat_chain(terms):
     """sum k * M1 M2 ... over the (k, (M1, M2, ...)) terms of square Scaled
-    matrices, as a one-plane Scaled tensor of fresh lists: the last matrix of
-    each term is the plane, and the others act on it in turn through leg 1."""
+    matrices, as a Scaled matrix of fresh int rows over the lcm of the
+    terms' denominators."""
     parts = []
     for k, mats in terms:
-        t = Scaled([mats[-1].num], mats[-1].den)
+        num, den = mats[-1]
         for m in reversed(mats[:-1]):
-            t = scaled_leg(m, t, 1)
-        parts.append((k, t))
-    return scaled_combine(parts)
+            num, den = int_mat_mul(m.num, num), m.den * den
+        parts.append((k, num, den))
+    if len(parts) == 1 and parts[0][0] == 1:
+        return Scaled(*parts[0][1:])
+    den = lcm(*(d for _, _, d in parts))
+    fs = [k * (den // d) for k, _, d in parts]
+    return Scaled([[sum(map(mul, fs, xs)) for xs in zip(*rows)]
+                   for rows in zip(*(num for _, num, _ in parts))], den)
 
 
 def square_violations(where, N, sign):
@@ -587,7 +607,7 @@ def square_violations(where, N, sign):
     structure.  Evaluated once per N, where and sign (_once); each call
     returns a fresh list."""
     def compute():
-        res = _mat_chain(((1, (N.scaled, N.scaled)),)).plane(0)
+        res = _mat_chain(((1, (N.scaled, N.scaled)),))
         for i, row in enumerate(res.num):
             row[i] -= sign * res.den
         return tuple(mat_violations(where, res))
@@ -599,13 +619,13 @@ def anticommute_violations(where, J, E):
     a fresh list."""
     chain = ((1, (J.scaled, E.scaled)), (1, (E.scaled, J.scaled)))
     return list(_once(J, ("anticommute", where), (E,),
-                      lambda: tuple(mat_violations(where, _mat_chain(chain).plane(0)))))
+                      lambda: tuple(mat_violations(where, _mat_chain(chain)))))
 
 
 def congruence_violations(where, B, N, sign):
     """N^T B N = sign * B for the form B and the endomorphism N."""
     res = _mat_chain(((1, (N.scaled_t, B.scaled, N.scaled)), (-sign, (B.scaled,))))
-    return mat_violations(where, res.plane(0))
+    return mat_violations(where, res)
 
 
 def torsion_violations(where, br, N):
@@ -664,7 +684,7 @@ def three_forms(g, J, E):
     from the contraction it was read off."""
     Jt, Et, G = J.scaled_t, E.scaled_t, g.scaled
     chains = [_mat_chain(((1, mats),)) for mats in ((Jt, G), (Et, G), (Et, Jt, G))]
-    return tuple(_seeded(Form(g.n, unscaled(t)[0]), scaled=t.plane(0)) for t in chains)
+    return tuple(_seeded(Form(g.n, unscaled(t)), scaled=t) for t in chains)
 
 
 def check_hypersymplectic(br, J, E, g):

@@ -13,7 +13,7 @@ checks and refuses bad input with a typed error, so downstream code can
 rely on the returned data without re-checking.
 
 lsa_from_symplectic and plsa_from_special_symplectic contract their input
-on the exact integer kernel of linalg (Scaled); the identities that
+on the exact integer kernel of linalg (Packed); the identities that
 post_affine_check and affine_cotangent_extension evaluate on basis tuples
 are sparse sums over nonzero structure constants in exact int arithmetic
 (checks._residual).
@@ -420,7 +420,7 @@ def plsa_from_special_symplectic(s):
 
 def _through_form(phinv, m, t):
     """out[i][j][l] = sum_k phinv[l][k] sum_b m[j][b] t[i][k][b], for Fraction
-    matrices phinv and m and a Scaled rank-3 t: row (i, j) of out is phinv
+    matrices phinv and m and a Packed rank-3 t: row (i, j) of out is phinv
     applied to the vector of the sums over b."""
     v = scaled_leg(scaled(m), t, 2)  # v[i][k][j]
     return scaled_permute(scaled_leg(scaled(phinv), v, 1), (0, 2, 1))

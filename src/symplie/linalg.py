@@ -3,26 +3,43 @@
 The package's values are nested tuples of fractions.Fraction, built once and
 never mutated, so they are hashable and safe to share.
 
-Every chain of matrix or tensor products runs on the scaled form: Python int
-numerators over one common denominator per tensor (``Scaled``).  A Fraction
-operation normalises through a gcd on every step; an int product or sum does
-not, so the chain stays exact and converts back to Fractions only once, at
-its end.  The products skip zero entries, because structure constants are
-mostly zero.  The data objects of checks (StructureTensor, Form, Endo)
-convert themselves once and cache the result, so scaled() here is for raw
-tuples that belong to no such object.  The operations on that form are
-scaled_leg (a matrix on one leg of a rank-3 tensor), scaled_permute,
-scaled_combine and unscaled (back to Fractions); scaled_equal compares two
-routes' results on cross-multiplied numerators, so neither is unscaled just
-to be compared.
+Every chain of matrix or tensor products runs on int numerators over one
+common denominator per object.  A Fraction operation normalises through a
+gcd on every step; an int product or sum does not, so the chain stays exact
+and converts back to Fractions only once, at its end.  A matrix is a Scaled:
+lists of int rows.  A rank-3 tensor is a Packed: each row of each plane is
+one int R = sum_c x_c 2**(W c), the signed numerators x_c in slots of W
+bits (Kronecker substitution), and the tensor carries W, its row length
+and a bound on its entries (the width rule, above _width).  Packing is
+linear, so adding or scaling whole rows is one big-int operation however
+long the row is:
 
-int_mat_mul and int_rank take int rows directly, such as a data object's
-cached Scaled rows: int_mat_mul is the product scaled_leg runs on, for a
-caller that contracts only some rows (the Nijenhuis torsion in checks).
-Rank and inversion run a fraction-free (Bareiss-style) forward elimination
-on integer-scaled rows, which keeps intermediate entries as minors of the
-input instead of letting numerators and denominators blow up; int_rank
-eliminates in place, so it takes a copy.
+  - scaled_combine does one multiply-add per row and term;
+  - scaled_leg on legs 0 and 1 adds m[a][p] times whole rows, one big-int
+    operation per nonzero entry of the matrix and row of the tensor;
+  - scaled_leg on leg 2 and scaled_permute (but for the swap of legs 0 and
+    1, which keeps every row) need single entries, so they decode rows:
+    leg 2 sums a row's entries times the packed columns of the matrix, and
+    a permutation repacks;
+  - scaled_leg_each and scaled_leg_planes apply each plane of a tensor (or
+    its transpose) as a matrix in one contraction, stacking the results,
+    so a family indexed by a basis vector is one call rather than n;
+  - scaled_equal, unscaled (back to Fractions) and the violation
+    collectors of checks test a row against 0 before they decode it.
+
+A Packed decodes its rows at most once and keeps them (decoded, matrix),
+and the data objects of checks (StructureTensor, Form, Endo) convert
+themselves once and cache the result, so scaled() here is for raw tuples
+that belong to no such object.  scaled_equal compares two routes' results
+on cross-multiplied numerators, so neither is unscaled just to be compared.
+
+int_mat_mul and int_rank take int rows directly, such as a matrix's cached
+Scaled rows or a tensor's decoded ones: the Nijenhuis torsion, closedness
+and the parallel form in checks read single entries, so they multiply the
+decoded rows as int matrices.  Rank and inversion run a fraction-free
+(Bareiss-style) forward elimination on integer-scaled rows, which keeps
+intermediate entries as minors of the input instead of letting numerators
+and denominators blow up; int_rank eliminates in place, so it takes a copy.
 
 The dense Fraction helpers left are entrywise: zero, identity and transpose
 for the parser and other builders, the vec_* and t3_* sums for sum products,
@@ -35,7 +52,11 @@ benchmark tracer wraps them.
 """
 
 from fractions import Fraction
+from functools import cache, cached_property
+from itertools import chain, repeat
 from math import isqrt, lcm
+from operator import add, itemgetter, mul, sub
+from struct import Struct, error as struct_error
 from typing import NamedTuple
 
 
@@ -281,111 +302,393 @@ def tensor_contract(t, v, slot):
 # ---------------------------------------------------------------------------
 # scaled form: int numerators over one common denominator
 
-class Scaled(NamedTuple):
-    """A matrix or rank-3 tensor whose entries are num[...] / den: nested
-    lists of ints over one positive int denominator.  Operations build new
-    lists and never mutate their inputs, so results may share rows, and the
-    cached forms of the checks data types are shared by all their readers."""
+class _Matrix(NamedTuple):
     num: list
     den: int
 
+
+class Scaled(_Matrix):
+    """A matrix whose entries are num[i][j] / den: lists of int rows over one
+    positive int denominator.  Operations build new lists and never mutate
+    their inputs, so the cached forms of the checks data types are shared by
+    all their readers.  What scaled_leg reads off the rows (terms, gain and
+    the packed columns) is worked out on first use and kept."""
+
+    def transposed(self):
+        return Scaled([list(col) for col in zip(*self.num)], self.den)
+
+    @cached_property
+    def terms(self):
+        """Per row, None for a zero row, else (xs, pick): pick(v) lists the
+        entries of v that the entries xs of the row multiply, so
+        sum(map(mul, xs, pick(v))) is the product of the row and v, and
+        pick None means v itself.  A row of more than 8 entries, more than
+        half of them zeros, keeps only its nonzero entries."""
+        out = []
+        for row in self.num:
+            if not any(row):
+                out.append(None)
+                continue
+            if len(row) <= 8:
+                out.append((row, None))
+                continue
+            qs = [q for q, x in enumerate(row) if x]
+            if 2 * len(qs) > len(row):
+                out.append((row, None))
+            elif len(qs) > 1:
+                out.append(([row[q] for q in qs], itemgetter(*qs)))
+            else:
+                out.append(([row[qs[0]]], itemgetter(slice(qs[0], qs[0] + 1))))
+        return out
+
+    @cached_property
+    def gain(self):
+        """The largest sum of |entries| over a row: how much applying the
+        matrix can multiply a bound on the entries it acts on."""
+        return max(sum(map(abs, row)) for row in self.num)
+
+    def columns(self, width):
+        """The columns of the matrix as packed rows of slots of width bits."""
+        kept = self.__dict__.setdefault("_columns", {})
+        if width not in kept:
+            kept[width] = _pack(list(zip(*self.num)), width)
+        return kept[width]
+
+
+class _PackedFields(NamedTuple):
+    num: list
+    den: int
+    cols: int
+    width: int
+    bound: int
+
+
+class Packed(_PackedFields):
+    """A rank-3 tensor whose entries are x / den for int numerators x, with
+    each row of each plane packed into one int: num[a][b] is the sum over c
+    of x[a][b][c] * 2**(width * c), cols slots of width bits.  bound is at
+    least every |x| and below 2**(width - 1) (the width rule, see _width),
+    so a row is 0 exactly when all its entries are.  Operations build new
+    lists and never mutate their inputs, so results may share rows.  The
+    entries are decoded on first use and kept (decoded, matrix), so a
+    tensor that several operations read is decoded once."""
+
+    def row(self, R):
+        """The entries of R, a packed row of this tensor, as a tuple."""
+        return _decode([R], self.width, self.cols)[0] if R else (0,) * self.cols
+
+    @cached_property
+    def decoded(self):
+        """The numerators: a tuple of planes, each a tuple of rows, each a
+        tuple of ints; only the nonzero rows are decoded, and the zero rows
+        share one tuple of zeros."""
+        zero = (0,) * self.cols
+        rows = iter(_decode([R for plane in self.num for R in plane if R], self.width, self.cols))
+        return tuple(tuple([next(rows) if R else zero for R in plane]) for plane in self.num)
+
     def plane(self, i):
-        return Scaled(self.num[i], self.den)
+        """Plane i as a Scaled matrix, such as a left factor of scaled_leg."""
+        return Scaled(self.decoded[i], self.den)
+
+    def matrix(self, axes=(0, 1, 2)):
+        """The Scaled matrix whose rows are the rows (a, b) of this tensor
+        with its legs permuted by axes, in order: the entries of that
+        tensor, never packed.  Kept per axes."""
+        kept = self.__dict__.setdefault("_matrix", {})
+        if axes not in kept:
+            kept[axes] = Scaled([row for plane in _permuted(self.decoded, axes)
+                                 for row in plane], self.den)
+        return kept[axes]
+
+    def split(self, n):
+        """The n tensors of equally many planes stacked in this one, such as
+        the per-plane results of scaled_leg_each."""
+        k = len(self.num) // n
+        return [self._replace(num=self.num[i:i + k]) for i in range(0, len(self.num), k)]
+
+
+# The width rule.  Packing is linear over Z: for any ints x_c the packed int
+# is P(x) = sum_c x_c 2**(W c), so P(x) + P(y) = P(x + y) and k P(x) = P(k x)
+# hold exactly, whatever the entries.  A sum of multiples of packed rows is
+# therefore always the packed row of the exact sum of multiples of the entry
+# rows, and no intermediate big int needs a bound.  The bound is needed only
+# where a row is read: to decode it, or to test it against 0 (a row, or the
+# cross-multiplied difference scaled_equal tests).  A row whose entries all
+# satisfy |x_c| < 2**(W - 1) has a unique such expansion (the balanced
+# base-2**W digits), so it decodes to its entries and is 0 only if they all
+# are.  Every Packed keeps that rule for its bound, which is at least every
+# |x_c|: a leg contraction by a matrix m multiplies the bound by the largest
+# sum of |m[a][p]| over a row of m (its gain), a combination sum k_t t has
+# bound sum |k_t| bound_t, and a cross-multiplied difference a db - b da has
+# bound a.bound db + b.bound da.  An operation works out the bound of its
+# result first, picks the least W that holds it (never narrower than its
+# inputs), and widens an input whose slots are narrower (_widen, a decode
+# and repack, which only combinations of different widths and the rare
+# contraction that outgrows its input pay) before it adds rows, so every
+# row it builds is read at a width that holds it.  _decode raises
+# InternalMismatch when a top slot is out of range, and a 64-bit pack when
+# an entry is.
+
+_STEP = 64  # slot widths are multiples of _STEP bits
+
+
+def _width(bound):
+    """The least multiple W of _STEP with bound < 2**(W - 1)."""
+    return -(-(bound.bit_length() + 1) // _STEP) * _STEP
+
+
+@cache
+def _offset(width, cols):
+    """2**(width - 1) in each of cols slots of width bits."""
+    return (1 << (width - 1)) * (((1 << width * cols) - 1) // ((1 << width) - 1))
+
+
+@cache
+def _int64s(count):
+    """The struct of count little-endian signed 64-bit ints."""
+    return Struct("<%dq" % count)
+
+
+def _decode(rows, width, cols):
+    """The entries of each packed row of rows, a tuple per row.  Adding
+    the offset makes every slot its entry plus 2**(width - 1); flipping the
+    top bit of each slot then leaves the entry in two's complement, so the
+    bytes of all the rows are read as signed slots in one pass."""
+    offset, size = _offset(width, cols), width * cols >> 3
+    try:
+        data = b"".join([((R + offset) ^ offset).to_bytes(size, "little") for R in rows])
+    except OverflowError:
+        # an entry of a top slot is out of range; an explicit raise, so the
+        # check holds under python -O
+        raise InternalMismatch("a packed row overflows %d slots of %d bits" % (cols, width))
+    if width == 64:
+        flat = _int64s(len(rows) * cols).unpack(data)
+    else:
+        k = width >> 3
+        flat = [int.from_bytes(data[i:i + k], "little", signed=True)
+                for i in range(0, len(data), k)]
+    return [flat[i:i + cols] for i in range(0, len(flat), cols)]
+
+
+def _pack(rows, width):
+    """The packed rows of the sequences of ints rows, each entry of
+    absolute value below 2**(width - 1).  Rows of more than 8 entries at
+    width 64 are packed through their bytes in one pass, shorter ones by
+    shifts."""
+    if width != 64 or not rows or len(rows[0]) <= 8:
+        out = []
+        for xs in rows:
+            v = 0
+            for x in reversed(xs):
+                v = (v << width) + x
+            out.append(v)
+        return out
+    cols = len(rows[0])
+    offset, size = _offset(64, cols), 8 * cols
+    try:
+        data = _int64s(len(rows) * cols).pack(*chain.from_iterable(rows))
+    except struct_error:
+        raise InternalMismatch("an entry overflows a slot of 64 bits")
+    return [(int.from_bytes(data[i:i + size], "little") ^ offset) - offset
+            for i in range(0, len(data), size)]
+
+
+def packed(num, den):
+    """The Packed tensor of nested lists of int numerators num over den, at
+    the least width its largest entry allows."""
+    bound = max(map(abs, chain.from_iterable(chain.from_iterable(num))), default=0)
+    width = _width(bound)
+    t = Packed([_pack(plane, width) for plane in num], den, len(num[0][0]), width, bound)
+    # the entries are at hand, so they are kept as decoded, not read back
+    t.__dict__["decoded"] = tuple(tuple(map(tuple, plane)) for plane in num)
+    return t
+
+
+def _widen(t, width):
+    """t with slots of at least width bits: the same rows, decoded and
+    repacked where t's slots are narrower."""
+    if t.width >= width:
+        return t
+    return t._replace(num=[_pack(plane, width) for plane in t.decoded], width=width)
 
 
 def scaled(t):
-    """Scaled form of a matrix or rank-3 tensor of Fractions."""
+    """Scaled form of a matrix of Fractions, Packed form of a rank-3 tensor
+    of Fractions."""
     rank3 = isinstance(t[0][0], (tuple, list))
     rows = [row for plane in t for row in plane] if rank3 else t
     den = lcm(*(x.denominator for row in rows for x in row))
     num = [[x.numerator * (den // x.denominator) for x in row] for row in rows]
-    if rank3:
-        num = [num[k:k + len(t[0])] for k in range(0, len(num), len(t[0]))]
-    return Scaled(num, den)
+    if not rank3:
+        return Scaled(num, den)
+    return packed([num[k:k + len(t[0])] for k in range(0, len(num), len(t[0]))], den)
 
 
 def unscaled(t):
-    """The rank-3 tensor of Fractions that t stands for: one Fraction per
-    nonzero entry, one shared zero everywhere else."""
+    """The Fractions that t stands for, a matrix for a Scaled and a rank-3
+    tensor for a Packed: one Fraction per nonzero entry, one shared zero
+    everywhere else.  A Packed decodes each nonzero row once."""
     zero = Fraction(0)
     den = t.den
-    return tuple(tuple(tuple(Fraction(x, den) if x else zero for x in row)
-                       for row in plane) for plane in t.num)
+
+    def row(xs):
+        return tuple([Fraction(x, den) if x else zero for x in xs])
+    if isinstance(t, Scaled):
+        return tuple(map(row, t.num))
+    zrow = (zero,) * t.cols
+    rows = map(row, _decode([R for plane in t.num for R in plane if R], t.width, t.cols))
+    return tuple(tuple(next(rows) if R else zrow for R in plane) for plane in t.num)
 
 
 def scaled_leg(m, t, leg):
-    """Apply the matrix m to leg 0, 1 or 2 of the rank-3 tensor t:
+    """Apply the Scaled matrix m to leg 0, 1 or 2 of the Packed tensor t:
 
         leg 0: out[a][b][c] = sum_p m[a][p] t[p][b][c]
         leg 1: out[a][b][c] = sum_q m[b][q] t[a][q][c]
         leg 2: out[a][b][c] = sum_s m[c][s] t[a][b][s]
-    """
+
+    Legs 0 and 1 add multiples of whole packed rows, one big-int operation
+    per nonzero entry of m and row of t; leg 2 reads the decoded rows of t
+    and sums, for each nonzero row, its entries times the packed columns of
+    m."""
     M, T = m.num, t.num
-    dims = (len(T), len(T[0]), len(T[0][0]))
-    if leg not in (0, 1, 2) or len(M[0]) != dims[leg]:
-        raise DimensionMismatch("matrix cols %d, leg %r of a %s tensor"
-                                % (len(M[0]), leg, "x".join(map(str, dims))))
-    if leg == 0:  # m times t flattened to d1 rows of d2 * d3 entries
-        flat = int_mat_mul(M, [[x for row in plane for x in row] for plane in T])
-        d3 = dims[2]
-        out = [[f[k:k + d3] for k in range(0, len(f), d3)] for f in flat]
-    elif leg == 1:
-        out = [int_mat_mul(M, plane) for plane in T]
-    else:
-        mT = [list(col) for col in zip(*M)]
-        out = [int_mat_mul(plane, mT) for plane in T]
-    return Scaled(out, m.den * t.den)
+    if len(M[0]) != (len(T), len(T[0]), t.cols, None)[leg if leg in (0, 1, 2) else 3]:
+        raise DimensionMismatch("matrix cols %d, leg %r of a %dx%dx%d tensor"
+                                % (len(M[0]), leg, len(T), len(T[0]), t.cols))
+    bound = t.bound * m.gain
+    width = t.width if bound.bit_length() < t.width else _width(bound)
+    if leg == 2:
+        cols = m.columns(width)
+        out = [[sum(map(mul, row, cols)) if R else 0 for R, row in zip(plane, rows)]
+               for plane, rows in zip(T, t.decoded)]
+        return Packed(out, m.den * t.den, len(M), width, bound)
+    if width > t.width:
+        T = _widen(t, width).num
+    if leg == 0:  # row a of m times the rows (p, b) over p, for each b
+        out = _times(m.terms, list(zip(*T)))
+    else:  # row b of m times plane a, for each a
+        out = list(zip(*_times(m.terms, T)))
+    return Packed(out, m.den * t.den, t.cols, width, bound)
+
+
+def _times(terms, vs):
+    """[[row . v for v in vs] for each row], for the terms of a Scaled
+    matrix's rows and sequences vs of packed rows: one big-int
+    multiply-add per entry a row keeps."""
+    zero = [0] * len(vs)
+    out = []
+    for term in terms:
+        if term is None:
+            out.append(zero)
+        elif term[1] is None:
+            xs = term[0]
+            out.append([sum(map(mul, xs, v)) for v in vs])
+        else:
+            xs, pick = term
+            out.append([sum(map(mul, xs, pick(v))) for v in vs])
+    return out
 
 
 def scaled_permute(t, axes):
-    """Reorder the legs of a rank-3 tensor as numpy.transpose does: leg k
-    of the result is leg axes[k] of t, so (1, 0, 2) swaps the first two."""
+    """Reorder the legs of a Packed tensor as numpy.transpose does: leg k
+    of the result is leg axes[k] of t, so (1, 0, 2) swaps the first two.
+    That one keeps every packed row; the others move the packed leg, so
+    they decode the rows and repack them."""
     if sorted(axes) != [0, 1, 2]:
         raise DimensionMismatch("axes must order the legs 0, 1, 2, got %r" % (axes,))
-    T, legs = t.num, [0, 1, 2]
+    axes = tuple(axes)
+    if axes == (0, 1, 2):
+        return t
+    if axes == (1, 0, 2):
+        return t._replace(num=[list(rows) for rows in zip(*t.num)])
+    shape = (len(t.num), len(t.num[0]), t.cols)
+    rows, k = _pack(t.matrix(axes).num, t.width), shape[axes[1]]
+    return t._replace(num=[rows[i:i + k] for i in range(0, len(rows), k)], cols=shape[axes[2]])
+
+
+def _permuted(T, axes):
+    """The nested sequences T of a rank-3 tensor with its legs permuted by
+    axes."""
+    legs = [0, 1, 2]
     # bubble the legs into place by adjacent swaps, each one a zip
     for k in (0, 1, 0):
         if axes.index(legs[k]) > axes.index(legs[k + 1]):
             legs[k], legs[k + 1] = legs[k + 1], legs[k]
             if k == 0:
-                T = [list(rows) for rows in zip(*T)]
+                T = list(zip(*T))
             else:
-                T = [[list(col) for col in zip(*plane)] for plane in T]
-    return Scaled(T, t.den)
+                T = [list(zip(*plane)) for plane in T]
+    return T
+
+
+def scaled_leg_each(mt, x, leg, transpose=False):
+    """Leg 0 or 1 of the Packed x by each plane m_i of the Packed mt (by its
+    transpose, with transpose), stacked: plane i * k + a of the result is
+    plane a of scaled_leg(m_i, x, leg), where k is the number of planes
+    that has.  One contraction by the matrix of all the planes' rows."""
+    out = scaled_leg(mt.matrix((0, 2, 1) if transpose else (0, 1, 2)), x, leg)
+    if leg == 0:
+        return out
+    k = mt.cols if transpose else len(mt.num[0])  # rows of each m_i
+    return out._replace(num=[plane[i:i + k] for i in range(0, len(out.num[0]), k)
+                             for plane in out.num])
+
+
+def scaled_leg_planes(mt, x, axes=(0, 1, 2)):
+    """Leg 2 of y = scaled_permute(x, axes) by the transpose of each plane of
+    the Packed mt, stacked as scaled_leg_each stacks: plane i * k + a is
+
+        out_i[a][b][c] = sum_s mt[i][s][c] y[a][b][s]
+
+    over b and c.  y is never packed: the result is one leg-1 contraction
+    of mt by the matrix of y's rows (a, b), whose plane i, cut into rows of
+    y's planes, is out_i."""
+    big = scaled_leg(x.matrix(axes), mt, 1)
+    d1 = (len(x.num), len(x.num[0]), x.cols)[axes[1]]
+    return big._replace(num=[plane[k:k + d1] for plane in big.num
+                             for k in range(0, len(plane), d1)])
 
 
 def scaled_combine(terms):
-    """sum k * t over (k, t) pairs: int coefficients and rank-3 tensors of
-    one shape, over the lcm of their denominators."""
-    den = lcm(*(t.den for _, t in terms))
-    out = None
-    for k, t in terms:
-        f = k * (den // t.den)
-        if out is None:
-            out = [[[f * x for x in row] for row in plane] for plane in t.num]
-            continue
-        for oplane, tplane in zip(out, t.num):
-            for orow, trow in zip(oplane, tplane):
-                for c, x in enumerate(trow):
-                    if x:
-                        orow[c] += f * x
-    return Scaled(out, den)
+    """sum k * t over (k, t) pairs: int coefficients and Packed tensors of
+    one shape, over the lcm of their denominators; one big-int
+    multiply-add per row and term."""
+    tensors = [t for _, t in terms]
+    den = lcm(*[t.den for t in tensors])
+    fs = [k * (den // t.den) for k, t in terms]
+    bound = sum([abs(f) * t.bound for f, t in zip(fs, tensors)])
+    width = max([t.width for t in tensors])
+    if bound.bit_length() >= width:
+        width = _width(bound)
+    acc = None
+    for f, t in zip(fs, tensors):  # all the rows at once, in row-major order
+        rows = chain.from_iterable(t.num if t.width == width else _widen(t, width).num)
+        if acc is None:
+            acc = list(rows) if f == 1 else list(map(mul, rows, repeat(f)))
+        elif f == 1 or f == -1:
+            acc = list(map(add if f == 1 else sub, acc, rows))
+        else:
+            acc = list(map(add, acc, map(mul, rows, repeat(f))))
+    k = len(tensors[0].num[0])
+    return Packed([acc[i:i + k] for i in range(0, len(acc), k)], den, tensors[0].cols,
+                  width, bound)
 
 
 def scaled_equal(a, b):
-    """Whether the rank-3 Scaled tensors a and b stand for the same tensor:
-    one shape, and x * b.den == y * a.den for each pair of entries, so their
-    denominators may differ."""
-    da, db = a.den, b.den
-    if len(a.num) != len(b.num):
+    """Whether the Packed tensors a and b stand for the same tensor: one
+    shape, and x * b.den == y * a.den for each pair of entries, so their
+    denominators may differ.  Rows are compared packed when both tensors
+    have one width that holds the cross-multiplied difference, else
+    decoded, where either is nonzero."""
+    if len(a.num) != len(b.num) or a.cols != b.cols or any(
+            len(pa) != len(pb) for pa, pb in zip(a.num, b.num)):
         return False
-    for pa, pb in zip(a.num, b.num):
-        if len(pa) != len(pb):
-            return False
-        for ra, rb in zip(pa, pb):
-            if len(ra) != len(rb) or [x * db for x in ra] != [y * da for y in rb]:
-                return False
-    return True
+    da, db = a.den, b.den
+    rows = [(x, y) for pa, pb in zip(a.num, b.num) for x, y in zip(pa, pb)]
+    if a.width == b.width >= _width(a.bound * db + b.bound * da):
+        return all(x * db == y * da for x, y in rows)
+    return all([u * db for u in a.row(x)] == [v * da for v in b.row(y)]
+               for x, y in rows if x or y)
 
 
 def rational_sqrt(q):

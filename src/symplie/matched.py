@@ -12,7 +12,7 @@ equation 2: checks.violations collects each equation, and a stable sort on
 
 The matched-pair route (check_bimodule, _mixed_12) sums products of nonzero
 structure constants and action entries in exact int arithmetic
-(checks._residual), off linalg.Scaled, as the independent cross-check of the
+(checks._residual), off the linalg kernel, as the independent cross-check of the
 bialgebra verifiers.
 """
 

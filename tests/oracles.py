@@ -65,13 +65,18 @@ def gauss_inverse(m):
 
 
 def mat_mul_plain(a, b):
+    """(a b)[i][j] = sum_t a[i][t] b[t][j], summed over the t where neither
+    factor is zero (a zero factor adds nothing)."""
     n, k, m = len(a), len(b), len(b[0])
-    return tuple(tuple(sum(a[i][t] * b[t][j] for t in range(k))
+    return tuple(tuple(sum((a[i][t] * b[t][j] for t in range(k) if a[i][t] and b[t][j]),
+                           Fraction(0))
                        for j in range(m)) for i in range(n))
 
 
 def mat_vec_plain(m, v):
-    return tuple(sum((m[a][b] * v[b] for b in range(len(v))), Fraction(0))
+    """(m v)[a] = sum_b m[a][b] v[b], over the b where neither factor is zero."""
+    return tuple(sum((m[a][b] * v[b] for b in range(len(v)) if m[a][b] and v[b]),
+                     Fraction(0))
                  for a in range(len(m)))
 
 

@@ -47,7 +47,7 @@ from symplie.bialgebra import (
     zero_coproducts,
 )
 from symplie.matched import canonical_skew_pairing, double_extension
-from symplie.linalg import InternalMismatch, Scaled, mat_zero, t3_is_zero
+from symplie.linalg import InternalMismatch, mat_zero, packed, t3_is_zero
 from symplie.catalog import CatalogEntry, catalog_get
 
 from oracles import brute_left_symmetric, coproducts_from_products, rand_mat, rng
@@ -263,15 +263,15 @@ class TestCoboundary:
 
 
 def _times3(t):
-    """The Scaled t over three times its denominator: the same values."""
-    return Scaled([[[3 * x for x in row] for row in plane] for plane in t.num], 3 * t.den)
+    """The Packed t over three times its denominator: the same values."""
+    return packed([[[3 * x for x in row] for row in plane] for plane in t.decoded], 3 * t.den)
 
 
 def _bump_first(t):
-    """A fresh copy of the Scaled t with 1 added to its first numerator."""
-    num = [[list(row) for row in plane] for plane in t.num]
+    """A fresh copy of the Packed t with 1 added to its first numerator."""
+    num = [[list(row) for row in plane] for plane in t.decoded]
     num[0][0][0] += 1
-    return Scaled(num, t.den)
+    return packed(num, t.den)
 
 
 class TestRoutesComparedOnNumerators:
@@ -450,9 +450,10 @@ class TestDrinfeldDouble:
 
     def test_iterated_double(self):
         # the double of a bialgebra is again one, so every level of
-        # 2 -> 4 -> 8 -> 16 passes and its r has vanishing quadratic tensors
+        # 2 -> 4 -> 8 -> 16 -> 32 passes and its r has vanishing quadratic
+        # tensors
         pair, cp = plsa("plsa-2d-II"), zero_coproducts(2)
-        for n in (4, 8, 16):
+        for n in (4, 8, 16, 32):
             pair, r, cp, rep = drinfeld_double(pair, cp)
             assert rep.verdict, (n, rep.violations[:3])
             assert pair[0].n == n

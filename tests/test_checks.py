@@ -46,7 +46,7 @@ from symplie.checks import (
     torsion_violations,
     violations,
 )
-from symplie.linalg import Scaled, frac, t3_is_zero
+from symplie.linalg import Scaled, frac, packed, t3_is_zero
 from symplie.catalog import catalog_get
 
 from oracles import (
@@ -801,7 +801,7 @@ class TestViolationCollector:
                                                 Violation("r", (4, 2, 1, 1, 1), Q(3))]
 
     def test_scaled_with_all_zero_rows(self):
-        s = Scaled([[[0, 0], [0, 3]], [[0, 0], [0, 0]], [[-4, 0], [0, 0]]], 6)
+        s = packed([[[0, 0], [0, 3]], [[0, 0], [0, 0]], [[-4, 0], [0, 0]]], 6)
         got = mat_violations("s", s, (7,))
         assert got == [Violation("s", (7, 0, 1, 1), Q(1, 2)),
                        Violation("s", (7, 2, 0, 0), Q(-2, 3))]
@@ -892,7 +892,10 @@ def _fresh_parakahler():
                                 tuple(((Q(0),) * 2,) * 2 for _ in range(2))))
     E = Endo(4, tuple(tuple(Q(0) if a != b else Q(1) if a < 2 else Q(-1) for b in range(4))
                       for a in range(4)))
-    return ParaKahlerData(sub_adjacent(lsa_d), canonical_skew_pairing(2), E, _fresh(lsa_d))
+    # sub_adjacent keeps its bracket on lsa_d (checks._once), and slsba_double
+    # has read that one already
+    return ParaKahlerData(_fresh(sub_adjacent(lsa_d)), canonical_skew_pairing(2), E,
+                          _fresh(lsa_d))
 
 
 def _cached_forms(x):

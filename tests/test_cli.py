@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as hs
 
 from symplie.checks import Endo, Form, RepTensor, st
-from symplie import cli
+from symplie import checks, cli
 from symplie.catalog import catalog_list
 from symplie.cli import (
     MAX_DIM,
@@ -575,6 +575,17 @@ class TestConstructCommand:
                     "--out", str(out)]) == 0
         assert run(["verify", str(out), "--check", "special-symplectic"]) == 0
         assert parse(out.read_text()).dim == 4
+
+    def test_double_extension_builds_one_commutator(self, plsa2, tmp_path, monkeypatch):
+        # the special-symplectic check and the written bracket read one
+        # commutator of the glued product
+        built, real = [], checks.op_swap_args
+        monkeypatch.setattr(checks, "op_swap_args", lambda op: built.append(op) or real(op))
+        zero = tmp_path / "zero.alg"
+        zero.write_text("algebra zero2\ndim 2\n")
+        assert run(["construct", "double-extension", plsa2, str(zero),
+                    "--out", str(tmp_path / "dext.alg")]) == 0
+        assert len(built) == 1 and built[0].n == 4
 
     def test_double_extension_wrong_arity(self, plsa2, capsys):
         assert run(["construct", "double-extension", plsa2]) == 2

@@ -9,15 +9,17 @@ from symplie.linalg import (
     InternalMismatch,
     SingularMatrix,
     frac,
+    int_mat_mul,
     mat_identity,
     mat_inverse,
     mat_mul,
     mat_rank,
     mat_transpose,
     mat_zero,
+    packed,
     rational_sqrt,
-    scaled,
     Scaled,
+    scaled,
     scaled_combine,
     scaled_equal,
     scaled_leg,
@@ -129,6 +131,19 @@ class TestMatMul:
         if len(a) != len(b):
             return
         assert mat_mul(a, b) == mat_mul_plain(a, b)
+
+    @settings(max_examples=60)
+    @given(hs.integers(0, 3), hs.integers(1, 3), hs.integers(1, 3), hs.data())
+    def test_int_rows_match_plain_loops(self, n, k, m, data):
+        # the int-row product on numerators, rectangular, a possibly empty
+        a = data.draw(hs.lists(hs.lists(rationals, min_size=k, max_size=k),
+                               min_size=n, max_size=n).map(lambda rs: tuple(map(tuple, rs))))
+        b = data.draw(hs.lists(hs.lists(rationals, min_size=m, max_size=m),
+                               min_size=k, max_size=k).map(lambda rs: tuple(map(tuple, rs))))
+        A, B = scaled(a) if a else Scaled([], 1), scaled(b)
+        got = int_mat_mul(A.num, B.num)
+        assert [tuple(Fraction(x, A.den * B.den) for x in row) for row in got] == \
+            list(mat_mul_plain(a, b)) if a else got == []
 
     def test_transpose_reverses(self):
         r = rng(7)
@@ -261,6 +276,77 @@ class TestScaled:
         assert all_fractions(got)
         assert got == tuple(tuple((Fraction(0),) * 3 for _ in range(3)) for _ in range(3))
 
+    # --- the width rule at its edge: a slot of W bits holds |x| < 2**(W - 1)
+
+    def _against_plain(self, t, ms, terms):
+        """Every operation on t against the plain loops: each leg by each of
+        the matrices ms, each permutation, and the combination terms."""
+        s = scaled(t)
+        assert unscaled(s) == t
+        for m in ms:
+            for leg in range(3):
+                if len(m[0]) == len(t[0][0]) if leg == 2 else len(m[0]) == _dims3(t)[leg]:
+                    assert unscaled(scaled_leg(scaled(m), s, leg)) == leg_plain(m, t, leg)
+        for axes in ((0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0)):
+            assert unscaled(scaled_permute(s, axes)) == permute_plain(t, axes)
+        assert unscaled(scaled_combine([(k, scaled(u)) for k, u in terms])) == \
+            combine_plain(terms)
+
+    def test_sum_needs_exactly_w_minus_1_bits(self):
+        # 2**62 + (2**62 - 1) = 2**63 - 1 is the largest entry a 64-bit slot
+        # holds; 2**62 + 2**62 = 2**63 is the smallest that needs a wider one
+        for x, y in ((2 ** 62, 2 ** 62 - 1), (2 ** 62, 2 ** 62), (-2 ** 62, 1 - 2 ** 62),
+                     (-2 ** 62, -2 ** 62)):
+            a = ((tuple(Fraction(v) for v in (x, 0, -x)),),)
+            b = ((tuple(Fraction(v) for v in (y, 0, -y)),),)
+            got = scaled_combine([(1, scaled(a)), (1, scaled(b))])
+            assert got.width == (64 if abs(x + y) < 2 ** 63 else 128)
+            assert unscaled(got) == combine_plain([(1, a), (1, b)])
+
+    @pytest.mark.parametrize("top", (2 ** 63 - 1, 2 ** 63, 2 ** 64 + 1))
+    def test_every_entry_at_the_bound(self, top):
+        # numerator +-top in every slot, over one denominator; 2**63 - 1 fills
+        # a 64-bit slot, 2**63 needs a 128-bit one
+        r = rng(top % 97)
+        t = tuple(tuple(tuple(Fraction(r.choice((top, -top)), 3)
+                              for _ in range(4)) for _ in range(3)) for _ in range(2))
+        s = scaled(t)
+        assert (s.bound, s.width) == (top, 64 if top < 2 ** 63 else 128)
+        ms = [((Fraction(1), Fraction(-1), Fraction(0), Fraction(2)),),
+              ((Fraction(1), Fraction(0), Fraction(0)), (Fraction(0), Fraction(0), Fraction(-1))),
+              ((Fraction(-1), Fraction(1)),)]
+        self._against_plain(t, ms, [(1, t), (-1, t), (3, t)])
+
+    def test_combine_coefficients_grow_the_width(self):
+        # 2**62 fits a 64-bit slot; 3 * 2**62 and 7 * 2**62 - 2**62 do not,
+        # so the combination widens its terms before it adds their rows
+        big = Fraction(2 ** 62)
+        t = ((tuple(big * k for k in (1, -1, 0, 1)),), (tuple(big * k for k in (0, 1, -1, -1)),))
+        u = ((tuple(big * k for k in (1, 0, 0, -1)),), (tuple(big * k for k in (-1, 1, 1, 0)),))
+        assert scaled(t).width == 64
+        for terms in ([(3, t)], [(7, t), (-1, u)], [(1, t), (1, u), (1, t)], [(2, t), (-2, t)]):
+            got = scaled_combine([(k, scaled(x)) for k, x in terms])
+            assert unscaled(got) == combine_plain(terms)
+            assert got.bound < 2 ** (got.width - 1)
+
+    @pytest.mark.parametrize("share", (0, 0.01, 1))
+    @pytest.mark.parametrize("shape", [(n, n, n) for n in range(1, 5)] + [(2, 3, 16)])
+    def test_negative_entries(self, shape, share):
+        # every nonzero entry negative, at 0%, 1% and 100% density, at dims
+        # 1-4 and on 16-wide rows
+        r = rng(7 * shape[2] + int(100 * share))
+        t = tuple(tuple(tuple(-r.choice((1, 2, 5, Fraction(1, 3), 2 ** 70))
+                              if r.random() < share else Fraction(0)
+                              for _ in range(shape[2])) for _ in range(shape[1]))
+                  for _ in range(shape[0]))
+        if share == 0.01:  # at least one nonzero entry
+            t = tuple(tuple(tuple(Fraction(-3) if (a, b, c) == (0, 0, shape[2] - 1) else x
+                                  for c, x in enumerate(row)) for b, row in enumerate(plane))
+                      for a, plane in enumerate(t))
+        ms = [tuple(tuple(Fraction(r.choice((-2, -1, 0, 1, 3))) for _ in range(n))
+                    for _ in range(2)) for n in sorted(set(shape))]
+        self._against_plain(t, ms, [(1, t), (-2, t)])
+
     def test_shape_errors(self):
         t = scaled(rand_tensor(rng(3), 3))
         with pytest.raises(DimensionMismatch):
@@ -271,16 +357,20 @@ class TestScaled:
             scaled_permute(t, (0, 1, 1))
 
 
+def _dims3(t):
+    return len(t), len(t[0]), len(t[0][0])
+
+
 def _times(t, k):
-    """The Scaled t with numerators and denominator multiplied by k."""
-    return Scaled([[[k * x for x in row] for row in plane] for plane in t.num], k * t.den)
+    """The Packed t with numerators and denominator multiplied by k."""
+    return packed([[[k * x for x in row] for row in plane] for plane in t.decoded], k * t.den)
 
 
 def _bumped(t, a, b, c):
-    """A fresh copy of the Scaled t with 1 added to the numerator at (a, b, c)."""
-    num = [[list(row) for row in plane] for plane in t.num]
+    """A fresh copy of the Packed t with 1 added to the numerator at (a, b, c)."""
+    num = [[list(row) for row in plane] for plane in t.decoded]
     num[a][b][c] += 1
-    return Scaled(num, t.den)
+    return packed(num, t.den)
 
 
 class TestScaledEqual:
@@ -296,15 +386,16 @@ class TestScaledEqual:
     def test_one_entry_bump_differs(self, data):
         s = scaled(data.draw(hs.tuples(dims, dims, dims).flatmap(tensors)))
         a, b, c = (data.draw(hs.integers(0, d - 1))
-                   for d in (len(s.num), len(s.num[0]), len(s.num[0][0])))
+                   for d in (len(s.num), len(s.num[0]), s.cols))
         k = data.draw(hs.integers(1, 6))
         assert not scaled_equal(_times(s, k), _bumped(s, a, b, c))
 
     def test_shapes_differ(self):
         s = scaled(rand_tensor(rng(2), 3))
-        assert not scaled_equal(s, Scaled(s.num[:2], s.den))
-        assert not scaled_equal(s, Scaled([plane[:2] for plane in s.num], s.den))
-        assert not scaled_equal(s, Scaled([[row[:2] for row in plane] for plane in s.num],
+        num = s.decoded
+        assert not scaled_equal(s, packed(num[:2], s.den))
+        assert not scaled_equal(s, packed([plane[:2] for plane in num], s.den))
+        assert not scaled_equal(s, packed([[row[:2] for row in plane] for plane in num],
                                           s.den))
 
 
