@@ -326,7 +326,8 @@ def plsba_check(plsa, cp):
     b3 = scaled_combine((
         (1, scaled_leg_each(P, AB, 0)), (-1, scaled_leg_each(AB, Pr, 1)),
         (-1, scaled_leg_planes(P, AB)), (-1, scaled_leg_each(P, ABT, 0)),
-        (1, scaled_leg_planes(ABT, P, (1, 2, 0))), (1, scaled_leg_each(P, ABT, 1, transpose=True))))
+        (1, scaled_leg_planes(ABT, P, (1, 2, 0))),
+        (1, scaled_leg_each(P, ABT, 1, transpose=True))))
     viol = _pair_violations(cp.n, ("bialgebra-1", b1, lt), ("bialgebra-2", b2, None),
                             ("bialgebra-4", b4, None), ("bialgebra-3", b3, None))
     mrep = check_matched_pair(dual_actions(plsa, cp.dual))
@@ -454,7 +455,7 @@ def _closed_form_operators(pair, rf):
     with W(x) = ad(x) u + u Ls(x)^T linear in x, W_p = W(e_p); each sum is
     one leg contraction.  pair is the _ScaledPair and rf the Scaled matrices
     of _r_forms; the result is Packed, as _coproduct_operators'."""
-    (R, RT, U, UT) = rf
+    R, RT, U, UT = rf
     P, S, D, B = pair
     T1, T2 = _rr_scaled(pair, rf)
     base = _two_sided(U, UT, D, pair.perm("D", (0, 2, 1)))

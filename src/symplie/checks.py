@@ -448,7 +448,8 @@ def check_closed(br, w):
     T = int_mat_mul(C.matrix().num, w.scaled_t.num)
     return report("closed", violations(
         "closed", combinations(range(n), 3),
-        lambda i, j, k: T[j * n + k][i] + T[k * n + i][j] + T[i * n + j][k], w.scaled.den * C.den))
+        lambda i, j, k: T[j * n + k][i] + T[k * n + i][j] + T[i * n + j][k],
+        w.scaled.den * C.den))
 
 
 def check_parallel_form(conn, w):
@@ -594,8 +595,9 @@ def _mat_chain(terms):
         for m in reversed(mats[:-1]):
             num, den = int_mat_mul(m.num, num), m.den * den
         parts.append((k, num, den))
-    if len(parts) == 1 and parts[0][0] == 1:
-        return Scaled(*parts[0][1:])
+    if len(parts) == 1:
+        k, num, den = parts[0]
+        return Scaled([[k * x for x in row] for row in num], den)
     den = lcm(*(d for _, _, d in parts))
     fs = [k * (den // d) for k, _, d in parts]
     return Scaled([[sum(map(mul, fs, xs)) for xs in zip(*rows)]

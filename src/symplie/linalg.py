@@ -176,8 +176,8 @@ def int_rank(rows):
 
 
 def int_mat_mul(a, b):
-    """a b for matrices given as lists of int rows, skipping zero entries:
-    fresh lists, one per row of a, so a may have no rows."""
+    """a b for matrices given as sequences of int rows, skipping zero
+    entries: fresh lists, one per row of a, so a may have no rows."""
     out = []
     for arow in a:
         acc = [0] * len(b[0])
@@ -373,10 +373,6 @@ class Packed(_PackedFields):
     entries are decoded on first use and kept (decoded, matrix), so a
     tensor that several operations read is decoded once."""
 
-    def row(self, R):
-        """The entries of R, a packed row of this tensor, as a tuple."""
-        return _decode([R], self.width, self.cols)[0] if R else (0,) * self.cols
-
     @cached_property
     def decoded(self):
         """The numerators: a tuple of planes, each a tuple of rows, each a
@@ -472,10 +468,10 @@ def _decode(rows, width, cols):
 
 def _pack(rows, width):
     """The packed rows of the sequences of ints rows, each entry of
-    absolute value below 2**(width - 1).  Rows of more than 8 entries at
-    width 64 are packed through their bytes in one pass, shorter ones by
-    shifts."""
-    if width != 64 or not rows or len(rows[0]) <= 8:
+    absolute value below 2**(width - 1).  Rows of more than 4 entries at
+    width 64 are packed through their bytes in one pass, shorter ones (for
+    which that is slower) by shifts."""
+    if width != 64 or not rows or len(rows[0]) <= 4:
         out = []
         for xs in rows:
             v = 0
@@ -496,9 +492,13 @@ def _pack(rows, width):
 def packed(num, den):
     """The Packed tensor of nested lists of int numerators num over den, at
     the least width its largest entry allows."""
-    bound = max(map(abs, chain.from_iterable(chain.from_iterable(num))), default=0)
-    width = _width(bound)
-    t = Packed([_pack(plane, width) for plane in num], den, len(num[0][0]), width, bound)
+    rows = list(chain.from_iterable(num))
+    flat = list(chain.from_iterable(rows))
+    bound = max(max(flat), -min(flat))
+    width, k = _width(bound), len(num[0])
+    rows = _pack(rows, width)
+    t = Packed([rows[i:i + k] for i in range(0, len(rows), k)], den, len(num[0][0]), width,
+               bound)
     # the entries are at hand, so they are kept as decoded, not read back
     t.__dict__["decoded"] = tuple(tuple(map(tuple, plane)) for plane in num)
     return t
@@ -506,10 +506,13 @@ def packed(num, den):
 
 def _widen(t, width):
     """t with slots of at least width bits: the same rows, decoded and
-    repacked where t's slots are narrower."""
+    repacked (the nonzero ones) where t's slots are narrower."""
     if t.width >= width:
         return t
-    return t._replace(num=[_pack(plane, width) for plane in t.decoded], width=width)
+    rows = iter(_pack([row for plane, rows in zip(t.num, t.decoded)
+                       for R, row in zip(plane, rows) if R], width))
+    return t._replace(num=[[next(rows) if R else 0 for R in plane] for plane in t.num],
+                      width=width)
 
 
 def scaled(t):
@@ -679,16 +682,15 @@ def scaled_equal(a, b):
     shape, and x * b.den == y * a.den for each pair of entries, so their
     denominators may differ.  Rows are compared packed when both tensors
     have one width that holds the cross-multiplied difference, else
-    decoded, where either is nonzero."""
+    decoded."""
     if len(a.num) != len(b.num) or a.cols != b.cols or any(
             len(pa) != len(pb) for pa, pb in zip(a.num, b.num)):
         return False
     da, db = a.den, b.den
-    rows = [(x, y) for pa, pb in zip(a.num, b.num) for x, y in zip(pa, pb)]
     if a.width == b.width >= _width(a.bound * db + b.bound * da):
-        return all(x * db == y * da for x, y in rows)
-    return all([u * db for u in a.row(x)] == [v * da for v in b.row(y)]
-               for x, y in rows if x or y)
+        return all(x * db == y * da for pa, pb in zip(a.num, b.num) for x, y in zip(pa, pb))
+    return all([u * db for u in x] == [v * da for v in y]
+               for pa, pb in zip(a.decoded, b.decoded) for x, y in zip(pa, pb))
 
 
 def rational_sqrt(q):
