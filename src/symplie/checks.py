@@ -62,7 +62,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import chain, combinations, combinations_with_replacement, product
 from math import gcd, lcm
-from operator import is_, mul
+from operator import is_
 
 from .linalg import (
     DimensionMismatch,
@@ -443,13 +443,14 @@ def check_closed(br, w):
     if br.n != w.n:
         raise DimensionMismatch("bracket dim %d, form dim %d" % (br.n, w.n))
     n = br.n
-    # row a * n + b of T is w(e_c, [e_a, e_b]) over c, for the rows (a, b) of br
+    # T[a][b][c] = sum_s w[c][s] br[a][b][s] = w(e_c, [e_a, e_b]), one
+    # product of br's rows (a, b) by w^T
     C = br.scaled
-    T = int_mat_mul(C.matrix().num, w.scaled_t.num)
+    rows = int_mat_mul(C.matrix().num, w.scaled_t.num)
+    T = [rows[a:a + n] for a in range(0, n * n, n)]
     return report("closed", violations(
         "closed", combinations(range(n), 3),
-        lambda i, j, k: T[j * n + k][i] + T[k * n + i][j] + T[i * n + j][k],
-        w.scaled.den * C.den))
+        lambda i, j, k: T[j][k][i] + T[k][i][j] + T[i][j][k], w.scaled.den * C.den))
 
 
 def check_parallel_form(conn, w):
@@ -457,12 +458,14 @@ def check_parallel_form(conn, w):
     if conn.n != w.n:
         raise DimensionMismatch("connection dim %d, form dim %d" % (conn.n, w.n))
     n = conn.n
-    # row i * n + j of P is w(conn_i e_j, e_k) over k, for the rows (i, j) of conn
+    # P[i][j][k] = sum_a w[a][k] conn[i][j][a] = w(conn_i e_j, e_k), one
+    # product of conn's rows (i, j) by w
     C = conn.scaled
-    P = int_mat_mul(C.matrix().num, w.scaled.num)
+    rows = int_mat_mul(C.matrix().num, w.scaled.num)
+    P = [rows[i:i + n] for i in range(0, n * n, n)]
     return report("parallel-form", violations(
         "parallel", ((i, j, k) for i in range(n) for j, k in combinations(range(n), 2)),
-        lambda i, j, k: P[i * n + j][k] - P[i * n + k][j], w.scaled.den * C.den))
+        lambda i, j, k: P[i][j][k] - P[i][k][j], w.scaled.den * C.den))
 
 
 def check_special_symplectic(br, conn, w):
@@ -595,13 +598,14 @@ def _mat_chain(terms):
         for m in reversed(mats[:-1]):
             num, den = int_mat_mul(m.num, num), m.den * den
         parts.append((k, num, den))
-    if len(parts) == 1:
-        k, num, den = parts[0]
-        return Scaled([[k * x for x in row] for row in num], den)
     den = lcm(*(d for _, _, d in parts))
-    fs = [k * (den // d) for k, _, d in parts]
-    return Scaled([[sum(map(mul, fs, xs)) for xs in zip(*rows)]
-                   for rows in zip(*(num for _, num, _ in parts))], den)
+    (k, num, d), *rest = parts
+    f = k * (den // d)
+    acc = [[f * x for x in row] for row in num]
+    for k, num, d in rest:
+        f = k * (den // d)
+        acc = [[a + f * x for a, x in zip(arow, row)] for arow, row in zip(acc, num)]
+    return Scaled(acc, den)
 
 
 def square_violations(where, N, sign):

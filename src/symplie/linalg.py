@@ -53,9 +53,9 @@ benchmark tracer wraps them.
 
 from fractions import Fraction
 from functools import cache, cached_property
-from itertools import chain, repeat
+from itertools import chain, compress, repeat
 from math import isqrt, lcm
-from operator import add, itemgetter, mul, sub
+from operator import add, attrgetter, itemgetter, mul, sub
 from struct import Struct, error as struct_error
 from typing import NamedTuple
 
@@ -468,9 +468,11 @@ def _decode(rows, width, cols):
 
 def _pack(rows, width):
     """The packed rows of the sequences of ints rows, each entry of
-    absolute value below 2**(width - 1).  Rows of more than 4 entries at
-    width 64 are packed through their bytes in one pass, shorter ones (for
-    which that is slower) by shifts."""
+    absolute value below 2**(width - 1); a zero row packs to 0 without
+    work.  Rows of more than 4 entries at width 64 are packed through their
+    bytes in one pass, shorter ones (for which that is slower) by shifts."""
+    nonzero = list(map(any, rows))
+    rows = list(compress(rows, nonzero))
     if width != 64 or not rows or len(rows[0]) <= 4:
         out = []
         for xs in rows:
@@ -478,23 +480,25 @@ def _pack(rows, width):
             for x in reversed(xs):
                 v = (v << width) + x
             out.append(v)
-        return out
-    cols = len(rows[0])
-    offset, size = _offset(64, cols), 8 * cols
-    try:
-        data = _int64s(len(rows) * cols).pack(*chain.from_iterable(rows))
-    except struct_error:
-        raise InternalMismatch("an entry overflows a slot of 64 bits")
-    return [(int.from_bytes(data[i:i + size], "little") ^ offset) - offset
-            for i in range(0, len(data), size)]
+    else:
+        cols = len(rows[0])
+        offset, size = _offset(64, cols), 8 * cols
+        try:
+            data = _int64s(len(rows) * cols).pack(*chain.from_iterable(rows))
+        except struct_error:
+            raise InternalMismatch("an entry overflows a slot of 64 bits")
+        out = [(int.from_bytes(data[i:i + size], "little") ^ offset) - offset
+               for i in range(0, len(data), size)]
+    packed_rows = iter(out)
+    return [next(packed_rows) if nz else 0 for nz in nonzero]
 
 
 def packed(num, den):
     """The Packed tensor of nested lists of int numerators num over den, at
     the least width its largest entry allows."""
     rows = list(chain.from_iterable(num))
-    flat = list(chain.from_iterable(rows))
-    bound = max(max(flat), -min(flat))
+    flat = list(chain.from_iterable(filter(any, rows)))
+    bound = max(max(flat), -min(flat)) if flat else 0
     width, k = _width(bound), len(num[0])
     rows = _pack(rows, width)
     t = Packed([rows[i:i + k] for i in range(0, len(rows), k)], den, len(num[0][0]), width,
@@ -515,13 +519,19 @@ def _widen(t, width):
                       width=width)
 
 
+_NUMERATOR, _DENOMINATOR = attrgetter("numerator"), attrgetter("denominator")
+
+
 def scaled(t):
     """Scaled form of a matrix of Fractions, Packed form of a rank-3 tensor
     of Fractions."""
     rank3 = isinstance(t[0][0], (tuple, list))
     rows = [row for plane in t for row in plane] if rank3 else t
-    den = lcm(*(x.denominator for row in rows for x in row))
-    num = [[x.numerator * (den // x.denominator) for x in row] for row in rows]
+    den = lcm(*set(map(_DENOMINATOR, chain.from_iterable(rows))))
+    if den == 1:
+        num = [list(map(_NUMERATOR, row)) for row in rows]
+    else:
+        num = [[x.numerator * (den // x.denominator) for x in row] for row in rows]
     if not rank3:
         return Scaled(num, den)
     return packed([num[k:k + len(t[0])] for k in range(0, len(num), len(t[0]))], den)

@@ -135,7 +135,7 @@ class TestMatMul:
     @settings(max_examples=60)
     @given(hs.integers(0, 3), hs.integers(1, 3), hs.integers(1, 3), hs.data())
     def test_int_rows_match_plain_loops(self, n, k, m, data):
-        # the int-row product on numerators, rectangular, a possibly empty
+        # the int-row product on numerators, rectangular, with a possibly empty
         a = data.draw(hs.lists(hs.lists(rationals, min_size=k, max_size=k),
                                min_size=n, max_size=n).map(lambda rs: tuple(map(tuple, rs))))
         b = data.draw(hs.lists(hs.lists(rationals, min_size=m, max_size=m),
@@ -285,7 +285,7 @@ class TestScaled:
         assert unscaled(s) == t
         for m in ms:
             for leg in range(3):
-                if len(m[0]) == len(t[0][0]) if leg == 2 else len(m[0]) == _dims3(t)[leg]:
+                if len(m[0]) == _dims3(t)[leg]:
                     assert unscaled(scaled_leg(scaled(m), s, leg)) == leg_plain(m, t, leg)
         for axes in ((0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0)):
             assert unscaled(scaled_permute(s, axes)) == permute_plain(t, axes)
