@@ -56,7 +56,7 @@ from functools import cache, cached_property
 from itertools import chain, compress, repeat
 from math import isqrt, lcm
 from operator import add, attrgetter, itemgetter, mul, sub
-from struct import Struct, error as struct_error
+from struct import error as struct_error, pack, unpack
 from typing import NamedTuple
 
 
@@ -439,12 +439,6 @@ def _offset(width, cols):
     return (1 << (width - 1)) * (((1 << width * cols) - 1) // ((1 << width) - 1))
 
 
-@cache
-def _int64s(count):
-    """The struct of count little-endian signed 64-bit ints."""
-    return Struct("<%dq" % count)
-
-
 def _decode(rows, width, cols):
     """The entries of each packed row of rows, a tuple per row.  Adding
     the offset makes every slot its entry plus 2**(width - 1); flipping the
@@ -458,7 +452,7 @@ def _decode(rows, width, cols):
         # check holds under python -O
         raise InternalMismatch("a packed row overflows %d slots of %d bits" % (cols, width))
     if width == 64:
-        flat = _int64s(len(rows) * cols).unpack(data)
+        flat = unpack("<%dq" % (len(rows) * cols), data)
     else:
         k = width >> 3
         flat = [int.from_bytes(data[i:i + k], "little", signed=True)
@@ -484,7 +478,7 @@ def _pack(rows, width):
         cols = len(rows[0])
         offset, size = _offset(64, cols), 8 * cols
         try:
-            data = _int64s(len(rows) * cols).pack(*chain.from_iterable(rows))
+            data = pack("<%dq" % (len(rows) * cols), *chain.from_iterable(rows))
         except struct_error:
             raise InternalMismatch("an entry overflows a slot of 64 bits")
         out = [(int.from_bytes(data[i:i + size], "little") ^ offset) - offset
