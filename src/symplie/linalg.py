@@ -53,10 +53,10 @@ benchmark tracer wraps them.
 
 from fractions import Fraction
 from functools import cache, cached_property
-from itertools import chain, compress, repeat
+from itertools import chain, repeat
 from math import isqrt, lcm
 from operator import add, attrgetter, itemgetter, mul, sub
-from struct import error as struct_error, pack, unpack
+from struct import unpack
 from typing import NamedTuple
 
 
@@ -322,8 +322,9 @@ class Scaled(_Matrix):
         """Per row, None for a zero row, else (xs, pick): pick(v) lists the
         entries of v that the entries xs of the row multiply, so
         sum(map(mul, xs, pick(v))) is the product of the row and v, and
-        pick None means v itself.  A row of more than 8 entries, more than
-        half of them zeros, keeps only its nonzero entries."""
+        pick None means v itself.  A row of more than 8 entries keeps only
+        its nonzero entries: picking them costs more than it saves on
+        shorter rows."""
         out = []
         for row in self.num:
             if not any(row):
@@ -333,9 +334,7 @@ class Scaled(_Matrix):
                 out.append((row, None))
                 continue
             qs = [q for q, x in enumerate(row) if x]
-            if 2 * len(qs) > len(row):
-                out.append((row, None))
-            elif len(qs) > 1:
+            if len(qs) > 1:
                 out.append(([row[q] for q in qs], itemgetter(*qs)))
             else:
                 out.append(([row[qs[0]]], itemgetter(slice(qs[0], qs[0] + 1))))
@@ -422,8 +421,12 @@ class Packed(_PackedFields):
 # and repack, which only combinations of different widths and the rare
 # contraction that outgrows its input pay) before it adds rows, so every
 # row it builds is read at a width that holds it.  _decode raises
-# InternalMismatch when a top slot is out of range, and a 64-bit pack when
-# an entry is.
+# InternalMismatch when a top slot is out of range.  _pack takes only
+# entries that are in range by construction: packed() picks the width from
+# the entries, _widen and scaled_permute repack entries of a tensor at its
+# own width or a wider one, and a leg 2 packs the columns of m at a width
+# that holds t.bound * m.gain, which is at least every |m[c][s]| when t is
+# not zero (a zero t is not contracted at all).
 
 _STEP = 64  # slot widths are multiples of _STEP bits
 
@@ -463,28 +466,15 @@ def _decode(rows, width, cols):
 def _pack(rows, width):
     """The packed rows of the sequences of ints rows, each entry of
     absolute value below 2**(width - 1); a zero row packs to 0 without
-    work.  Rows of more than 4 entries at width 64 are packed through their
-    bytes in one pass, shorter ones (for which that is slower) by shifts."""
-    nonzero = list(map(any, rows))
-    rows = list(compress(rows, nonzero))
-    if width != 64 or not rows or len(rows[0]) <= 4:
-        out = []
-        for xs in rows:
-            v = 0
+    work."""
+    out = []
+    for xs in rows:
+        v = 0
+        if any(xs):
             for x in reversed(xs):
                 v = (v << width) + x
-            out.append(v)
-    else:
-        cols = len(rows[0])
-        offset, size = _offset(64, cols), 8 * cols
-        try:
-            data = pack("<%dq" % (len(rows) * cols), *chain.from_iterable(rows))
-        except struct_error:
-            raise InternalMismatch("an entry overflows a slot of 64 bits")
-        out = [(int.from_bytes(data[i:i + size], "little") ^ offset) - offset
-               for i in range(0, len(data), size)]
-    packed_rows = iter(out)
-    return [next(packed_rows) if nz else 0 for nz in nonzero]
+        out.append(v)
+    return out
 
 
 def packed(num, den):
@@ -562,6 +552,13 @@ def scaled_leg(m, t, leg):
     if len(M[0]) != (len(T), len(T[0]), t.cols, None)[leg if leg in (0, 1, 2) else 3]:
         raise DimensionMismatch("matrix cols %d, leg %r of a %dx%dx%d tensor"
                                 % (len(M[0]), leg, len(T), len(T[0]), t.cols))
+    if not t.bound:
+        # t is zero, and so is the result: m's entries are tied to the slot
+        # width only through the bound t.bound * m.gain, so m is not packed
+        shape = [len(T), len(T[0]), t.cols]
+        shape[leg] = len(M)
+        return Packed([[0] * shape[1] for _ in range(shape[0])], m.den * t.den, shape[2],
+                      t.width, 0)
     bound = t.bound * m.gain
     width = t.width if bound.bit_length() < t.width else _width(bound)
     if leg == 2:

@@ -329,6 +329,17 @@ class TestScaled:
             assert unscaled(got) == combine_plain(terms)
             assert got.bound < 2 ** (got.width - 1)
 
+    @pytest.mark.parametrize("leg", (0, 1, 2))
+    def test_zero_tensor_by_a_matrix_past_the_width(self, leg):
+        # a zero tensor has width 64 and bound 0; a matrix entry of 2**70
+        # fits no 64-bit slot, and the product is still the zero tensor
+        t = tuple(tuple((Fraction(0),) * 5 for _ in range(5)) for _ in range(5))
+        m = tuple(tuple(Fraction(2 ** 70 if (i, j) == (4, 1) else i - j) for j in range(5))
+                  for i in range(5))
+        got = unscaled(scaled_leg(scaled(m), scaled(t), leg))
+        assert got == leg_plain(m, t, leg)
+        assert all_fractions(got)
+
     @pytest.mark.parametrize("share", (0, 0.01, 1))
     @pytest.mark.parametrize("shape", [(n, n, n) for n in range(1, 5)] + [(2, 3, 16)])
     def test_negative_entries(self, shape, share):
