@@ -614,9 +614,7 @@ def square_violations(where, N, sign):
     returns a fresh list."""
     def compute():
         res = _mat_chain(((1, (N.scaled, N.scaled)),))
-        for i, row in enumerate(res.num):
-            row[i] -= sign * res.den
-        return tuple(mat_violations(where, res))
+        return tuple(mat_violations(where, Scaled(_minus_scalar(res, sign), res.den)))
     return list(_once(N, ("square", where, sign), (), compute))
 
 

@@ -46,9 +46,15 @@ for the parser and other builders, the vec_* and t3_* sums for sum products,
 dual actions and the cross-check residuals.  t3_add, t3_sub and t3_neg build
 no new Fraction for a zero entry: where the second operand's entry is zero
 they return the first's, and t3_neg returns a zero as it is, so every entry
-is still a Fraction of the same value.  mat_mul, mat_rank and
-tensor_contract have no caller in the package; they stay only because the
-benchmark tracer wraps them.
+is still a Fraction of the same value.
+
+Every other operation has one implementation, on the int kernel.  Fractions
+become int rows in one place, scaled(), whose rows mat_rank and mat_inverse
+eliminate; packed rows become entries in one place, Packed.decoded, which
+unscaled reads as well.  mat_mul, mat_rank and tensor_contract have no
+caller in the package: they are shims on the kernel (int_mat_mul, int_rank
+and one scaled_leg) that stay because the benchmark tracer wraps them by
+name.
 """
 
 from fractions import Fraction
@@ -109,35 +115,17 @@ def mat_identity(n):
 
 
 def mat_mul(a, b):
+    """a b for matrices of Fractions: int_mat_mul on their scaled() rows,
+    read back with unscaled.  No function in the package calls it; it stays
+    as a shim on the kernel because the benchmark tracer wraps it by name."""
     if len(a[0]) != len(b):
         raise DimensionMismatch("inner dimensions %d and %d" % (len(a[0]), len(b)))
-    m = len(b[0])
-    zero = Fraction(0)
-    out = []
-    for row in a:
-        # structure constants are mostly zero, so skip empty terms instead
-        # of grinding through dense Fraction products
-        acc = [zero] * m
-        for x, brow in zip(row, b):
-            if x:
-                for j, y in enumerate(brow):
-                    if y:
-                        acc[j] += x * y
-        out.append(tuple(acc))
-    return tuple(out)
+    A, B = scaled(a), scaled(b)
+    return unscaled(Scaled(int_mat_mul(A.num, B.num), A.den * B.den))
 
 
 def mat_transpose(a):
     return tuple(zip(*a))
-
-
-def _integer_rows(m):
-    """Scale each row by the lcm of its denominators (rank/solve invariant)."""
-    out = []
-    for row in m:
-        d = lcm(*(e.denominator for e in row))
-        out.append([e.numerator * (d // e.denominator) for e in row])
-    return out
 
 
 def _bareiss_forward(rows, npivot):
@@ -191,8 +179,11 @@ def int_mat_mul(a, b):
 
 
 def mat_rank(m):
-    """Rank over the rationals of a matrix of Fractions."""
-    return int_rank(_integer_rows(m))
+    """Rank over the rationals of a matrix of Fractions: int_rank on its
+    scaled() rows, which are fresh lists.  No function in the package calls
+    it; it stays as a shim on the kernel because the benchmark tracer wraps
+    it by name."""
+    return int_rank(scaled(m).num) if m else 0
 
 
 def mat_inverse(m):
@@ -200,8 +191,11 @@ def mat_inverse(m):
     n = len(m)
     if any(len(row) != n for row in m):
         raise DimensionMismatch("matrix is not square")
-    # scale row i of (m | I) by d_i; then m X = I becomes (scaled m) X = diag(d_i)
-    aug = _integer_rows([tuple(row) + e for row, e in zip(m, mat_identity(n))])
+    if not n:
+        return ()
+    # m = M / d for the int rows M, so m X = I becomes M X = d I: eliminate (M | d I)
+    M = scaled(m)
+    aug = [row + [M.den if i == j else 0 for j in range(n)] for i, row in enumerate(M.num)]
     if _bareiss_forward(aug, n) < n:
         raise SingularMatrix("rank < %d" % n)
     cols = []
@@ -254,49 +248,19 @@ def tensor_contract(t, v, slot):
     slot 0 gives out[j][k] = sum_i v[i] t[i][j][k].  For structure constants
     c[i][j][k] the slot-0 contraction with a basis vector e_i lists the
     products e_i . e_j by rows.
+
+    One scaled_leg of t by the one-row matrix of v: the result has one index
+    on leg slot, so its rows with that leg put first are the matrix.  No
+    function in the package calls it; it stays as a shim on the kernel
+    because the benchmark tracer wraps it by name.
     """
-    d1, d2, d3 = t3_dims(t)
-    zero = Fraction(0)
-    if slot == 0:
-        if len(v) != d1:
-            raise DimensionMismatch("vector length %d, slot dimension %d" % (len(v), d1))
-        acc = [[zero] * d3 for _ in range(d2)]
-        for vi, plane in zip(v, t):
-            if vi:
-                for j, row in enumerate(plane):
-                    arow = acc[j]
-                    for k, x in enumerate(row):
-                        if x:
-                            arow[k] += vi * x
-        return tuple(tuple(row) for row in acc)
-    if slot == 1:
-        if len(v) != d2:
-            raise DimensionMismatch("vector length %d, slot dimension %d" % (len(v), d2))
-        out = []
-        for plane in t:
-            arow = [zero] * d3
-            for vj, row in zip(v, plane):
-                if vj:
-                    for k, x in enumerate(row):
-                        if x:
-                            arow[k] += vj * x
-            out.append(tuple(arow))
-        return tuple(out)
-    if slot == 2:
-        if len(v) != d3:
-            raise DimensionMismatch("vector length %d, slot dimension %d" % (len(v), d3))
-        out = []
-        for plane in t:
-            arow = [zero] * d2
-            for j, row in enumerate(plane):
-                s = zero
-                for vk, x in zip(v, row):
-                    if vk and x:
-                        s += vk * x
-                arow[j] = s
-            out.append(tuple(arow))
-        return tuple(out)
-    raise DimensionMismatch("slot must be 0, 1 or 2, got %r" % (slot,))
+    dims = t3_dims(t)
+    if slot not in (0, 1, 2):
+        raise DimensionMismatch("slot must be 0, 1 or 2, got %r" % (slot,))
+    if len(v) != dims[slot]:
+        raise DimensionMismatch("vector length %d, slot dimension %d" % (len(v), dims[slot]))
+    out = scaled_leg(scaled((v,)), scaled(t), slot)
+    return unscaled(out.matrix((slot,) + tuple(k for k in (0, 1, 2) if k != slot)))
 
 
 # ---------------------------------------------------------------------------
@@ -507,9 +471,9 @@ _NUMERATOR, _DENOMINATOR = attrgetter("numerator"), attrgetter("denominator")
 
 
 def scaled(t):
-    """Scaled form of a matrix of Fractions, Packed form of a rank-3 tensor
-    of Fractions."""
-    rank3 = isinstance(t[0][0], (tuple, list))
+    """Scaled form of a matrix of Fractions (its rows may be empty), Packed
+    form of a rank-3 tensor of Fractions."""
+    rank3 = bool(t[0]) and isinstance(t[0][0], (tuple, list))
     rows = [row for plane in t for row in plane] if rank3 else t
     den = lcm(*set(map(_DENOMINATOR, chain.from_iterable(rows))))
     if den == 1:
@@ -524,7 +488,8 @@ def scaled(t):
 def unscaled(t):
     """The Fractions that t stands for, a matrix for a Scaled and a rank-3
     tensor for a Packed: one Fraction per nonzero entry, one shared zero
-    everywhere else.  A Packed decodes each nonzero row once."""
+    everywhere else.  A Packed is read through its decoded rows, which it
+    keeps."""
     zero = Fraction(0)
     den = t.den
 
@@ -533,8 +498,8 @@ def unscaled(t):
     if isinstance(t, Scaled):
         return tuple(map(row, t.num))
     zrow = (zero,) * t.cols
-    rows = map(row, _decode([R for plane in t.num for R in plane if R], t.width, t.cols))
-    return tuple(tuple(next(rows) if R else zrow for R in plane) for plane in t.num)
+    return tuple(tuple([row(xs) if R else zrow for R, xs in zip(plane, rows)])
+                 for plane, rows in zip(t.num, t.decoded))
 
 
 def scaled_leg(m, t, leg):

@@ -152,6 +152,20 @@ def combine_plain(terms):
     return _from_dict(out, shape)
 
 
+def contract_plain(t, v, slot):
+    """v contracted into slot 0, 1 or 2 of t: the matrix over the other two
+    indices in order, each entry sum_p v[p] t[...p...] with p in that slot."""
+    shape = _shape(t)
+    rest = [k for k in range(3) if k != slot]
+    out = [[Fraction(0)] * shape[rest[1]] for _ in range(shape[rest[0]])]
+    for a in range(shape[0]):
+        for b in range(shape[1]):
+            for c in range(shape[2]):
+                idx = (a, b, c)
+                out[idx[rest[0]]][idx[rest[1]]] += v[idx[slot]] * t[a][b][c]
+    return tuple(map(tuple, out))
+
+
 def _from_dict(out, shape):
     return tuple(tuple(tuple(out[a, b, c] for c in range(shape[2]))
                        for b in range(shape[1])) for a in range(shape[0]))

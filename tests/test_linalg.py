@@ -35,6 +35,7 @@ from symplie.checks import RepTensor, rep_zero
 
 from oracles import (
     combine_plain,
+    contract_plain,
     gauss_inverse,
     gauss_rank,
     leg_plain,
@@ -57,6 +58,20 @@ def square_matrices(nmax=4):
         lambda n: hs.lists(hs.lists(rationals, min_size=n, max_size=n),
                            min_size=n, max_size=n).map(
             lambda rows: tuple(tuple(r) for r in rows)))
+
+
+# matrices whose rows have pairwise coprime denominators, 3, 5 and 7: one
+# invertible, and two singular ones (a row 6/5 times, or 6/7 times, row 0)
+COPRIME_ROWS = [
+    ((frac(1, 3), frac(2, 3), frac(-1, 3)),
+     (frac(1, 5), frac(0), frac(2, 5)),
+     (frac(-3, 7), frac(1, 7), frac(5, 7))),
+    ((frac(1, 3), frac(2, 3)),
+     (frac(2, 5), frac(4, 5))),
+    ((frac(1, 3), frac(-2, 3), frac(1, 3)),
+     (frac(3, 5), frac(1, 5), frac(-4, 5)),
+     (frac(2, 7), frac(-4, 7), frac(2, 7))),
+]
 
 
 class TestFrac:
@@ -83,6 +98,13 @@ class TestRank:
         m = ((frac(1), frac(2), frac(3)), (frac(2), frac(4), frac(6)))
         assert mat_rank(m) == 1 == gauss_rank(m)
 
+    def test_empty(self):
+        assert mat_rank(()) == mat_rank(((),)) == mat_rank(((), ())) == 0
+
+    @pytest.mark.parametrize("m", COPRIME_ROWS)
+    def test_coprime_denominators(self, m):
+        assert mat_rank(m) == gauss_rank(m)
+
 
 class TestInverse:
     @settings(max_examples=80)
@@ -101,6 +123,18 @@ class TestInverse:
     def test_known(self):
         m = ((frac(2), frac(1)), (frac(1), frac(1)))
         assert mat_inverse(m) == ((frac(1), frac(-1)), (frac(-1), frac(2)))
+
+    def test_empty(self):
+        assert mat_inverse(()) == ()
+
+    @pytest.mark.parametrize("m", COPRIME_ROWS)
+    def test_coprime_denominators(self, m):
+        ref = gauss_inverse(m)
+        if ref is None:
+            with pytest.raises(SingularMatrix):
+                mat_inverse(m)
+        else:
+            assert mat_inverse(m) == ref
 
 
 class TestZero:
@@ -145,6 +179,16 @@ class TestMatMul:
         assert [tuple(Fraction(x, A.den * B.den) for x in row) for row in got] == \
             list(mat_mul_plain(a, b)) if a else got == []
 
+    def test_rectangular_int_entries(self):
+        a = ((1, 0, -2), (3, -1, 0))
+        b = ((2, 0, 1, -1), (0, 0, 4, 5), (-3, 1, 0, 2))
+        got = mat_mul(a, b)
+        assert got == mat_mul_plain(a, b)
+        assert all(type(x) is Fraction for row in got for x in row)
+
+    def test_no_columns(self):
+        assert mat_mul(((frac(1), frac(2)),), ((), ())) == ((),)
+
     def test_transpose_reverses(self):
         r = rng(7)
         a, b = rand_mat(r, 3), rand_mat(r, 3)
@@ -182,6 +226,32 @@ class TestTensorContract:
         exp = tuple(tuple(2 * rhs_a[a][b] + rhs_b[a][b] for b in range(3))
                     for a in range(3))
         assert lhs == exp
+
+    @pytest.mark.parametrize("shape", [(3, 3, 3), (2, 3, 4), (4, 1, 2)])
+    @pytest.mark.parametrize("kind", ["fractional", "negative", "zero"])
+    def test_every_slot_matches_plain_loops(self, shape, kind):
+        r = rng(19)
+        draw = {"fractional": lambda: frac(r.randint(-9, 9), r.randint(1, 7)),
+                "negative": lambda: frac(-r.randint(1, 9), r.randint(1, 4)),
+                "zero": lambda: frac(0)}[kind]
+        t = tuple(tuple(tuple(draw() for _ in range(shape[2])) for _ in range(shape[1]))
+                  for _ in range(shape[0]))
+        for slot in range(3):
+            v = tuple(frac(r.randint(-5, 5), r.randint(1, 6)) for _ in range(shape[slot]))
+            assert tensor_contract(t, v, slot) == contract_plain(t, v, slot)
+
+    @pytest.mark.parametrize("slot,message", [
+        (0, "vector length 5, slot dimension 2"),
+        (1, "vector length 5, slot dimension 3"),
+        (2, "vector length 5, slot dimension 4"),
+        (3, "slot must be 0, 1 or 2, got 3"),
+    ])
+    def test_dimension_messages(self, slot, message):
+        t = tuple(tuple(tuple(frac(a + b + c) for c in range(4)) for b in range(3))
+                  for a in range(2))
+        with pytest.raises(DimensionMismatch) as err:
+            tensor_contract(t, (frac(1),) * 5, slot)
+        assert str(err.value) == message
 
 
 class TestRationalSqrt:
