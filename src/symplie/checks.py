@@ -11,7 +11,7 @@ Every violation list in the package comes from these two (prefixed renames
 them for a parent report); a report that interleaves identities per tuple
 collects each identity on its own and merges the lists with one stable sort
 on the tuple order.  require turns a failing report into the caller's typed
-error.
+error, and require_dims objects of different n into DimensionMismatch.
 
 Every identity on basis tuples takes one of two routes.  check_closed and
 check_parallel_form contract the whole input once on the exact integer
@@ -188,6 +188,14 @@ def require(rep, error, fmt):
     return rep
 
 
+def require_dims(fmt, *objs):
+    """Raise DimensionMismatch(fmt % (each object's n)) unless all of objs
+    share one n.  An explicit raise, so it runs under python -O."""
+    dims = tuple(obj.n for obj in objs)
+    if dims.count(dims[0]) != len(dims):
+        raise DimensionMismatch(fmt % dims)
+
+
 def relabel(rep, name):
     """The report rep under another check name."""
     return CheckReport(name, rep.verdict, rep.violations, rep.notes)
@@ -222,14 +230,12 @@ def st(n, entries=None):
 
 
 def op_add(a, b):
-    if a.n != b.n:
-        raise DimensionMismatch("operations on dimensions %d and %d" % (a.n, b.n))
+    require_dims("operations on dimensions %d and %d", a, b)
     return StructureTensor(a.n, t3_add(a.c, b.c))
 
 
 def op_sub(a, b):
-    if a.n != b.n:
-        raise DimensionMismatch("operations on dimensions %d and %d" % (a.n, b.n))
+    require_dims("operations on dimensions %d and %d", a, b)
     return StructureTensor(a.n, t3_sub(a.c, b.c))
 
 
@@ -389,8 +395,7 @@ def check_plsa(prec, succ):
 
 
 def _plsa(prec, succ):
-    if prec.n != succ.n:
-        raise DimensionMismatch("prec dim %d, succ dim %d" % (prec.n, succ.n))
+    require_dims("prec dim %d, succ dim %d", prec, succ)
     n = prec.n
     comm = check_commutative(prec)
     lsymm = check_left_symmetric(succ)
@@ -417,8 +422,7 @@ def _plsa(prec, succ):
 
 
 def check_torsion_free(br, conn):
-    if br.n != conn.n:
-        raise DimensionMismatch("bracket dim %d, connection dim %d" % (br.n, conn.n))
+    require_dims("bracket dim %d, connection dim %d", br, conn)
     c, b = conn.c, br.c
     return report("torsion-free", violations(
         "torsion-free", combinations(range(br.n), 2),
@@ -427,8 +431,7 @@ def check_torsion_free(br, conn):
 
 def check_flat(br, conn):
     """Curvature (L(x)L(y) - L(y)L(x) - L([x,y])) vanishes, L = left mult of conn."""
-    if br.n != conn.n:
-        raise DimensionMismatch("bracket dim %d, connection dim %d" % (br.n, conn.n))
+    require_dims("bracket dim %d, connection dim %d", br, conn)
     n = br.n
     nz, nzb = conn.nonzeros, br.nonzeros
     col = list(zip(*nz))  # col[k][s] = nz[s][k]
@@ -440,8 +443,7 @@ def check_flat(br, conn):
 def check_closed(br, w):
     """dw(e_i, e_j, e_k) = w(e_i, [e_j, e_k]) + w(e_j, [e_k, e_i])
     + w(e_k, [e_i, e_j]) vanishes on all triples i < j < k."""
-    if br.n != w.n:
-        raise DimensionMismatch("bracket dim %d, form dim %d" % (br.n, w.n))
+    require_dims("bracket dim %d, form dim %d", br, w)
     n = br.n
     # T[a][b][c] = sum_s w[c][s] br[a][b][s] = w(e_c, [e_a, e_b]), one
     # product of br's rows (a, b) by w^T
@@ -455,8 +457,7 @@ def check_closed(br, w):
 
 def check_parallel_form(conn, w):
     """w(conn_x y, z) = w(conn_x z, y) on all basis triples."""
-    if conn.n != w.n:
-        raise DimensionMismatch("connection dim %d, form dim %d" % (conn.n, w.n))
+    require_dims("connection dim %d, form dim %d", conn, w)
     n = conn.n
     # P[i][j][k] = sum_a w[a][k] conn[i][j][a] = w(conn_i e_j, e_k), one
     # product of conn's rows (i, j) by w
@@ -482,8 +483,7 @@ def check_special_symplectic(br, conn, w):
 
 
 def _special_symplectic(br, conn, w):
-    if not (br.n == conn.n == w.n):
-        raise DimensionMismatch("dimensions %d, %d, %d" % (br.n, conn.n, w.n))
+    require_dims("dimensions %d, %d, %d", br, conn, w)
     parts = [check_jacobi(br), check_torsion_free(br, conn), check_flat(br, conn),
              check_skew(w), check_nondegenerate(w), check_parallel_form(conn, w)]
     closed = check_closed(br, w)
@@ -507,8 +507,7 @@ def _torsion(br, N, upper):
     T(e_i, e_j) = sum_q N_qj D_i(e_q) - N D_i(e_j): each plane is a few
     matrix products on the bracket's decoded planes, only the kept rows j
     are contracted, and none where D_i is zero, whose rows are all zero."""
-    if br.n != N.n:
-        raise DimensionMismatch("bracket dim %d, endomorphism dim %d" % (br.n, N.n))
+    require_dims("bracket dim %d, endomorphism dim %d", br, N)
     n, C, M, Mt = br.n, br.scaled, N.scaled, N.scaled_t
     nt = Mt.num  # row j: N e_j
     # row i of A is [Ne_i, e_q] over q, the planes of C flattened
@@ -657,8 +656,7 @@ def eigenspace_violations(E):
 def check_complex_product(br, J, E):
     """J^2 = -id, E^2 = id (E not +-id), JE = -EJ, both torsion-free, and the
     two eigenspaces of E have equal dimension."""
-    if not (br.n == J.n == E.n):
-        raise DimensionMismatch("dimensions %d, %d, %d" % (br.n, J.n, E.n))
+    require_dims("dimensions %d, %d, %d", br, J, E)
     viol = square_violations("J^2+id", J, -1) + square_violations("E^2-id", E, 1)
     for q in (1, -1):
         if not any(map(any, _minus_scalar(E.scaled, q))):  # E = q id
@@ -672,8 +670,7 @@ def check_complex_product(br, J, E):
 
 def check_metric_compatible(g, J, E):
     """g symmetric nondegenerate with g(Jx,Jy)=g(x,y) and g(Ex,Ey)=-g(x,y)."""
-    if not (g.n == J.n == E.n):
-        raise DimensionMismatch("dimensions %d, %d, %d" % (g.n, J.n, E.n))
+    require_dims("dimensions %d, %d, %d", g, J, E)
     m = g.m
     viol = violations("symmetric", combinations(range(g.n), 2), lambda i, j: m[i][j] - m[j][i])
     viol += check_nondegenerate(g).violations
@@ -696,8 +693,7 @@ def check_hypersymplectic(br, J, E, g):
     forms are all closed.  If the first form is closed while a later one is
     not, that contradicts how the three forms are tied together, so it is
     flagged as a consistency alert."""
-    if not (br.n == J.n == E.n == g.n):
-        raise DimensionMismatch("dimensions %d, %d, %d, %d" % (br.n, J.n, E.n, g.n))
+    require_dims("dimensions %d, %d, %d, %d", br, J, E, g)
     parts = [check_jacobi(br), check_complex_product(br, J, E),
              check_metric_compatible(g, J, E)]
     w1, w2, w3 = three_forms(g, J, E)
@@ -715,8 +711,7 @@ def check_hypersymplectic(br, J, E, g):
 
 def check_representation(br, rho):
     """rho([x,y]) = rho(x)rho(y) - rho(y)rho(x) on all basis pairs."""
-    if rho.n != br.n:
-        raise DimensionMismatch("bracket dim %d, representation dim %d" % (br.n, rho.n))
+    require_dims("bracket dim %d, representation dim %d", br, rho)
     nzb, rl = br.nonzeros, _nonzeros(rho.t)
     rlt = list(zip(*rl))  # rlt[a][s] = rl[s][a], row a of rho(e_s)
     # row a of rho([e_i, e_j]) - rho(e_i)rho(e_j) + rho(e_j)rho(e_i)
@@ -731,9 +726,7 @@ def check_bimodule(lsa, l, r):
         l(x)l(y) - l(x.y) = l(y)l(x) - l(y.x)
         l(x)r(y) - r(y)l(x) = r(x.y) - r(y)r(x)
     """
-    if l.n != lsa.n or r.n != lsa.n:
-        raise DimensionMismatch("algebra dim %d, actions on dims %d, %d"
-                                % (lsa.n, l.n, r.n))
+    require_dims("algebra dim %d, actions on dims %d, %d", lsa, l, r)
     n, m = lsa.n, l.m
     if r.m != m or len(l.t) != l.n or len(r.t) != r.n or any(
             len(mat) != m or any(len(row) != m for row in mat) for mat in (*l.t, *r.t)):

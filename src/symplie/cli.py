@@ -603,16 +603,19 @@ def cmd_construct(args):
     afs = [_load(path) for path in args.inputs]
     objs = [_read(af, item) for af, reads in zip(afs, recipe.reads) for item in reads]
     out, reports = recipe.build(args, *objs)
+    stem = os.path.splitext(os.path.basename(args.inputs[0]))[0]
+    af = _afile(args.name or ("%s-%s" % (stem, args.recipe)), recipe.writes, out)
+    if af.dim > MAX_DIM:  # parse_algebra_file would refuse the file
+        raise BadParams("output dimension %d exceeds the limit of %d; nothing written"
+                        % (af.dim, MAX_DIM))
     if not _emit_reports(reports, args.json):
         print("construction output failed re-verification; nothing written",
               file=sys.stderr)
         return 1
-    stem = os.path.splitext(os.path.basename(args.inputs[0]))[0]
-    name = args.name or ("%s-%s" % (stem, args.recipe))
     path = args.out or os.path.join(os.path.dirname(args.inputs[0]) or ".",
                                     "%s-%s.alg" % (stem, args.recipe))
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(emit_algebra_file(_afile(name, recipe.writes, out)))
+        fh.write(emit_algebra_file(af))
     print("wrote %s" % path)
     return 0
 

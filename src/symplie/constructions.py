@@ -24,7 +24,6 @@ from fractions import Fraction
 from itertools import combinations, product
 
 from .linalg import (
-    DimensionMismatch,
     InternalMismatch,
     frac,
     mat_identity,
@@ -65,6 +64,7 @@ from .checks import (
     rep_neg,
     rep_zero,
     require,
+    require_dims,
     square_violations,
     st,
     violations,
@@ -487,9 +487,7 @@ def post_affine_check(nabla, nabla_tilde, br):
     The same content phrased through check_plsa on (D, nabla) is computed
     as a second route and the agreement of the two routes is noted.
     """
-    if not (nabla.n == nabla_tilde.n == br.n):
-        raise DimensionMismatch("dimensions %d, %d, %d"
-                                % (nabla.n, nabla_tilde.n, br.n))
+    require_dims("dimensions %d, %d, %d", nabla, nabla_tilde, br)
     n = br.n
     parts = [check_jacobi(br),
              relabel(check_torsion_free(br, nabla), "torsion-free(nabla)"),

@@ -457,10 +457,8 @@ def packed(num, den):
 
 
 def _widen(t, width):
-    """t with slots of at least width bits: the same rows, decoded and
-    repacked (the nonzero ones) where t's slots are narrower."""
-    if t.width >= width:
-        return t
+    """t, whose slots must be narrower than width bits, with slots of width
+    bits: the same rows, decoded and repacked (the nonzero ones)."""
     rows = iter(_pack([row for plane, rows in zip(t.num, t.decoded)
                        for R, row in zip(plane, rows) if R], width))
     return t._replace(num=[[next(rows) if R else 0 for R in plane] for plane in t.num],

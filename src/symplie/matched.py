@@ -35,6 +35,7 @@ from .checks import (
     relabel,
     rep_neg,
     require,
+    require_dims,
     sub_adjacent,
     violations,
 )
@@ -104,9 +105,7 @@ def bowtie_lsa(mp):
     """The product (x+a)(y+b) = (x.y + l2(a)y + r2(b)x) + (a.b + l1(x)b + r1(y)a)
     on the sum, after the matched-pair check passes."""
     rep = check_matched_pair(mp)
-    if not rep.verdict:
-        v = rep.violations[0]
-        raise NotMatched("not a matched pair: %s at %s" % (v.where, v.indices), rep)
+    require(rep, lambda msg: NotMatched(msg, rep), "not a matched pair: %s at %s")
     return glue_product(mp)
 
 
@@ -129,17 +128,13 @@ def double_extension(plsaA, plsaAstar):
     symplectic."""
     precA, succA = plsaA
     precB, succB = plsaAstar
-    if precA.n != precB.n:
-        raise DimensionMismatch("sides have dimensions %d and %d" % (precA.n, precB.n))
+    require_dims("sides have dimensions %d and %d", precA, precB)
     for name, pair in (("A", plsaA), ("A*", plsaAstar)):
         require(check_plsa(*pair), InvalidInput,
                 "side %s is not a product pair: %%s at %%s" % name)
     mp = dual_actions(plsaA, plsaAstar)
     mprep = check_matched_pair(mp)
-    if not mprep.verdict:
-        v = mprep.violations[0]
-        raise NotMatched("dual actions do not match: %s at %s" % (v.where, v.indices),
-                         mprep)
+    require(mprep, lambda msg: NotMatched(msg, mprep), "dual actions do not match: %s at %s")
     glued = glue_product(mp)
     n = precA.n
     omega_p = canonical_skew_pairing(n)
@@ -161,8 +156,7 @@ def build_double_plsa(plsaA, plsaAstar):
     coadjoint action of A's bracket, and the starred ones those of A*."""
     precA, succA = plsaA
     precB, succB = plsaAstar
-    if precB.n != precA.n:
-        raise DimensionMismatch("sides have dimensions %d and %d" % (precA.n, precB.n))
+    require_dims("sides have dimensions %d and %d", precA, precB)
     dotA, dotB = op_add(precA, succA), op_add(precB, succB)
     RdA, RdB = dual_right_action(dotA), dual_right_action(dotB)
     prec = glue_product(MatchedPairData(precA, precB, RdA, RdA, RdB, RdB))

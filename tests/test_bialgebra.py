@@ -820,14 +820,15 @@ class TestCrossRouteAgreement:
 
     def test_flipped_route_raises_under_optimize(self):
         # explicit raises, so they do not vanish under python -O as asserts
-        # would; one subprocess runs a passing and a failing call per verifier
+        # would; one subprocess runs a passing and a failing call per verifier,
+        # then decodes a packed row that overflows its slot (linalg._decode)
         code = "\n".join([
             "import sys",
             "from fractions import Fraction as Q",
             "from symplie import bialgebra",
             "from symplie.catalog import catalog_get",
             "from symplie.checks import CheckReport, op_add, st",
-            "from symplie.linalg import InternalMismatch",
+            "from symplie.linalg import InternalMismatch, Packed",
             "if sys.flags.optimize != 1:",
             "    sys.exit(3)",
             "def flipped(route):",
@@ -868,6 +869,12 @@ class TestCrossRouteAgreement:
             "    else:",
             "        sys.exit(4)",
             "    setattr(bialgebra, route, original)",
+            "try:",
+            "    Packed([[1 << 70]], 1, 1, 64, 1).decoded",
+            "except InternalMismatch as e:",
+            "    print(e)",
+            "else:",
+            "    sys.exit(5)",
         ])
         src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
         env = dict(os.environ)
@@ -876,4 +883,5 @@ class TestCrossRouteAgreement:
                               capture_output=True, text=True, timeout=120)
         assert done.returncode == 0, done.stderr
         lines = done.stdout.splitlines()
-        assert len(lines) == 6 and all("disagree" in line for line in lines), lines
+        assert len(lines) == 7 and all("disagree" in line for line in lines[:6]), lines
+        assert lines[6] == "a packed row overflows 1 slots of 64 bits"

@@ -604,6 +604,20 @@ class TestConstructCommand:
         assert capsys.readouterr().err == "error: %s needs %s\n" % (recipe, need)
         assert not out.exists()
 
+    def test_output_above_max_dim_refused(self, ssla3, tmp_path, monkeypatch, capsys):
+        # the 2 -> 4 tangent double against a lowered file limit: refused
+        # before any report is printed or any file is written
+        out = tmp_path / "td.alg"
+        monkeypatch.setattr(cli, "MAX_DIM", 3)
+        assert run(["construct", "tangent-double", ssla3, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: output dimension 4 exceeds the limit of 3; nothing written\n"
+        assert captured.out == ""
+        assert not out.exists()
+        monkeypatch.setattr(cli, "MAX_DIM", 4)
+        assert run(["construct", "tangent-double", ssla3, "--out", str(out)]) == 0
+        assert parse(out.read_text()).dim == 4
+
     def test_unmatched_double_extension_exit_two(self, tmp_path, capsys):
         a = tmp_path / "a.alg"
         b = tmp_path / "b.alg"
@@ -611,6 +625,58 @@ class TestConstructCommand:
         run(["catalog", "show", "plsa-2d-III", "--export", "--out", str(b)])
         assert run(["construct", "double-extension", str(a), str(b)]) == 2
         assert "error:" in capsys.readouterr().err
+
+
+class TestOneLineErrors:
+    """Bad parameters and bad file lines: exit 2, one line on stderr, and
+    nothing written."""
+
+    @pytest.mark.parametrize("r,message", [
+        (None, "missing --r (format: i,j,q;i,j,q;...)"),
+        ("1,2", "bad --r chunk '1,2'"),
+        ("1,9,1", "--r index (1, 9) out of range 1..2"),
+    ])
+    def test_bad_r(self, plsa2, tmp_path, capsys, r, message):
+        out = tmp_path / "cb.alg"
+        argv = ["construct", "coboundary", plsa2, "--out", str(out)]
+        assert run(argv + (["--r", r] if r is not None else [])) == 2
+        assert capsys.readouterr().err == "error: %s\n" % message
+        assert not out.exists()
+
+    @pytest.mark.parametrize("family,params,message", [
+        ("f1", ["--lambda", "1", "--sign", "2"], "sign must be +1 or -1, got 2"),
+        ("f1", ["--lambda", "0"], "lambda must be nonzero"),
+        ("f3", ["--lambda", "1"], "family F3 needs the parameter k"),
+    ])
+    def test_bad_family_params(self, ssla3, tmp_path, capsys, family, params, message):
+        out = tmp_path / "hs.alg"
+        assert run(["construct", "hypersymplectic-" + family, ssla3, *params,
+                    "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: %s\n" % message
+        assert not out.exists()
+
+    @pytest.mark.parametrize("line,message", [
+        ("op p x 1 = 1*e1", "bad index 'x'"),
+        ("op = 1*e1", "missing label"),
+    ])
+    def test_bad_entry_line(self, tmp_path, capsys, line, message):
+        p = tmp_path / "bad.alg"
+        p.write_text("algebra a\ndim 2\n%s\n" % line)
+        assert run(["verify", str(p), "--check", "lie"]) == 2
+        assert capsys.readouterr().err == "error: line 3: %s\n" % message
+
+    def test_text_output_caps_violations(self, tmp_path, capsys):
+        # every product 1*e1 + 2*e2 on a dim-8 bracket: 92 violations, of
+        # which the text shows 50 and counts the rest
+        p = tmp_path / "cap.alg"
+        p.write_text("algebra cap\ndim 8\n" + "".join(
+            "op bracket %d %d = 1*e1 + 2*e2\n" % (i, j)
+            for i in range(1, 9) for j in range(1, 9)))
+        assert run(["verify", str(p), "--check", "lie"]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 52
+        assert lines[0] == "jacobi: FAIL"
+        assert lines[-1] == "  ... and 42 more violations"
 
 
 class TestCatalogCommand:

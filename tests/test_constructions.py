@@ -206,6 +206,8 @@ class TestFamilies:
         with pytest.raises(BadParams):
             # degenerate discriminant combination
             hypersymplectic_from_tangent(s, FamilyParams("F3", Q(3), Q(1), Q(3)))
+        with pytest.raises(BadParams, match="^unknown family 'F4'$"):
+            hypersymplectic_from_tangent(s, FamilyParams("F4", Q(1), Q(0)))
 
     def test_sample_instances_verify(self):
         cases = [("F1", Q(1), Q(0), None),

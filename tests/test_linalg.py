@@ -16,6 +16,7 @@ from symplie.linalg import (
     mat_rank,
     mat_transpose,
     mat_zero,
+    Packed,
     packed,
     rational_sqrt,
     Scaled,
@@ -264,6 +265,8 @@ class TestRationalSqrt:
     def test_nonsquare(self):
         assert rational_sqrt(Fraction(3, 4)) is None
         assert rational_sqrt(Fraction(-1)) is None
+        # a square numerator over a nonsquare denominator
+        assert rational_sqrt(Fraction(4, 3)) is None
 
     def test_known(self):
         assert rational_sqrt(Fraction(16, 25)) == Fraction(4, 5)
@@ -525,6 +528,14 @@ class TestEntrywise:
         for got, kept in ((t3_neg(z), z), (t3_add(t, z), t), (t3_sub(t, z), t)):
             assert all(x is y for planes in zip(got, kept) for rows in zip(*planes)
                        for x, y in zip(*rows))
+
+
+def test_decode_overflow_raises():
+    # an entry beyond its slot is a bug in the width rule, reported even
+    # under python -O (test_bialgebra's -O subprocess runs this case too)
+    with pytest.raises(InternalMismatch) as err:
+        Packed([[1 << 70]], 1, 1, 64, 1).decoded
+    assert str(err.value) == "a packed row overflows 1 slots of 64 bits"
 
 
 def test_bareiss_raises_without_assert(monkeypatch):
