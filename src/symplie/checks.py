@@ -26,12 +26,16 @@ and check_representation evaluate sparse sums over the nonzero structure
 constants (and action entries) in exact int arithmetic (_residual),
 building Fractions only for the entries of a nonzero residual; the first
 four stay off the kernel because they are the independent cross-check routes.
-A StructureTensor lists its nonzero entries once (.nonzeros), and
-check_plsa reads the sum product off the exact sum of the lists of prec and
-succ (_nonzeros_sum), never building it as a tensor.  check_jacobi's
-antisymmetry half compares the (k, numerator, denominator) lists of
-[e_i, e_j] and [e_j, e_i], exact because a Fraction is stored in lowest
-terms, and adds the two vectors only at a violating pair.  The matrix
+Each tensor is listed once over one common denominator (_nonzeros: int
+numerators over the lcm of its denominators), and each check brings its
+terms over the lcm of their denominator products with one int factor per
+term, computed once per check (_over_lcm), so the sum on a basis tuple is
+one list of ints with no gcd.  A StructureTensor lists its nonzero entries
+once (.nonzeros), and check_plsa reads the sum product off the exact sum
+of the lists of prec and succ (_nonzeros_sum), never building it as a
+tensor.  check_jacobi's antisymmetry half compares the (k, numerator)
+lists of [e_i, e_j] and [e_j, e_i], exact because they share one
+denominator, and adds the two vectors only at a violating pair.  The matrix
 identities (N^2 = +-id, JE = -EJ, N^T B N = +-B) and three_forms contract
 on the kernel through one helper, _mat_chain; the remaining verifiers
 compare entries directly.  The kernel
@@ -61,7 +65,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain, combinations, combinations_with_replacement, product
-from math import gcd, lcm
+from math import lcm
 from operator import is_
 
 from .linalg import (
@@ -284,75 +288,80 @@ def check_nondegenerate(B):
 
 
 def _nonzeros(t):
-    """nz[i][j] = [(k, numerator, denominator) for each nonzero t[i][j][k]]
-    of a rank-3 tensor of Fractions or ints."""
-    return [[[(k, q.numerator, q.denominator) for k, q in enumerate(row) if q]
-             for row in plane] for plane in t]
+    """(den, nz) of a rank-3 tensor t of Fractions or ints: den is the lcm of
+    the denominators of its nonzero entries, and nz[i][j] lists (k, x) with
+    the int x = den * t[i][j][k] for each nonzero t[i][j][k]."""
+    nz = [[[(k, q) for k, q in enumerate(row) if q] for row in plane] for plane in t]
+    rows = [row for plane in nz for row in plane if row]  # rescaled in place, once den is known
+    den = lcm(*{q.denominator for row in rows for _, q in row})
+    for row in rows:
+        row[:] = [(k, q.numerator * (den // q.denominator)) for k, q in row]
+    return den, nz
 
 
-def _residual(n, terms):
-    """The vector sum of sign * q * p * e_t over the (outer, rows, sign)
-    terms, with q = a/b for each (s, a, b) in outer and p = c/d for each
-    (t, c, d) in rows[s]: a tuple of n Fractions, or () when it is zero.
+def _over_lcm(*dens):
+    """(L, factors): L the lcm of the denominators dens, and L // d for each."""
+    L = lcm(*dens)
+    return L, [L // d for d in dens]
 
-    Each signed product a*c is summed as an int in a bucket keyed by
-    (t, b*d); the buckets of a target are then added with int gcd
-    arithmetic, so a Fraction is built only for the entries of a nonzero
-    residual."""
-    acc = {}
-    for outer, rows, sign in terms:
-        for s, a, b in outer:
-            a *= sign
-            for t, c, d in rows[s]:
-                key = t, b * d
-                acc[key] = acc.get(key, 0) + a * c
-    num, den = [0] * n, [1] * n
-    for (t, d), x in acc.items():
-        if x:
-            g = gcd(den[t], d)
-            num[t] = num[t] * (d // g) + x * (den[t] // g)
-            den[t] *= d // g
-    if not any(num):
+
+_ZERO = Fraction(0)
+
+
+def _residual(n, den, terms):
+    """The vector sum of f * a * c e_t over the (outer, rows, f) terms, for
+    each (s, a) in outer and (t, c) in rows[s], over den: a tuple of n
+    Fractions, or () when it is zero.
+
+    Each term reads two _nonzeros lists whose numerators are over d_outer
+    and d_rows; the caller passes den, a common multiple of every term's
+    d_outer * d_rows, and f = +-den // (d_outer * d_rows), computed once per
+    check (_over_lcm).  The products are summed as ints in one list of n, so
+    a Fraction is built only for the nonzero entries of a nonzero residual;
+    its zero entries share one Fraction(0)."""
+    acc = [0] * n
+    for outer, rows, f in terms:
+        for s, a in outer:
+            a *= f
+            for t, c in rows[s]:
+                acc[t] += a * c
+    if not any(acc):
         return ()
-    return tuple(map(Fraction, num, den))
+    return tuple(Fraction(x, den) if x else _ZERO for x in acc)
 
 
 def _nonzeros_sum(x, y):
-    """The _nonzeros list of the sum of two tensors of one shape, from their
-    lists x and y: coinciding entries are added with int gcd arithmetic and
-    kept in lowest terms, and a sum that cancels to 0 is dropped, so the
-    result equals _nonzeros of the Fraction sum."""
-    return [[_nonzeros_row_sum(ra, rb) for ra, rb in zip(pa, pb)] for pa, pb in zip(x, y)]
+    """The (den, nz) list of the sum of two tensors of one shape, from their
+    lists x and y: den is the lcm of theirs, each numerator list is scaled
+    to it by one int factor, coinciding entries are added, and a sum that
+    cancels to 0 is dropped.  No numerator is reduced, so den may be a
+    multiple of the lcm that _nonzeros of the Fraction sum would give."""
+    (dx, nzx), (dy, nzy) = x, y
+    den = lcm(dx, dy)
+    fx, fy = den // dx, den // dy
+    return den, [[_nonzeros_row_sum(ra, rb, fx, fy) for ra, rb in zip(pa, pb)]
+                 for pa, pb in zip(nzx, nzy)]
 
 
-def _nonzeros_row_sum(ra, rb):
-    if not (ra and rb):
-        return ra or rb
-    acc = {k: (a, b) for k, a, b in ra}
-    for k, c, d in rb:
-        if k in acc:
-            a, b = acc[k]
-            g = gcd(b, d)
-            a, b = a * (d // g) + c * (b // g), b // g * d
-            g = gcd(a, b)
-            acc[k] = a // g, b // g
-        else:
-            acc[k] = c, d
-    return [(k, a, b) for k, (a, b) in sorted(acc.items()) if a]
+def _nonzeros_row_sum(ra, rb, fa, fb):
+    acc = {k: fa * a for k, a in ra}
+    for k, b in rb:
+        acc[k] = acc.get(k, 0) + fb * b
+    return [(k, x) for k, x in sorted(acc.items()) if x]
 
 
 def check_jacobi(br):
     n, c = br.n, br.c
-    nz = br.nonzeros
-    # a Fraction is stored in lowest terms, so c[i][j] + c[j][i] is zero
-    # exactly when the two lists of (k, numerator, denominator) are opposite
+    den, nz = br.nonzeros
+    # the numerators of one tensor share den, so c[i][j] + c[j][i] is zero
+    # exactly when the two lists of (k, numerator) are opposite
     viol = violations("antisymmetry", combinations_with_replacement(range(n), 2),
-                      lambda i, j: () if nz[i][j] == [(k, -a, b) for k, a, b in nz[j][i]]
+                      lambda i, j: () if nz[i][j] == [(k, -a) for k, a in nz[j][i]]
                       else vec_add(c[i][j], c[j][i]))
     col = list(zip(*nz))  # col[k][s] = nz[s][k]
     # [[e_i, e_j], e_k] + [[e_j, e_k], e_i] + [[e_k, e_i], e_j]
     viol += violations("jacobi", combinations(range(n), 3), lambda i, j, k: _residual(
-        n, ((nz[i][j], col[k], 1), (nz[j][k], col[i], 1), (nz[k][i], col[j], 1))))
+        n, den * den, ((nz[i][j], col[k], 1), (nz[j][k], col[i], 1), (nz[k][i], col[j], 1))))
     return report("jacobi", viol)
 
 
@@ -361,16 +370,17 @@ def check_left_symmetric(op):
     return _once(op, "left-symmetric", (), lambda: _left_symmetric(op.n, op.nonzeros))
 
 
-def _left_symmetric(n, nz):
-    """check_left_symmetric on the _nonzeros list nz of an n-dim product."""
+def _left_symmetric(n, nonzeros):
+    """check_left_symmetric on the (den, nz) list of an n-dim product."""
+    den, nz = nonzeros
     # the defect is antisymmetric under swapping the first two arguments,
     # so i < j covers everything
     col = list(zip(*nz))
     # (e_i e_j) e_k - e_i (e_j e_k) - (e_j e_i) e_k + e_j (e_i e_k)
     return report("left-symmetric", violations(
         "left-symmetric", pairs_then(n, n), lambda i, j, k: _residual(
-            n, ((nz[i][j], col[k], 1), (nz[j][k], nz[i], -1),
-                (nz[j][i], col[k], -1), (nz[i][k], nz[j], 1)))))
+            n, den * den, ((nz[i][j], col[k], 1), (nz[j][k], nz[i], -1),
+                           (nz[j][i], col[k], -1), (nz[i][k], nz[j], 1)))))
 
 
 def check_commutative(op):
@@ -399,13 +409,15 @@ def _plsa(prec, succ):
     n = prec.n
     comm = check_commutative(prec)
     lsymm = check_left_symmetric(succ)
-    nzp, nzs = prec.nonzeros, succ.nonzeros
-    nzt = _nonzeros_sum(nzp, nzs)
+    (dp, nzp), (ds, nzs) = prec.nonzeros, succ.nonzeros
+    total = _nonzeros_sum(prec.nonzeros, succ.nonzeros)
+    dt, nzt = total
+    den, (f, g) = _over_lcm(dp * ds, dt * dp)
     colp = list(zip(*nzp))
     # e_i succ (e_j prec e_k) - (e_i . e_j) prec e_k - e_j prec (e_i . e_k)
     viol = violations("compatibility", product(range(n), repeat=3), lambda i, j, k: _residual(
-        n, ((nzp[j][k], nzs[i], 1), (nzt[i][j], colp[k], -1), (nzt[i][k], nzp[j], -1))))
-    sum_ls = _left_symmetric(n, nzt)
+        n, den, ((nzp[j][k], nzs[i], f), (nzt[i][j], colp[k], -g), (nzt[i][k], nzp[j], -g))))
+    sum_ls = _left_symmetric(n, total)
     notes = []
     if sum_ls.verdict == lsymm.verdict:
         notes.append("sum-product left-symmetry agrees with succ left-symmetry (%s)"
@@ -433,11 +445,12 @@ def check_flat(br, conn):
     """Curvature (L(x)L(y) - L(y)L(x) - L([x,y])) vanishes, L = left mult of conn."""
     require_dims("bracket dim %d, connection dim %d", br, conn)
     n = br.n
-    nz, nzb = conn.nonzeros, br.nonzeros
+    (dc, nz), (db, nzb) = conn.nonzeros, br.nonzeros
+    den, (f, g) = _over_lcm(dc * dc, db * dc)
     col = list(zip(*nz))  # col[k][s] = nz[s][k]
     # e_i (e_j e_k) - e_j (e_i e_k) - [e_i, e_j] e_k
     return report("flat", violations("flat", pairs_then(n, n), lambda i, j, k: _residual(
-        n, ((nz[j][k], nz[i], 1), (nz[i][k], nz[j], -1), (nzb[i][j], col[k], -1)))))
+        n, den, ((nz[j][k], nz[i], f), (nz[i][k], nz[j], -f), (nzb[i][j], col[k], -g)))))
 
 
 def check_closed(br, w):
@@ -636,11 +649,10 @@ def torsion_violations(where, br, N):
     rows are contracted, and the residual, the row of n Fractions, is built
     only at a violating pair."""
     num, den = _torsion(br, N, upper=True)
-    zero = Fraction(0)
 
     def residual(i, j):
         row = num[i][j - i - 1]  # plane i holds the rows j = i + 1, ..., n - 1
-        return tuple(Fraction(x, den) if x else zero for x in row) if any(row) else ()
+        return tuple(Fraction(x, den) if x else _ZERO for x in row) if any(row) else ()
     return violations(where, combinations(range(br.n), 2), residual)
 
 
@@ -712,12 +724,13 @@ def check_hypersymplectic(br, J, E, g):
 def check_representation(br, rho):
     """rho([x,y]) = rho(x)rho(y) - rho(y)rho(x) on all basis pairs."""
     require_dims("bracket dim %d, representation dim %d", br, rho)
-    nzb, rl = br.nonzeros, _nonzeros(rho.t)
+    (db, nzb), (dr, rl) = br.nonzeros, _nonzeros(rho.t)
+    den, (f, g) = _over_lcm(db * dr, dr * dr)
     rlt = list(zip(*rl))  # rlt[a][s] = rl[s][a], row a of rho(e_s)
     # row a of rho([e_i, e_j]) - rho(e_i)rho(e_j) + rho(e_j)rho(e_i)
     return report("representation", violations(
         "representation", pairs_then(br.n, rho.m), lambda i, j, a: _residual(
-            rho.m, ((nzb[i][j], rlt[a], 1), (rl[i][a], rl[j], -1), (rl[j][a], rl[i], 1)))))
+            rho.m, den, ((nzb[i][j], rlt[a], f), (rl[i][a], rl[j], -g), (rl[j][a], rl[i], g)))))
 
 
 def check_bimodule(lsa, l, r):
@@ -732,21 +745,23 @@ def check_bimodule(lsa, l, r):
             len(mat) != m or any(len(row) != m for row in mat) for mat in (*l.t, *r.t)):
         raise DimensionMismatch("actions on a module of dim %d must be %d x %d matrices"
                                 % (m, m, m))
-    nz, rl, rr = lsa.nonzeros, _nonzeros(l.t), _nonzeros(r.t)
+    (dn, nz), (dl, rl), (dr, rr) = lsa.nonzeros, _nonzeros(l.t), _nonzeros(r.t)
     rlt, rrt = list(zip(*rl)), list(zip(*rr))  # rlt[a][s] = rl[s][a], row a of l(e_s)
+    den1, (f1, g1) = _over_lcm(dl * dl, dn * dl)
+    den2, (f2, g2, h2) = _over_lcm(dl * dr, dn * dr, dr * dr)
     viol = []
     for i in range(n):
         for j in range(i + 1, n):
             # row a of l(e_i)l(e_j) - l(e_i e_j) - l(e_j)l(e_i) + l(e_j e_i)
-            diff = [_residual(m, ((rl[i][a], rl[j], 1), (nz[i][j], rlt[a], -1),
-                                  (rl[j][a], rl[i], -1), (nz[j][i], rlt[a], 1)))
+            diff = [_residual(m, den1, ((rl[i][a], rl[j], f1), (nz[i][j], rlt[a], -g1),
+                                        (rl[j][a], rl[i], -f1), (nz[j][i], rlt[a], g1)))
                     for a in range(m)]
             viol += mat_violations("bimodule-1 at (%d,%d)" % (i, j), diff)
     for i in range(n):
         for j in range(n):
             # row a of l(e_i)r(e_j) - r(e_j)l(e_i) - r(e_i e_j) + r(e_j)r(e_i)
-            diff = [_residual(m, ((rl[i][a], rr[j], 1), (rr[j][a], rl[i], -1),
-                                  (nz[i][j], rrt[a], -1), (rr[j][a], rr[i], 1)))
+            diff = [_residual(m, den2, ((rl[i][a], rr[j], f2), (rr[j][a], rl[i], -f2),
+                                        (nz[i][j], rrt[a], -g2), (rr[j][a], rr[i], h2)))
                     for a in range(m)]
             viol += mat_violations("bimodule-2 at (%d,%d)" % (i, j), diff)
     return report("bimodule", viol)

@@ -25,7 +25,8 @@ A Slot is where a file holds one object, a keyword and a label such as
 `op prec`; a Part is a library object held in several slots, such as the
 coproduct pair (`rep alpha`, `rep beta`).  Each CHECKS entry names its
 verifier and what it reads, each RECIPES entry what it reads from each input
-file, the slots it writes and how it builds and re-verifies them; verify,
+file, the slots it writes, how it builds and re-verifies them and its
+output's dimension as a multiple of the first input's (scale); verify,
 construct and catalog export read and write objects only through these.
 """
 
@@ -472,10 +473,11 @@ def cmd_verify(args):
 class Recipe(NamedTuple):
     """construct NAME: build(args, *the objects read) returns the objects to
     write in the slots of writes, in order, and the reports re-verifying
-    them."""
+    them; their dimension is scale times that of the first input file."""
     reads: tuple   # per input file, the Slots and Parts read from it
     writes: tuple  # Slots
     build: object
+    scale: int = 1
 
 
 def _fracarg(value, name):
@@ -574,19 +576,22 @@ RECIPES = {
     "plsa-extract": Recipe(((SSLA,),), PLSA,
                            lambda args, s: _checked("plsa", *plsa_from_special_symplectic(s))),
     "tangent-double": Recipe(((SSLA,),), DOUBLE,
-                             lambda args, s: _double_checked(tangent_double(s))),
+                             lambda args, s: _double_checked(tangent_double(s)), scale=2),
     "cotangent-double": Recipe(((SSLA,),), DOUBLE + (Slot("form", "omega_p"),),
-                               lambda args, s: _double_checked(cotangent_double(s))),
+                               lambda args, s: _double_checked(cotangent_double(s)), scale=2),
     **{"hypersymplectic-" + family.lower(): Recipe(
-        ((SSLA,),), HYPERSYMPLECTIC, functools.partial(_hypersymplectic, family))
+        ((SSLA,),), HYPERSYMPLECTIC, functools.partial(_hypersymplectic, family), scale=2)
        for family in ("F1", "F2", "F3")},
     "semidirect": Recipe(((BRACKET, Slot("rep", "rho")),), (BRACKET,),
-                         lambda args, br, rho: _checked("lie", semidirect_lie(br, rho))),
+                         lambda args, br, rho: _checked("lie", semidirect_lie(br, rho)),
+                         scale=2),
     "bowtie": Recipe(((MATCHED_PAIR,),), (PROD,),
-                     lambda args, mp: _checked("lsa", bowtie_lsa(mp))),
-    "double-extension": Recipe(((PAIR,), (PAIR,)), (BRACKET, CONN, OMEGA), _double_extension),
-    "drinfeld-double": Recipe(((PAIR, COPRODUCT_PAIR),), COBOUNDARY, _drinfeld_double),
-    "slsba-double": Recipe(((PROD, ALPHA),), (PROD, ALPHA), _slsba_double),
+                     lambda args, mp: _checked("lsa", bowtie_lsa(mp)), scale=2),
+    "double-extension": Recipe(((PAIR,), (PAIR,)), (BRACKET, CONN, OMEGA), _double_extension,
+                               scale=2),
+    "drinfeld-double": Recipe(((PAIR, COPRODUCT_PAIR),), COBOUNDARY, _drinfeld_double,
+                              scale=2),
+    "slsba-double": Recipe(((PROD, ALPHA),), (PROD, ALPHA), _slsba_double, scale=2),
     "coboundary": Recipe(((PAIR,),), COBOUNDARY, _coboundary),
 }
 
@@ -601,13 +606,14 @@ def cmd_construct(args):
     if len(args.inputs) != len(recipe.reads):
         raise BadParams("%s needs %s" % (args.recipe, _FILE_COUNT[len(recipe.reads)]))
     afs = [_load(path) for path in args.inputs]
+    dim = recipe.scale * afs[0].dim
+    if dim > MAX_DIM:  # parse_algebra_file would refuse the output: refused before building
+        raise BadParams("output dimension %d exceeds the limit of %d; nothing written"
+                        % (dim, MAX_DIM))
     objs = [_read(af, item) for af, reads in zip(afs, recipe.reads) for item in reads]
     out, reports = recipe.build(args, *objs)
     stem = os.path.splitext(os.path.basename(args.inputs[0]))[0]
     af = _afile(args.name or ("%s-%s" % (stem, args.recipe)), recipe.writes, out)
-    if af.dim > MAX_DIM:  # parse_algebra_file would refuse the file
-        raise BadParams("output dimension %d exceeds the limit of %d; nothing written"
-                        % (af.dim, MAX_DIM))
     if not _emit_reports(reports, args.json):
         print("construction output failed re-verification; nothing written",
               file=sys.stderr)

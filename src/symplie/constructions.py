@@ -16,7 +16,8 @@ lsa_from_symplectic and plsa_from_special_symplectic contract their input
 on the exact integer kernel of linalg (Packed); the identities that
 post_affine_check and affine_cotangent_extension evaluate on basis tuples
 are sparse sums over nonzero structure constants in exact int arithmetic
-(checks._residual).
+(checks._residual), each tensor's numerators over its one denominator and
+each term scaled by one int factor to the lcm of the terms' denominators.
 """
 
 from dataclasses import dataclass
@@ -44,6 +45,7 @@ from .checks import (
     RepTensor,
     StructureTensor,
     _nonzeros,
+    _over_lcm,
     _residual,
     anticommute_violations,
     check_closed,
@@ -463,16 +465,17 @@ def affine_cotangent_extension(d):
                        ((i, j, k) for i in range(n) for j, k in combinations(range(n), 2)),
                        lambda i, j, k: phi[i][j][k] - phi[i][k][j])
 
-    nzb, nzphi = base.nonzeros, _nonzeros(phi)
+    (db, nzb), (dp, nzphi) = base.nonzeros, _nonzeros(phi)
     colphi = list(zip(*nzphi))  # colphi[k][p] = nzphi[p][k]
-    # cl[i][s] = [(q, num, den) ...] of each nonzero l.t[i][q][s], column s of l(e_i)
-    cl, cr = (_nonzeros([tuple(zip(*m)) for m in rep.t]) for rep in (l, r))
+    # cl[i][s] = [(q, x) ...], x over dl, of each nonzero l.t[i][q][s], column s of l(e_i)
+    (dl, cl), (dr, cr) = (_nonzeros([tuple(zip(*m)) for m in rep.t]) for rep in (l, r))
+    den, (f, g, h) = _over_lcm(dp * dr, db * dp, dp * dl)
     # the defect at (e_i, e_j, e_k) minus the defect at (e_j, e_i, e_k)
-    viol += violations("phi-cocycle", pairs_then(n, n), lambda i, j, k: _residual(n, (
-        (nzphi[i][j], cr[k], 1), (nzb[i][j], colphi[k], 1),
-        (nzphi[j][k], cl[i], -1), (nzb[j][k], nzphi[i], -1),
-        (nzphi[j][i], cr[k], -1), (nzb[j][i], colphi[k], -1),
-        (nzphi[i][k], cl[j], 1), (nzb[i][k], nzphi[j], 1))))
+    viol += violations("phi-cocycle", pairs_then(n, n), lambda i, j, k: _residual(n, den, (
+        (nzphi[i][j], cr[k], f), (nzb[i][j], colphi[k], g),
+        (nzphi[j][k], cl[i], -h), (nzb[j][k], nzphi[i], -g),
+        (nzphi[j][i], cr[k], -f), (nzb[j][i], colphi[k], -g),
+        (nzphi[i][k], cl[j], h), (nzb[i][k], nzphi[j], g))))
 
     rep = merge_reports("affine-cotangent-extension", [pair_rep], viol)
     return ext, rep
@@ -495,10 +498,11 @@ def post_affine_check(nabla, nabla_tilde, br):
              relabel(check_torsion_free(br, nabla_tilde), "torsion-free(nabla-tilde)"),
              relabel(check_flat(br, nabla_tilde), "flat(nabla-tilde)")]
     D = op_sub(nabla_tilde, nabla)
-    nzd, nzn, nzt = D.nonzeros, nabla.nonzeros, nabla_tilde.nonzeros
+    (dd, nzd), (dn, nzn), (dt, nzt) = D.nonzeros, nabla.nonzeros, nabla_tilde.nonzeros
+    den, (f, g) = _over_lcm(dd * dn, dt * dd)
     # nabla(e_i, D(e_j, e_k)) - D(e_k, nabla-tilde(e_i, e_j)) - D(e_j, nabla-tilde(e_i, e_k))
     viol = violations("post-connection", product(range(n), repeat=3), lambda i, j, k: _residual(
-        n, ((nzd[j][k], nzn[i], 1), (nzt[i][j], nzd[k], -1), (nzt[i][k], nzd[j], -1))))
+        n, den, ((nzd[j][k], nzn[i], f), (nzt[i][j], nzd[k], -g), (nzt[i][k], nzd[j], -g))))
     identity_ok = not viol
     pair_rep = check_plsa(D, nabla)
     notes = []

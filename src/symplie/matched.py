@@ -13,7 +13,9 @@ equation 2: checks.violations collects each equation, and a stable sort on
 The matched-pair route (check_bimodule, _mixed_12) sums products of nonzero
 structure constants and action entries in exact int arithmetic
 (checks._residual), off the linalg kernel, as the independent cross-check of the
-bialgebra verifiers.
+bialgebra verifiers: each tensor's numerators over its one denominator, and
+each term of an identity brought over the lcm of the terms' denominator
+products by one int factor.
 """
 
 from dataclasses import dataclass
@@ -24,6 +26,7 @@ from .checks import (
     Form,
     StructureTensor,
     _nonzeros,
+    _over_lcm,
     _residual,
     check_bimodule,
     check_parallel_form,
@@ -73,30 +76,35 @@ def check_matched_pair(mp):
         raise DimensionMismatch("inconsistent action dimensions")
     parts = [relabel(check_bimodule(mp.A1, mp.l1, mp.r1), "bimodule(A1)"),
              relabel(check_bimodule(mp.A2, mp.l2, mp.r2), "bimodule(A2)")]
-    viol = (_mixed_12(mp.A1, mp.l1, mp.r1, mp.l2, mp.r2, m, "mixed-compat-1", "mixed-compat-2")
-            + _mixed_12(mp.A2, mp.l2, mp.r2, mp.l1, mp.r1, n, "mixed-compat-3", "mixed-compat-4"))
+    # the (den, cols) list of each action, read by both _mixed_12 calls:
+    # cols[c][s] = [(k, x) ...], x over den, of each nonzero t[c][k][s],
+    # column s of t[c]
+    l1, r1, l2, r2 = (_nonzeros([tuple(zip(*mat)) for mat in rep.t])
+                      for rep in (mp.l1, mp.r1, mp.l2, mp.r2))
+    viol = (_mixed_12(mp.A1, l1, r1, l2, r2, m, "mixed-compat-1", "mixed-compat-2")
+            + _mixed_12(mp.A2, l2, r2, l1, r1, n, "mixed-compat-3", "mixed-compat-4"))
     return merge_reports("matched-pair", parts, viol)
 
 
 def _mixed_12(A, lA, rA, lB, rB, mdim, name1, name2):
     """The two compatibility identities with products taken in A; lA/rA are
-    A's actions on the other space, lB/rB the other algebra's actions on A.
-    Each residual is a signed sum over nonzero structure constants and
-    action-matrix entries (checks._residual)."""
+    the column lists of A's actions on the other space, lB/rB those of the
+    other algebra's actions on A.  Each residual is a signed sum over
+    nonzero structure constants and action-matrix entries (checks._residual)."""
     n = A.n
-    nz = A.nonzeros
+    da, nz = A.nonzeros
     nzcol = list(zip(*nz))  # nzcol[j][s] = nz[s][j]
-    # cols[c][s] = [(k, num, den) ...] of each nonzero t[c][k][s], column s of t[c]
-    cLA, cRA, cLB, cRB = (_nonzeros([tuple(zip(*mat)) for mat in rep.t])
-                          for rep in (lA, rA, lB, rB))
+    (dla, cLA), (dra, cRA), (dlb, cLB), (drb, cRB) = lA, rA, lB, rB
     cLBt, cRBt = list(zip(*cLB)), list(zip(*cRB))  # cRBt[i][d] = cRB[d][i]
+    den1, (f, g) = _over_lcm(da * drb, dla * drb)
     out = violations(name1, pairs_then(n, mdim), lambda i, j, c: _residual(
-        n, ((nz[i][j], cRB[c], 1), (nz[j][i], cRB[c], -1), (cLA[j][c], cRBt[i], -1),
-            (cLA[i][c], cRBt[j], 1), (cRB[c][j], nz[i], -1), (cRB[c][i], nz[j], 1))))
+        n, den1, ((nz[i][j], cRB[c], f), (nz[j][i], cRB[c], -f), (cLA[j][c], cRBt[i], -g),
+                  (cLA[i][c], cRBt[j], g), (cRB[c][j], nz[i], -f), (cRB[c][i], nz[j], f))))
+    den2, (p, q, r, s, t) = _over_lcm(da * dlb, dla * dlb, dra * dlb, da * drb, dra * drb)
     out += violations(name2, product(range(n), range(n), range(mdim)), lambda i, j, c: _residual(
-        n, ((nz[i][j], cLB[c], 1), (cLA[i][c], cLBt[j], 1), (cRA[i][c], cLBt[j], -1),
-            (cLB[c][i], nzcol[j], -1), (cRB[c][i], nzcol[j], 1), (cRA[j][c], cRBt[i], -1),
-            (cLB[c][j], nz[i], -1))))
+        n, den2, ((nz[i][j], cLB[c], p), (cLA[i][c], cLBt[j], q), (cRA[i][c], cLBt[j], -r),
+                  (cLB[c][i], nzcol[j], -p), (cRB[c][i], nzcol[j], s), (cRA[j][c], cRBt[i], -t),
+                  (cLB[c][j], nz[i], -p))))
     # per (c, i, j), identity 1 before identity 2 (a stable sort)
     return sorted(out, key=lambda v: (v.indices[2],) + v.indices[:2])
 

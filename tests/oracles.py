@@ -88,7 +88,7 @@ def left_mult_plain(c, i):
 
 
 # --- the sparse sum of the cross-check routes, one Fraction product at a
-# time (vs checks._residual's int buckets) ---
+# time (vs checks._residual's int sums over one common denominator) ---
 
 def residual_plain(n, terms):
     """sum of sign * q * p e_t over the (outer, rows, sign) terms, with
@@ -1155,6 +1155,17 @@ def rand_invertible(r, n):
 def rand_tensor(r, n):
     return tuple(tuple(tuple(rand_q(r) for _ in range(n))
                        for _ in range(n)) for _ in range(n))
+
+
+def rand_over(r, shape, den):
+    """A dense tensor of the given shape whose entries are k/den, k in
+    -3..3, with the first entry 1/den, so that den is the lcm of its
+    denominators."""
+    d0, d1, d2 = shape
+    t = [[[Fraction(r.randint(-3, 3), den) for _ in range(d2)] for _ in range(d1)]
+         for _ in range(d0)]
+    t[0][0][0] = Fraction(1, den)
+    return tuple(tuple(map(tuple, plane)) for plane in t)
 
 
 def rand_share_tensor(r, n, share):

@@ -2,6 +2,7 @@ import collections
 import copy
 import dataclasses
 import importlib.util
+import math
 import os
 import subprocess
 import sys
@@ -70,6 +71,7 @@ from oracles import (
 from oracles import closed_violations, nijenhuis_plain, parallel_violations
 from oracles import jacobi_violations, left_symmetric_violations, plsa_compat_violations
 from oracles import bimodule_violations, coproducts_from_products, residual_plain
+from oracles import flat_violations, rand_over, representation_violations
 from oracles import (
     commutative_violations,
     complex_product_violations,
@@ -219,33 +221,43 @@ def summand_pairs(draw):
                                                max_size=n ** 3)))
 
 
+def _values(nonzeros):
+    """A (den, nz) list with each int numerator read as its Fraction."""
+    den, nz = nonzeros
+    return [[[(k, Q(x, den)) for k, x in row] for row in plane] for plane in nz]
+
+
 class TestNonzerosSum:
     """check_plsa's sum product is the exact sum of the two cached nonzero
-    lists: each entry in lowest terms, entries that cancel dropped, equal
-    to _nonzeros of the dense Fraction sum."""
+    lists: over the lcm of their denominators, entries that cancel dropped,
+    and entry by entry the values of _nonzeros of the dense Fraction sum."""
 
     @settings(max_examples=60)
     @given(summand_pairs())
     def test_matches_dense_sum(self, ab):
         a, b = (StructureTensor(len(t), t) for t in ab)
-        want = checks._nonzeros(op_add(a, b).c)
-        assert checks._nonzeros_sum(a.nonzeros, b.nonzeros) == want
-        assert checks._nonzeros_sum(b.nonzeros, a.nonzeros) == want
+        want = _values(checks._nonzeros(op_add(a, b).c))
+        den = math.lcm(a.nonzeros[0], b.nonzeros[0])
+        for x, y in ((a, b), (b, a)):
+            got = checks._nonzeros_sum(x.nonzeros, y.nonzeros)
+            assert got[0] == den and _values(got) == want
 
     def test_mixed_denominators_reduce_and_cancel(self):
         a = st(2, {(0, 0, 0): Q(1, 6), (0, 0, 1): Q(1, 2), (1, 1, 1): Q(3, 4)})
         b = st(2, {(0, 0, 0): Q(1, 3), (0, 0, 1): Q(-1, 2), (1, 0, 1): Q(-5)})
+        assert a.nonzeros[0] == 12 and b.nonzeros[0] == 6
         got = checks._nonzeros_sum(a.nonzeros, b.nonzeros)
-        # 1/6 + 1/3 = 1/2 in lowest terms; 1/2 - 1/2 is dropped
-        assert got == [[[(0, 1, 2)], []], [[(1, -5, 1)], [(1, 3, 4)]]]
-        assert got == checks._nonzeros(op_add(a, b).c)
+        # over lcm(12, 6): 1/6 + 1/3 = 6/12, left unreduced; 1/2 - 1/2 is dropped
+        assert got == (12, [[[(0, 6)], []], [[(1, -60)], [(1, 9)]]])
+        assert _values(got) == _values(checks._nonzeros(op_add(a, b).c))
 
     def test_all_zero_and_dimension_one(self):
-        assert checks._nonzeros_sum(st(3).nonzeros, st(3).nonzeros) == [[[]] * 3] * 3
+        assert checks._nonzeros_sum(st(3).nonzeros, st(3).nonzeros) == (1, [[[]] * 3] * 3)
         one, minus = st(1, {(0, 0, 0): Q(2, 3)}), st(1, {(0, 0, 0): Q(-2, 3)})
-        assert checks._nonzeros_sum(one.nonzeros, st(1).nonzeros) == [[[(0, 2, 3)]]]
-        assert checks._nonzeros_sum(one.nonzeros, one.nonzeros) == [[[(0, 4, 3)]]]
-        assert checks._nonzeros_sum(one.nonzeros, minus.nonzeros) == [[[]]]
+        assert checks._nonzeros_sum(one.nonzeros, st(1).nonzeros) == (3, [[[(0, 2)]]])
+        assert checks._nonzeros_sum(st(1).nonzeros, one.nonzeros) == (3, [[[(0, 2)]]])
+        assert checks._nonzeros_sum(one.nonzeros, one.nonzeros) == (3, [[[(0, 4)]]])
+        assert checks._nonzeros_sum(one.nonzeros, minus.nonzeros) == (3, [[[]]])
 
     @pytest.mark.parametrize("name", ("plsa-2d-IV", "perturbed"))
     def test_check_plsa_builds_no_dense_sum(self, monkeypatch, name):
@@ -643,14 +655,21 @@ def sparse_terms(draw):
 
 
 def _int_terms(terms):
-    """terms with each (index, value) as (index, numerator, denominator)."""
-    def ints(pairs):
-        return [(k, q.numerator, q.denominator) for k, q in pairs]
-    return [(ints(outer), [ints(row) for row in rows], sign) for outer, rows, sign in terms]
+    """(den, terms) in the form checks._residual reads: each term's outer
+    list and its rows over one denominator of their own, d_outer and d_rows,
+    as the _nonzeros lists of two tensors are; den the lcm of every term's
+    d_outer * d_rows; and each sign times den // (d_outer * d_rows)."""
+    def over(lists):
+        d = math.lcm(*(Q(q).denominator for pairs in lists for _, q in pairs))
+        return d, [[(k, int(q * d)) for k, q in pairs] for pairs in lists]
+    parts = [(over([outer]), over(rows), sign) for outer, rows, sign in terms]
+    den = math.lcm(*(do * dr for (do, _), (dr, _), _ in parts))
+    return den, [(outer, rows, sign * den // (do * dr))
+                 for (do, (outer,)), (dr, rows), sign in parts]
 
 
 def _sparse_residual(n, terms):
-    return checks._residual(n, _int_terms(terms))
+    return checks._residual(n, *_int_terms(terms))
 
 
 ONE = [[(0, Q(1))]]  # rows for one outer index, e_0 with coefficient 1
@@ -668,7 +687,9 @@ class TestSparseResidual:
             assert got == ()
 
     def test_buckets_cancel_across_denominators(self):
-        # 1/2 + 1/3 - 5/6 on e_0: three products, three denominators
+        # 1/2 + 1/3 - 5/6 on e_0: three products, three denominators, one sum
+        # over their lcm
+        assert _int_terms([([(0, Q(1, 2))], ONE, 1), ([(0, Q(1, 3))], ONE, 1)])[0] == 6
         terms = [([(0, Q(1, 2))], ONE, 1), ([(0, Q(1, 3))], ONE, 1),
                  ([(0, Q(5, 6))], ONE, -1)]
         assert residual_plain(2, terms) == (0, 0)
@@ -677,22 +698,36 @@ class TestSparseResidual:
 
     def test_int_entries_and_negative_numerators(self):
         nz = checks._nonzeros((((0, 2, Q(-3, 4)), (0, 0, 0)),))
-        assert nz == [[[(1, 2, 1), (2, -3, 4)], []]]
+        assert nz == (4, [[[(1, 8), (2, -3)], []]])
         terms = [([(0, 2)], [[(1, -3)]], -1), ([(0, Q(-1, 2))], [[(1, Q(1, 3)), (2, 1)]], 1)]
         got = _sparse_residual(3, terms)
         assert got == (Q(0), Q(35, 6), Q(-1, 2))
         assert all(type(x) is Fraction for x in got)
 
     def test_empty_term_lists(self):
-        assert checks._residual(3, ()) == ()
-        assert checks._residual(2, [([], [[]], 1)]) == ()
-        assert checks._residual(2, [([(0, 1, 1)], [[]], -1)]) == ()
+        assert checks._residual(3, 1, ()) == ()
+        assert checks._residual(2, 1, [([], [[]], 1)]) == ()
+        assert checks._residual(2, 1, [([(0, 1)], [[]], -1)]) == ()
+        assert checks._nonzeros(()) == (1, [])
 
     def test_nonzero_residual_is_all_fractions(self):
         terms = [([(0, Q(1, 2))], [[(1, Q(-1, 3))]], 1)]
         got = _sparse_residual(3, terms)
         assert got == (Q(0), Q(-1, 6), Q(0))
         assert [type(x) for x in got] == [Fraction] * 3
+        # the zero entries share one Fraction(0)
+        assert got[0] is got[2] is checks._residual(2, 1, [([(0, 1)], [[(1, 1)]], 1)])[0]
+
+    def test_terms_over_different_denominators(self):
+        # e_0 prec-like over 2, succ-like over 3, an action over 5: the
+        # products are over 6, 10 and 15, the sum over 30
+        terms = [([(0, Q(1, 2))], [[(0, Q(1, 3)), (1, Q(2, 3))]], 1),
+                 ([(0, Q(3, 2))], [[(0, Q(1, 5))]], -1),
+                 ([(0, Q(-1, 3))], [[(1, Q(4, 5))]], 1)]
+        den, ints = _int_terms(terms)
+        assert den == 30 and [f for _, _, f in ints] == [5, -3, 2]
+        got = _sparse_residual(2, terms)
+        assert got == residual_plain(2, terms) == (Q(1, 6) - Q(3, 10), Q(1, 3) - Q(4, 15))
 
     def test_bimodule_zero_first_row_then_nonzero_row(self):
         # bimodule-2 at (0,0) is r(e_1)^2 on a zero product and a zero l:
@@ -703,6 +738,40 @@ class TestSparseResidual:
         assert got.violations == (Violation("bimodule-2 at (0,0)", (1, 0), Q(1)),
                                   Violation("bimodule-2 at (0,0)", (1, 1), Q(1)))
         assert got == _oracle_report("bimodule", bimodule_violations(st(1).c, zero.t, r.t))
+
+
+class TestOneDenominatorPerTensor:
+    """Fixed dense inputs whose tensors have different denominators, so that
+    the terms of one identity carry different denominator products and each
+    per-term factor of the sparse sums is other than 1."""
+
+    def test_plsa(self):
+        r = rng(111)
+        prec_c, succ_c = rand_over(r, (3, 3, 3), 2), rand_over(r, (3, 3, 3), 3)
+        got = check_plsa(StructureTensor(3, prec_c), StructureTensor(3, succ_c))
+        assert not got.verdict and got == _plsa_oracle_report(prec_c, succ_c)
+
+    def test_bimodule(self):
+        r = rng(112)
+        c = rand_over(r, (2, 2, 2), 2)
+        l, rr = rand_over(r, (2, 3, 3), 3), rand_over(r, (2, 3, 3), 5)
+        got = check_bimodule(StructureTensor(2, c), RepTensor(2, 3, l), RepTensor(2, 3, rr))
+        want = bimodule_violations(c, l, rr)
+        assert {w.split()[0] for w, _, _ in want} == {"bimodule-1", "bimodule-2"}
+        assert got == _oracle_report("bimodule", want)
+
+    def test_flat(self):
+        r = rng(113)
+        br, conn = rand_over(r, (3, 3, 3), 2), rand_over(r, (3, 3, 3), 3)
+        got = check_flat(StructureTensor(3, br), StructureTensor(3, conn))
+        assert not got.verdict and got == _oracle_report("flat", flat_violations(br, conn))
+
+    def test_representation(self):
+        r = rng(114)
+        br, rho = rand_over(r, (3, 3, 3), 2), rand_over(r, (3, 2, 2), 5)
+        got = check_representation(StructureTensor(3, br), RepTensor(3, 2, rho))
+        want = representation_violations(br, rho)
+        assert want and got == _oracle_report("representation", want)
 
 
 # --- the entry-by-entry verifiers against their plain-loop oracles ---

@@ -618,6 +618,26 @@ class TestConstructCommand:
         assert run(["construct", "tangent-double", ssla3, "--out", str(out)]) == 0
         assert parse(out.read_text()).dim == 4
 
+    @pytest.mark.parametrize("recipe", sorted(name for name, recipe in cli.RECIPES.items()
+                                              if recipe.scale == 2))
+    def test_output_above_max_dim_refused_before_building(self, recipe, tmp_path,
+                                                          monkeypatch, capsys):
+        # a 40-dim input doubles to 80 > MAX_DIM: refused from the input
+        # dimension, so the builder, which would fail if called, never runs
+        def refused(*_):
+            raise AssertionError("%s built an output above MAX_DIM" % recipe)
+        monkeypatch.setitem(cli.RECIPES, recipe, cli.RECIPES[recipe]._replace(build=refused))
+        big = tmp_path / "big.alg"
+        big.write_text("algebra big\ndim 40\n")
+        out = tmp_path / "x.alg"
+        inputs = [str(big)] * len(cli.RECIPES[recipe].reads)
+        assert run(["construct", recipe, *inputs, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == ("error: output dimension 80 exceeds the limit of %d; "
+                                "nothing written\n" % MAX_DIM)
+        assert captured.out == ""
+        assert not out.exists()
+
     def test_unmatched_double_extension_exit_two(self, tmp_path, capsys):
         a = tmp_path / "a.alg"
         b = tmp_path / "b.alg"

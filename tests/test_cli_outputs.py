@@ -17,7 +17,7 @@ import json
 import os
 
 from symplie.catalog import catalog_list
-from symplie.cli import main
+from symplie.cli import RECIPES, main, parse_algebra_file
 
 RECORD = os.path.join(os.path.dirname(os.path.abspath(__file__)), "cli_outputs.json")
 
@@ -128,6 +128,20 @@ def test_cli_outputs_match_the_record(tmp_path, monkeypatch):
     assert [r["argv"] for r in got] == [r["argv"] for r in want]
     for g, w in zip(got, want):
         assert g == w, g["argv"]
+
+
+def test_recipe_scale_is_the_output_dimension():
+    """Each recipe's scale times the dimension of its first input is the
+    dimension of the file it wrote in the record: cmd_construct refuses an
+    output above MAX_DIM from that product, before it builds."""
+    with open(RECORD, encoding="utf-8") as fh:
+        files = dict(INPUTS)
+        for r in json.load(fh):
+            files.update(r["written"])
+    assert {run[0] for run in RECIPE_RUNS} == set(RECIPES)
+    for recipe, inputs, _ in RECIPE_RUNS:
+        dim = parse_algebra_file(files[inputs[0]]).dim
+        assert parse_algebra_file(files["out-%s.alg" % recipe]).dim == RECIPES[recipe].scale * dim
 
 
 if __name__ == "__main__":

@@ -97,6 +97,7 @@ from oracles import (
     post_connection_violations,
     representation_violations,
     rand_invertible,
+    rand_over,
     rng,
     rr_brackets_plain,
     semidirect_plain,
@@ -450,6 +451,16 @@ class TestConnectionRoutes:
                                     [note])
         _fraction_residuals(got)
 
+    def test_post_connection_denominator_per_tensor(self):
+        """nabla over 2 and nabla-tilde over 3, so D is over 6 and the terms
+        of the post-connection identity over 12 and 18."""
+        r = rng(115)
+        nabla, tilde, br = (StructureTensor(3, rand_over(r, (3, 3, 3), den)) for den in (2, 3, 5))
+        got = post_affine_check(nabla, tilde, br)
+        want = post_connection_violations(nabla.c, tilde.c)
+        assert want and [v for v in got.violations if v.where == "post-connection"] == [
+            Violation(*v) for v in want]
+
 
 class TestConstructionRoutes:
     @settings(max_examples=30)
@@ -480,6 +491,19 @@ class TestConstructionRoutes:
         assert got == merge_reports("affine-cotangent-extension", [check_plsa(prec, succ)],
                                     [Violation(*v) for v in viol])
         _fraction_residuals(got)
+
+    def test_phi_cocycle_denominator_per_tensor(self):
+        """A left-symmetric base over 2 (plsa-2d-IV's sum product), l over 3,
+        r over 5 and phi over 7: the cocycle's terms over 35, 14 and 21."""
+        base = op_add(*catalog_get("plsa-2d-IV").payload)
+        r = rng(116)
+        l, rr, phi = (rand_over(r, (2, 2, 2), den) for den in (3, 5, 7))
+        _, got = affine_cotangent_extension(CotangentExtensionData(
+            base, RepTensor(2, 2, l), RepTensor(2, 2, rr), phi))
+        want = phi_cocycle_violations(base.c, l, rr, phi)
+        assert base.nonzeros[0] == 2 and want
+        assert [v for v in got.violations if v.where == "phi-cocycle"] == [
+            Violation(*v) for v in want]
 
     @settings(max_examples=30)
     @given(hs.sampled_from((2, 4)).flatmap(special_symplectic), entries)

@@ -10,6 +10,7 @@ from symplie.linalg import (
     SingularMatrix,
     frac,
     int_mat_mul,
+    int_rank,
     mat_identity,
     mat_inverse,
     mat_mul,
@@ -101,6 +102,9 @@ class TestRank:
 
     def test_empty(self):
         assert mat_rank(()) == mat_rank(((),)) == mat_rank(((), ())) == 0
+
+    def test_int_rank_of_no_rows(self):
+        assert int_rank([]) == 0
 
     @pytest.mark.parametrize("m", COPRIME_ROWS)
     def test_coprime_denominators(self, m):

@@ -29,7 +29,7 @@ from symplie.matched import (
 from symplie.catalog import catalog_get
 
 from oracles import brute_left_symmetric
-from oracles import bimodule_violations, mixed_compat_violations
+from oracles import bimodule_violations, mixed_compat_violations, rand_over, rng
 from symplie.checks import CheckReport, StructureTensor, Violation
 from test_linalg import tensors
 
@@ -270,6 +270,23 @@ class TestMatchedPairMatchesOracles:
         got = check_matched_pair(mp)
         assert got == _oracle_report(mp)
         assert _residual_entries_are_fractions(got)
+
+    def test_denominator_per_tensor(self):
+        """Products over 2 and 3 and actions over 5, 7, 11 and 13, so every
+        term of the four mixed identities carries its own denominator
+        product."""
+        r = rng(117)
+        n, m = 2, 3
+        mp = MatchedPairData(StructureTensor(n, rand_over(r, (n, n, n), 2)),
+                             StructureTensor(m, rand_over(r, (m, m, m), 3)),
+                             RepTensor(n, m, rand_over(r, (n, m, m), 5)),
+                             RepTensor(n, m, rand_over(r, (n, m, m), 7)),
+                             RepTensor(m, n, rand_over(r, (m, n, n), 11)),
+                             RepTensor(m, n, rand_over(r, (m, n, n), 13)))
+        got = check_matched_pair(mp)
+        assert {v.where for v in got.violations} >= {
+            "mixed-compat-%d" % k for k in (1, 2, 3, 4)}
+        assert got == _oracle_report(mp)
 
     def test_mixed_compat_merge_order(self):
         """Identities 1 and 2 both fail at (i, j, c) = (0, 1, 0), and
