@@ -35,9 +35,8 @@ _coproduct_operators, and the routes that must agree entry for entry
 direct co-left-symmetry) are compared on cross-multiplied numerators
 (linalg.scaled_equal).  Only what a public function returns is turned into
 Fractions.  The cross-checks (check_plsa on dualized coproducts,
-check_matched_pair) sum over nonzero structure constants in exact int
-arithmetic (checks._residual), independent of the kernel; _route_agrees
-compares the two verdicts.
+check_matched_pair) are sparse identities evaluated by checks._scatter,
+independent of the kernel; _route_agrees compares the two verdicts.
 
 Coordinate conventions: an element of A tensor A is the matrix r[p][q] of
 coefficients of e_p tensor e_q; a coproduct is stored as one such matrix per
@@ -330,6 +329,7 @@ def plsba_check(plsa, cp):
         (1, scaled_leg_each(P, ABT, 1, transpose=True))))
     viol = _pair_violations(cp.n, ("bialgebra-1", b1, lt), ("bialgebra-2", b2, None),
                             ("bialgebra-4", b4, None), ("bialgebra-3", b3, None))
+    del AB, ALT, ABT, common, b1, b2, b3, b4  # freed before the cross-check runs
     mrep = check_matched_pair(dual_actions(plsa, cp.dual))
     return report("plsba", viol, [_route_agrees(not viol, mrep.verdict, "tensor identities",
                                                 "matched-pair route")])

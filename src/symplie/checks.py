@@ -4,14 +4,14 @@ An n-dimensional bilinear operation is a StructureTensor: c[i][j][k] is the
 e_k coefficient of e_i o e_j.  Forms, endomorphisms and representations are
 matrices over Fraction.  Every verifier returns a CheckReport listing each
 violating basis tuple with its exact residual, so a failing check pinpoints
-the offending structure constants.  One collector, violations, lists the
-nonzero residuals of either route below over the basis tuples it is given;
-mat_violations lists them from a residual tensor of any rank, row by row.
-Every violation list in the package comes from these two (prefixed renames
-them for a parent report); a report that interleaves identities per tuple
-collects each identity on its own and merges the lists with one stable sort
-on the tuple order.  require turns a failing report into the caller's typed
-error, and require_dims objects of different n into DimensionMismatch.
+the offending structure constants.  Three collectors make every violation
+list in the package (prefixed renames them for a parent report): violations
+lists the nonzero residuals over the basis tuples it is given, mat_violations
+those of a residual tensor of any rank, row by row, and _scatter those of the
+sparse identities below.  A kernel report that interleaves identities per
+tuple collects each identity on its own and merges the lists with one stable
+sort on the tuple order.  require turns a failing report into the caller's
+typed error, and require_dims objects of different n into DimensionMismatch.
 
 Every identity on basis tuples takes one of two routes.  check_closed and
 check_parallel_form contract the whole input once on the exact integer
@@ -21,33 +21,50 @@ contracts the Nijenhuis torsion on the same decoded rows one plane at a
 time, and only the rows j > i that it reads, building Fractions only for a
 violating pair; nijenhuis_torsion takes every row from the same
 per-plane core, which skips a plane whose [Ne_i, .] - N[e_i, .] is zero.
-check_plsa, check_left_symmetric, check_jacobi, check_bimodule, check_flat
-and check_representation evaluate sparse sums over the nonzero structure
-constants (and action entries) in exact int arithmetic (_residual),
-building Fractions only for the entries of a nonzero residual; the first
-four stay off the kernel because they are the independent cross-check routes.
-Each tensor is listed once over one common denominator (_nonzeros: int
-numerators over the lcm of its denominators), and each check brings its
-terms over the lcm of their denominator products with one int factor per
-term, computed once per check (_over_lcm), so the sum on a basis tuple is
-one list of ints with no gcd.  A StructureTensor lists its nonzero entries
-once (.nonzeros), and check_plsa reads the sum product off the exact sum
-of the lists of prec and succ (_nonzeros_sum), never building it as a
-tensor.  check_jacobi's antisymmetry half compares the (k, numerator)
-lists of [e_i, e_j] and [e_j, e_i], exact because they share one
-denominator, and adds the two vectors only at a violating pair.  The matrix
-identities (N^2 = +-id, JE = -EJ, N^T B N = +-B) and three_forms contract
-on the kernel through one helper, _mat_chain; the remaining verifiers
-compare entries directly.  The kernel
-routes read each StructureTensor, Form and Endo through its cached form
-(.scaled: Packed for a StructureTensor, Scaled for a matrix, and .scaled_t
-for the transpose of a matrix), so an object is converted once, and its
-rows decoded once, however many identities contract it.  The rank of a form
-and the eigenspace dimensions of E are read off the same cached int rows:
+The matrix identities (N^2 = +-id, JE = -EJ, N^T B N = +-B) and three_forms
+contract on the kernel through one helper, _mat_chain.  The kernel routes
+read each StructureTensor, Form and Endo through its cached form (.scaled:
+Packed for a StructureTensor, Scaled for a matrix, and .scaled_t for the
+transpose of a matrix), so an object is converted once, and its rows
+decoded once, however many identities contract it.  The rank of a form and
+the eigenspace dimensions of E are read off the same cached int rows:
 linalg.int_rank eliminates a fresh copy of them (less q times the
 denominator on the diagonal, for E - q id), and E = +-id is read off that
 copy too.  A Form that three_forms reads off a contraction is built with
 that Scaled matrix already cached (_seeded).
+
+The other route, off the kernel, is the independent cross-checks:
+check_plsa, check_left_symmetric, check_jacobi, check_bimodule, check_flat,
+check_representation, matched._mixed_12 and the phi-cocycle and
+post-connection identities of constructions.  Each identity is declared
+once as signed terms (sign, X, xlegs, Y, ylegs), each sign * sum_s
+X[xlegs] Y[ylegs] for rank-3 tensors X and Y (a StructureTensor, a
+RepTensor or a _Listed list) whose legs name the index they bind: s the
+summed one, t the entry of the residual vector (a leg of Y), and the
+others the indices of the reported tuple, two bound by X and one by Y.
+One loop, _scatter, evaluates them all by scatter (row-wise sparse times
+sparse, Gustavson 1978): for each nonzero X[..][..][s] it walks the nonempty
+rows of Y that meet s and adds each product into one int slot list per
+tuple it lands on, so a tuple no product lands on costs nothing.  Every
+tensor is listed once as int numerators over the lcm of its denominators
+(_nonzeros, kept as .nonzeros; a dual action reads its list off its
+product's), read with its legs reordered (_view), and each identity brings
+its terms over one common denominator by one int factor per term, so a slot
+sums ints and only the entries of a nonzero residual become Fractions.  A
+hit is the tuple the route reports: the identity's chain names the indices
+that increase along its tuples (i < j for the half of a defect
+antisymmetric in i and j, i < j < k for Jacobi's cyclic sum), and a product
+off the chain is skipped, on X's two indices before its row is walked and
+on Y's while it is, Y's rows coming in the order of that index.  Violations
+come in the lexicographic order of their tuples, read in the index order
+the caller gives, with the identity number as one more index, "#": last by
+default, so identity 1 comes before identity 2 at one tuple
+(matched._mixed_12 orders by (c, i, j, #)), and first in check_bimodule,
+all of bimodule-1 before bimodule-2.  check_plsa reads the sum product off
+the exact sum of the lists of prec and succ (_nonzeros_sum), never building
+it as a tensor, and takes only the verdict of its left-symmetry.
+check_jacobi's antisymmetry half compares the (k, numerator) lists of
+[e_i, e_j] and [e_j, e_i], exact because they share one denominator.
 
 A frozen input is verified once per object, through one mechanism, _once:
 check_plsa, check_left_symmetric, check_special_symplectic,
@@ -61,10 +78,11 @@ call copies into a fresh list), is no field, and is never an exception.  A
 long-lived owner keeps its kept partners alive.
 """
 
+from collections import namedtuple
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
-from itertools import chain, combinations, combinations_with_replacement, product
+from functools import cache, cached_property
+from itertools import chain, combinations, combinations_with_replacement
 from math import lcm
 from operator import is_
 
@@ -103,6 +121,10 @@ class StructureTensor:
         that reads this tensor; never mutated."""
         return _nonzeros(self.c)
 
+    @property
+    def shape(self):
+        return self.n, self.n, self.n
+
 
 class _ScaledMatrix:
     """The cached Scaled forms of a matrix m and of its transpose, for Form
@@ -135,6 +157,29 @@ class RepTensor:
     n: int  # acting algebra dimension
     m: int  # module dimension
     t: tuple  # t[i] = the m x m matrix of rho(e_i)
+
+    @cached_property
+    def nonzeros(self):
+        """_nonzeros(t), as StructureTensor.nonzeros.  An action that is minus
+        a product with its legs permuted (constructions.dual_left_action,
+        dual_right_action) is seeded with _minus = (product, perm), and its
+        list is read off the product's cached one (_permuted) on first use,
+        no entry tested again."""
+        minus = self.__dict__.get("_minus")
+        if minus is None:
+            return _nonzeros(self.t)
+        op, perm = minus
+        return _permuted(op.nonzeros, op.shape, perm, -1)
+
+    @property
+    def shape(self):
+        return self.n, self.m, self.m
+
+
+# a rank-3 tensor known only by its (den, nz) list and its shape, such as
+# check_plsa's sum product: an operand of _scatter, as a StructureTensor or a
+# RepTensor is
+_Listed = namedtuple("_Listed", "nonzeros shape")
 
 
 @dataclass(frozen=True)
@@ -171,9 +216,10 @@ def _once(owner, key, others, compute):
 
 
 def _seeded(obj, **forms):
-    """obj with its cached properties named in forms set to the given values:
-    for an object built from a scaled form, which it would otherwise convert
-    back."""
+    """obj with the entries of forms set in its __dict__: the values of its
+    cached properties, for an object built from a scaled form, which it would
+    otherwise convert back, or a seed a cached property reads (_minus, for
+    RepTensor.nonzeros)."""
     obj.__dict__.update(forms)
     return obj
 
@@ -299,35 +345,7 @@ def _nonzeros(t):
     return den, nz
 
 
-def _over_lcm(*dens):
-    """(L, factors): L the lcm of the denominators dens, and L // d for each."""
-    L = lcm(*dens)
-    return L, [L // d for d in dens]
-
-
 _ZERO = Fraction(0)
-
-
-def _residual(n, den, terms):
-    """The vector sum of f * a * c e_t over the (outer, rows, f) terms, for
-    each (s, a) in outer and (t, c) in rows[s], over den: a tuple of n
-    Fractions, or () when it is zero.
-
-    Each term reads two _nonzeros lists whose numerators are over d_outer
-    and d_rows; the caller passes den, a common multiple of every term's
-    d_outer * d_rows, and f = +-den // (d_outer * d_rows), computed once per
-    check (_over_lcm).  The products are summed as ints in one list of n, so
-    a Fraction is built only for the nonzero entries of a nonzero residual;
-    its zero entries share one Fraction(0)."""
-    acc = [0] * n
-    for outer, rows, f in terms:
-        for s, a in outer:
-            a *= f
-            for t, c in rows[s]:
-                acc[t] += a * c
-    if not any(acc):
-        return ()
-    return tuple(Fraction(x, den) if x else _ZERO for x in acc)
 
 
 def _nonzeros_sum(x, y):
@@ -350,37 +368,151 @@ def _nonzeros_row_sum(ra, rb, fa, fb):
     return [(k, x) for k, x in sorted(acc.items()) if x]
 
 
+def _permuted(nonzeros, shape, perm, sign=1):
+    """The (den, nz) list of sign times the tensor T'[p][q][r] = T[...] with
+    leg perm[0] of T at p, leg perm[1] at q and leg perm[2] at r, from the
+    (den, nz) list of T of the given shape: the entries re-bucketed, no
+    entry tested again."""
+    den, nz = nonzeros
+    p0, p1, p2 = perm
+    out = [[[] for _ in range(shape[p1])] for _ in range(shape[p0])]
+    for a, plane in enumerate(nz):
+        for b, row in enumerate(plane):
+            for c, x in row:
+                idx = (a, b, c)
+                out[idx[p0]][idx[p1]].append((idx[p2], sign * x))
+    return den, out
+
+
+def _view(obj, perm, kept):
+    """(den, g) of the tensor listed by obj.nonzeros with its legs in the
+    order perm (_permuted): g[p] lists (q, row) for each nonempty row
+    T'[p][q] = [(r, x) ...].  Kept in kept, by id(obj) and perm, not on
+    obj: a long-lived tensor that one check reads does not hold its views."""
+    view = kept.get((id(obj), perm))
+    if view is None:
+        den, nz = obj.nonzeros
+        if perm == (1, 0, 2):  # the rows stay whole
+            nz = zip(*nz)
+        elif perm != (0, 1, 2):
+            den, nz = _permuted(obj.nonzeros, obj.shape, perm)
+        view = kept[id(obj), perm] = den, [[(q, row) for q, row in enumerate(plane) if row]
+                                           for plane in nz]
+    return view
+
+
+@cache
+def _plan(xlegs, ylegs, chain):
+    """How _scatter walks the term X[xlegs] Y[ylegs] of an identity whose
+    tuples satisfy chain: the leg orders of its views of X (the two bound
+    indices x1, x2, then s) and of Y (s, the bound index y, then t), the
+    three names bound, cmp (+1 for x1 < x2, -1 for x1 > x2, 0 for no test),
+    and which of x1, x2 (1, 2, or 0 for none) bounds y from below and which
+    from above."""
+    x1, x2 = (a for a in xlegs if a != "s")
+    y, = (a for a in ylegs if a not in "st")
+    pos = {a: p for p, a in enumerate(chain)}
+    cmp = (1 if pos[x1] < pos[x2] else -1) if x1 in pos and x2 in pos else 0
+    bounds = [(pos[a], at) for at, a in ((1, x1), (2, x2)) if a in pos and y in pos]
+    lo = max([b for b in bounds if b[0] < pos[y]], default=(0, 0))[1]
+    hi = min([b for b in bounds if b[0] > pos[y]], default=(0, 0))[1]
+    return ((xlegs.index(x1), xlegs.index(x2), xlegs.index("s")),
+            (ylegs.index("s"), ylegs.index(y), ylegs.index("t")), (x1, x2, y, cmp, lo, hi))
+
+
+def _scatter(names, dims, identities, order=None, kept=None):
+    """(hits, dens): the sparse identities evaluated by scatter (see the
+    module docstring) on the tuples of the three index names, of dims[name]
+    values each; dims["t"] is the length of a residual.  Each identity is
+    (where, chain, terms), its tuples those on which the indices in chain
+    increase.  A hit (k, idx, acc) is a nonzero residual of identity k at
+    idx, its int numerators acc over dens[k]; the hits come in the order of
+    the tuples read in order, names + "#" by default, "#" for k.  The views
+    of the tensors are kept in kept, a dict the caller may pass to further
+    calls on the same objects, which it keeps alive."""
+    width, nid = dims["t"], len(identities)
+    stride, size, dims = {}, 1, dict(dims, **{"#": nid})
+    for a in reversed(order or names + "#"):
+        stride[a], size = size, size * dims[a]
+    slots, hit, dens, kept = [None] * size, [], [], {} if kept is None else kept
+    for k, (_, chain, terms) in enumerate(identities):
+        den = lcm(*[X.nonzeros[0] * Y.nonzeros[0] for _, X, _, Y, _ in terms])
+        dens.append(den)
+        at_k = k * stride["#"]
+        for sign, X, xlegs, Y, ylegs in terms:
+            px, py, (x1n, x2n, yn, cmp, lo_at, hi_at) = _plan(xlegs, ylegs, chain)
+            (dx, A), (dy, B) = _view(X, px, kept), _view(Y, py, kept)
+            f = sign * (den // (dx * dy))
+            s1, s2, sy, lo, hi = stride[x1n], stride[x2n], stride[yn], -1, dims[yn]
+            down = lo_at and not hi_at  # walk each B[s] down from the top, to stop at lo
+            if down:
+                B = [g[::-1] for g in B]
+            for x1, group in enumerate(A):
+                for x2, row in group:
+                    if cmp and (x2 - x1) * cmp <= 0:
+                        continue
+                    if lo_at or hi_at:
+                        lo, hi = (-1, x1, x2)[lo_at], (dims[yn], x1, x2)[hi_at]
+                    base = x1 * s1 + x2 * s2 + at_k
+                    for s, a in row:
+                        a *= f
+                        for y, brow in B[s]:
+                            if lo < y < hi:
+                                key = base + y * sy
+                                acc = slots[key]
+                                if acc is None:
+                                    acc = slots[key] = [0] * width
+                                    hit.append(key)
+                                for t, b in brow:
+                                    acc[t] += a * b
+                            elif down or y >= hi:  # the rest of B[s] is out too
+                                break
+    hit.sort()
+    (sk, sa, sb, sc), (da, db, dc) = [stride[a] for a in "#" + names], [dims[a] for a in names]
+    return [(key // sk % nid, (key // sa % da, key // sb % db, key // sc % dc), slots[key])
+            for key in hit if any(slots[key])], dens
+
+
+def _sparse_violations(names, dims, identities, order=None, kept=None):
+    """The violations of _scatter's hits, each residual the tuple of
+    dims["t"] Fractions, its zero entries one shared Fraction(0)."""
+    hits, dens = _scatter(names, dims, identities, order, kept)
+    return [Violation(identities[k][0], idx,
+                      tuple(Fraction(x, dens[k]) if x else _ZERO for x in acc))
+            for k, idx, acc in hits]
+
+
 def check_jacobi(br):
     n, c = br.n, br.c
-    den, nz = br.nonzeros
+    nz = br.nonzeros[1]
     # the numerators of one tensor share den, so c[i][j] + c[j][i] is zero
     # exactly when the two lists of (k, numerator) are opposite
     viol = violations("antisymmetry", combinations_with_replacement(range(n), 2),
                       lambda i, j: () if nz[i][j] == [(k, -a) for k, a in nz[j][i]]
                       else vec_add(c[i][j], c[j][i]))
-    col = list(zip(*nz))  # col[k][s] = nz[s][k]
-    # [[e_i, e_j], e_k] + [[e_j, e_k], e_i] + [[e_k, e_i], e_j]
-    viol += violations("jacobi", combinations(range(n), 3), lambda i, j, k: _residual(
-        n, den * den, ((nz[i][j], col[k], 1), (nz[j][k], col[i], 1), (nz[k][i], col[j], 1))))
+    # [[e_i, e_j], e_k] + [[e_j, e_k], e_i] + [[e_k, e_i], e_j] on i < j < k
+    viol += _sparse_violations("ijk", dict.fromkeys("ijkt", n), [("jacobi", "ijk", (
+        (1, br, "ijs", br, "skt"), (1, br, "jks", br, "sit"), (1, br, "kis", br, "sjt")))])
     return report("jacobi", viol)
 
 
 def check_left_symmetric(op):
     """Evaluated once per object (_once)."""
-    return _once(op, "left-symmetric", (), lambda: _left_symmetric(op.n, op.nonzeros))
+    return _once(op, "left-symmetric", (), lambda: _left_symmetric(op))
 
 
-def _left_symmetric(n, nonzeros):
-    """check_left_symmetric on the (den, nz) list of an n-dim product."""
-    den, nz = nonzeros
-    # the defect is antisymmetric under swapping the first two arguments,
-    # so i < j covers everything
-    col = list(zip(*nz))
-    # (e_i e_j) e_k - e_i (e_j e_k) - (e_j e_i) e_k + e_j (e_i e_k)
-    return report("left-symmetric", violations(
-        "left-symmetric", pairs_then(n, n), lambda i, j, k: _residual(
-            n, den * den, ((nz[i][j], col[k], 1), (nz[j][k], nz[i], -1),
-                           (nz[j][i], col[k], -1), (nz[i][k], nz[j], 1)))))
+def _left_symmetric(op):
+    return report("left-symmetric", _sparse_violations("ijk", dict.fromkeys("ijkt", op.n),
+                                                       [_left_symmetry(op)]))
+
+
+def _left_symmetry(op):
+    """The left-symmetry identity of op, a product or a _Listed list."""
+    # (e_i e_j) e_k - e_i (e_j e_k) - (e_j e_i) e_k + e_j (e_i e_k): the
+    # defect is antisymmetric under swapping the first two arguments, so
+    # i < j covers everything
+    return ("left-symmetric", "ij", ((1, op, "ijs", op, "skt"), (-1, op, "jks", op, "ist"),
+                                     (-1, op, "jis", op, "skt"), (1, op, "iks", op, "jst")))
 
 
 def check_commutative(op):
@@ -409,23 +541,23 @@ def _plsa(prec, succ):
     n = prec.n
     comm = check_commutative(prec)
     lsymm = check_left_symmetric(succ)
-    (dp, nzp), (ds, nzs) = prec.nonzeros, succ.nonzeros
-    total = _nonzeros_sum(prec.nonzeros, succ.nonzeros)
-    dt, nzt = total
-    den, (f, g) = _over_lcm(dp * ds, dt * dp)
-    colp = list(zip(*nzp))
-    # e_i succ (e_j prec e_k) - (e_i . e_j) prec e_k - e_j prec (e_i . e_k)
-    viol = violations("compatibility", product(range(n), repeat=3), lambda i, j, k: _residual(
-        n, den, ((nzp[j][k], nzs[i], f), (nzt[i][j], colp[k], -g), (nzt[i][k], nzp[j], -g))))
-    sum_ls = _left_symmetric(n, total)
+    total = _Listed(_nonzeros_sum(prec.nonzeros, succ.nonzeros), prec.shape)
+    # e_i succ (e_j prec e_k) - (e_i . e_j) prec e_k - e_j prec (e_i . e_k), and
+    # the left-symmetry of the sum product, of which only the verdict is read
+    hits, (den, _) = _scatter("ijk", dict.fromkeys("ijkt", n), [("compatibility", "", (
+        (1, prec, "jks", succ, "ist"), (-1, total, "ijs", prec, "skt"),
+        (-1, total, "iks", prec, "jst"))), _left_symmetry(total)], order="#ijk")
+    viol = [Violation("compatibility", idx, tuple(Fraction(x, den) if x else _ZERO for x in acc))
+            for k, idx, acc in hits if k == 0]
+    sum_ok = all(k == 0 for k, _, _ in hits)
     notes = []
-    if sum_ls.verdict == lsymm.verdict:
+    if sum_ok == lsymm.verdict:
         notes.append("sum-product left-symmetry agrees with succ left-symmetry (%s)"
-                     % ("pass" if sum_ls.verdict else "fail"))
+                     % ("pass" if sum_ok else "fail"))
     else:
         notes.append("ALERT: sum-product left-symmetry (%s) disagrees with succ "
                      "left-symmetry (%s)"
-                     % ("pass" if sum_ls.verdict else "fail",
+                     % ("pass" if sum_ok else "fail",
                         "pass" if lsymm.verdict else "fail"))
         if comm.verdict and not viol:
             notes.append("ALERT: disagreement despite commutativity and compatibility "
@@ -444,13 +576,10 @@ def check_torsion_free(br, conn):
 def check_flat(br, conn):
     """Curvature (L(x)L(y) - L(y)L(x) - L([x,y])) vanishes, L = left mult of conn."""
     require_dims("bracket dim %d, connection dim %d", br, conn)
-    n = br.n
-    (dc, nz), (db, nzb) = conn.nonzeros, br.nonzeros
-    den, (f, g) = _over_lcm(dc * dc, db * dc)
-    col = list(zip(*nz))  # col[k][s] = nz[s][k]
-    # e_i (e_j e_k) - e_j (e_i e_k) - [e_i, e_j] e_k
-    return report("flat", violations("flat", pairs_then(n, n), lambda i, j, k: _residual(
-        n, den, ((nz[j][k], nz[i], f), (nz[i][k], nz[j], -f), (nzb[i][j], col[k], -g)))))
+    # e_i (e_j e_k) - e_j (e_i e_k) - [e_i, e_j] e_k on i < j
+    return report("flat", _sparse_violations("ijk", dict.fromkeys("ijkt", br.n), [("flat", "ij", (
+        (1, conn, "jks", conn, "ist"), (-1, conn, "iks", conn, "jst"),
+        (-1, br, "ijs", conn, "skt")))]))
 
 
 def check_closed(br, w):
@@ -559,15 +688,10 @@ def violations(where, tuples, residual, den=None):
     return out
 
 
-def pairs_then(n, m):
-    """(i, j, k) for each i < j < n, then each k < m."""
-    return ((i, j, k) for i, j in combinations(range(n), 2) for k in range(m))
-
-
 def mat_violations(where, t, at=()):
     """A violation at indices at + index for each nonzero scalar of the
     nested tuples or lists t, all of one depth, in row-major order; a row of
-    scalars may be empty, as _residual's zero residual is.  It walks rows of
+    scalars may be empty.  It walks rows of
     scalars, so an all-zero row costs one any().  For a Scaled matrix or a
     Packed tensor t each residual is the Fraction of a nonzero numerator
     over t.den; a Packed row is tested against 0 first and decoded only
@@ -724,44 +848,35 @@ def check_hypersymplectic(br, J, E, g):
 def check_representation(br, rho):
     """rho([x,y]) = rho(x)rho(y) - rho(y)rho(x) on all basis pairs."""
     require_dims("bracket dim %d, representation dim %d", br, rho)
-    (db, nzb), (dr, rl) = br.nonzeros, _nonzeros(rho.t)
-    den, (f, g) = _over_lcm(db * dr, dr * dr)
-    rlt = list(zip(*rl))  # rlt[a][s] = rl[s][a], row a of rho(e_s)
-    # row a of rho([e_i, e_j]) - rho(e_i)rho(e_j) + rho(e_j)rho(e_i)
-    return report("representation", violations(
-        "representation", pairs_then(br.n, rho.m), lambda i, j, a: _residual(
-            rho.m, den, ((nzb[i][j], rlt[a], f), (rl[i][a], rl[j], -g), (rl[j][a], rl[i], g)))))
+    # row a of rho([e_i, e_j]) - rho(e_i)rho(e_j) + rho(e_j)rho(e_i) on i < j
+    return report("representation", _sparse_violations(
+        "ija", dict(i=br.n, j=br.n, a=rho.m, t=rho.m), [("representation", "ij", (
+            (1, br, "ijs", rho, "sat"), (-1, rho, "ias", rho, "jst"),
+            (1, rho, "jas", rho, "ist")))]))
 
 
-def check_bimodule(lsa, l, r):
+def check_bimodule(lsa, l, r, kept=None):
     """The two action identities making (l, r) a bimodule of the product:
 
         l(x)l(y) - l(x.y) = l(y)l(x) - l(y.x)
         l(x)r(y) - r(y)l(x) = r(x.y) - r(y)r(x)
-    """
+
+    kept is _scatter's: a caller that checks more identities on the same
+    objects passes one dict to every call."""
     require_dims("algebra dim %d, actions on dims %d, %d", lsa, l, r)
     n, m = lsa.n, l.m
     if r.m != m or len(l.t) != l.n or len(r.t) != r.n or any(
             len(mat) != m or any(len(row) != m for row in mat) for mat in (*l.t, *r.t)):
         raise DimensionMismatch("actions on a module of dim %d must be %d x %d matrices"
                                 % (m, m, m))
-    (dn, nz), (dl, rl), (dr, rr) = lsa.nonzeros, _nonzeros(l.t), _nonzeros(r.t)
-    rlt, rrt = list(zip(*rl)), list(zip(*rr))  # rlt[a][s] = rl[s][a], row a of l(e_s)
-    den1, (f1, g1) = _over_lcm(dl * dl, dn * dl)
-    den2, (f2, g2, h2) = _over_lcm(dl * dr, dn * dr, dr * dr)
-    viol = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            # row a of l(e_i)l(e_j) - l(e_i e_j) - l(e_j)l(e_i) + l(e_j e_i)
-            diff = [_residual(m, den1, ((rl[i][a], rl[j], f1), (nz[i][j], rlt[a], -g1),
-                                        (rl[j][a], rl[i], -f1), (nz[j][i], rlt[a], g1)))
-                    for a in range(m)]
-            viol += mat_violations("bimodule-1 at (%d,%d)" % (i, j), diff)
-    for i in range(n):
-        for j in range(n):
-            # row a of l(e_i)r(e_j) - r(e_j)l(e_i) - r(e_i e_j) + r(e_j)r(e_i)
-            diff = [_residual(m, den2, ((rl[i][a], rr[j], f2), (rr[j][a], rl[i], -f2),
-                                        (nz[i][j], rrt[a], -g2), (rr[j][a], rr[i], h2)))
-                    for a in range(m)]
-            viol += mat_violations("bimodule-2 at (%d,%d)" % (i, j), diff)
-    return report("bimodule", viol)
+    hits, dens = _scatter("ija", dict(i=n, j=n, a=m, t=m), [
+        # row a of l(e_i)l(e_j) - l(e_i e_j) - l(e_j)l(e_i) + l(e_j e_i), on i < j
+        ("bimodule-1", "ij", ((1, l, "ias", l, "jst"), (-1, lsa, "ijs", l, "sat"),
+                              (-1, l, "jas", l, "ist"), (1, lsa, "jis", l, "sat"))),
+        # row a of l(e_i)r(e_j) - r(e_j)l(e_i) - r(e_i e_j) + r(e_j)r(e_i)
+        ("bimodule-2", "", ((1, l, "ias", r, "jst"), (-1, r, "jas", l, "ist"),
+                            (-1, lsa, "ijs", r, "sat"), (1, r, "jas", r, "ist")))],
+        order="#ija", kept=kept)
+    return report("bimodule", [
+        Violation("bimodule-%d at (%d,%d)" % (k + 1, i, j), (a, t), Fraction(x, dens[k]))
+        for k, (i, j, a), acc in hits for t, x in enumerate(acc) if x])

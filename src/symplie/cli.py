@@ -178,7 +178,10 @@ def _terms(text, dim, lineno):
             raise ParseError("bad term %r (expected like 1*e2 or -1/2*e1)" % raw,
                              lineno)
         q = _rational(m.group(1), lineno)
-        k = int(m.group(2))
+        try:
+            k = int(m.group(2))
+        except ValueError:  # more digits than int() converts
+            raise ParseError("bad basis index %r" % m.group(2), lineno)
         if not 1 <= k <= dim:
             raise IndexOutOfRange("basis index e%d out of range 1..%d" % (k, dim),
                                   lineno)

@@ -15,9 +15,9 @@ rely on the returned data without re-checking.
 lsa_from_symplectic and plsa_from_special_symplectic contract their input
 on the exact integer kernel of linalg (Packed); the identities that
 post_affine_check and affine_cotangent_extension evaluate on basis tuples
-are sparse sums over nonzero structure constants in exact int arithmetic
-(checks._residual), each tensor's numerators over its one denominator and
-each term scaled by one int factor to the lcm of the terms' denominators.
+are sparse identities declared as signed terms and evaluated by
+checks._scatter.  The dual actions read their nonzero lists off their
+product's (checks._permuted), testing no entry again.
 """
 
 from dataclasses import dataclass
@@ -44,9 +44,10 @@ from .checks import (
     Form,
     RepTensor,
     StructureTensor,
+    _Listed,
     _nonzeros,
-    _over_lcm,
-    _residual,
+    _seeded,
+    _sparse_violations,
     anticommute_violations,
     check_closed,
     check_flat,
@@ -60,7 +61,6 @@ from .checks import (
     check_torsion_free,
     merge_reports,
     op_sub,
-    pairs_then,
     relabel,
     rep_from_op_left,
     rep_neg,
@@ -150,16 +150,17 @@ def dual_left_action(op):
     multiplication by x, so that <x.a*, y> = -<a*, x o y> on all triples:
     t[i][j][k] = -c[i][j][k].
     """
-    return RepTensor(op.n, op.n, t3_neg(op.c))
+    return _seeded(RepTensor(op.n, op.n, t3_neg(op.c)), _minus=(op, (0, 1, 2)))
 
 
 def dual_right_action(op):
     """Right multiplications on the dual: <x.a*, y> = -<a*, y o x>, so
     t[i][a][b] = -c[a][i][b]."""
     n, c = op.n, op.c
-    return RepTensor(n, n, tuple(tuple(tuple(-x if x else x for x in c[a][i])
-                                       for a in range(n))
-                                 for i in range(n)))
+    return _seeded(RepTensor(n, n, tuple(tuple(tuple(-x if x else x for x in c[a][i])
+                                                   for a in range(n))
+                                             for i in range(n))),
+                   _minus=(op, (1, 0, 2)))
 
 
 def coadjoint(br):
@@ -465,17 +466,13 @@ def affine_cotangent_extension(d):
                        ((i, j, k) for i in range(n) for j, k in combinations(range(n), 2)),
                        lambda i, j, k: phi[i][j][k] - phi[i][k][j])
 
-    (db, nzb), (dp, nzphi) = base.nonzeros, _nonzeros(phi)
-    colphi = list(zip(*nzphi))  # colphi[k][p] = nzphi[p][k]
-    # cl[i][s] = [(q, x) ...], x over dl, of each nonzero l.t[i][q][s], column s of l(e_i)
-    (dl, cl), (dr, cr) = (_nonzeros([tuple(zip(*m)) for m in rep.t]) for rep in (l, r))
-    den, (f, g, h) = _over_lcm(dp * dr, db * dp, dp * dl)
-    # the defect at (e_i, e_j, e_k) minus the defect at (e_j, e_i, e_k)
-    viol += violations("phi-cocycle", pairs_then(n, n), lambda i, j, k: _residual(n, den, (
-        (nzphi[i][j], cr[k], f), (nzb[i][j], colphi[k], g),
-        (nzphi[j][k], cl[i], -h), (nzb[j][k], nzphi[i], -g),
-        (nzphi[j][i], cr[k], -f), (nzb[j][i], colphi[k], -g),
-        (nzphi[i][k], cl[j], h), (nzb[i][k], nzphi[j], g))))
+    Phi = _Listed(_nonzeros(phi), (n, n, n))
+    # the defect at (e_i, e_j, e_k) minus the defect at (e_j, e_i, e_k), on i < j
+    viol += _sparse_violations("ijk", dict.fromkeys("ijkt", n), [("phi-cocycle", "ij", (
+        (1, Phi, "ijs", r, "kts"), (1, base, "ijs", Phi, "skt"),
+        (-1, Phi, "jks", l, "its"), (-1, base, "jks", Phi, "ist"),
+        (-1, Phi, "jis", r, "kts"), (-1, base, "jis", Phi, "skt"),
+        (1, Phi, "iks", l, "jts"), (1, base, "iks", Phi, "jst")))])
 
     rep = merge_reports("affine-cotangent-extension", [pair_rep], viol)
     return ext, rep
@@ -498,11 +495,10 @@ def post_affine_check(nabla, nabla_tilde, br):
              relabel(check_torsion_free(br, nabla_tilde), "torsion-free(nabla-tilde)"),
              relabel(check_flat(br, nabla_tilde), "flat(nabla-tilde)")]
     D = op_sub(nabla_tilde, nabla)
-    (dd, nzd), (dn, nzn), (dt, nzt) = D.nonzeros, nabla.nonzeros, nabla_tilde.nonzeros
-    den, (f, g) = _over_lcm(dd * dn, dt * dd)
     # nabla(e_i, D(e_j, e_k)) - D(e_k, nabla-tilde(e_i, e_j)) - D(e_j, nabla-tilde(e_i, e_k))
-    viol = violations("post-connection", product(range(n), repeat=3), lambda i, j, k: _residual(
-        n, den, ((nzd[j][k], nzn[i], f), (nzt[i][j], nzd[k], -g), (nzt[i][k], nzd[j], -g))))
+    viol = _sparse_violations("ijk", dict.fromkeys("ijkt", n), [("post-connection", "", (
+        (1, D, "jks", nabla, "ist"), (-1, nabla_tilde, "ijs", D, "kst"),
+        (-1, nabla_tilde, "iks", D, "jst")))])
     identity_ok = not viol
     pair_rep = check_plsa(D, nabla)
     notes = []

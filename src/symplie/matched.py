@@ -7,40 +7,33 @@ Index conventions for mixed-compat violations: equations 1 and 2 report
 (i, j, c) with i, j basis indices of the first algebra and c of the second;
 equations 3 and 4 report (a, b, c) with a, b in the second algebra and c in
 the first.  Each pair is listed per c, then per (i, j), equation 1 before
-equation 2: checks.violations collects each equation, and a stable sort on
-(c, i, j) merges the two lists.
+equation 2: one checks._scatter evaluates both, in the order (c, i, j) and
+then the equation.
 
-The matched-pair route (check_bimodule, _mixed_12) sums products of nonzero
-structure constants and action entries in exact int arithmetic
-(checks._residual), off the linalg kernel, as the independent cross-check of the
-bialgebra verifiers: each tensor's numerators over its one denominator, and
-each term of an identity brought over the lcm of the terms' denominator
-products by one int factor.
+The matched-pair route (check_bimodule, _mixed_12) is the independent
+cross-check of the bialgebra verifiers: sparse identities declared as
+signed terms over the structure constants and action entries and
+evaluated by checks._scatter, off the linalg kernel.
 """
 
 from dataclasses import dataclass
-from itertools import product
 
 from .linalg import DimensionMismatch
 from .checks import (
     Form,
     StructureTensor,
-    _nonzeros,
-    _over_lcm,
-    _residual,
+    _sparse_violations,
     check_bimodule,
     check_parallel_form,
     check_plsa,
     check_special_symplectic,
     merge_reports,
     op_add,
-    pairs_then,
     relabel,
     rep_neg,
     require,
     require_dims,
     sub_adjacent,
-    violations,
 )
 from .constructions import (
     InvalidInput,
@@ -74,39 +67,30 @@ def check_matched_pair(mp):
     if not (mp.l1.n == mp.r1.n == n and mp.l1.m == mp.r1.m == m
             and mp.l2.n == mp.r2.n == m and mp.l2.m == mp.r2.m == n):
         raise DimensionMismatch("inconsistent action dimensions")
-    parts = [relabel(check_bimodule(mp.A1, mp.l1, mp.r1), "bimodule(A1)"),
-             relabel(check_bimodule(mp.A2, mp.l2, mp.r2), "bimodule(A2)")]
-    # the (den, cols) list of each action, read by both _mixed_12 calls:
-    # cols[c][s] = [(k, x) ...], x over den, of each nonzero t[c][k][s],
-    # column s of t[c]
-    l1, r1, l2, r2 = (_nonzeros([tuple(zip(*mat)) for mat in rep.t])
-                      for rep in (mp.l1, mp.r1, mp.l2, mp.r2))
-    viol = (_mixed_12(mp.A1, l1, r1, l2, r2, m, "mixed-compat-1", "mixed-compat-2")
-            + _mixed_12(mp.A2, l2, r2, l1, r1, n, "mixed-compat-3", "mixed-compat-4"))
+    kept = {}  # the views of mp's tensors, for all four calls
+    parts = [relabel(check_bimodule(mp.A1, mp.l1, mp.r1, kept), "bimodule(A1)"),
+             relabel(check_bimodule(mp.A2, mp.l2, mp.r2, kept), "bimodule(A2)")]
+    viol = (_mixed_12(mp.A1, mp.l1, mp.r1, mp.l2, mp.r2, m, "mixed-compat-1",
+                      "mixed-compat-2", kept)
+            + _mixed_12(mp.A2, mp.l2, mp.r2, mp.l1, mp.r1, n, "mixed-compat-3",
+                        "mixed-compat-4", kept))
     return merge_reports("matched-pair", parts, viol)
 
 
-def _mixed_12(A, lA, rA, lB, rB, mdim, name1, name2):
-    """The two compatibility identities with products taken in A; lA/rA are
-    the column lists of A's actions on the other space, lB/rB those of the
-    other algebra's actions on A.  Each residual is a signed sum over
-    nonzero structure constants and action-matrix entries (checks._residual)."""
-    n = A.n
-    da, nz = A.nonzeros
-    nzcol = list(zip(*nz))  # nzcol[j][s] = nz[s][j]
-    (dla, cLA), (dra, cRA), (dlb, cLB), (drb, cRB) = lA, rA, lB, rB
-    cLBt, cRBt = list(zip(*cLB)), list(zip(*cRB))  # cRBt[i][d] = cRB[d][i]
-    den1, (f, g) = _over_lcm(da * drb, dla * drb)
-    out = violations(name1, pairs_then(n, mdim), lambda i, j, c: _residual(
-        n, den1, ((nz[i][j], cRB[c], f), (nz[j][i], cRB[c], -f), (cLA[j][c], cRBt[i], -g),
-                  (cLA[i][c], cRBt[j], g), (cRB[c][j], nz[i], -f), (cRB[c][i], nz[j], f))))
-    den2, (p, q, r, s, t) = _over_lcm(da * dlb, dla * dlb, dra * dlb, da * drb, dra * drb)
-    out += violations(name2, product(range(n), range(n), range(mdim)), lambda i, j, c: _residual(
-        n, den2, ((nz[i][j], cLB[c], p), (cLA[i][c], cLBt[j], q), (cRA[i][c], cLBt[j], -r),
-                  (cLB[c][i], nzcol[j], -p), (cRB[c][i], nzcol[j], s), (cRA[j][c], cRBt[i], -t),
-                  (cLB[c][j], nz[i], -p))))
-    # per (c, i, j), identity 1 before identity 2 (a stable sort)
-    return sorted(out, key=lambda v: (v.indices[2],) + v.indices[:2])
+def _mixed_12(A, lA, rA, lB, rB, mdim, name1, name2, kept):
+    """The two compatibility identities with products taken in A, on the
+    tuples (i, j, c) (i < j for the first): lA/rA are A's actions on the
+    other space, of dimension mdim, and lB/rB the other algebra's actions on
+    A.  Declared as signed terms and evaluated by checks._scatter, listed
+    per (c, i, j), identity 1 before identity 2."""
+    return _sparse_violations("ijc", dict(i=A.n, j=A.n, c=mdim, t=A.n), [
+        (name1, "ij", ((1, A, "ijs", rB, "cts"), (-1, A, "jis", rB, "cts"),
+                       (-1, lA, "jsc", rB, "sti"), (1, lA, "isc", rB, "stj"),
+                       (-1, rB, "csj", A, "ist"), (1, rB, "csi", A, "jst"))),
+        (name2, "", ((1, A, "ijs", lB, "cts"), (1, lA, "isc", lB, "stj"),
+                     (-1, rA, "isc", lB, "stj"), (-1, lB, "csi", A, "sjt"),
+                     (1, rB, "csi", A, "sjt"), (-1, rA, "jsc", rB, "sti"),
+                     (-1, lB, "csj", A, "ist")))], order="cij#", kept=kept)
 
 
 def bowtie_lsa(mp):

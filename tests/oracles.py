@@ -88,7 +88,7 @@ def left_mult_plain(c, i):
 
 
 # --- the sparse sum of the cross-check routes, one Fraction product at a
-# time (vs checks._residual's int sums over one common denominator) ---
+# time (vs checks._scatter's int sums over one common denominator) ---
 
 def residual_plain(n, terms):
     """sum of sign * q * p e_t over the (outer, rows, sign) terms, with

@@ -38,7 +38,6 @@ from symplie.checks import (
     mat_violations,
     merge_reports,
     nijenhuis_torsion,
-    pairs_then,
     report,
     require,
     st,
@@ -71,7 +70,7 @@ from oracles import (
 from oracles import closed_violations, nijenhuis_plain, parallel_violations
 from oracles import jacobi_violations, left_symmetric_violations, plsa_compat_violations
 from oracles import bimodule_violations, coproducts_from_products, residual_plain
-from oracles import flat_violations, rand_over, representation_violations
+from oracles import flat_violations, rand_over, rand_share_tensor, representation_violations
 from oracles import (
     commutative_violations,
     complex_product_violations,
@@ -636,8 +635,8 @@ class TestBimoduleMatchesOracle:
                     check_bimodule(NONAB, l, r)
 
 
-# --- checks._residual, the sparse sum of the cross-check routes, against a
-# plain Fraction loop ---
+# --- checks._scatter, the declared-term evaluator of the cross-check
+# routes, against a plain Fraction loop ---
 
 @hs.composite
 def sparse_terms(draw):
@@ -654,22 +653,38 @@ def sparse_terms(draw):
     return n, terms
 
 
-def _int_terms(terms):
-    """(den, terms) in the form checks._residual reads: each term's outer
-    list and its rows over one denominator of their own, d_outer and d_rows,
-    as the _nonzeros lists of two tensors are; den the lcm of every term's
-    d_outer * d_rows; and each sign times den // (d_outer * d_rows)."""
-    def over(lists):
-        d = math.lcm(*(Q(q).denominator for pairs in lists for _, q in pairs))
-        return d, [[(k, int(q * d)) for k, q in pairs] for pairs in lists]
-    parts = [(over([outer]), over(rows), sign) for outer, rows, sign in terms]
-    den = math.lcm(*(do * dr for (do, _), (dr, _), _ in parts))
-    return den, [(outer, rows, sign * den // (do * dr))
-                 for (do, (outer,)), (dr, rows), sign in parts]
+def _listed(pairs_per_row, width):
+    """A _Listed tensor of shape (len(pairs_per_row), 1, width): row p holds
+    the sum of the values of pairs_per_row[p] at their indices, over the lcm
+    of its own denominators (_nonzeros)."""
+    t = [[[Q(0)] * width] for _ in pairs_per_row]
+    for p, pairs in enumerate(pairs_per_row):
+        for k, q in pairs:
+            t[p][0][k] += Q(q)
+    return checks._Listed(checks._nonzeros(t), (len(t), 1, width))
+
+
+def _identity(n, terms):
+    """One identity on the single tuple (0, 0, 0) whose terms are the drawn
+    (outer, rows, sign) terms: sign * sum_s X[0][0][s] Y[s][0][t], with X
+    listing outer and Y the rows, each tensor over a denominator of its own,
+    as two tensors' _nonzeros lists are."""
+    m = max((len(rows) for _, rows, _ in terms), default=1)
+    return [("r", "", [(sign, _listed([outer], m), "ijs", _listed(rows, n), "skt")
+                       for outer, rows, sign in terms])]
 
 
 def _sparse_residual(n, terms):
-    return checks._residual(n, *_int_terms(terms))
+    """The residual _scatter gives the identity of terms at (0, 0, 0): a
+    tuple of n Fractions, or () when it is zero."""
+    got = checks._sparse_violations("ijk", dict(i=1, j=1, k=1, t=n), _identity(n, terms))
+    assert [v.indices for v in got] in ([], [(0, 0, 0)])
+    return got[0].residual if got else ()
+
+
+def _scatter_den(n, terms):
+    """The common denominator _scatter brings the terms' products over."""
+    return checks._scatter("ijk", dict(i=1, j=1, k=1, t=n), _identity(n, terms))[1][0]
 
 
 ONE = [[(0, Q(1))]]  # rows for one outer index, e_0 with coefficient 1
@@ -689,7 +704,7 @@ class TestSparseResidual:
     def test_buckets_cancel_across_denominators(self):
         # 1/2 + 1/3 - 5/6 on e_0: three products, three denominators, one sum
         # over their lcm
-        assert _int_terms([([(0, Q(1, 2))], ONE, 1), ([(0, Q(1, 3))], ONE, 1)])[0] == 6
+        assert _scatter_den(2, [([(0, Q(1, 2))], ONE, 1), ([(0, Q(1, 3))], ONE, 1)]) == 6
         terms = [([(0, Q(1, 2))], ONE, 1), ([(0, Q(1, 3))], ONE, 1),
                  ([(0, Q(5, 6))], ONE, -1)]
         assert residual_plain(2, terms) == (0, 0)
@@ -705,10 +720,11 @@ class TestSparseResidual:
         assert all(type(x) is Fraction for x in got)
 
     def test_empty_term_lists(self):
-        assert checks._residual(3, 1, ()) == ()
-        assert checks._residual(2, 1, [([], [[]], 1)]) == ()
-        assert checks._residual(2, 1, [([(0, 1)], [[]], -1)]) == ()
+        assert _sparse_residual(3, []) == ()
+        assert _sparse_residual(2, [([], [[]], 1)]) == ()
+        assert _sparse_residual(2, [([(0, 1)], [[]], -1)]) == ()
         assert checks._nonzeros(()) == (1, [])
+        assert checks._scatter("ijk", dict.fromkeys("ijkt", 2), [("r", "", ())]) == ([], [1])
 
     def test_nonzero_residual_is_all_fractions(self):
         terms = [([(0, Q(1, 2))], [[(1, Q(-1, 3))]], 1)]
@@ -716,7 +732,7 @@ class TestSparseResidual:
         assert got == (Q(0), Q(-1, 6), Q(0))
         assert [type(x) for x in got] == [Fraction] * 3
         # the zero entries share one Fraction(0)
-        assert got[0] is got[2] is checks._residual(2, 1, [([(0, 1)], [[(1, 1)]], 1)])[0]
+        assert got[0] is got[2] is _sparse_residual(2, [([(0, 1)], [[(1, 1)]], 1)])[0]
 
     def test_terms_over_different_denominators(self):
         # e_0 prec-like over 2, succ-like over 3, an action over 5: the
@@ -724,8 +740,7 @@ class TestSparseResidual:
         terms = [([(0, Q(1, 2))], [[(0, Q(1, 3)), (1, Q(2, 3))]], 1),
                  ([(0, Q(3, 2))], [[(0, Q(1, 5))]], -1),
                  ([(0, Q(-1, 3))], [[(1, Q(4, 5))]], 1)]
-        den, ints = _int_terms(terms)
-        assert den == 30 and [f for _, _, f in ints] == [5, -3, 2]
+        assert _scatter_den(2, terms) == 30
         got = _sparse_residual(2, terms)
         assert got == residual_plain(2, terms) == (Q(1, 6) - Q(3, 10), Q(1, 3) - Q(4, 15))
 
@@ -772,6 +787,57 @@ class TestOneDenominatorPerTensor:
         got = check_representation(StructureTensor(3, br), RepTensor(3, 2, rho))
         want = representation_violations(br, rho)
         assert want and got == _oracle_report("representation", want)
+
+
+class TestSparseRoutesAtDimSix:
+    """One fixed input per route of the declared-term evaluator, of dimension
+    6 (5 for the action identities), about half of its entries zero: many
+    tuples violate and many rows are empty.  The whole report equals the
+    oracle's, in the oracle's order."""
+
+    def test_left_symmetric(self):
+        c = rand_share_tensor(rng(201), 6, 0.5)
+        want = left_symmetric_violations(c)
+        assert len(want) > 40
+        assert check_left_symmetric(StructureTensor(6, c)) == _oracle_report(
+            "left-symmetric", want)
+
+    def test_jacobi(self):
+        c = rand_share_tensor(rng(202), 6, 0.5)
+        want = jacobi_violations(c)
+        assert sum(w == "jacobi" for w, _, _ in want) > 10
+        assert check_jacobi(StructureTensor(6, c)) == _oracle_report("jacobi", want)
+
+    def test_plsa(self):
+        r = rng(203)
+        prec_c, succ_c = rand_share_tensor(r, 6, 0.5), rand_share_tensor(r, 6, 0.5)
+        got = check_plsa(StructureTensor(6, prec_c), StructureTensor(6, succ_c))
+        assert len(got.violations) > 100
+        assert got == _plsa_oracle_report(prec_c, succ_c)
+
+    def test_flat(self):
+        r = rng(204)
+        br, conn = rand_share_tensor(r, 6, 0.5), rand_share_tensor(r, 6, 0.5)
+        want = flat_violations(br, conn)
+        assert len(want) > 40
+        assert check_flat(StructureTensor(6, br), StructureTensor(6, conn)) == _oracle_report(
+            "flat", want)
+
+    def test_representation(self):
+        r = rng(205)
+        br, rho = rand_share_tensor(r, 5, 0.5), rand_share_tensor(r, 5, 0.5)
+        want = representation_violations(br, rho)
+        assert len(want) > 20
+        assert check_representation(StructureTensor(5, br), RepTensor(5, 5, rho)) == (
+            _oracle_report("representation", want))
+
+    def test_bimodule(self):
+        r = rng(206)
+        c, l, rr = (rand_share_tensor(r, 5, 0.5) for _ in range(3))
+        want = bimodule_violations(c, l, rr)
+        assert len({w for w, _, _ in want}) > 20
+        assert check_bimodule(StructureTensor(5, c), RepTensor(5, 5, l),
+                              RepTensor(5, 5, rr)) == _oracle_report("bimodule", want)
 
 
 # --- the entry-by-entry verifiers against their plain-loop oracles ---
@@ -898,11 +964,6 @@ class TestViolationCollector:
 
     def test_empty_tuple_set(self):
         assert violations("e", [], lambda *idx: Q(1)) == []
-        assert violations("e", pairs_then(1, 3), lambda *idx: Q(1)) == []
-
-    def test_pairs_then_order(self):
-        assert list(pairs_then(3, 2)) == [(0, 1, 0), (0, 1, 1), (0, 2, 0), (0, 2, 1),
-                                          (1, 2, 0), (1, 2, 1)]
 
 
 class TestRequire:

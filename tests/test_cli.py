@@ -685,6 +685,14 @@ class TestOneLineErrors:
         assert run(["verify", str(p), "--check", "lie"]) == 2
         assert capsys.readouterr().err == "error: line 3: %s\n" % message
 
+    def test_oversized_basis_index(self, tmp_path, capsys):
+        # more digits than int() converts: a bad index, not a traceback
+        index = "9" * 5000
+        p = tmp_path / "bad.alg"
+        p.write_text("algebra a\ndim 2\nop p 1 1 = 1*e%s\n" % index)
+        assert run(["verify", str(p), "--check", "lie"]) == 2
+        assert capsys.readouterr().err == "error: line 3: bad basis index %r\n" % index
+
     def test_text_output_caps_violations(self, tmp_path, capsys):
         # every product 1*e1 + 2*e2 on a dim-8 bracket: 92 violations, of
         # which the text shows 50 and counts the rest

@@ -98,6 +98,7 @@ from oracles import (
     representation_violations,
     rand_invertible,
     rand_over,
+    rand_share_tensor,
     rng,
     rr_brackets_plain,
     semidirect_plain,
@@ -462,6 +463,18 @@ class TestConnectionRoutes:
             Violation(*v) for v in want]
 
 
+    def test_post_connection_at_dim_six(self):
+        """Half-zero connections of dimension 6: many post-connection
+        violations, all listed as the oracle lists them."""
+        r = rng(208)
+        nabla, tilde, br = (StructureTensor(6, rand_share_tensor(r, 6, 0.5)) for _ in range(3))
+        got = post_affine_check(nabla, tilde, br)
+        want = post_connection_violations(nabla.c, tilde.c)
+        assert len(want) > 100
+        assert [v for v in got.violations if v.where == "post-connection"] == [
+            Violation(*v) for v in want]
+
+
 class TestConstructionRoutes:
     @settings(max_examples=30)
     @given(hs.data())
@@ -502,6 +515,24 @@ class TestConstructionRoutes:
             base, RepTensor(2, 2, l), RepTensor(2, 2, rr), phi))
         want = phi_cocycle_violations(base.c, l, rr, phi)
         assert base.nonzeros[0] == 2 and want
+        assert [v for v in got.violations if v.where == "phi-cocycle"] == [
+            Violation(*v) for v in want]
+
+    def test_phi_cocycle_at_dim_five(self):
+        """The sum product of plsa-2d-IV's 4-dim double, padded by a fifth
+        basis vector that multiplies to zero (still left-symmetric), with
+        half-zero l, r and phi of dimension 5: many cocycle violations,
+        listed as the oracle lists them."""
+        pair_d = drinfeld_double(catalog_get("plsa-2d-IV").payload, zero_coproducts(2))[0]
+        zero = (Fraction(0),) * 5
+        base = StructureTensor(5, tuple(tuple(row + (Fraction(0),) for row in plane) + (zero,)
+                                        for plane in op_add(*pair_d).c) + ((zero,) * 5,))
+        r = rng(209)
+        l, rr, phi = (rand_share_tensor(r, 5, 0.5) for _ in range(3))
+        want = phi_cocycle_violations(base.c, l, rr, phi)
+        assert len(want) > 40
+        _, got = affine_cotangent_extension(CotangentExtensionData(
+            base, RepTensor(5, 5, l), RepTensor(5, 5, rr), phi))
         assert [v for v in got.violations if v.where == "phi-cocycle"] == [
             Violation(*v) for v in want]
 

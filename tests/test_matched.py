@@ -30,6 +30,7 @@ from symplie.catalog import catalog_get
 
 from oracles import brute_left_symmetric
 from oracles import bimodule_violations, mixed_compat_violations, rand_over, rng
+from oracles import rand_share_tensor
 from symplie.checks import CheckReport, StructureTensor, Violation
 from test_linalg import tensors
 
@@ -286,6 +287,25 @@ class TestMatchedPairMatchesOracles:
         got = check_matched_pair(mp)
         assert {v.where for v in got.violations} >= {
             "mixed-compat-%d" % k for k in (1, 2, 3, 4)}
+        assert got == _oracle_report(mp)
+
+    def test_whole_report_at_dim_five(self):
+        """Sides of dimension 5 and 4, about half of every entry zero: many
+        violations of all four mixed identities, merged by (c, i, j), and
+        of both bimodule reports, each pair under its own label."""
+        r = rng(207)
+        n, m = 5, 4
+        def cut(t, a, b):  # the first a planes of t, each cut to b x b
+            return tuple(tuple(row[:b] for row in plane[:b]) for plane in t[:a])
+        c1, c2 = rand_share_tensor(r, n, 0.5), rand_share_tensor(r, m, 0.5)
+        l1, r1 = (cut(rand_share_tensor(r, n, 0.5), n, m) for _ in range(2))
+        l2, r2 = (cut(rand_share_tensor(r, n, 0.5), m, n) for _ in range(2))
+        mp = MatchedPairData(StructureTensor(n, c1), StructureTensor(m, c2),
+                             RepTensor(n, m, l1), RepTensor(n, m, r1),
+                             RepTensor(m, n, l2), RepTensor(m, n, r2))
+        got = check_matched_pair(mp)
+        wheres = [v.where for v in got.violations]
+        assert all(wheres.count("mixed-compat-%d" % k) > 10 for k in (1, 2, 3, 4))
         assert got == _oracle_report(mp)
 
     def test_mixed_compat_merge_order(self):
