@@ -5,17 +5,15 @@ canonical r, and para-Kahler verification.
 
 A public verifier validates its preconditions, raising the typed error
 (checks.require), then evaluates its identities.  A chain calls the public
-verifiers: check_plsa, check_left_symmetric and plsca_check keep their
-report on the objects they verified (checks._once), so each precondition
-is evaluated once per object and a repeat is a kept result.  So are a
-frozen pair's Packed tensors and the permutations of them the chains read
-(_scaled_pair): trying many r against one pair verifies and converts it
-once, and a long-lived pair keeps the objects it was paired with alive.  A
+verifiers and finds the preconditions it has verified kept (checks._once;
+plsca_check keeps its report on the pair).  A frozen pair keeps its Packed
+tensors and the permutations of them the chains read (_scaled_pair), so
+trying many r against one pair verifies and converts it once.  A
 CoproductPair converts its tensors and builds its dual products once
 (.scaled, .dual), and the pair coboundary_coproducts returns starts with
-the Packed form it was unscaled from.  Each cross-check
-route runs once per object it checks: the dual's check_plsa per coproduct
-pair, check_matched_pair per call of plsba_check and slsba_check.
+the Packed form it was unscaled from.  Each cross-check route runs once
+per object it checks: the dual's check_plsa per coproduct pair,
+check_matched_pair per call of plsba_check and slsba_check.
 
 The primary routes (the coproduct operators, the bialgebra, coboundary and
 one-coproduct identities, the coboundary coproducts and the closure

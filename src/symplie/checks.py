@@ -7,10 +7,10 @@ violating basis tuple with its exact residual, so a failing check pinpoints
 the offending structure constants.  Three collectors make every violation
 list in the package (prefixed renames them for a parent report): violations
 lists the nonzero residuals over the basis tuples it is given, mat_violations
-those of a residual tensor of any rank, row by row, and _scatter those of the
-sparse identities below.  A kernel report that interleaves identities per
-tuple collects each identity on its own and merges the lists with one stable
-sort on the tuple order.  require turns a failing report into the caller's
+those of a Scaled matrix or a Packed tensor, row by row, and _scatter those
+of the sparse identities below.  A kernel report that interleaves
+identities per tuple collects each identity on its own and merges the
+lists with one stable sort on the tuple order.  require turns a failing report into the caller's
 typed error, and require_dims objects of different n into DimensionMismatch.
 
 Every identity on basis tuples takes one of two routes.  check_closed and
@@ -48,19 +48,20 @@ rows of Y that meet s and adds each product into one int slot list per
 tuple it lands on, so a tuple no product lands on costs nothing.  Every
 tensor is listed once as int numerators over the lcm of its denominators
 (_nonzeros, kept as .nonzeros; a dual action reads its list off its
-product's), read with its legs reordered (_view), and each identity brings
+product's) and read with its legs reordered (_view, each view kept on the
+tensor by its leg order, as .nonzeros is), and each identity brings
 its terms over one common denominator by one int factor per term, so a slot
 sums ints and only the entries of a nonzero residual become Fractions.  A
 hit is the tuple the route reports: the identity's chain names the indices
 that increase along its tuples (i < j for the half of a defect
 antisymmetric in i and j, i < j < k for Jacobi's cyclic sum), and a product
 off the chain is skipped, on X's two indices before its row is walked and
-on Y's while it is, Y's rows coming in the order of that index.  Violations
-come in the lexicographic order of their tuples, read in the index order
-the caller gives, with the identity number as one more index, "#": last by
-default, so identity 1 comes before identity 2 at one tuple
-(matched._mixed_12 orders by (c, i, j, #)), and first in check_bimodule,
-all of bimodule-1 before bimodule-2.  check_plsa reads the sum product off
+on Y's while it is: Y's rows come in increasing order of that index, so
+the walk skips a row below the chain and stops at the first above it.
+Violations come in the lexicographic order of their tuples, identity 1
+before identity 2 at one tuple; a caller that lists them otherwise sorts
+them stably (matched._mixed_12 by c, check_bimodule by identity, all of
+bimodule-1 before bimodule-2).  check_plsa reads the sum product off
 the exact sum of the lists of prec and succ (_nonzeros_sum), never building
 it as a tensor, and takes only the verdict of its left-symmetry.
 check_jacobi's antisymmetry half compares the (k, numerator) lists of
@@ -84,7 +85,7 @@ from fractions import Fraction
 from functools import cache, cached_property
 from itertools import chain, combinations, combinations_with_replacement
 from math import lcm
-from operator import is_
+from operator import is_, itemgetter
 
 from .linalg import (
     DimensionMismatch,
@@ -176,10 +177,10 @@ class RepTensor:
         return self.n, self.m, self.m
 
 
-# a rank-3 tensor known only by its (den, nz) list and its shape, such as
-# check_plsa's sum product: an operand of _scatter, as a StructureTensor or a
-# RepTensor is
-_Listed = namedtuple("_Listed", "nonzeros shape")
+class _Listed(namedtuple("_Listed", "nonzeros shape")):
+    """A rank-3 tensor known only by its (den, nz) list and its shape, such
+    as check_plsa's sum product: an operand of _scatter, as a StructureTensor
+    or a RepTensor is, with a __dict__ for its views (_view)."""
 
 
 @dataclass(frozen=True)
@@ -384,20 +385,21 @@ def _permuted(nonzeros, shape, perm, sign=1):
     return den, out
 
 
-def _view(obj, perm, kept):
+def _view(obj, perm):
     """(den, g) of the tensor listed by obj.nonzeros with its legs in the
     order perm (_permuted): g[p] lists (q, row) for each nonempty row
-    T'[p][q] = [(r, x) ...].  Kept in kept, by id(obj) and perm, not on
-    obj: a long-lived tensor that one check reads does not hold its views."""
-    view = kept.get((id(obj), perm))
+    T'[p][q] = [(r, x) ...].  Kept in obj's __dict__, by perm, as .nonzeros
+    is kept."""
+    views = obj.__dict__.setdefault("_views", {})
+    view = views.get(perm)
     if view is None:
         den, nz = obj.nonzeros
         if perm == (1, 0, 2):  # the rows stay whole
             nz = zip(*nz)
         elif perm != (0, 1, 2):
             den, nz = _permuted(obj.nonzeros, obj.shape, perm)
-        view = kept[id(obj), perm] = den, [[(q, row) for q, row in enumerate(plane) if row]
-                                           for plane in nz]
+        view = views[perm] = den, [[(q, row) for q, row in enumerate(plane) if row]
+                                   for plane in nz]
     return view
 
 
@@ -420,44 +422,40 @@ def _plan(xlegs, ylegs, chain):
             (ylegs.index("s"), ylegs.index(y), ylegs.index("t")), (x1, x2, y, cmp, lo, hi))
 
 
-def _scatter(names, dims, identities, order=None, kept=None):
+def _scatter(names, dims, identities):
     """(hits, dens): the sparse identities evaluated by scatter (see the
     module docstring) on the tuples of the three index names, of dims[name]
     values each; dims["t"] is the length of a residual.  Each identity is
     (where, chain, terms), its tuples those on which the indices in chain
     increase.  A hit (k, idx, acc) is a nonzero residual of identity k at
     idx, its int numerators acc over dens[k]; the hits come in the order of
-    the tuples read in order, names + "#" by default, "#" for k.  The views
-    of the tensors are kept in kept, a dict the caller may pass to further
-    calls on the same objects, which it keeps alive."""
+    idx, then k."""
     width, nid = dims["t"], len(identities)
-    stride, size, dims = {}, 1, dict(dims, **{"#": nid})
-    for a in reversed(order or names + "#"):
+    stride, size = {}, nid  # a slot's key is the tuple's, read in names, then k
+    for a in reversed(names):
         stride[a], size = size, size * dims[a]
-    slots, hit, dens, kept = [None] * size, [], [], {} if kept is None else kept
+    slots, hit, dens = [None] * size, [], []
     for k, (_, chain, terms) in enumerate(identities):
         den = lcm(*[X.nonzeros[0] * Y.nonzeros[0] for _, X, _, Y, _ in terms])
         dens.append(den)
-        at_k = k * stride["#"]
         for sign, X, xlegs, Y, ylegs in terms:
             px, py, (x1n, x2n, yn, cmp, lo_at, hi_at) = _plan(xlegs, ylegs, chain)
-            (dx, A), (dy, B) = _view(X, px, kept), _view(Y, py, kept)
+            (dx, A), (dy, B) = _view(X, px), _view(Y, py)
             f = sign * (den // (dx * dy))
             s1, s2, sy, lo, hi = stride[x1n], stride[x2n], stride[yn], -1, dims[yn]
-            down = lo_at and not hi_at  # walk each B[s] down from the top, to stop at lo
-            if down:
-                B = [g[::-1] for g in B]
             for x1, group in enumerate(A):
                 for x2, row in group:
                     if cmp and (x2 - x1) * cmp <= 0:
                         continue
                     if lo_at or hi_at:
                         lo, hi = (-1, x1, x2)[lo_at], (dims[yn], x1, x2)[hi_at]
-                    base = x1 * s1 + x2 * s2 + at_k
+                    base = x1 * s1 + x2 * s2 + k
                     for s, a in row:
                         a *= f
                         for y, brow in B[s]:
-                            if lo < y < hi:
+                            if y >= hi:  # B[s] runs upward: the rest of it is out too
+                                break
+                            if y > lo:
                                 key = base + y * sy
                                 acc = slots[key]
                                 if acc is None:
@@ -465,18 +463,16 @@ def _scatter(names, dims, identities, order=None, kept=None):
                                     hit.append(key)
                                 for t, b in brow:
                                     acc[t] += a * b
-                            elif down or y >= hi:  # the rest of B[s] is out too
-                                break
     hit.sort()
-    (sk, sa, sb, sc), (da, db, dc) = [stride[a] for a in "#" + names], [dims[a] for a in names]
-    return [(key // sk % nid, (key // sa % da, key // sb % db, key // sc % dc), slots[key])
+    (sa, sb, sc), (da, db, dc) = [stride[a] for a in names], [dims[a] for a in names]
+    return [(key % nid, (key // sa % da, key // sb % db, key // sc % dc), slots[key])
             for key in hit if any(slots[key])], dens
 
 
-def _sparse_violations(names, dims, identities, order=None, kept=None):
+def _sparse_violations(names, dims, identities):
     """The violations of _scatter's hits, each residual the tuple of
     dims["t"] Fractions, its zero entries one shared Fraction(0)."""
-    hits, dens = _scatter(names, dims, identities, order, kept)
+    hits, dens = _scatter(names, dims, identities)
     return [Violation(identities[k][0], idx,
                       tuple(Fraction(x, dens[k]) if x else _ZERO for x in acc))
             for k, idx, acc in hits]
@@ -546,7 +542,7 @@ def _plsa(prec, succ):
     # the left-symmetry of the sum product, of which only the verdict is read
     hits, (den, _) = _scatter("ijk", dict.fromkeys("ijkt", n), [("compatibility", "", (
         (1, prec, "jks", succ, "ist"), (-1, total, "ijs", prec, "skt"),
-        (-1, total, "iks", prec, "jst"))), _left_symmetry(total)], order="#ijk")
+        (-1, total, "iks", prec, "jst"))), _left_symmetry(total)])
     viol = [Violation("compatibility", idx, tuple(Fraction(x, den) if x else _ZERO for x in acc))
             for k, idx, acc in hits if k == 0]
     sum_ok = all(k == 0 for k, _, _ in hits)
@@ -689,27 +685,18 @@ def violations(where, tuples, residual, den=None):
 
 
 def mat_violations(where, t, at=()):
-    """A violation at indices at + index for each nonzero scalar of the
-    nested tuples or lists t, all of one depth, in row-major order; a row of
-    scalars may be empty.  It walks rows of
-    scalars, so an all-zero row costs one any().  For a Scaled matrix or a
-    Packed tensor t each residual is the Fraction of a nonzero numerator
-    over t.den; a Packed row is tested against 0 first and decoded only
-    when it is not."""
-    den = None
+    """A violation at indices at + index for each nonzero numerator x of the
+    Scaled matrix or Packed tensor t, in row-major order, its residual
+    Fraction(x, t.den).  A Scaled row costs one any() when it is all zero; a
+    Packed row is tested against 0 and decoded only when it is not."""
+    den = t.den
     if isinstance(t, Packed):
-        den = t.den
         return [Violation(where, at + (a, b, k), Fraction(x, den))
                 for a, (plane, rows) in enumerate(zip(t.num, t.decoded))
                 for b, (R, row) in enumerate(zip(plane, rows)) if R
                 for k, x in enumerate(row) if x]
-    if isinstance(t, Scaled):
-        t, den = t.num, t.den
-    rows = [(at, t)]
-    while rows and rows[0][1] and isinstance(rows[0][1][0], (tuple, list)):
-        rows = [(idx + (i,), x) for idx, row in rows for i, x in enumerate(row)]
-    return [Violation(where, idx + (k,), x if den is None else Fraction(x, den))
-            for idx, row in rows if any(row) for k, x in enumerate(row) if x]
+    return [Violation(where, at + (i, k), Fraction(x, den))
+            for i, row in enumerate(t.num) if any(row) for k, x in enumerate(row) if x]
 
 
 # ---------------------------------------------------------------------------
@@ -855,14 +842,14 @@ def check_representation(br, rho):
             (1, rho, "jas", rho, "ist")))]))
 
 
-def check_bimodule(lsa, l, r, kept=None):
+def check_bimodule(lsa, l, r):
     """The two action identities making (l, r) a bimodule of the product:
 
         l(x)l(y) - l(x.y) = l(y)l(x) - l(y.x)
         l(x)r(y) - r(y)l(x) = r(x.y) - r(y)r(x)
 
-    kept is _scatter's: a caller that checks more identities on the same
-    objects passes one dict to every call."""
+    All of bimodule-1 is listed before bimodule-2: _scatter's hits, which
+    come per tuple, are sorted stably by identity."""
     require_dims("algebra dim %d, actions on dims %d, %d", lsa, l, r)
     n, m = lsa.n, l.m
     if r.m != m or len(l.t) != l.n or len(r.t) != r.n or any(
@@ -875,8 +862,8 @@ def check_bimodule(lsa, l, r, kept=None):
                               (-1, l, "jas", l, "ist"), (1, lsa, "jis", l, "sat"))),
         # row a of l(e_i)r(e_j) - r(e_j)l(e_i) - r(e_i e_j) + r(e_j)r(e_i)
         ("bimodule-2", "", ((1, l, "ias", r, "jst"), (-1, r, "jas", l, "ist"),
-                            (-1, lsa, "ijs", r, "sat"), (1, r, "jas", r, "ist")))],
-        order="#ija", kept=kept)
+                            (-1, lsa, "ijs", r, "sat"), (1, r, "jas", r, "ist")))])
+    hits.sort(key=itemgetter(0))
     return report("bimodule", [
         Violation("bimodule-%d at (%d,%d)" % (k + 1, i, j), (a, t), Fraction(x, dens[k]))
         for k, (i, j, a), acc in hits for t, x in enumerate(acc) if x])

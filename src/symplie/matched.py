@@ -7,8 +7,8 @@ Index conventions for mixed-compat violations: equations 1 and 2 report
 (i, j, c) with i, j basis indices of the first algebra and c of the second;
 equations 3 and 4 report (a, b, c) with a, b in the second algebra and c in
 the first.  Each pair is listed per c, then per (i, j), equation 1 before
-equation 2: one checks._scatter evaluates both, in the order (c, i, j) and
-then the equation.
+equation 2: one checks._scatter evaluates both, and its violations, in the
+order of (i, j, c) and then the equation, are sorted stably by c.
 
 The matched-pair route (check_bimodule, _mixed_12) is the independent
 cross-check of the bialgebra verifiers: sparse identities declared as
@@ -67,30 +67,29 @@ def check_matched_pair(mp):
     if not (mp.l1.n == mp.r1.n == n and mp.l1.m == mp.r1.m == m
             and mp.l2.n == mp.r2.n == m and mp.l2.m == mp.r2.m == n):
         raise DimensionMismatch("inconsistent action dimensions")
-    kept = {}  # the views of mp's tensors, for all four calls
-    parts = [relabel(check_bimodule(mp.A1, mp.l1, mp.r1, kept), "bimodule(A1)"),
-             relabel(check_bimodule(mp.A2, mp.l2, mp.r2, kept), "bimodule(A2)")]
-    viol = (_mixed_12(mp.A1, mp.l1, mp.r1, mp.l2, mp.r2, m, "mixed-compat-1",
-                      "mixed-compat-2", kept)
+    parts = [relabel(check_bimodule(mp.A1, mp.l1, mp.r1), "bimodule(A1)"),
+             relabel(check_bimodule(mp.A2, mp.l2, mp.r2), "bimodule(A2)")]
+    viol = (_mixed_12(mp.A1, mp.l1, mp.r1, mp.l2, mp.r2, m, "mixed-compat-1", "mixed-compat-2")
             + _mixed_12(mp.A2, mp.l2, mp.r2, mp.l1, mp.r1, n, "mixed-compat-3",
-                        "mixed-compat-4", kept))
+                        "mixed-compat-4"))
     return merge_reports("matched-pair", parts, viol)
 
 
-def _mixed_12(A, lA, rA, lB, rB, mdim, name1, name2, kept):
+def _mixed_12(A, lA, rA, lB, rB, mdim, name1, name2):
     """The two compatibility identities with products taken in A, on the
     tuples (i, j, c) (i < j for the first): lA/rA are A's actions on the
     other space, of dimension mdim, and lB/rB the other algebra's actions on
-    A.  Declared as signed terms and evaluated by checks._scatter, listed
-    per (c, i, j), identity 1 before identity 2."""
-    return _sparse_violations("ijc", dict(i=A.n, j=A.n, c=mdim, t=A.n), [
+    A.  Declared as signed terms and evaluated by checks._scatter, whose
+    violations come per (i, j, c), identity 1 before identity 2, and are
+    then sorted stably by c."""
+    return sorted(_sparse_violations("ijc", dict(i=A.n, j=A.n, c=mdim, t=A.n), [
         (name1, "ij", ((1, A, "ijs", rB, "cts"), (-1, A, "jis", rB, "cts"),
                        (-1, lA, "jsc", rB, "sti"), (1, lA, "isc", rB, "stj"),
                        (-1, rB, "csj", A, "ist"), (1, rB, "csi", A, "jst"))),
         (name2, "", ((1, A, "ijs", lB, "cts"), (1, lA, "isc", lB, "stj"),
                      (-1, rA, "isc", lB, "stj"), (-1, lB, "csi", A, "sjt"),
                      (1, rB, "csi", A, "sjt"), (-1, rA, "jsc", rB, "sti"),
-                     (-1, lB, "csj", A, "ist")))], order="cij#", kept=kept)
+                     (-1, lB, "csj", A, "ist")))]), key=lambda v: v.indices[2])
 
 
 def bowtie_lsa(mp):

@@ -912,28 +912,29 @@ class TestEntrywiseVerifiersMatchOracles:
 
 class TestViolationCollector:
     def test_rank_two_with_prefix(self):
-        m = ((Q(0), Q(2)), (Q(-1), Q(0)))
+        m = Scaled([[0, 2], [-1, 0]], 1)
         assert mat_violations("m", m, (5,)) == [Violation("m", (5, 0, 1), Q(2)),
                                                 Violation("m", (5, 1, 0), Q(-1))]
 
     def test_nested_lists_and_tuples_in_row_major_order(self):
-        t = [((Q(0), Q(1)), (Q(2), Q(0))), [[Q(0), Q(0)], (Q(0), Q(-3))]]
+        t = packed([[[0, 1], [2, 0]], [[0, 0], [0, -3]]], 1)
         assert mat_violations("t", t) == [Violation("t", (0, 0, 1), Q(1)),
                                           Violation("t", (0, 1, 0), Q(2)),
                                           Violation("t", (1, 1, 1), Q(-3))]
 
     def test_all_zero(self):
-        assert mat_violations("z", [[[Q(0)] * 2] * 2] * 3) == []
+        assert mat_violations("z", packed([[[0] * 2] * 2] * 3, 1)) == []
 
     def test_rank_four_list_of_tensors(self):
-        # the shape of plsca_check's co-compatibility: one rank-3 tuple per e_i
-        z = Q(0)
-        t = [(((z, Q(1)), (z, z)), ((z, z), (Q(-2), z))),
-             (((z, z), (z, z)), ((z, z), (z, z))),
-             (((z, z), (z, z)), ((z, z), (z, Q(3))))]
-        assert mat_violations("r", t, (4,)) == [Violation("r", (4, 0, 0, 0, 1), Q(1)),
-                                                Violation("r", (4, 0, 1, 1, 0), Q(-2)),
-                                                Violation("r", (4, 2, 1, 1, 1), Q(3))]
+        # the shape of plsca_check's co-compatibility: one Packed tensor per
+        # e_i, collected at (i, ...) as bialgebra._each_violations does
+        t = [[[[0, 1], [0, 0]], [[0, 0], [-2, 0]]],
+             [[[0, 0], [0, 0]], [[0, 0], [0, 0]]],
+             [[[0, 0], [0, 0]], [[0, 0], [0, 3]]]]
+        got = [v for i, x in enumerate(t) for v in mat_violations("r", packed(x, 1), (4, i))]
+        assert got == [Violation("r", (4, 0, 0, 0, 1), Q(1)),
+                       Violation("r", (4, 0, 1, 1, 0), Q(-2)),
+                       Violation("r", (4, 2, 1, 1, 1), Q(3))]
 
     def test_scaled_with_all_zero_rows(self):
         s = packed([[[0, 0], [0, 3]], [[0, 0], [0, 0]], [[-4, 0], [0, 0]]], 6)

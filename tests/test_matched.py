@@ -31,6 +31,7 @@ from symplie.catalog import catalog_get
 from oracles import brute_left_symmetric
 from oracles import bimodule_violations, mixed_compat_violations, rand_over, rng
 from oracles import rand_share_tensor
+from symplie import checks
 from symplie.checks import CheckReport, StructureTensor, Violation
 from test_linalg import tensors
 
@@ -82,6 +83,19 @@ class TestCheckMatchedPair:
                              zero_rep(3, 2), zero_rep(3, 2))
         with pytest.raises(DimensionMismatch):
             check_matched_pair(mp)
+
+    def test_views_kept_on_the_tensors(self, monkeypatch):
+        # the reordered lists of mp's tensors are kept on them: a second
+        # check of the same objects permutes nothing again
+        calls = []
+        permuted = checks._permuted
+        monkeypatch.setattr(checks, "_permuted", lambda *a: calls.append(a) or permuted(*a))
+        mp = dual_actions(plsa("plsa-2d-II"), plsa("plsa-2d-III"))
+        first = check_matched_pair(mp)
+        assert calls
+        calls.clear()
+        assert check_matched_pair(mp) == first
+        assert calls == []
 
 
 class TestBowtie:

@@ -4,12 +4,15 @@ repository root:
     python3 tools/time_doubles.py
 
 Starting from the catalog pair plsa-2d-IV with zero coproducts, it builds
-the double 2 -> 4 -> 8 -> 16 -> 32 with bialgebra.drinfeld_double, and
-prints one line per level: the dimensions, the wall time of that one call
-in seconds, the verdict of its report, and the peak resident set size of
-the process so far (stdlib resource, in MB).  It only prints: a failing
-level (a bug, since the double of a bialgebra is again one, and the test
-suite checks every level up to 32) prints FAIL and still exits 0.
+the double 2 -> 4 -> 8 -> 16 -> 32 -> 64 with bialgebra.drinfeld_double,
+and prints one line per level: the dimensions, the wall time of that one
+call in seconds, the verdict of its report, and the peak resident set size
+of the process so far (stdlib resource, in MB).  64 is the CLI's MAX_DIM,
+so the last level is the largest double the CLI builds, and its peak RSS
+is where whatever the checks keep on the long-lived 32-dim pair would
+show.  It only prints: a failing level (a bug, since the double of a
+bialgebra is again one, and the test suite checks every level up to 32)
+prints FAIL and still exits 0.
 """
 
 import os
@@ -25,7 +28,7 @@ from symplie import catalog_get, drinfeld_double, zero_coproducts  # noqa: E402
 
 def main():
     pair, cp = catalog_get("plsa-2d-IV").payload, zero_coproducts(2)
-    while pair[0].n < 32:
+    while pair[0].n < 64:
         n = pair[0].n
         t0 = time.perf_counter()
         pair, _, cp, rep = drinfeld_double(pair, cp)
