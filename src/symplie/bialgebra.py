@@ -17,11 +17,12 @@ check_matched_pair per call of plsba_check and slsba_check.
 
 The primary routes (the coproduct operators, the bialgebra, coboundary and
 one-coproduct identities, the coboundary coproducts and the closure
-conditions of the double's r) contract on the exact integer kernel of linalg
-(Packed rows), one residual tensor per basis vector e_i, stacked: each term
-of a family over e_i is one contraction by every plane of a tensor at once
-(linalg.scaled_leg_each, scaled_leg_planes), and a permutation that would
-move the packed leg is contracted from a permuted input instead.  The
+conditions of the double's r) contract on the packed kernel of linalg,
+whose module docstring gives the one account of it.  Each family over a
+basis vector e_i is one residual tensor per e_i, stacked: each term is one
+contraction by every plane of a tensor at once (scaled_leg_each,
+scaled_leg_planes), and a permutation that would move the packed leg is
+contracted from a permuted input instead.  The
 violations are read off the nonzero numerators with checks.mat_violations;
 identities reported interleaved per tuple are collected per basis pair
 (_pair_violations) or one by one and merged by a stable sort on the tuple.

@@ -10,28 +10,23 @@ lists the nonzero residuals over the basis tuples it is given, mat_violations
 those of a Scaled matrix or a Packed tensor, row by row, and _scatter those
 of the sparse identities below.  A kernel report that interleaves
 identities per tuple collects each identity on its own and merges the
-lists with one stable sort on the tuple order.  require turns a failing report into the caller's
-typed error, and require_dims objects of different n into DimensionMismatch.
+lists with one stable sort on the tuple order.  require turns a failing
+report into the caller's typed error, and require_dims objects of different
+n into DimensionMismatch.
 
-Every identity on basis tuples takes one of two routes.  check_closed and
-check_parallel_form contract the whole input once on the exact integer
-kernel of linalg, one int_mat_mul of the bracket's decoded rows by the
-form, and read each tuple's residual off the result.  torsion_violations
-contracts the Nijenhuis torsion on the same decoded rows one plane at a
-time, and only the rows j > i that it reads, building Fractions only for a
-violating pair; nijenhuis_torsion takes every row from the same
-per-plane core, which skips a plane whose [Ne_i, .] - N[e_i, .] is zero.
-The matrix identities (N^2 = +-id, JE = -EJ, N^T B N = +-B) and three_forms
-contract on the kernel through one helper, _mat_chain.  The kernel routes
-read each StructureTensor, Form and Endo through its cached form (.scaled:
-Packed for a StructureTensor, Scaled for a matrix, and .scaled_t for the
-transpose of a matrix), so an object is converted once, and its rows
-decoded once, however many identities contract it.  The rank of a form and
-the eigenspace dimensions of E are read off the same cached int rows:
-linalg.int_rank eliminates a fresh copy of them (less q times the
-denominator on the diagonal, for E - q id), and E = +-id is read off that
-copy too.  A Form that three_forms reads off a contraction is built with
-that Scaled matrix already cached (_seeded).
+Every identity on basis tuples takes one of two routes.  The kernel route
+contracts on the exact integer kernel of linalg, whose module docstring
+gives the one account of it.  Here, check_closed and check_parallel_form
+multiply the bracket's decoded rows by the form (int_mat_mul) and read each
+tuple's residual off the product.  torsion_violations contracts the
+Nijenhuis torsion one plane at a time, only the rows j > i it reads, and
+builds Fractions only for a violating pair; nijenhuis_torsion takes every
+row from the same core (_torsion).  The matrix identities (N^2 = +-id,
+JE = -EJ, N^T B N = +-B) and three_forms go through _mat_chain.  Each
+StructureTensor, Form and Endo converts itself once and keeps the result
+(.scaled, and .scaled_t for a matrix's transpose); ranks and eigenspace
+dimensions eliminate fresh copies of those int rows (_minus_scalar), and a
+Form read off a contraction is built with its Scaled form cached (_seeded).
 
 The other route, off the kernel, is the independent cross-checks:
 check_plsa, check_left_symmetric, check_jacobi, check_bimodule, check_flat,
@@ -63,7 +58,10 @@ before identity 2 at one tuple; a caller that lists them otherwise sorts
 them stably (matched._mixed_12 by c, check_bimodule by identity, all of
 bimodule-1 before bimodule-2).  check_plsa reads the sum product off
 the exact sum of the lists of prec and succ (_nonzeros_sum), never building
-it as a tensor, and takes only the verdict of its left-symmetry.
+it as a tensor, and takes only the verdict of its left-symmetry.  op_add,
+op_sub and sub_adjacent sum their operands' lists the same way and build
+the result from the sum, one Fraction per listed entry, keeping the sum as
+its .nonzeros (_listed_op), so no route lists the derived tensor again.
 check_jacobi's antisymmetry half compares the (k, numerator) lists of
 [e_i, e_j] and [e_j, e_i], exact because they share one denominator.
 
@@ -96,12 +94,8 @@ from .linalg import (
     mat_transpose,
     mat_zero,
     scaled,
-    t3_add,
     t3_neg,
-    t3_sub,
     unscaled,
-    vec_add,
-    vec_sub,
 )
 
 
@@ -119,7 +113,9 @@ class StructureTensor:
     @cached_property
     def nonzeros(self):
         """_nonzeros(c), listed on first use and shared by every sparse route
-        that reads this tensor; never mutated."""
+        that reads this tensor; never mutated.  A sum built from a list
+        (_listed_op) keeps that list, whose den may be a multiple of the
+        lcm of the denominators."""
         return _nonzeros(self.c)
 
     @property
@@ -280,25 +276,39 @@ def st(n, entries=None):
     return StructureTensor(n, tuple(tuple(tuple(row) for row in plane) for plane in c))
 
 
+def _listed_op(n, nonzeros):
+    """The StructureTensor of the (den, nz) list nonzeros of an n x n x n
+    tensor: one Fraction per listed entry, one shared zero elsewhere, and
+    the list kept as its .nonzeros, so no route scans the entries again."""
+    den, nz = nonzeros
+    zrow = (_ZERO,) * n
+
+    def row(entries):
+        out = [_ZERO] * n
+        for k, x in entries:
+            out[k] = Fraction(x, den)
+        return tuple(out)
+    c = tuple(tuple([row(r) if r else zrow for r in plane]) for plane in nz)
+    return _seeded(StructureTensor(n, c), nonzeros=nonzeros)
+
+
 def op_add(a, b):
     require_dims("operations on dimensions %d and %d", a, b)
-    return StructureTensor(a.n, t3_add(a.c, b.c))
+    return _listed_op(a.n, _nonzeros_sum(a.nonzeros, b.nonzeros))
 
 
 def op_sub(a, b):
     require_dims("operations on dimensions %d and %d", a, b)
-    return StructureTensor(a.n, t3_sub(a.c, b.c))
-
-
-def op_swap_args(a):
-    n = a.n
-    return StructureTensor(n, tuple(tuple(a.c[j][i] for j in range(n)) for i in range(n)))
+    return _listed_op(a.n, _nonzeros_sum(a.nonzeros,
+                                         _permuted(b.nonzeros, b.shape, (0, 1, 2), -1)))
 
 
 def sub_adjacent(op):
-    """The commutator bracket [x,y] = x o y - y o x, built once per product
-    object (_once), so every caller of one product shares one bracket."""
-    return _once(op, "sub-adjacent", (), lambda: op_sub(op, op_swap_args(op)))
+    """The commutator bracket [x,y] = x o y - y o x, summed on op's list,
+    built once per product object (_once), so every caller of one product
+    shares one bracket."""
+    return _once(op, "sub-adjacent", (), lambda: _listed_op(op.n, _nonzeros_sum(
+        op.nonzeros, _permuted(op.nonzeros, op.shape, (1, 0, 2), -1))))
 
 
 def rep_from_op_left(op):
@@ -485,7 +495,7 @@ def check_jacobi(br):
     # exactly when the two lists of (k, numerator) are opposite
     viol = violations("antisymmetry", combinations_with_replacement(range(n), 2),
                       lambda i, j: () if nz[i][j] == [(k, -a) for k, a in nz[j][i]]
-                      else vec_add(c[i][j], c[j][i]))
+                      else tuple(x + y for x, y in zip(c[i][j], c[j][i])))
     # [[e_i, e_j], e_k] + [[e_j, e_k], e_i] + [[e_k, e_i], e_j] on i < j < k
     viol += _sparse_violations("ijk", dict.fromkeys("ijkt", n), [("jacobi", "ijk", (
         (1, br, "ijs", br, "skt"), (1, br, "jks", br, "sit"), (1, br, "kis", br, "sjt")))])
@@ -515,7 +525,8 @@ def check_commutative(op):
     c = op.c
     return report("commutative", violations(
         "commutative", combinations(range(op.n), 2),
-        lambda i, j: () if c[i][j] == c[j][i] else vec_sub(c[i][j], c[j][i])))
+        lambda i, j: () if c[i][j] == c[j][i]
+        else tuple(x - y for x, y in zip(c[i][j], c[j][i]))))
 
 
 def check_plsa(prec, succ):
@@ -566,7 +577,7 @@ def check_torsion_free(br, conn):
     c, b = conn.c, br.c
     return report("torsion-free", violations(
         "torsion-free", combinations(range(br.n), 2),
-        lambda i, j: vec_sub(vec_sub(c[i][j], c[j][i]), b[i][j])))
+        lambda i, j: tuple(x - y - z for x, y, z in zip(c[i][j], c[j][i], b[i][j]))))
 
 
 def check_flat(br, conn):

@@ -33,9 +33,9 @@ from .linalg import (
     rational_sqrt,
     scaled,
     scaled_combine,
+    scaled_equal,
     scaled_leg,
     scaled_permute,
-    t3_is_zero,
     t3_neg,
     unscaled,
 )
@@ -403,7 +403,8 @@ def plsa_from_special_symplectic(s):
         w(x succ y, z) =  w(y, [z, x])
 
     The two parts are derived independently and their sum is asserted to
-    reproduce the connection exactly.
+    reproduce the connection exactly, compared on the Packed forms
+    (linalg.scaled_equal).
     """
     _require_special_symplectic(s)
     n = s.bracket.n
@@ -412,9 +413,9 @@ def plsa_from_special_symplectic(s):
     def split(op):  # w(e_i o e_j, e_k) = w(e_j, op(e_k, e_i)) for each k, solved as above
         return _through_form(phinv, s.omega.m, scaled_permute(op.scaled, (1, 0, 2)))
 
-    prec = StructureTensor(n, unscaled(scaled_combine(((-1, split(s.conn)),))))
-    succ = StructureTensor(n, unscaled(split(s.bracket)))
-    if not t3_is_zero(op_sub(op_sub(s.conn, prec), succ).c):
+    P, S = scaled_combine(((-1, split(s.conn)),)), split(s.bracket)
+    prec, succ = StructureTensor(n, unscaled(P)), StructureTensor(n, unscaled(S))
+    if not scaled_equal(scaled_combine(((1, P), (1, S))), s.conn.scaled):
         raise InternalMismatch("parts do not sum back to the connection")
     if not check_plsa(prec, succ).verdict:
         raise InternalMismatch("derived pair fails the product-pair axioms")

@@ -42,11 +42,9 @@ intermediate entries as minors of the input instead of letting numerators
 and denominators blow up; int_rank eliminates in place, so it takes a copy.
 
 The dense Fraction helpers left are entrywise: zero, identity and transpose
-for the parser and other builders, the vec_* and t3_* sums for sum products,
-dual actions and the cross-check residuals.  t3_add, t3_sub and t3_neg build
-no new Fraction for a zero entry: where the second operand's entry is zero
-they return the first's, and t3_neg returns a zero as it is, so every entry
-is still a Fraction of the same value.
+for the parser and other builders, and t3_neg for the dual actions, which
+returns a zero entry as it is rather than build a new Fraction.  Whole
+tensors are added and subtracted on their nonzero lists, in checks.
 
 Every other operation has one implementation, on the int kernel.  Fractions
 become int rows in one place, scaled(), whose rows mat_rank and mat_inverse
@@ -82,21 +80,6 @@ def frac(x, y=None):
     if y is None:
         return Fraction(x)
     return Fraction(x, y)
-
-
-# ---------------------------------------------------------------------------
-# vectors
-
-def vec_add(u, v):
-    if len(u) != len(v):
-        raise DimensionMismatch("vector lengths %d and %d" % (len(u), len(v)))
-    return tuple(a + b for a, b in zip(u, v))
-
-
-def vec_sub(u, v):
-    if len(u) != len(v):
-        raise DimensionMismatch("vector lengths %d and %d" % (len(u), len(v)))
-    return tuple(a - b for a, b in zip(u, v))
 
 
 # ---------------------------------------------------------------------------
@@ -217,28 +200,8 @@ def t3_dims(t):
     return len(t), len(t[0]), len(t[0][0])
 
 
-def t3_add(a, b):
-    if t3_dims(a) != t3_dims(b):
-        raise DimensionMismatch("tensor shapes differ")
-    return tuple(tuple(tuple(x + y if y else x for x, y in zip(ra, rb))
-                       for ra, rb in zip(pa, pb))
-                 for pa, pb in zip(a, b))
-
-
-def t3_sub(a, b):
-    if t3_dims(a) != t3_dims(b):
-        raise DimensionMismatch("tensor shapes differ")
-    return tuple(tuple(tuple(x - y if y else x for x, y in zip(ra, rb))
-                       for ra, rb in zip(pa, pb))
-                 for pa, pb in zip(a, b))
-
-
 def t3_neg(a):
     return tuple(tuple(tuple(-x if x else x for x in row) for row in plane) for plane in a)
-
-
-def t3_is_zero(a):
-    return all(x == 0 for plane in a for row in plane for x in row)
 
 
 def tensor_contract(t, v, slot):

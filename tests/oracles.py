@@ -947,6 +947,16 @@ def plsa_from_special_symplectic_plain(br_c, conn_c, w):
 # is a tuple of matrices, t[i][k][j] the e_k coefficient of e_i acting on
 # e_j ---
 
+def t3_is_zero(t):
+    """Whether every entry of the rank-3 tensor t is zero, by a plain loop."""
+    for plane in t:
+        for row in plane:
+            for x in row:
+                if x != 0:
+                    return False
+    return True
+
+
 def _zero3(d):
     return [[[Fraction(0)] * d for _ in range(d)] for _ in range(d)]
 

@@ -55,7 +55,7 @@ from symplie.bialgebra import (
     slsba_double,
     zero_coproducts,
 )
-from symplie.linalg import mat_zero, t3_is_zero, t3_neg
+from symplie.linalg import mat_zero, t3_neg
 from symplie.catalog import catalog_get
 from symplie.cli import RECIPES, emit_algebra_file, main, parse_algebra_file
 
@@ -66,6 +66,7 @@ from oracles import (
     rand_mat,
     rand_q,
     rng,
+    t3_is_zero,
     transport_product,
 )
 

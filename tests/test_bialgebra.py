@@ -47,10 +47,10 @@ from symplie.bialgebra import (
     zero_coproducts,
 )
 from symplie.matched import canonical_skew_pairing, double_extension
-from symplie.linalg import InternalMismatch, mat_zero, packed, t3_is_zero
+from symplie.linalg import InternalMismatch, mat_zero, packed
 from symplie.catalog import CatalogEntry, catalog_get
 
-from oracles import brute_left_symmetric, coproducts_from_products, rand_mat, rng
+from oracles import brute_left_symmetric, coproducts_from_products, rand_mat, rng, t3_is_zero
 
 Q = Fraction
 PLSA_NAMES = ("plsa-2d-I", "plsa-2d-II", "plsa-2d-III", "plsa-2d-IV")

@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 from fractions import Fraction
+from operator import add, sub
 
 import pytest
 from hypothesis import given, settings
@@ -46,7 +47,7 @@ from symplie.checks import (
     torsion_violations,
     violations,
 )
-from symplie.linalg import Scaled, frac, packed, t3_is_zero
+from symplie.linalg import Scaled, frac, packed
 from symplie.catalog import catalog_get
 
 from oracles import (
@@ -62,6 +63,7 @@ from oracles import (
     rand_mat,
     rand_tensor,
     rng,
+    t3_is_zero,
     transport_product,
     rand_invertible,
     _basis,
@@ -88,7 +90,7 @@ from symplie.bialgebra import (
     slsba_double,
     zero_coproducts,
 )
-from symplie.checks import check_hypersymplectic, op_add
+from symplie.checks import check_hypersymplectic, op_add, op_sub
 from symplie.constructions import (
     FamilyParams,
     canonical_skew_pairing,
@@ -96,7 +98,7 @@ from symplie.constructions import (
     hypersymplectic_from_tangent,
 )
 from symplie.linalg import DimensionMismatch
-from test_linalg import all_fractions, dims, entries, matrices, tensors
+from test_linalg import all_fractions, dims, entries, entrywise, matrices, tensor_pairs, tensors
 
 Q = Fraction
 AREA = Form(2, ((Q(0), Q(1)), (Q(-1), Q(0))))
@@ -226,20 +228,40 @@ def _values(nonzeros):
     return [[[(k, Q(x, den)) for k, x in row] for row in plane] for plane in nz]
 
 
+def _dense(nonzeros):
+    """The tensor of Fractions a (den, nz) list stands for, by a plain loop;
+    a listed entry must be nonzero, and each row's k must increase."""
+    den, nz = nonzeros
+    n = len(nz)
+    out = [[[Q(0)] * n for _ in range(n)] for _ in range(n)]
+    for i, plane in enumerate(nz):
+        for j, row in enumerate(plane):
+            assert [k for k, _ in row] == sorted({k for k, _ in row})
+            for k, x in row:
+                assert x != 0
+                out[i][j][k] = Q(x, den)
+    return tuple(tuple(map(tuple, plane)) for plane in out)
+
+
+def _swapped(t):
+    """t[j][i][k] at [i][j][k]."""
+    return tuple(zip(*t))
+
+
 class TestNonzerosSum:
     """check_plsa's sum product is the exact sum of the two cached nonzero
     lists: over the lcm of their denominators, entries that cancel dropped,
-    and entry by entry the values of _nonzeros of the dense Fraction sum."""
+    and entry by entry the plain Fraction sum of the two tensors."""
 
     @settings(max_examples=60)
     @given(summand_pairs())
     def test_matches_dense_sum(self, ab):
         a, b = (StructureTensor(len(t), t) for t in ab)
-        want = _values(checks._nonzeros(op_add(a, b).c))
+        want = entrywise(add, *ab)
         den = math.lcm(a.nonzeros[0], b.nonzeros[0])
         for x, y in ((a, b), (b, a)):
             got = checks._nonzeros_sum(x.nonzeros, y.nonzeros)
-            assert got[0] == den and _values(got) == want
+            assert got[0] == den and _dense(got) == want
 
     def test_mixed_denominators_reduce_and_cancel(self):
         a = st(2, {(0, 0, 0): Q(1, 6), (0, 0, 1): Q(1, 2), (1, 1, 1): Q(3, 4)})
@@ -248,7 +270,7 @@ class TestNonzerosSum:
         got = checks._nonzeros_sum(a.nonzeros, b.nonzeros)
         # over lcm(12, 6): 1/6 + 1/3 = 6/12, left unreduced; 1/2 - 1/2 is dropped
         assert got == (12, [[[(0, 6)], []], [[(1, -60)], [(1, 9)]]])
-        assert _values(got) == _values(checks._nonzeros(op_add(a, b).c))
+        assert _dense(got) == entrywise(add, a.c, b.c)
 
     def test_all_zero_and_dimension_one(self):
         assert checks._nonzeros_sum(st(3).nonzeros, st(3).nonzeros) == (1, [[[]] * 3] * 3)
@@ -270,10 +292,29 @@ class TestNonzerosSum:
         def refused(*_):
             raise AssertionError("check_plsa added the dense tensors")
         monkeypatch.setattr(checks, "op_add", refused)
-        monkeypatch.setattr(checks, "t3_add", refused)
+        monkeypatch.setattr(checks, "_listed_op", refused)
         assert check_plsa(prec, succ) == want
         # the cached lists the sum was read from are not changed by it
         assert (prec.nonzeros, succ.nonzeros) == before
+
+
+class TestListedSums:
+    """op_add, op_sub and sub_adjacent sum their operands' nonzero lists:
+    entry by entry the plain Fraction sum or difference, every entry a
+    Fraction, and the kept .nonzeros the values of the result's own list."""
+
+    @settings(max_examples=60)
+    @given(hs.one_of(summand_pairs(), tensor_pairs()))
+    def test_match_plain_fraction_arithmetic(self, ab):
+        a, b = ab
+        A, B = StructureTensor(len(a), a), StructureTensor(len(b), b)
+        for got, want in ((op_add(A, B), entrywise(add, a, b)),
+                          (op_sub(A, B), entrywise(sub, a, b)),
+                          (sub_adjacent(A), entrywise(sub, a, _swapped(a)))):
+            assert got.c == want and all_fractions(got.c)
+            kept = got.__dict__["nonzeros"]
+            assert _dense(kept) == want
+            assert _values(kept) == _values(checks._nonzeros(got.c))
 
 
 class TestPlsa:

@@ -1,6 +1,8 @@
+import io
 import json
 import os
 import re
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 
 import pytest
@@ -578,14 +580,16 @@ class TestConstructCommand:
 
     def test_double_extension_builds_one_commutator(self, plsa2, tmp_path, monkeypatch):
         # the special-symplectic check and the written bracket read one
-        # commutator of the glued product
-        built, real = [], checks.op_swap_args
-        monkeypatch.setattr(checks, "op_swap_args", lambda op: built.append(op) or real(op))
+        # commutator of the glued product: the one 4-dim tensor built from a
+        # summed list (the sum products of the two sides are 2-dim)
+        built, real = [], checks._listed_op
+        monkeypatch.setattr(checks, "_listed_op",
+                            lambda n, nonzeros: built.append(n) or real(n, nonzeros))
         zero = tmp_path / "zero.alg"
         zero.write_text("algebra zero2\ndim 2\n")
         assert run(["construct", "double-extension", plsa2, str(zero),
                     "--out", str(tmp_path / "dext.alg")]) == 0
-        assert len(built) == 1 and built[0].n == 4
+        assert built.count(4) == 1 and set(built) == {2, 4}
 
     def test_double_extension_wrong_arity(self, plsa2, capsys):
         assert run(["construct", "double-extension", plsa2]) == 2
@@ -705,6 +709,96 @@ class TestOneLineErrors:
         assert len(lines) == 52
         assert lines[0] == "jacobi: FAIL"
         assert lines[-1] == "  ... and 42 more violations"
+
+
+@pytest.fixture(scope="module")
+def fuzz_bases(tmp_path_factory):
+    """(text, --check arguments) of the dim 2-4 files the fuzz mutates:
+    every 2-dim catalog export, and the 4-dim tangent double and Drinfeld
+    double built from two of them, each with checks that read its objects."""
+    d = tmp_path_factory.mktemp("fuzz-bases")
+    kinds = {"ssla": ["special-symplectic", "lie"], "plsa": ["plsa", "lsa"]}
+    paths = {}
+    for name, kind, _ in catalog_list():
+        if kind in kinds:
+            paths[name] = (d / ("%s.alg" % name), kinds[kind])
+            assert main(["catalog", "show", name, "--export",
+                         "--out", str(paths[name][0])]) == 0
+    for recipe, name, names in (("tangent-double", "ssla-2d-3", ["lie", "post-affine"]),
+                                ("drinfeld-double", "plsa-2d-II", ["plsa", "plsba"])):
+        out = d / ("%s.alg" % recipe)
+        assert main(["construct", recipe, str(paths[name][0]), "--out", str(out)]) == 0
+        paths[recipe] = (out, names)
+    return [(path.read_text(encoding="utf-8"), [a for c in names for a in ("--check", c)])
+            for path, names in paths.values()]
+
+
+# what the fuzz inserts into a line: digit strings of up to 3000 digits,
+# exponent notation, non-ASCII digits (Arabic-Indic, Devanagari, fullwidth
+# and a superscript, which is no decimal digit), NUL and line breaks
+_INSERTS = hs.one_of(
+    hs.builds(lambda d, k: d * k, hs.sampled_from("1379"), hs.integers(1, 3000)),
+    hs.sampled_from(("1e5", "-2E-3", "1e999999999", "e", "\u0663", "\u0967\u0968", "\uff11",
+                     "\u00b2", "\x00", "\r", "\r\n", "=", "*e", "/0")))
+_UNDECODABLE = hs.sampled_from((b"\xff", b"\xc3\x28", b"\x80\x80", b"\xed\xa0\x80"))
+
+
+@hs.composite
+def mutated_files(draw, text):
+    """The bytes of text after 1-4 mutations: a line or a token (split on
+    one space) dropped, duplicated or swapped with another, or an _INSERTS
+    string put into a line; then CRLF or LF line ends, and one time in
+    eight an undecodable byte sequence at any offset."""
+    lines = text.splitlines()
+    for _ in range(draw(hs.integers(1, 4))):
+        if not lines:
+            lines = [""]
+        i = draw(hs.integers(0, len(lines) - 1))
+        how = draw(hs.sampled_from(("drop", "duplicate", "swap", "insert")))
+        if draw(hs.booleans()) and how != "insert":  # on the tokens of line i
+            items = lines[i].split(" ")
+        else:
+            items = lines
+        k = draw(hs.integers(0, len(items) - 1))
+        if how == "drop":
+            del items[k]
+        elif how == "duplicate":
+            items.insert(k, items[k])
+        elif how == "swap":
+            j = draw(hs.integers(0, len(items) - 1))
+            items[k], items[j] = items[j], items[k]
+        else:
+            at = draw(hs.integers(0, len(items[k])))
+            items[k] = items[k][:at] + draw(_INSERTS) + items[k][at:]
+        if items is not lines:
+            lines[i] = " ".join(items)
+    end = draw(hs.sampled_from(("\n", "\r\n")))
+    data = "".join(line + end for line in lines).encode("utf-8")
+    if draw(hs.integers(0, 7)) == 0:
+        at = draw(hs.integers(0, len(data)))
+        data = data[:at] + draw(_UNDECODABLE) + data[at:]
+    return data
+
+
+class TestVerifyFuzz:
+    """verify on mutated catalog exports and doubles: bad input gets a
+    one-line message, never a traceback.  No exception escapes main, the
+    exit code is 0, 1 or 2, and exit 2 prints exactly one line on stderr,
+    starting with "error:"."""
+
+    @settings(max_examples=40)
+    @given(data=hs.data())
+    def test_mutated_files(self, fuzz_bases, tmp_path_factory, data):
+        text, argv = data.draw(hs.sampled_from(fuzz_bases))
+        path = tmp_path_factory.getbasetemp() / "fuzz.alg"
+        path.write_bytes(data.draw(mutated_files(text)))
+        err = io.StringIO()
+        with redirect_stdout(io.StringIO()), redirect_stderr(err):
+            code = main(["verify", str(path), *argv])
+        assert code in (0, 1, 2)
+        if code == 2:
+            lines = err.getvalue().splitlines()
+            assert len(lines) == 1 and lines[0].startswith("error:"), lines
 
 
 class TestCatalogCommand:

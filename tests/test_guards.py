@@ -32,7 +32,7 @@ from symplie.checks import (
     torsion_violations,
 )
 from symplie.constructions import post_affine_check
-from symplie.linalg import DimensionMismatch, mat_identity, mat_zero
+from symplie.linalg import DimensionMismatch, mat_identity, mat_inverse, mat_mul, mat_zero
 from symplie.matched import (
     NotMatched,
     bowtie_lsa,
@@ -56,7 +56,8 @@ def _rep(n):
 
 
 # (entry point, call on objects of dims 2 and 3, exact message); each call
-# gives the last object listed in the message the other dimension
+# gives the last object listed in the message the other dimension, and
+# mat_inverse's message, on a 2 x 3 matrix, names none
 GUARDS = [
     ("op_add", lambda: op_add(st(2), st(3)), "operations on dimensions 2 and 3"),
     ("op_sub", lambda: op_sub(st(2), st(3)), "operations on dimensions 2 and 3"),
@@ -90,6 +91,8 @@ GUARDS = [
      "sides have dimensions 2 and 3"),
     ("build_double_plsa", lambda: build_double_plsa((st(2), st(2)), (st(3), st(3))),
      "sides have dimensions 2 and 3"),
+    ("mat_mul", lambda: mat_mul(mat_zero(2), mat_zero(3)), "inner dimensions 2 and 3"),
+    ("mat_inverse", lambda: mat_inverse(mat_zero(2, 3)), "matrix is not square"),
 ]
 
 

@@ -71,7 +71,7 @@ RAISES = [
      InternalMismatch, "J and E do not anticommute"),
     (((constructions, "check_torsion_free", _flipped(checks.check_torsion_free)),), _lsa,
      InternalMismatch, "derived product has torsion"),
-    (((constructions, "t3_is_zero", lambda t: False),), _plsa,
+    (((constructions, "scaled_equal", lambda a, b: False),), _plsa,
      InternalMismatch, "parts do not sum back to the connection"),
     (((constructions, "check_plsa", _flipped(checks.check_plsa)),), _plsa,
      InternalMismatch, "derived pair fails the product-pair axioms"),
