@@ -15,25 +15,18 @@ the Packed form it was unscaled from.  Each cross-check route runs once
 per object it checks: the dual's check_plsa per coproduct pair,
 check_matched_pair per call of plsba_check and slsba_check.
 
-The primary routes (the coproduct operators, the bialgebra, coboundary and
-one-coproduct identities, the coboundary coproducts and the closure
-conditions of the double's r) contract on the packed kernel of linalg,
-whose module docstring gives the one account of it.  Each family over a
-basis vector e_i is one residual tensor per e_i, stacked: each term is one
-contraction by every plane of a tensor at once (scaled_leg_each,
-scaled_leg_planes), and a permutation that would move the packed leg is
-contracted from a permuted input instead.  The
-violations are read off the nonzero numerators with checks.mat_violations;
-identities reported interleaved per tuple are collected per basis pair
-(_pair_violations) or one by one and merged by a stable sort on the tuple.
-The obstructions stay packed from the contraction to the collector: r,
-r^T and u = r - r^T are converted once per call (_r_forms), the coboundary
-coproducts of R_operators go straight from their packed core into
-_coproduct_operators, and the routes that must agree entry for entry
-(R_operators' direct and closed forms, slsba_coboundary's r route and the
-direct co-left-symmetry) are compared on cross-multiplied numerators
-(linalg.scaled_equal).  Only what a public function returns is turned into
-Fractions.  The cross-checks (check_plsa on dualized coproducts,
+The primary routes contract on the packed kernel of linalg, whose module
+docstring gives the one account of it.  An identity over pairs of basis
+vectors is one stacked Packed tensor, plane i * n + j holding the matrix
+of the pair (i, j), each term one contraction by every plane of a tensor
+(scaled_leg_each, scaled_leg_planes); _pair_violations is the one collector
+of the stacks.  Identities reported interleaved per tuple are merged by a
+stable sort on the tuple.  r, r^T and u = r - r^T are converted once per
+call (_r_forms); the routes that must agree entry for entry (R_operators'
+direct and closed forms, slsba_coboundary's r route and the direct
+co-left-symmetry) are compared on cross-multiplied numerators
+(linalg.scaled_equal), and only what a public function returns is turned
+into Fractions.  The cross-checks (check_plsa on dualized coproducts,
 check_matched_pair) are sparse identities evaluated by checks._scatter,
 independent of the kernel; _route_agrees compares the two verdicts.
 
@@ -53,6 +46,9 @@ from operator import le, lt
 from .linalg import (
     InternalMismatch,
     Scaled,
+    mat_blocks,
+    mat_identity,
+    mat_scalar,
     mat_zero,
     scaled,
     scaled_combine,
@@ -66,6 +62,7 @@ from .linalg import (
 from .checks import (
     Endo,
     StructureTensor,
+    Violation,
     _once,
     _seeded,
     check_closed,
@@ -190,12 +187,6 @@ def _two_sided(M, MT, X, YT):
     return scaled_combine(((1, scaled_leg(M, X, 1)), (1, scaled_leg(MT, YT, 2))))
 
 
-def _each_violations(where, tensors):
-    """mat_violations of the i-th Packed tensor at the indices (i, ...), in
-    the order of i: one residual tensor per basis vector e_i."""
-    return [v for i, t in enumerate(tensors) for v in mat_violations(where, t, (i,))]
-
-
 def _swap_each(t, n):
     """The n tensors stacked in the Packed t, each with its legs 0 and 1
     swapped, stacked again: every packed row is kept."""
@@ -205,13 +196,21 @@ def _swap_each(t, n):
 
 
 def _pair_violations(n, *items):
-    """mat_violations per basis pair (i, j), in the order of (i, j) and, at
-    each pair, of items: (where, t, keep) with t the stacked tensors of the
-    basis vectors (plane i * n + j of t is the matrix at (i, j)), collected
-    where keep is None or keep(i, j)."""
-    return [v for i in range(n) for j in range(n) for where, t, keep in items
-            if keep is None or keep(i, j)
-            for v in mat_violations(where, t.plane(i * n + j), (i, j))]
+    """The one collector of the stacked families: for items (where, t,
+    keep), a violation at (i, j, a, b) with residual Fraction(x, t.den) for
+    each nonzero numerator x at (a, b) of plane i * n + j of the Packed t,
+    where keep is None or keep(i, j); in the order of (i, j), then of
+    items, then of a and b.  Each packed row is tested against 0, and a
+    tensor none of whose rows is read nonzero is never decoded."""
+    out = []
+    for p in range(n * n):
+        for where, t, keep in items:
+            plane = t.num[p]
+            if any(plane) and (keep is None or keep(*divmod(p, n))):
+                out += [Violation(where, (*divmod(p, n), a, b), Fraction(x, t.den))
+                        for a, (R, row) in enumerate(zip(plane, t.decoded[p])) if R
+                        for b, x in enumerate(row) if x]
+    return out
 
 
 def _compat_defect(D, S, T, A):
@@ -241,9 +240,9 @@ def _dual_product(n, t):
 
 def _coproduct_operators(al, be):
     """The three obstructions of the Packed coproducts al, be: one tensor
-    over (i, p, q) for co-commutativity of alpha, and one Packed tensor per
-    basis vector for mixed co-compatibility and for co-left-symmetry of
-    beta."""
+    over (i, p, q) for co-commutativity of alpha, and the stacked tensors
+    of the basis vectors for mixed co-compatibility and for co-left-symmetry
+    of beta."""
     alT = scaled_permute(al, (0, 2, 1))  # alT[i] = alpha_i transposed
     ab = scaled_combine(((1, al), (1, be)))
     # with A = alpha_i, B = beta_i: sum_q B[a][q] al[q][b][c]
@@ -251,7 +250,7 @@ def _coproduct_operators(al, be):
     R2 = scaled_combine(((1, scaled_leg_each(be, al, 0)),
                          (-1, scaled_leg_planes(al, ab, (1, 2, 0))),
                          (-1, scaled_leg_each(al, scaled_permute(ab, (1, 0, 2)), 1))))
-    return scaled_combine(((1, al), (-1, alT))), R2.split(len(al.num)), _co_left_symmetry(be)
+    return scaled_combine(((1, al), (-1, alT))), R2, _co_left_symmetry(be)
 
 
 def plsca_check(cp):
@@ -264,9 +263,9 @@ def plsca_check(cp):
     construction.  Evaluated once per pair object (checks._once)."""
     def compute():
         R1, R2, R3 = _coproduct_operators(*cp.scaled)
-        viol = sorted(mat_violations("co-commutativity", R1)
-                      + _each_violations("co-compatibility", R2)
-                      + _each_violations("co-left-symmetry", R3), key=lambda v: v.indices)
+        viol = mat_violations("co-commutativity", R1) + _pair_violations(
+            cp.n, ("co-compatibility", R2, None), ("co-left-symmetry", R3, None))
+        viol.sort(key=lambda v: v.indices)
         note = _route_agrees(not viol, check_plsa(*cp.dual).verdict,
                              "coproduct operators", "dual product-pair route")
         return report("plsca", viol, [note])
@@ -431,17 +430,18 @@ def R_operators(plsa, r):
     stay on packed numerators, which are compared entry for entry
     (scaled_equal; InternalMismatch when they differ), and only the returned
     operators are turned into Fractions: the first as a list of matrices,
-    the other two as one tensor per basis vector."""
+    the other two as one tensor per basis vector, split off their stacks."""
     require(check_plsa(*plsa), InvalidInput, "product pair invalid: %s at %s")
     pair, rf = _scaled_pair(plsa), _r_forms(r)
     R1, R2, R3 = _coproduct_operators(*_coboundary_scaled(pair, rf))
-    C1, C2, C3 = _closed_form_operators(pair, rf)
-    for name, direct, closed in (("first", [R1], [C1]), ("second", R2, C2),
-                                 ("third", R3, C3)):
-        if not all(map(scaled_equal, direct, closed)):
+    for name, direct, closed in zip(("first", "second", "third"), (R1, R2, R3),
+                                    _closed_form_operators(pair, rf)):
+        if not scaled_equal(direct, closed):
             raise InternalMismatch("%s operator: direct and closed-form routes "
                                    "disagree" % name)
-    return list(unscaled(R1)), [unscaled(t) for t in R2], [unscaled(t) for t in R3]
+    n = plsa[0].n
+    return (list(unscaled(R1)), [unscaled(t) for t in R2.split(n)],
+            [unscaled(t) for t in R3.split(n)])
 
 
 def _closed_form_operators(pair, rf):
@@ -475,7 +475,7 @@ def _closed_form_operators(pair, rf):
         (1, scaled_leg_each(S, T2, 1, transpose=True)), (1, scaled_leg_planes(B, T2)),
         (1, scaled_leg_planes(KT, W, (1, 2, 0))),
         (-1, scaled_leg_each(W, Ys, 1, transpose=True))))
-    return base, R2.split(len(P.num)), R3.split(len(P.num))
+    return base, R2, R3
 
 
 # ---------------------------------------------------------------------------
@@ -483,11 +483,8 @@ def _closed_form_operators(pair, rf):
 
 def canonical_r(n):
     """r = sum_i e_i tensor f_i on A + A*, as a 2n by 2n coefficient matrix."""
-    d = 2 * n
-    m = [[Fraction(0)] * d for _ in range(d)]
-    for i in range(n):
-        m[i][n + i] = Fraction(1)
-    return tuple(tuple(row) for row in m)
+    z = mat_zero(n)
+    return mat_blocks(((z, mat_identity(n)), (z, z)))
 
 
 def drinfeld_double(plsa, cp):
@@ -566,8 +563,8 @@ def slsba_check(lsa, alpha):
     require(check_left_symmetric(lsa), NotAnLSA, "base product is not %s at %s")
     # alpha(e_i e_j) = L_i alpha_j + alpha_j L_i^T + alpha_i R_j^T
     C, AL = lsa.scaled, scaled(alpha)
-    viol = _each_violations("coproduct-compat", _compat_defect(C, C, AL, AL).split(lsa.n))
-    cls = _each_violations("co-left-symmetry", _co_left_symmetry(AL))
+    viol = _pair_violations(lsa.n, ("coproduct-compat", _compat_defect(C, C, AL, AL), None))
+    cls = _pair_violations(lsa.n, ("co-left-symmetry", _co_left_symmetry(AL), None))
     if cls:
         note = "matched-pair route skipped: dual product is not left-symmetric"
     else:
@@ -587,15 +584,14 @@ def _left_dual_actions(lsa, dual):
 
 
 def _co_left_symmetry(al):
-    """Per basis vector, a Packed tensor: D - swap12(D), where D[a][b][c] is
-    sum_p A[p][c] alpha[p][a][b] - sum_q A[a][q] alpha[q][b][c], A = alpha_i,
-    for the Packed coproduct al of alpha.  Both halves of D are one
-    contraction each, stacked over the basis vectors, and swap12 keeps
-    their packed rows."""
+    """Stacked over the basis vectors e_i: D - swap12(D), where D[a][b][c]
+    is sum_p A[p][c] alpha[p][a][b] - sum_q A[a][q] alpha[q][b][c],
+    A = alpha_i, for the Packed coproduct al of alpha.  Both halves of D are
+    one contraction each, and swap12 keeps their packed rows."""
     n = len(al.num)
     D1, D2 = scaled_leg_planes(al, al, (1, 2, 0)), scaled_leg_each(al, al, 0)
     return scaled_combine(((1, D1), (-1, D2), (-1, _swap_each(D1, n)),
-                           (1, _swap_each(D2, n)))).split(n)
+                           (1, _swap_each(D2, n))))
 
 
 def slsba_coboundary(lsa, r):
@@ -612,16 +608,16 @@ def slsba_coboundary(lsa, r):
     AL = scaled_leg(R, Cr, 1)  # alpha_i = r R_i^T
     base = _two_sided(R, RT, C, scaled_permute(C, (0, 2, 1)))  # L_i r + r L_i^T
     # base_i R_j^T over j, per basis vector e_i
-    viol = _each_violations("action-condition", scaled_leg_each(base, Cr, 1).split(n))
+    viol = _pair_violations(n, ("action-condition", scaled_leg_each(base, Cr, 1), None))
     # m3[a][b][s] = sum r[a][q] r[t][s] lsa[q][t][b] - (a <-> b)
     #             + sum r[a][q] r[b][t] br[q][t][s]
     Z = scaled_leg(RT, scaled_leg(R, C, 0), 1)
     br = scaled_combine(((1, C), (-1, Cr)))
     m3 = scaled_combine(((1, scaled_permute(Z, (0, 2, 1))), (-1, scaled_permute(Z, (2, 0, 1))),
                          (1, scaled_leg(R, scaled_leg(R, br, 1), 0))))
-    tq = scaled_leg_planes(Cr, m3).split(n)  # R_i on leg 2 of m3, per basis vector e_i
-    viol += _each_violations("co-left-symmetry", tq)
-    if not all(map(scaled_equal, tq, _co_left_symmetry(AL))):
+    tq = scaled_leg_planes(Cr, m3)  # R_i on leg 2 of m3, per basis vector e_i
+    viol += _pair_violations(n, ("co-left-symmetry", tq, None))
+    if not scaled_equal(tq, _co_left_symmetry(AL)):
         raise InternalMismatch("co-left-symmetry via r disagrees with the "
                                "direct evaluation")
     return unscaled(AL), report("slsba-coboundary", viol,
@@ -636,16 +632,12 @@ def slsba_double(slsba):
     lsa, alpha = slsba
     require(slsba_check(lsa, alpha), NotAnSLSBA, "%s fails at %s")
     n = lsa.n
-    d = 2 * n
     lsa_d = glue_product(_left_dual_actions(lsa, _dual_product(n, alpha)))
     r = canonical_r(n)
     alpha_d, cobrep = slsba_coboundary(lsa_d, r)  # verifies lsa_d is an LSA
     fullrep = slsba_check(lsa_d, alpha_d)
-    em = [[Fraction(0)] * d for _ in range(d)]
-    for i in range(n):
-        em[i][i] = Fraction(1)
-        em[n + i][n + i] = Fraction(-1)
-    E = Endo(d, tuple(tuple(row) for row in em))
+    z = mat_zero(n)
+    E = Endo(2 * n, mat_blocks(((mat_identity(n), z), (z, mat_scalar(n, -1)))))
     pk = ParaKahlerData(sub_adjacent(lsa_d), canonical_skew_pairing(n), E, lsa_d)
     pkrep = check_parakahler(pk)
     rep = merge_reports("slsba-double",

@@ -4,21 +4,20 @@ An n-dimensional bilinear operation is a StructureTensor: c[i][j][k] is the
 e_k coefficient of e_i o e_j.  Forms, endomorphisms and representations are
 matrices over Fraction.  Every verifier returns a CheckReport listing each
 violating basis tuple with its exact residual, so a failing check pinpoints
-the offending structure constants.  Three collectors make every violation
-list in the package (prefixed renames them for a parent report): violations
-lists the nonzero residuals over the basis tuples it is given, mat_violations
-those of a Scaled matrix or a Packed tensor, row by row, and _scatter those
-of the sparse identities below.  A kernel report that interleaves
-identities per tuple collects each identity on its own and merges the
-lists with one stable sort on the tuple order.  require turns a failing
-report into the caller's typed error, and require_dims objects of different
-n into DimensionMismatch.
+the offending structure constants.  violations lists the nonzero residuals
+over the basis tuples it is given, mat_violations those of one Scaled
+matrix or Packed tensor, row by row, and _scatter those of the sparse
+identities below; bialgebra._pair_violations is the one collector of
+bialgebra's stacked families.  prefixed renames violations for a parent
+report.  require turns a
+failing report into the caller's typed error, and require_dims objects of
+different n into DimensionMismatch.
 
 Every identity on basis tuples takes one of two routes.  The kernel route
 contracts on the exact integer kernel of linalg, whose module docstring
 gives the one account of it.  Here, check_closed and check_parallel_form
-multiply the bracket's decoded rows by the form (int_mat_mul) and read each
-tuple's residual off the product.  torsion_violations contracts the
+share one product of an operation's decoded rows by the form (_by_form)
+and read each tuple's residual off it.  torsion_violations contracts the
 Nijenhuis torsion one plane at a time, only the rows j > i it reads, and
 builds Fractions only for a violating pair; nijenhuis_torsion takes every
 row from the same core (_torsion).  The matrix identities (N^2 = +-id,
@@ -86,9 +85,11 @@ from math import lcm
 from operator import is_, itemgetter
 
 from .linalg import (
+    ZERO,
     DimensionMismatch,
     Packed,
     Scaled,
+    fractions,
     int_mat_mul,
     int_rank,
     mat_transpose,
@@ -281,10 +282,10 @@ def _listed_op(n, nonzeros):
     tensor: one Fraction per listed entry, one shared zero elsewhere, and
     the list kept as its .nonzeros, so no route scans the entries again."""
     den, nz = nonzeros
-    zrow = (_ZERO,) * n
+    zrow = (ZERO,) * n
 
     def row(entries):
-        out = [_ZERO] * n
+        out = [ZERO] * n
         for k, x in entries:
             out[k] = Fraction(x, den)
         return tuple(out)
@@ -354,9 +355,6 @@ def _nonzeros(t):
     for row in rows:
         row[:] = [(k, q.numerator * (den // q.denominator)) for k, q in row]
     return den, nz
-
-
-_ZERO = Fraction(0)
 
 
 def _nonzeros_sum(x, y):
@@ -481,11 +479,9 @@ def _scatter(names, dims, identities):
 
 def _sparse_violations(names, dims, identities):
     """The violations of _scatter's hits, each residual the tuple of
-    dims["t"] Fractions, its zero entries one shared Fraction(0)."""
+    dims["t"] Fractions (linalg.fractions)."""
     hits, dens = _scatter(names, dims, identities)
-    return [Violation(identities[k][0], idx,
-                      tuple(Fraction(x, dens[k]) if x else _ZERO for x in acc))
-            for k, idx, acc in hits]
+    return [Violation(identities[k][0], idx, fractions(acc, dens[k])) for k, idx, acc in hits]
 
 
 def check_jacobi(br):
@@ -551,12 +547,11 @@ def _plsa(prec, succ):
     total = _Listed(_nonzeros_sum(prec.nonzeros, succ.nonzeros), prec.shape)
     # e_i succ (e_j prec e_k) - (e_i . e_j) prec e_k - e_j prec (e_i . e_k), and
     # the left-symmetry of the sum product, of which only the verdict is read
-    hits, (den, _) = _scatter("ijk", dict.fromkeys("ijkt", n), [("compatibility", "", (
+    viol = _sparse_violations("ijk", dict.fromkeys("ijkt", n), [("compatibility", "", (
         (1, prec, "jks", succ, "ist"), (-1, total, "ijs", prec, "skt"),
         (-1, total, "iks", prec, "jst"))), _left_symmetry(total)])
-    viol = [Violation("compatibility", idx, tuple(Fraction(x, den) if x else _ZERO for x in acc))
-            for k, idx, acc in hits if k == 0]
-    sum_ok = all(k == 0 for k, _, _ in hits)
+    sum_ok = all(v.where == "compatibility" for v in viol)
+    viol = [v for v in viol if v.where == "compatibility"]
     notes = []
     if sum_ok == lsymm.verdict:
         notes.append("sum-product left-symmetry agrees with succ left-symmetry (%s)"
@@ -589,33 +584,32 @@ def check_flat(br, conn):
         (-1, br, "ijs", conn, "skt")))]))
 
 
+def _by_form(op, M):
+    """(T, den): T[a][b][c] = sum_s op[a][b][s] M[s][c] over den, as n planes
+    of int rows, for a Scaled M; one product of op's rows (a, b) by M."""
+    n, C = op.n, op.scaled
+    rows = int_mat_mul(C.matrix().num, M.num)
+    return [rows[a:a + n] for a in range(0, n * n, n)], C.den * M.den
+
+
 def check_closed(br, w):
     """dw(e_i, e_j, e_k) = w(e_i, [e_j, e_k]) + w(e_j, [e_k, e_i])
     + w(e_k, [e_i, e_j]) vanishes on all triples i < j < k."""
     require_dims("bracket dim %d, form dim %d", br, w)
-    n = br.n
-    # T[a][b][c] = sum_s w[c][s] br[a][b][s] = w(e_c, [e_a, e_b]), one
-    # product of br's rows (a, b) by w^T
-    C = br.scaled
-    rows = int_mat_mul(C.matrix().num, w.scaled_t.num)
-    T = [rows[a:a + n] for a in range(0, n * n, n)]
+    T, den = _by_form(br, w.scaled_t)  # T[a][b][c] = w(e_c, [e_a, e_b])
     return report("closed", violations(
-        "closed", combinations(range(n), 3),
-        lambda i, j, k: T[j][k][i] + T[k][i][j] + T[i][j][k], w.scaled.den * C.den))
+        "closed", combinations(range(br.n), 3),
+        lambda i, j, k: T[j][k][i] + T[k][i][j] + T[i][j][k], den))
 
 
 def check_parallel_form(conn, w):
     """w(conn_x y, z) = w(conn_x z, y) on all basis triples."""
     require_dims("connection dim %d, form dim %d", conn, w)
     n = conn.n
-    # P[i][j][k] = sum_a w[a][k] conn[i][j][a] = w(conn_i e_j, e_k), one
-    # product of conn's rows (i, j) by w
-    C = conn.scaled
-    rows = int_mat_mul(C.matrix().num, w.scaled.num)
-    P = [rows[i:i + n] for i in range(0, n * n, n)]
+    P, den = _by_form(conn, w.scaled)  # P[i][j][k] = w(conn_i e_j, e_k)
     return report("parallel-form", violations(
         "parallel", ((i, j, k) for i in range(n) for j, k in combinations(range(n), 2)),
-        lambda i, j, k: P[i][j][k] - P[i][k][j], w.scaled.den * C.den))
+        lambda i, j, k: P[i][j][k] - P[i][k][j], den))
 
 
 def check_special_symplectic(br, conn, w):
@@ -695,18 +689,18 @@ def violations(where, tuples, residual, den=None):
     return out
 
 
-def mat_violations(where, t, at=()):
-    """A violation at indices at + index for each nonzero numerator x of the
-    Scaled matrix or Packed tensor t, in row-major order, its residual
+def mat_violations(where, t):
+    """A violation at the indices of each nonzero numerator x of the Scaled
+    matrix or Packed tensor t, in row-major order, its residual
     Fraction(x, t.den).  A Scaled row costs one any() when it is all zero; a
     Packed row is tested against 0 and decoded only when it is not."""
     den = t.den
     if isinstance(t, Packed):
-        return [Violation(where, at + (a, b, k), Fraction(x, den))
+        return [Violation(where, (a, b, k), Fraction(x, den))
                 for a, (plane, rows) in enumerate(zip(t.num, t.decoded))
                 for b, (R, row) in enumerate(zip(plane, rows)) if R
                 for k, x in enumerate(row) if x]
-    return [Violation(where, at + (i, k), Fraction(x, den))
+    return [Violation(where, (i, k), Fraction(x, den))
             for i, row in enumerate(t.num) if any(row) for k, x in enumerate(row) if x]
 
 
@@ -774,7 +768,7 @@ def torsion_violations(where, br, N):
 
     def residual(i, j):
         row = num[i][j - i - 1]  # plane i holds the rows j = i + 1, ..., n - 1
-        return tuple(Fraction(x, den) if x else _ZERO for x in row) if any(row) else ()
+        return fractions(row, den) if any(row) else ()
     return violations(where, combinations(range(br.n), 2), residual)
 
 

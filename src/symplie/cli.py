@@ -290,9 +290,14 @@ def parse_algebra_file(text):
     return AlgebraFile(name, dim, warnings=tuple(warnings), **objs)
 
 
-def _fmt_terms(v):
-    parts = ["%s*e%d" % (q, k + 1) for k, q in enumerate(v) if q != 0]
-    return " + ".join(parts)
+def _text(q):
+    """str(q), or BadParams past the digits Python turns into text, which a
+    product of long input values can reach (sys.get_int_max_str_digits)."""
+    try:
+        return str(q)
+    except ValueError:
+        raise BadParams("a rational has more than %d digits and cannot be printed"
+                        % sys.get_int_max_str_digits())
 
 
 def _emit_entries(lines, head, nested, depth, terms):
@@ -303,7 +308,8 @@ def _emit_entries(lines, head, nested, depth, terms):
             _emit_entries(lines, "%s %d" % (head, i), sub, depth - 1, terms)
         return
     for i, x in enumerate(nested, 1):
-        body = _fmt_terms(x) if terms else x
+        body = (" + ".join(["%s*e%d" % (_text(q), k + 1) for k, q in enumerate(x) if q != 0])
+                if terms else _text(x) if x else "")
         if body:
             lines.append("%s %d = %s" % (head, i, body))
 
@@ -408,8 +414,8 @@ CHECKS = {
 
 def _residual_repr(r):
     if isinstance(r, tuple):
-        return [str(x) for x in r]
-    return str(r)
+        return [_text(x) for x in r]
+    return _text(r)
 
 
 def report_to_dict(rep):
@@ -456,13 +462,13 @@ def _load(path):
 
 
 def cmd_verify(args):
+    unknown = [name for name in args.check if name not in CHECKS]
+    if unknown:  # refused before the file is read, so no warning precedes it
+        raise UnknownCheck("unknown check %r; valid: %s"
+                           % (unknown[0], ", ".join(sorted(CHECKS))))
     af = _load(args.file)
     for w in af.warnings:
         print("warning: %s" % w, file=sys.stderr)
-    unknown = [name for name in args.check if name not in CHECKS]
-    if unknown:  # refused before any check runs
-        raise UnknownCheck("unknown check %r; valid: %s"
-                           % (unknown[0], ", ".join(sorted(CHECKS))))
     reports = []
     for name in args.check:
         check = CHECKS[name]
@@ -617,6 +623,7 @@ def cmd_construct(args):
     out, reports = recipe.build(args, *objs)
     stem = os.path.splitext(os.path.basename(args.inputs[0]))[0]
     af = _afile(args.name or ("%s-%s" % (stem, args.recipe)), recipe.writes, out)
+    text = emit_algebra_file(af)  # may refuse (_text): before any report or file
     if not _emit_reports(reports, args.json):
         print("construction output failed re-verification; nothing written",
               file=sys.stderr)
@@ -624,7 +631,7 @@ def cmd_construct(args):
     path = args.out or os.path.join(os.path.dirname(args.inputs[0]) or ".",
                                     "%s-%s.alg" % (stem, args.recipe))
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(emit_algebra_file(af))
+        fh.write(text)
     print("wrote %s" % path)
     return 0
 

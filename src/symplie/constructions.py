@@ -27,9 +27,12 @@ from itertools import combinations, product
 from .linalg import (
     InternalMismatch,
     frac,
+    mat_blocks,
     mat_identity,
     mat_inverse,
+    mat_scalar,
     mat_transpose,
+    mat_zero,
     rational_sqrt,
     scaled,
     scaled_combine,
@@ -156,11 +159,7 @@ def dual_left_action(op):
 def dual_right_action(op):
     """Right multiplications on the dual: <x.a*, y> = -<a*, y o x>, so
     t[i][a][b] = -c[a][i][b]."""
-    n, c = op.n, op.c
-    return _seeded(RepTensor(n, n, tuple(tuple(tuple(-x if x else x for x in c[a][i])
-                                                   for a in range(n))
-                                             for i in range(n))),
-                   _minus=(op, (1, 0, 2)))
+    return _seeded(RepTensor(op.n, op.n, t3_neg(zip(*op.c))), _minus=(op, (1, 0, 2)))
 
 
 def coadjoint(br):
@@ -191,15 +190,13 @@ def glue_product(mp):
 
 def _antidiagonal_form(upper, lower):
     """The form [[0, upper], [lower, 0]] on the sum of two n-dimensional spaces."""
-    z = (Fraction(0),) * len(upper)
-    return Form(2 * len(upper), tuple(z + tuple(row) for row in upper)
-                + tuple(tuple(row) + z for row in lower))
+    z = mat_zero(len(upper))
+    return Form(2 * len(upper), mat_blocks(((z, upper), (lower, z))))
 
 
 def canonical_skew_pairing(n):
     """omega_p on A + A*: -<x,b*> + <a*,y> in block form [[0,-I],[I,0]]."""
-    ident = mat_identity(n)
-    return _antidiagonal_form([[-x for x in row] for row in ident], ident)
+    return _antidiagonal_form(mat_scalar(n, -1), mat_identity(n))
 
 
 # ---------------------------------------------------------------------------
@@ -297,17 +294,10 @@ def build_N(l1, l2, l3, l4, f, finv):
     """Block operator [[l2*I, l1*f^-1], [l3*f, l4*I]] on V + V, for the
     Endo f and finv = mat_inverse(f.m), which the caller computes once for
     all the operators it builds over f."""
-    l1, l2, l3, l4 = frac(l1), frac(l2), frac(l3), frac(l4)
-    n = f.n
-    d = 2 * n
-    m = [[Fraction(0)] * d for _ in range(d)]
-    for i in range(n):
-        m[i][i] = l2
-        m[n + i][n + i] = l4
-        for j in range(n):
-            m[i][n + j] = l1 * finv[i][j]
-            m[n + i][j] = l3 * f.m[i][j]
-    return Endo(d, tuple(tuple(row) for row in m))
+    l1, l3, n = frac(l1), frac(l3), f.n
+    top = (mat_scalar(n, l2), [[l1 * x for x in row] for row in finv])
+    bottom = ([[l3 * x for x in row] for row in f.m], mat_scalar(n, l4))
+    return Endo(2 * n, mat_blocks((top, bottom)))
 
 
 def family_JE(p, f):
@@ -458,8 +448,7 @@ def affine_cotangent_extension(d):
     viol = violations("l-is-dual-left-action", product(range(n), repeat=3),
                       lambda i, a, b: l.t[i][a][b] + base.c[i][a][b])
 
-    prec = StructureTensor(n, tuple(tuple(tuple(-r.t[i][j][k] for k in range(n))
-                                          for j in range(n)) for i in range(n)))
+    prec = StructureTensor(n, t3_neg(r.t))
     succ = op_sub(base, prec)
     pair_rep = check_plsa(prec, succ)
 

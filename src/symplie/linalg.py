@@ -25,7 +25,7 @@ long the row is:
     its transpose) as a matrix in one contraction, stacking the results,
     so a family indexed by a basis vector is one call rather than n;
   - scaled_equal, unscaled (back to Fractions) and the violation
-    collectors of checks test a row against 0 before they decode it.
+    collectors test a row against 0 before they decode it.
 
 A Packed decodes its rows at most once and keeps them (decoded, matrix),
 and the data objects of checks (StructureTensor, Form, Endo) convert
@@ -41,10 +41,13 @@ decoded rows as int matrices.  Rank and inversion run a fraction-free
 intermediate entries as minors of the input instead of letting numerators
 and denominators blow up; int_rank eliminates in place, so it takes a copy.
 
-The dense Fraction helpers left are entrywise: zero, identity and transpose
-for the parser and other builders, and t3_neg for the dual actions, which
-returns a zero entry as it is rather than build a new Fraction.  Whole
-tensors are added and subtracted on their nonzero lists, in checks.
+The dense Fraction helpers build each layout in one place, with the one
+shared ZERO for a zero entry: mat_zero, mat_scalar (q times the identity)
+and mat_blocks (a block matrix, such as the canonical r, the skew pairing
+and the hypersymplectic operators), fractions (an int row over a
+denominator, for unscaled and the collectors), and t3_neg, which negates
+the dual actions and keeps a zero entry as it is.  Whole tensors are added
+and subtracted on their nonzero lists, in checks.
 
 Every other operation has one implementation, on the int kernel.  Fractions
 become int rows in one place, scaled(), whose rows mat_rank and mat_inverse
@@ -85,16 +88,38 @@ def frac(x, y=None):
 # ---------------------------------------------------------------------------
 # matrices (tuple of row tuples)
 
+ZERO = Fraction(0)  # the one zero entry of every matrix and row built here
+
+
+def fractions(xs, den):
+    """The Fractions x / den of the ints xs, as a tuple: one Fraction per
+    nonzero x, the shared ZERO for each zero."""
+    return tuple([Fraction(x, den) if x else ZERO for x in xs])
+
+
 def mat_zero(n, m=None):
-    """The n x m zero matrix: one shared row of one shared Fraction(0),
-    which immutable tuples allow."""
+    """The n x m zero matrix: one shared row of ZERO, which immutable tuples
+    allow."""
     if m is None:
         m = n
-    return ((Fraction(0),) * m,) * n
+    return ((ZERO,) * m,) * n
+
+
+def mat_scalar(n, q):
+    """q times the n x n identity, ZERO off the diagonal: no arithmetic."""
+    q = Fraction(q)
+    return tuple(tuple(q if i == j else ZERO for j in range(n)) for i in range(n))
 
 
 def mat_identity(n):
-    return tuple(tuple(Fraction(1 if i == j else 0) for j in range(n)) for i in range(n))
+    return mat_scalar(n, 1)
+
+
+def mat_blocks(blocks):
+    """The block matrix whose block rows are blocks, each a sequence of
+    matrices with equally many rows: ((A, B), (C, D)) gives [[A, B], [C, D]],
+    its entries taken as they are."""
+    return tuple(tuple(chain.from_iterable(rows)) for band in blocks for rows in zip(*band))
 
 
 def mat_mul(a, b):
@@ -308,10 +333,6 @@ class Packed(_PackedFields):
         rows = iter(_decode([R for plane in self.num for R in plane if R], self.width, self.cols))
         return tuple(tuple([next(rows) if R else zero for R in plane]) for plane in self.num)
 
-    def plane(self, i):
-        """Plane i as a Scaled matrix, such as a left factor of scaled_leg."""
-        return Scaled(self.decoded[i], self.den)
-
     def matrix(self, axes=(0, 1, 2)):
         """The Scaled matrix whose rows are the rows (a, b) of this tensor
         with its legs permuted by axes, in order: the entries of that
@@ -451,15 +472,11 @@ def unscaled(t):
     tensor for a Packed: one Fraction per nonzero entry, one shared zero
     everywhere else.  A Packed is read through its decoded rows, which it
     keeps."""
-    zero = Fraction(0)
     den = t.den
-
-    def row(xs):
-        return tuple([Fraction(x, den) if x else zero for x in xs])
     if isinstance(t, Scaled):
-        return tuple(map(row, t.num))
-    zrow = (zero,) * t.cols
-    return tuple(tuple([row(xs) if R else zrow for R, xs in zip(plane, rows)])
+        return tuple([fractions(xs, den) for xs in t.num])
+    zrow = (ZERO,) * t.cols
+    return tuple(tuple([fractions(xs, den) if R else zrow for R, xs in zip(plane, rows)])
                  for plane, rows in zip(t.num, t.decoded))
 
 

@@ -1059,6 +1059,42 @@ def antidiagonal_plain(upper, lower):
     return tuple(tuple(row) for row in g)
 
 
+def block_plain(a, b, c, d):
+    """The matrix [[a, b], [c, d]] of four n x n blocks, entry by entry."""
+    n = len(a)
+    g = [[None] * (2 * n) for _ in range(2 * n)]
+    for i in range(n):
+        for j in range(n):
+            g[i][j], g[i][n + j] = a[i][j], b[i][j]
+            g[n + i][j], g[n + i][n + j] = c[i][j], d[i][j]
+    return tuple(tuple(row) for row in g)
+
+
+def scalar_plain(n, q):
+    """q times the n x n identity."""
+    return tuple(tuple(Fraction(q) if i == j else Fraction(0) for j in range(n))
+                 for i in range(n))
+
+
+def pair_violations_plain(n, items):
+    """(where, (i, j, a, b), Fraction(x, den)) for each nonzero int x at
+    (a, b) of plane i * n + j of each item (where, num, den, keep), num the
+    nested int lists of a stacked tensor, on the pairs where keep is None or
+    keep(i, j): nested loops over i, j, the items, a and b."""
+    out = []
+    for i in range(n):
+        for j in range(n):
+            for where, num, den, keep in items:
+                if keep is not None and not keep(i, j):
+                    continue
+                plane = num[i * n + j]
+                for a in range(len(plane)):
+                    for b in range(len(plane[a])):
+                        if plane[a][b] != 0:
+                            out.append((where, (i, j, a, b), Fraction(plane[a][b], den)))
+    return out
+
+
 def affine_product_plain(base, l, r, phi):
     """(x,a*)(y,b*) = (x.y, l(x)b* + r(y)a* + phi(x,y))."""
     n = len(base)

@@ -952,10 +952,10 @@ class TestEntrywiseVerifiersMatchOracles:
 
 
 class TestViolationCollector:
-    def test_rank_two_with_prefix(self):
+    def test_rank_two(self):
         m = Scaled([[0, 2], [-1, 0]], 1)
-        assert mat_violations("m", m, (5,)) == [Violation("m", (5, 0, 1), Q(2)),
-                                                Violation("m", (5, 1, 0), Q(-1))]
+        assert mat_violations("m", m) == [Violation("m", (0, 1), Q(2)),
+                                          Violation("m", (1, 0), Q(-1))]
 
     def test_nested_lists_and_tuples_in_row_major_order(self):
         t = packed([[[0, 1], [2, 0]], [[0, 0], [0, -3]]], 1)
@@ -967,21 +967,21 @@ class TestViolationCollector:
         assert mat_violations("z", packed([[[0] * 2] * 2] * 3, 1)) == []
 
     def test_rank_four_list_of_tensors(self):
-        # the shape of plsca_check's co-compatibility: one Packed tensor per
-        # e_i, collected at (i, ...) as bialgebra._each_violations does
+        # the shape of plsca_check's co-compatibility, one Packed tensor per
+        # e_i, each collected at its own indices
         t = [[[[0, 1], [0, 0]], [[0, 0], [-2, 0]]],
              [[[0, 0], [0, 0]], [[0, 0], [0, 0]]],
              [[[0, 0], [0, 0]], [[0, 0], [0, 3]]]]
-        got = [v for i, x in enumerate(t) for v in mat_violations("r", packed(x, 1), (4, i))]
-        assert got == [Violation("r", (4, 0, 0, 0, 1), Q(1)),
-                       Violation("r", (4, 0, 1, 1, 0), Q(-2)),
-                       Violation("r", (4, 2, 1, 1, 1), Q(3))]
+        got = [(i, v) for i, x in enumerate(t) for v in mat_violations("r", packed(x, 1))]
+        assert got == [(0, Violation("r", (0, 0, 1), Q(1))),
+                       (0, Violation("r", (1, 1, 0), Q(-2))),
+                       (2, Violation("r", (1, 1, 1), Q(3)))]
 
     def test_scaled_with_all_zero_rows(self):
         s = packed([[[0, 0], [0, 3]], [[0, 0], [0, 0]], [[-4, 0], [0, 0]]], 6)
-        got = mat_violations("s", s, (7,))
-        assert got == [Violation("s", (7, 0, 1, 1), Q(1, 2)),
-                       Violation("s", (7, 2, 0, 0), Q(-2, 3))]
+        got = mat_violations("s", s)
+        assert got == [Violation("s", (0, 1, 1), Q(1, 2)),
+                       Violation("s", (2, 0, 0), Q(-2, 3))]
         assert all(type(v.residual) is Fraction for v in got)
         assert mat_violations("s", Scaled([[0, 0], [0, 0]], 5)) == []
 

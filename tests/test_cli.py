@@ -2,6 +2,7 @@ import io
 import json
 import os
 import re
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 
@@ -689,6 +690,30 @@ class TestOneLineErrors:
         assert run(["verify", str(p), "--check", "lie"]) == 2
         assert capsys.readouterr().err == "error: line 3: %s\n" % message
 
+    def test_oversized_output_entry(self, ssla3, tmp_path, capsys):
+        # a valid --mu of 3000 digits squares past the digits Python turns
+        # into text: one line, no report and no file, not a traceback
+        out = tmp_path / "hs.alg"
+        assert run(["construct", "hypersymplectic-f1", ssla3, "--lambda", "1",
+                    "--mu", "9" * 3000, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "error: a rational has more than %d digits and cannot be printed\n"
+            % sys.get_int_max_str_digits())
+        assert captured.out == "" and not out.exists()
+
+    @pytest.mark.parametrize("fmt", ([], ["--json"]))
+    def test_oversized_residual(self, tmp_path, capsys, fmt):
+        # entries of 2500 digits whose left-symmetry residual has about 5000
+        big = "9" * 2500
+        p = tmp_path / "big.alg"
+        p.write_text("algebra a\ndim 2\nop prod 1 1 = %s*e2\nop prod 1 2 = %s*e1\n"
+                     "op prod 2 1 = %s*e2\n" % (big, big, big))
+        assert run(["verify", str(p), "--check", "lsa", *fmt]) == 2
+        assert capsys.readouterr().err == (
+            "error: a rational has more than %d digits and cannot be printed\n"
+            % sys.get_int_max_str_digits())
+
     def test_oversized_basis_index(self, tmp_path, capsys):
         # more digits than int() converts: a bad index, not a traceback
         index = "9" * 5000
@@ -799,6 +824,104 @@ class TestVerifyFuzz:
         if code == 2:
             lines = err.getvalue().splitlines()
             assert len(lines) == 1 and lines[0].startswith("error:"), lines
+
+
+class TestUnknownCheckFirst:
+    """verify refuses an unknown --check before it reads the input file, so
+    the file's parse warnings or errors never precede the one error line."""
+
+    @pytest.mark.parametrize("text", ("form w 1 2 = 1\n",
+                                      "algebra w\ndim 2\nform w 1 2 = 1\n"))
+    def test_one_line(self, tmp_path, capsys, text):
+        p = tmp_path / "w.alg"
+        p.write_text(text)
+        assert run(["verify", str(p), "--check", "nope"]) == 2
+        err = capsys.readouterr().err
+        assert err.splitlines() == [err.rstrip("\n")]
+        assert err.startswith("error: unknown check 'nope'; valid: ")
+
+
+# what the argument fuzz passes as a number: digit strings of up to 5000
+# digits (past the 4300 digits int() converts), fractions of them, exponent
+# notation, zero and words
+_DIGITS = hs.builds(lambda d, k: d * k, hs.sampled_from("1379"), hs.integers(1, 5000))
+_NUMBERS = hs.one_of(
+    _DIGITS, hs.builds("{}/{}".format, _DIGITS, _DIGITS),
+    hs.sampled_from(("0", "1", "-1", "2", "1/2", "-3/4", "0.5", "1e9", "1E-3", "-1e9", "1/0",
+                     "x", "")))
+_INDICES = hs.one_of(hs.sampled_from(("0", "1", "2", "3", "-1", "", "x")), _DIGITS)
+_R_CHUNKS = hs.one_of(hs.builds("{},{},{}".format, _INDICES, _INDICES, _NUMBERS),
+                      hs.sampled_from(("1,2", "1,2,3,4", "", ",,")))
+
+# argparse's own usage errors: it prints a usage line before the error line
+_ARGPARSE_ERRORS = ("invalid int value",  # --sign not an int
+                    "expected one argument",  # a value that starts like an option
+                    "the following arguments are required")  # no input file
+
+
+@hs.composite
+def construct_argv(draw, inputs, out):
+    """construct with a recipe (or an unknown one), 0-3 of the inputs (as
+    many as the recipe reads, one time in two), and any of --r, --lambda,
+    --mu, --k and --sign."""
+    recipe = draw(hs.sampled_from(sorted(cli.RECIPES) + ["nope"]))
+    count = len(cli.RECIPES[recipe].reads) if recipe in cli.RECIPES else 1
+    argv = ["construct", recipe] + draw(hs.one_of(
+        hs.lists(hs.sampled_from(inputs), min_size=count, max_size=count),
+        hs.lists(hs.sampled_from(inputs), max_size=3)))
+    argv += ["--out", out]
+    if draw(hs.booleans()):
+        argv += ["--r", ";".join(draw(hs.lists(_R_CHUNKS, max_size=4)))]
+    for name in ("--lambda", "--mu", "--k"):
+        if draw(hs.booleans()):
+            argv += [name, draw(_NUMBERS)]
+    if draw(hs.booleans()):
+        argv += ["--sign", draw(hs.one_of(hs.sampled_from(("1", "-1", "2", "0", "x")), _DIGITS))]
+    return argv
+
+
+@hs.composite
+def verify_argv(draw, inputs):
+    names = hs.sampled_from(sorted(cli.CHECKS) + ["nope", ""])
+    checks_ = draw(hs.lists(names, min_size=1, max_size=3))
+    return ["verify", draw(hs.sampled_from(inputs))] + [a for c in checks_ for a in ("--check", c)]
+
+
+class TestArgumentFuzz:
+    """construct and verify with fuzzed arguments on the 2-dim catalog
+    exports: no exception escapes main, the exit code is 0, 1 or 2, and exit
+    2 prints exactly one stderr line, starting with "error:", but for
+    argparse's own usage errors (_ARGPARSE_ERRORS), which exit 2 with a
+    usage line first."""
+
+    @pytest.fixture(scope="class")
+    def inputs(self, tmp_path_factory):
+        d = tmp_path_factory.mktemp("fuzz-args")
+        paths = []
+        for name, kind, _ in catalog_list():
+            if name.startswith(("ssla-2d", "plsa-2d")):
+                paths.append(str(d / ("%s.alg" % name)))
+                assert main(["catalog", "show", name, "--export", "--out", paths[-1]]) == 0
+        return paths
+
+    @settings(max_examples=40)
+    @given(data=hs.data())
+    def test_arguments(self, inputs, tmp_path_factory, data):
+        out = str(tmp_path_factory.getbasetemp() / "fuzz-out.alg")
+        argv = data.draw(hs.one_of(construct_argv(inputs, out), verify_argv(inputs)))
+        err = io.StringIO()
+        with redirect_stdout(io.StringIO()), redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as e:  # argparse: usage line, then its error
+                lines = err.getvalue().splitlines()
+                assert e.code == 2 and lines[0].startswith("usage:"), lines
+                assert any(m in lines[-1] for m in _ARGPARSE_ERRORS), lines
+                return
+        assert code in (0, 1, 2)
+        if code == 2:
+            lines = err.getvalue().splitlines()
+            assert len(lines) == 1 and lines[0].startswith("error:"), (argv, lines)
 
 
 class TestCatalogCommand:
