@@ -17,6 +17,7 @@ from .checks import (
     st,
 )
 from .constructions import SpecialSymplecticData
+from .linalg import InternalMismatch
 
 
 class UnknownEntry(KeyError):
@@ -100,6 +101,8 @@ def _entries():
 
 
 def _validate(entry):
+    """Re-verify a built-in entry; a failure, or an unknown kind, is a bug in
+    symplie (InternalMismatch)."""
     if entry.kind == "ssla":
         rep = check_special_symplectic(entry.payload.bracket, entry.payload.conn,
                                        entry.payload.omega)
@@ -108,8 +111,8 @@ def _validate(entry):
     elif entry.kind == "lsa":
         rep = check_left_symmetric(entry.payload)
     else:
-        raise AssertionError("unknown catalog kind %r" % entry.kind)
-    require(rep, AssertionError, "catalog entry %s fails %%s at %%s" % entry.name)
+        raise InternalMismatch("unknown catalog kind %r" % entry.kind)
+    require(rep, InternalMismatch, "catalog entry %s fails %%s at %%s" % entry.name)
 
 
 _ENTRIES = _entries()

@@ -64,6 +64,16 @@ its .nonzeros (_listed_op), so no route lists the derived tensor again.
 check_jacobi's antisymmetry half compares the (k, numerator) lists of
 [e_i, e_j] and [e_j, e_i], exact because they share one denominator.
 
+A self-check fails one way: an explicit InternalMismatch raise, which
+survives python -O.  check_plsa, check_special_symplectic,
+check_hypersymplectic and constructions.post_affine_check each test an
+implication between verdicts: when every hypothesis it uses passes, as the
+verifiers check them, and its consequence fails, they raise.  torsion-free
+and closed read pairs i < j and triples i < j < k only, so an implication
+through them needs Jacobi for its antisymmetry half.  Each docstring gives
+the condition and the argument for it.  On input that fails a hypothesis
+nothing is raised; a disagreement a verifier records there is a note.
+
 A frozen input is verified once per object, through one mechanism, _once:
 check_plsa, check_left_symmetric, check_special_symplectic,
 square_violations, anticommute_violations and bialgebra.plsca_check keep
@@ -87,6 +97,7 @@ from operator import is_, itemgetter
 from .linalg import (
     ZERO,
     DimensionMismatch,
+    InternalMismatch,
     Packed,
     Scaled,
     fractions,
@@ -529,12 +540,15 @@ def check_plsa(prec, succ):
     """Commutative prec, left-symmetric succ, and the mixed compatibility
     x succ (y prec z) = (x.y) prec z + y prec (x.z) with . = prec + succ.
 
-    The sum product is an LSA exactly when succ is (given the rest), so its
-    left-symmetry is re-verified and the agreement of the two left-symmetry
-    checks is recorded as a note.  The sum product is never built as a
-    Fraction tensor: its nonzero list is the exact sum of the cached lists
-    of prec and succ (_nonzeros_sum), which the compatibility sums and the
-    left-symmetry core read.  Evaluated once per pair of objects (_once).
+    The left-symmetry of the sum product is evaluated as a second route and
+    the agreement of the two left-symmetry verdicts is recorded as a note;
+    on invalid input they may disagree.  Given commutativity and
+    compatibility, the left-symmetry defect of prec + succ minus that of
+    succ cancels term by term, so a disagreement then raises
+    InternalMismatch.  The sum product is never built as a Fraction tensor:
+    its nonzero list is the exact sum of the cached lists of prec and succ
+    (_nonzeros_sum), which the compatibility sums and the left-symmetry
+    core read.  Evaluated once per pair of objects (_once).
     """
     return _once(prec, "plsa", (succ,), lambda: _plsa(prec, succ))
 
@@ -552,19 +566,17 @@ def _plsa(prec, succ):
         (-1, total, "iks", prec, "jst"))), _left_symmetry(total)])
     sum_ok = all(v.where == "compatibility" for v in viol)
     viol = [v for v in viol if v.where == "compatibility"]
-    notes = []
+    words = "pass" if sum_ok else "fail", "pass" if lsymm.verdict else "fail"
     if sum_ok == lsymm.verdict:
-        notes.append("sum-product left-symmetry agrees with succ left-symmetry (%s)"
-                     % ("pass" if sum_ok else "fail"))
+        note = "sum-product left-symmetry agrees with succ left-symmetry (%s)" % words[0]
+    elif comm.verdict and not viol:
+        raise InternalMismatch("sum-product left-symmetry (%s) disagrees with succ "
+                               "left-symmetry (%s) although commutativity and "
+                               "compatibility hold" % words)
     else:
-        notes.append("ALERT: sum-product left-symmetry (%s) disagrees with succ "
-                     "left-symmetry (%s)"
-                     % ("pass" if sum_ok else "fail",
-                        "pass" if lsymm.verdict else "fail"))
-        if comm.verdict and not viol:
-            notes.append("ALERT: disagreement despite commutativity and compatibility "
-                         "holding; this indicates a verifier bug")
-    return merge_reports("plsa", [comm, lsymm], viol, notes)
+        note = ("ALERT: sum-product left-symmetry (%s) disagrees with succ "
+                "left-symmetry (%s)" % words)
+    return merge_reports("plsa", [comm, lsymm], viol, [note])
 
 
 def check_torsion_free(br, conn):
@@ -615,11 +627,13 @@ def check_parallel_form(conn, w):
 def check_special_symplectic(br, conn, w):
     """Flat torsion-free connection plus a parallel nondegenerate skew form.
 
-    Closedness of the form follows from the other conditions, so it is
-    evaluated as a consistency probe: if it fails while skewness,
-    torsion-freeness and parallelism all pass, that is flagged loudly, since
-    it can only mean a verifier bug.  Evaluated once per triple of objects
-    (_once).
+    Closedness of the form follows: with [y, z] = conn_y z - conn_z y and
+    w(conn_a b, c) = w(conn_a c, b) for a skew w, the six terms of dw(x, y,
+    z) cancel in pairs.  torsion-free reads pairs i < j only, so the bracket
+    must be antisymmetric too.  So when Jacobi (for its antisymmetry half),
+    torsion-freeness, skewness and parallelism pass, closedness is
+    evaluated, and a failure raises InternalMismatch; it is evaluated in no
+    other case.  Evaluated once per triple of objects (_once).
     """
     return _once(br, "special-symplectic", (conn, w),
                  lambda: _special_symplectic(br, conn, w))
@@ -629,18 +643,10 @@ def _special_symplectic(br, conn, w):
     require_dims("dimensions %d, %d, %d", br, conn, w)
     parts = [check_jacobi(br), check_torsion_free(br, conn), check_flat(br, conn),
              check_skew(w), check_nondegenerate(w), check_parallel_form(conn, w)]
-    closed = check_closed(br, w)
-    notes = []
-    extra = []
-    if not closed.verdict:
-        skew_ok = parts[3].verdict
-        tf_ok = parts[1].verdict
-        par_ok = parts[5].verdict
-        if skew_ok and tf_ok and par_ok:
-            notes.append("ALERT: form is parallel for a torsion-free connection yet "
-                         "not closed; mathematically impossible, report a bug")
-            extra = prefixed("closed (consequence)", closed.violations)
-    return merge_reports("special-symplectic", parts, extra, notes)
+    if all(parts[i].verdict for i in (0, 1, 3, 5)) and not check_closed(br, w).verdict:
+        raise InternalMismatch("form is parallel for a torsion-free connection of a Lie "
+                               "bracket yet not closed")
+    return merge_reports("special-symplectic", parts)
 
 
 def _torsion(br, N, upper):
@@ -818,23 +824,29 @@ def three_forms(g, J, E):
 
 def check_hypersymplectic(br, J, E, g):
     """Complex product structure with compatible metric whose three associated
-    forms are all closed.  If the first form is closed while a later one is
-    not, that contradicts how the three forms are tied together, so it is
-    flagged as a consistency alert."""
+    forms are all closed.
+
+    The three forms are tied together: for a Lie bracket (Jacobi) with
+    integrable J and E (complex-product) and a compatible metric, dw1 = 0
+    forces dw2 = dw3 = 0.  Exact elimination over every antisymmetric
+    bracket with N_J = N_E = 0 and dw1 = 0 confirms it for ssla-2d-3's
+    tangent F1 package and the tangent and cotangent F1-F3 packages of the
+    plsa-2d-III/IV double extensions.  So when those three sub-reports pass
+    and w1 is closed, a companion form that is not closed raises
+    InternalMismatch."""
     require_dims("dimensions %d, %d, %d, %d", br, J, E, g)
     parts = [check_jacobi(br), check_complex_product(br, J, E),
              check_metric_compatible(g, J, E)]
     w1, w2, w3 = three_forms(g, J, E)
     closed = [check_closed(br, w1), check_closed(br, w2), check_closed(br, w3)]
+    if all(rep.verdict for rep in parts + closed[:1]) and \
+            not (closed[1].verdict and closed[2].verdict):
+        raise InternalMismatch("first form closed but a companion form is not, for a Lie "
+                               "bracket with a complex product structure and compatible "
+                               "metric")
     viol = [v for name, rep_ in zip(("dw1", "dw2", "dw3"), closed)
             for v in prefixed(name, rep_.violations)]
-    notes = []
-    if parts[1].verdict and parts[2].verdict and closed[0].verdict and \
-            not (closed[1].verdict and closed[2].verdict):
-        notes.append("ALERT: first form closed but a companion form is not, despite "
-                     "a valid complex product structure and compatible metric; "
-                     "mathematically impossible, report a bug")
-    return merge_reports("hypersymplectic", parts, viol, notes)
+    return merge_reports("hypersymplectic", parts, viol)
 
 
 def check_representation(br, rho):

@@ -475,7 +475,12 @@ def post_affine_check(nabla, nabla_tilde, br):
     D(y, nabla_tilde_x z) with D = nabla_tilde - nabla on all basis triples.
 
     The same content phrased through check_plsa on (D, nabla) is computed
-    as a second route and the agreement of the two routes is noted.
+    as a second route, and a note gives the two verdicts, or the one they
+    agree on.  When all five sub-reports pass they must agree: the two
+    torsion-freeness checks make D commutative and flatness makes nabla
+    left-symmetric, so both routes state the same identity.  A disagreement
+    there raises InternalMismatch; elsewhere it is a note, since a failing
+    flatness or torsion-freeness leaves the two routes free to differ.
     """
     require_dims("dimensions %d, %d, %d", nabla, nabla_tilde, br)
     n = br.n
@@ -489,16 +494,12 @@ def post_affine_check(nabla, nabla_tilde, br):
     viol = _sparse_violations("ijk", dict.fromkeys("ijkt", n), [("post-connection", "", (
         (1, D, "jks", nabla, "ist"), (-1, nabla_tilde, "ijs", D, "kst"),
         (-1, nabla_tilde, "iks", D, "jst")))])
-    identity_ok = not viol
-    pair_rep = check_plsa(D, nabla)
-    notes = []
-    flats_ok = all(p.verdict for p in parts)
-    if flats_ok and identity_ok != pair_rep.verdict:
-        notes.append("ALERT: direct identity (%s) disagrees with the product-pair "
-                     "route (%s) on flat torsion-free input; report a bug"
-                     % ("pass" if identity_ok else "fail",
-                        "pass" if pair_rep.verdict else "fail"))
+    words = "pass" if not viol else "fail", "pass" if check_plsa(D, nabla).verdict else "fail"
+    if words[0] == words[1]:
+        note = "product-pair route agrees: %s" % words[1]
+    elif all(p.verdict for p in parts):
+        raise InternalMismatch("direct identity (%s) disagrees with the product-pair "
+                               "route (%s) on flat torsion-free input" % words)
     else:
-        notes.append("product-pair route agrees: %s"
-                     % ("pass" if pair_rep.verdict else "fail"))
-    return merge_reports("post-affine", parts, viol, notes)
+        note = "direct identity (%s) and product-pair route (%s) disagree" % words
+    return merge_reports("post-affine", parts, viol, [note])

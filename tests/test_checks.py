@@ -560,11 +560,10 @@ def _plsa_oracle_report(prec_c, succ_c):
         notes = ["sum-product left-symmetry agrees with succ left-symmetry (%s)"
                  % word[sum_ok]]
     else:
+        # given commutativity and compatibility the two verdicts agree
+        assert not (comm.verdict and not compat)
         notes = ["ALERT: sum-product left-symmetry (%s) disagrees with succ "
                  "left-symmetry (%s)" % (word[sum_ok], word[lsymm.verdict])]
-        if comm.verdict and not compat:
-            notes.append("ALERT: disagreement despite commutativity and compatibility "
-                         "holding; this indicates a verifier bug")
     return merge_reports("plsa", [comm, lsymm], compat, notes)
 
 

@@ -12,7 +12,7 @@ from hypothesis import strategies as hs
 
 from symplie.checks import Endo, Form, RepTensor, st
 from symplie import checks, cli
-from symplie.catalog import catalog_list
+from symplie.catalog import catalog_get, catalog_list
 from symplie.cli import (
     MAX_DIM,
     SECTIONS,
@@ -24,6 +24,7 @@ from symplie.cli import (
     main,
     parse_algebra_file,
 )
+from symplie.constructions import FamilyParams, hypersymplectic_from_tangent
 
 Q = Fraction
 
@@ -881,6 +882,28 @@ def construct_argv(draw, inputs, out):
 
 
 @hs.composite
+def recipe_argv(draw, inputs, out):
+    """construct with a known recipe, exactly as many of the 2-dim inputs as
+    it reads (a slot missing from a file reads as zero, so a pair export
+    serves drinfeld-double and an ssla export serves semidirect), and
+    in-range --lambda, --mu, --k, --sign, --double and --r: k = lambda
+    2t/(1 + t^2) makes 1 - k^2/lambda^2 a square, as F3 needs."""
+    recipe = draw(hs.sampled_from(sorted(cli.RECIPES)))
+    count = len(cli.RECIPES[recipe].reads)
+    lam, t = draw(_nonzero), draw(_nonzero)
+    r = draw(hs.lists(hs.tuples(hs.integers(1, 2), hs.integers(1, 2), _rats),
+                      max_size=4, unique_by=lambda e: e[:2]))
+    # --name=value, so that a value starting with "-" reads as a value
+    return ["construct", recipe,
+            *draw(hs.lists(hs.sampled_from(inputs), min_size=count, max_size=count)),
+            "--out", out, "--lambda=%s" % lam, "--mu=%s" % draw(_rats),
+            "--k=%s" % (lam * 2 * t / (1 + t * t)),
+            draw(hs.sampled_from(("--sign=1", "--sign=-1"))),
+            "--double", draw(hs.sampled_from(("tangent", "cotangent"))),
+            "--r=" + ";".join("%d,%d,%s" % e for e in r)]
+
+
+@hs.composite
 def verify_argv(draw, inputs):
     names = hs.sampled_from(sorted(cli.CHECKS) + ["nope", ""])
     checks_ = draw(hs.lists(names, min_size=1, max_size=3))
@@ -889,10 +912,10 @@ def verify_argv(draw, inputs):
 
 class TestArgumentFuzz:
     """construct and verify with fuzzed arguments on the 2-dim catalog
-    exports: no exception escapes main, the exit code is 0, 1 or 2, and exit
-    2 prints exactly one stderr line, starting with "error:", but for
-    argparse's own usage errors (_ARGPARSE_ERRORS), which exit 2 with a
-    usage line first."""
+    exports, and recipe builds with in-range ones: no exception escapes
+    main, the exit code is 0, 1 or 2, and exit 2 prints exactly one stderr
+    line, starting with "error:", but for argparse's own usage errors
+    (_ARGPARSE_ERRORS), which exit 2 with a usage line first."""
 
     @pytest.fixture(scope="class")
     def inputs(self, tmp_path_factory):
@@ -908,7 +931,8 @@ class TestArgumentFuzz:
     @given(data=hs.data())
     def test_arguments(self, inputs, tmp_path_factory, data):
         out = str(tmp_path_factory.getbasetemp() / "fuzz-out.alg")
-        argv = data.draw(hs.one_of(construct_argv(inputs, out), verify_argv(inputs)))
+        argv = data.draw(hs.one_of(construct_argv(inputs, out), recipe_argv(inputs, out),
+                                   verify_argv(inputs)))
         err = io.StringIO()
         with redirect_stdout(io.StringIO()), redirect_stderr(err):
             try:
@@ -981,6 +1005,33 @@ def test_internal_mismatch_exit_three(ssla3, tmp_path, monkeypatch, capsys):
     err = capsys.readouterr().err
     assert err == "internal error (a bug in symplie): derived product is not flat\n"
     assert not out.exists()
+
+
+class TestInvalidInputClaimsNoBug:
+    """Input that breaks a hypothesis of a self-check (here a bracket that is
+    not antisymmetric) fails with exit 1, never exit 3, and no line of the
+    report claims a bug."""
+
+    def _verify(self, path, check, capsys):
+        code = run(["verify", str(path), "--check", check])
+        out, err = capsys.readouterr()
+        assert (code, err) == (1, "")
+        assert "%s: FAIL" % check in out and "jacobi: antisymmetry" in out
+        assert "bug" not in out and "ALERT" not in out
+
+    def test_special_symplectic(self, tmp_path, capsys):
+        p = tmp_path / "w.alg"
+        p.write_text("algebra w\ndim 3\nop bracket 3 1 = -1*e1\n"
+                     "form omega 1 2 = 1\nform omega 2 1 = -1\n")
+        self._verify(p, "special-symplectic", capsys)
+
+    def test_hypersymplectic(self, tmp_path, capsys):
+        _, J, E, g = hypersymplectic_from_tangent(catalog_get("ssla-2d-3").payload,
+                                                  FamilyParams("F1", Q(1), Q(0)))
+        br = st(4, {(0, 0, 2): Q(-1), (0, 2, 0): Q(1)})
+        p = tmp_path / "w.alg"
+        p.write_text(emit_algebra_file(cli._afile("w", cli.HYPERSYMPLECTIC, (br, J, E, g))))
+        self._verify(p, "hypersymplectic", capsys)
 
 
 class TestPreconditionFailureReports:

@@ -483,6 +483,16 @@ class TestPostAffine:
         assert not any(note.startswith("ALERT") for note in rep.notes)
 
 
+    def test_disagreeing_routes_give_both_verdicts(self):
+        # D = 0 meets the post-connection identity, but nabla is not
+        # left-symmetric (it is not flat), so the product-pair route fails
+        nab = st(2, {(0, 0, 1): Q(1), (1, 1, 0): Q(1)})
+        rep = post_affine_check(nab, nab, sub_adjacent(nab))
+        assert "flat(nabla): flat" in {v.where for v in rep.violations}
+        assert "post-connection" not in {v.where for v in rep.violations}
+        assert rep.notes == ("direct identity (pass) and product-pair route (fail) disagree",)
+
+
 NON_SKEW = st(2, {(0, 1, 0): Q(1), (1, 0, 0): Q(1)})  # [e1, e2] = [e2, e1] = e1
 NON_COMMUTING = RepTensor(2, 2, (((Q(1), Q(0)), (Q(0), Q(0))),
                                  ((Q(0), Q(1)), (Q(0), Q(0)))))

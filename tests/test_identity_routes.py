@@ -442,12 +442,12 @@ class TestConnectionRoutes:
                                            for x, y in zip(tp, np_))
                                      for tp, np_ in zip(tilde.c, nabla.c)))
         pair_ok = check_plsa(d, nabla).verdict
-        if all(p.verdict for p in parts) and (not viol) != pair_ok:
-            note = ("ALERT: direct identity (%s) disagrees with the product-pair route "
-                    "(%s) on flat torsion-free input; report a bug"
-                    % (_word(not viol), _word(pair_ok)))
-        else:
+        if (not viol) == pair_ok:
             note = "product-pair route agrees: %s" % _word(pair_ok)
+        else:  # only where a flatness or torsion-freeness fails
+            assert not all(p.verdict for p in parts)
+            note = ("direct identity (%s) and product-pair route (%s) disagree"
+                    % (_word(not viol), _word(pair_ok)))
         assert got == merge_reports("post-affine", parts, [Violation(*v) for v in viol],
                                     [note])
         _fraction_residuals(got)

@@ -1,19 +1,24 @@
 """The package's self-checks, each made to fire by replacing one route it
-relies on: the ALERT notes that flag two verifier routes disagreeing, and
-the InternalMismatch raises of the constructions that re-verify their own
-output.  Each raise is also run in a subprocess under python -O, where an
-assert would vanish but an explicit raise must not."""
+relies on or by a bad catalog entry: the InternalMismatch raises of the
+verifiers whose two routes, or whose sub-reports and a consequence of them,
+contradict each other, of the constructions that re-verify their own
+output, and of the catalog's re-verification.  Each raise is also run in a
+subprocess under python -O, where an assert would vanish but an explicit
+raise must not.  On input that is merely invalid no self-check fires."""
 
 import os
 import subprocess
 import sys
 from fractions import Fraction as Q
+from functools import cache
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as hs
 
 from symplie import catalog, checks, constructions
 from symplie.catalog import CatalogEntry, catalog_get
-from symplie.checks import CheckReport, Endo, Form, Violation, st
+from symplie.checks import CheckReport, Endo, Form, StructureTensor, Violation, st
 from symplie.constructions import (
     FamilyParams,
     family_JE,
@@ -24,13 +29,17 @@ from symplie.constructions import (
 )
 from symplie.linalg import InternalMismatch, mat_identity
 
+from test_linalg import matrices, tensors
+
+
+def _negated(rep):
+    """rep with its verdict negated, all else kept."""
+    return CheckReport(rep.check, not rep.verdict, rep.violations, rep.notes)
+
 
 def _flipped(route):
-    """route with the verdict of its report negated, all else kept."""
-    def call(*args):
-        rep = route(*args)
-        return CheckReport(rep.check, not rep.verdict, rep.violations, rep.notes)
-    return call
+    """route with the verdict of its report negated."""
+    return lambda *args: _negated(route(*args))
 
 
 def _failing_square(where):
@@ -59,6 +68,50 @@ def _unknown_kind():
     return catalog._validate(CatalogEntry("e", "unknown", None, "none"))
 
 
+def _failing_entry():
+    # e_1 e_1 = e_2 and e_2 e_1 = e_1: the left-symmetry defect at (e_1, e_2, e_1) is -2 e_2
+    return catalog._validate(CatalogEntry("e", "lsa", st(2, {(0, 0, 1): 1, (1, 0, 0): 1}),
+                                          "none"))
+
+
+def _plsa_check():
+    return checks._plsa(*catalog_get("plsa-2d-IV").payload)
+
+
+def _special_symplectic():
+    s = catalog_get("ssla-2d-3").payload
+    return checks._special_symplectic(s.bracket, s.conn, s.omega)
+
+
+@cache
+def _tangent_f1():
+    """(d, J, E, g) of ssla-2d-3's tangent F1 package, lambda = 1, mu = 0."""
+    return hypersymplectic_from_tangent(catalog_get("ssla-2d-3").payload,
+                                        FamilyParams("F1", Q(1), Q(0)))
+
+
+def _hypersymplectic():
+    d, J, E, g = _tangent_f1()
+    return checks.check_hypersymplectic(d.bracket, J, E, g)
+
+
+_check_closed = checks.check_closed
+
+
+def _closed_but_w1(br, w):
+    """check_closed with the verdict negated for every form but the first
+    form of _tangent_f1."""
+    _, J, E, g = _tangent_f1()
+    rep = _check_closed(br, w)
+    return rep if w == checks.three_forms(g, J, E)[0] else _negated(rep)
+
+
+def _post_affine():
+    prec, succ = catalog_get("plsa-2d-IV").payload
+    dot = checks.op_add(prec, succ)
+    return post_affine_check(succ, dot, checks.sub_adjacent(dot))
+
+
 # (patches, call, error, message): each patch (module, name, value) is set
 # for the call only
 RAISES = [
@@ -75,7 +128,21 @@ RAISES = [
      InternalMismatch, "parts do not sum back to the connection"),
     (((constructions, "check_plsa", _flipped(checks.check_plsa)),), _plsa,
      InternalMismatch, "derived pair fails the product-pair axioms"),
-    ((), _unknown_kind, AssertionError, "unknown catalog kind 'unknown'"),
+    ((), _unknown_kind, InternalMismatch, "unknown catalog kind 'unknown'"),
+    ((), _failing_entry, InternalMismatch,
+     "catalog entry e fails left-symmetric at (0, 1, 0)"),
+    (((checks, "check_left_symmetric", _flipped(checks.check_left_symmetric)),), _plsa_check,
+     InternalMismatch, "sum-product left-symmetry (pass) disagrees with succ left-symmetry "
+     "(fail) although commutativity and compatibility hold"),
+    (((checks, "check_closed", _flipped(checks.check_closed)),), _special_symplectic,
+     InternalMismatch, "form is parallel for a torsion-free connection of a Lie bracket yet "
+     "not closed"),
+    (((checks, "check_closed", _closed_but_w1),), _hypersymplectic,
+     InternalMismatch, "first form closed but a companion form is not, for a Lie bracket "
+     "with a complex product structure and compatible metric"),
+    (((constructions, "check_plsa", _flipped(checks.check_plsa)),), _post_affine,
+     InternalMismatch, "direct identity (pass) disagrees with the product-pair route (fail) "
+     "on flat torsion-free input"),
 ]
 
 
@@ -126,52 +193,48 @@ def test_raises_survive_optimize():
     assert done.stdout.splitlines() == [message for *_, message in RAISES]
 
 
-def test_plsa_alert_despite_commutativity_and_compatibility(monkeypatch):
-    monkeypatch.setattr(checks, "check_left_symmetric", _flipped(checks.check_left_symmetric))
-    rep = checks._plsa(*catalog_get("plsa-2d-IV").payload)
-    assert rep.notes == (
-        "ALERT: sum-product left-symmetry (pass) disagrees with succ left-symmetry (fail)",
-        "ALERT: disagreement despite commutativity and compatibility holding; "
-        "this indicates a verifier bug")
+# --- no self-check fires on input that is merely invalid ---
+
+VERIFIERS = {"special-symplectic": checks.check_special_symplectic,
+             "hypersymplectic": checks.check_hypersymplectic,
+             "post-affine": post_affine_check, "plsa": checks.check_plsa}
 
 
-def test_special_symplectic_closed_consequence(monkeypatch):
-    # a form that is not closed for a 4-dim bracket, read in place of the
-    # package's own closedness
-    br = st(4, {(0, 1, 2): Q(1), (1, 0, 2): Q(-1)})
-    w = Form(4, ((Q(0), Q(1), Q(0), Q(0)), (Q(-1), Q(0), Q(0), Q(0)),
-                 (Q(0), Q(0), Q(0), Q(1)), (Q(0), Q(0), Q(-1), Q(0))))
-    closed = checks.check_closed(br, w)
-    assert closed.violations
-    monkeypatch.setattr(checks, "check_closed", lambda *args: closed)
-    s = catalog_get("ssla-2d-3").payload
-    rep = checks._special_symplectic(s.bracket, s.conn, s.omega)
-    assert rep.notes == ("ALERT: form is parallel for a torsion-free connection yet "
-                         "not closed; mathematically impossible, report a bug",)
-    assert rep.violations == tuple(Violation("closed (consequence): " + v.where, v.indices,
-                                             v.residual) for v in closed.violations)
+@hs.composite
+def invalid_inputs(draw):
+    """(name, args) for a VERIFIERS entry: dense, zero or single-nonzero
+    structure constants of dim 2-4, so that brackets which are not
+    antisymmetric come up, and forms skew one time in two.  The
+    hypersymplectic verifier reads a random 4-dim bracket with the (J, E, g)
+    of a catalog package's tangent F1 double."""
+    name = draw(hs.sampled_from(sorted(VERIFIERS)))
+    if name == "hypersymplectic":
+        s = catalog_get(draw(hs.sampled_from(("ssla-2d-1", "ssla-2d-2", "ssla-2d-3",
+                                               "ssla-2d-4")))).payload
+        _, J, E, g = hypersymplectic_from_tangent(s, FamilyParams("F1", Q(1), Q(0)))
+        return name, (StructureTensor(4, draw(tensors((4, 4, 4)))), J, E, g)
+    n = draw(hs.integers(2, 4))
+    ops = [StructureTensor(n, draw(tensors((n, n, n)))) for _ in range(2 if name == "plsa" else 3)]
+    if name == "special-symplectic":
+        m = draw(matrices(n, n))
+        if draw(hs.booleans()):
+            m = tuple(tuple(x - y for x, y in zip(row, col)) for row, col in zip(m, zip(*m)))
+        ops[2] = Form(n, m)
+    return name, tuple(ops)
 
 
-def test_hypersymplectic_alert(monkeypatch):
-    d, J, E, g = hypersymplectic_from_tangent(catalog_get("ssla-2d-3").payload,
-                                              FamilyParams("F1", Q(1), Q(0)))
-    calls, real = [], checks.check_closed
-
-    def closed(br, w):  # the second form, w2, reads as not closed
-        calls.append(w)
-        return (_flipped(real) if len(calls) == 2 else real)(br, w)
-    monkeypatch.setattr(checks, "check_closed", closed)
-    rep = checks.check_hypersymplectic(d.bracket, J, E, g)
-    assert len(calls) == 3
-    assert rep.notes == ("ALERT: first form closed but a companion form is not, despite "
-                         "a valid complex product structure and compatible metric; "
-                         "mathematically impossible, report a bug",)
-
-
-def test_post_affine_alert(monkeypatch):
-    prec, succ = catalog_get("plsa-2d-IV").payload
-    dot = checks.op_add(prec, succ)
-    monkeypatch.setattr(constructions, "check_plsa", _flipped(checks.check_plsa))
-    rep = post_affine_check(succ, dot, checks.sub_adjacent(dot))
-    assert rep.notes == ("ALERT: direct identity (pass) disagrees with the product-pair "
-                         "route (fail) on flat torsion-free input; report a bug",)
+@settings(max_examples=40)
+@given(invalid_inputs())
+# [e_3, e_1] = -e_1 with [e_1, e_3] = 0 is not antisymmetric: torsion-free,
+# skew and parallel pass on the pairs they read, and the form is not closed
+@example(("special-symplectic", (st(3, {(2, 0, 0): -1}), st(3),
+                                 Form(3, ((0, 1, 0), (-1, 0, 0), (0, 0, 0))))))
+# a bracket that is not antisymmetric: w1 closed, w2 not
+@example(("hypersymplectic", (st(4, {(0, 0, 2): -1, (0, 2, 0): 1}), *_tangent_f1()[1:])))
+def test_invalid_input_fires_no_self_check(case):
+    name, args = case
+    try:
+        rep = VERIFIERS[name](*args)
+    except InternalMismatch as e:
+        pytest.fail("%s raised InternalMismatch: %s" % (name, e))
+    assert not any("report a bug" in note or "verifier bug" in note for note in rep.notes)
