@@ -11,9 +11,14 @@ tensors and the permutations of them the chains read (_scaled_pair), so
 trying many r against one pair verifies and converts it once.  A
 CoproductPair converts its tensors and builds its dual products once
 (.scaled, .dual), and the pair coboundary_coproducts returns starts with
-the Packed form it was unscaled from.  Each cross-check route runs once
-per object it checks: the dual's check_plsa per coproduct pair,
-check_matched_pair per call of plsba_check and slsba_check.
+the Packed form it was unscaled from.  R_operators leaves its coproducts
+and direct operators on the _ScaledPair as a hand-over, used once and never
+cached: the next coboundary_coproducts on the pair drops it, and when its r
+is equal it builds the pair from those coproducts and seeds it with the
+operators, which that pair's plsca_check takes instead of evaluating them
+again.  Each cross-check route runs once per object it checks: the
+closed forms per R_operators call, the dual's check_plsa per coproduct
+pair, check_matched_pair per call of plsba_check and slsba_check.
 
 The primary routes contract on the packed kernel of linalg, whose module
 docstring gives the one account of it.  An identity over pairs of basis
@@ -152,6 +157,7 @@ class _ScaledPair:
         self.D = scaled_combine(((1, self.P), (1, self.S)))
         self.B = scaled_combine(((1, self.D), (-1, scaled_permute(self.D, (1, 0, 2)))))
         self._perms = {}
+        self.handover = None  # R_operators' last evaluation (see there)
 
     def __iter__(self):
         return iter((self.P, self.S, self.D, self.B))
@@ -260,9 +266,11 @@ def plsca_check(cp):
     and co-left-symmetry at each (i, p, q, s); one stable sort on the
     indices merges the three lists in that order.  The verdict is compared
     against check_plsa on the dualized products, which must agree by
-    construction.  Evaluated once per pair object (checks._once)."""
+    construction.  Evaluated once per pair object (checks._once); a pair
+    coboundary_coproducts seeded with R_operators' direct operators gives
+    them up to this evaluation instead of contracting them again."""
     def compute():
-        R1, R2, R3 = _coproduct_operators(*cp.scaled)
+        R1, R2, R3 = cp.__dict__.pop("_operators", None) or _coproduct_operators(*cp.scaled)
         viol = mat_violations("co-commutativity", R1) + _pair_violations(
             cp.n, ("co-compatibility", R2, None), ("co-left-symmetry", R3, None))
         viol.sort(key=lambda v: v.indices)
@@ -344,9 +352,19 @@ def coboundary_coproducts(plsa, r):
 
     where Ldot, Lsucc, ad are left multiplication by e_i in the sum product,
     the second product, and the commutator bracket.  The pair's cached
-    Packed form is the one it was unscaled from."""
-    al, be = _coboundary_scaled(_scaled_pair(plsa), _r_forms(r))
-    return _seeded(CoproductPair(plsa[0].n, unscaled(al), unscaled(be)), scaled=(al, be))
+    Packed form is the one it was unscaled from.
+
+    It takes the hand-over an R_operators call left on the product pair and
+    drops it; when that call's r equals r, its coproducts are used and its
+    operators seed the returned pair, for plsca_check to take."""
+    pair = _scaled_pair(plsa)
+    kept, pair.handover = pair.handover, None
+    if kept is not None and kept[0] == tuple(map(tuple, r)):
+        _, (al, be), ops = kept
+    else:
+        (al, be), ops = _coboundary_scaled(pair, _r_forms(r)), None
+    return _seeded(CoproductPair(plsa[0].n, unscaled(al), unscaled(be)),
+                   scaled=(al, be), _operators=ops)
 
 
 def _coboundary_scaled(pair, rf):
@@ -430,15 +448,24 @@ def R_operators(plsa, r):
     stay on packed numerators, which are compared entry for entry
     (scaled_equal; InternalMismatch when they differ), and only the returned
     operators are turned into Fractions: the first as a list of matrices,
-    the other two as one tensor per basis vector, split off their stacks."""
+    the other two as one tensor per basis vector, split off their stacks.
+
+    Once the routes agree, the product pair's _ScaledPair holds a hand-over
+    for the next coboundary_coproducts call on it, which always drops it: a
+    snapshot of r by value, the Packed coproducts and the direct operators.
+    A call that raises leaves none."""
     require(check_plsa(*plsa), InvalidInput, "product pair invalid: %s at %s")
-    pair, rf = _scaled_pair(plsa), _r_forms(r)
-    R1, R2, R3 = _coproduct_operators(*_coboundary_scaled(pair, rf))
-    for name, direct, closed in zip(("first", "second", "third"), (R1, R2, R3),
+    pair = _scaled_pair(plsa)
+    pair.handover = None
+    rf = _r_forms(r)
+    cop = _coboundary_scaled(pair, rf)
+    R1, R2, R3 = ops = _coproduct_operators(*cop)
+    for name, direct, closed in zip(("first", "second", "third"), ops,
                                     _closed_form_operators(pair, rf)):
         if not scaled_equal(direct, closed):
             raise InternalMismatch("%s operator: direct and closed-form routes "
                                    "disagree" % name)
+    pair.handover = tuple(map(tuple, r)), cop, ops
     n = plsa[0].n
     return (list(unscaled(R1)), [unscaled(t) for t in R2.split(n)],
             [unscaled(t) for t in R3.split(n)])

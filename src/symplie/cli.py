@@ -571,7 +571,9 @@ def _slsba_double(args, lsa, alpha):
 
 def _coboundary(args, plsa):
     r = _parse_r(args.r, plsa[0].n)
-    R_operators(plsa, r)  # cross-asserts the two evaluation routes
+    # cross-asserts the two evaluation routes; coboundary_coproducts reuses
+    # the direct route's coproducts and plsca_check its operators
+    R_operators(plsa, r)
     cp = coboundary_coproducts(plsa, r)
     return (*plsa, *_reps(cp.n, cp.alpha, cp.beta), r), [plsca_check(cp)]
 

@@ -50,7 +50,14 @@ from symplie.matched import canonical_skew_pairing, double_extension
 from symplie.linalg import InternalMismatch, mat_zero, packed
 from symplie.catalog import CatalogEntry, catalog_get
 
-from oracles import brute_left_symmetric, coproducts_from_products, rand_mat, rng, t3_is_zero
+from oracles import (
+    brute_left_symmetric,
+    coboundary_coproducts_plain,
+    coproducts_from_products,
+    rand_mat,
+    rng,
+    t3_is_zero,
+)
 
 Q = Fraction
 PLSA_NAMES = ("plsa-2d-I", "plsa-2d-II", "plsa-2d-III", "plsa-2d-IV")
@@ -621,12 +628,15 @@ class TestPreconditionsOncePerChain:
     """Each precondition is evaluated once per call chain.  The counts are of
     evaluations, not calls: the runs of the computation each memoized check
     keeps (checks._plsa for check_plsa, checks._left_symmetric for
-    check_left_symmetric, bialgebra._coproduct_operators for plsca_check),
+    check_left_symmetric, bialgebra._coproduct_operators for plsca_check and
+    R_operators, which hands its operators on; bialgebra._coboundary_scaled
+    for R_operators and coboundary_coproducts, which takes its coproducts),
     on fresh objects, so a result kept from an earlier test hides no run.
     check_matched_pair, kept nowhere, is counted per call."""
 
     CORES = ((checks, "_plsa"), (checks, "_left_symmetric"),
-             (bialgebra, "_coproduct_operators"), (bialgebra, "check_matched_pair"))
+             (bialgebra, "_coproduct_operators"), (bialgebra, "_coboundary_scaled"),
+             (bialgebra, "check_matched_pair"))
 
     @pytest.fixture
     def runs(self, monkeypatch):
@@ -673,9 +683,10 @@ class TestPreconditionsOncePerChain:
 
     def test_coboundary_dense_job(self, runs):
         # the job sequence of the coboundary-dense benchmark on one r: the
-        # pair and the dual of the coproduct pair each once; the coproduct
-        # operators run once in R_operators' direct route and once in
-        # plsca_check, whose report plsba_check finds kept
+        # pair and the dual of the coproduct pair each once; the coproducts
+        # and their operators once, in R_operators' direct route, which
+        # hands them to coboundary_coproducts and plsca_check, whose report
+        # plsba_check finds kept
         pair = tuple(map(_fresh_op, plsa("plsa-2d-IV")))
         r = ((Q(0), Q(1)), (Q(-1), Q(0)))
         R_operators(pair, r)
@@ -684,8 +695,79 @@ class TestPreconditionsOncePerChain:
         assert coboundary_conditions(pair, r).verdict
         assert plsba_check(pair, cp).verdict
         assert runs["_plsa"] == 2
-        assert runs["_coproduct_operators"] == 2
+        assert runs["_coproduct_operators"] == 1
+        assert runs["_coboundary_scaled"] == 1
         assert runs["check_matched_pair"] == 1
+
+
+class TestOperatorHandOver:
+    """R_operators leaves its coproducts and direct operators on the product
+    pair's _ScaledPair; the next coboundary_coproducts on the pair drops
+    them and uses them only for an r equal by value to R_operators' r, and
+    plsca_check takes the operators off the pair it seeds."""
+
+    R = ((Q(1), Q(2)), (Q(-1, 3), Q(0)))
+    OTHER = ((Q(0), Q(1)), (Q(3), Q(-2)))
+
+    @staticmethod
+    def _pair():
+        return tuple(map(_fresh_op, plsa("plsa-2d-II")))
+
+    @staticmethod
+    def _assert_coproducts(pair, r, cp):
+        want = coboundary_coproducts_plain(pair[0].c, pair[1].c, r)
+        assert (cp.alpha, cp.beta) == want
+        assert all(map(linalg.scaled_equal, cp.scaled, map(linalg.scaled, want)))
+        assert plsca_check(cp) == plsca_check(CoproductPair(cp.n, cp.alpha, cp.beta))
+
+    def test_equal_r_is_seeded(self):
+        pair = self._pair()
+        R_operators(pair, self.R)
+        cp = coboundary_coproducts(pair, [list(row) for row in self.R])
+        assert cp.__dict__["_operators"] is not None
+        assert bialgebra._scaled_pair(pair).handover is None
+        self._assert_coproducts(pair, self.R, cp)
+
+    def test_other_r_misses(self):
+        pair = self._pair()
+        R_operators(pair, self.R)
+        cp = coboundary_coproducts(pair, self.OTHER)
+        assert cp.__dict__["_operators"] is None
+        assert bialgebra._scaled_pair(pair).handover is None
+        self._assert_coproducts(pair, self.OTHER, cp)
+
+    def test_list_r_mutated_in_place_misses(self):
+        pair = self._pair()
+        r = [list(row) for row in self.R]
+        R_operators(pair, r)
+        r[1][1] = Q(5)
+        cp = coboundary_coproducts(pair, r)
+        assert cp.__dict__["_operators"] is None
+        self._assert_coproducts(pair, tuple(map(tuple, r)), cp)
+
+    def test_raising_call_leaves_none(self, monkeypatch):
+        pair = self._pair()
+        R_operators(pair, self.R)
+        real = bialgebra._closed_form_operators
+
+        def bumped(*args):
+            first, *rest = real(*args)
+            return (_bump_first(first), *rest)
+        monkeypatch.setattr(bialgebra, "_closed_form_operators", bumped)
+        with pytest.raises(InternalMismatch, match="first operator"):
+            R_operators(pair, self.R)
+        assert bialgebra._scaled_pair(pair).handover is None
+        cp = coboundary_coproducts(pair, self.R)
+        assert cp.__dict__["_operators"] is None
+        self._assert_coproducts(pair, self.R, cp)
+
+    def test_plsca_check_drops_the_operators(self):
+        pair = self._pair()
+        R_operators(pair, self.R)
+        cp = coboundary_coproducts(pair, self.R)
+        plsca_check(cp)
+        assert "_operators" not in cp.__dict__
+        assert bialgebra._scaled_pair(pair).handover is None
 
 
 BAD_PREC = st(3, {(0, 1, 2): Q(1)})  # not commutative; compatible with zero succ

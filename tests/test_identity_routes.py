@@ -18,6 +18,7 @@ from symplie.bialgebra import (
     CoproductPair,
     NotAPLSBA,
     ParaKahlerData,
+    R_operators,
     canonical_r,
     check_parakahler,
     coboundary_conditions,
@@ -206,6 +207,11 @@ def _word(ok):
     return "pass" if ok else "fail"
 
 
+def _plsca_report(cp):
+    viol = plsca_violations(cp.alpha, cp.beta)
+    return _report("plsca", viol, ["dual product-pair route agrees (%s)" % _word(not viol)])
+
+
 def _plsba_report(pair, cp):
     viol = plsba_violations(pair[0].c, pair[1].c, cp.alpha, cp.beta)
     return _report("plsba", viol, ["matched-pair route agrees (%s)" % _word(not viol)])
@@ -222,10 +228,8 @@ class TestBialgebraRoutes:
             cp = data.draw(coproduct_pairs(n))
         else:
             cp = CoproductPair(n, data.draw(tensors((n, n, n))), data.draw(tensors((n, n, n))))
-        viol = plsca_violations(cp.alpha, cp.beta)
         got = plsca_check(cp)
-        assert got == _report("plsca", viol, ["dual product-pair route agrees (%s)"
-                                              % _word(not viol)])
+        assert got == _plsca_report(cp)
         _fraction_residuals(got)
 
     @settings(max_examples=30)
@@ -249,6 +253,13 @@ class TestBialgebraRoutes:
         cp = coboundary_coproducts(pair, r)
         assert (cp.alpha, cp.beta) == coboundary_coproducts_plain(pair[0].c, pair[1].c, r)
         assert all_fractions(cp.alpha) and all_fractions(cp.beta)
+        # the chain of construct coboundary: R_operators hands its coproducts
+        # and operators to coboundary_coproducts and plsca_check
+        R_operators(pair, r)
+        chained = coboundary_coproducts(pair, r)
+        assert (chained.alpha, chained.beta) == (cp.alpha, cp.beta)
+        got = plsca_check(chained)
+        assert got == plsca_check(CoproductPair(cp.n, cp.alpha, cp.beta)) == _plsca_report(cp)
 
     @settings(max_examples=30)
     @given(hs.data())
