@@ -68,7 +68,9 @@ from .checks import (
     Endo,
     StructureTensor,
     Violation,
+    _nonzeros,
     _once,
+    _permuted,
     _seeded,
     check_closed,
     check_flat,
@@ -125,8 +127,8 @@ class CoproductPair:
 
     @cached_property
     def dual(self):
-        """The two dual products (_dual_product), built on first use."""
-        return _dual_product(self.n, self.alpha), _dual_product(self.n, self.beta)
+        """The two dual products, listed off .scaled (_dual_product)."""
+        return tuple(_dual_product(self.n, t) for t in self.scaled)
 
 
 @dataclass(frozen=True)
@@ -239,9 +241,10 @@ def _compat_defect(D, S, T, A):
 
 def _dual_product(n, t):
     """The product on the dual space whose f_k coefficient of f_p f_q is
-    t[k][p][q], the (p, q) coefficient of the coproduct of e_k."""
-    return StructureTensor(n, tuple(tuple(tuple(t[k][p][q] for k in range(n))
-                                          for q in range(n)) for p in range(n)))
+    t[k][p][q], the (p, q) coefficient of the coproduct of e_k, for a
+    Packed t: its decoded rows listed, and the list re-bucketed."""
+    return StructureTensor.listed(n, _permuted((t.den, _nonzeros(t.decoded)[1]), (n,) * 3,
+                                               (1, 2, 0)))
 
 
 def _coproduct_operators(al, be):
@@ -595,7 +598,7 @@ def slsba_check(lsa, alpha):
     if cls:
         note = "matched-pair route skipped: dual product is not left-symmetric"
     else:
-        mrep = check_matched_pair(_left_dual_actions(lsa, _dual_product(lsa.n, alpha)))
+        mrep = check_matched_pair(_left_dual_actions(lsa, _dual_product(lsa.n, AL)))
         note = _route_agrees(not viol, mrep.verdict, "coproduct-compat identities",
                              "matched-pair route")
     return report("slsba", viol + cls, [note])
@@ -659,7 +662,7 @@ def slsba_double(slsba):
     lsa, alpha = slsba
     require(slsba_check(lsa, alpha), NotAnSLSBA, "%s fails at %s")
     n = lsa.n
-    lsa_d = glue_product(_left_dual_actions(lsa, _dual_product(n, alpha)))
+    lsa_d = glue_product(_left_dual_actions(lsa, _dual_product(n, scaled(alpha))))
     r = canonical_r(n)
     alpha_d, cobrep = slsba_coboundary(lsa_d, r)  # verifies lsa_d is an LSA
     fullrep = slsba_check(lsa_d, alpha_d)

@@ -1,17 +1,29 @@
 """Structure-constant data model and pointwise axiom verifiers.
 
 An n-dimensional bilinear operation is a StructureTensor: c[i][j][k] is the
-e_k coefficient of e_i o e_j.  Forms, endomorphisms and representations are
-matrices over Fraction.  Every verifier returns a CheckReport listing each
-violating basis tuple with its exact residual, so a failing check pinpoints
-the offending structure constants.  violations lists the nonzero residuals
-over the basis tuples it is given, mat_violations those of one Scaled
-matrix or Packed tensor, row by row, and _scatter those of the sparse
-identities below; bialgebra._pair_violations is the one collector of
-bialgebra's stacked families.  prefixed renames violations for a parent
-report.  require turns a
-failing report into the caller's typed error, and require_dims objects of
+e_k coefficient of e_i o e_j.  A representation is a RepTensor, t[i] the
+matrix of e_i; forms and endomorphisms are matrices over Fraction.  Every
+verifier returns a CheckReport listing each violating basis tuple with its
+exact residual.  violations lists the nonzero residuals over the basis
+tuples it is given, mat_violations those of one Scaled matrix or Packed
+tensor, row by row, and _scatter those of the sparse identities below;
+bialgebra._pair_violations is the one collector of bialgebra's stacked
+families.  prefixed renames violations for a parent report.  require turns
+a failing report into the caller's typed error, and require_dims objects of
 different n into DimensionMismatch.
+
+A StructureTensor or RepTensor is stored as its dimensions and its nonzero
+list .nonzeros = (den, nz), row-wise sparse (Gustavson 1978): nz[i][j]
+lists (k, x), k increasing, for each nonzero entry x / den, x an int; a
+list is never mutated.  The dense constructor lists its entries once
+(_nonzeros, den their lcm); a producer that holds a list passes it to
+.listed, den perhaps a multiple of that lcm: sums (_nonzeros_sum),
+negations and leg permutations (_permuted), glue_product's six blocks
+(_rebucket), st, rep_zero and a Packed result's decoded rows.  c (t for a
+RepTensor) is a view of nested Fraction tuples built on its first read,
+linalg.ZERO at a zero entry; no route reads it.  .scaled packs the list
+(linalg.packed_sparse).  Equality and hashing are the dataclass's, on the
+fields, so they read the view.
 
 Every identity on basis tuples takes one of two routes.  The kernel route
 contracts on the exact integer kernel of linalg, whose module docstring
@@ -24,45 +36,35 @@ row from the same core (_torsion).  The matrix identities (N^2 = +-id,
 JE = -EJ, N^T B N = +-B) and three_forms go through _mat_chain.  Each
 StructureTensor, Form and Endo converts itself once and keeps the result
 (.scaled, and .scaled_t for a matrix's transpose); ranks and eigenspace
-dimensions eliminate fresh copies of those int rows (_minus_scalar), and a
+dimensions eliminate fresh copies of those int rows (_sub_scalar), and a
 Form read off a contraction is built with its Scaled form cached (_seeded).
 
 The other route, off the kernel, is the independent cross-checks:
 check_plsa, check_left_symmetric, check_jacobi, check_bimodule, check_flat,
 check_representation, matched._mixed_12 and the phi-cocycle and
 post-connection identities of constructions.  Each identity is declared
-once as signed terms (sign, X, xlegs, Y, ylegs), each sign * sum_s
-X[xlegs] Y[ylegs] for rank-3 tensors X and Y (a StructureTensor, a
-RepTensor or a _Listed list) whose legs name the index they bind: s the
-summed one, t the entry of the residual vector (a leg of Y), and the
-others the indices of the reported tuple, two bound by X and one by Y.
-One loop, _scatter, evaluates them all by scatter (row-wise sparse times
-sparse, Gustavson 1978): for each nonzero X[..][..][s] it walks the nonempty
-rows of Y that meet s and adds each product into one int slot list per
-tuple it lands on, so a tuple no product lands on costs nothing.  Every
-tensor is listed once as int numerators over the lcm of its denominators
-(_nonzeros, kept as .nonzeros; a dual action reads its list off its
-product's) and read with its legs reordered (_view, each view kept on the
-tensor by its leg order, as .nonzeros is), and each identity brings
-its terms over one common denominator by one int factor per term, so a slot
-sums ints and only the entries of a nonzero residual become Fractions.  A
-hit is the tuple the route reports: the identity's chain names the indices
-that increase along its tuples (i < j for the half of a defect
-antisymmetric in i and j, i < j < k for Jacobi's cyclic sum), and a product
-off the chain is skipped, on X's two indices before its row is walked and
-on Y's while it is: Y's rows come in increasing order of that index, so
-the walk skips a row below the chain and stops at the first above it.
-Violations come in the lexicographic order of their tuples, identity 1
+once as signed terms (sign, X, xlegs, Y, ylegs), each sign * sum_s X[xlegs]
+Y[ylegs] for a StructureTensor or RepTensor X and Y whose legs name the
+index they bind: s the summed one, t the entry of the residual vector (a
+leg of Y), and the others the indices of the reported tuple, two bound by X
+and one by Y.  One loop, _scatter, evaluates them all by scatter: for each
+nonzero X[..][..][s] it walks the nonempty rows of Y that meet s and adds
+each product into one int slot list per tuple it lands on, so a tuple no
+product lands on costs nothing.  Each tensor's list is read with its legs
+reordered (_view, each view kept on the tensor by its leg order), and each
+identity brings its terms over one common denominator by one int factor per
+term, so a slot sums ints and only the entries of a nonzero residual become
+Fractions.  A hit is the tuple the route reports: the identity's chain
+names the indices that increase along its tuples (i < j for the half of a
+defect antisymmetric in i and j, i < j < k for Jacobi's cyclic sum), and a
+product off the chain is skipped, on X's two indices before its row is
+walked and on Y's while it is: Y's rows come in increasing order of that
+index, so the walk skips a row below the chain and stops at the first above
+it.  Violations come in the lexicographic order of their tuples, identity 1
 before identity 2 at one tuple; a caller that lists them otherwise sorts
 them stably (matched._mixed_12 by c, check_bimodule by identity, all of
-bimodule-1 before bimodule-2).  check_plsa reads the sum product off
-the exact sum of the lists of prec and succ (_nonzeros_sum), never building
-it as a tensor, and takes only the verdict of its left-symmetry.  op_add,
-op_sub and sub_adjacent sum their operands' lists the same way and build
-the result from the sum, one Fraction per listed entry, keeping the sum as
-its .nonzeros (_listed_op), so no route lists the derived tensor again.
-check_jacobi's antisymmetry half compares the (k, numerator) lists of
-[e_i, e_j] and [e_j, e_i], exact because they share one denominator.
+bimodule-1 before bimodule-2).  check_plsa reads the sum product as the
+listed sum of prec and succ, and only the verdict of its left-symmetry.
 
 A self-check fails one way: an explicit InternalMismatch raise, which
 survives python -O.  check_plsa, check_special_symplectic,
@@ -86,8 +88,7 @@ call copies into a fresh list), is no field, and is never an exception.  A
 long-lived owner keeps its kept partners alive.
 """
 
-from collections import namedtuple
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from functools import cache, cached_property
 from itertools import chain, combinations, combinations_with_replacement
@@ -103,36 +104,45 @@ from .linalg import (
     fractions,
     int_mat_mul,
     int_rank,
-    mat_transpose,
-    mat_zero,
+    packed_sparse,
     scaled,
-    t3_neg,
     unscaled,
 )
 
 
+def _dense(obj):
+    """The dense view of a _Stored tensor, built from its list."""
+    (den, nz), cols = obj.nonzeros, obj.shape[2]
+    zrow = (ZERO,) * cols
+    return tuple(tuple([_row(cols, den, r) if r else zrow for r in plane]) for plane in nz)
+
+
+class _Stored:
+    """The stored form of StructureTensor and RepTensor (module docstring):
+    listed(*dimensions, nonzeros) takes a list as it is."""
+
+    def __post_init__(self):
+        self.__dict__["nonzeros"] = _nonzeros(getattr(self, fields(self)[-1].name))
+
+    @classmethod
+    def listed(cls, *args):
+        obj = object.__new__(cls)
+        obj.__dict__.update(zip([f.name for f in fields(cls)], args[:-1]), nonzeros=args[-1])
+        return obj
+
+
 @dataclass(frozen=True)
-class StructureTensor:
+class StructureTensor(_Stored):
     n: int
-    c: tuple  # c[i][j][k]: e_i o e_j = sum_k c[i][j][k] e_k
+    c: tuple = cached_property(_dense)  # c[i][j][k]: e_i o e_j = sum_k c[i][j][k] e_k
 
     @cached_property
     def scaled(self):
-        """c in the Packed form of linalg, converted on first use and shared
-        by every kernel route that reads this tensor."""
-        return scaled(self.c)
+        """The Packed form of linalg, packed from the list once, for every
+        kernel route."""
+        return packed_sparse(*self.nonzeros, self.n)
 
-    @cached_property
-    def nonzeros(self):
-        """_nonzeros(c), listed on first use and shared by every sparse route
-        that reads this tensor; never mutated.  A sum built from a list
-        (_listed_op) keeps that list, whose den may be a multiple of the
-        lcm of the denominators."""
-        return _nonzeros(self.c)
-
-    @property
-    def shape(self):
-        return self.n, self.n, self.n
+    shape = property(lambda self: (self.n, self.n, self.n))
 
 
 class _ScaledMatrix:
@@ -162,33 +172,11 @@ class Endo(_ScaledMatrix):
 
 
 @dataclass(frozen=True)
-class RepTensor:
+class RepTensor(_Stored):
     n: int  # acting algebra dimension
     m: int  # module dimension
-    t: tuple  # t[i] = the m x m matrix of rho(e_i)
-
-    @cached_property
-    def nonzeros(self):
-        """_nonzeros(t), as StructureTensor.nonzeros.  An action that is minus
-        a product with its legs permuted (constructions.dual_left_action,
-        dual_right_action) is seeded with _minus = (product, perm), and its
-        list is read off the product's cached one (_permuted) on first use,
-        no entry tested again."""
-        minus = self.__dict__.get("_minus")
-        if minus is None:
-            return _nonzeros(self.t)
-        op, perm = minus
-        return _permuted(op.nonzeros, op.shape, perm, -1)
-
-    @property
-    def shape(self):
-        return self.n, self.m, self.m
-
-
-class _Listed(namedtuple("_Listed", "nonzeros shape")):
-    """A rank-3 tensor known only by its (den, nz) list and its shape, such
-    as check_plsa's sum product: an operand of _scatter, as a StructureTensor
-    or a RepTensor is, with a __dict__ for its views (_view)."""
+    t: tuple = cached_property(_dense)  # t[i] = the m x m matrix of rho(e_i)
+    shape = property(lambda self: (self.n, self.m, self.m))
 
 
 @dataclass(frozen=True)
@@ -227,8 +215,7 @@ def _once(owner, key, others, compute):
 def _seeded(obj, **forms):
     """obj with the entries of forms set in its __dict__: the values of its
     cached properties, for an object built from a scaled form, which it would
-    otherwise convert back, or a seed a cached property reads (_minus, for
-    RepTensor.nonzeros)."""
+    otherwise convert back."""
     obj.__dict__.update(forms)
     return obj
 
@@ -282,61 +269,45 @@ def merge_reports(check, parts, extra_violations=(), notes=()):
 
 def st(n, entries=None):
     """StructureTensor from {(i,j,k): coefficient} (0-based), default zero."""
-    c = [[[Fraction(0)] * n for _ in range(n)] for _ in range(n)]
-    for (i, j, k), q in (entries or {}).items():
-        c[i][j][k] = Fraction(q)
-    return StructureTensor(n, tuple(tuple(tuple(row) for row in plane) for plane in c))
-
-
-def _listed_op(n, nonzeros):
-    """The StructureTensor of the (den, nz) list nonzeros of an n x n x n
-    tensor: one Fraction per listed entry, one shared zero elsewhere, and
-    the list kept as its .nonzeros, so no route scans the entries again."""
-    den, nz = nonzeros
-    zrow = (ZERO,) * n
-
-    def row(entries):
-        out = [ZERO] * n
-        for k, x in entries:
-            out[k] = Fraction(x, den)
-        return tuple(out)
-    c = tuple(tuple([row(r) if r else zrow for r in plane]) for plane in nz)
-    return _seeded(StructureTensor(n, c), nonzeros=nonzeros)
+    qs = sorted((idx, Fraction(q)) for idx, q in (entries or {}).items() if q)
+    den = lcm(*(q.denominator for _, q in qs))
+    nz = [[[] for _ in range(n)] for _ in range(n)]
+    for (i, j, k), q in qs:
+        nz[i][j].append((k, q.numerator * (den // q.denominator)))
+    return StructureTensor.listed(n, (den, nz))
 
 
 def op_add(a, b):
     require_dims("operations on dimensions %d and %d", a, b)
-    return _listed_op(a.n, _nonzeros_sum(a.nonzeros, b.nonzeros))
+    return StructureTensor.listed(a.n, _nonzeros_sum(a.nonzeros, b.nonzeros))
 
 
 def op_sub(a, b):
     require_dims("operations on dimensions %d and %d", a, b)
-    return _listed_op(a.n, _nonzeros_sum(a.nonzeros,
-                                         _permuted(b.nonzeros, b.shape, (0, 1, 2), -1)))
+    return StructureTensor.listed(a.n, _nonzeros_sum(a.nonzeros, _negated(b)))
 
 
 def sub_adjacent(op):
     """The commutator bracket [x,y] = x o y - y o x, summed on op's list,
     built once per product object (_once), so every caller of one product
     shares one bracket."""
-    return _once(op, "sub-adjacent", (), lambda: _listed_op(op.n, _nonzeros_sum(
+    return _once(op, "sub-adjacent", (), lambda: StructureTensor.listed(op.n, _nonzeros_sum(
         op.nonzeros, _permuted(op.nonzeros, op.shape, (1, 0, 2), -1))))
 
 
 def rep_from_op_left(op):
     """Left multiplications of op packaged as a representation tensor: the
     matrix of e_i is t[i][k][j] = c[i][j][k] on column coordinates."""
-    return RepTensor(op.n, op.n, tuple(mat_transpose(plane) for plane in op.c))
+    return RepTensor.listed(op.n, op.n, _permuted(op.nonzeros, op.shape, (0, 2, 1)))
 
 
 def rep_neg(rep):
-    return RepTensor(rep.n, rep.m, t3_neg(rep.t))
+    return RepTensor.listed(rep.n, rep.m, _negated(rep))
 
 
 def rep_zero(n, m=None):
-    if m is None:
-        m = n
-    return RepTensor(n, m, (mat_zero(m),) * n)
+    m = n if m is None else m
+    return RepTensor.listed(n, m, (1, [[[] for _ in range(m)] for _ in range(n)]))
 
 
 # ---------------------------------------------------------------------------
@@ -388,20 +359,37 @@ def _nonzeros_row_sum(ra, rb, fa, fb):
     return [(k, x) for k, x in sorted(acc.items()) if x]
 
 
+def _row(cols, den, entries):
+    """cols Fractions: x / den at k for each (k, x) of entries, else ZERO."""
+    out = [ZERO] * cols
+    for k, x in entries:
+        out[k] = Fraction(x, den)
+    return tuple(out)
+
+
 def _permuted(nonzeros, shape, perm, sign=1):
-    """The (den, nz) list of sign times the tensor T'[p][q][r] = T[...] with
-    leg perm[0] of T at p, leg perm[1] at q and leg perm[2] at r, from the
-    (den, nz) list of T of the given shape: the entries re-bucketed, no
-    entry tested again."""
-    den, nz = nonzeros
-    p0, p1, p2 = perm
-    out = [[[] for _ in range(shape[p1])] for _ in range(shape[p0])]
+    """The list of sign times T'[p][q][r] = T[...], leg perm[0] of T at p,
+    perm[1] at q and perm[2] at r, from the list of T of the given shape:
+    the entries re-bucketed, none tested again."""
+    out = [[[] for _ in range(shape[perm[1]])] for _ in range(shape[perm[0]])]
+    _rebucket(out, nonzeros[1], perm, sign)
+    return nonzeros[0], out
+
+
+def _negated(obj):
+    """The (den, nz) list of minus the tensor obj."""
+    return _permuted(obj.nonzeros, obj.shape, (0, 1, 2), -1)
+
+
+def _rebucket(out, nz, perm, f, at=(0, 0, 0)):
+    """Append f times each entry of the list nz to out, its legs permuted as
+    by _permuted, then moved by at; one call appends each row's k in order."""
+    (p0, p1, p2), (o0, o1, o2) = perm, at
     for a, plane in enumerate(nz):
         for b, row in enumerate(plane):
             for c, x in row:
                 idx = (a, b, c)
-                out[idx[p0]][idx[p1]].append((idx[p2], sign * x))
-    return den, out
+                out[idx[p0] + o0][idx[p1] + o1].append((idx[p2] + o2, f * x))
 
 
 def _view(obj, perm):
@@ -496,13 +484,12 @@ def _sparse_violations(names, dims, identities):
 
 
 def check_jacobi(br):
-    n, c = br.n, br.c
-    nz = br.nonzeros[1]
+    n, (den, nz) = br.n, br.nonzeros
     # the numerators of one tensor share den, so c[i][j] + c[j][i] is zero
     # exactly when the two lists of (k, numerator) are opposite
     viol = violations("antisymmetry", combinations_with_replacement(range(n), 2),
                       lambda i, j: () if nz[i][j] == [(k, -a) for k, a in nz[j][i]]
-                      else tuple(x + y for x, y in zip(c[i][j], c[j][i])))
+                      else _row(n, den, _nonzeros_row_sum(nz[i][j], nz[j][i], 1, 1)))
     # [[e_i, e_j], e_k] + [[e_j, e_k], e_i] + [[e_k, e_i], e_j] on i < j < k
     viol += _sparse_violations("ijk", dict.fromkeys("ijkt", n), [("jacobi", "ijk", (
         (1, br, "ijs", br, "skt"), (1, br, "jks", br, "sit"), (1, br, "kis", br, "sjt")))])
@@ -520,7 +507,7 @@ def _left_symmetric(op):
 
 
 def _left_symmetry(op):
-    """The left-symmetry identity of op, a product or a _Listed list."""
+    """The left-symmetry identity of the product op."""
     # (e_i e_j) e_k - e_i (e_j e_k) - (e_j e_i) e_k + e_j (e_i e_k): the
     # defect is antisymmetric under swapping the first two arguments, so
     # i < j covers everything
@@ -529,11 +516,11 @@ def _left_symmetry(op):
 
 
 def check_commutative(op):
-    c = op.c
+    n, (den, nz) = op.n, op.nonzeros
     return report("commutative", violations(
-        "commutative", combinations(range(op.n), 2),
-        lambda i, j: () if c[i][j] == c[j][i]
-        else tuple(x - y for x, y in zip(c[i][j], c[j][i]))))
+        "commutative", combinations(range(n), 2),
+        lambda i, j: () if nz[i][j] == nz[j][i]
+        else _row(n, den, _nonzeros_row_sum(nz[i][j], nz[j][i], 1, -1))))
 
 
 def check_plsa(prec, succ):
@@ -545,10 +532,9 @@ def check_plsa(prec, succ):
     on invalid input they may disagree.  Given commutativity and
     compatibility, the left-symmetry defect of prec + succ minus that of
     succ cancels term by term, so a disagreement then raises
-    InternalMismatch.  The sum product is never built as a Fraction tensor:
-    its nonzero list is the exact sum of the cached lists of prec and succ
-    (_nonzeros_sum), which the compatibility sums and the left-symmetry
-    core read.  Evaluated once per pair of objects (_once).
+    InternalMismatch.  The sum product is listed, the exact sum of the lists
+    of prec and succ, and its dense view is never built.  Evaluated once per
+    pair of objects (_once).
     """
     return _once(prec, "plsa", (succ,), lambda: _plsa(prec, succ))
 
@@ -558,7 +544,7 @@ def _plsa(prec, succ):
     n = prec.n
     comm = check_commutative(prec)
     lsymm = check_left_symmetric(succ)
-    total = _Listed(_nonzeros_sum(prec.nonzeros, succ.nonzeros), prec.shape)
+    total = StructureTensor.listed(n, _nonzeros_sum(prec.nonzeros, succ.nonzeros))
     # e_i succ (e_j prec e_k) - (e_i . e_j) prec e_k - e_j prec (e_i . e_k), and
     # the left-symmetry of the sum product, of which only the verdict is read
     viol = _sparse_violations("ijk", dict.fromkeys("ijkt", n), [("compatibility", "", (
@@ -581,10 +567,11 @@ def _plsa(prec, succ):
 
 def check_torsion_free(br, conn):
     require_dims("bracket dim %d, connection dim %d", br, conn)
-    c, b = conn.c, br.c
+    # [e_i, e_j] of the commutator of conn minus that of br, on summed lists
+    den, nz = _nonzeros_sum(sub_adjacent(conn).nonzeros, _negated(br))
     return report("torsion-free", violations(
         "torsion-free", combinations(range(br.n), 2),
-        lambda i, j: tuple(x - y - z for x, y, z in zip(c[i][j], c[j][i], b[i][j]))))
+        lambda i, j: _row(br.n, den, nz[i][j]) if nz[i][j] else ()))
 
 
 def check_flat(br, conn):
@@ -679,7 +666,7 @@ def nijenhuis_torsion(br, N):
     every plane in full, through the core that torsion_violations runs on
     the pairs i < j only."""
     planes, den = _torsion(br, N, upper=False)
-    return StructureTensor(br.n, tuple(unscaled(Scaled(plane, den)) for plane in planes))
+    return StructureTensor.listed(br.n, (den, _nonzeros(planes)[1]))
 
 
 def violations(where, tuples, residual, den=None):
@@ -715,7 +702,7 @@ def mat_violations(where, t):
 # shared by check_complex_product, check_metric_compatible,
 # bialgebra.check_parakahler and the self-check of constructions.family_JE
 
-def _minus_scalar(M, q):
+def _sub_scalar(M, q):
     """The int rows of M - q id, numerators over M.den for a square Scaled M:
     fresh lists, so int_rank may eliminate them in place."""
     return [[x - q * M.den if i == j else x for j, x in enumerate(row)]
@@ -748,7 +735,7 @@ def square_violations(where, N, sign):
     returns a fresh list."""
     def compute():
         res = _mat_chain(((1, (N.scaled, N.scaled)),))
-        return tuple(mat_violations(where, Scaled(_minus_scalar(res, sign), res.den)))
+        return tuple(mat_violations(where, Scaled(_sub_scalar(res, sign), res.den)))
     return list(_once(N, ("square", where, sign), (), compute))
 
 
@@ -780,8 +767,8 @@ def torsion_violations(where, br, N):
 
 def eigenspace_violations(E):
     """The +1 and -1 eigenspaces of E have equal dimension."""
-    dplus = E.n - int_rank(_minus_scalar(E.scaled, 1))
-    dminus = E.n - int_rank(_minus_scalar(E.scaled, -1))
+    dplus = E.n - int_rank(_sub_scalar(E.scaled, 1))
+    dminus = E.n - int_rank(_sub_scalar(E.scaled, -1))
     if dplus == dminus:
         return []
     return [Violation("eigenspace-dims", (), Fraction(dplus - dminus))]
@@ -793,7 +780,7 @@ def check_complex_product(br, J, E):
     require_dims("dimensions %d, %d, %d", br, J, E)
     viol = square_violations("J^2+id", J, -1) + square_violations("E^2-id", E, 1)
     for q in (1, -1):
-        if not any(map(any, _minus_scalar(E.scaled, q))):  # E = q id
+        if not any(map(any, _sub_scalar(E.scaled, q))):  # E = q id
             viol.append(Violation("E-is-scalar", (), Fraction(q)))
             break
     viol += anticommute_violations("JE+EJ", J, E)
@@ -869,8 +856,10 @@ def check_bimodule(lsa, l, r):
     come per tuple, are sorted stably by identity."""
     require_dims("algebra dim %d, actions on dims %d, %d", lsa, l, r)
     n, m = lsa.n, l.m
-    if r.m != m or len(l.t) != l.n or len(r.t) != r.n or any(
-            len(mat) != m or any(len(row) != m for row in mat) for mat in (*l.t, *r.t)):
+    # the shape of the lists: n planes of m rows, each column below m
+    if r.m != m or any(len(nz) != n or any(len(plane) != m or any(
+            row and row[-1][0] >= m for row in plane) for plane in nz)
+            for nz in (l.nonzeros[1], r.nonzeros[1])):
         raise DimensionMismatch("actions on a module of dim %d must be %d x %d matrices"
                                 % (m, m, m))
     hits, dens = _scatter("ija", dict(i=n, j=n, a=m, t=m), [

@@ -13,16 +13,17 @@ checks and refuses bad input with a typed error, so downstream code can
 rely on the returned data without re-checking.
 
 lsa_from_symplectic and plsa_from_special_symplectic contract their input
-on the exact integer kernel of linalg (Packed); the identities that
-post_affine_check and affine_cotangent_extension evaluate on basis tuples
-are sparse identities declared as signed terms and evaluated by
-checks._scatter.  The dual actions read their nonzero lists off their
-product's (checks._permuted), testing no entry again.
+on the exact integer kernel of linalg (Packed) and list its decoded rows;
+the identities that post_affine_check and affine_cotangent_extension
+evaluate on basis tuples are sparse identities declared as signed terms and
+evaluated by checks._scatter.  The dual actions and glue_product build
+their nonzero lists from their inputs' (checks._permuted, _rebucket).
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
+from math import lcm
 
 from .linalg import (
     InternalMismatch,
@@ -39,17 +40,17 @@ from .linalg import (
     scaled_equal,
     scaled_leg,
     scaled_permute,
-    t3_neg,
-    unscaled,
 )
 from .checks import (
     Endo,
     Form,
     RepTensor,
     StructureTensor,
-    _Listed,
+    _negated,
     _nonzeros,
-    _seeded,
+    _nonzeros_sum,
+    _permuted,
+    _rebucket,
     _sparse_violations,
     anticommute_violations,
     check_closed,
@@ -153,13 +154,13 @@ def dual_left_action(op):
     multiplication by x, so that <x.a*, y> = -<a*, x o y> on all triples:
     t[i][j][k] = -c[i][j][k].
     """
-    return _seeded(RepTensor(op.n, op.n, t3_neg(op.c)), _minus=(op, (0, 1, 2)))
+    return RepTensor.listed(op.n, op.n, _negated(op))
 
 
 def dual_right_action(op):
     """Right multiplications on the dual: <x.a*, y> = -<a*, y o x>, so
     t[i][a][b] = -c[a][i][b]."""
-    return _seeded(RepTensor(op.n, op.n, t3_neg(zip(*op.c))), _minus=(op, (1, 0, 2)))
+    return RepTensor.listed(op.n, op.n, _permuted(op.nonzeros, op.shape, (1, 0, 2), -1))
 
 
 def coadjoint(br):
@@ -177,15 +178,16 @@ def glue_product(mp):
         (x+a)(y+b) = (x.y + l2(a)y + r2(b)x) + (a.b + l1(x)b + r1(y)a).
     """
     n, m = mp.A1.n, mp.A2.n
-    # l1[i][b] = column b of l1(e_i), the A2 part of e_i . f_b; and so on
-    l1, r1, l2, r2 = ([tuple(zip(*mat)) for mat in rep.t]
-                      for rep in (mp.l1, mp.r1, mp.l2, mp.r2))
-    zn, zm = (Fraction(0),) * n, (Fraction(0),) * m
-    top = tuple(tuple(tuple(row) + zm for row in mp.A1.c[i])
-                + tuple(r2[b][i] + l1[i][b] for b in range(m)) for i in range(n))
-    bottom = tuple(tuple(l2[a][j] + r1[j][a] for j in range(n))
-                   + tuple(zn + tuple(row) for row in mp.A2.c[a]) for a in range(m))
-    return StructureTensor(n + m, top + bottom)
+    # (tensor, legs, at) for _rebucket: e_i . f_b is column i of r2(f_b) plus
+    # column b of l1(e_i), f_a . e_j alike; in a row the columns ascend
+    blocks = ((mp.A1, (0, 1, 2), (0, 0, 0)), (mp.r2, (2, 0, 1), (0, n, 0)),
+              (mp.l1, (0, 2, 1), (0, n, n)), (mp.l2, (0, 2, 1), (n, 0, 0)),
+              (mp.r1, (2, 0, 1), (n, 0, n)), (mp.A2, (0, 1, 2), (n, n, n)))
+    den = lcm(*(t.nonzeros[0] for t, _, _ in blocks))
+    nz = [[[] for _ in range(n + m)] for _ in range(n + m)]
+    for t, legs, at in blocks:
+        _rebucket(nz, t.nonzeros[1], legs, den // t.nonzeros[0], at)
+    return StructureTensor.listed(n + m, (den, nz))
 
 
 def _antidiagonal_form(upper, lower):
@@ -376,8 +378,7 @@ def lsa_from_symplectic(br, w):
     _require_nondegenerate(w)
     # w(e_i . e_k, e_j) = w([e_i, e_j], e_k) for each j, solved through (w^T)^-1
     phinv = mat_inverse(mat_transpose(w.m))
-    conn = StructureTensor(br.n, unscaled(_through_form(phinv, mat_transpose(w.m),
-                                                        br.scaled)))
+    conn = _unpacked(br.n, _through_form(phinv, mat_transpose(w.m), br.scaled))
     if not check_torsion_free(br, conn).verdict:
         raise InternalMismatch("derived product has torsion")
     if not check_flat(br, conn).verdict:
@@ -404,12 +405,17 @@ def plsa_from_special_symplectic(s):
         return _through_form(phinv, s.omega.m, scaled_permute(op.scaled, (1, 0, 2)))
 
     P, S = scaled_combine(((-1, split(s.conn)),)), split(s.bracket)
-    prec, succ = StructureTensor(n, unscaled(P)), StructureTensor(n, unscaled(S))
+    prec, succ = _unpacked(n, P), _unpacked(n, S)
     if not scaled_equal(scaled_combine(((1, P), (1, S))), s.conn.scaled):
         raise InternalMismatch("parts do not sum back to the connection")
     if not check_plsa(prec, succ).verdict:
         raise InternalMismatch("derived pair fails the product-pair axioms")
     return prec, succ
+
+
+def _unpacked(n, t):
+    """The StructureTensor of the Packed t, listed off its decoded rows."""
+    return StructureTensor.listed(n, (t.den, _nonzeros(t.decoded)[1]))
 
 
 def _through_form(phinv, m, t):
@@ -438,17 +444,18 @@ def affine_cotangent_extension(d):
     base, l, r, phi = d.base, d.l, d.r, d.phi
     require(check_left_symmetric(base), NotAnLSA, "base product is not %s at %s")
     n = base.n
-    g = glue_product(MatchedPairData(base, st(n), l, r, rep_zero(n), rep_zero(n))).c
-    # phi(x, y) is the A* part of x.y
-    ext = StructureTensor(2 * n, tuple(
-        tuple(g[i][j][:n] + tuple(phi[i][j]) for j in range(n)) + g[i][n:]
-        for i in range(n)) + g[n:])
+    g = glue_product(MatchedPairData(base, st(n), l, r, rep_zero(n), rep_zero(n)))
+    Phi = StructureTensor(n, phi)
+    # phi(x, y) is the A* part of x.y, where g has none
+    shifted = [[[] for _ in range(2 * n)] for _ in range(2 * n)]
+    _rebucket(shifted, Phi.nonzeros[1], (0, 1, 2), 1, (0, 0, n))
+    ext = StructureTensor.listed(2 * n, _nonzeros_sum(g.nonzeros, (Phi.nonzeros[0], shifted)))
 
     # l(e_i) minus the dual left action -c[i] of e_i
     viol = violations("l-is-dual-left-action", product(range(n), repeat=3),
                       lambda i, a, b: l.t[i][a][b] + base.c[i][a][b])
 
-    prec = StructureTensor(n, t3_neg(r.t))
+    prec = StructureTensor.listed(n, _negated(r))
     succ = op_sub(base, prec)
     pair_rep = check_plsa(prec, succ)
 
@@ -456,7 +463,6 @@ def affine_cotangent_extension(d):
                        ((i, j, k) for i in range(n) for j, k in combinations(range(n), 2)),
                        lambda i, j, k: phi[i][j][k] - phi[i][k][j])
 
-    Phi = _Listed(_nonzeros(phi), (n, n, n))
     # the defect at (e_i, e_j, e_k) minus the defect at (e_j, e_i, e_k), on i < j
     viol += _sparse_violations("ijk", dict.fromkeys("ijkt", n), [("phi-cocycle", "ij", (
         (1, Phi, "ijs", r, "kts"), (1, base, "ijs", Phi, "skt"),

@@ -28,8 +28,9 @@ long the row is:
     collectors test a row against 0 before they decode it.
 
 A Packed decodes its rows at most once and keeps them (decoded, matrix),
-and the data objects of checks (StructureTensor, Form, Endo) convert
-themselves once and cache the result, so scaled() here is for raw tuples
+and the data objects of checks convert themselves once and cache the
+result (a StructureTensor packs its int nonzero list, Form and Endo take
+scaled() of their matrix), so scaled() here is otherwise for raw tuples
 that belong to no such object.  scaled_equal compares two routes' results
 on cross-multiplied numerators, so neither is unscaled just to be compared.
 
@@ -44,18 +45,13 @@ and denominators blow up; int_rank eliminates in place, so it takes a copy.
 The dense Fraction helpers build each layout in one place, with the one
 shared ZERO for a zero entry: mat_zero, mat_scalar (q times the identity)
 and mat_blocks (a block matrix, such as the canonical r, the skew pairing
-and the hypersymplectic operators), fractions (an int row over a
-denominator, for unscaled and the collectors), and t3_neg, which negates
-the dual actions and keeps a zero entry as it is.  Whole tensors are added
-and subtracted on their nonzero lists, in checks.
-
-Every other operation has one implementation, on the int kernel.  Fractions
-become int rows in one place, scaled(), whose rows mat_rank and mat_inverse
-eliminate; packed rows become entries in one place, Packed.decoded, which
-unscaled reads as well.  mat_mul, mat_rank and tensor_contract have no
-caller in the package: they are shims on the kernel (int_mat_mul, int_rank
-and one scaled_leg) that stay because the benchmark tracer wraps them by
-name.
+and the hypersymplectic operators), and fractions (an int row over a
+denominator, for unscaled and the collectors).  The tensors of checks are
+stored, negated, permuted and summed as nonzero lists, packed_sparse packs
+one, and Packed.decoded is the one place packed rows become entries.  Every
+other operation has one implementation, on the int kernel; mat_mul,
+mat_rank and tensor_contract are shims on it that only the benchmark
+tracer calls.
 """
 
 from fractions import Fraction
@@ -223,10 +219,6 @@ def mat_inverse(m):
 
 def t3_dims(t):
     return len(t), len(t[0]), len(t[0][0])
-
-
-def t3_neg(a):
-    return tuple(tuple(tuple(-x if x else x for x in row) for row in plane) for plane in a)
 
 
 def tensor_contract(t, v, slot):
@@ -438,6 +430,15 @@ def packed(num, den):
     # the entries are at hand, so they are kept as decoded, not read back
     t.__dict__["decoded"] = tuple(tuple(map(tuple, plane)) for plane in num)
     return t
+
+
+def packed_sparse(den, rows, cols):
+    """The Packed tensor of cols columns whose row (a, b) has the numerators
+    x over den at c for the pairs (c, x) of rows[a][b]; decoded when read."""
+    bound = max([abs(x) for plane in rows for row in plane for _, x in row], default=0)
+    width = _width(bound)
+    return Packed([[sum([x << width * c for c, x in row]) for row in plane] for plane in rows],
+                  den, cols, width, bound)
 
 
 def _widen(t, width):

@@ -1167,6 +1167,155 @@ def emit_plain(af):
     return "\n".join(lines) + "\n"
 
 
+# --- sparse plain loops for the dims the iterated doubles reach (16 and
+# up), where the dense loops above are too slow: the same identities, the
+# same violations in the same order, with a vector a dict {index: nonzero
+# Fraction} and a rank-3 tensor read through its nonzero rows (vs
+# check_plsa and check_matched_pair) ---
+
+def sparse_rows(t):
+    """{(a, b): {c: t[a][b][c]}} over the nonzero entries of a rank-3 tensor."""
+    out = {}
+    for a, plane in enumerate(t):
+        for b, row in enumerate(plane):
+            for c, q in enumerate(row):
+                if q:
+                    out.setdefault((a, b), {})[c] = q
+    return out
+
+
+def _sv_sum(terms):
+    """sum f * v over the (f, v) of terms, its zero entries dropped."""
+    out = {}
+    for f, v in terms:
+        for k, q in v.items():
+            out[k] = out.get(k, 0) + f * q
+    return {k: q for k, q in out.items() if q}
+
+
+def _sv_product(rows, u, v):
+    """u o v for the nonzero rows of a product."""
+    return _sv_sum((p * q, rows.get((i, j), {})) for i, p in u.items() for j, q in v.items())
+
+
+def sparse_planes(t):
+    """{i: {a: {b: t[i][a][b]}}} over the nonzero entries of an action t."""
+    out = {}
+    for (i, a), row in sparse_rows(t).items():
+        out.setdefault(i, {})[a] = row
+    return out
+
+
+def _sv_act(planes, x, v):
+    """(sum_i x_i t[i]) v for the sparse_planes of an action t, whose t[i]
+    acts on column vectors."""
+    out = {}
+    for i, p in x.items():
+        for a, row in planes.get(i, {}).items():
+            for b, q in row.items():
+                if b in v:
+                    out[a] = out.get(a, 0) + p * q * v[b]
+    return {a: q for a, q in out.items() if q}
+
+
+def _sv_dense(v, n):
+    return tuple(v.get(k, Fraction(0)) for k in range(n))
+
+
+def left_symmetric_sparse(c):
+    """left_symmetric_violations by sparse loops."""
+    n, rows = len(c), sparse_rows(c)
+
+    def assoc(i, j, k):  # (e_i o e_j) o e_k - e_i o (e_j o e_k)
+        return _sv_sum(((1, _sv_product(rows, rows.get((i, j), {}), {k: 1})),
+                        (-1, _sv_product(rows, {i: 1}, rows.get((j, k), {})))))
+    out = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            for k in range(n):
+                r = _sv_sum(((1, assoc(i, j, k)), (-1, assoc(j, i, k))))
+                if r:
+                    out.append(("left-symmetric", (i, j, k), _sv_dense(r, n)))
+    return out
+
+
+def plsa_compat_sparse(prec_c, succ_c):
+    """plsa_compat_violations by sparse loops."""
+    n, P, S = len(prec_c), sparse_rows(prec_c), sparse_rows(succ_c)
+    dot = {key: _sv_sum(((1, P.get(key, {})), (1, S.get(key, {})))) for key in {*P, *S}}
+    out = []
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                r = _sv_sum(((1, _sv_product(S, {i: 1}, P.get((j, k), {}))),
+                             (-1, _sv_product(P, dot.get((i, j), {}), {k: 1})),
+                             (-1, _sv_product(P, {j: 1}, dot.get((i, k), {})))))
+                if r:
+                    out.append(("compatibility", (i, j, k), _sv_dense(r, n)))
+    return out
+
+
+def bimodule_sparse(c, l, r):
+    """bimodule_violations by sparse loops: each matrix identity evaluated
+    on the basis vectors e_b, its entries then listed row by row."""
+    n, m, C, L, R = len(c), len(l[0]), sparse_rows(c), sparse_planes(l), sparse_planes(r)
+    # lb[j][b] = l(e_j) e_b and rb[j][b] = r(e_j) e_b
+    lb = [[_sv_act(L, {j: 1}, {b: 1}) for b in range(m)] for j in range(n)]
+    rb = [[_sv_act(R, {j: 1}, {b: 1}) for b in range(m)] for j in range(n)]
+
+    def entries(where, cols):
+        return [(where, (a, b), cols[b][a]) for a in range(m) for b in range(m)
+                if a in cols[b]]
+    out = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            ei, ej = {i: 1}, {j: 1}
+            out += entries("bimodule-1 at (%d,%d)" % (i, j), [_sv_sum((
+                (1, _sv_act(L, ei, lb[j][b])), (-1, _sv_act(L, C.get((i, j), {}), {b: 1})),
+                (-1, _sv_act(L, ej, lb[i][b])), (1, _sv_act(L, C.get((j, i), {}), {b: 1}))))
+                for b in range(m)])
+    for i in range(n):
+        for j in range(n):
+            ei, ej = {i: 1}, {j: 1}
+            out += entries("bimodule-2 at (%d,%d)" % (i, j), [_sv_sum((
+                (1, _sv_act(L, ei, rb[j][b])), (-1, _sv_act(R, ej, lb[i][b])),
+                (-1, _sv_act(R, C.get((i, j), {}), {b: 1})), (1, _sv_act(R, ej, rb[i][b]))))
+                for b in range(m)])
+    return out
+
+
+def mixed_compat_sparse(c, lA, rA, lB, rB, name1, name2):
+    """mixed_compat_violations by sparse loops."""
+    n, m, C = len(c), len(lB), sparse_rows(c)
+    LA, RA, LB, RB = map(sparse_planes, (lA, rA, lB, rB))
+    out = []
+    for d in range(m):
+        f = {d: 1}
+        # per basis vector e_i: lA(e_i) f, rA(e_i) f, lB(f) e_i and rB(f) e_i
+        la, ra = ([_sv_act(T, {i: 1}, f) for i in range(n)] for T in (LA, RA))
+        lb, rb = ([_sv_act(T, f, {i: 1}) for i in range(n)] for T in (LB, RB))
+        for i in range(n):
+            ei = {i: 1}
+            for j in range(n):
+                ej = {j: 1}
+                if i < j:
+                    res = _sv_sum((
+                        (1, _sv_act(RB, f, C.get((i, j), {}))),
+                        (-1, _sv_act(RB, f, C.get((j, i), {}))),
+                        (-1, _sv_act(RB, la[j], ei)), (1, _sv_act(RB, la[i], ej)),
+                        (-1, _sv_product(C, ei, rb[j])), (1, _sv_product(C, ej, rb[i]))))
+                    if res:
+                        out.append((name1, (i, j, d), _sv_dense(res, n)))
+                res = _sv_sum((
+                    (1, _sv_act(LB, f, C.get((i, j), {}))),
+                    (1, _sv_act(LB, la[i], ej)), (-1, _sv_act(LB, ra[i], ej)),
+                    (-1, _sv_product(C, lb[i], ej)), (1, _sv_product(C, rb[i], ej)),
+                    (-1, _sv_act(RB, ra[j], ei)), (-1, _sv_product(C, ei, lb[j]))))
+                if res:
+                    out.append((name2, (i, j, d), _sv_dense(res, n)))
+    return out
+
+
 # --- seeded random rational data ---
 
 _POOL = [Fraction(q) for q in

@@ -55,7 +55,7 @@ from symplie.bialgebra import (
     slsba_double,
     zero_coproducts,
 )
-from symplie.linalg import mat_zero, t3_neg
+from symplie.linalg import mat_zero
 from symplie.catalog import catalog_get
 from symplie.cli import RECIPES, emit_algebra_file, main, parse_algebra_file
 
@@ -208,7 +208,8 @@ def test_4_zero_phi_extension_is_special_symplectic(capsys):
             prec, succ = plsa(name)
             dot = op_add(prec, succ)
             # the action whose derived commutative part is exactly prec
-            r = RepTensor(2, 2, t3_neg(prec.c))
+            r = RepTensor(2, 2, tuple(tuple(tuple(-x for x in row) for row in plane)
+                                      for plane in prec.c))
             product, rep = affine_cotangent_extension(
                 CotangentExtensionData(dot, dual_left_action(dot), r, st(2).c))
             assert rep.verdict, name

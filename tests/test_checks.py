@@ -281,7 +281,8 @@ class TestNonzerosSum:
         assert checks._nonzeros_sum(one.nonzeros, minus.nonzeros) == (3, [[[]]])
 
     @pytest.mark.parametrize("name", ("plsa-2d-IV", "perturbed"))
-    def test_check_plsa_builds_no_dense_sum(self, monkeypatch, name):
+    def test_check_plsa_builds_no_dense_sum(self, monkeypatch, name, list_builds,
+                                            refuse_dense_views):
         pair = catalog_get("plsa-2d-IV").payload if name == "plsa-2d-IV" else (
             st(2, {(0, 1, 0): Q(1, 2), (1, 1, 1): Q(-1, 3)}),
             st(2, {(0, 1, 0): Q(-1, 2), (1, 0, 1): Q(2)}))
@@ -292,8 +293,13 @@ class TestNonzerosSum:
         def refused(*_):
             raise AssertionError("check_plsa added the dense tensors")
         monkeypatch.setattr(checks, "op_add", refused)
-        monkeypatch.setattr(checks, "_listed_op", refused)
+        refuse_dense_views()
+        list_builds.clear()
         assert check_plsa(prec, succ) == want
+        # the one tensor built is the sum product, from the summed lists, and
+        # its dense view is never built
+        assert [t.nonzeros for t in list_builds] == [
+            checks._nonzeros_sum(prec.nonzeros, succ.nonzeros)]
         # the cached lists the sum was read from are not changed by it
         assert (prec.nonzeros, succ.nonzeros) == before
 
@@ -547,14 +553,17 @@ def _residual_entries_are_fractions(rep):
                for x in (v.residual if isinstance(v.residual, tuple) else (v.residual,)))
 
 
-def _plsa_oracle_report(prec_c, succ_c):
+def _plsa_oracle_report(prec_c, succ_c, lsym=left_symmetric_violations,
+                        compat_violations=plsa_compat_violations):
+    """check_plsa's report from the oracles: the dense loops, or others of
+    the same signatures (the sparse loops at larger dims)."""
     n = len(prec_c)
     total_c = tuple(tuple(tuple(p + q for p, q in zip(prec_c[i][j], succ_c[i][j]))
                           for j in range(n)) for i in range(n))
     comm = _oracle_report("commutative", commutative_violations(prec_c))
-    lsymm = _oracle_report("left-symmetric", left_symmetric_violations(succ_c))
-    compat = [Violation(*v) for v in plsa_compat_violations(prec_c, succ_c)]
-    sum_ok = not left_symmetric_violations(total_c)
+    lsymm = _oracle_report("left-symmetric", lsym(succ_c))
+    compat = [Violation(*v) for v in compat_violations(prec_c, succ_c)]
+    sum_ok = not lsym(total_c)
     word = {True: "pass", False: "fail"}
     if sum_ok == lsymm.verdict:
         notes = ["sum-product left-symmetry agrees with succ left-symmetry (%s)"
@@ -693,15 +702,20 @@ def sparse_terms(draw):
     return n, terms
 
 
+class _Operand(collections.namedtuple("_Operand", "nonzeros shape")):
+    """A rank-3 operand of checks._scatter known by its (den, nz) list and
+    its shape, with a __dict__ for the views _scatter keeps on it."""
+
+
 def _listed(pairs_per_row, width):
-    """A _Listed tensor of shape (len(pairs_per_row), 1, width): row p holds
-    the sum of the values of pairs_per_row[p] at their indices, over the lcm
-    of its own denominators (_nonzeros)."""
+    """An _Operand of shape (len(pairs_per_row), 1, width): row p holds the
+    sum of the values of pairs_per_row[p] at their indices, over the lcm of
+    its own denominators (_nonzeros)."""
     t = [[[Q(0)] * width] for _ in pairs_per_row]
     for p, pairs in enumerate(pairs_per_row):
         for k, q in pairs:
             t[p][0][k] += Q(q)
-    return checks._Listed(checks._nonzeros(t), (len(t), 1, width))
+    return _Operand(checks._nonzeros(t), (len(t), 1, width))
 
 
 def _identity(n, terms):
@@ -1075,24 +1089,32 @@ def _cached_forms(x):
 
 class TestScaledFormsConvertedOnce:
     """Each data object is converted to the Scaled form once, on first use,
-    however many kernel routes read it; raw tuples of no data object (and no
-    identity matrix) are converted only where a route needs them."""
+    however many kernel routes read it (a StructureTensor packs the rows of
+    its nonzero list, linalg.packed_sparse; a Form or Endo its matrix,
+    linalg.scaled); raw tuples of no data object (and no identity matrix)
+    are converted only where a route needs them."""
 
     @pytest.fixture
     def converted(self, monkeypatch):
         seen = []
-        real = linalg.scaled
+        real, real_sparse = linalg.scaled, linalg.packed_sparse
 
         def counted(t):
             seen.append(t)
             return real(t)
+
+        def counted_sparse(den, rows, cols):
+            seen.append(rows)
+            return real_sparse(den, rows, cols)
         for mod in (linalg, checks, bialgebra, constructions):
             monkeypatch.setattr(mod, "scaled", counted)
+        monkeypatch.setattr(checks, "packed_sparse", counted_sparse)
         return seen
 
     @staticmethod
     def _is_identity(t):
-        return not isinstance(t[0][0], tuple) and all(
+        # a matrix of Fraction entries, not a list of nonzero rows
+        return not isinstance(t[0][0], (tuple, list)) and all(
             x == (1 if i == j else 0) for i, row in enumerate(t) for j, x in enumerate(row))
 
     def test_hypersymplectic(self, converted):
@@ -1103,7 +1125,7 @@ class TestScaledFormsConvertedOnce:
         # Scaled form seeded from the contraction they are read off
         assert len(converted) == 4
         assert len({id(t) for t in converted}) == 4
-        assert {id(br.c), id(J.m), id(E.m), id(g.m)} <= {id(t) for t in converted}
+        assert {id(br.nonzeros[1]), id(J.m), id(E.m), id(g.m)} <= {id(t) for t in converted}
         assert not any(map(self._is_identity, converted))
 
     def test_parakahler(self, converted):
@@ -1111,7 +1133,7 @@ class TestScaledFormsConvertedOnce:
         converted.clear()
         assert check_parakahler(pk).verdict
         assert sorted(map(id, converted)) == sorted(
-            map(id, (pk.bracket.c, pk.omega.m, pk.E.m, pk.conn.c)))
+            map(id, (pk.bracket.nonzeros[1], pk.omega.m, pk.E.m, pk.conn.nonzeros[1])))
 
 
 class TestRanksFromCachedRows:

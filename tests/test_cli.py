@@ -580,17 +580,19 @@ class TestConstructCommand:
         assert run(["verify", str(out), "--check", "special-symplectic"]) == 0
         assert parse(out.read_text()).dim == 4
 
-    def test_double_extension_builds_one_commutator(self, plsa2, tmp_path, monkeypatch):
+    def test_double_extension_builds_one_commutator(self, plsa2, tmp_path, monkeypatch,
+                                                    list_builds):
         # the special-symplectic check and the written bracket read one
         # commutator of the glued product: the one 4-dim tensor built from a
         # summed list (the sum products of the two sides are 2-dim)
-        built, real = [], checks._listed_op
-        monkeypatch.setattr(checks, "_listed_op",
-                            lambda n, nonzeros: built.append(n) or real(n, nonzeros))
+        sums, real = [], checks._nonzeros_sum
+        monkeypatch.setattr(checks, "_nonzeros_sum",
+                            lambda x, y: sums.append(real(x, y)) or sums[-1])
         zero = tmp_path / "zero.alg"
         zero.write_text("algebra zero2\ndim 2\n")
         assert run(["construct", "double-extension", plsa2, str(zero),
                     "--out", str(tmp_path / "dext.alg")]) == 0
+        built = [t.n for t in list_builds if any(t.nonzeros is s for s in sums)]
         assert built.count(4) == 1 and set(built) == {2, 4}
 
     def test_double_extension_wrong_arity(self, plsa2, capsys):

@@ -1,8 +1,10 @@
 """The layouts built in one place each: the stacked families of bialgebra
-read by one collector (_pair_violations), and the 2 x 2 block matrices of
-the doubles and of the hypersymplectic families (linalg.mat_blocks and
-mat_scalar), each against a plain-loop oracle."""
+read by one collector (_pair_violations), the 2 x 2 block matrices of the
+doubles and of the hypersymplectic families (linalg.mat_blocks and
+mat_scalar), and the nonzero lists that StructureTensor and RepTensor are
+stored as, each against a plain-loop oracle."""
 
+import dataclasses
 from fractions import Fraction
 from operator import le, lt
 
@@ -10,22 +12,45 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hs
 
-from symplie import bialgebra
+from symplie import bialgebra, constructions
 from symplie.bialgebra import canonical_r, slsba_double
 from symplie.catalog import catalog_get
-from symplie.checks import Endo, Violation, op_add
-from symplie.constructions import build_N, canonical_skew_pairing
-from symplie.linalg import mat_zero, packed, scaled_combine
+from symplie.checks import (
+    Endo,
+    RepTensor,
+    StructureTensor,
+    Violation,
+    nijenhuis_torsion,
+    op_add,
+    op_sub,
+    rep_from_op_left,
+    rep_neg,
+    rep_zero,
+    st,
+    sub_adjacent,
+)
+from symplie.constructions import (
+    build_N,
+    canonical_skew_pairing,
+    coadjoint,
+    dual_left_action,
+    dual_right_action,
+)
+from symplie.linalg import ZERO, mat_zero, packed, scaled_combine, unscaled
+from symplie.matched import MatchedPairData, glue_product
 
 from oracles import (
     block_plain,
     gauss_inverse,
+    glue_plain,
+    nijenhuis_plain,
     pair_violations_plain,
     rand_invertible,
     rand_q,
     rng,
     scalar_plain,
 )
+from test_linalg import all_fractions, entries, tensors
 
 Q = Fraction
 
@@ -100,3 +125,127 @@ class TestBlockMatrices:
                            tuple(tuple(l3 * x for x in row) for row in f), scalar_plain(n, l4))
         assert got == Endo(2 * n, want)
         assert all(type(x) is Fraction for row in got.m for x in row)
+
+
+# --- the nonzero lists: each producer that builds a StructureTensor or
+# RepTensor from a list, against a plain loop of its definition on dense
+# tensors, dims 1-6 ---
+
+dims6 = hs.integers(1, 6)
+
+
+def _plain(shape, entry):
+    """The dense tensor of the given shape whose entry (a, b, c) is
+    entry(a, b, c), as nested tuples."""
+    d0, d1, d2 = shape
+    return tuple(tuple(tuple(entry(a, b, c) for c in range(d2)) for b in range(d1))
+                 for a in range(d0))
+
+
+def _view_ok(got, want):
+    """got's dense view is want, of Fractions, with the one shared ZERO at
+    every zero entry; and got equals, and hashes as, the tensor built from
+    want's dense entries."""
+    view = got.c if isinstance(got, StructureTensor) else got.t
+    assert view == want and all_fractions(view)
+    assert all(x is ZERO for plane in view for row in plane for x in row if not x)
+    dense = type(got)(*[getattr(got, f.name) for f in dataclasses.fields(got)][:-1], want)
+    assert got == dense and hash(got) == hash(dense)
+
+
+def _cube(n):
+    return tensors((n, n, n))
+
+
+class TestListProducers:
+    def test_fields_unchanged(self):
+        # bench's canonical forms and digests read these fields by name
+        assert [f.name for f in dataclasses.fields(StructureTensor)] == ["n", "c"]
+        assert [f.name for f in dataclasses.fields(RepTensor)] == ["n", "m", "t"]
+
+    @settings(max_examples=30)
+    @given(dims6.flatmap(_cube))
+    def test_dual_actions(self, c):
+        n, op = len(c), StructureTensor(len(c), c)
+        _view_ok(dual_left_action(op), _plain((n, n, n), lambda i, j, k: -c[i][j][k]))
+        _view_ok(coadjoint(op), _plain((n, n, n), lambda i, j, k: -c[i][j][k]))
+        _view_ok(dual_right_action(op), _plain((n, n, n), lambda i, a, b: -c[a][i][b]))
+        _view_ok(rep_from_op_left(op), _plain((n, n, n), lambda i, k, j: c[i][j][k]))
+
+    @settings(max_examples=30)
+    @given(hs.tuples(dims6, dims6).flatmap(lambda nm: tensors((nm[0], nm[1], nm[1]))))
+    def test_rep_neg_and_zero(self, t):
+        n, m = len(t), len(t[0])
+        _view_ok(rep_neg(RepTensor(n, m, t)), _plain((n, m, m), lambda i, a, b: -t[i][a][b]))
+        _view_ok(rep_zero(n, m), _plain((n, m, m), lambda i, a, b: Fraction(0)))
+
+    @settings(max_examples=30)
+    @given(dims6.flatmap(lambda n: hs.tuples(_cube(n), _cube(n))))
+    def test_sums(self, ab):
+        a, b = ab
+        n = len(a)
+        A, B = StructureTensor(n, a), StructureTensor(n, b)
+        _view_ok(op_add(A, B), _plain((n, n, n), lambda i, j, k: a[i][j][k] + b[i][j][k]))
+        _view_ok(op_sub(A, B), _plain((n, n, n), lambda i, j, k: a[i][j][k] - b[i][j][k]))
+        _view_ok(sub_adjacent(A), _plain((n, n, n), lambda i, j, k: a[i][j][k] - a[j][i][k]))
+
+    @settings(max_examples=30)
+    @given(hs.data())
+    def test_glue_product(self, data):
+        n, m = data.draw(hs.integers(1, 3)), data.draw(hs.integers(1, 3))
+        c1, c2 = data.draw(_cube(n)), data.draw(_cube(m))
+        l1, r1 = data.draw(tensors((n, m, m))), data.draw(tensors((n, m, m)))
+        l2, r2 = data.draw(tensors((m, n, n))), data.draw(tensors((m, n, n)))
+        got = glue_product(MatchedPairData(
+            StructureTensor(n, c1), StructureTensor(m, c2), RepTensor(n, m, l1),
+            RepTensor(n, m, r1), RepTensor(m, n, l2), RepTensor(m, n, r2)))
+        _view_ok(got, glue_plain(c1, c2, l1, r1, l2, r2))
+
+    @settings(max_examples=30)
+    @given(dims6, hs.dictionaries(hs.tuples(hs.integers(0, 5), hs.integers(0, 5),
+                                            hs.integers(0, 5)), entries, max_size=8))
+    def test_st(self, n, given_entries):
+        given_entries = {idx: q for idx, q in given_entries.items() if max(idx) < n}
+        _view_ok(st(n, given_entries),
+                 _plain((n, n, n), lambda i, j, k: given_entries.get((i, j, k), Fraction(0))))
+
+    @settings(max_examples=30)
+    @given(dims6, hs.data())
+    def test_packed_to_tensor(self, n, data):
+        # a Packed result read into a list, and a coproduct into its dual
+        # product: entries past one 64-bit slot too
+        num = data.draw(hs.lists(hs.lists(hs.lists(_entries, min_size=n, max_size=n),
+                                          min_size=n, max_size=n), min_size=n, max_size=n))
+        den = data.draw(hs.integers(1, 12))
+        t = packed(num, den)
+        _view_ok(constructions._unpacked(n, t),
+                 _plain((n, n, n), lambda i, j, k: Fraction(num[i][j][k], den)))
+        _view_ok(bialgebra._dual_product(n, t),
+                 _plain((n, n, n), lambda p, q, k: Fraction(num[k][p][q], den)))
+
+    @settings(max_examples=30)
+    @given(dims6.flatmap(lambda n: hs.tuples(_cube(n), tensors((1, n, n)))))
+    def test_nijenhuis_torsion(self, cm):
+        c, (m,) = cm
+        n = len(c)
+        _view_ok(nijenhuis_torsion(StructureTensor(n, c), Endo(n, m)), nijenhuis_plain(c, m))
+
+    @settings(max_examples=30)
+    @given(dims6.flatmap(_cube))
+    def test_scaled_packs_the_list(self, c):
+        # .scaled is packed from the list of a dense-built and of a
+        # list-built tensor alike
+        n = len(c)
+        for op in (StructureTensor(n, c), StructureTensor.listed(n, StructureTensor(n, c).nonzeros)):
+            assert unscaled(op.scaled) == c
+
+    @given(dims6.flatmap(_cube))
+    def test_negated_view_keeps_zero_shared(self, c):
+        # what the dense negation of the dual actions checked: each entry
+        # keeps the value and the type of plain Fraction arithmetic, and a
+        # zero entry is the shared ZERO, never a new Fraction
+        n = len(c)
+        got = dual_left_action(StructureTensor(n, c)).t
+        assert got == tuple(tuple(tuple(-x for x in row) for row in plane) for plane in c)
+        assert all_fractions(got)
+        assert all(x is ZERO for plane in got for row in plane for x in row if not x)

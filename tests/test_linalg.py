@@ -26,7 +26,6 @@ from symplie.linalg import (
     scaled_equal,
     scaled_leg,
     scaled_permute,
-    t3_neg,
     tensor_contract,
     unscaled,
 )
@@ -475,6 +474,15 @@ class TestScaledEqual:
         k = data.draw(hs.integers(1, 6))
         assert not scaled_equal(_times(s, k), _bumped(s, a, b, c))
 
+    def test_other_widths_compared_decoded(self):
+        # k = 2**70 puts _times(s, k) in slots of 128 bits and s in slots of
+        # 64, so their rows are compared decoded
+        s = scaled(rand_tensor(rng(3), 3))
+        wide = _times(s, 1 << 70)
+        assert wide.width > s.width
+        assert scaled_equal(s, wide) and scaled_equal(wide, s)
+        assert not scaled_equal(_bumped(s, 0, 1, 2), wide)
+
     def test_shapes_differ(self):
         s = scaled(rand_tensor(rng(2), 3))
         num = s.decoded
@@ -484,7 +492,8 @@ class TestScaledEqual:
                                           s.den))
 
 
-# --- the dense entrywise helpers against plain Fraction arithmetic ---
+# --- dense tensor pairs and entrywise Fraction arithmetic, for the sums
+# of nonzero lists (test_checks) and the layouts (test_layouts) ---
 
 # all-zero, about 5% nonzero (the 4-dim doubles are about 95% zeros) and
 # fully dense
@@ -507,25 +516,6 @@ def tensor_pairs(draw):
     if b == "own":
         return a, rand_share_tensor(r, n, draw(shares))
     return a, entrywise(lambda x: -x, a) if b == "neg" else a
-
-
-class TestEntrywise:
-    """t3_neg returns a zero entry as it is instead of building a new
-    Fraction; every entry keeps the value and the type of plain Fraction
-    arithmetic."""
-
-    @given(tensor_pairs())
-    def test_matches_plain_fraction_arithmetic(self, ab):
-        a, _ = ab
-        got = t3_neg(a)
-        assert got == entrywise(lambda x: -x, a)
-        assert all_fractions(got)
-
-    def test_zero_entries_reused(self):
-        z = rand_share_tensor(rng(0), 3, 0)
-        got = t3_neg(z)
-        assert all(x is y for planes in zip(got, z) for rows in zip(*planes)
-                   for x, y in zip(*rows))
 
 
 def test_decode_overflow_raises():

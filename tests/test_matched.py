@@ -246,14 +246,15 @@ class TestDoublePlsa:
             build_double_plsa((st(2), st(2)), (st(3), st(3)))
 
 
-def _oracle_report(mp):
-    """check_matched_pair's report from the dense oracles: the four mixed
-    identities, then both bimodule reports under their sub-check names."""
+def _oracle_report(mp, mixed=mixed_compat_violations, bimodule=bimodule_violations):
+    """check_matched_pair's report from the oracles (the dense loops, or
+    others of the same signatures): the four mixed identities, then both
+    bimodule reports under their sub-check names."""
     c1, c2, l1, r1, l2, r2 = mp.A1.c, mp.A2.c, mp.l1.t, mp.r1.t, mp.l2.t, mp.r2.t
-    viol = (mixed_compat_violations(c1, l1, r1, l2, r2, "mixed-compat-1", "mixed-compat-2")
-            + mixed_compat_violations(c2, l2, r2, l1, r1, "mixed-compat-3", "mixed-compat-4"))
+    viol = (mixed(c1, l1, r1, l2, r2, "mixed-compat-1", "mixed-compat-2")
+            + mixed(c2, l2, r2, l1, r1, "mixed-compat-3", "mixed-compat-4"))
     for name, c, l, r in (("bimodule(A1)", c1, l1, r1), ("bimodule(A2)", c2, l2, r2)):
-        viol += [("%s: %s" % (name, w), idx, res) for w, idx, res in bimodule_violations(c, l, r)]
+        viol += [("%s: %s" % (name, w), idx, res) for w, idx, res in bimodule(c, l, r)]
     return CheckReport("matched-pair", not viol, tuple(Violation(*v) for v in viol))
 
 
