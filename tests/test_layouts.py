@@ -238,14 +238,3 @@ class TestListProducers:
         n = len(c)
         for op in (StructureTensor(n, c), StructureTensor.listed(n, StructureTensor(n, c).nonzeros)):
             assert unscaled(op.scaled) == c
-
-    @given(dims6.flatmap(_cube))
-    def test_negated_view_keeps_zero_shared(self, c):
-        # what the dense negation of the dual actions checked: each entry
-        # keeps the value and the type of plain Fraction arithmetic, and a
-        # zero entry is the shared ZERO, never a new Fraction
-        n = len(c)
-        got = dual_left_action(StructureTensor(n, c)).t
-        assert got == tuple(tuple(tuple(-x for x in row) for row in plane) for plane in c)
-        assert all_fractions(got)
-        assert all(x is ZERO for plane in got for row in plane for x in row if not x)

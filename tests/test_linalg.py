@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as hs
 
 from symplie.linalg import (
+    ZERO,
     DimensionMismatch,
     InternalMismatch,
     SingularMatrix,
@@ -29,7 +30,8 @@ from symplie.linalg import (
     tensor_contract,
     unscaled,
 )
-from symplie.checks import RepTensor, rep_zero
+from symplie.checks import RepTensor, StructureTensor, rep_neg, rep_zero
+from symplie.constructions import dual_left_action
 
 from oracles import (
     combine_plain,
@@ -516,6 +518,27 @@ def tensor_pairs(draw):
     if b == "own":
         return a, rand_share_tensor(r, n, draw(shares))
     return a, entrywise(lambda x: -x, a) if b == "neg" else a
+
+
+class TestEntrywise:
+    """The negations of the dual actions and of rep_neg, made on nonzero
+    lists: every entry of the dense view keeps the value and the type of
+    plain Fraction arithmetic, and a zero entry is the one shared ZERO,
+    never a new Fraction."""
+
+    @given(tensor_pairs())
+    def test_matches_plain_fraction_arithmetic(self, ab):
+        a, _ = ab
+        n, want = len(a), entrywise(lambda x: -x, a)
+        for got in (dual_left_action(StructureTensor(n, a)).t, rep_neg(RepTensor(n, n, a)).t):
+            assert got == want
+            assert all_fractions(got)
+
+    def test_zero_entries_reused(self):
+        z = rand_share_tensor(rng(0), 3, 0)
+        for got in (dual_left_action(StructureTensor(3, z)).t, rep_neg(RepTensor(3, 3, z)).t):
+            assert got == z
+            assert all(x is ZERO for plane in got for row in plane for x in row)
 
 
 def test_decode_overflow_raises():
