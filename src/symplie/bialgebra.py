@@ -51,11 +51,9 @@ from operator import le, lt
 from .linalg import (
     InternalMismatch,
     Scaled,
-    mat_blocks,
-    mat_identity,
-    mat_scalar,
     mat_zero,
     scaled,
+    scaled_blocks,
     scaled_combine,
     scaled_equal,
     scaled_leg,
@@ -513,8 +511,7 @@ def _closed_form_operators(pair, rf):
 
 def canonical_r(n):
     """r = sum_i e_i tensor f_i on A + A*, as a 2n by 2n coefficient matrix."""
-    z = mat_zero(n)
-    return mat_blocks(((z, mat_identity(n)), (z, z)))
+    return unscaled(scaled_blocks(n, (((0, None), (1, None)), ((0, None), (0, None)))))
 
 
 def drinfeld_double(plsa, cp):
@@ -666,8 +663,7 @@ def slsba_double(slsba):
     r = canonical_r(n)
     alpha_d, cobrep = slsba_coboundary(lsa_d, r)  # verifies lsa_d is an LSA
     fullrep = slsba_check(lsa_d, alpha_d)
-    z = mat_zero(n)
-    E = Endo(2 * n, mat_blocks(((mat_identity(n), z), (z, mat_scalar(n, -1)))))
+    E = Endo.listed(2 * n, scaled_blocks(n, (((1, None), (0, None)), ((0, None), (-1, None)))))
     pk = ParaKahlerData(sub_adjacent(lsa_d), canonical_skew_pairing(n), E, lsa_d)
     pkrep = check_parakahler(pk)
     rep = merge_reports("slsba-double",

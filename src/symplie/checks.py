@@ -2,11 +2,12 @@
 
 An n-dimensional bilinear operation is a StructureTensor: c[i][j][k] is the
 e_k coefficient of e_i o e_j.  A representation is a RepTensor, t[i] the
-matrix of e_i; forms and endomorphisms are matrices over Fraction.  Every
-verifier returns a CheckReport listing each violating basis tuple with its
-exact residual.  violations lists the nonzero residuals over the basis
-tuples it is given, mat_violations those of one Scaled matrix or Packed
-tensor, row by row, and _scatter those of the sparse identities below;
+matrix of e_i; a bilinear form is a Form and an endomorphism an Endo, m
+their n x n matrix over Fraction.  Every verifier returns a CheckReport
+listing each violating basis tuple with its exact residual.  violations
+lists the nonzero residuals over the basis tuples it is given,
+mat_violations those of one Scaled matrix or Packed tensor, row by row,
+and _scatter those of the sparse identities below;
 bialgebra._pair_violations is the one collector of bialgebra's stacked
 families.  prefixed renames violations for a parent report.  require turns
 a failing report into the caller's typed error, and require_dims objects of
@@ -22,22 +23,33 @@ negations and leg permutations (_permuted), glue_product's six blocks
 (_rebucket), st, rep_zero and a Packed result's decoded rows.  c (t for a
 RepTensor) is a view of nested Fraction tuples built on its first read,
 linalg.ZERO at a zero entry; no route reads it.  .scaled packs the list
-(linalg.packed_sparse).  Equality and hashing are the dataclass's, on the
-fields, so they read the view.
+(linalg.packed_sparse), and .planes sets its numerators into n dense int
+planes for the routes that read single entries, without packing.
+
+A Form or Endo is stored as its Scaled rows .scaled: lists of int rows over
+one positive den, which need not be the least.  A producer that holds rows
+passes them to .listed(n, rows): the block matrices of linalg.scaled_blocks
+(the doubles' metrics, the skew pairing, the hypersymplectic operators and
+the gluing identity), phi_from_omega's transpose and three_forms'
+contractions.  m is a view built from the rows on its first read
+(linalg.unscaled), linalg.ZERO at a zero entry; no verifier reads it, so a
+family is built and verified on ints.  The dense constructor Form(n, m)
+keeps m and takes scaled() of it on first use.  .scaled_t is the transpose,
+zipped once.  For all four types equality and hashing are the dataclass's,
+on the fields, so they read the view.
 
 Every identity on basis tuples takes one of two routes.  The kernel route
 contracts on the exact integer kernel of linalg, whose module docstring
 gives the one account of it.  Here, check_closed and check_parallel_form
-share one product of an operation's decoded rows by the form (_by_form)
+share one product of an operation's int planes by the form (_by_form)
 and read each tuple's residual off it.  torsion_violations contracts the
 Nijenhuis torsion one plane at a time, only the rows j > i it reads, and
 builds Fractions only for a violating pair; nijenhuis_torsion takes every
 row from the same core (_torsion).  The matrix identities (N^2 = +-id,
-JE = -EJ, N^T B N = +-B) and three_forms go through _mat_chain.  Each
-StructureTensor, Form and Endo converts itself once and keeps the result
-(.scaled, and .scaled_t for a matrix's transpose); ranks and eigenspace
-dimensions eliminate fresh copies of those int rows (_sub_scalar), and a
-Form read off a contraction is built with its Scaled form cached (_seeded).
+JE = -EJ, N^T B N = +-B) and three_forms go through _mat_chain, and
+skewness and symmetry compare int rows; ranks and eigenspace dimensions
+eliminate fresh copies of those rows (_sub_scalar).  A Fraction is built
+only for a violation's residual.
 
 The other route, off the kernel, is the independent cross-checks:
 check_plsa, check_left_symmetric, check_jacobi, check_bimodule, check_flat,
@@ -142,13 +154,26 @@ class StructureTensor(_Stored):
         kernel route."""
         return packed_sparse(*self.nonzeros, self.n)
 
+    @cached_property
+    def planes(self):
+        """The numerators of the list as n planes of n int rows, over its
+        den, for the routes that read single entries (_by_form, _torsion):
+        set from the list once, never packed."""
+        zero = (0,) * self.n
+        return [[_ints(self.n, row) if row else zero for row in plane]
+                for plane in self.nonzeros[1]]
+
     shape = property(lambda self: (self.n, self.n, self.n))
 
 
 class _ScaledMatrix:
-    """The cached Scaled forms of a matrix m and of its transpose, for Form
-    and Endo.  Not a field: equality, hashing and dataclasses.fields see n
-    and m only."""
+    """The stored form of Form and Endo (module docstring): listed(n, rows)
+    takes Scaled rows as they are.  .scaled and .scaled_t are no fields:
+    equality, hashing and dataclasses.fields see n and m only."""
+
+    @classmethod
+    def listed(cls, n, rows):
+        return _seeded(object.__new__(cls), n=n, scaled=rows)
 
     @cached_property
     def scaled(self):
@@ -159,16 +184,21 @@ class _ScaledMatrix:
         return self.scaled.transposed()
 
 
+def _dense_matrix(obj):
+    """The dense view of a Form or Endo, built from its Scaled rows."""
+    return unscaled(obj.scaled)
+
+
 @dataclass(frozen=True)
 class Form(_ScaledMatrix):
     n: int
-    m: tuple  # m[i][j] = B(e_i, e_j)
+    m: tuple = cached_property(_dense_matrix)  # m[i][j] = B(e_i, e_j)
 
 
 @dataclass(frozen=True)
 class Endo(_ScaledMatrix):
     n: int
-    m: tuple  # acts on column coordinates
+    m: tuple = cached_property(_dense_matrix)  # acts on column coordinates
 
 
 @dataclass(frozen=True)
@@ -314,9 +344,9 @@ def rep_zero(n, m=None):
 # verifiers
 
 def check_skew(B):
-    m = B.m
+    S = B.scaled.num
     return report("skew", violations("skew", combinations_with_replacement(range(B.n), 2),
-                                     lambda i, j: m[i][j] + m[j][i]))
+                                     lambda i, j: S[i][j] + S[j][i], B.scaled.den))
 
 
 def check_nondegenerate(B):
@@ -365,6 +395,14 @@ def _row(cols, den, entries):
     for k, x in entries:
         out[k] = Fraction(x, den)
     return tuple(out)
+
+
+def _ints(cols, entries):
+    """cols ints: x at k for each (k, x) of entries, else 0."""
+    out = [0] * cols
+    for k, x in entries:
+        out[k] = x
+    return out
 
 
 def _permuted(nonzeros, shape, perm, sign=1):
@@ -585,10 +623,10 @@ def check_flat(br, conn):
 
 def _by_form(op, M):
     """(T, den): T[a][b][c] = sum_s op[a][b][s] M[s][c] over den, as n planes
-    of int rows, for a Scaled M; one product of op's rows (a, b) by M."""
-    n, C = op.n, op.scaled
-    rows = int_mat_mul(C.matrix().num, M.num)
-    return [rows[a:a + n] for a in range(0, n * n, n)], C.den * M.den
+    of int rows, for a Scaled M; one product of op's int rows (a, b) by M."""
+    n = op.n
+    rows = int_mat_mul(chain.from_iterable(op.planes), M.num)
+    return [rows[a:a + n] for a in range(0, n * n, n)], op.nonzeros[0] * M.den
 
 
 def check_closed(br, w):
@@ -638,18 +676,18 @@ def _special_symplectic(br, conn, w):
 
 def _torsion(br, N, upper):
     """The Nijenhuis torsion of N as (planes, den): plane i is the int
-    matrix whose rows, over den = M.den^2 C.den, are T(e_i, e_j) for j > i
-    with upper, else for every j.  With D_i = [Ne_i, .] - N[e_i, .],
+    matrix whose rows, over den = M.den^2 times the bracket's, are T(e_i, e_j)
+    for j > i with upper, else for every j.  With D_i = [Ne_i, .] - N[e_i, .],
     T(e_i, e_j) = sum_q N_qj D_i(e_q) - N D_i(e_j): each plane is a few
-    matrix products on the bracket's decoded planes, only the kept rows j
-    are contracted, and none where D_i is zero, whose rows are all zero."""
+    matrix products on the bracket's int planes, only the kept rows j are
+    contracted, and none where D_i is zero, whose rows are all zero."""
     require_dims("bracket dim %d, endomorphism dim %d", br, N)
-    n, C, M, Mt = br.n, br.scaled, N.scaled, N.scaled_t
+    n, C, M, Mt = br.n, br.planes, N.scaled, N.scaled_t
     nt = Mt.num  # row j: N e_j
     # row i of A is [Ne_i, e_q] over q, the planes of C flattened
-    A = int_mat_mul(nt, [list(chain.from_iterable(plane)) for plane in C.decoded])
+    A = int_mat_mul(nt, [list(chain.from_iterable(plane)) for plane in C])
     planes = []
-    for i, Ci in enumerate(C.decoded):
+    for i, Ci in enumerate(C):
         D = [[a - b for a, b in zip(A[i][q:q + n], brow)]
              for q, brow in zip(range(0, n * n, n), int_mat_mul(Ci, nt))]
         j0 = i + 1 if upper else 0
@@ -658,7 +696,7 @@ def _torsion(br, N, upper):
             continue
         planes.append([[p - q for p, q in zip(prow, qrow)] for prow, qrow in
                        zip(int_mat_mul(nt[j0:], D), int_mat_mul(D[j0:], nt))])
-    return planes, M.den ** 2 * C.den
+    return planes, M.den ** 2 * br.nonzeros[0]
 
 
 def nijenhuis_torsion(br, N):
@@ -792,8 +830,9 @@ def check_complex_product(br, J, E):
 def check_metric_compatible(g, J, E):
     """g symmetric nondegenerate with g(Jx,Jy)=g(x,y) and g(Ex,Ey)=-g(x,y)."""
     require_dims("dimensions %d, %d, %d", g, J, E)
-    m = g.m
-    viol = violations("symmetric", combinations(range(g.n), 2), lambda i, j: m[i][j] - m[j][i])
+    G = g.scaled.num
+    viol = violations("symmetric", combinations(range(g.n), 2),
+                      lambda i, j: G[i][j] - G[j][i], g.scaled.den)
     viol += check_nondegenerate(g).violations
     viol += congruence_violations("J-invariance", g, J, 1)
     viol += congruence_violations("E-anti-invariance", g, E, -1)
@@ -802,11 +841,11 @@ def check_metric_compatible(g, J, E):
 
 def three_forms(g, J, E):
     """The forms w1 = g(J.,.), w2 = g(E.,.), w3 = g(JE.,.) as Form values:
-    J^T g, E^T g and (JE)^T g = E^T J^T g, each with its Scaled form seeded
-    from the contraction it was read off."""
+    J^T g, E^T g and (JE)^T g = E^T J^T g, each stored as the Scaled rows of
+    the contraction it was read off."""
     Jt, Et, G = J.scaled_t, E.scaled_t, g.scaled
-    chains = [_mat_chain(((1, mats),)) for mats in ((Jt, G), (Et, G), (Et, Jt, G))]
-    return tuple(_seeded(Form(g.n, unscaled(t)), scaled=t) for t in chains)
+    return tuple(Form.listed(g.n, _mat_chain(((1, mats),)))
+                 for mats in ((Jt, G), (Et, G), (Et, Jt, G)))
 
 
 def check_hypersymplectic(br, J, E, g):

@@ -27,17 +27,11 @@ from math import lcm
 
 from .linalg import (
     InternalMismatch,
-    frac,
-    mat_blocks,
-    mat_identity,
-    mat_inverse,
-    mat_scalar,
-    mat_transpose,
-    mat_zero,
     rational_sqrt,
-    scaled,
+    scaled_blocks,
     scaled_combine,
     scaled_equal,
+    scaled_inverse,
     scaled_leg,
     scaled_permute,
 )
@@ -190,15 +184,15 @@ def glue_product(mp):
     return StructureTensor.listed(n + m, (den, nz))
 
 
-def _antidiagonal_form(upper, lower):
-    """The form [[0, upper], [lower, 0]] on the sum of two n-dimensional spaces."""
-    z = mat_zero(len(upper))
-    return Form(2 * len(upper), mat_blocks(((z, upper), (lower, z))))
+def _antidiagonal_form(n, upper, lower):
+    """The form [[0, upper], [lower, 0]] on the sum of two n-dimensional
+    spaces, for blocks (q, M) as linalg.scaled_blocks takes them."""
+    return Form.listed(2 * n, scaled_blocks(n, (((0, None), upper), (lower, (0, None)))))
 
 
 def canonical_skew_pairing(n):
     """omega_p on A + A*: -<x,b*> + <a*,y> in block form [[0,-I],[I,0]]."""
-    return _antidiagonal_form(mat_scalar(n, -1), mat_identity(n))
+    return _antidiagonal_form(n, (-1, None), (1, None))
 
 
 # ---------------------------------------------------------------------------
@@ -241,17 +235,16 @@ def tangent_double(s):
     the two copies through omega.
     """
     _require_special_symplectic(s)  # Jacobi, and flatness: rho is a representation
-    w = s.omega.m
+    w = s.omega
     return _double(s.bracket, s.conn, rep_from_op_left(s.conn),
-                   _antidiagonal_form(w, mat_transpose(w)), None)
+                   _antidiagonal_form(w.n, (1, w.scaled), (1, w.scaled_t)), None)
 
 
 def _cotangent_core(br, conn):
     # every caller has verified Jacobi and flatness, so the dual action is a
     # representation
-    ident = mat_identity(br.n)
-    return _double(br, conn, dual_left_action(conn), _antidiagonal_form(ident, ident),
-                   canonical_skew_pairing(br.n))
+    return _double(br, conn, dual_left_action(conn),
+                   _antidiagonal_form(br.n, (1, None), (1, None)), canonical_skew_pairing(br.n))
 
 
 def cotangent_double(s):
@@ -289,17 +282,16 @@ def _require_nondegenerate(w):
 def phi_from_omega(w):
     """Matrix of x -> w(x, .) as a map into the dual basis; invertible."""
     _require_nondegenerate(w)
-    return Endo(w.n, mat_transpose(w.m))
+    return Endo.listed(w.n, w.scaled_t)
 
 
 def build_N(l1, l2, l3, l4, f, finv):
     """Block operator [[l2*I, l1*f^-1], [l3*f, l4*I]] on V + V, for the
-    Endo f and finv = mat_inverse(f.m), which the caller computes once for
-    all the operators it builds over f."""
-    l1, l3, n = frac(l1), frac(l3), f.n
-    top = (mat_scalar(n, l2), [[l1 * x for x in row] for row in finv])
-    bottom = ([[l3 * x for x in row] for row in f.m], mat_scalar(n, l4))
-    return Endo(2 * n, mat_blocks((top, bottom)))
+    Endo f and the Scaled finv = scaled_inverse(f.scaled), which the caller
+    computes once for all the operators it builds over f; stored as the int
+    rows of linalg.scaled_blocks."""
+    return Endo.listed(2 * f.n, scaled_blocks(f.n, (((l2, None), (l1, finv)),
+                                                   ((l3, f.scaled), (l4, None)))))
 
 
 def family_JE(p, f):
@@ -309,12 +301,12 @@ def family_JE(p, f):
     (J squares to minus the identity, E squares to the identity, JE = -EJ)
     is re-verified on the built matrices before returning.
     """
-    lam, mu, sg = frac(p.lam), frac(p.mu), p.sign
+    lam, mu, sg = Fraction(p.lam), Fraction(p.mu), p.sign
     if sg not in (1, -1):
         raise BadParams("sign must be +1 or -1, got %r" % (p.sign,))
     if lam == 0:
         raise BadParams("lambda must be nonzero")
-    finv = mat_inverse(f.m)
+    finv = scaled_inverse(f.scaled)
     J = build_N(lam, mu, (-1 - mu * mu) / lam, -mu, f, finv)
     if p.family == "F1":
         E = build_N(0, sg, -2 * sg * mu / lam, -sg, f, finv)
@@ -326,7 +318,7 @@ def family_JE(p, f):
     elif p.family == "F3":
         if p.k is None:
             raise BadParams("family F3 needs the parameter k")
-        k = frac(p.k)
+        k = Fraction(p.k)
         if k == 0:
             raise BadParams("family F3 needs k nonzero")
         if k * k > lam * lam:
@@ -355,7 +347,7 @@ def hypersymplectic_from_tangent(s, p):
     gluing the two copies with the identity map."""
     d = tangent_double(s)
     n = s.bracket.n
-    J, E = family_JE(p, Endo(n, mat_identity(n)))
+    J, E = family_JE(p, Endo.listed(n, scaled_blocks(n, (((1, None),),))))
     return d, J, E, d.metric
 
 
@@ -377,8 +369,7 @@ def lsa_from_symplectic(br, w):
         require(rep, InvalidInput, "%s fails at %s")
     _require_nondegenerate(w)
     # w(e_i . e_k, e_j) = w([e_i, e_j], e_k) for each j, solved through (w^T)^-1
-    phinv = mat_inverse(mat_transpose(w.m))
-    conn = _unpacked(br.n, _through_form(phinv, mat_transpose(w.m), br.scaled))
+    conn = _unpacked(br.n, _through_form(scaled_inverse(w.scaled_t), w.scaled_t, br.scaled))
     if not check_torsion_free(br, conn).verdict:
         raise InternalMismatch("derived product has torsion")
     if not check_flat(br, conn).verdict:
@@ -399,10 +390,10 @@ def plsa_from_special_symplectic(s):
     """
     _require_special_symplectic(s)
     n = s.bracket.n
-    phinv = mat_inverse(mat_transpose(s.omega.m))
+    phinv = scaled_inverse(s.omega.scaled_t)
 
     def split(op):  # w(e_i o e_j, e_k) = w(e_j, op(e_k, e_i)) for each k, solved as above
-        return _through_form(phinv, s.omega.m, scaled_permute(op.scaled, (1, 0, 2)))
+        return _through_form(phinv, s.omega.scaled, scaled_permute(op.scaled, (1, 0, 2)))
 
     P, S = scaled_combine(((-1, split(s.conn)),)), split(s.bracket)
     prec, succ = _unpacked(n, P), _unpacked(n, S)
@@ -419,11 +410,11 @@ def _unpacked(n, t):
 
 
 def _through_form(phinv, m, t):
-    """out[i][j][l] = sum_k phinv[l][k] sum_b m[j][b] t[i][k][b], for Fraction
+    """out[i][j][l] = sum_k phinv[l][k] sum_b m[j][b] t[i][k][b], for Scaled
     matrices phinv and m and a Packed rank-3 t: row (i, j) of out is phinv
     applied to the vector of the sums over b."""
-    v = scaled_leg(scaled(m), t, 2)  # v[i][k][j]
-    return scaled_permute(scaled_leg(scaled(phinv), v, 1), (0, 2, 1))
+    v = scaled_leg(m, t, 2)  # v[i][k][j]
+    return scaled_permute(scaled_leg(phinv, v, 1), (0, 2, 1))
 
 
 # ---------------------------------------------------------------------------

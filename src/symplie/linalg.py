@@ -27,37 +27,37 @@ long the row is:
   - scaled_equal, unscaled (back to Fractions) and the violation
     collectors test a row against 0 before they decode it.
 
-A Packed decodes its rows at most once and keeps them (decoded, matrix),
-and the data objects of checks convert themselves once and cache the
-result (a StructureTensor packs its int nonzero list, Form and Endo take
-scaled() of their matrix), so scaled() here is otherwise for raw tuples
-that belong to no such object.  scaled_equal compares two routes' results
-on cross-multiplied numerators, so neither is unscaled just to be compared.
+A Packed decodes its rows at most once and keeps them (decoded, matrix).
+The data objects of checks hold their int forms (a StructureTensor packs
+its nonzero list once; a Form or Endo stores Scaled rows, see checks), so
+scaled() here is otherwise for raw tuples that belong to no such object.
+scaled_equal compares two routes' results on cross-multiplied numerators,
+so neither is unscaled just to be compared.
 
-int_mat_mul and int_rank take int rows directly, such as a matrix's cached
-Scaled rows or a tensor's decoded ones: the Nijenhuis torsion, closedness
-and the parallel form in checks read single entries, so they multiply the
-decoded rows as int matrices.  Rank and inversion run a fraction-free
-(Bareiss-style) forward elimination on integer-scaled rows, which keeps
+int_mat_mul and int_rank take int rows directly, such as a matrix's
+Scaled rows or a tensor's int planes: the Nijenhuis torsion, closedness
+and the parallel form in checks read single entries, so they multiply
+those rows as int matrices.  Rank and inversion run a fraction-free
+(Bareiss 1968) forward elimination on integer rows, which keeps
 intermediate entries as minors of the input instead of letting numerators
-and denominators blow up; int_rank eliminates in place, so it takes a copy.
+and denominators blow up; int_rank eliminates in place, so it takes a copy,
+and scaled_inverse back-substitutes in ints too.  scaled_blocks is the one
+builder of block matrices (the canonical r, the skew pairing, the doubles'
+metrics and the hypersymplectic operators), as Scaled rows.
 
-The dense Fraction helpers build each layout in one place, with the one
-shared ZERO for a zero entry: mat_zero, mat_scalar (q times the identity)
-and mat_blocks (a block matrix, such as the canonical r, the skew pairing
-and the hypersymplectic operators), and fractions (an int row over a
-denominator, for unscaled and the collectors).  The tensors of checks are
-stored, negated, permuted and summed as nonzero lists, packed_sparse packs
-one, and Packed.decoded is the one place packed rows become entries.  Every
-other operation has one implementation, on the int kernel; mat_mul,
-mat_rank and tensor_contract are shims on it that only the benchmark
-tracer calls.
+The dense Fraction helpers are mat_zero and fractions (an int row over a
+denominator, for unscaled and the collectors), both with the one shared
+ZERO for a zero entry.  The tensors of checks are stored, negated, permuted
+and summed as nonzero lists, packed_sparse packs one, and Packed.decoded is
+the one place packed rows become entries.  Every other operation has one
+implementation, on the int kernel; mat_mul, mat_rank, mat_inverse and
+tensor_contract are shims on it that only the benchmark tracer calls.
 """
 
 from fractions import Fraction
 from functools import cache, cached_property
 from itertools import chain, repeat
-from math import isqrt, lcm
+from math import gcd, isqrt, lcm
 from operator import add, attrgetter, itemgetter, mul, sub
 from struct import unpack
 from typing import NamedTuple
@@ -73,12 +73,6 @@ class DimensionMismatch(Exception):
 
 class InternalMismatch(AssertionError):
     """Two routes that must agree by construction did not: a bug in symplie."""
-
-
-def frac(x, y=None):
-    if y is None:
-        return Fraction(x)
-    return Fraction(x, y)
 
 
 # ---------------------------------------------------------------------------
@@ -99,23 +93,6 @@ def mat_zero(n, m=None):
     if m is None:
         m = n
     return ((ZERO,) * m,) * n
-
-
-def mat_scalar(n, q):
-    """q times the n x n identity, ZERO off the diagonal: no arithmetic."""
-    q = Fraction(q)
-    return tuple(tuple(q if i == j else ZERO for j in range(n)) for i in range(n))
-
-
-def mat_identity(n):
-    return mat_scalar(n, 1)
-
-
-def mat_blocks(blocks):
-    """The block matrix whose block rows are blocks, each a sequence of
-    matrices with equally many rows: ((A, B), (C, D)) gives [[A, B], [C, D]],
-    its entries taken as they are."""
-    return tuple(tuple(chain.from_iterable(rows)) for band in blocks for rows in zip(*band))
 
 
 def mat_mul(a, b):
@@ -191,27 +168,55 @@ def mat_rank(m):
 
 
 def mat_inverse(m):
-    """Exact inverse: Bareiss forward pass, then exact back substitution."""
-    n = len(m)
-    if any(len(row) != n for row in m):
+    """Exact inverse of a matrix of Fractions: scaled_inverse of its scaled()
+    rows, read back with unscaled.  No function in the package calls it; it
+    stays as a shim on the kernel because the benchmark tracer wraps it by
+    name."""
+    if any(len(row) != len(m) for row in m):
         raise DimensionMismatch("matrix is not square")
-    if not n:
-        return ()
-    # m = M / d for the int rows M, so m X = I becomes M X = d I: eliminate (M | d I)
-    M = scaled(m)
-    aug = [row + [M.den if i == j else 0 for j in range(n)] for i, row in enumerate(M.num)]
+    return unscaled(scaled_inverse(scaled(m))) if m else ()
+
+
+def scaled_inverse(M):
+    """The inverse of the square Scaled matrix M (at least 1 x 1), as a
+    Scaled matrix, all in ints: Bareiss's forward pass on (M.num | I) leaves
+    an upper triangle whose last pivot D is +-det(M.num), and since
+    D M.num^-1 = +-adj(M.num) is an int matrix, back substitution for it
+    divides exactly.  The inverse of M.num / M.den is M.den D M.num^-1 / D,
+    kept over the least denominator (the gcd of D and the numerators taken
+    out).  SingularMatrix when M is singular."""
+    n = len(M.num)
+    aug = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(M.num)]
     if _bareiss_forward(aug, n) < n:
         raise SingularMatrix("rank < %d" % n)
-    cols = []
-    for c in range(n):
-        x = [Fraction(0)] * n
-        for i in reversed(range(n)):
-            s = Fraction(aug[i][n + c])
-            for j in range(i + 1, n):
-                s -= aug[i][j] * x[j]
-            x[i] = s / aug[i][i]
-        cols.append(x)
-    return tuple(tuple(cols[c][i] for c in range(n)) for i in range(n))
+    D, X = aug[-1][n - 1], [[0] * n for _ in range(n)]  # X = D M.num^-1
+    for i in reversed(range(n)):
+        row = aug[i]
+        for c in range(n):
+            X[i][c], rem = divmod(D * row[n + c] - sum([row[j] * X[j][c]
+                                                        for j in range(i + 1, n)]), row[i])
+            if rem:
+                raise InternalMismatch("back substitution not exact")
+    g = gcd(D, M.den * gcd(*chain.from_iterable(X))) * (1 if D > 0 else -1)
+    return Scaled([[M.den * x // g for x in row] for row in X], D // g)
+
+
+def scaled_blocks(n, blocks):
+    """The Scaled block matrix whose block rows are blocks, each a sequence
+    of (q, M): the rational q times the n x n Scaled matrix M, or times the
+    identity for M None (q = 0 for a zero block); its int rows are over the
+    lcm of the blocks' denominators.  The one builder of the block matrices:
+    the canonical r, the skew pairing, the doubles' metrics and the
+    hypersymplectic operators."""
+    one = Scaled([[int(i == j) for j in range(n)] for i in range(n)], 1)
+    blocks = [[(Fraction(q), one if M is None else M) for q, M in band] for band in blocks]
+    den = lcm(*[q.denominator * M.den for band in blocks for q, M in band])
+    rows = []
+    for band in blocks:
+        parts = [[[q.numerator * (den // (q.denominator * M.den)) * x for x in row]
+                  for row in M.num] for q, M in band]
+        rows += [list(chain.from_iterable(r)) for r in zip(*parts)]
+    return Scaled(rows, den)
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import Phase, settings
 
-from symplie.checks import RepTensor, StructureTensor
+from symplie.checks import Endo, Form, RepTensor, StructureTensor
 
 settings.register_profile("ci", deadline=None, max_examples=60)
 # ci without the shrink phase, for the CI job: every example still runs and
@@ -15,9 +15,10 @@ settings.load_profile("ci")
 
 
 class _RefusedView:
-    """A dense view (StructureTensor.c, RepTensor.t) whose read fails.  A
-    tensor built from its dense entries keeps them, so only a view that a
-    list-built tensor would build on first read is refused."""
+    """A dense view (StructureTensor.c, RepTensor.t, Form.m, Endo.m) whose
+    read fails.  An object built from its dense entries keeps them, so only
+    a view that a list- or row-built object would build on first read is
+    refused."""
 
     def __get__(self, obj, cls=None):
         if obj is None:
@@ -29,8 +30,8 @@ class _RefusedView:
 def refuse_dense_views(monkeypatch):
     """A call that makes every later first read of a dense view fail."""
     def refuse():
-        monkeypatch.setattr(StructureTensor, "c", _RefusedView())
-        monkeypatch.setattr(RepTensor, "t", _RefusedView())
+        for cls, view in ((StructureTensor, "c"), (RepTensor, "t"), (Form, "m"), (Endo, "m")):
+            monkeypatch.setattr(cls, view, _RefusedView())
     return refuse
 
 

@@ -5,6 +5,7 @@ Fraction arithmetic, deliberately avoiding the package's own linear algebra
 and checker code paths.
 """
 
+import math
 import random
 from fractions import Fraction
 
@@ -1074,6 +1075,42 @@ def scalar_plain(n, q):
     """q times the n x n identity."""
     return tuple(tuple(Fraction(q) if i == j else Fraction(0) for j in range(n))
                  for i in range(n))
+
+
+def family_plain(double, omega, p):
+    """(J, E, g) of the hypersymplectic package of the family point p on the
+    tangent or cotangent double of a special symplectic package with the
+    n x n form omega, entry by entry from the definitions: f is the identity
+    (tangent) or omega^T (cotangent), N(l1, l2, l3, l4) is the block matrix
+    [[l2 I, l1 f^-1], [l3 f, l4 I]], J = N(lam, mu, -(1 + mu^2)/lam, -mu), E
+    the family's N, and g is [[0, omega], [omega^T, 0]] (tangent) or
+    [[0, I], [I, 0]] (cotangent)."""
+    n = len(omega)
+    one = scalar_plain(n, 1)
+    if double == "tangent":
+        f, g = one, antidiagonal_plain(omega, [[omega[j][i] for j in range(n)] for i in range(n)])
+    else:
+        f, g = [[omega[j][i] for j in range(n)] for i in range(n)], antidiagonal_plain(one, one)
+    finv = gauss_inverse(f)
+
+    def N(l1, l2, l3, l4):
+        return block_plain(scalar_plain(n, l2), [[l1 * x for x in row] for row in finv],
+                           [[l3 * x for x in row] for row in f], scalar_plain(n, l4))
+
+    lam, mu, sg = Fraction(p.lam), Fraction(p.mu), p.sign
+    J = N(lam, mu, -(1 + mu * mu) / lam, -mu)
+    if p.family == "F1":
+        E = N(0, sg, -2 * sg * mu / lam, -sg)
+    elif p.family == "F2":
+        E = N(sg * 2 * mu * lam / (1 + mu * mu), sg, 0, -sg)
+    else:
+        k = Fraction(p.k)
+        q = 1 - k * k / (lam * lam)
+        s = Fraction(math.isqrt(q.numerator), math.isqrt(q.denominator))
+        assert s * s == q
+        e2 = k * mu / lam + sg * s
+        E = N(k, e2, (1 - e2 * e2) / k, -e2)
+    return J, E, g
 
 
 def pair_violations_plain(n, items):

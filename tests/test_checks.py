@@ -47,7 +47,7 @@ from symplie.checks import (
     torsion_violations,
     violations,
 )
-from symplie.linalg import Scaled, frac, packed
+from symplie.linalg import Scaled, packed
 from symplie.catalog import catalog_get
 
 from oracles import (
@@ -1090,9 +1090,11 @@ def _cached_forms(x):
 class TestScaledFormsConvertedOnce:
     """Each data object is converted to the Scaled form once, on first use,
     however many kernel routes read it (a StructureTensor packs the rows of
-    its nonzero list, linalg.packed_sparse; a Form or Endo its matrix,
-    linalg.scaled); raw tuples of no data object (and no identity matrix)
-    are converted only where a route needs them."""
+    its nonzero list, linalg.packed_sparse; a Form or Endo built from its
+    matrix takes linalg.scaled of it); a Form or Endo stored as its rows, and
+    a bracket read only through its int planes, is never converted, and raw
+    tuples of no data object (and no identity matrix) are converted only
+    where a route needs them."""
 
     @pytest.fixture
     def converted(self, monkeypatch):
@@ -1106,7 +1108,7 @@ class TestScaledFormsConvertedOnce:
         def counted_sparse(den, rows, cols):
             seen.append(rows)
             return real_sparse(den, rows, cols)
-        for mod in (linalg, checks, bialgebra, constructions):
+        for mod in (linalg, checks, bialgebra):
             monkeypatch.setattr(mod, "scaled", counted)
         monkeypatch.setattr(checks, "packed_sparse", counted_sparse)
         return seen
@@ -1121,19 +1123,21 @@ class TestScaledFormsConvertedOnce:
         br, J, E, g = _fresh_hypersymplectic()
         converted.clear()
         assert check_hypersymplectic(br, J, E, g).verdict
-        # the four inputs, each once; the three forms are built with their
-        # Scaled form seeded from the contraction they are read off
-        assert len(converted) == 4
-        assert len({id(t) for t in converted}) == 4
-        assert {id(br.nonzeros[1]), id(J.m), id(E.m), id(g.m)} <= {id(t) for t in converted}
+        # the three matrices, each once; the three forms are stored as the
+        # rows of the contraction they are read off, and the bracket is read
+        # through its int planes, never packed
+        assert sorted(map(id, converted)) == sorted(map(id, (J.m, E.m, g.m)))
+        assert "scaled" not in br.__dict__
         assert not any(map(self._is_identity, converted))
 
     def test_parakahler(self, converted):
         pk = _fresh_parakahler()
         converted.clear()
         assert check_parakahler(pk).verdict
-        assert sorted(map(id, converted)) == sorted(
-            map(id, (pk.bracket.nonzeros[1], pk.omega.m, pk.E.m, pk.conn.nonzeros[1])))
+        # the skew pairing is stored as its rows, and the bracket is read
+        # through its int planes
+        assert sorted(map(id, converted)) == sorted(map(id, (pk.E.m, pk.conn.nonzeros[1])))
+        assert "scaled" not in pk.bracket.__dict__
 
 
 class TestRanksFromCachedRows:

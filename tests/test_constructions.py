@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import re
 import subprocess
@@ -35,6 +36,7 @@ from symplie.constructions import (
     IrrationalSquareRoot,
     NotARepresentation,
     NotAnLSA,
+    SpecialSymplecticData,
     affine_cotangent_extension,
     coadjoint,
     cotangent_double,
@@ -52,13 +54,12 @@ from symplie.constructions import (
     tangent_double,
 )
 from symplie.constructions import DegenerateForm, InvalidInput
-from symplie.matched import canonical_skew_pairing
+from symplie.matched import canonical_skew_pairing, double_extension
 from symplie import checks, constructions
 from symplie.catalog import catalog_get
-from symplie.linalg import frac
 
-from oracles import (_basis, brute_left_symmetric, form_value, product_vec, rand_share_tensor,
-                     rand_tensor, rng)
+from oracles import (_basis, brute_left_symmetric, family_plain, form_value, product_vec,
+                     rand_share_tensor, rand_tensor, rng)
 
 Q = Fraction
 SSLA_NAMES = ("ssla-2d-1", "ssla-2d-2", "ssla-2d-3", "ssla-2d-4")
@@ -237,17 +238,18 @@ class TestFamilies:
                                                  ("F2", Q(1), Q(1), None),
                                                  ("F3", Q(5), Q(0), Q(3))])
     def test_one_inverse_per_family(self, monkeypatch, fam, lam, mu, k):
-        # J and E are both built over f, which is inverted once for the two
+        # J and E are both built over f, which is inverted once for the two,
+        # on its int rows (the core of linalg.mat_inverse)
         calls = []
-        real = constructions.mat_inverse
+        real = constructions.scaled_inverse
 
-        def counted(m):
-            calls.append(m)
-            return real(m)
-        monkeypatch.setattr(constructions, "mat_inverse", counted)
+        def counted(M):
+            calls.append(M)
+            return real(M)
+        monkeypatch.setattr(constructions, "scaled_inverse", counted)
         f = phi_from_omega(ssla("ssla-2d-3").omega)
         family_JE(FamilyParams(fam, lam, mu, k), f)
-        assert calls == [f.m]
+        assert len(calls) == 1 and calls[0] is f.scaled
 
     def test_identities_evaluated_once(self, monkeypatch):
         # family_JE's self-check and check_hypersymplectic share one
@@ -305,6 +307,84 @@ class TestFamilies:
         _, _, Em, _ = hypersymplectic_from_tangent(
             s, FamilyParams("F1", Q(1), Q(0), None, -1))
         assert Ep.m == tuple(tuple(-q for q in row) for row in Em.m)
+
+
+# one point of each family, and the builders by double
+FAMILY_POINTS = {"F1": FamilyParams("F1", Q(2), Q(-1, 2)), "F2": FamilyParams("F2", Q(1), Q(1)),
+                 "F3": FamilyParams("F3", Q(5), Q(1), Q(3))}
+BUILDERS = {"tangent": hypersymplectic_from_tangent, "cotangent": hypersymplectic_from_cotangent}
+# the Fraction operations that make a new Fraction
+FRACTION_OPS = ("__new__", "__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
+                "__truediv__", "__rtruediv__", "__floordiv__", "__rfloordiv__", "__mod__",
+                "__rmod__", "__divmod__", "__rdivmod__", "__pow__", "__rpow__", "__neg__",
+                "__pos__", "__abs__")
+
+
+def _family_package(kind):
+    """A special symplectic package: the catalog's ssla-2d-3 (the doubles
+    have dim 4) or, as the family-grid benchmark builds it, the double
+    extension of plsa-2d-IV by the zero pair (dim 8)."""
+    if kind == "ssla":
+        return ssla("ssla-2d-3")
+    ded, _ = double_extension(plsa("plsa-2d-IV"), (st(2), st(2)))
+    return SpecialSymplecticData(sub_adjacent(ded.glued), ded.glued, ded.omega_p)
+
+
+def _count_fraction_ops(mp, count):
+    """Count in count[0] every call of FRACTION_OPS, patched through mp."""
+    for name in (op for op in FRACTION_OPS if op in Fraction.__dict__):
+        real = Fraction.__dict__[name]
+        static = isinstance(real, staticmethod)
+
+        def counted(*args, _fn=real.__func__ if static else real, **kwargs):
+            count[0] += 1
+            return _fn(*args, **kwargs)
+        mp.setattr(Fraction, name, staticmethod(counted) if static else counted)
+
+
+class TestFamiliesOnIntRows:
+    """J, E and g are stored as int rows (Endo.listed, Form.listed) and are
+    built and verified with no dense view and no Fraction arithmetic per
+    entry; their views equal a plain-loop dense build."""
+
+    @pytest.mark.parametrize("double", ("tangent", "cotangent"))
+    @pytest.mark.parametrize("fam", ("F1", "F2", "F3"))
+    @pytest.mark.parametrize("kind", ("ssla", "extension"))
+    def test_matches_dense_build(self, monkeypatch, refuse_dense_views, kind, fam, double):
+        s, p = _family_package(kind), FAMILY_POINTS[fam]
+        refuse_dense_views()
+        d, J, E, g = BUILDERS[double](s, p)
+        rep = check_hypersymplectic(d.bracket, J, E, g)
+        monkeypatch.undo()
+        n2 = 2 * s.bracket.n
+        Jp, Ep, gp = family_plain(double, s.omega.m, p)
+        want = (Endo(n2, Jp), Endo(n2, Ep), Form(n2, gp))
+        for got, w in zip((J, E, g), want):
+            assert [getattr(got, f.name) for f in dataclasses.fields(got)] == [n2, w.m]
+            assert got == w and hash(got) == hash(w)
+            assert all(type(x) is Fraction for row in got.m for x in row)
+        assert rep.verdict
+        assert rep == check_hypersymplectic(d.bracket, *want)
+
+    @pytest.mark.parametrize("double", ("tangent", "cotangent"))
+    @pytest.mark.parametrize("fam", ("F1", "F2", "F3"))
+    def test_no_fraction_arithmetic_per_entry(self, monkeypatch, fam, double):
+        # the Fractions a job makes are the family's parameter arithmetic, so
+        # there are as many at dim 8 as at dim 4
+        counts = []
+        for kind in ("ssla", "extension"):
+            s, p = _family_package(kind), FAMILY_POINTS[fam]
+
+            def job():
+                d, J, E, g = BUILDERS[double](s, p)
+                return check_hypersymplectic(d.bracket, J, E, g).verdict
+            assert job()  # the package's own checks are kept from here on (checks._once)
+            count = [0]
+            with monkeypatch.context() as mp:
+                _count_fraction_ops(mp, count)
+                assert job()
+            counts.append(count[0])
+        assert counts[0] == counts[1]
 
 
 class TestLsaFromSymplectic:

@@ -32,7 +32,7 @@ from symplie.checks import (
     torsion_violations,
 )
 from symplie.constructions import post_affine_check
-from symplie.linalg import DimensionMismatch, mat_identity, mat_inverse, mat_mul, mat_zero
+from symplie.linalg import DimensionMismatch, mat_inverse, mat_mul, mat_zero
 from symplie.matched import (
     NotMatched,
     bowtie_lsa,
@@ -42,13 +42,15 @@ from symplie.matched import (
     dual_actions,
 )
 
+from oracles import scalar_plain
+
 
 def _form(n):
     return Form(n, mat_zero(n))
 
 
 def _endo(n):
-    return Endo(n, mat_identity(n))
+    return Endo(n, scalar_plain(n, 1))
 
 
 def _rep(n):

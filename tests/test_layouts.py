@@ -1,8 +1,8 @@
 """The layouts built in one place each: the stacked families of bialgebra
 read by one collector (_pair_violations), the 2 x 2 block matrices of the
-doubles and of the hypersymplectic families (linalg.mat_blocks and
-mat_scalar), and the nonzero lists that StructureTensor and RepTensor are
-stored as, each against a plain-loop oracle."""
+doubles and of the hypersymplectic families (linalg.scaled_blocks), and
+the nonzero lists that StructureTensor and RepTensor are stored as, each
+against a plain-loop oracle."""
 
 import dataclasses
 from fractions import Fraction
@@ -36,7 +36,7 @@ from symplie.constructions import (
     dual_left_action,
     dual_right_action,
 )
-from symplie.linalg import ZERO, mat_zero, packed, scaled_combine, unscaled
+from symplie.linalg import ZERO, mat_zero, packed, scaled_combine, scaled_inverse, unscaled
 from symplie.matched import MatchedPairData, glue_product
 
 from oracles import (
@@ -119,7 +119,8 @@ class TestBlockMatrices:
         f = rand_invertible(r, n)
         finv = gauss_inverse(f)
         l1, l2, l3, l4 = (rand_q(r) for _ in range(4))
-        got = build_N(l1, l2, l3, l4, Endo(n, f), finv)
+        fe = Endo(n, f)
+        got = build_N(l1, l2, l3, l4, fe, scaled_inverse(fe.scaled))
         want = block_plain(scalar_plain(n, l2),
                            tuple(tuple(l1 * x for x in row) for row in finv),
                            tuple(tuple(l3 * x for x in row) for row in f), scalar_plain(n, l4))

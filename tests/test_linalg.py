@@ -1,7 +1,9 @@
+import math
 from fractions import Fraction
+from itertools import chain
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as hs
 
 from symplie.linalg import (
@@ -9,10 +11,8 @@ from symplie.linalg import (
     DimensionMismatch,
     InternalMismatch,
     SingularMatrix,
-    frac,
     int_mat_mul,
     int_rank,
-    mat_identity,
     mat_inverse,
     mat_mul,
     mat_rank,
@@ -25,6 +25,7 @@ from symplie.linalg import (
     scaled,
     scaled_combine,
     scaled_equal,
+    scaled_inverse,
     scaled_leg,
     scaled_permute,
     tensor_contract,
@@ -48,6 +49,7 @@ from oracles import (
     rand_tensor,
     rand_vec,
     rng,
+    scalar_plain,
 )
 
 rationals = hs.fractions(min_value=-5, max_value=5, max_denominator=6)
@@ -63,26 +65,15 @@ def square_matrices(nmax=4):
 # matrices whose rows have pairwise coprime denominators, 3, 5 and 7: one
 # invertible, and two singular ones (a row 6/5 times, or 6/7 times, row 0)
 COPRIME_ROWS = [
-    ((frac(1, 3), frac(2, 3), frac(-1, 3)),
-     (frac(1, 5), frac(0), frac(2, 5)),
-     (frac(-3, 7), frac(1, 7), frac(5, 7))),
-    ((frac(1, 3), frac(2, 3)),
-     (frac(2, 5), frac(4, 5))),
-    ((frac(1, 3), frac(-2, 3), frac(1, 3)),
-     (frac(3, 5), frac(1, 5), frac(-4, 5)),
-     (frac(2, 7), frac(-4, 7), frac(2, 7))),
+    ((Fraction(1, 3), Fraction(2, 3), Fraction(-1, 3)),
+     (Fraction(1, 5), Fraction(0), Fraction(2, 5)),
+     (Fraction(-3, 7), Fraction(1, 7), Fraction(5, 7))),
+    ((Fraction(1, 3), Fraction(2, 3)),
+     (Fraction(2, 5), Fraction(4, 5))),
+    ((Fraction(1, 3), Fraction(-2, 3), Fraction(1, 3)),
+     (Fraction(3, 5), Fraction(1, 5), Fraction(-4, 5)),
+     (Fraction(2, 7), Fraction(-4, 7), Fraction(2, 7))),
 ]
-
-
-class TestFrac:
-    def test_int(self):
-        assert frac(3) == Fraction(3)
-
-    def test_pair(self):
-        assert frac(1, 3) == Fraction(1, 3)
-
-    def test_string(self):
-        assert frac("-2/5") == Fraction(-2, 5)
 
 
 class TestRank:
@@ -95,7 +86,7 @@ class TestRank:
         assert mat_rank(((Fraction(0),),)) == 0
 
     def test_rectangular(self):
-        m = ((frac(1), frac(2), frac(3)), (frac(2), frac(4), frac(6)))
+        m = ((Fraction(1), Fraction(2), Fraction(3)), (Fraction(2), Fraction(4), Fraction(6)))
         assert mat_rank(m) == 1 == gauss_rank(m)
 
     def test_empty(self):
@@ -121,11 +112,11 @@ class TestInverse:
             got = mat_inverse(m)
             assert got == ref
             n = len(m)
-            assert mat_mul(m, got) == mat_identity(n)
+            assert mat_mul(m, got) == scalar_plain(n, 1)
 
     def test_known(self):
-        m = ((frac(2), frac(1)), (frac(1), frac(1)))
-        assert mat_inverse(m) == ((frac(1), frac(-1)), (frac(-1), frac(2)))
+        m = ((Fraction(2), Fraction(1)), (Fraction(1), Fraction(1)))
+        assert mat_inverse(m) == ((Fraction(1), Fraction(-1)), (Fraction(-1), Fraction(2)))
 
     def test_empty(self):
         assert mat_inverse(()) == ()
@@ -138,6 +129,34 @@ class TestInverse:
                 mat_inverse(m)
         else:
             assert mat_inverse(m) == ref
+
+
+class TestScaledInverse:
+    """The int core of mat_inverse, on Scaled rows, against Gauss-Jordan
+    elimination over Fraction: the same inverse, over its least positive
+    denominator, and SingularMatrix for a singular matrix."""
+
+    @staticmethod
+    def _check(m):
+        ref = gauss_inverse(m)
+        if ref is None:
+            with pytest.raises(SingularMatrix):
+                scaled_inverse(scaled(m))
+            return
+        got = scaled_inverse(scaled(m))
+        assert unscaled(got) == ref
+        assert got.den > 0 and math.gcd(got.den, *chain.from_iterable(got.num)) == 1
+
+    @settings(max_examples=80)
+    @given(square_matrices(6))
+    @example(((Fraction(1), Fraction(2)), (Fraction(2), Fraction(4))))
+    @example(((Fraction(-3, 4),),))
+    def test_matches_gaussian_elimination(self, m):
+        self._check(m)
+
+    @pytest.mark.parametrize("m", COPRIME_ROWS)
+    def test_coprime_denominators(self, m):
+        self._check(m)
 
 
 class TestZero:
@@ -190,7 +209,7 @@ class TestMatMul:
         assert all(type(x) is Fraction for row in got for x in row)
 
     def test_no_columns(self):
-        assert mat_mul(((frac(1), frac(2)),), ((), ())) == ((),)
+        assert mat_mul(((Fraction(1), Fraction(2)),), ((), ())) == ((),)
 
     def test_transpose_reverses(self):
         r = rng(7)
@@ -234,13 +253,13 @@ class TestTensorContract:
     @pytest.mark.parametrize("kind", ["fractional", "negative", "zero"])
     def test_every_slot_matches_plain_loops(self, shape, kind):
         r = rng(19)
-        draw = {"fractional": lambda: frac(r.randint(-9, 9), r.randint(1, 7)),
-                "negative": lambda: frac(-r.randint(1, 9), r.randint(1, 4)),
-                "zero": lambda: frac(0)}[kind]
+        draw = {"fractional": lambda: Fraction(r.randint(-9, 9), r.randint(1, 7)),
+                "negative": lambda: Fraction(-r.randint(1, 9), r.randint(1, 4)),
+                "zero": lambda: Fraction(0)}[kind]
         t = tuple(tuple(tuple(draw() for _ in range(shape[2])) for _ in range(shape[1]))
                   for _ in range(shape[0]))
         for slot in range(3):
-            v = tuple(frac(r.randint(-5, 5), r.randint(1, 6)) for _ in range(shape[slot]))
+            v = tuple(Fraction(r.randint(-5, 5), r.randint(1, 6)) for _ in range(shape[slot]))
             assert tensor_contract(t, v, slot) == contract_plain(t, v, slot)
 
     @pytest.mark.parametrize("slot,message", [
@@ -250,10 +269,10 @@ class TestTensorContract:
         (3, "slot must be 0, 1 or 2, got 3"),
     ])
     def test_dimension_messages(self, slot, message):
-        t = tuple(tuple(tuple(frac(a + b + c) for c in range(4)) for b in range(3))
+        t = tuple(tuple(tuple(Fraction(a + b + c) for c in range(4)) for b in range(3))
                   for a in range(2))
         with pytest.raises(DimensionMismatch) as err:
-            tensor_contract(t, (frac(1),) * 5, slot)
+            tensor_contract(t, (Fraction(1),) * 5, slot)
         assert str(err.value) == message
 
 
@@ -554,6 +573,9 @@ def test_bareiss_raises_without_assert(monkeypatch):
     import symplie.linalg as linalg
     monkeypatch.setattr(linalg, "divmod", lambda a, b: (0, 1), raising=False)
     with pytest.raises(InternalMismatch):
-        mat_rank(((frac(1), frac(2)), (frac(3), frac(4))))
+        mat_rank(((Fraction(1), Fraction(2)), (Fraction(3), Fraction(4))))
     with pytest.raises(InternalMismatch):
-        mat_inverse(((frac(1), frac(2)), (frac(3), frac(4))))
+        mat_inverse(((Fraction(1), Fraction(2)), (Fraction(3), Fraction(4))))
+    # a 1 x 1 matrix has no elimination step: back substitution divides
+    with pytest.raises(InternalMismatch, match="^back substitution not exact$"):
+        mat_inverse(((Fraction(2),),))

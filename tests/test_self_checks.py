@@ -27,8 +27,9 @@ from symplie.constructions import (
     plsa_from_special_symplectic,
     post_affine_check,
 )
-from symplie.linalg import InternalMismatch, mat_identity
+from symplie.linalg import InternalMismatch
 
+from oracles import scalar_plain
 from test_linalg import matrices, tensors
 
 
@@ -52,7 +53,7 @@ def _failing_square(where):
 
 
 def _family_JE():
-    return family_JE(FamilyParams("F1", Q(1), Q(0)), Endo(2, mat_identity(2)))
+    return family_JE(FamilyParams("F1", Q(1), Q(0)), Endo(2, scalar_plain(2, 1)))
 
 
 def _lsa():
