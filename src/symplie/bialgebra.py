@@ -31,9 +31,14 @@ call (_r_forms); the routes that must agree entry for entry (R_operators'
 direct and closed forms, slsba_coboundary's r route and the direct
 co-left-symmetry) are compared on cross-multiplied numerators
 (linalg.scaled_equal), and only what a public function returns is turned
-into Fractions.  The cross-checks (check_plsa on dualized coproducts,
-check_matched_pair) are sparse identities evaluated by checks._scatter,
-independent of the kernel; _route_agrees compares the two verdicts.
+into Fractions, when it is read: a violation's residual, a CoproductPair
+that coboundary_coproducts returns and R_operators' ROperators are views
+built on first read over the numerators they keep.  slsba_coboundary
+leaves the Packed alpha it returns on lsa as a hand-over, which the next
+slsba_check on lsa drops, and takes for that very alpha.  The
+cross-checks (check_plsa on dualized coproducts, check_matched_pair) are
+sparse identities evaluated by checks._scatter, independent of the kernel;
+_route_agrees compares the two verdicts.
 
 Coordinate conventions: an element of A tensor A is the matrix r[p][q] of
 coefficients of e_p tensor e_q; a coproduct is stored as one such matrix per
@@ -43,7 +48,6 @@ e_a tensor e_b tensor e_c.
 """
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
 from operator import le, lt
@@ -66,6 +70,7 @@ from .checks import (
     Endo,
     StructureTensor,
     Violation,
+    _FieldView,
     _nonzeros,
     _once,
     _permuted,
@@ -113,9 +118,13 @@ class NotAnSLSBA(ValueError):
 
 @dataclass(frozen=True)
 class CoproductPair:
+    """A pair built from its Packed form (coboundary_coproducts) keeps only
+    that: alpha and beta are then views built on their first read.
+    Equality, hashing and repr are the dataclass's, through the views."""
     n: int
-    alpha: tuple  # alpha[i][p][q]: e_p tensor e_q coefficient of alpha(e_i)
-    beta: tuple
+    # alpha[i][p][q]: e_p tensor e_q coefficient of alpha(e_i)
+    alpha: tuple = _FieldView(lambda self: unscaled(self.scaled[0]))
+    beta: tuple = _FieldView(lambda self: unscaled(self.scaled[1]))
 
     @cached_property
     def scaled(self):
@@ -127,6 +136,36 @@ class CoproductPair:
     def dual(self):
         """The two dual products, listed off .scaled (_dual_product)."""
         return tuple(_dual_product(self.n, t) for t in self.scaled)
+
+
+@dataclass(frozen=True, eq=False)
+class ROperators:
+    """R_operators' result: the three obstructions of an n-dimensional
+    coboundary pair, kept Packed (.packed, as _coproduct_operators gives
+    them).  first, a list of n matrices, and second and third, lists of n
+    rank-3 tensors split off their stacks, are Fraction views built on their
+    first read.  Iterating gives the three, so R1, R2, R3 = R_operators(...)
+    unpacks them, and == compares them."""
+    n: int
+    packed: tuple
+
+    @cached_property
+    def first(self):
+        return list(unscaled(self.packed[0]))
+
+    @cached_property
+    def second(self):
+        return [unscaled(t) for t in self.packed[1].split(self.n)]
+
+    @cached_property
+    def third(self):
+        return [unscaled(t) for t in self.packed[2].split(self.n)]
+
+    def __iter__(self):
+        return iter((self.first, self.second, self.third))
+
+    def __eq__(self, other):
+        return tuple(self) == tuple(other) if isinstance(other, ROperators) else NotImplemented
 
 
 @dataclass(frozen=True)
@@ -203,17 +242,18 @@ def _swap_each(t, n):
 
 def _pair_violations(n, *items):
     """The one collector of the stacked families: for items (where, t,
-    keep), a violation at (i, j, a, b) with residual Fraction(x, t.den) for
-    each nonzero numerator x at (a, b) of plane i * n + j of the Packed t,
-    where keep is None or keep(i, j); in the order of (i, j), then of
-    items, then of a and b.  Each packed row is tested against 0, and a
-    tensor none of whose rows is read nonzero is never decoded."""
-    out = []
+    keep), a violation at (i, j, a, b) with residual x / t.den, kept as
+    numerators (Violation.of), for each nonzero numerator x at (a, b) of
+    plane i * n + j of the Packed t, where keep is None or keep(i, j); in
+    the order of (i, j), then of items, then of a and b.  Each packed row is
+    tested against 0, and a tensor none of whose rows is read nonzero is
+    never decoded."""
+    out, of = [], Violation.of
     for p in range(n * n):
         for where, t, keep in items:
             plane = t.num[p]
             if any(plane) and (keep is None or keep(*divmod(p, n))):
-                out += [Violation(where, (*divmod(p, n), a, b), Fraction(x, t.den))
+                out += [of(where, (*divmod(p, n), a, b), x, t.den)
                         for a, (R, row) in enumerate(zip(plane, t.decoded[p])) if R
                         for b, x in enumerate(row) if x]
     return out
@@ -352,8 +392,8 @@ def coboundary_coproducts(plsa, r):
         beta_i  = -(r ad_i^T + Lsucc_i r)
 
     where Ldot, Lsucc, ad are left multiplication by e_i in the sum product,
-    the second product, and the commutator bracket.  The pair's cached
-    Packed form is the one it was unscaled from.
+    the second product, and the commutator bracket.  The pair is built from
+    its Packed form, and alpha and beta are views of it.
 
     It takes the hand-over an R_operators call left on the product pair and
     drops it; when that call's r equals r, its coproducts are used and its
@@ -364,8 +404,7 @@ def coboundary_coproducts(plsa, r):
         _, (al, be), ops = kept
     else:
         (al, be), ops = _coboundary_scaled(pair, _r_forms(r)), None
-    return _seeded(CoproductPair(plsa[0].n, unscaled(al), unscaled(be)),
-                   scaled=(al, be), _operators=ops)
+    return _seeded(object.__new__(CoproductPair), n=plsa[0].n, scaled=(al, be), _operators=ops)
 
 
 def _coboundary_scaled(pair, rf):
@@ -447,9 +486,9 @@ def R_operators(plsa, r):
     (InvalidInput unless the product pair is valid), evaluated directly and
     again through closed forms in the quadratic tensors of r.  Both routes
     stay on packed numerators, which are compared entry for entry
-    (scaled_equal; InternalMismatch when they differ), and only the returned
-    operators are turned into Fractions: the first as a list of matrices,
-    the other two as one tensor per basis vector, split off their stacks.
+    (scaled_equal; InternalMismatch when they differ).  The result is an
+    ROperators over the direct route's tensors, whose Fraction views are
+    built only when read.
 
     Once the routes agree, the product pair's _ScaledPair holds a hand-over
     for the next coboundary_coproducts call on it, which always drops it: a
@@ -460,16 +499,14 @@ def R_operators(plsa, r):
     pair.handover = None
     rf = _r_forms(r)
     cop = _coboundary_scaled(pair, rf)
-    R1, R2, R3 = ops = _coproduct_operators(*cop)
+    ops = _coproduct_operators(*cop)
     for name, direct, closed in zip(("first", "second", "third"), ops,
                                     _closed_form_operators(pair, rf)):
         if not scaled_equal(direct, closed):
             raise InternalMismatch("%s operator: direct and closed-form routes "
                                    "disagree" % name)
     pair.handover = tuple(map(tuple, r)), cop, ops
-    n = plsa[0].n
-    return (list(unscaled(R1)), [unscaled(t) for t in R2.split(n)],
-            [unscaled(t) for t in R3.split(n)])
+    return ROperators(plsa[0].n, ops)
 
 
 def _closed_form_operators(pair, rf):
@@ -570,9 +607,9 @@ def check_parakahler(pk):
         N = conn.scaled
         X = scaled_combine(((1, scaled_leg(E.scaled_t, N, 1)),
                             (-1, scaled_leg(E.scaled, N, 2))))
-        res = unscaled(scaled_combine(((1, X), (-1, scaled_permute(X, (1, 0, 2))))))
+        res = scaled_combine(((1, X), (-1, scaled_permute(X, (1, 0, 2)))))
         viol += violations("conn-E-symmetric", combinations(range(n), 2),
-                           lambda i, j: res[i][j])
+                           lambda i, j: res.decoded[i][j], res.den)
     return merge_reports("para-kahler", parts, viol)
 
 
@@ -586,10 +623,15 @@ def slsba_check(lsa, alpha):
 
     Whenever the dualized product is itself left-symmetric, the verdict of
     the action identity is compared against the matched-pair formulation
-    with zero right actions; otherwise a note says the route was skipped."""
+    with zero right actions; otherwise a note says the route was skipped.
+
+    It takes the hand-over a slsba_coboundary call left on lsa and drops
+    it; when alpha is the very object that call returned, its Packed form
+    is used instead of converting alpha again."""
+    kept = lsa.__dict__.pop("_coboundary_alpha", None)
     require(check_left_symmetric(lsa), NotAnLSA, "base product is not %s at %s")
     # alpha(e_i e_j) = L_i alpha_j + alpha_j L_i^T + alpha_i R_j^T
-    C, AL = lsa.scaled, scaled(alpha)
+    C, AL = lsa.scaled, kept[1] if kept is not None and kept[0] is alpha else scaled(alpha)
     viol = _pair_violations(lsa.n, ("coproduct-compat", _compat_defect(C, C, AL, AL), None))
     cls = _pair_violations(lsa.n, ("co-left-symmetry", _co_left_symmetry(AL), None))
     if cls:
@@ -626,7 +668,9 @@ def slsba_coboundary(lsa, r):
     left-symmetric (NotAnLSA); the report checks the action closure
     condition on all pairs and the vanishing of co-left-symmetry computed
     through the quadratic expression in r, compared on numerators against
-    the direct evaluation (InternalMismatch when they differ)."""
+    the direct evaluation (InternalMismatch when they differ).  lsa keeps
+    the returned alpha with its Packed form as a hand-over for the next
+    slsba_check on lsa (see there)."""
     require(check_left_symmetric(lsa), NotAnLSA, "base product is not %s at %s")
     n = lsa.n
     C = lsa.scaled
@@ -647,8 +691,9 @@ def slsba_coboundary(lsa, r):
     if not scaled_equal(tq, _co_left_symmetry(AL)):
         raise InternalMismatch("co-left-symmetry via r disagrees with the "
                                "direct evaluation")
-    return unscaled(AL), report("slsba-coboundary", viol,
-                                ["direct co-left-symmetry route agrees"])
+    alpha = unscaled(AL)
+    lsa.__dict__["_coboundary_alpha"] = alpha, AL
+    return alpha, report("slsba-coboundary", viol, ["direct co-left-symmetry route agrees"])
 
 
 def slsba_double(slsba):

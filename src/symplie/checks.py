@@ -9,9 +9,13 @@ lists the nonzero residuals over the basis tuples it is given,
 mat_violations those of one Scaled matrix or Packed tensor, row by row,
 and _scatter those of the sparse identities below;
 bialgebra._pair_violations is the one collector of bialgebra's stacked
-families.  prefixed renames violations for a parent report.  require turns
-a failing report into the caller's typed error, and require_dims objects of
-different n into DimensionMismatch.
+families.  A collector keeps each residual as its int numerators over one
+den, an int or a row of ints (Violation.of, .numerators), and residual is
+a view, a Fraction or a tuple of them, built on its first read; equality,
+hashing, repr and pickling are the dataclass's, through the view.
+prefixed renames violations for a parent report and keeps their
+numerators.  require turns a failing report into the caller's typed error,
+and require_dims objects of different n into DimensionMismatch.
 
 A StructureTensor or RepTensor is stored as its dimensions and its nonzero
 list .nonzeros = (den, nz), row-wise sparse (Gustavson 1978): nz[i][j]
@@ -44,12 +48,12 @@ gives the one account of it.  Here, check_closed and check_parallel_form
 share one product of an operation's int planes by the form (_by_form)
 and read each tuple's residual off it.  torsion_violations contracts the
 Nijenhuis torsion one plane at a time, only the rows j > i it reads, and
-builds Fractions only for a violating pair; nijenhuis_torsion takes every
+keeps a violating pair's row of numerators; nijenhuis_torsion takes every
 row from the same core (_torsion).  The matrix identities (N^2 = +-id,
 JE = -EJ, N^T B N = +-B) and three_forms go through _mat_chain, and
 skewness and symmetry compare int rows; ranks and eigenspace dimensions
-eliminate fresh copies of those rows (_sub_scalar).  A Fraction is built
-only for a violation's residual.
+eliminate fresh copies of those rows (_sub_scalar).  No Fraction is built
+until a violation's residual is read.
 
 The other route, off the kernel, is the independent cross-checks:
 check_plsa, check_left_symmetric, check_jacobi, check_bimodule, check_flat,
@@ -65,8 +69,8 @@ each product into one int slot list per tuple it lands on, so a tuple no
 product lands on costs nothing.  Each tensor's list is read with its legs
 reordered (_view, each view kept on the tensor by its leg order), and each
 identity brings its terms over one common denominator by one int factor per
-term, so a slot sums ints and only the entries of a nonzero residual become
-Fractions.  A hit is the tuple the route reports: the identity's chain
+term, so a slot sums ints and a nonzero residual keeps its slot as its
+numerators.  A hit is the tuple the route reports: the identity's chain
 names the indices that increase along its tuples (i < j for the half of a
 defect antisymmetric in i and j, i < j < k for Jacobi's cyclic sum), and a
 product off the chain is skipped, on X's two indices before its row is
@@ -76,7 +80,8 @@ it.  Violations come in the lexicographic order of their tuples, identity 1
 before identity 2 at one tuple; a caller that lists them otherwise sorts
 them stably (matched._mixed_12 by c, check_bimodule by identity, all of
 bimodule-1 before bimodule-2).  check_plsa reads the sum product as the
-listed sum of prec and succ, and only the verdict of its left-symmetry.
+listed sum of prec and succ, and only the verdict of its left-symmetry, off
+the hits: no violation is built for it.
 
 A self-check fails one way: an explicit InternalMismatch raise, which
 survives python -O.  check_plsa, check_special_symplectic,
@@ -90,9 +95,9 @@ nothing is raised; a disagreement a verifier records there is a note.
 
 A frozen input is verified once per object, through one mechanism, _once:
 check_plsa, check_left_symmetric, check_special_symplectic,
-square_violations, anticommute_violations and bialgebra.plsca_check keep
-their result on their first operand, keyed by the identities of the
-others.  A later call with the very same objects returns it without
+check_nondegenerate, square_violations, anticommute_violations and
+bialgebra.plsca_check keep their result on their first operand, keyed by
+the identities of the others.  A later call with the very same objects returns it without
 evaluating again, so a chain calls the public verifiers and finds the
 preconditions it has verified kept; equal but distinct objects are
 evaluated afresh.  The kept result is immutable (a report, or a tuple each
@@ -209,11 +214,47 @@ class RepTensor(_Stored):
     shape = property(lambda self: (self.n, self.m, self.m))
 
 
+class _FieldView:
+    """A dataclass field whose value, when __init__ was not given one, is
+    built by func(obj) on its first read and kept in obj's __dict__, where
+    later reads find it, as functools.cached_property keeps it but without
+    its lock.  Read on the class it raises AttributeError, so dataclass
+    sees no default and the field stays a required argument."""
+
+    def __init__(self, func):
+        self.func = func
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, obj, cls=None):
+        if obj is None:
+            raise AttributeError(self.name)
+        value = obj.__dict__[self.name] = self.func(obj)
+        return value
+
+
+def _residual(v):
+    """The residual view of a Violation kept as numerators (Violation.of):
+    Fraction(x, den) for an int x, linalg.fractions(xs, den) for an int row."""
+    x, den = v.numerators
+    return Fraction(x, den) if isinstance(x, int) else fractions(x, den)
+
+
 @dataclass(frozen=True)
 class Violation:
     where: str
     indices: tuple  # 0-based basis indices
-    residual: object  # Fraction, or tuple of Fractions
+    residual: object = _FieldView(_residual)  # Fraction, or tuple of Fractions
+
+    @classmethod
+    def of(cls, where, indices, x, den):
+        """The violation whose residual is x / den, for an int x or a row of
+        ints x, kept as .numerators = (x, den); residual is the view."""
+        obj = object.__new__(cls)
+        d = obj.__dict__
+        d["where"], d["indices"], d["numerators"] = where, indices, (x, den)
+        return obj
 
 
 @dataclass(frozen=True)
@@ -280,8 +321,15 @@ def relabel(rep, name):
 def prefixed(name, viol):
     """The violations viol with each where read as "name: where" (name
     alone for an empty where)."""
-    return [Violation("%s: %s" % (name, v.where) if v.where else name, v.indices, v.residual)
-            for v in viol]
+    return [_renamed(v, "%s: %s" % (name, v.where) if v.where else name) for v in viol]
+
+
+def _renamed(v, where):
+    """The violation v at where instead: a copy of its state, so a residual
+    kept as numerators stays so."""
+    obj = object.__new__(Violation)
+    obj.__dict__.update(v.__dict__, where=where)
+    return obj
 
 
 def merge_reports(check, parts, extra_violations=(), notes=()):
@@ -350,6 +398,11 @@ def check_skew(B):
 
 
 def check_nondegenerate(B):
+    """Full rank, evaluated once per form object (_once)."""
+    return _once(B, "nondegenerate", (), lambda: _nondegenerate(B))
+
+
+def _nondegenerate(B):
     r = int_rank([list(row) for row in B.scaled.num])  # a copy: int_rank works in place
     viol = []
     if r != B.n:
@@ -398,11 +451,11 @@ def _row(cols, den, entries):
 
 
 def _ints(cols, entries):
-    """cols ints: x at k for each (k, x) of entries, else 0."""
+    """A tuple of cols ints: x at k for each (k, x) of entries, else 0."""
     out = [0] * cols
     for k, x in entries:
         out[k] = x
-    return out
+    return tuple(out)
 
 
 def _permuted(nonzeros, shape, perm, sign=1):
@@ -515,10 +568,10 @@ def _scatter(names, dims, identities):
 
 
 def _sparse_violations(names, dims, identities):
-    """The violations of _scatter's hits, each residual the tuple of
-    dims["t"] Fractions (linalg.fractions)."""
+    """The violations of _scatter's hits, each residual kept as its row of
+    dims["t"] numerators (Violation.of)."""
     hits, dens = _scatter(names, dims, identities)
-    return [Violation(identities[k][0], idx, fractions(acc, dens[k])) for k, idx, acc in hits]
+    return [Violation.of(identities[k][0], idx, acc, dens[k]) for k, idx, acc in hits]
 
 
 def check_jacobi(br):
@@ -527,7 +580,7 @@ def check_jacobi(br):
     # exactly when the two lists of (k, numerator) are opposite
     viol = violations("antisymmetry", combinations_with_replacement(range(n), 2),
                       lambda i, j: () if nz[i][j] == [(k, -a) for k, a in nz[j][i]]
-                      else _row(n, den, _nonzeros_row_sum(nz[i][j], nz[j][i], 1, 1)))
+                      else _ints(n, _nonzeros_row_sum(nz[i][j], nz[j][i], 1, 1)), den)
     # [[e_i, e_j], e_k] + [[e_j, e_k], e_i] + [[e_k, e_i], e_j] on i < j < k
     viol += _sparse_violations("ijk", dict.fromkeys("ijkt", n), [("jacobi", "ijk", (
         (1, br, "ijs", br, "skt"), (1, br, "jks", br, "sit"), (1, br, "kis", br, "sjt")))])
@@ -558,7 +611,7 @@ def check_commutative(op):
     return report("commutative", violations(
         "commutative", combinations(range(n), 2),
         lambda i, j: () if nz[i][j] == nz[j][i]
-        else _row(n, den, _nonzeros_row_sum(nz[i][j], nz[j][i], 1, -1))))
+        else _ints(n, _nonzeros_row_sum(nz[i][j], nz[j][i], 1, -1)), den))
 
 
 def check_plsa(prec, succ):
@@ -584,12 +637,13 @@ def _plsa(prec, succ):
     lsymm = check_left_symmetric(succ)
     total = StructureTensor.listed(n, _nonzeros_sum(prec.nonzeros, succ.nonzeros))
     # e_i succ (e_j prec e_k) - (e_i . e_j) prec e_k - e_j prec (e_i . e_k), and
-    # the left-symmetry of the sum product, of which only the verdict is read
-    viol = _sparse_violations("ijk", dict.fromkeys("ijkt", n), [("compatibility", "", (
+    # the left-symmetry of the sum product, identity 1, of which only the
+    # verdict is read: no violation is built for it
+    hits, dens = _scatter("ijk", dict.fromkeys("ijkt", n), [("compatibility", "", (
         (1, prec, "jks", succ, "ist"), (-1, total, "ijs", prec, "skt"),
         (-1, total, "iks", prec, "jst"))), _left_symmetry(total)])
-    sum_ok = all(v.where == "compatibility" for v in viol)
-    viol = [v for v in viol if v.where == "compatibility"]
+    viol = [Violation.of("compatibility", idx, acc, dens[0]) for k, idx, acc in hits if not k]
+    sum_ok = len(viol) == len(hits)
     words = "pass" if sum_ok else "fail", "pass" if lsymm.verdict else "fail"
     if sum_ok == lsymm.verdict:
         note = "sum-product left-symmetry agrees with succ left-symmetry (%s)" % words[0]
@@ -609,7 +663,7 @@ def check_torsion_free(br, conn):
     den, nz = _nonzeros_sum(sub_adjacent(conn).nonzeros, _negated(br))
     return report("torsion-free", violations(
         "torsion-free", combinations(range(br.n), 2),
-        lambda i, j: _row(br.n, den, nz[i][j]) if nz[i][j] else ()))
+        lambda i, j: _ints(br.n, nz[i][j]) if nz[i][j] else (), den))
 
 
 def check_flat(br, conn):
@@ -710,28 +764,30 @@ def nijenhuis_torsion(br, N):
 def violations(where, tuples, residual, den=None):
     """A violation at each index tuple idx of tuples, in the order given,
     whose residual r = residual(*idx) is nonzero: a scalar other than 0, or
-    a tuple with a nonzero entry.  With den, each r is an int numerator
-    read off int rows and is stored as Fraction(r, den)."""
+    a tuple with a nonzero entry.  With den, each r is an int numerator or a
+    tuple of them, read off int rows, and is kept over den (Violation.of)."""
     out = []
     for idx in tuples:
         r = residual(*idx)
         if (any(r) if isinstance(r, tuple) else r != 0):
-            out.append(Violation(where, idx, r if den is None else Fraction(r, den)))
+            out.append(Violation(where, idx, r) if den is None
+                       else Violation.of(where, idx, r, den))
     return out
 
 
 def mat_violations(where, t):
     """A violation at the indices of each nonzero numerator x of the Scaled
-    matrix or Packed tensor t, in row-major order, its residual
-    Fraction(x, t.den).  A Scaled row costs one any() when it is all zero; a
-    Packed row is tested against 0 and decoded only when it is not."""
-    den = t.den
+    matrix or Packed tensor t, in row-major order, its residual x / t.den
+    kept as numerators (Violation.of).  A Scaled row costs one any() when it
+    is all zero; a Packed row is tested against 0 and decoded only when it
+    is not."""
+    den, of = t.den, Violation.of
     if isinstance(t, Packed):
-        return [Violation(where, (a, b, k), Fraction(x, den))
+        return [of(where, (a, b, k), x, den)
                 for a, (plane, rows) in enumerate(zip(t.num, t.decoded))
                 for b, (R, row) in enumerate(zip(plane, rows)) if R
                 for k, x in enumerate(row) if x]
-    return [Violation(where, (i, k), Fraction(x, den))
+    return [of(where, (i, k), x, den)
             for i, row in enumerate(t.num) if any(row) for k, x in enumerate(row) if x]
 
 
@@ -793,14 +849,11 @@ def congruence_violations(where, B, N, sign):
 
 def torsion_violations(where, br, N):
     """The Nijenhuis torsion of N vanishes, on basis pairs i < j: only those
-    rows are contracted, and the residual, the row of n Fractions, is built
-    only at a violating pair."""
+    rows are contracted, and a violating pair keeps its row of n numerators."""
     num, den = _torsion(br, N, upper=True)
-
-    def residual(i, j):
-        row = num[i][j - i - 1]  # plane i holds the rows j = i + 1, ..., n - 1
-        return fractions(row, den) if any(row) else ()
-    return violations(where, combinations(range(br.n), 2), residual)
+    # plane i holds the rows j = i + 1, ..., n - 1
+    return [Violation.of(where, (i, j), row, den)
+            for i, plane in enumerate(num) for j, row in enumerate(plane, i + 1) if any(row)]
 
 
 def eigenspace_violations(E):
@@ -910,5 +963,5 @@ def check_bimodule(lsa, l, r):
                             (-1, lsa, "ijs", r, "sat"), (1, r, "jas", r, "ist")))])
     hits.sort(key=itemgetter(0))
     return report("bimodule", [
-        Violation("bimodule-%d at (%d,%d)" % (k + 1, i, j), (a, t), Fraction(x, dens[k]))
+        Violation.of("bimodule-%d at (%d,%d)" % (k + 1, i, j), (a, t), x, dens[k])
         for k, (i, j, a), acc in hits for t, x in enumerate(acc) if x])

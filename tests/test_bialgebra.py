@@ -53,7 +53,10 @@ from symplie.catalog import CatalogEntry, catalog_get
 from oracles import (
     brute_left_symmetric,
     coboundary_coproducts_plain,
+    coboundary_violations,
     coproducts_from_products,
+    nonzero_entries,
+    plsca_violations,
     rand_mat,
     rng,
     t3_is_zero,
@@ -65,6 +68,13 @@ PLSA_NAMES = ("plsa-2d-I", "plsa-2d-II", "plsa-2d-III", "plsa-2d-IV")
 
 def plsa(name):
     return catalog_get(name).payload
+
+
+def _entries_of(t):
+    """The scalars of the nested tuples or lists t."""
+    if isinstance(t, (tuple, list)):
+        return [x for sub in t for x in _entries_of(sub)]
+    return [t]
 
 
 def mats_zero(t):
@@ -327,19 +337,20 @@ class TestRoutesComparedOnNumerators:
 
 class TestOperatorRoutesConvertOnce:
     """The obstruction routes stay on Scaled numerators: R_operators turns
-    only the 1 + 2n tensors it returns into Fractions, and converts r, r^T
-    and u = r - r^T to Scaled at most once each; plsca_check and the
-    r route of slsba_coboundary build no Fraction tensor they do not return;
-    drinfeld_double converts neither coproduct it builds back to Scaled and
+    only the 1 + 2n tensors it returns into Fractions, when they are read,
+    and converts r, r^T and u = r - r^T to Scaled at most once each;
+    plsca_check and the r route of slsba_coboundary build no Fraction tensor
+    they do not return; a failing coboundary-dense job builds none until its
+    outputs are read; drinfeld_double converts neither coproduct it builds back to Scaled and
     unscales no r-bracket tensor."""
 
     @pytest.fixture
     def calls(self, monkeypatch):
-        seen = {"scaled": [], "unscaled": []}
+        seen = {"scaled": [], "unscaled": [], "fractions": []}
         for name, got in seen.items():
-            def counted(t, real=getattr(linalg, name), got=got):
+            def counted(t, *rest, real=getattr(linalg, name), got=got):
                 got.append(t)
-                return real(t)
+                return real(t, *rest)
             for mod in (linalg, checks, bialgebra, constructions, matched):
                 if hasattr(mod, name):
                     monkeypatch.setattr(mod, name, counted)
@@ -355,11 +366,47 @@ class TestOperatorRoutesConvertOnce:
         r = ((Q(1), Q(2)), (Q(-1, 3), Q(5, 7)))
         rT = tuple(zip(*r))
         u = tuple(tuple(a - b for a, b in zip(x, y)) for x, y in zip(r, rT))
-        R1, R2, R3 = R_operators(pair, r)
+        ops = R_operators(pair, r)
+        assert calls["unscaled"] == []  # the operators are views, built when read
+        R1, R2, R3 = ops
         assert len(calls["unscaled"]) == 1 + 2 * 2
         assert [len(R1), len(R2), len(R3)] == [2, 2, 2]
+        assert tuple(ops) == (R1, R2, R3) and len(calls["unscaled"]) == 1 + 2 * 2
         for m in (r, rT, u):
             assert sum(t == m for t in calls["scaled"]) <= 1
+
+    def test_failing_dense_job_builds_no_fractions_until_read(self, calls):
+        # the coboundary-dense benchmark job on an r whose coproducts fail:
+        # every output is kept as numerators until it is read, and then
+        # equals the oracles
+        pair = drinfeld_double(self._fresh_pair("plsa-2d-IV"), zero_coproducts(2))[0]
+        vals = (Q(1), Q(-2), Q(1, 2), Q(0), Q(3), Q(-1, 3))
+        r = tuple(tuple(vals[(3 * a + b) % 6] for b in range(4)) for a in range(4))
+        for got in calls.values():
+            got.clear()
+        ops = R_operators(pair, r)
+        cp = coboundary_coproducts(pair, r)
+        coalg, cond = plsca_check(cp), coboundary_conditions(pair, r)
+        assert not coalg.verdict and not cond.verdict
+        assert calls["unscaled"] == calls["fractions"] == []
+        assert not any("residual" in vars(v) for v in coalg.violations + cond.violations)
+        assert not {"alpha", "beta"} & set(vars(cp)) and not {"first", "second"} & set(vars(ops))
+        c = [op.c for op in pair]
+        alpha, beta = coboundary_coproducts_plain(*c, r)
+        want = plsca_violations(alpha, beta)
+        assert [(v.where, v.indices, v.residual) for v in coalg.violations] == want
+        assert [(v.where, v.indices, v.residual) for v in cond.violations] == \
+            coboundary_violations(*c, r)
+        assert calls["unscaled"] == calls["fractions"] == []  # scalar residuals
+        assert (cp.alpha, cp.beta) == (alpha, beta)
+        assert len(calls["unscaled"]) == 2
+        R1, R2, R3 = ops
+        assert len(calls["unscaled"]) == 2 + 1 + 2 * 4
+        for where, got in (("co-commutativity", R1), ("co-compatibility", R2),
+                           ("co-left-symmetry", R3)):
+            assert nonzero_entries(where, got) == [v for v in want if v[0] == where]
+        assert all(type(x) is Q for t in (R1, *R2, *R3, cp.alpha, cp.beta)
+                   for x in _entries_of(t))
 
     def test_plsca_check(self, calls):
         for cp in (coproducts_from_products(*self._fresh_pair("plsa-2d-III")),
@@ -367,6 +414,23 @@ class TestOperatorRoutesConvertOnce:
             calls["unscaled"].clear()
             plsca_check(cp)
             assert calls["unscaled"] == []
+
+    def test_slsba_check_takes_the_packed_alpha(self, calls):
+        # slsba_coboundary hands its Packed alpha over on lsa, and slsba_check
+        # takes it for the very alpha returned; an equal copy is converted
+        lsa = op_add(*self._fresh_pair("plsa-2d-IV"))
+        lsa_d, alpha_d, rep = slsba_double((lsa, tuple(mat_zero(2) for _ in range(2))))
+        assert rep.verdict and "_coboundary_alpha" not in vars(lsa_d)
+        assert not any(t is alpha_d for t in calls["scaled"])
+        r = ((Q(1), Q(-2)), (Q(1, 2), Q(3)))
+        alpha, _ = slsba_coboundary(lsa, r)
+        got = slsba_check(lsa, alpha)
+        assert not any(t is alpha for t in calls["scaled"])
+        assert "_coboundary_alpha" not in vars(lsa)
+        alpha, _ = slsba_coboundary(lsa, r)
+        twin = tuple(tuple(tuple(list(row)) for row in m) for m in alpha)
+        assert slsba_check(lsa, twin) == got and "_coboundary_alpha" not in vars(lsa)
+        assert any(t is twin for t in calls["scaled"])
 
     def test_slsba_coboundary_unscales_alpha_only(self, calls):
         lsa = op_add(*plsa("plsa-2d-IV"))

@@ -4,6 +4,7 @@ import dataclasses
 import importlib.util
 import math
 import os
+import pickle
 import subprocess
 import sys
 from fractions import Fraction
@@ -39,6 +40,7 @@ from symplie.checks import (
     mat_violations,
     merge_reports,
     nijenhuis_torsion,
+    prefixed,
     report,
     require,
     st,
@@ -93,8 +95,10 @@ from symplie.bialgebra import (
 from symplie.checks import check_hypersymplectic, op_add, op_sub
 from symplie.constructions import (
     FamilyParams,
+    SpecialSymplecticData,
     canonical_skew_pairing,
     cotangent_double,
+    hypersymplectic_from_cotangent,
     hypersymplectic_from_tangent,
 )
 from symplie.linalg import DimensionMismatch
@@ -1021,6 +1025,54 @@ class TestViolationCollector:
         assert violations("e", [], lambda *idx: Q(1)) == []
 
 
+class TestViolationViews:
+    """A violation kept as numerators (Violation.of) builds its residual on
+    first read, and is the violation built from that residual in every way
+    the package and the benchmark look at it."""
+
+    CASES = ((3, 6, Q(1, 2)), ([0, 3, -4], 6, (Q(0), Q(1, 2), Q(-2, 3))),
+             ((5, 0), 1, (Q(5), Q(0))))
+
+    @pytest.mark.parametrize("x, den, residual", CASES)
+    def test_same_as_built_from_fractions(self, x, den, residual):
+        workloads = _bench_workloads()
+        built = Violation("w", (0, 1), residual)
+        for read_first in (False, True):
+            v = Violation.of("w", (0, 1), x, den)
+            if read_first:
+                v.residual
+            else:
+                assert "residual" not in vars(v)
+            back = pickle.loads(pickle.dumps(v))
+            for got in (v, back, copy.copy(v)):
+                assert got == built and hash(got) == hash(built) and repr(got) == repr(built)
+                assert dataclasses.fields(got) == dataclasses.fields(built)
+                assert workloads.canon(got) == workloads.canon(built)
+            assert type(v.residual) is type(residual)
+            if isinstance(residual, tuple):
+                assert all(type(q) is Fraction for q in v.residual)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                v.residual = residual
+
+    def test_prefixed_keeps_numerators(self):
+        v = Violation.of("w", (1,), [0, -2], 4)
+        got, = prefixed("sub", [v])
+        assert "residual" not in vars(got) and "residual" not in vars(v)
+        assert got == Violation("sub: w", (1,), (Q(0), Q(-1, 2)))
+        read, = prefixed("sub", [Violation("", (), Q(1, 3))])
+        assert read == Violation("sub", (), Q(1, 3)) and "numerators" not in vars(read)
+
+    def test_collectors_keep_numerators(self):
+        # kernel, sparse and entrywise collectors: no residual is read
+        # until asked for
+        reps = (check_jacobi(st(2, {(0, 1, 0): Q(1, 3), (1, 1, 1): Q(1)})),
+                check_commutative(st(2, {(0, 1, 1): Q(2)})),
+                check_left_symmetric(st(2, {(0, 0, 0): Q(1), (1, 0, 0): Q(1)})))
+        viol = [v for rep in reps for v in rep.violations]
+        assert viol and not any("residual" in vars(v) for v in viol)
+        assert all(type(q) is Fraction for v in viol for q in v.residual)
+
+
 class TestRequire:
     NOT_LSA = st(2, {(0, 0, 0): Q(1), (1, 0, 0): Q(1)})
 
@@ -1259,7 +1311,8 @@ class TestOnce:
     def cores(self, monkeypatch):
         runs = collections.Counter()
         for mod, name in ((checks, "_plsa"), (checks, "_special_symplectic"),
-                          (checks, "_left_symmetric"), (bialgebra, "_coproduct_operators")):
+                          (checks, "_left_symmetric"), (bialgebra, "_coproduct_operators"),
+                          (checks, "_nondegenerate")):
             def counted(*args, _real=getattr(mod, name), _name=name):
                 runs[_name] += 1
                 return _real(*args)
@@ -1302,6 +1355,21 @@ class TestOnce:
         for args in ((_fresh(br), conn, w), (br, _fresh(conn), w), (br, conn, _fresh(w))):
             assert check_special_symplectic(*args) == first
         assert cores["_special_symplectic"] == 4
+
+    def test_check_nondegenerate(self, cores):
+        # a cotangent family job on a package whose checks are kept ranks
+        # omega no more: phi_from_omega finds the kept report
+        s = catalog_get("ssla-2d-3").payload
+        s = SpecialSymplecticData(*map(_fresh, (s.bracket, s.conn, s.omega)))
+        p = FamilyParams("F1", Q(2), Q(-1, 2))
+        hypersymplectic_from_cotangent(s, p)
+        assert cores["_nondegenerate"] == 1
+        hypersymplectic_from_cotangent(s, p)
+        assert cores["_nondegenerate"] == 1
+        first = check_nondegenerate(s.omega)
+        assert first.verdict and check_nondegenerate(s.omega) is first
+        assert check_nondegenerate(_fresh(s.omega)) == first
+        assert cores["_nondegenerate"] == 2
 
     def test_check_left_symmetric(self, cores):
         lsa = op_add(*catalog_get("plsa-2d-IV").payload)
