@@ -33,11 +33,11 @@ co-left-symmetry) are compared on cross-multiplied numerators
 (linalg.scaled_equal), and only what a public function returns is turned
 into Fractions, when it is read: a violation's residual, a CoproductPair
 that coboundary_coproducts returns and R_operators' ROperators are views
-built on first read over the numerators they keep.  slsba_coboundary
-leaves the Packed alpha it returns on lsa as a hand-over, which the next
-slsba_check on lsa drops, and takes for that very alpha.  The
-cross-checks (check_plsa on dualized coproducts, check_matched_pair) are
-sparse identities evaluated by checks._scatter, independent of the kernel;
+built on first read over the numerators they keep.  slsba_double checks
+the coproduct of its double on the Packed alpha that slsba_coboundary's
+core computed (_slsba_coboundary, _slsba_check).  The cross-checks
+(check_plsa on dualized coproducts, check_matched_pair) are sparse
+identities evaluated by checks._scatter, independent of the kernel;
 _route_agrees compares the two verdicts.
 
 Coordinate conventions: an element of A tensor A is the matrix r[p][q] of
@@ -144,8 +144,10 @@ class ROperators:
     coboundary pair, kept Packed (.packed, as _coproduct_operators gives
     them).  first, a list of n matrices, and second and third, lists of n
     rank-3 tensors split off their stacks, are Fraction views built on their
-    first read.  Iterating gives the three, so R1, R2, R3 = R_operators(...)
-    unpacks them, and == compares them."""
+    first read.  It is read as the tuple (first, second, third) it
+    replaces: R1, R2, R3 = R_operators(...) unpacks it, indexing and len
+    read that tuple, == compares it, and like that tuple of lists it is
+    unhashable."""
     n: int
     packed: tuple
 
@@ -161,11 +163,22 @@ class ROperators:
     def third(self):
         return [unscaled(t) for t in self.packed[2].split(self.n)]
 
+    def _tuple(self):
+        return self.first, self.second, self.third
+
     def __iter__(self):
-        return iter((self.first, self.second, self.third))
+        return iter(self._tuple())
+
+    def __getitem__(self, i):
+        return self._tuple()[i]
+
+    def __len__(self):
+        return 3
 
     def __eq__(self, other):
-        return tuple(self) == tuple(other) if isinstance(other, ROperators) else NotImplemented
+        if isinstance(other, ROperators):
+            other = other._tuple()
+        return self._tuple() == other if isinstance(other, tuple) else NotImplemented
 
 
 @dataclass(frozen=True)
@@ -623,15 +636,15 @@ def slsba_check(lsa, alpha):
 
     Whenever the dualized product is itself left-symmetric, the verdict of
     the action identity is compared against the matched-pair formulation
-    with zero right actions; otherwise a note says the route was skipped.
-
-    It takes the hand-over a slsba_coboundary call left on lsa and drops
-    it; when alpha is the very object that call returned, its Packed form
-    is used instead of converting alpha again."""
-    kept = lsa.__dict__.pop("_coboundary_alpha", None)
+    with zero right actions; otherwise a note says the route was skipped."""
     require(check_left_symmetric(lsa), NotAnLSA, "base product is not %s at %s")
+    return _slsba_check(lsa, scaled(alpha))
+
+
+def _slsba_check(lsa, AL):
+    """slsba_check over a left-symmetric lsa, on the Packed form AL of alpha."""
     # alpha(e_i e_j) = L_i alpha_j + alpha_j L_i^T + alpha_i R_j^T
-    C, AL = lsa.scaled, kept[1] if kept is not None and kept[0] is alpha else scaled(alpha)
+    C = lsa.scaled
     viol = _pair_violations(lsa.n, ("coproduct-compat", _compat_defect(C, C, AL, AL), None))
     cls = _pair_violations(lsa.n, ("co-left-symmetry", _co_left_symmetry(AL), None))
     if cls:
@@ -668,9 +681,13 @@ def slsba_coboundary(lsa, r):
     left-symmetric (NotAnLSA); the report checks the action closure
     condition on all pairs and the vanishing of co-left-symmetry computed
     through the quadratic expression in r, compared on numerators against
-    the direct evaluation (InternalMismatch when they differ).  lsa keeps
-    the returned alpha with its Packed form as a hand-over for the next
-    slsba_check on lsa (see there)."""
+    the direct evaluation (InternalMismatch when they differ)."""
+    AL, rep = _slsba_coboundary(lsa, r)
+    return unscaled(AL), rep
+
+
+def _slsba_coboundary(lsa, r):
+    """slsba_coboundary with alpha returned Packed."""
     require(check_left_symmetric(lsa), NotAnLSA, "base product is not %s at %s")
     n = lsa.n
     C = lsa.scaled
@@ -691,9 +708,7 @@ def slsba_coboundary(lsa, r):
     if not scaled_equal(tq, _co_left_symmetry(AL)):
         raise InternalMismatch("co-left-symmetry via r disagrees with the "
                                "direct evaluation")
-    alpha = unscaled(AL)
-    lsa.__dict__["_coboundary_alpha"] = alpha, AL
-    return alpha, report("slsba-coboundary", viol, ["direct co-left-symmetry route agrees"])
+    return AL, report("slsba-coboundary", viol, ["direct co-left-symmetry route agrees"])
 
 
 def slsba_double(slsba):
@@ -706,8 +721,9 @@ def slsba_double(slsba):
     n = lsa.n
     lsa_d = glue_product(_left_dual_actions(lsa, _dual_product(n, scaled(alpha))))
     r = canonical_r(n)
-    alpha_d, cobrep = slsba_coboundary(lsa_d, r)  # verifies lsa_d is an LSA
-    fullrep = slsba_check(lsa_d, alpha_d)
+    AL_d, cobrep = _slsba_coboundary(lsa_d, r)  # verifies lsa_d is an LSA
+    fullrep = _slsba_check(lsa_d, AL_d)
+    alpha_d = unscaled(AL_d)
     E = Endo.listed(2 * n, scaled_blocks(n, (((1, None), (0, None)), ((0, None), (-1, None)))))
     pk = ParaKahlerData(sub_adjacent(lsa_d), canonical_skew_pairing(n), E, lsa_d)
     pkrep = check_parakahler(pk)

@@ -97,10 +97,10 @@ A frozen input is verified once per object, through one mechanism, _once:
 check_plsa, check_left_symmetric, check_special_symplectic,
 check_nondegenerate, square_violations, anticommute_violations and
 bialgebra.plsca_check keep their result on their first operand, keyed by
-the identities of the others.  A later call with the very same objects returns it without
-evaluating again, so a chain calls the public verifiers and finds the
-preconditions it has verified kept; equal but distinct objects are
-evaluated afresh.  The kept result is immutable (a report, or a tuple each
+the identities of the others.  A later call with the very same objects
+returns it without evaluating again, so a chain calls the public verifiers
+and finds the preconditions it has verified kept; equal but distinct
+objects are evaluated afresh.  The kept result is immutable (a report, or a tuple each
 call copies into a fresh list), is no field, and is never an exception.  A
 long-lived owner keeps its kept partners alive.
 """
@@ -127,6 +127,28 @@ from .linalg import (
 )
 
 
+class _FieldView:
+    """A dataclass field whose value, when __init__ did not set it (an
+    object built by .listed or .of, say), is built by func(obj) on its first
+    read and kept in obj's __dict__, where later reads find it, as
+    functools.cached_property keeps it but without its lock.  Read on the
+    class it raises AttributeError, so dataclass sees no default and the
+    field stays a required argument of __init__.  The views c, t, m,
+    residual and bialgebra's alpha and beta are such fields."""
+
+    def __init__(self, func):
+        self.func = func
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, obj, cls=None):
+        if obj is None:
+            raise AttributeError(self.name)
+        value = obj.__dict__[self.name] = self.func(obj)
+        return value
+
+
 def _dense(obj):
     """The dense view of a _Stored tensor, built from its list."""
     (den, nz), cols = obj.nonzeros, obj.shape[2]
@@ -151,7 +173,7 @@ class _Stored:
 @dataclass(frozen=True)
 class StructureTensor(_Stored):
     n: int
-    c: tuple = cached_property(_dense)  # c[i][j][k]: e_i o e_j = sum_k c[i][j][k] e_k
+    c: tuple = _FieldView(_dense)  # c[i][j][k]: e_i o e_j = sum_k c[i][j][k] e_k
 
     @cached_property
     def scaled(self):
@@ -197,41 +219,21 @@ def _dense_matrix(obj):
 @dataclass(frozen=True)
 class Form(_ScaledMatrix):
     n: int
-    m: tuple = cached_property(_dense_matrix)  # m[i][j] = B(e_i, e_j)
+    m: tuple = _FieldView(_dense_matrix)  # m[i][j] = B(e_i, e_j)
 
 
 @dataclass(frozen=True)
 class Endo(_ScaledMatrix):
     n: int
-    m: tuple = cached_property(_dense_matrix)  # acts on column coordinates
+    m: tuple = _FieldView(_dense_matrix)  # acts on column coordinates
 
 
 @dataclass(frozen=True)
 class RepTensor(_Stored):
     n: int  # acting algebra dimension
     m: int  # module dimension
-    t: tuple = cached_property(_dense)  # t[i] = the m x m matrix of rho(e_i)
+    t: tuple = _FieldView(_dense)  # t[i] = the m x m matrix of rho(e_i)
     shape = property(lambda self: (self.n, self.m, self.m))
-
-
-class _FieldView:
-    """A dataclass field whose value, when __init__ was not given one, is
-    built by func(obj) on its first read and kept in obj's __dict__, where
-    later reads find it, as functools.cached_property keeps it but without
-    its lock.  Read on the class it raises AttributeError, so dataclass
-    sees no default and the field stays a required argument."""
-
-    def __init__(self, func):
-        self.func = func
-
-    def __set_name__(self, owner, name):
-        self.name = name
-
-    def __get__(self, obj, cls=None):
-        if obj is None:
-            raise AttributeError(self.name)
-        value = obj.__dict__[self.name] = self.func(obj)
-        return value
 
 
 def _residual(v):

@@ -372,6 +372,11 @@ class TestOperatorRoutesConvertOnce:
         assert len(calls["unscaled"]) == 1 + 2 * 2
         assert [len(R1), len(R2), len(R3)] == [2, 2, 2]
         assert tuple(ops) == (R1, R2, R3) and len(calls["unscaled"]) == 1 + 2 * 2
+        # read as the tuple of lists it replaces
+        assert ops == (R1, R2, R3) and (R1, R2, R3) == ops and ops != (R1, R2)
+        assert (ops[0], ops[-1], ops[1:], len(ops)) == (R1, R3, (R2, R3), 3)
+        with pytest.raises(TypeError):
+            hash(ops)
         for m in (r, rT, u):
             assert sum(t == m for t in calls["scaled"]) <= 1
 
@@ -415,22 +420,17 @@ class TestOperatorRoutesConvertOnce:
             plsca_check(cp)
             assert calls["unscaled"] == []
 
-    def test_slsba_check_takes_the_packed_alpha(self, calls):
-        # slsba_coboundary hands its Packed alpha over on lsa, and slsba_check
-        # takes it for the very alpha returned; an equal copy is converted
+    def test_slsba_double_checks_the_packed_alpha(self, calls):
+        # the double's coproduct is checked on the Packed alpha its
+        # coboundary computed, never packed back from the alpha returned;
+        # the public functions give the same alpha and reports
         lsa = op_add(*self._fresh_pair("plsa-2d-IV"))
         lsa_d, alpha_d, rep = slsba_double((lsa, tuple(mat_zero(2) for _ in range(2))))
-        assert rep.verdict and "_coboundary_alpha" not in vars(lsa_d)
-        assert not any(t is alpha_d for t in calls["scaled"])
-        r = ((Q(1), Q(-2)), (Q(1, 2), Q(3)))
-        alpha, _ = slsba_coboundary(lsa, r)
-        got = slsba_check(lsa, alpha)
-        assert not any(t is alpha for t in calls["scaled"])
-        assert "_coboundary_alpha" not in vars(lsa)
-        alpha, _ = slsba_coboundary(lsa, r)
-        twin = tuple(tuple(tuple(list(row)) for row in m) for m in alpha)
-        assert slsba_check(lsa, twin) == got and "_coboundary_alpha" not in vars(lsa)
-        assert any(t is twin for t in calls["scaled"])
+        assert rep.verdict and not any(t is alpha_d for t in calls["scaled"])
+        alpha, cobrep = slsba_coboundary(lsa_d, canonical_r(2))
+        assert alpha == alpha_d and cobrep.verdict
+        assert slsba_check(lsa_d, alpha).verdict
+        assert not any("_coboundary" in key for key in (*vars(lsa), *vars(lsa_d)))
 
     def test_slsba_coboundary_unscales_alpha_only(self, calls):
         lsa = op_add(*plsa("plsa-2d-IV"))

@@ -1072,6 +1072,14 @@ class TestViolationViews:
         assert viol and not any("residual" in vars(v) for v in viol)
         assert all(type(q) is Fraction for v in viol for q in v.residual)
 
+    @pytest.mark.parametrize("cls", (StructureTensor, RepTensor, Form, Endo, Violation))
+    def test_views_are_required_fields(self, cls):
+        # each view field has no default: __init__ must be given its value
+        view = dataclasses.fields(cls)[-1]
+        assert view.default is dataclasses.MISSING
+        with pytest.raises(TypeError):
+            cls(*range(len(dataclasses.fields(cls)) - 1))
+
 
 class TestRequire:
     NOT_LSA = st(2, {(0, 0, 0): Q(1), (1, 0, 0): Q(1)})
