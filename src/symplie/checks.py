@@ -5,10 +5,10 @@ e_k coefficient of e_i o e_j.  A representation is a RepTensor, t[i] the
 matrix of e_i; a bilinear form is a Form and an endomorphism an Endo, m
 their n x n matrix over Fraction.  Every verifier returns a CheckReport
 listing each violating basis tuple with its exact residual.  violations
-lists the nonzero residuals over the basis tuples it is given,
-mat_violations those of one Scaled matrix or Packed tensor, row by row,
-and _scatter those of the sparse identities below;
-bialgebra._pair_violations is the one collector of bialgebra's stacked
+lists the nonzero residuals, int numerators over the den it is given, at
+the basis tuples it is given, mat_violations those of one Scaled matrix or
+Packed tensor, row by row, and _scatter those of the sparse identities
+below; bialgebra._pair_violations is the one collector of bialgebra's stacked
 families.  A collector keeps each residual as its int numerators over one
 den, an int or a row of ints (Violation.of, .numerators), and residual is
 a view, a Fraction or a tuple of them, built on its first read; equality,
@@ -408,7 +408,7 @@ def _nondegenerate(B):
     r = int_rank([list(row) for row in B.scaled.num])  # a copy: int_rank works in place
     viol = []
     if r != B.n:
-        viol.append(Violation("rank", (), Fraction(B.n - r)))
+        viol.append(Violation.of("rank", (), B.n - r, 1))
     return report("nondegenerate", viol)
 
 
@@ -483,6 +483,15 @@ def _rebucket(out, nz, perm, f, at=(0, 0, 0)):
             for c, x in row:
                 idx = (a, b, c)
                 out[idx[p0] + o0][idx[p1] + o1].append((idx[p2] + o2, f * x))
+
+
+def _fits(obj, n, m):
+    """Whether the list of obj holds n planes of m rows, each column below
+    m: the shape of an n x m x m action, which a RepTensor's n and m state
+    but its dense constructor does not check."""
+    nz = obj.nonzeros[1]
+    return len(nz) == n and all(len(plane) == m and all(
+        not row or row[-1][0] < m for row in plane) for plane in nz)
 
 
 def _view(obj, perm):
@@ -763,17 +772,16 @@ def nijenhuis_torsion(br, N):
     return StructureTensor.listed(br.n, (den, _nonzeros(planes)[1]))
 
 
-def violations(where, tuples, residual, den=None):
+def violations(where, tuples, residual, den):
     """A violation at each index tuple idx of tuples, in the order given,
-    whose residual r = residual(*idx) is nonzero: a scalar other than 0, or
-    a tuple with a nonzero entry.  With den, each r is an int numerator or a
-    tuple of them, read off int rows, and is kept over den (Violation.of)."""
+    whose residual r = residual(*idx) is nonzero: an int numerator other
+    than 0, or a tuple of them with a nonzero entry, read off int rows and
+    kept over den (Violation.of)."""
     out = []
     for idx in tuples:
         r = residual(*idx)
-        if (any(r) if isinstance(r, tuple) else r != 0):
-            out.append(Violation(where, idx, r) if den is None
-                       else Violation.of(where, idx, r, den))
+        if (any(r) if isinstance(r, tuple) else r):
+            out.append(Violation.of(where, idx, r, den))
     return out
 
 
@@ -864,7 +872,7 @@ def eigenspace_violations(E):
     dminus = E.n - int_rank(_sub_scalar(E.scaled, -1))
     if dplus == dminus:
         return []
-    return [Violation("eigenspace-dims", (), Fraction(dplus - dminus))]
+    return [Violation.of("eigenspace-dims", (), dplus - dminus, 1)]
 
 
 def check_complex_product(br, J, E):
@@ -874,7 +882,7 @@ def check_complex_product(br, J, E):
     viol = square_violations("J^2+id", J, -1) + square_violations("E^2-id", E, 1)
     for q in (1, -1):
         if not any(map(any, _sub_scalar(E.scaled, q))):  # E = q id
-            viol.append(Violation("E-is-scalar", (), Fraction(q)))
+            viol.append(Violation.of("E-is-scalar", (), q, 1))
             break
     viol += anticommute_violations("JE+EJ", J, E)
     viol += torsion_violations("torsion-J", br, J) + torsion_violations("torsion-E", br, E)
@@ -950,10 +958,7 @@ def check_bimodule(lsa, l, r):
     come per tuple, are sorted stably by identity."""
     require_dims("algebra dim %d, actions on dims %d, %d", lsa, l, r)
     n, m = lsa.n, l.m
-    # the shape of the lists: n planes of m rows, each column below m
-    if r.m != m or any(len(nz) != n or any(len(plane) != m or any(
-            row and row[-1][0] >= m for row in plane) for plane in nz)
-            for nz in (l.nonzeros[1], r.nonzeros[1])):
+    if r.m != m or not (_fits(l, n, m) and _fits(r, n, m)):
         raise DimensionMismatch("actions on a module of dim %d must be %d x %d matrices"
                                 % (m, m, m))
     hits, dens = _scatter("ija", dict(i=n, j=n, a=m, t=m), [

@@ -16,16 +16,18 @@ lsa_from_symplectic and plsa_from_special_symplectic contract their input
 on the exact integer kernel of linalg (Packed) and list its decoded rows;
 the identities that post_affine_check and affine_cotangent_extension
 evaluate on basis tuples are sparse identities declared as signed terms and
-evaluated by checks._scatter.  The dual actions and glue_product build
+evaluated by checks._scatter, except affine_cotangent_extension's two linear
+ones, l-is-dual-left-action and phi-symmetry, which are the entries of a sum
+of nonzero lists (_nonzeros_sum).  The dual actions and glue_product build
 their nonzero lists from their inputs' (checks._permuted, _rebucket).
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, product
 from math import lcm
 
 from .linalg import (
+    DimensionMismatch,
     InternalMismatch,
     rational_sqrt,
     scaled_blocks,
@@ -40,6 +42,8 @@ from .checks import (
     Form,
     RepTensor,
     StructureTensor,
+    Violation,
+    _fits,
     _negated,
     _nonzeros,
     _nonzeros_sum,
@@ -67,7 +71,6 @@ from .checks import (
     require_dims,
     square_violations,
     st,
-    violations,
 )
 
 
@@ -430,11 +433,18 @@ def affine_cotangent_extension(d):
     minus <r(x)a*, y>, succ = base - prec) passes check_plsa; and phi is
     symmetric in its last two pairings and satisfies the cocycle identity
     (its defect r(z)phi(x,y) + phi(x.y,z) - l(x)phi(y,z) - phi(x,y.z) must
-    be symmetric in x and y).
+    be symmetric in x and y).  The first and the last two are evaluated on
+    nonzero lists, so no dense view is read.  Unless l and r are n x n x n
+    actions for the base's n and phi is n x n x n, DimensionMismatch is
+    raised before any work.
     """
     base, l, r, phi = d.base, d.l, d.r, d.phi
-    require(check_left_symmetric(base), NotAnLSA, "base product is not %s at %s")
     n = base.n
+    if not (all(a.n == a.m == n and _fits(a, n, n) for a in (l, r)) and len(phi) == n
+            and all(len(p) == n and all(len(row) == n for row in p) for p in phi)):
+        raise DimensionMismatch("l, r and phi of a %d-dim base must be %d x %d x %d"
+                                % (n, n, n, n))
+    require(check_left_symmetric(base), NotAnLSA, "base product is not %s at %s")
     g = glue_product(MatchedPairData(base, st(n), l, r, rep_zero(n), rep_zero(n)))
     Phi = StructureTensor(n, phi)
     # phi(x, y) is the A* part of x.y, where g has none
@@ -443,16 +453,15 @@ def affine_cotangent_extension(d):
     ext = StructureTensor.listed(2 * n, _nonzeros_sum(g.nonzeros, (Phi.nonzeros[0], shifted)))
 
     # l(e_i) minus the dual left action -c[i] of e_i
-    viol = violations("l-is-dual-left-action", product(range(n), repeat=3),
-                      lambda i, a, b: l.t[i][a][b] + base.c[i][a][b])
+    viol = _entry_violations("l-is-dual-left-action", _nonzeros_sum(l.nonzeros, base.nonzeros))
 
     prec = StructureTensor.listed(n, _negated(r))
     succ = op_sub(base, prec)
     pair_rep = check_plsa(prec, succ)
 
-    viol += violations("phi-symmetry",
-                       ((i, j, k) for i in range(n) for j, k in combinations(range(n), 2)),
-                       lambda i, j, k: phi[i][j][k] - phi[i][k][j])
+    # phi[i][j][k] - phi[i][k][j] on j < k: phi's list minus its (0, 2, 1) permutation
+    viol += _entry_violations("phi-symmetry", _nonzeros_sum(
+        Phi.nonzeros, _permuted(Phi.nonzeros, Phi.shape, (0, 2, 1), -1)), upper=True)
 
     # the defect at (e_i, e_j, e_k) minus the defect at (e_j, e_i, e_k), on i < j
     viol += _sparse_violations("ijk", dict.fromkeys("ijkt", n), [("phi-cocycle", "ij", (
@@ -463,6 +472,15 @@ def affine_cotangent_extension(d):
 
     rep = merge_reports("affine-cotangent-extension", [pair_rep], viol)
     return ext, rep
+
+
+def _entry_violations(where, nonzeros, upper=False):
+    """A violation at (i, j, k) for each entry x / den of the list
+    nonzeros = (den, nz), kept as its numerator (Violation.of), in
+    lexicographic order; with upper, only those with j < k."""
+    den, nz = nonzeros
+    return [Violation.of(where, (i, j, k), x, den) for i, plane in enumerate(nz)
+            for j, row in enumerate(plane) for k, x in row if not upper or j < k]
 
 
 def post_affine_check(nabla, nabla_tilde, br):

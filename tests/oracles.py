@@ -913,6 +913,30 @@ def phi_cocycle_violations(base_c, l, r, phi):
     return out
 
 
+def affine_extension_violations(base_c, l, r, phi):
+    """affine_cotangent_extension's violations in its report's order: l plus
+    the base product, the asymmetry phi[i][j][k] - phi[i][k][j] on j < k and
+    the cocycle defect; then, under "plsa: ", check_plsa's violations of the
+    pair prec = -r, succ = base - prec: compatibility, then commutativity and
+    left-symmetry under their sub-report names."""
+    n = len(base_c)
+    out = nonzero_entries("l-is-dual-left-action", [[[l[i][a][b] + base_c[i][a][b]
+                                                      for b in range(n)] for a in range(n)]
+                                                    for i in range(n)])
+    for i in range(n):
+        for j in range(n):
+            for k in range(j + 1, n):
+                if phi[i][j][k] != phi[i][k][j]:
+                    out.append(("phi-symmetry", (i, j, k), phi[i][j][k] - phi[i][k][j]))
+    out += phi_cocycle_violations(base_c, l, r, phi)
+    prec = tuple(tuple(tuple(-x for x in row) for row in plane) for plane in r)
+    succ = tuple(tuple(_vsub(b, p) for b, p in zip(bp, pp)) for bp, pp in zip(base_c, prec))
+    pair = plsa_compat_violations(prec, succ)
+    pair += [("commutative: " + w, idx, x) for w, idx, x in commutative_violations(prec)]
+    pair += [("left-symmetric: " + w, idx, x) for w, idx, x in left_symmetric_violations(succ)]
+    return out + [("plsa: " + w, idx, x) for w, idx, x in pair]
+
+
 def lsa_from_symplectic_plain(br_c, w):
     """The product with w(e_i . e_k, e_j) = w([e_i, e_j], e_k), solved for
     e_i . e_k through the inverse of w^T."""

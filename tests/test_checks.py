@@ -767,7 +767,8 @@ class TestSparseResidual:
                  ([(0, Q(5, 6))], ONE, -1)]
         assert residual_plain(2, terms) == (0, 0)
         assert _sparse_residual(2, terms) == ()
-        assert violations("c", [(0,)], lambda i: _sparse_residual(2, terms)) == []
+        # the same sum of numerators over 6, 3 + 2 - 5 on e_0, is skipped
+        assert violations("c", [(0,)], lambda i: (3 + 2 - 5, 0), 6) == []
 
     def test_int_entries_and_negative_numerators(self):
         nz = checks._nonzeros((((0, 2, Q(-3, 4)), (0, 0, 0)),))
@@ -1003,18 +1004,19 @@ class TestViolationCollector:
         assert mat_violations("s", Scaled([[0, 0], [0, 0]], 5)) == []
 
     def test_tuples_keep_the_given_order(self):
-        got = violations("v", [(2, 0), (0, 1), (1, 1)], lambda i, j: Q(i + j + 1))
+        got = violations("v", [(2, 0), (0, 1), (1, 1)], lambda i, j: i + j + 1, 1)
         assert [v.indices for v in got] == [(2, 0), (0, 1), (1, 1)]
 
     def test_zero_scalar_and_zero_tuple_skipped(self):
-        res = [Q(0), (Q(0), Q(0)), 0, Q(1, 2)]
-        got = violations("z", [(i,) for i in range(4)], lambda i: res[i])
+        res = [0, (0, 0), (0,), 1]
+        got = violations("z", [(i,) for i in range(4)], lambda i: res[i], 2)
         assert got == [Violation("z", (3,), Q(1, 2))]
 
     def test_partly_nonzero_tuple_kept_unchanged(self):
-        r = (Q(0), Q(-3), Q(0))
-        got = violations("p", [(0, 1)], lambda i, j: r)
-        assert got == [Violation("p", (0, 1), r)] and got[0].residual is r
+        r = (0, -3, 0)
+        got = violations("p", [(0, 1)], lambda i, j: r, 1)
+        assert got == [Violation("p", (0, 1), (Q(0), Q(-3), Q(0)))]
+        assert got[0].numerators[0] is r
 
     def test_int_numerator_over_den(self):
         got = violations("d", [(0,), (1,), (2,)], lambda i: (0, 3, -4)[i], den=6)
@@ -1022,7 +1024,11 @@ class TestViolationCollector:
         assert all(type(v.residual) is Fraction for v in got)
 
     def test_empty_tuple_set(self):
-        assert violations("e", [], lambda *idx: Q(1)) == []
+        assert violations("e", [], lambda *idx: 1, 1) == []
+
+    def test_den_is_required(self):
+        with pytest.raises(TypeError):
+            violations("e", [(0,)], lambda i: 1)
 
 
 class TestViolationViews:

@@ -14,6 +14,7 @@ from symplie.checks import (
     Form,
     RepTensor,
     StructureTensor,
+    Violation,
     check_flat,
     check_hypersymplectic,
     check_jacobi,
@@ -25,6 +26,7 @@ from symplie.checks import (
     check_special_symplectic,
     check_torsion_free,
     op_add,
+    rep_zero,
     st,
     sub_adjacent,
     three_forms,
@@ -56,10 +58,11 @@ from symplie.constructions import (
 from symplie.constructions import DegenerateForm, InvalidInput
 from symplie.matched import canonical_skew_pairing, double_extension
 from symplie import checks, constructions
+from symplie.linalg import DimensionMismatch
 from symplie.catalog import catalog_get
 
-from oracles import (_basis, brute_left_symmetric, family_plain, form_value, product_vec,
-                     rand_share_tensor, rand_tensor, rng)
+from oracles import (_basis, affine_extension_violations, brute_left_symmetric, family_plain,
+                     form_value, product_vec, rand_share_tensor, rand_tensor, rng)
 
 Q = Fraction
 SSLA_NAMES = ("ssla-2d-1", "ssla-2d-2", "ssla-2d-3", "ssla-2d-4")
@@ -530,6 +533,49 @@ class TestAffineCotangentExtension:
         with pytest.raises(NotAnLSA):
             affine_cotangent_extension(
                 CotangentExtensionData(bad, zero_rep, zero_rep, st(2).c))
+
+    # l, r and phi of a 2-dim base that are not 2 x 2 x 2
+    @pytest.mark.parametrize("l, r, phi", [
+        (rep_zero(2, 3), rep_zero(2), st(2).c),  # l acts on a 3-dim module
+        (rep_zero(2), rep_zero(3), st(2).c),  # r of a 3-dim algebra
+        (rep_zero(2, 1), rep_zero(2), st(2).c),  # l acts on a 1-dim module
+        (rep_zero(2), rep_zero(2), st(2).c[:1]),  # phi has one plane
+        (RepTensor(2, 2, st(3).c), rep_zero(2), st(2).c),  # l's entries are 3 x 3 x 3
+    ], ids=["l-module-3", "r-algebra-3", "l-module-1", "phi-one-plane", "l-entries-3"])
+    def test_rejects_malformed_shapes(self, l, r, phi):
+        with pytest.raises(DimensionMismatch, match="^l, r and phi of a 2-dim base must be "
+                                                    "2 x 2 x 2$"):
+            affine_cotangent_extension(
+                CotangentExtensionData(st(2, {(0, 0, 0): Q(1)}), l, r, phi))
+
+    @staticmethod
+    def _witness(label):
+        """Fresh listed base, l and r and a phi tuple on which label is the
+        report's only failing label ("plsa" for the product-pair sub-report)."""
+        prec, succ = plsa("plsa-2d-IV")
+        base, zero = op_add(prec, succ), st(2)
+        l, r, phi = dual_left_action(base), dual_left_action(prec), zero.c
+        if label == "l-is-dual-left-action":
+            l = dual_left_action(op_add(base, st(2, {(0, 1, 1): Q(1)})))
+        elif label == "phi-symmetry":  # zero base and actions: phi is a cocycle
+            base, l, r = zero, dual_left_action(zero), dual_left_action(zero)
+            phi = st(2, {(0, 1, 0): Q(1)}).c
+        elif label == "phi-cocycle":
+            phi = st(2, {(0, 0, 0): Q(1)}).c
+        else:
+            r = dual_left_action(succ)
+        return base, l, r, phi
+
+    @pytest.mark.parametrize("label", ["l-is-dual-left-action", "phi-symmetry",
+                                       "phi-cocycle", "plsa"])
+    def test_label_witness_without_dense_views(self, refuse_dense_views, label):
+        base, l, r, phi = self._witness(label)
+        want = [Violation(*v) for v in affine_extension_violations(base.c, l.t, r.t, phi)]
+        base, l, r, phi = self._witness(label)
+        refuse_dense_views()
+        _, rep = affine_cotangent_extension(CotangentExtensionData(base, l, r, phi))
+        assert list(rep.violations) == want
+        assert {v.where.split(": ")[0] for v in want} == {label}
 
 
 class TestPostAffine:

@@ -72,6 +72,7 @@ from symplie.constructions import (
 from symplie.matched import build_double_plsa
 
 from oracles import (
+    affine_extension_violations,
     affine_product_plain,
     antidiagonal_plain,
     coboundary_coproducts_plain,
@@ -505,15 +506,10 @@ class TestConstructionRoutes:
         succ = StructureTensor(n, tuple(tuple(tuple(p - q for p, q in zip(x, y))
                                               for x, y in zip(bp, pp))
                                         for bp, pp in zip(base.c, prec.c)))
-        viol = nonzero_entries("l-is-dual-left-action",
-                               [[[l[i][a][b] + base.c[i][a][b] for b in range(n)]
-                                 for a in range(n)] for i in range(n)])
-        viol += [("phi-symmetry", (i, j, k), phi[i][j][k] - phi[i][k][j])
-                 for i in range(n) for j in range(n) for k in range(j + 1, n)
-                 if phi[i][j][k] != phi[i][k][j]]
-        viol += phi_cocycle_violations(base.c, l, r, phi)
+        want = [Violation(*v) for v in affine_extension_violations(base.c, l, r, phi)]
+        assert list(got.violations) == want
         assert got == merge_reports("affine-cotangent-extension", [check_plsa(prec, succ)],
-                                    [Violation(*v) for v in viol])
+                                    [v for v in want if not v.where.startswith("plsa: ")])
         _fraction_residuals(got)
 
     def test_phi_cocycle_denominator_per_tensor(self):
