@@ -94,15 +94,16 @@ the condition and the argument for it.  On input that fails a hypothesis
 nothing is raised; a disagreement a verifier records there is a note.
 
 A frozen input is verified once per object, through one mechanism, _once:
-check_plsa, check_left_symmetric, check_special_symplectic,
+check_jacobi, check_plsa, check_left_symmetric, check_special_symplectic,
 check_nondegenerate, square_violations, anticommute_violations and
 bialgebra.plsca_check keep their result on their first operand, keyed by
 the identities of the others.  A later call with the very same objects
 returns it without evaluating again, so a chain calls the public verifiers
 and finds the preconditions it has verified kept; equal but distinct
-objects are evaluated afresh.  The kept result is immutable (a report, or a tuple each
-call copies into a fresh list), is no field, and is never an exception.  A
-long-lived owner keeps its kept partners alive.
+objects are evaluated afresh.  The kept result is immutable (a report, a
+tuple each call copies into a fresh list, or one of constructions' frozen
+doubles, gluing maps and their Scaled inverses), is no field, and is never
+an exception.  A long-lived owner keeps its kept partners alive.
 """
 
 from dataclasses import dataclass, field, fields
@@ -586,6 +587,11 @@ def _sparse_violations(names, dims, identities):
 
 
 def check_jacobi(br):
+    """Evaluated once per object (_once)."""
+    return _once(br, "jacobi", (), lambda: _jacobi(br))
+
+
+def _jacobi(br):
     n, (den, nz) = br.n, br.nonzeros
     # the numerators of one tensor share den, so c[i][j] + c[j][i] is zero
     # exactly when the two lists of (k, numerator) are opposite

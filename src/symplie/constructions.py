@@ -12,6 +12,16 @@ Every constructor validates its preconditions with the verifiers from
 checks and refuses bad input with a typed error, so downstream code can
 rely on the returned data without re-checking.
 
+A family of (J, E) pairs lives on one fixed double of a package, so what
+depends on the package alone is built once per package object, through
+checks._once, and kept on it: its tangent and cotangent doubles, the
+identity gluing map of the tangent double, the form's map phi_from_omega
+(kept on the form), and each gluing map's inverse (kept on the map).  A
+sweep over the family parameters then builds only J and E at each point,
+and the checks it runs on the double find their reports kept on the
+double's bracket and metric.  An exception is never kept, so an invalid
+package raises on every call.
+
 lsa_from_symplectic and plsa_from_special_symplectic contract their input
 on the exact integer kernel of linalg (Packed) and list its decoded rows;
 the identities that post_affine_check and affine_cotangent_extension
@@ -47,6 +57,7 @@ from .checks import (
     _negated,
     _nonzeros,
     _nonzeros_sum,
+    _once,
     _permuted,
     _rebucket,
     _sparse_violations,
@@ -235,12 +246,14 @@ def tangent_double(s):
 
     Bracket [(x,u),(y,v)] = ([x,y], conn_x v - conn_y u); the doubled
     connection sends ((x,z),(y,w)) to (conn_x y, conn_x w); the metric pairs
-    the two copies through omega.
+    the two copies through omega.  Built once per package object
+    (checks._once): a repeat call with s returns the same object.
     """
     _require_special_symplectic(s)  # Jacobi, and flatness: rho is a representation
     w = s.omega
-    return _double(s.bracket, s.conn, rep_from_op_left(s.conn),
-                   _antidiagonal_form(w.n, (1, w.scaled), (1, w.scaled_t)), None)
+    return _once(s, "tangent-double", (), lambda: _double(
+        s.bracket, s.conn, rep_from_op_left(s.conn),
+        _antidiagonal_form(w.n, (1, w.scaled), (1, w.scaled_t)), None))
 
 
 def _cotangent_core(br, conn):
@@ -256,10 +269,11 @@ def cotangent_double(s):
     Bracket second component is the dual action commutator; the doubled
     connection sends ((x,a*),(y,b*)) to (conn_x y, x acting on b* dually);
     the metric is the canonical pairing and omega_p the canonical skew
-    pairing of A with A*.
+    pairing of A with A*.  Built once per package object (checks._once): a
+    repeat call with s returns the same object.
     """
     _require_special_symplectic(s)
-    return _cotangent_core(s.bracket, s.conn)
+    return _once(s, "cotangent-double", (), lambda: _cotangent_core(s.bracket, s.conn))
 
 
 def cotangent_double_from_connection(br, conn):
@@ -283,16 +297,18 @@ def _require_nondegenerate(w):
 
 
 def phi_from_omega(w):
-    """Matrix of x -> w(x, .) as a map into the dual basis; invertible."""
+    """Matrix of x -> w(x, .) as a map into the dual basis; invertible.
+    Built once per form object (checks._once): a repeat call with w returns
+    the same object."""
     _require_nondegenerate(w)
-    return Endo.listed(w.n, w.scaled_t)
+    return _once(w, "phi", (), lambda: Endo.listed(w.n, w.scaled_t))
 
 
 def build_N(l1, l2, l3, l4, f, finv):
     """Block operator [[l2*I, l1*f^-1], [l3*f, l4*I]] on V + V, for the
-    Endo f and the Scaled finv = scaled_inverse(f.scaled), which the caller
-    computes once for all the operators it builds over f; stored as the int
-    rows of linalg.scaled_blocks."""
+    Endo f and the Scaled finv = scaled_inverse(f.scaled), which family_JE
+    computes once per f (checks._once) for all the operators it builds over
+    f; stored as the int rows of linalg.scaled_blocks."""
     return Endo.listed(2 * f.n, scaled_blocks(f.n, (((l2, None), (l1, finv)),
                                                    ((l3, f.scaled), (l4, None)))))
 
@@ -309,7 +325,7 @@ def family_JE(p, f):
         raise BadParams("sign must be +1 or -1, got %r" % (p.sign,))
     if lam == 0:
         raise BadParams("lambda must be nonzero")
-    finv = scaled_inverse(f.scaled)
+    finv = _once(f, "inverse", (), lambda: scaled_inverse(f.scaled))
     J = build_N(lam, mu, (-1 - mu * mu) / lam, -mu, f, finv)
     if p.family == "F1":
         E = build_N(0, sg, -2 * sg * mu / lam, -sg, f, finv)
@@ -347,10 +363,11 @@ def family_JE(p, f):
 
 def hypersymplectic_from_tangent(s, p):
     """Hypersymplectic package (double, J, E, metric) on the tangent double,
-    gluing the two copies with the identity map."""
+    gluing the two copies with the identity map, kept on s (checks._once)."""
     d = tangent_double(s)
     n = s.bracket.n
-    J, E = family_JE(p, Endo.listed(n, scaled_blocks(n, (((1, None),),))))
+    J, E = family_JE(p, _once(s, "identity", (),
+                              lambda: Endo.listed(n, scaled_blocks(n, (((1, None),),)))))
     return d, J, E, d.metric
 
 

@@ -5,11 +5,18 @@ Fraction arithmetic, deliberately avoiding the package's own linear algebra
 and checker code paths.
 """
 
+import dataclasses
 import math
 import random
 from fractions import Fraction
 
 from symplie.bialgebra import CoproductPair
+
+
+def _fresh(x):
+    """A new instance with x's fields: equal to x, with no cached forms and
+    nothing kept on it (checks._once)."""
+    return type(x)(*(getattr(x, f.name) for f in dataclasses.fields(x)))
 
 
 # --- plain Gaussian elimination over Fraction (vs the package's fraction-free

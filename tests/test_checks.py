@@ -69,6 +69,7 @@ from oracles import (
     transport_product,
     rand_invertible,
     _basis,
+    _fresh,
     _ident_plus,
 )
 from oracles import closed_violations, nijenhuis_plain, parallel_violations
@@ -1125,11 +1126,6 @@ class TestRequire:
                               capture_output=True, text=True, timeout=120)
         assert done.returncode == 0, done.stderr
         assert done.stdout == "base product is not left-symmetric at (0, 1, 0)\n"
-
-
-def _fresh(x):
-    """A new instance with x's fields: equal to x, with no cached forms."""
-    return type(x)(*(getattr(x, f.name) for f in dataclasses.fields(x)))
 
 
 def _fresh_hypersymplectic():

@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import os
 import re
@@ -61,8 +62,8 @@ from symplie import checks, constructions
 from symplie.linalg import DimensionMismatch
 from symplie.catalog import catalog_get
 
-from oracles import (_basis, affine_extension_violations, brute_left_symmetric, family_plain,
-                     form_value, product_vec, rand_share_tensor, rand_tensor, rng)
+from oracles import (_basis, _fresh, affine_extension_violations, brute_left_symmetric,
+                     family_plain, form_value, product_vec, rand_share_tensor, rand_tensor, rng)
 
 Q = Fraction
 SSLA_NAMES = ("ssla-2d-1", "ssla-2d-2", "ssla-2d-3", "ssla-2d-4")
@@ -242,7 +243,8 @@ class TestFamilies:
                                                  ("F3", Q(5), Q(0), Q(3))])
     def test_one_inverse_per_family(self, monkeypatch, fam, lam, mu, k):
         # J and E are both built over f, which is inverted once for the two,
-        # on its int rows (the core of linalg.mat_inverse)
+        # on its int rows (the core of linalg.mat_inverse); a fresh form, as
+        # the catalog's form keeps its f and f its inverse (checks._once)
         calls = []
         real = constructions.scaled_inverse
 
@@ -250,7 +252,7 @@ class TestFamilies:
             calls.append(M)
             return real(M)
         monkeypatch.setattr(constructions, "scaled_inverse", counted)
-        f = phi_from_omega(ssla("ssla-2d-3").omega)
+        f = phi_from_omega(_fresh(ssla("ssla-2d-3").omega))
         family_JE(FamilyParams(fam, lam, mu, k), f)
         assert len(calls) == 1 and calls[0] is f.scaled
 
@@ -388,6 +390,103 @@ class TestFamiliesOnIntRows:
                 assert job()
             counts.append(count[0])
         assert counts[0] == counts[1]
+
+
+# the 18 points of acceptance tests 2 and 3: F1 on a 3 x 3 grid, F2 off mu = 0, three F3
+FAMILY_GRID = ([FamilyParams("F1", lam, mu) for lam in (Q(1), Q(2), Q(-1))
+                for mu in (Q(0), Q(1), Q(-1, 2))]
+               + [FamilyParams("F2", lam, mu) for lam in (Q(1), Q(2), Q(-1))
+                  for mu in (Q(1), Q(-1, 2))]
+               + [FamilyParams("F3", Q(5), mu, k)
+                  for mu, k in ((Q(0), Q(3)), (Q(1), Q(3)), (Q(1), Q(4)))])
+
+
+def _fresh_package(s):
+    """s rebuilt from fresh copies of its fields: equal, with nothing kept."""
+    return SpecialSymplecticData(*map(_fresh, (s.bracket, s.conn, s.omega)))
+
+
+class TestKeptOnPackage:
+    """What depends on a package alone is built once per package object
+    (checks._once): its doubles, its gluing maps and their inverses, and the
+    Jacobi report of each double's bracket.  A package rebuilt from equal
+    fields is built afresh; an exception is never kept."""
+
+    @pytest.fixture
+    def cores(self, monkeypatch):
+        # the first argument of each call of each core
+        runs = collections.defaultdict(list)
+        for mod, name in ((constructions, "_double"), (checks, "_jacobi"),
+                          (constructions, "scaled_inverse")):
+            def counted(*args, _real=getattr(mod, name), _name=name):
+                runs[_name].append(args[0])
+                return _real(*args)
+            monkeypatch.setattr(mod, name, counted)
+        return runs
+
+    def test_sweep_builds_once(self, cores):
+        s = _fresh_package(ssla("ssla-2d-3"))
+        doubles = {}
+        for double, build in BUILDERS.items():
+            for p in FAMILY_GRID:
+                d, J, E, g = build(s, p)
+                assert doubles.setdefault(double, d) is d
+                assert check_hypersymplectic(d.bracket, J, E, g).verdict
+        assert len(FAMILY_GRID) == 18
+        assert [br is s.bracket for br in cores["_double"]] == [True, True]  # one per kind
+        # the package's bracket, checked by the tangent double's precondition,
+        # then each double's bracket, checked at its first point
+        brackets = [s.bracket, doubles["tangent"].bracket, doubles["cotangent"].bracket]
+        assert list(map(id, cores["_jacobi"])) == list(map(id, brackets))
+        # one inverse per gluing map: the identity, then phi of omega
+        identity, phi = cores["scaled_inverse"]
+        assert identity.num == [[1, 0], [0, 1]] and phi is phi_from_omega(s.omega).scaled
+
+    def test_same_object_per_package_and_kind(self, cores):
+        s = _fresh_package(ssla("ssla-2d-4"))
+        assert tangent_double(s) is tangent_double(s)
+        assert cotangent_double(s) is cotangent_double(s)
+        assert tangent_double(s) is not cotangent_double(s)
+        assert phi_from_omega(s.omega) is phi_from_omega(s.omega)
+        assert len(cores["_double"]) == 2
+
+    def test_rebuilt_package_built_again(self, cores):
+        s = _fresh_package(ssla("ssla-2d-3"))
+        p = FAMILY_GRID[-1]
+        for build in BUILDERS.values():
+            first, again = build(s, p), build(_fresh_package(s), p)
+            assert first[0] is not again[0]
+            assert first == again
+        assert len(cores["_double"]) == 4
+
+    def test_invalid_package_raises_on_each_call(self, cores):
+        s = ssla("ssla-2d-3")
+        c = [[list(row) for row in plane] for plane in s.conn.c]
+        c[0][1][0] += 1  # conn_0 e_1 - conn_1 e_0 no longer [e_0, e_1]: torsion
+        conn = StructureTensor(2, tuple(tuple(map(tuple, plane)) for plane in c))
+        bad = SpecialSymplecticData(_fresh(s.bracket), conn, _fresh(s.omega))
+        for call in (tangent_double, cotangent_double,
+                     lambda s: hypersymplectic_from_tangent(s, FAMILY_GRID[0]),
+                     lambda s: hypersymplectic_from_cotangent(s, FAMILY_GRID[0])):
+            for _ in range(2):
+                with pytest.raises(InvalidInput):
+                    call(bad)
+        assert cores["_double"] == []
+
+
+def test_warm_package_matches_cold_build():
+    # each catalog package, both doubles, the 18-point grid: the doubles, J,
+    # E, g and the full report built on the long-lived catalog package equal
+    # those built from fresh objects at every point
+    for name in SSLA_NAMES:
+        s = ssla(name)
+        for build in BUILDERS.values():
+            for p in FAMILY_GRID:
+                warm, cold = build(s, p), build(_fresh_package(s), p)
+                assert warm == cold, (name, p)
+                reps = [check_hypersymplectic(d.bracket, J, E, g) for d, J, E, g in (warm, cold)]
+                assert reps[0].verdict, (name, p)
+                assert reps[0] == reps[1], (name, p)
 
 
 class TestLsaFromSymplectic:
