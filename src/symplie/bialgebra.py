@@ -5,7 +5,8 @@ canonical r, and para-Kahler verification.
 
 A public verifier validates its preconditions, raising the typed error
 (checks.require), then evaluates its identities.  A chain calls the public
-verifiers and finds the preconditions it has verified kept (checks._once;
+verifiers and finds the preconditions it has verified kept (linalg._once,
+whose module docstring gives the one account of what is kept and how;
 plsca_check keeps its report on the pair).  A frozen pair keeps its Packed
 tensors and the permutations of them the chains read (_scaled_pair), so
 trying many r against one pair verifies and converts it once.  A
@@ -48,13 +49,14 @@ e_a tensor e_b tensor e_c.
 """
 
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import combinations
 from operator import le, lt
 
 from .linalg import (
     InternalMismatch,
     Scaled,
+    _kept,
+    _once,
     mat_zero,
     scaled,
     scaled_blocks,
@@ -70,11 +72,8 @@ from .checks import (
     Endo,
     StructureTensor,
     Violation,
-    _FieldView,
     _nonzeros,
-    _once,
     _permuted,
-    _seeded,
     check_closed,
     check_flat,
     check_jacobi,
@@ -123,16 +122,16 @@ class CoproductPair:
     Equality, hashing and repr are the dataclass's, through the views."""
     n: int
     # alpha[i][p][q]: e_p tensor e_q coefficient of alpha(e_i)
-    alpha: tuple = _FieldView(lambda self: unscaled(self.scaled[0]))
-    beta: tuple = _FieldView(lambda self: unscaled(self.scaled[1]))
+    alpha: tuple = _kept(lambda self: unscaled(self.scaled[0]))
+    beta: tuple = _kept(lambda self: unscaled(self.scaled[1]))
 
-    @cached_property
+    @_kept
     def scaled(self):
         """(alpha, beta) as Packed tensors, converted on first use and shared
         by every route that contracts this pair; never mutated."""
         return scaled(self.alpha), scaled(self.beta)
 
-    @cached_property
+    @_kept
     def dual(self):
         """The two dual products, listed off .scaled (_dual_product)."""
         return tuple(_dual_product(self.n, t) for t in self.scaled)
@@ -151,15 +150,15 @@ class ROperators:
     n: int
     packed: tuple
 
-    @cached_property
+    @_kept
     def first(self):
         return list(unscaled(self.packed[0]))
 
-    @cached_property
+    @_kept
     def second(self):
         return [unscaled(t) for t in self.packed[1].split(self.n)]
 
-    @cached_property
+    @_kept
     def third(self):
         return [unscaled(t) for t in self.packed[2].split(self.n)]
 
@@ -208,7 +207,6 @@ class _ScaledPair:
         self.P, self.S = (op.scaled for op in plsa)
         self.D = scaled_combine(((1, self.P), (1, self.S)))
         self.B = scaled_combine(((1, self.D), (-1, scaled_permute(self.D, (1, 0, 2)))))
-        self._perms = {}
         self.handover = None  # R_operators' last evaluation (see there)
 
     def __iter__(self):
@@ -216,16 +214,14 @@ class _ScaledPair:
 
     def perm(self, name, axes):
         """The tensor name ("P", "S", "D" or "B") with its legs permuted by
-        axes, built on first use and kept."""
-        key = name, axes
-        if key not in self._perms:
-            self._perms[key] = scaled_permute(getattr(self, name), axes)
-        return self._perms[key]
+        axes, kept per name and axes (_once)."""
+        return _once(self, ("perm", name, axes), (),
+                     lambda: scaled_permute(getattr(self, name), axes))
 
 
 def _scaled_pair(plsa):
     """The _ScaledPair of a product pair, built once per pair of objects
-    (checks._once)."""
+    (_once)."""
     return _once(plsa[0], "scaled-pair", (plsa[1],), lambda: _ScaledPair(plsa))
 
 
@@ -320,7 +316,7 @@ def plsca_check(cp):
     and co-left-symmetry at each (i, p, q, s); one stable sort on the
     indices merges the three lists in that order.  The verdict is compared
     against check_plsa on the dualized products, which must agree by
-    construction.  Evaluated once per pair object (checks._once); a pair
+    construction.  Evaluated once per pair object (_once); a pair
     coboundary_coproducts seeded with R_operators' direct operators gives
     them up to this evaluation instead of contracting them again."""
     def compute():
@@ -417,7 +413,9 @@ def coboundary_coproducts(plsa, r):
         _, (al, be), ops = kept
     else:
         (al, be), ops = _coboundary_scaled(pair, _r_forms(r)), None
-    return _seeded(object.__new__(CoproductPair), n=plsa[0].n, scaled=(al, be), _operators=ops)
+    cp = object.__new__(CoproductPair)
+    cp.__dict__.update(n=plsa[0].n, scaled=(al, be), _operators=ops)
+    return cp
 
 
 def _coboundary_scaled(pair, rf):

@@ -93,25 +93,21 @@ through them needs Jacobi for its antisymmetry half.  Each docstring gives
 the condition and the argument for it.  On input that fails a hypothesis
 nothing is raised; a disagreement a verifier records there is a note.
 
-A frozen input is verified once per object, through one mechanism, _once:
-check_jacobi, check_plsa, check_left_symmetric, check_special_symplectic,
-check_nondegenerate, square_violations, anticommute_violations and
-bialgebra.plsca_check keep their result on their first operand, keyed by
-the identities of the others.  A later call with the very same objects
-returns it without evaluating again, so a chain calls the public verifiers
-and finds the preconditions it has verified kept; equal but distinct
-objects are evaluated afresh.  The kept result is immutable (a report, a
-tuple each call copies into a fresh list, or one of constructions' frozen
-doubles, gluing maps and their Scaled inverses), is no field, and is never
-an exception.  A long-lived owner keeps its kept partners alive.
+A frozen input is verified once per object (linalg._once; the linalg
+docstring gives the one account of what is kept): check_jacobi, check_plsa,
+check_left_symmetric, check_special_symplectic, check_nondegenerate,
+square_violations, anticommute_violations and bialgebra.plsca_check keep
+their result on their first operand, the others its partners, so a chain
+finds the preconditions it has verified kept.  The views c, t, m, residual
+and bialgebra's alpha and beta are linalg._kept fields.
 """
 
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
-from functools import cache, cached_property
+from functools import cache
 from itertools import chain, combinations, combinations_with_replacement
 from math import lcm
-from operator import is_, itemgetter
+from operator import itemgetter
 
 from .linalg import (
     ZERO,
@@ -119,6 +115,8 @@ from .linalg import (
     InternalMismatch,
     Packed,
     Scaled,
+    _kept,
+    _once,
     fractions,
     int_mat_mul,
     int_rank,
@@ -126,28 +124,6 @@ from .linalg import (
     scaled,
     unscaled,
 )
-
-
-class _FieldView:
-    """A dataclass field whose value, when __init__ did not set it (an
-    object built by .listed or .of, say), is built by func(obj) on its first
-    read and kept in obj's __dict__, where later reads find it, as
-    functools.cached_property keeps it but without its lock.  Read on the
-    class it raises AttributeError, so dataclass sees no default and the
-    field stays a required argument of __init__.  The views c, t, m,
-    residual and bialgebra's alpha and beta are such fields."""
-
-    def __init__(self, func):
-        self.func = func
-
-    def __set_name__(self, owner, name):
-        self.name = name
-
-    def __get__(self, obj, cls=None):
-        if obj is None:
-            raise AttributeError(self.name)
-        value = obj.__dict__[self.name] = self.func(obj)
-        return value
 
 
 def _dense(obj):
@@ -174,15 +150,15 @@ class _Stored:
 @dataclass(frozen=True)
 class StructureTensor(_Stored):
     n: int
-    c: tuple = _FieldView(_dense)  # c[i][j][k]: e_i o e_j = sum_k c[i][j][k] e_k
+    c: tuple = _kept(_dense)  # c[i][j][k]: e_i o e_j = sum_k c[i][j][k] e_k
 
-    @cached_property
+    @_kept
     def scaled(self):
         """The Packed form of linalg, packed from the list once, for every
         kernel route."""
         return packed_sparse(*self.nonzeros, self.n)
 
-    @cached_property
+    @_kept
     def planes(self):
         """The numerators of the list as n planes of n int rows, over its
         den, for the routes that read single entries (_by_form, _torsion):
@@ -201,13 +177,15 @@ class _ScaledMatrix:
 
     @classmethod
     def listed(cls, n, rows):
-        return _seeded(object.__new__(cls), n=n, scaled=rows)
+        obj = object.__new__(cls)
+        obj.__dict__.update(n=n, scaled=rows)
+        return obj
 
-    @cached_property
+    @_kept
     def scaled(self):
         return scaled(self.m)
 
-    @cached_property
+    @_kept
     def scaled_t(self):
         return self.scaled.transposed()
 
@@ -220,20 +198,20 @@ def _dense_matrix(obj):
 @dataclass(frozen=True)
 class Form(_ScaledMatrix):
     n: int
-    m: tuple = _FieldView(_dense_matrix)  # m[i][j] = B(e_i, e_j)
+    m: tuple = _kept(_dense_matrix)  # m[i][j] = B(e_i, e_j)
 
 
 @dataclass(frozen=True)
 class Endo(_ScaledMatrix):
     n: int
-    m: tuple = _FieldView(_dense_matrix)  # acts on column coordinates
+    m: tuple = _kept(_dense_matrix)  # acts on column coordinates
 
 
 @dataclass(frozen=True)
 class RepTensor(_Stored):
     n: int  # acting algebra dimension
     m: int  # module dimension
-    t: tuple = _FieldView(_dense)  # t[i] = the m x m matrix of rho(e_i)
+    t: tuple = _kept(_dense)  # t[i] = the m x m matrix of rho(e_i)
     shape = property(lambda self: (self.n, self.m, self.m))
 
 
@@ -248,7 +226,7 @@ def _residual(v):
 class Violation:
     where: str
     indices: tuple  # 0-based basis indices
-    residual: object = _FieldView(_residual)  # Fraction, or tuple of Fractions
+    residual: object = _kept(_residual)  # Fraction, or tuple of Fractions
 
     @classmethod
     def of(cls, where, indices, x, den):
@@ -266,32 +244,6 @@ class CheckReport:
     verdict: bool
     violations: tuple
     notes: tuple = field(default=())
-
-
-def _once(owner, key, others, compute):
-    """compute(), evaluated once per owner and others, a tuple of objects.
-    The result is kept in owner's __dict__, as functools.cached_property
-    keeps its value (so it is no field), under key and the ids of others,
-    together with others themselves, and is reused only while each of them
-    is the object given now: an id reused after garbage collection never
-    hits.  A kept result is immutable and keeps its others alive as long as
-    owner lives; an exception is raised again on each call, never kept."""
-    memo = owner.__dict__.setdefault("_once", {})
-    slot = (key, *map(id, others))
-    kept = memo.get(slot)
-    if kept is not None and all(map(is_, kept[0], others)):
-        return kept[1]
-    value = compute()
-    memo[slot] = others, value
-    return value
-
-
-def _seeded(obj, **forms):
-    """obj with the entries of forms set in its __dict__: the values of its
-    cached properties, for an object built from a scaled form, which it would
-    otherwise convert back."""
-    obj.__dict__.update(forms)
-    return obj
 
 
 def report(check, viol, notes=()):
@@ -498,19 +450,15 @@ def _fits(obj, n, m):
 def _view(obj, perm):
     """(den, g) of the tensor listed by obj.nonzeros with its legs in the
     order perm (_permuted): g[p] lists (q, row) for each nonempty row
-    T'[p][q] = [(r, x) ...].  Kept in obj's __dict__, by perm, as .nonzeros
-    is kept."""
-    views = obj.__dict__.setdefault("_views", {})
-    view = views.get(perm)
-    if view is None:
+    T'[p][q] = [(r, x) ...].  Kept on obj per perm (_once)."""
+    def build():
         den, nz = obj.nonzeros
         if perm == (1, 0, 2):  # the rows stay whole
             nz = zip(*nz)
         elif perm != (0, 1, 2):
             den, nz = _permuted(obj.nonzeros, obj.shape, perm)
-        view = views[perm] = den, [[(q, row) for q, row in enumerate(plane) if row]
-                                   for plane in nz]
-    return view
+        return den, [[(q, row) for q, row in enumerate(plane) if row] for plane in nz]
+    return _once(obj, ("view", perm), (), build)
 
 
 @cache
@@ -781,23 +729,29 @@ def nijenhuis_torsion(br, N):
 def violations(where, tuples, residual, den):
     """A violation at each index tuple idx of tuples, in the order given,
     whose residual r = residual(*idx) is nonzero: an int numerator other
-    than 0, or a tuple of them with a nonzero entry, read off int rows and
-    kept over den (Violation.of)."""
+    than 0, or a tuple or list of them with a nonzero entry, read off int
+    rows and kept over den (Violation.of)."""
     out = []
     for idx in tuples:
         r = residual(*idx)
-        if (any(r) if isinstance(r, tuple) else r):
+        if (r if isinstance(r, int) else any(r)):
             out.append(Violation.of(where, idx, r, den))
     return out
 
 
 def mat_violations(where, t):
-    """A violation at the indices of each nonzero numerator x of the Scaled
-    matrix or Packed tensor t, in row-major order, its residual x / t.den
-    kept as numerators (Violation.of).  A Scaled row costs one any() when it
-    is all zero; a Packed row is tested against 0 and decoded only when it
-    is not."""
-    den, of = t.den, Violation.of
+    """A violation at the indices of each nonzero numerator x of t, in
+    row-major order, its residual x / den kept as numerators (Violation.of):
+    t is a Scaled matrix, a Packed tensor or the nonzero list (den, nz) of a
+    rank-3 tensor.  A Scaled row costs one any() when it is all zero; a
+    Packed row is tested against 0 and decoded only when it is not.  Both
+    are tuples, as (den, nz) is, so they are told apart by their types."""
+    of = Violation.of
+    if not isinstance(t, (Packed, Scaled)):
+        den, nz = t
+        return [of(where, (a, b, k), x, den)
+                for a, plane in enumerate(nz) for b, row in enumerate(plane) for k, x in row]
+    den = t.den
     if isinstance(t, Packed):
         return [of(where, (a, b, k), x, den)
                 for a, (plane, rows) in enumerate(zip(t.num, t.decoded))
@@ -868,8 +822,7 @@ def torsion_violations(where, br, N):
     rows are contracted, and a violating pair keeps its row of n numerators."""
     num, den = _torsion(br, N, upper=True)
     # plane i holds the rows j = i + 1, ..., n - 1
-    return [Violation.of(where, (i, j), row, den)
-            for i, plane in enumerate(num) for j, row in enumerate(plane, i + 1) if any(row)]
+    return violations(where, combinations(range(br.n), 2), lambda i, j: num[i][j - i - 1], den)
 
 
 def eigenspace_violations(E):

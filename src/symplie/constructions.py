@@ -13,14 +13,13 @@ checks and refuses bad input with a typed error, so downstream code can
 rely on the returned data without re-checking.
 
 A family of (J, E) pairs lives on one fixed double of a package, so what
-depends on the package alone is built once per package object, through
-checks._once, and kept on it: its tangent and cotangent doubles, the
-identity gluing map of the tangent double, the form's map phi_from_omega
-(kept on the form), and each gluing map's inverse (kept on the map).  A
-sweep over the family parameters then builds only J and E at each point,
-and the checks it runs on the double find their reports kept on the
-double's bracket and metric.  An exception is never kept, so an invalid
-package raises on every call.
+depends on the package alone is built once per package object and kept on
+it (linalg._once, whose module docstring gives the one account): its
+tangent and cotangent doubles, the identity gluing map of the tangent
+double, the form's map phi_from_omega (kept on the form), and each gluing
+map's inverse (kept on the map).  A sweep over the family parameters then
+builds only J and E at each point, and the checks it runs on the double
+find their reports kept on the double's bracket and metric.
 
 lsa_from_symplectic and plsa_from_special_symplectic contract their input
 on the exact integer kernel of linalg (Packed) and list its decoded rows;
@@ -28,8 +27,9 @@ the identities that post_affine_check and affine_cotangent_extension
 evaluate on basis tuples are sparse identities declared as signed terms and
 evaluated by checks._scatter, except affine_cotangent_extension's two linear
 ones, l-is-dual-left-action and phi-symmetry, which are the entries of a sum
-of nonzero lists (_nonzeros_sum).  The dual actions and glue_product build
-their nonzero lists from their inputs' (checks._permuted, _rebucket).
+of nonzero lists (_nonzeros_sum) that checks.mat_violations collects.  The
+dual actions and glue_product build their nonzero lists from their inputs'
+(checks._permuted, _rebucket).
 """
 
 from dataclasses import dataclass
@@ -39,6 +39,7 @@ from math import lcm
 from .linalg import (
     DimensionMismatch,
     InternalMismatch,
+    _once,
     rational_sqrt,
     scaled_blocks,
     scaled_combine,
@@ -52,12 +53,10 @@ from .checks import (
     Form,
     RepTensor,
     StructureTensor,
-    Violation,
     _fits,
     _negated,
     _nonzeros,
     _nonzeros_sum,
-    _once,
     _permuted,
     _rebucket,
     _sparse_violations,
@@ -72,6 +71,7 @@ from .checks import (
     check_skew,
     check_special_symplectic,
     check_torsion_free,
+    mat_violations,
     merge_reports,
     op_sub,
     relabel,
@@ -247,7 +247,7 @@ def tangent_double(s):
     Bracket [(x,u),(y,v)] = ([x,y], conn_x v - conn_y u); the doubled
     connection sends ((x,z),(y,w)) to (conn_x y, conn_x w); the metric pairs
     the two copies through omega.  Built once per package object
-    (checks._once): a repeat call with s returns the same object.
+    (linalg._once): a repeat call with s returns the same object.
     """
     _require_special_symplectic(s)  # Jacobi, and flatness: rho is a representation
     w = s.omega
@@ -269,7 +269,7 @@ def cotangent_double(s):
     Bracket second component is the dual action commutator; the doubled
     connection sends ((x,a*),(y,b*)) to (conn_x y, x acting on b* dually);
     the metric is the canonical pairing and omega_p the canonical skew
-    pairing of A with A*.  Built once per package object (checks._once): a
+    pairing of A with A*.  Built once per package object (linalg._once): a
     repeat call with s returns the same object.
     """
     _require_special_symplectic(s)
@@ -298,7 +298,7 @@ def _require_nondegenerate(w):
 
 def phi_from_omega(w):
     """Matrix of x -> w(x, .) as a map into the dual basis; invertible.
-    Built once per form object (checks._once): a repeat call with w returns
+    Built once per form object (linalg._once): a repeat call with w returns
     the same object."""
     _require_nondegenerate(w)
     return _once(w, "phi", (), lambda: Endo.listed(w.n, w.scaled_t))
@@ -307,7 +307,7 @@ def phi_from_omega(w):
 def build_N(l1, l2, l3, l4, f, finv):
     """Block operator [[l2*I, l1*f^-1], [l3*f, l4*I]] on V + V, for the
     Endo f and the Scaled finv = scaled_inverse(f.scaled), which family_JE
-    computes once per f (checks._once) for all the operators it builds over
+    computes once per f (linalg._once) for all the operators it builds over
     f; stored as the int rows of linalg.scaled_blocks."""
     return Endo.listed(2 * f.n, scaled_blocks(f.n, (((l2, None), (l1, finv)),
                                                    ((l3, f.scaled), (l4, None)))))
@@ -363,7 +363,7 @@ def family_JE(p, f):
 
 def hypersymplectic_from_tangent(s, p):
     """Hypersymplectic package (double, J, E, metric) on the tangent double,
-    gluing the two copies with the identity map, kept on s (checks._once)."""
+    gluing the two copies with the identity map, kept on s (linalg._once)."""
     d = tangent_double(s)
     n = s.bracket.n
     J, E = family_JE(p, _once(s, "identity", (),
@@ -470,15 +470,16 @@ def affine_cotangent_extension(d):
     ext = StructureTensor.listed(2 * n, _nonzeros_sum(g.nonzeros, (Phi.nonzeros[0], shifted)))
 
     # l(e_i) minus the dual left action -c[i] of e_i
-    viol = _entry_violations("l-is-dual-left-action", _nonzeros_sum(l.nonzeros, base.nonzeros))
+    viol = mat_violations("l-is-dual-left-action", _nonzeros_sum(l.nonzeros, base.nonzeros))
 
     prec = StructureTensor.listed(n, _negated(r))
     succ = op_sub(base, prec)
     pair_rep = check_plsa(prec, succ)
 
     # phi[i][j][k] - phi[i][k][j] on j < k: phi's list minus its (0, 2, 1) permutation
-    viol += _entry_violations("phi-symmetry", _nonzeros_sum(
-        Phi.nonzeros, _permuted(Phi.nonzeros, Phi.shape, (0, 2, 1), -1)), upper=True)
+    den, nz = _nonzeros_sum(Phi.nonzeros, _permuted(Phi.nonzeros, Phi.shape, (0, 2, 1), -1))
+    upper = [[[(k, x) for k, x in row if j < k] for j, row in enumerate(p)] for p in nz]
+    viol += mat_violations("phi-symmetry", (den, upper))
 
     # the defect at (e_i, e_j, e_k) minus the defect at (e_j, e_i, e_k), on i < j
     viol += _sparse_violations("ijk", dict.fromkeys("ijkt", n), [("phi-cocycle", "ij", (
@@ -489,15 +490,6 @@ def affine_cotangent_extension(d):
 
     rep = merge_reports("affine-cotangent-extension", [pair_rep], viol)
     return ext, rep
-
-
-def _entry_violations(where, nonzeros, upper=False):
-    """A violation at (i, j, k) for each entry x / den of the list
-    nonzeros = (den, nz), kept as its numerator (Violation.of), in
-    lexicographic order; with upper, only those with j < k."""
-    den, nz = nonzeros
-    return [Violation.of(where, (i, j, k), x, den) for i, plane in enumerate(nz)
-            for j, row in enumerate(plane) for k, x in row if not upper or j < k]
 
 
 def post_affine_check(nabla, nabla_tilde, br):

@@ -52,13 +52,26 @@ and summed as nonzero lists, packed_sparse packs one, and Packed.decoded is
 the one place packed rows become entries.  Every other operation has one
 implementation, on the int kernel; mat_mul, mat_rank, mat_inverse and
 tensor_contract are shims on it that only the benchmark tracer calls.
+
+A value built once and kept on an object goes through one of two
+mechanisms, both here.  _kept is an attribute built by its function on the
+first read and kept in the object's __dict__ under its name (Scaled.terms,
+Packed.decoded, the .scaled forms and the dataclass views of checks); a
+producer that holds the value presets it there (packed, .listed,
+Violation.of).  It takes no lock: two threads reading it first may both
+build it, equal immutable values of which one is kept (in Python 3.10 and
+3.11 functools.cached_property locked).  _once keeps a value per key and
+partner objects in the owner's memo: the verifiers' reports, constructions'
+doubles and inverses, and the forms kept per key (Scaled.columns,
+Packed.matrix, the views of checks, bialgebra's permuted tensors).  Both
+live as long as the owner, and _once keeps the partners alive too.
 """
 
 from fractions import Fraction
-from functools import cache, cached_property
+from functools import cache
 from itertools import chain, repeat
 from math import gcd, isqrt, lcm
-from operator import add, attrgetter, itemgetter, mul, sub
+from operator import add, attrgetter, is_, itemgetter, mul, sub
 from struct import unpack
 from typing import NamedTuple
 
@@ -73,6 +86,53 @@ class DimensionMismatch(Exception):
 
 class InternalMismatch(AssertionError):
     """Two routes that must agree by construction did not: a bug in symplie."""
+
+
+# ---------------------------------------------------------------------------
+# values kept on an object (module docstring)
+
+class _kept:
+    """An attribute built by func(obj) on its first read and kept in obj's
+    __dict__ under its name.  Read on the class it raises AttributeError,
+    so a dataclass field declared with it has no default."""
+
+    def __init__(self, func):
+        self.func, self.__doc__ = func, func.__doc__
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, obj, cls=None):
+        if obj is None:
+            raise AttributeError(self.name)
+        value = obj.__dict__[self.name] = self.func(obj)
+        return value
+
+
+_PARTNERED = object()  # heads every slot with others, so no bare key equals one
+
+
+def _once(owner, key, others, compute):
+    """compute(), evaluated once per owner, key and others, a tuple of
+    objects, and kept in owner's memo (__dict__["_once"]).  Without others
+    the slot is key itself, hit by one lookup.  With others it is
+    (_PARTNERED, key, their ids), kept with others themselves: it is reused
+    only while each of them is the object given now, so an id reused after
+    garbage collection never hits.  compute returns an immutable value,
+    never None; an exception is raised again on each call, never kept."""
+    memo = owner.__dict__.get("_once") or owner.__dict__.setdefault("_once", {})
+    if not others:
+        value = memo.get(key)
+        if value is None:
+            value = memo[key] = compute()
+        return value
+    slot = (_PARTNERED, key, *map(id, others))
+    kept = memo.get(slot)
+    if kept is not None and all(map(is_, kept[0], others)):
+        return kept[1]
+    value = compute()
+    memo[slot] = others, value
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -266,7 +326,7 @@ class Scaled(_Matrix):
     def transposed(self):
         return Scaled([list(col) for col in zip(*self.num)], self.den)
 
-    @cached_property
+    @_kept
     def terms(self):
         """Per row, None for a zero row, else (xs, pick): pick(v) lists the
         entries of v that the entries xs of the row multiply, so
@@ -289,18 +349,16 @@ class Scaled(_Matrix):
                 out.append(([row[qs[0]]], itemgetter(slice(qs[0], qs[0] + 1))))
         return out
 
-    @cached_property
+    @_kept
     def gain(self):
         """The largest sum of |entries| over a row: how much applying the
         matrix can multiply a bound on the entries it acts on."""
         return max(sum(map(abs, row)) for row in self.num)
 
     def columns(self, width):
-        """The columns of the matrix as packed rows of slots of width bits."""
-        kept = self.__dict__.setdefault("_columns", {})
-        if width not in kept:
-            kept[width] = _pack(list(zip(*self.num)), width)
-        return kept[width]
+        """The columns of the matrix as packed rows of slots of width bits,
+        kept per width."""
+        return _once(self, ("columns", width), (), lambda: _pack(list(zip(*self.num)), width))
 
 
 class _PackedFields(NamedTuple):
@@ -321,7 +379,7 @@ class Packed(_PackedFields):
     entries are decoded on first use and kept (decoded, matrix), so a
     tensor that several operations read is decoded once."""
 
-    @cached_property
+    @_kept
     def decoded(self):
         """The numerators: a tuple of planes, each a tuple of rows, each a
         tuple of ints; only the nonzero rows are decoded, and the zero rows
@@ -334,11 +392,8 @@ class Packed(_PackedFields):
         """The Scaled matrix whose rows are the rows (a, b) of this tensor
         with its legs permuted by axes, in order: the entries of that
         tensor, never packed.  Kept per axes."""
-        kept = self.__dict__.setdefault("_matrix", {})
-        if axes not in kept:
-            kept[axes] = Scaled([row for plane in _permuted(self.decoded, axes)
-                                 for row in plane], self.den)
-        return kept[axes]
+        return _once(self, ("matrix", axes), (), lambda: Scaled(
+            [row for plane in _permuted(self.decoded, axes) for row in plane], self.den))
 
     def split(self, n):
         """The n tensors of equally many planes stacked in this one, such as

@@ -32,7 +32,7 @@ def refuse_dense_views(monkeypatch):
     def refuse():
         for cls, view in ((StructureTensor, "c"), (RepTensor, "t"), (Form, "m"), (Endo, "m")):
             # the view's descriptor raises AttributeError when read on the
-            # class (checks._FieldView), so its presence is asserted here
+            # class (linalg._kept), so its presence is asserted here
             assert view in vars(cls)
             monkeypatch.setattr(cls, view, _RefusedView(), raising=False)
     return refuse

@@ -15,7 +15,7 @@ from symplie.bialgebra import CoproductPair
 
 def _fresh(x):
     """A new instance with x's fields: equal to x, with no cached forms and
-    nothing kept on it (checks._once)."""
+    nothing kept on it (linalg._once)."""
     return type(x)(*(getattr(x, f.name) for f in dataclasses.fields(x)))
 
 

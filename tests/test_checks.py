@@ -981,6 +981,9 @@ class TestViolationCollector:
         assert mat_violations("t", t) == [Violation("t", (0, 0, 1), Q(1)),
                                           Violation("t", (0, 1, 0), Q(2)),
                                           Violation("t", (1, 1, 1), Q(-3))]
+        # the same tensor as its nonzero list (den, nz)
+        listed = mat_violations("t", (2, [[[(1, 2)], [(0, 4)]], [[], [(1, -6)]]]))
+        assert listed == mat_violations("t", t) and listed[2].numerators == (-6, 2)
 
     def test_all_zero(self):
         assert mat_violations("z", packed([[[0] * 2] * 2] * 3, 1)) == []
@@ -1009,9 +1012,10 @@ class TestViolationCollector:
         assert [v.indices for v in got] == [(2, 0), (0, 1), (1, 1)]
 
     def test_zero_scalar_and_zero_tuple_skipped(self):
-        res = [0, (0, 0), (0,), 1]
-        got = violations("z", [(i,) for i in range(4)], lambda i: res[i], 2)
-        assert got == [Violation("z", (3,), Q(1, 2))]
+        # an int row may also be a list, as torsion_violations' rows are
+        res = [0, (0, 0), (0,), [0, 0], 1, [0, 2]]
+        got = violations("z", [(i,) for i in range(6)], lambda i: res[i], 2)
+        assert got == [Violation("z", (4,), Q(1, 2)), Violation("z", (5,), (Q(0), Q(1)))]
 
     def test_partly_nonzero_tuple_kept_unchanged(self):
         r = (0, -3, 0)
@@ -1139,7 +1143,7 @@ def _fresh_parakahler():
                                 tuple(((Q(0),) * 2,) * 2 for _ in range(2))))
     E = Endo(4, tuple(tuple(Q(0) if a != b else Q(1) if a < 2 else Q(-1) for b in range(4))
                       for a in range(4)))
-    # sub_adjacent keeps its bracket on lsa_d (checks._once), and slsba_double
+    # sub_adjacent keeps its bracket on lsa_d (linalg._once), and slsba_double
     # has read that one already
     return ParaKahlerData(_fresh(sub_adjacent(lsa_d)), canonical_skew_pairing(2), E,
                           _fresh(lsa_d))
@@ -1244,9 +1248,41 @@ class TestRanksFromCachedRows:
         assert [E.scaled.num, E.scaled_t] == before
 
 
+_R = ((Q(1), Q(2)), (Q(-1, 3), Q(5)))
+_OP = {(0, 1, 0): Q(1, 2), (1, 0, 1): Q(-1), (1, 1, 1): Q(3)}
+# (class, name, a fresh owner on which nothing has read it) for each
+# attribute linalg._kept keeps that is no dataclass field
+KEPT = [(linalg.Scaled, "terms", lambda: Scaled([[1, 0], [2, -3]], 1)),
+        (linalg.Scaled, "gain", lambda: Scaled([[1, 0], [2, -3]], 1)),
+        (linalg.Packed, "decoded", lambda: st(2, _OP).scaled),
+        (StructureTensor, "scaled", lambda: st(2, _OP)),
+        (StructureTensor, "planes", lambda: st(2, _OP)),
+        (checks._ScaledMatrix, "scaled", lambda: Form(2, AREA.m)),
+        (checks._ScaledMatrix, "scaled_t", lambda: Endo(2, AREA.m)),
+        (bialgebra.CoproductPair, "scaled", lambda: zero_coproducts(2)),
+        (bialgebra.CoproductPair, "dual", lambda: zero_coproducts(2)),
+        *[(bialgebra.ROperators, name,
+           lambda: bialgebra.R_operators(catalog_get("plsa-2d-IV").payload, _R))
+          for name in ("first", "second", "third")]]
+
+
 class TestScaledFormsInvisible:
     """The cached forms are not fields and never change under the routes that
     share them (Scaled operations never mutate their inputs)."""
+
+    @pytest.mark.parametrize("cls, name, make", KEPT,
+                             ids=["%s.%s" % (c.__name__, n) for c, n, _ in KEPT])
+    def test_kept_once_under_its_name(self, monkeypatch, cls, name, make):
+        kept = vars(cls)[name]
+        with pytest.raises(AttributeError):
+            getattr(cls, name)
+        assert kept.__doc__ is kept.func.__doc__
+        owner, runs = make(), []
+        assert name not in vars(owner)
+        monkeypatch.setattr(kept, "func", lambda obj, f=kept.func: runs.append(obj) or f(obj))
+        value = getattr(owner, name)
+        assert getattr(owner, name) is value and vars(owner)[name] is value
+        assert len(runs) == 1 and runs[0] is owner
 
     def test_not_part_of_the_value(self):
         pk = _fresh_parakahler()
@@ -1275,7 +1311,7 @@ class TestScaledFormsInvisible:
         assert [_cached_forms(x) for x in objs] == before
 
     def test_memos_not_part_of_the_value(self):
-        # a filled memo (checks._once) and the cached Scaled and dual forms of
+        # a filled memo (linalg._once) and the cached Scaled and dual forms of
         # a coproduct pair are no fields: value, hash, repr and the canonical
         # form the benchmark digests are those of a fresh twin
         workloads = _bench_workloads()
@@ -1310,7 +1346,7 @@ def _bench_workloads():
 
 
 class TestOnce:
-    """A frozen input is verified once per object (checks._once): a repeated
+    """A frozen input is verified once per object (linalg._once): a repeated
     call with the same objects returns the kept report without running the
     core again, while an equal but distinct object is evaluated afresh, and
     so is an owner whose kept partner is not the object given (a copy of the
@@ -1417,6 +1453,37 @@ class TestOnce:
             with pytest.raises(DimensionMismatch):
                 check_plsa(prec, other)
         assert cores["_plsa"] == 3
+
+    def test_keyed_forms(self):
+        # Scaled.columns per width, Packed.matrix per axes, the views of
+        # checks per leg order and the permuted pair tensors per name and
+        # axes: one object per key, built anew for another key
+        m, op = Scaled([[1, 0], [2, -3]], 1), st(2, _OP)
+        pair = bialgebra._ScaledPair(tuple(map(_fresh, catalog_get("plsa-2d-IV").payload)))
+        for get, key, others in (
+                (m.columns, 64, (128,)),
+                (op.scaled.matrix, (0, 2, 1), ((0, 1, 2), (1, 0, 2))),
+                (lambda perm: checks._view(op, perm), (1, 0, 2), ((0, 1, 2), (2, 0, 1))),
+                (lambda k: pair.perm(*k), ("P", (0, 2, 1)), (("P", (1, 0, 2)),
+                                                             ("S", (0, 2, 1))))):
+            first = get(key)
+            assert get(key) is first
+            for other in others:
+                again = get(other)
+                assert again is not first and get(other) is again
+
+    def test_slot_without_partners_never_meets_a_partnered_one(self):
+        # a partnered slot holds the key and the partners' ids; a key
+        # without partners that spells them has a slot of its own
+        owner, partner = _fresh(NONAB), _fresh(NONAB)
+        spelled = ("k", id(partner))
+        assert linalg._once(owner, "k", (partner,), lambda: "partnered") == "partnered"
+        assert linalg._once(owner, spelled, (), lambda: "alone") == "alone"
+        assert linalg._once(owner, "k", (partner,), lambda: "again") == "partnered"
+        assert linalg._once(owner, spelled, (), lambda: "again") == "alone"
+        other = _fresh(NONAB)
+        assert linalg._once(other, spelled, (), lambda: "alone") == "alone"
+        assert linalg._once(other, "k", (partner,), lambda: "partnered") == "partnered"
 
     def test_violation_lists_are_fresh(self):
         br, J, E, g = _fresh_hypersymplectic()

@@ -244,7 +244,7 @@ class TestFamilies:
     def test_one_inverse_per_family(self, monkeypatch, fam, lam, mu, k):
         # J and E are both built over f, which is inverted once for the two,
         # on its int rows (the core of linalg.mat_inverse); a fresh form, as
-        # the catalog's form keeps its f and f its inverse (checks._once)
+        # the catalog's form keeps its f and f its inverse (linalg._once)
         calls = []
         real = constructions.scaled_inverse
 
@@ -383,7 +383,7 @@ class TestFamiliesOnIntRows:
             def job():
                 d, J, E, g = BUILDERS[double](s, p)
                 return check_hypersymplectic(d.bracket, J, E, g).verdict
-            assert job()  # the package's own checks are kept from here on (checks._once)
+            assert job()  # the package's own checks are kept from here on (linalg._once)
             count = [0]
             with monkeypatch.context() as mp:
                 _count_fraction_ops(mp, count)
@@ -408,7 +408,7 @@ def _fresh_package(s):
 
 class TestKeptOnPackage:
     """What depends on a package alone is built once per package object
-    (checks._once): its doubles, its gluing maps and their inverses, and the
+    (linalg._once): its doubles, its gluing maps and their inverses, and the
     Jacobi report of each double's bracket.  A package rebuilt from equal
     fields is built afresh; an exception is never kept."""
 

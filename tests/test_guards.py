@@ -1,8 +1,11 @@
 """Witnesses for the dimension preconditions: each guarded entry point,
 called on inputs of two dimensions, raises DimensionMismatch with its exact
 one-line message, also under python -O; and a failing matched-pair check
-raises NotMatched with the failing report attached."""
+raises NotMatched with the failing report attached.  A guard on the source
+keeps one way to keep a value on an object: linalg._kept and linalg._once."""
 
+import ast
+import glob
 import os
 import subprocess
 import sys
@@ -169,3 +172,58 @@ class TestNotMatched:
             double_extension(a, b)
         assert str(err.value) == "dual actions do not match: %s at %s" % (v.where, v.indices)
         assert err.value.report == expected
+
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src",
+                   "symplie")
+
+
+def _second_mechanisms(name, source):
+    """(line, what) for each way source keeps a value on an object besides
+    linalg._kept and linalg._once: functools.cached_property, a
+    __dict__.setdefault outside linalg._once, and a definition of _kept or
+    _once outside linalg."""
+    tree = ast.parse(source, name)
+    found, allowed = [], set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name in ("_once", "_kept"):
+            if name != "linalg.py":
+                found.append((node.lineno, "def " + node.name))
+            elif node.name == "_once":
+                allowed = set(range(node.lineno, node.end_lineno + 1))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "functools":
+            found += [(node.lineno, "cached_property") for alias in node.names
+                      if alias.name == "cached_property"]
+        elif isinstance(node, ast.Attribute) and node.attr == "cached_property":
+            found.append((node.lineno, "cached_property"))
+        elif (isinstance(node, ast.Attribute) and node.attr == "setdefault"
+              and isinstance(node.value, ast.Attribute) and node.value.attr == "__dict__"
+              and node.lineno not in allowed):
+            found.append((node.lineno, "__dict__.setdefault"))
+    return found
+
+
+def test_one_way_to_keep_a_value():
+    found, defined = {}, []
+    for path in sorted(glob.glob(os.path.join(SRC, "*.py"))):
+        with open(path, encoding="utf-8") as fh:
+            source = fh.read()
+        name = os.path.basename(path)
+        found[name] = _second_mechanisms(name, source)
+        defined += [(name, node.name) for node in ast.parse(source).body
+                    if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    and node.name in ("_once", "_kept")]
+    assert not any(found.values()), found
+    assert sorted(defined) == [("linalg.py", "_kept"), ("linalg.py", "_once")]
+    # the guard sees each mechanism it refuses
+    snippet = "\n".join(["from functools import cache, cached_property",
+                         "import functools",
+                         "f = functools.cached_property",
+                         "def _once(obj):",
+                         "    return obj.__dict__.setdefault('k', {})"])
+    assert sorted(_second_mechanisms("linalg.py", snippet)) == [
+        (1, "cached_property"), (3, "cached_property")]
+    assert sorted(_second_mechanisms("checks.py", snippet)) == [
+        (1, "cached_property"), (3, "cached_property"), (4, "def _once"),
+        (5, "__dict__.setdefault")]

@@ -5,8 +5,8 @@ repository root:
     python3 tools/check_digests.py
 
 The second pass runs the same job objects in the same process, so every
-result the package keeps on its inputs (checks._once, the cached Scaled
-forms) is already filled: that is what the repeated batches of a timed
+result the package keeps on its inputs (through linalg._once and
+linalg._kept) is already filled: that is what the repeated batches of a timed
 benchmark run see.  Exits 1 if any job raises, fails its gate or misses its
 recorded digest on either pass, or if the pool and the recorded table list
 different jobs.  Unlike a timed benchmark run, which draws a sample of the
