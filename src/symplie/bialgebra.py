@@ -215,14 +215,13 @@ class _ScaledPair:
     def perm(self, name, axes):
         """The tensor name ("P", "S", "D" or "B") with its legs permuted by
         axes, kept per name and axes (_once)."""
-        return _once(self, ("perm", name, axes), (),
-                     lambda: scaled_permute(getattr(self, name), axes))
+        return _once(self, (name, axes), (), scaled_permute, getattr(self, name), axes)
 
 
 def _scaled_pair(plsa):
     """The _ScaledPair of a product pair, built once per pair of objects
     (_once)."""
-    return _once(plsa[0], "scaled-pair", (plsa[1],), lambda: _ScaledPair(plsa))
+    return _once(plsa[0], "scaled-pair", (plsa[1],), _ScaledPair, plsa)
 
 
 def _r_forms(r):
@@ -319,15 +318,17 @@ def plsca_check(cp):
     construction.  Evaluated once per pair object (_once); a pair
     coboundary_coproducts seeded with R_operators' direct operators gives
     them up to this evaluation instead of contracting them again."""
-    def compute():
-        R1, R2, R3 = cp.__dict__.pop("_operators", None) or _coproduct_operators(*cp.scaled)
-        viol = mat_violations("co-commutativity", R1) + _pair_violations(
-            cp.n, ("co-compatibility", R2, None), ("co-left-symmetry", R3, None))
-        viol.sort(key=lambda v: v.indices)
-        note = _route_agrees(not viol, check_plsa(*cp.dual).verdict,
-                             "coproduct operators", "dual product-pair route")
-        return report("plsca", viol, [note])
-    return _once(cp, "plsca", (), compute)
+    return _once(cp, "plsca", (), _plsca, cp)
+
+
+def _plsca(cp):
+    R1, R2, R3 = cp.__dict__.pop("_operators", None) or _coproduct_operators(*cp.scaled)
+    viol = mat_violations("co-commutativity", R1) + _pair_violations(
+        cp.n, ("co-compatibility", R2, None), ("co-left-symmetry", R3, None))
+    viol.sort(key=lambda v: v.indices)
+    note = _route_agrees(not viol, check_plsa(*cp.dual).verdict,
+                         "coproduct operators", "dual product-pair route")
+    return report("plsca", viol, [note])
 
 
 def _route_agrees(mine, theirs, what, route):
@@ -413,8 +414,15 @@ def coboundary_coproducts(plsa, r):
         _, (al, be), ops = kept
     else:
         (al, be), ops = _coboundary_scaled(pair, _r_forms(r)), None
+    return _packed_pair(plsa[0].n, al, be, ops)
+
+
+def _packed_pair(n, al, be, ops=None):
+    """The CoproductPair built from its Packed tensors al, be, preset as
+    .scaled, so alpha and beta are views; ops, if given, seeds plsca_check
+    (coboundary_coproducts)."""
     cp = object.__new__(CoproductPair)
-    cp.__dict__.update(n=plsa[0].n, scaled=(al, be), _operators=ops)
+    cp.__dict__.update(n=n, scaled=(al, be), _operators=ops)
     return cp
 
 
@@ -714,14 +722,20 @@ def slsba_double(slsba):
     two dual left actions, the canonical r coboundary coproduct, a full
     re-check, and the para-Kahler package (canonical skew pairing, the
     block reflection E, the glued product as connection)."""
-    lsa, alpha = slsba
-    require(slsba_check(lsa, alpha), NotAnSLSBA, "%s fails at %s")
+    lsa_d, AL_d, rep = _slsba_double_scaled(slsba[0], scaled(slsba[1]))
+    return lsa_d, unscaled(AL_d), rep
+
+
+def _slsba_double_scaled(lsa, AL):
+    """slsba_double on the Packed form AL of alpha, with the double's alpha
+    returned Packed."""
+    require(check_left_symmetric(lsa), NotAnLSA, "base product is not %s at %s")
+    require(_slsba_check(lsa, AL), NotAnSLSBA, "%s fails at %s")
     n = lsa.n
-    lsa_d = glue_product(_left_dual_actions(lsa, _dual_product(n, scaled(alpha))))
+    lsa_d = glue_product(_left_dual_actions(lsa, _dual_product(n, AL)))
     r = canonical_r(n)
     AL_d, cobrep = _slsba_coboundary(lsa_d, r)  # verifies lsa_d is an LSA
     fullrep = _slsba_check(lsa_d, AL_d)
-    alpha_d = unscaled(AL_d)
     E = Endo.listed(2 * n, scaled_blocks(n, (((1, None), (0, None)), ((0, None), (-1, None)))))
     pk = ParaKahlerData(sub_adjacent(lsa_d), canonical_skew_pairing(n), E, lsa_d)
     pkrep = check_parakahler(pk)
@@ -729,4 +743,4 @@ def slsba_double(slsba):
                         [relabel(cobrep, "coboundary"),
                          relabel(fullrep, "double-check"),
                          relabel(pkrep, "para-kahler")])
-    return lsa_d, alpha_d, rep
+    return lsa_d, AL_d, rep

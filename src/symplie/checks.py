@@ -324,8 +324,12 @@ def sub_adjacent(op):
     """The commutator bracket [x,y] = x o y - y o x, summed on op's list,
     built once per product object (_once), so every caller of one product
     shares one bracket."""
-    return _once(op, "sub-adjacent", (), lambda: StructureTensor.listed(op.n, _nonzeros_sum(
-        op.nonzeros, _permuted(op.nonzeros, op.shape, (1, 0, 2), -1))))
+    return _once(op, "sub-adjacent", (), _sub_adjacent, op)
+
+
+def _sub_adjacent(op):
+    return StructureTensor.listed(op.n, _nonzeros_sum(
+        op.nonzeros, _permuted(op.nonzeros, op.shape, (1, 0, 2), -1)))
 
 
 def rep_from_op_left(op):
@@ -354,7 +358,7 @@ def check_skew(B):
 
 def check_nondegenerate(B):
     """Full rank, evaluated once per form object (_once)."""
-    return _once(B, "nondegenerate", (), lambda: _nondegenerate(B))
+    return _once(B, "nondegenerate", (), _nondegenerate, B)
 
 
 def _nondegenerate(B):
@@ -450,15 +454,14 @@ def _fits(obj, n, m):
 def _view(obj, perm):
     """(den, g) of the tensor listed by obj.nonzeros with its legs in the
     order perm (_permuted): g[p] lists (q, row) for each nonempty row
-    T'[p][q] = [(r, x) ...].  Kept on obj per perm (_once)."""
-    def build():
-        den, nz = obj.nonzeros
-        if perm == (1, 0, 2):  # the rows stay whole
-            nz = zip(*nz)
-        elif perm != (0, 1, 2):
-            den, nz = _permuted(obj.nonzeros, obj.shape, perm)
-        return den, [[(q, row) for q, row in enumerate(plane) if row] for plane in nz]
-    return _once(obj, ("view", perm), (), build)
+    T'[p][q] = [(r, x) ...].  _scatter keeps it on obj under the key perm
+    itself (_once): no other key kept on a tensor is a tuple of ints."""
+    den, nz = obj.nonzeros
+    if perm == (1, 0, 2):  # the rows stay whole
+        nz = zip(*nz)
+    elif perm != (0, 1, 2):
+        den, nz = _permuted(obj.nonzeros, obj.shape, perm)
+    return den, [[(q, row) for q, row in enumerate(plane) if row] for plane in nz]
 
 
 @cache
@@ -498,7 +501,7 @@ def _scatter(names, dims, identities):
         dens.append(den)
         for sign, X, xlegs, Y, ylegs in terms:
             px, py, (x1n, x2n, yn, cmp, lo_at, hi_at) = _plan(xlegs, ylegs, chain)
-            (dx, A), (dy, B) = _view(X, px), _view(Y, py)
+            (dx, A), (dy, B) = _once(X, px, (), _view, X, px), _once(Y, py, (), _view, Y, py)
             f = sign * (den // (dx * dy))
             s1, s2, sy, lo, hi = stride[x1n], stride[x2n], stride[yn], -1, dims[yn]
             for x1, group in enumerate(A):
@@ -536,7 +539,7 @@ def _sparse_violations(names, dims, identities):
 
 def check_jacobi(br):
     """Evaluated once per object (_once)."""
-    return _once(br, "jacobi", (), lambda: _jacobi(br))
+    return _once(br, "jacobi", (), _jacobi, br)
 
 
 def _jacobi(br):
@@ -554,7 +557,7 @@ def _jacobi(br):
 
 def check_left_symmetric(op):
     """Evaluated once per object (_once)."""
-    return _once(op, "left-symmetric", (), lambda: _left_symmetric(op))
+    return _once(op, "left-symmetric", (), _left_symmetric, op)
 
 
 def _left_symmetric(op):
@@ -592,7 +595,7 @@ def check_plsa(prec, succ):
     of prec and succ, and its dense view is never built.  Evaluated once per
     pair of objects (_once).
     """
-    return _once(prec, "plsa", (succ,), lambda: _plsa(prec, succ))
+    return _once(prec, "plsa", (succ,), _plsa, prec, succ)
 
 
 def _plsa(prec, succ):
@@ -679,8 +682,7 @@ def check_special_symplectic(br, conn, w):
     evaluated, and a failure raises InternalMismatch; it is evaluated in no
     other case.  Evaluated once per triple of objects (_once).
     """
-    return _once(br, "special-symplectic", (conn, w),
-                 lambda: _special_symplectic(br, conn, w))
+    return _once(br, "special-symplectic", (conn, w), _special_symplectic, br, conn, w)
 
 
 def _special_symplectic(br, conn, w):
@@ -797,18 +799,23 @@ def square_violations(where, N, sign):
     """N^2 = sign * id: sign -1 for a complex structure, +1 for a product
     structure.  Evaluated once per N, where and sign (_once); each call
     returns a fresh list."""
-    def compute():
-        res = _mat_chain(((1, (N.scaled, N.scaled)),))
-        return tuple(mat_violations(where, Scaled(_sub_scalar(res, sign), res.den)))
-    return list(_once(N, ("square", where, sign), (), compute))
+    return list(_once(N, ("square", where, sign), (), _square, where, N, sign))
+
+
+def _square(where, N, sign):
+    res = _mat_chain(((1, (N.scaled, N.scaled)),))
+    return tuple(mat_violations(where, Scaled(_sub_scalar(res, sign), res.den)))
 
 
 def anticommute_violations(where, J, E):
     """JE = -EJ, evaluated once per J, E and where (_once); each call returns
     a fresh list."""
-    chain = ((1, (J.scaled, E.scaled)), (1, (E.scaled, J.scaled)))
-    return list(_once(J, ("anticommute", where), (E,),
-                      lambda: tuple(mat_violations(where, _mat_chain(chain)))))
+    return list(_once(J, ("anticommute", where), (E,), _anticommute, where, J, E))
+
+
+def _anticommute(where, J, E):
+    return tuple(mat_violations(where, _mat_chain(((1, (J.scaled, E.scaled)),
+                                                   (1, (E.scaled, J.scaled))))))
 
 
 def congruence_violations(where, B, N, sign):

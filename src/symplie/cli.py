@@ -15,11 +15,17 @@ entry (i, j) but not (j, i) parses, fails check_skew, and draws a warning.
 Internally everything is 0-based.
 
 SECTIONS holds one row per entry keyword: the AlgebraFile field it fills,
-its index count, its entry kind (a vector of q*eK terms or one rational) and
-how the entries, nested by index, become the stored object (StructureTensor,
-Form, Endo with column i the image of e_i, a plain matrix, or RepTensor) and
-back.  parse_algebra_file, emit_algebra_file and the zero defaults of _read
-all read that table.
+its index count, its entry kind (a vector of q*eK terms or one rational),
+how its nonzero entries, one rational per full index, build the stored
+object, and how the object yields them back as (indices, entry) pairs in
+the file's order.  A StructureTensor or RepTensor is built as its nonzero
+list (.listed, over the lcm of the entries' denominators, as checks.st
+lists) and emitted off it; a Form, an Endo (column i the image of e_i) and
+a tensor2, a plain matrix, are built from their n x n entries and emitted
+off their Scaled rows.  No dense rank-3 tensor stands between a file and
+the library, and on the way out a Fraction is built only for an entry
+written.  parse_algebra_file, emit_algebra_file and the zero defaults of
+_read all read that table.
 
 A Slot is where a file holds one object, a keyword and a label such as
 `op prec`; a Part is a library object held in several slots, such as the
@@ -40,12 +46,13 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple
 
-from .linalg import DimensionMismatch, InternalMismatch, SingularMatrix, mat_transpose
+from .linalg import (ZERO, DimensionMismatch, InternalMismatch, SingularMatrix, packed_sparse,
+                     scaled)
 from .checks import (
     Endo,
     Form,
     RepTensor,
-    StructureTensor,
+    _nonzeros,
     check_flat,
     check_hypersymplectic,
     check_jacobi,
@@ -56,6 +63,7 @@ from .checks import (
     check_special_symplectic,
     check_torsion_free,
     merge_reports,
+    st,
     sub_adjacent,
 )
 from .constructions import (
@@ -77,18 +85,18 @@ from .constructions import (
 )
 from .matched import MatchedPairData, NotMatched, bowtie_lsa, check_matched_pair, double_extension
 from .bialgebra import (
-    CoproductPair,
     NotAPLSBA,
     NotAnSLSBA,
     ParaKahlerData,
     R_operators,
+    _packed_pair,
+    _slsba_check,
+    _slsba_double_scaled,
     check_parakahler,
     coboundary_coproducts,
     drinfeld_double,
     plsba_check,
     plsca_check,
-    slsba_check,
-    slsba_double,
 )
 from .catalog import UnknownEntry, catalog_get, catalog_list
 
@@ -129,24 +137,63 @@ class Section(NamedTuple):
     field: str      # the AlgebraFile dict that holds the section's objects
     nidx: int       # number of indices before '='
     terms: bool     # entry is a sum of q*eK terms (a vector); else one rational
-    build: object   # (dim, entries nested by index) -> stored object
-    entries: object  # stored object -> its entries nested by index
+    build: object   # (dim, {0-based indices: entry}) -> stored object
+    entries: object  # stored object -> its (indices, entry) pairs, in file order
+
+
+def _matrix(n, entries):
+    """The n x n matrix of Fractions with the entries {(i, j): q}, else 0."""
+    return tuple(tuple(entries.get((i, j), ZERO) for j in range(n)) for i in range(n))
+
+
+def _flat(entries):
+    """{full index: q} of a vector section's entries {indices: {k: q}}."""
+    return {(*idx, k): q for idx, row in entries.items() for k, q in row.items()}
+
+
+def _tensor_rows(t):
+    """den and the nonempty rows ((i, j), [(k, x), ...]) of the list of a
+    StructureTensor or RepTensor."""
+    den, nz = t.nonzeros
+    return den, (((i, j), row) for i, plane in enumerate(nz) for j, row in enumerate(plane) if row)
+
+
+def _matrix_rows(S):
+    """den and the nonzero rows ((i,), [(k, x), ...]) of the Scaled S."""
+    return S.den, (((i,), [(k, x) for k, x in enumerate(row) if x])
+                   for i, row in enumerate(S.num) if any(row))
+
+
+def _entries(den, rows, terms):
+    """The (indices, entry) pairs of rows of int numerators over den: per
+    row its (k, Fraction) terms, or with terms False one rational per (k, x)
+    at the row's indices and k."""
+    for idx, row in rows:
+        if terms:
+            yield idx, [(k, Fraction(x, den)) for k, x in row]
+        else:
+            yield from (((*idx, k), Fraction(x, den)) for k, x in row)
 
 
 # the file's sections, in the order the emitter writes them
 SECTIONS = {s.keyword: s for s in (
-    Section("op", "ops", 2, True, StructureTensor, lambda t: t.c),
-    Section("form", "forms", 2, False, Form, lambda f: f.m),
+    Section("op", "ops", 2, True, lambda n, e: st(n, _flat(e)),
+            lambda t: _entries(*_tensor_rows(t), True)),
+    Section("form", "forms", 2, False, lambda n, e: Form(n, _matrix(n, e)),
+            lambda f: _entries(*_matrix_rows(f.scaled), False)),
     # a map line gives the image of e_i, which is column i of the matrix
-    Section("map", "maps", 1, True, lambda n, cols: Endo(n, mat_transpose(cols)),
-            lambda e: mat_transpose(e.m)),
-    Section("tensor2", "tensor2s", 2, False, lambda n, m: m, lambda m: m),
-    Section("rep", "reps", 3, False, lambda n, t: RepTensor(n, n, t), lambda r: r.t),
+    Section("map", "maps", 1, True,
+            lambda n, e: Endo(n, _matrix(n, {(k, i): q for (i, k), q in _flat(e).items()})),
+            lambda e: _entries(*_matrix_rows(e.scaled_t), True)),
+    Section("tensor2", "tensor2s", 2, False, _matrix,
+            lambda m: _entries(*_matrix_rows(scaled(m)), False)),
+    Section("rep", "reps", 3, False, lambda n, e: RepTensor.listed(n, n, st(n, e).nonzeros),
+            lambda r: _entries(*_tensor_rows(r), False)),
 )}
 
 _INDEX_COUNT = {1: "one index", 2: "two indices", 3: "three indices"}
 
-MAX_DIM = 64  # room for a third Drinfeld double (32); dense n^3 defaults stay small
+MAX_DIM = 64  # room for a third Drinfeld double (32); see README for what bounds it
 
 _TERM_RE = re.compile(r"^(-?\d+(?:/\d+)?)\*e(\d+)$")
 _LABEL_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_-]*$")
@@ -169,8 +216,9 @@ def _rational(text, lineno):
 
 
 def _terms(text, dim, lineno):
-    """Parse `q1*e k1 [+ q2*e k2 ...]` into a coefficient vector."""
-    out = [Fraction(0)] * dim
+    """Parse `q1*e k1 [+ q2*e k2 ...]` into {k: q}, k 0-based: repeated
+    terms add up, and a sum that cancels is left out."""
+    out = {}
     for raw in text.split("+"):
         raw = raw.strip()
         m = _TERM_RE.match(raw)
@@ -185,8 +233,8 @@ def _terms(text, dim, lineno):
         if not 1 <= k <= dim:
             raise IndexOutOfRange("basis index e%d out of range 1..%d" % (k, dim),
                                   lineno)
-        out[k - 1] += q
-    return tuple(out)
+        out[k - 1] = out.get(k - 1, 0) + q
+    return {k: q for k, q in out.items() if q}
 
 
 def _index(tok, dim, lineno):
@@ -203,18 +251,6 @@ def _label(tok, lineno):
     if not _LABEL_RE.match(tok):
         raise ParseError("bad label %r" % tok, lineno)
     return tok
-
-
-def _assemble(sec, dim, entries):
-    """A section's stored object from its entries {0-based index tuple:
-    entry}; an omitted entry is zero."""
-    zero = (Fraction(0),) * dim if sec.terms else Fraction(0)
-
-    def nest(at):
-        if len(at) == sec.nidx:
-            return entries.get(at, zero)
-        return tuple(nest(at + (i,)) for i in range(dim))
-    return sec.build(dim, nest(()))
 
 
 def parse_algebra_file(text):
@@ -274,19 +310,13 @@ def parse_algebra_file(text):
     if dim is None:
         raise ParseError("missing 'dim N' line")
 
-    objs = {sec.field: {label: _assemble(sec, dim, entries)
+    objs = {sec.field: {label: sec.build(dim, entries)
                         for label, entries in found[sec.keyword].items()}
             for sec in SECTIONS.values()}
-    warnings = []
-    for label in sorted(objs["forms"]):
-        m = objs["forms"][label].m
-        for i in range(dim):
-            for j in range(dim):
-                if m[i][j] != 0 and m[j][i] == 0 and i != j:
-                    warnings.append(
-                        "form %s has entry (%d, %d) but not (%d, %d); skew "
-                        "completion is never automatic"
-                        % (label, i + 1, j + 1, j + 1, i + 1))
+    warnings = ["form %s has entry (%d, %d) but not (%d, %d); skew completion is never "
+                "automatic" % (label, i + 1, j + 1, j + 1, i + 1)
+                for label, entries in sorted(found["form"].items()) for i, j in sorted(entries)
+                if i != j and entries[i, j] and not entries.get((j, i))]
     return AlgebraFile(name, dim, warnings=tuple(warnings), **objs)
 
 
@@ -300,20 +330,6 @@ def _text(q):
                         % sys.get_int_max_str_digits())
 
 
-def _emit_entries(lines, head, nested, depth, terms):
-    """One line per nonzero entry, row by row; head is the line's start up
-    to the indices still to come."""
-    if depth > 1:
-        for i, sub in enumerate(nested, 1):
-            _emit_entries(lines, "%s %d" % (head, i), sub, depth - 1, terms)
-        return
-    for i, x in enumerate(nested, 1):
-        body = (" + ".join(["%s*e%d" % (_text(q), k + 1) for k, q in enumerate(x) if q != 0])
-                if terms else _text(x) if x else "")
-        if body:
-            lines.append("%s %d = %s" % (head, i, body))
-
-
 def emit_algebra_file(af):
     """Canonical text: sections in a fixed order, labels sorted, indices
     ascending, zero entries omitted, rationals in lowest terms."""
@@ -321,8 +337,11 @@ def emit_algebra_file(af):
     for sec in SECTIONS.values():
         objs = getattr(af, sec.field)
         for label in sorted(objs):
-            _emit_entries(lines, "%s %s" % (sec.keyword, label),
-                          sec.entries(objs[label]), sec.nidx, sec.terms)
+            head = "%s %s" % (sec.keyword, label)
+            for idx, x in sec.entries(objs[label]):
+                body = (" + ".join(["%s*e%d" % (_text(q), k + 1) for k, q in x]) if sec.terms
+                        else _text(x))
+                lines.append("%s %s = %s" % (head, " ".join([str(i + 1) for i in idx]), body))
     return "\n".join(lines) + "\n"
 
 
@@ -347,8 +366,20 @@ HYPERSYMPLECTIC = (BRACKET, Slot("map", "J"), MAP_E, Slot("form", "g"))
 DOUBLE = (BRACKET, CONN, Slot("form", "g"))
 COBOUNDARY = PLSA + COPRODUCTS + (Slot("tensor2", "r"),)  # a bialgebra and its r
 
+
+def _packed(rep):
+    """The Packed form of a RepTensor, packed off its list."""
+    return packed_sparse(*rep.nonzeros, rep.m)
+
+
+def _rep(t):
+    """The RepTensor of the Packed coproduct t, listed off its decoded rows."""
+    return RepTensor.listed(len(t.num), t.cols, (t.den, _nonzeros(t.decoded)[1]))
+
+
 PAIR = Part(lambda prec, succ: (prec, succ), PLSA)
-COPRODUCT_PAIR = Part(lambda a, b: CoproductPair(a.n, a.t, b.t), COPRODUCTS)
+COPRODUCT_PAIR = Part(lambda a, b: _packed_pair(a.n, _packed(a), _packed(b)), COPRODUCTS)
+PACKED_ALPHA = Part(_packed, (ALPHA,))
 SSLA = Part(SpecialSymplecticData, (BRACKET, CONN, OMEGA))
 MATCHED_PAIR = Part(MatchedPairData, (Slot("op", "a1"), Slot("op", "a2"),
                                       Slot("rep", "l1"), Slot("rep", "r1"),
@@ -364,13 +395,14 @@ def _read(af, item):
     sec = SECTIONS[item.keyword]
     got = getattr(af, sec.field).get(item.label)
     if got is None and not item.optional:
-        return _assemble(sec, af.dim, {})
+        return sec.build(af.dim, {})
     return got
 
 
 def _afile(name, slots, objs):
-    """The AlgebraFile holding objs[i] in slots[i]; its dim is theirs."""
-    af = AlgebraFile(name, len(SECTIONS[slots[0].keyword].entries(objs[0])))
+    """The AlgebraFile holding objs[i] in slots[i]; its dim is theirs (the
+    first is an op)."""
+    af = AlgebraFile(name, objs[0].n)
     for slot, obj in zip(slots, objs, strict=True):
         getattr(af, SECTIONS[slot.keyword].field)[slot.label] = obj
     return af
@@ -404,9 +436,9 @@ CHECKS = {
     "plsba": Check(lambda plsa, cp: _gated("plsba", [check_plsa(*plsa), plsca_check(cp)],
                                            plsba_check, plsa, cp),
                    (PAIR, COPRODUCT_PAIR)),
-    "slsba": Check(lambda lsa, alpha: _gated("slsba", [check_left_symmetric(lsa)],
-                                             slsba_check, lsa, alpha.t),
-                   (PROD, ALPHA)),
+    "slsba": Check(lambda lsa, AL: _gated("slsba", [check_left_symmetric(lsa)],
+                                          _slsba_check, lsa, AL),
+                   (PROD, PACKED_ALPHA)),
     "para-kahler": Check(check_parakahler, (PARA_KAHLER,)),
     "post-affine": Check(post_affine_check, (CONN, Slot("op", "conn2"), BRACKET)),
 }
@@ -515,21 +547,16 @@ def _parse_r(text, dim):
             if not (1 <= i <= dim and 1 <= j <= dim):
                 raise BadParams("--r index (%d, %d) out of range 1..%d"
                                 % (i, j, dim))
-            if (i, j) in entries:
+            if (i - 1, j - 1) in entries:
                 raise BadParams("--r entry (%d, %d) given twice" % (i, j))
-            entries[i, j] = q
-    return tuple(tuple(entries.get((i, j), Fraction(0)) for j in range(1, dim + 1))
-                 for i in range(1, dim + 1))
+            entries[i - 1, j - 1] = q
+    return _matrix(dim, entries)
 
 
 def _checked(check, *objs):
     """objs, re-verified by CHECKS[check], whose reads are the slots they
     are written to."""
     return objs, [CHECKS[check].verifier(*objs)]
-
-
-def _reps(n, *tensors):
-    return tuple(RepTensor(n, n, t) for t in tensors)
 
 
 def _double_checked(d):
@@ -561,12 +588,12 @@ def _double_extension(args, plsa, plsa_star):
 
 def _drinfeld_double(args, plsa, cp):
     plsa_d, r, cp_d, rep = drinfeld_double(plsa, cp)
-    return (*plsa_d, *_reps(cp_d.n, cp_d.alpha, cp_d.beta), r), [rep]
+    return (*plsa_d, *map(_rep, cp_d.scaled), r), [rep]
 
 
-def _slsba_double(args, lsa, alpha):
-    lsa_d, alpha_d, rep = slsba_double((lsa, alpha.t))
-    return (lsa_d, *_reps(lsa_d.n, alpha_d)), [rep]
+def _slsba_double(args, lsa, AL):
+    lsa_d, AL_d, rep = _slsba_double_scaled(lsa, AL)
+    return (lsa_d, _rep(AL_d)), [rep]
 
 
 def _coboundary(args, plsa):
@@ -575,7 +602,7 @@ def _coboundary(args, plsa):
     # the direct route's coproducts and plsca_check its operators
     R_operators(plsa, r)
     cp = coboundary_coproducts(plsa, r)
-    return (*plsa, *_reps(cp.n, cp.alpha, cp.beta), r), [plsca_check(cp)]
+    return (*plsa, *map(_rep, cp.scaled), r), [plsca_check(cp)]
 
 
 RECIPES = {
@@ -602,7 +629,7 @@ RECIPES = {
                                scale=2),
     "drinfeld-double": Recipe(((PAIR, COPRODUCT_PAIR),), COBOUNDARY, _drinfeld_double,
                               scale=2),
-    "slsba-double": Recipe(((PROD, ALPHA),), (PROD, ALPHA), _slsba_double, scale=2),
+    "slsba-double": Recipe(((PROD, PACKED_ALPHA),), (PROD, ALPHA), _slsba_double, scale=2),
     "coboundary": Recipe(((PAIR,),), COBOUNDARY, _coboundary),
 }
 

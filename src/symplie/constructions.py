@@ -250,10 +250,13 @@ def tangent_double(s):
     (linalg._once): a repeat call with s returns the same object.
     """
     _require_special_symplectic(s)  # Jacobi, and flatness: rho is a representation
+    return _once(s, "tangent-double", (), _tangent_core, s)
+
+
+def _tangent_core(s):
     w = s.omega
-    return _once(s, "tangent-double", (), lambda: _double(
-        s.bracket, s.conn, rep_from_op_left(s.conn),
-        _antidiagonal_form(w.n, (1, w.scaled), (1, w.scaled_t)), None))
+    return _double(s.bracket, s.conn, rep_from_op_left(s.conn),
+                   _antidiagonal_form(w.n, (1, w.scaled), (1, w.scaled_t)), None)
 
 
 def _cotangent_core(br, conn):
@@ -273,7 +276,7 @@ def cotangent_double(s):
     repeat call with s returns the same object.
     """
     _require_special_symplectic(s)
-    return _once(s, "cotangent-double", (), lambda: _cotangent_core(s.bracket, s.conn))
+    return _once(s, "cotangent-double", (), _cotangent_core, s.bracket, s.conn)
 
 
 def cotangent_double_from_connection(br, conn):
@@ -301,7 +304,7 @@ def phi_from_omega(w):
     Built once per form object (linalg._once): a repeat call with w returns
     the same object."""
     _require_nondegenerate(w)
-    return _once(w, "phi", (), lambda: Endo.listed(w.n, w.scaled_t))
+    return _once(w, "phi", (), Endo.listed, w.n, w.scaled_t)
 
 
 def build_N(l1, l2, l3, l4, f, finv):
@@ -325,7 +328,7 @@ def family_JE(p, f):
         raise BadParams("sign must be +1 or -1, got %r" % (p.sign,))
     if lam == 0:
         raise BadParams("lambda must be nonzero")
-    finv = _once(f, "inverse", (), lambda: scaled_inverse(f.scaled))
+    finv = _once(f, "inverse", (), scaled_inverse, f.scaled)
     J = build_N(lam, mu, (-1 - mu * mu) / lam, -mu, f, finv)
     if p.family == "F1":
         E = build_N(0, sg, -2 * sg * mu / lam, -sg, f, finv)
@@ -365,10 +368,12 @@ def hypersymplectic_from_tangent(s, p):
     """Hypersymplectic package (double, J, E, metric) on the tangent double,
     gluing the two copies with the identity map, kept on s (linalg._once)."""
     d = tangent_double(s)
-    n = s.bracket.n
-    J, E = family_JE(p, _once(s, "identity", (),
-                              lambda: Endo.listed(n, scaled_blocks(n, (((1, None),),)))))
+    J, E = family_JE(p, _once(s, "identity", (), _identity, s.bracket.n))
     return d, J, E, d.metric
+
+
+def _identity(n):
+    return Endo.listed(n, scaled_blocks(n, (((1, None),),)))
 
 
 def hypersymplectic_from_cotangent(s, p):

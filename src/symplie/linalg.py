@@ -112,25 +112,26 @@ class _kept:
 _PARTNERED = object()  # heads every slot with others, so no bare key equals one
 
 
-def _once(owner, key, others, compute):
-    """compute(), evaluated once per owner, key and others, a tuple of
-    objects, and kept in owner's memo (__dict__["_once"]).  Without others
-    the slot is key itself, hit by one lookup.  With others it is
-    (_PARTNERED, key, their ids), kept with others themselves: it is reused
-    only while each of them is the object given now, so an id reused after
-    garbage collection never hits.  compute returns an immutable value,
-    never None; an exception is raised again on each call, never kept."""
+def _once(owner, key, others, build, *args):
+    """build(*args), evaluated once per owner, key and others, a tuple of
+    objects, and kept in owner's memo (__dict__["_once"]); a hit calls
+    nothing and builds no closure.  Without others the slot is key itself,
+    hit by one lookup.  With others it is (_PARTNERED, key, their ids), kept
+    with others themselves: it is reused only while each of them is the
+    object given now, so an id reused after garbage collection never hits.
+    build returns an immutable value, never None; an exception is raised
+    again on each call, never kept."""
     memo = owner.__dict__.get("_once") or owner.__dict__.setdefault("_once", {})
     if not others:
         value = memo.get(key)
         if value is None:
-            value = memo[key] = compute()
+            value = memo[key] = build(*args)
         return value
     slot = (_PARTNERED, key, *map(id, others))
     kept = memo.get(slot)
     if kept is not None and all(map(is_, kept[0], others)):
         return kept[1]
-    value = compute()
+    value = build(*args)
     memo[slot] = others, value
     return value
 
@@ -163,10 +164,6 @@ def mat_mul(a, b):
         raise DimensionMismatch("inner dimensions %d and %d" % (len(a[0]), len(b)))
     A, B = scaled(a), scaled(b)
     return unscaled(Scaled(int_mat_mul(A.num, B.num), A.den * B.den))
-
-
-def mat_transpose(a):
-    return tuple(zip(*a))
 
 
 def _bareiss_forward(rows, npivot):
@@ -358,7 +355,7 @@ class Scaled(_Matrix):
     def columns(self, width):
         """The columns of the matrix as packed rows of slots of width bits,
         kept per width."""
-        return _once(self, ("columns", width), (), lambda: _pack(list(zip(*self.num)), width))
+        return _once(self, width, (), _columns, self.num, width)
 
 
 class _PackedFields(NamedTuple):
@@ -392,14 +389,23 @@ class Packed(_PackedFields):
         """The Scaled matrix whose rows are the rows (a, b) of this tensor
         with its legs permuted by axes, in order: the entries of that
         tensor, never packed.  Kept per axes."""
-        return _once(self, ("matrix", axes), (), lambda: Scaled(
-            [row for plane in _permuted(self.decoded, axes) for row in plane], self.den))
+        return _once(self, axes, (), _matrix, self, axes)
 
     def split(self, n):
         """The n tensors of equally many planes stacked in this one, such as
         the per-plane results of scaled_leg_each."""
         k = len(self.num) // n
         return [self._replace(num=self.num[i:i + k]) for i in range(0, len(self.num), k)]
+
+
+def _columns(num, width):
+    """Scaled.columns: the columns of the int rows num, packed."""
+    return _pack(list(zip(*num)), width)
+
+
+def _matrix(t, axes):
+    """Packed.matrix: the rows of t with its legs permuted by axes."""
+    return Scaled([row for plane in _permuted(t.decoded, axes) for row in plane], t.den)
 
 
 # The width rule.  Packing is linear over Z: for any ints x_c the packed int

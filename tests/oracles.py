@@ -11,6 +11,8 @@ import random
 from fractions import Fraction
 
 from symplie.bialgebra import CoproductPair
+from symplie.checks import Endo, Form, RepTensor, StructureTensor
+from symplie.cli import AlgebraFile
 
 
 def _fresh(x):
@@ -1186,6 +1188,75 @@ def coproducts_from_products(prec, succ):
     beta = tuple(tuple(tuple(succ.c[p][q][k] for q in range(n)) for p in range(n))
                  for k in range(n))
     return CoproductPair(n, alpha, beta)
+
+
+# --- the .alg parser as one plain line loop, dense Fractions (vs the
+# section table's nonzero lists) ---
+
+def parse_plain(text):
+    """The AlgebraFile of a valid .alg text, read line by line from the
+    grammar into dense nests of Fractions: an omitted entry is 0, the terms
+    of a line add up, and a map line gives column i, the image of e_i."""
+    name, n, lines = None, None, []
+    for raw in text.splitlines():
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        kw, rest = line.split(None, 1)
+        if kw == "algebra":
+            name = rest.strip()
+        elif kw == "dim":
+            n = int(rest)
+        else:
+            lhs, rhs = rest.split("=", 1)
+            label, *idx = lhs.split()
+            lines.append((kw, label, [int(i) - 1 for i in idx], rhs.strip()))
+
+    def vector(rhs):
+        v = [Fraction(0)] * n
+        for term in rhs.split("+"):
+            q, k = term.strip().split("*e")
+            v[int(k) - 1] += Fraction(q)
+        return v
+
+    def matrix():
+        return [[Fraction(0)] * n for _ in range(n)]
+
+    tables = {kw: {} for kw in ("op", "form", "map", "tensor2", "rep")}
+    for kw, label, idx, rhs in lines:
+        if kw in ("op", "rep"):
+            t = tables[kw].setdefault(label, [matrix() for _ in range(n)])
+            if kw == "op":
+                t[idx[0]][idx[1]] = vector(rhs)
+            else:
+                t[idx[0]][idx[1]][idx[2]] = Fraction(rhs)
+        else:
+            m = tables[kw].setdefault(label, matrix())
+            if kw == "map":
+                for k, q in enumerate(vector(rhs)):
+                    m[k][idx[0]] = q
+            else:
+                m[idx[0]][idx[1]] = Fraction(rhs)
+
+    def frozen(x):
+        return tuple(frozen(y) for y in x) if isinstance(x, list) else x
+
+    def objects(kw, make):
+        return {label: make(frozen(x)) for label, x in tables[kw].items()}
+    warnings = []
+    for label in sorted(tables["form"]):
+        m = tables["form"][label]
+        for i in range(n):
+            for j in range(n):
+                if i != j and m[i][j] != 0 and m[j][i] == 0:
+                    warnings.append("form %s has entry (%d, %d) but not (%d, %d); skew "
+                                    "completion is never automatic"
+                                    % (label, i + 1, j + 1, j + 1, i + 1))
+    return AlgebraFile(name, n, objects("op", lambda c: StructureTensor(n, c)),
+                       objects("form", lambda m: Form(n, m)),
+                       objects("map", lambda m: Endo(n, m)),
+                       objects("tensor2", lambda m: m),
+                       objects("rep", lambda t: RepTensor(n, n, t)), tuple(warnings))
 
 
 # --- the .alg emitter as one loop per section (vs the section table) ---

@@ -1455,15 +1455,16 @@ class TestOnce:
         assert cores["_plsa"] == 3
 
     def test_keyed_forms(self):
-        # Scaled.columns per width, Packed.matrix per axes, the views of
-        # checks per leg order and the permuted pair tensors per name and
+        # Scaled.columns per width, Packed.matrix per axes, the views
+        # _scatter keeps per leg order and the permuted pair tensors per name and
         # axes: one object per key, built anew for another key
         m, op = Scaled([[1, 0], [2, -3]], 1), st(2, _OP)
         pair = bialgebra._ScaledPair(tuple(map(_fresh, catalog_get("plsa-2d-IV").payload)))
         for get, key, others in (
                 (m.columns, 64, (128,)),
                 (op.scaled.matrix, (0, 2, 1), ((0, 1, 2), (1, 0, 2))),
-                (lambda perm: checks._view(op, perm), (1, 0, 2), ((0, 1, 2), (2, 0, 1))),
+                (lambda perm: linalg._once(op, perm, (), checks._view, op, perm), (1, 0, 2),
+                 ((0, 1, 2), (2, 0, 1))),
                 (lambda k: pair.perm(*k), ("P", (0, 2, 1)), (("P", (1, 0, 2)),
                                                              ("S", (0, 2, 1))))):
             first = get(key)

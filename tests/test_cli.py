@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import json
 import os
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hs
 
-from symplie.checks import Endo, Form, RepTensor, st
+from symplie.checks import Endo, Form, RepTensor, op_add, st
 from symplie import checks, cli
 from symplie.catalog import catalog_get, catalog_list
 from symplie.cli import (
@@ -25,6 +26,8 @@ from symplie.cli import (
     parse_algebra_file,
 )
 from symplie.constructions import FamilyParams, hypersymplectic_from_tangent
+
+from oracles import emit_plain, parse_plain
 
 Q = Fraction
 
@@ -337,6 +340,44 @@ class TestRoundTrip:
         assert af2.reps == af.reps
 
 
+_qs = hs.fractions(min_value=-3, max_value=3, max_denominator=6)
+
+
+@hs.composite
+def alg_texts(draw):
+    """Valid .alg texts of dims 1-6, lines in any order: any section may be
+    left out, a vector line may repeat a basis term or cancel one, a
+    rational may be 0, and entries come over different denominators."""
+    n = draw(hs.integers(min_value=1, max_value=6))
+    idx = hs.integers(min_value=1, max_value=n)
+    lines = []
+    for sec in SECTIONS.values():
+        for label in draw(hs.lists(_labels, unique=True, max_size=2)):
+            for at in draw(hs.lists(hs.tuples(*[idx] * sec.nidx), unique=True, max_size=6)):
+                if sec.terms:
+                    terms = draw(hs.lists(hs.tuples(_qs, idx), min_size=1, max_size=4))
+                    if draw(hs.booleans()):  # a term and its negation
+                        terms.append((-terms[0][0], terms[0][1]))
+                    rhs = " + ".join("%s*e%d" % term for term in terms)
+                else:
+                    rhs = str(draw(_qs))
+                lines.append("%s %s %s = %s" % (sec.keyword, label, " ".join(map(str, at)), rhs))
+    lines = draw(hs.permutations(lines))
+    return "algebra gen\ndim %d\n# a comment\n\n%s\n" % (n, "\n".join(lines))
+
+
+class TestParseOracle:
+    """parse_algebra_file reads the section table into nonzero lists;
+    parse_plain reads each line into dense Fractions."""
+
+    @given(alg_texts())
+    def test_parse_and_emit(self, text):
+        af, plain = parse_algebra_file(text), parse_plain(text)
+        for f in dataclasses.fields(AlgebraFile):
+            assert getattr(af, f.name) == getattr(plain, f.name), f.name
+        assert emit_algebra_file(af) == emit_plain(plain)
+
+
 def run(argv):
     return main(argv)
 
@@ -355,6 +396,28 @@ def plsa2(tmp_path):
     assert run(["catalog", "show", "plsa-2d-II", "--export",
                 "--out", str(path)]) == 0
     return str(path)
+
+
+def test_double_path_builds_no_dense_view(tmp_path, refuse_dense_views):
+    # the CLI's doubles are parsed into nonzero lists, handed to the library
+    # packed from them and written from the Packed coproducts; an omitted
+    # slot reads as an empty list
+    def path(stem):
+        return str(tmp_path / (stem + ".alg"))
+    refuse_dense_views()
+    assert run(["catalog", "show", "plsa-2d-IV", "--export", "--out", path("d2")]) == 0
+    for n in (4, 8):
+        assert run(["construct", "drinfeld-double", path("d%d" % (n // 2)),
+                    "--out", path("d%d" % n)]) == 0
+        assert run(["verify", path("d%d" % n), "--check", "plsa", "--check", "plsba"]) == 0
+    lsa = AlgebraFile("sum", 2, ops={"prod": op_add(*catalog_get("plsa-2d-IV").payload)})
+    with open(path("sum"), "w", encoding="utf-8") as fh:
+        fh.write(emit_algebra_file(lsa))
+    assert run(["construct", "slsba-double", path("sum"), "--out", path("sum-d4")]) == 0
+    assert run(["verify", path("sum-d4"), "--check", "slsba", "--check", "lsa"]) == 0
+    with open(path("empty"), "w", encoding="utf-8") as fh:
+        fh.write("algebra empty\ndim %d\n" % MAX_DIM)
+    assert run(["verify", path("empty"), "--check", "plsa", "--check", "plsba"]) == 0
 
 
 class TestVerifyCommand:

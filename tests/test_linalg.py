@@ -16,7 +16,6 @@ from symplie.linalg import (
     mat_inverse,
     mat_mul,
     mat_rank,
-    mat_transpose,
     mat_zero,
     Packed,
     packed,
@@ -180,6 +179,10 @@ class TestZero:
         assert rep_zero(n) == RepTensor(n, n, (mat_zero(n),) * n)
 
 
+def _transpose(a):
+    return tuple(zip(*a))
+
+
 class TestMatMul:
     @settings(max_examples=60)
     @given(square_matrices(3), square_matrices(3))
@@ -214,8 +217,7 @@ class TestMatMul:
     def test_transpose_reverses(self):
         r = rng(7)
         a, b = rand_mat(r, 3), rand_mat(r, 3)
-        assert mat_transpose(mat_mul(a, b)) == mat_mul(mat_transpose(b),
-                                                       mat_transpose(a))
+        assert _transpose(mat_mul(a, b)) == mat_mul(_transpose(b), _transpose(a))
 
 
 class TestTensorContract:
@@ -236,7 +238,7 @@ class TestTensorContract:
         u, v = rand_vec(r, 3), rand_vec(r, 3)
         w = product_vec(t, u, v)
         m1 = tensor_contract(t, u, 0)
-        assert mat_vec_plain(mat_transpose(m1), v) == w
+        assert mat_vec_plain(_transpose(m1), v) == w
 
     def test_linearity(self):
         r = rng(17)

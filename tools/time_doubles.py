@@ -16,6 +16,16 @@ such limit: --to 128 builds the next level (about 30 s and 1 GB on a
 of a bialgebra is again one, and the test suite checks every level up to
 32) prints FAIL and still exits 0.
 
+After the library pass it runs the same chain again through cli.main, in a
+temporary directory, up to N or MAX_DIM, whichever is smaller: it exports
+plsa-2d-IV (no coproduct slots, so they read as zero), then per level runs `construct drinfeld-double` on the
+previous level's file and `verify --check plsa --check plsba` on the new
+one, and prints the wall time of each call and pass or FAIL from its exit
+code.  This is the end-to-end path of ROADMAP aim 1: parsing, emitting and
+the hand-offs between the file and the library count here.  The RSS column
+belongs to the library pass alone, which is printed in full before the CLI
+pass starts; the library pass's doubles are freed by then.
+
 Before it imports symplie it compiles src/ with the standard library's
 compileall in a child process, which writes __pycache__ even under
 PYTHONDONTWRITEBYTECODE, so the package is always imported from bytecode
@@ -23,10 +33,13 @@ PYTHONDONTWRITEBYTECODE, so the package is always imported from bytecode
 """
 
 import argparse
+import contextlib
+import io
 import os
 import resource
 import subprocess
 import sys
+import tempfile
 import time
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -34,14 +47,20 @@ subprocess.run([sys.executable, "-m", "compileall", "-q", "-o", str(sys.flags.op
                check=True)
 sys.path.insert(0, SRC)
 
-from symplie import catalog_get, drinfeld_double, zero_coproducts  # noqa: E402
+from symplie import catalog_get, cli, drinfeld_double, zero_coproducts  # noqa: E402
 
 
-def main(argv=None):
-    p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    p.add_argument("--to", type=int, default=64, metavar="N",
-                   help="stop once the double's dimension reaches N (default 64)")
-    to = p.parse_args(argv).to
+def _cli(*argv):
+    """The wall time of cli.main(argv), its output dropped, and pass or FAIL
+    from its exit code."""
+    t0 = time.perf_counter()
+    with contextlib.redirect_stdout(io.StringIO()):
+        rc = cli.main(list(argv))
+    return time.perf_counter() - t0, "pass" if rc == 0 else "FAIL"
+
+
+def _library(to):
+    """The library pass: one line per level, with the peak RSS so far."""
     pair, cp = catalog_get("plsa-2d-IV").payload, zero_coproducts(2)
     while pair[0].n < to:
         n = pair[0].n
@@ -51,6 +70,30 @@ def main(argv=None):
         rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # Linux: KiB
         print("%2d -> %2d  %8.3f s  %s  %6.1f MB peak RSS"
               % (n, pair[0].n, wall, "pass" if rep.verdict else "FAIL", rss), flush=True)
+
+
+def _through_cli(to):
+    """The CLI pass, in a temporary directory: one line per level."""
+    print("through the CLI (construct drinfeld-double, then verify --check plsa --check plsba):")
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "d2.alg")
+        _cli("catalog", "show", "plsa-2d-IV", "--export", "--out", path)
+        n = 2
+        while n < min(to, cli.MAX_DIM):  # the CLI refuses a larger file
+            prev, path, n = path, os.path.join(tmp, "d%d.alg" % (2 * n)), 2 * n
+            made = _cli("construct", "drinfeld-double", prev, "--out", path)
+            checked = _cli("verify", path, "--check", "plsa", "--check", "plsba")
+            print("%2d -> %2d  construct %8.3f s  %s  verify %8.3f s  %s"
+                  % (n // 2, n, *made, *checked), flush=True)
+
+
+def main(argv=None):
+    p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    p.add_argument("--to", type=int, default=64, metavar="N",
+                   help="stop once the double's dimension reaches N (default 64)")
+    to = p.parse_args(argv).to
+    _library(to)  # returns nothing, so its doubles are freed before the CLI pass
+    _through_cli(to)
     return 0
 
 
