@@ -72,7 +72,6 @@ from .checks import (
     Endo,
     StructureTensor,
     Violation,
-    _nonzeros,
     _permuted,
     check_closed,
     check_flat,
@@ -288,9 +287,8 @@ def _compat_defect(D, S, T, A):
 def _dual_product(n, t):
     """The product on the dual space whose f_k coefficient of f_p f_q is
     t[k][p][q], the (p, q) coefficient of the coproduct of e_k, for a
-    Packed t: its decoded rows listed, and the list re-bucketed."""
-    return StructureTensor.listed(n, _permuted((t.den, _nonzeros(t.decoded)[1]), (n,) * 3,
-                                               (1, 2, 0)))
+    Packed t: its kept nonzero list (Packed.nonzeros) re-bucketed."""
+    return StructureTensor.listed(n, _permuted(t.nonzeros, (n,) * 3, (1, 2, 0)))
 
 
 def _coproduct_operators(al, be):

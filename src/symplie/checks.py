@@ -24,11 +24,12 @@ list is never mutated.  The dense constructor lists its entries once
 (_nonzeros, den their lcm); a producer that holds a list passes it to
 .listed, den perhaps a multiple of that lcm: sums (_nonzeros_sum),
 negations and leg permutations (_permuted), glue_product's six blocks
-(_rebucket), st, rep_zero and a Packed result's decoded rows.  c (t for a
-RepTensor) is a view of nested Fraction tuples built on its first read,
-linalg.ZERO at a zero entry; no route reads it.  .scaled packs the list
-(linalg.packed_sparse), and .planes sets its numerators into n dense int
-planes for the routes that read single entries, without packing.
+(_rebucket), st, rep_zero and a Packed result's kept list
+(linalg.Packed.nonzeros).  c (t for a RepTensor) is a view of nested
+Fraction tuples built on its first read, linalg.ZERO at a zero entry; no
+route reads it.  .scaled packs the list (linalg.packed_sparse) for the
+routes that contract whole rows; the routes that read single entries
+(_by_form, _torsion) walk the list itself and build no dense plane.
 
 A Form or Endo is stored as its Scaled rows .scaled: lists of int rows over
 one positive den, which need not be the least.  A producer that holds rows
@@ -45,15 +46,18 @@ on the fields, so they read the view.
 Every identity on basis tuples takes one of two routes.  The kernel route
 contracts on the exact integer kernel of linalg, whose module docstring
 gives the one account of it.  Here, check_closed and check_parallel_form
-share one product of an operation's int planes by the form (_by_form)
-and read each tuple's residual off it.  torsion_violations contracts the
-Nijenhuis torsion one plane at a time, only the rows j > i it reads, and
-keeps a violating pair's row of numerators; nijenhuis_torsion takes every
-row from the same core (_torsion).  The matrix identities (N^2 = +-id,
-JE = -EJ, N^T B N = +-B) and three_forms go through _mat_chain, and
-skewness and symmetry compare int rows; ranks and eigenspace dimensions
-eliminate fresh copies of those rows (_sub_scalar).  No Fraction is built
-until a violation's residual is read.
+share one product of an operation by the form (_by_form), each row (a, b)
+summed from the listed entries of that row times the nonzero entries of
+the form's rows, and read each tuple's residual off it.  torsion_violations
+lists the Nijenhuis torsion row by row, walking the bracket's list and the
+nonzero columns of N (_torsion, row-wise as Gustavson 1978), only the rows
+j > i it reads, and keeps a violating pair's row of numerators;
+nijenhuis_torsion takes every row from the same core, as its list.  Both
+multiply listed entries only (_combination).  The matrix identities
+(N^2 = +-id, JE = -EJ, N^T B N = +-B) and three_forms go through
+_mat_chain, and skewness and symmetry compare int rows; ranks and
+eigenspace dimensions eliminate fresh copies of those rows (_sub_scalar).
+No Fraction is built until a violation's residual is read.
 
 The other route, off the kernel, is the independent cross-checks:
 check_plsa, check_left_symmetric, check_jacobi, check_bimodule, check_flat,
@@ -105,7 +109,7 @@ and bialgebra's alpha and beta are linalg._kept fields.
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from functools import cache
-from itertools import chain, combinations, combinations_with_replacement
+from itertools import combinations, combinations_with_replacement
 from math import lcm
 from operator import itemgetter
 
@@ -157,15 +161,6 @@ class StructureTensor(_Stored):
         """The Packed form of linalg, packed from the list once, for every
         kernel route."""
         return packed_sparse(*self.nonzeros, self.n)
-
-    @_kept
-    def planes(self):
-        """The numerators of the list as n planes of n int rows, over its
-        den, for the routes that read single entries (_by_form, _torsion):
-        set from the list once, never packed."""
-        zero = (0,) * self.n
-        return [[_ints(self.n, row) if row else zero for row in plane]
-                for plane in self.nonzeros[1]]
 
     shape = property(lambda self: (self.n, self.n, self.n))
 
@@ -643,12 +638,34 @@ def check_flat(br, conn):
         (-1, br, "ijs", conn, "skt")))]))
 
 
+def _listed_rows(rows):
+    """The nonzero entries (k, x) of each int row of rows, k increasing."""
+    return [[(k, x) for k, x in enumerate(row) if x] for row in rows]
+
+
+def _combination(n, plus, prows, minus=(), mrows=()):
+    """The n ints of sum_{(a, p) in plus} p prows[a] - sum_{(a, x) in minus}
+    x mrows[a], for lists plus and minus of (index, int) and rows of nonzero
+    lists: only listed entries are multiplied."""
+    acc = [0] * n
+    for a, p in plus:
+        for k, x in prows[a]:
+            acc[k] += p * x
+    for a, x in minus:
+        for k, y in mrows[a]:
+            acc[k] -= x * y
+    return acc
+
+
 def _by_form(op, M):
     """(T, den): T[a][b][c] = sum_s op[a][b][s] M[s][c] over den, as n planes
-    of int rows, for a Scaled M; one product of op's int rows (a, b) by M."""
-    n = op.n
-    rows = int_mat_mul(chain.from_iterable(op.planes), M.num)
-    return [rows[a:a + n] for a in range(0, n * n, n)], op.nonzeros[0] * M.den
+    of int rows, for a Scaled M: row (a, b) is built from the listed entries
+    of op's row (a, b) times the nonzero entries of M's rows, and the zero
+    rows share one tuple of zeros."""
+    (den, nz), cols = op.nonzeros, len(M.num[0])
+    mrows, zero = _listed_rows(M.num), (0,) * cols
+    return [[_combination(cols, row, mrows) if row else zero for row in plane]
+            for plane in nz], den * M.den
 
 
 def check_closed(br, w):
@@ -696,36 +713,36 @@ def _special_symplectic(br, conn, w):
 
 
 def _torsion(br, N, upper):
-    """The Nijenhuis torsion of N as (planes, den): plane i is the int
-    matrix whose rows, over den = M.den^2 times the bracket's, are T(e_i, e_j)
-    for j > i with upper, else for every j.  With D_i = [Ne_i, .] - N[e_i, .],
-    T(e_i, e_j) = sum_q N_qj D_i(e_q) - N D_i(e_j): each plane is a few
-    matrix products on the bracket's int planes, only the kept rows j are
-    contracted, and none where D_i is zero, whose rows are all zero."""
+    """The Nijenhuis torsion of N as a nonzero list (den, nz), den = N's
+    den^2 times the bracket's: nz[i] lists the rows T(e_i, e_j), each as its
+    nonzero (k, x), k increasing, for j > i with upper (row j at
+    nz[i][j - i - 1]), else for every j.  With Ne_j the nonzero entries of
+    column j of N (off N.scaled_t) and c the bracket's list,
+
+        D_i(e_q) = [Ne_i, e_q] - N[e_i, e_q]
+                 = sum_{(a, p) in Ne_i} p c[a][q] - sum_{(k, x) in c[i][q]} x Ne_k,
+        T(e_i, e_j) = D_i(Ne_j) - N D_i(e_j)
+                    = sum_{(q, w) in Ne_j} w D_i(e_q) - sum_{(k, v) in D_i(e_j)} v Ne_k,
+
+    each row a _combination of nonzero lists: no dense plane is built, and
+    an i whose D_i(e_q) are all zero gets empty rows, none walked."""
     require_dims("bracket dim %d, endomorphism dim %d", br, N)
-    n, C, M, Mt = br.n, br.planes, N.scaled, N.scaled_t
-    nt = Mt.num  # row j: N e_j
-    # row i of A is [Ne_i, e_q] over q, the planes of C flattened
-    A = int_mat_mul(nt, [list(chain.from_iterable(plane)) for plane in C])
-    planes = []
-    for i, Ci in enumerate(C):
-        D = [[a - b for a, b in zip(A[i][q:q + n], brow)]
-             for q, brow in zip(range(0, n * n, n), int_mat_mul(Ci, nt))]
-        j0 = i + 1 if upper else 0
-        if not any(map(any, D)):
-            planes.append([[0] * n for _ in range(j0, n)])
-            continue
-        planes.append([[p - q for p, q in zip(prow, qrow)] for prow, qrow in
-                       zip(int_mat_mul(nt[j0:], D), int_mat_mul(D[j0:], nt))])
-    return planes, M.den ** 2 * br.nonzeros[0]
+    n, (den, c) = br.n, br.nonzeros
+    ne, ct = _listed_rows(N.scaled_t.num), list(zip(*c))  # ct[q][a] = c[a][q]
+    nz = []
+    for i in range(n):
+        D = _listed_rows([_combination(n, ne[i], ct[q], c[i][q], ne) for q in range(n)])
+        js = range(i + 1 if upper else 0, n)
+        nz.append(_listed_rows([_combination(n, ne[j], D, D[j], ne) for j in js]) if any(D)
+                  else [[] for _ in js])
+    return N.scaled.den ** 2 * den, nz
 
 
 def nijenhuis_torsion(br, N):
-    """T(N)(x,y) = [Nx,Ny] + N(N[x,y] - [Nx,y] - [x,Ny]) as a StructureTensor:
-    every plane in full, through the core that torsion_violations runs on
-    the pairs i < j only."""
-    planes, den = _torsion(br, N, upper=False)
-    return StructureTensor.listed(br.n, (den, _nonzeros(planes)[1]))
+    """T(N)(x,y) = [Nx,Ny] + N(N[x,y] - [Nx,y] - [x,Ny]) as a StructureTensor
+    listed by the core that torsion_violations runs on the pairs i < j
+    only: here every row of every plane."""
+    return StructureTensor.listed(br.n, _torsion(br, N, upper=False))
 
 
 def violations(where, tuples, residual, den):
@@ -826,10 +843,12 @@ def congruence_violations(where, B, N, sign):
 
 def torsion_violations(where, br, N):
     """The Nijenhuis torsion of N vanishes, on basis pairs i < j: only those
-    rows are contracted, and a violating pair keeps its row of n numerators."""
-    num, den = _torsion(br, N, upper=True)
-    # plane i holds the rows j = i + 1, ..., n - 1
-    return violations(where, combinations(range(br.n), 2), lambda i, j: num[i][j - i - 1], den)
+    rows are listed (_torsion), and a violating pair keeps its row of n
+    numerators."""
+    den, nz = _torsion(br, N, upper=True)
+    # plane i lists the rows j = i + 1, ..., n - 1
+    return [Violation.of(where, (i, j), _ints(br.n, row), den)
+            for i, plane in enumerate(nz) for j, row in enumerate(plane, i + 1) if row]
 
 
 def eigenspace_violations(E):

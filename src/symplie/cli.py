@@ -52,7 +52,6 @@ from .checks import (
     Endo,
     Form,
     RepTensor,
-    _nonzeros,
     check_flat,
     check_hypersymplectic,
     check_jacobi,
@@ -373,8 +372,9 @@ def _packed(rep):
 
 
 def _rep(t):
-    """The RepTensor of the Packed coproduct t, listed off its decoded rows."""
-    return RepTensor.listed(len(t.num), t.cols, (t.den, _nonzeros(t.decoded)[1]))
+    """The RepTensor of the Packed coproduct t, on its kept nonzero list
+    (Packed.nonzeros), which CoproductPair.dual reads too."""
+    return RepTensor.listed(len(t.num), t.cols, t.nonzeros)
 
 
 PAIR = Part(lambda prec, succ: (prec, succ), PLSA)

@@ -55,7 +55,6 @@ from .checks import (
     StructureTensor,
     _fits,
     _negated,
-    _nonzeros,
     _nonzeros_sum,
     _permuted,
     _rebucket,
@@ -430,8 +429,8 @@ def plsa_from_special_symplectic(s):
 
 
 def _unpacked(n, t):
-    """The StructureTensor of the Packed t, listed off its decoded rows."""
-    return StructureTensor.listed(n, (t.den, _nonzeros(t.decoded)[1]))
+    """The StructureTensor of the Packed t, on its nonzero list (Packed.nonzeros)."""
+    return StructureTensor.listed(n, t.nonzeros)
 
 
 def _through_form(phinv, m, t):

@@ -27,17 +27,19 @@ long the row is:
   - scaled_equal, unscaled (back to Fractions) and the violation
     collectors test a row against 0 before they decode it.
 
-A Packed decodes its rows at most once and keeps them (decoded, matrix).
-The data objects of checks hold their int forms (a StructureTensor packs
-its nonzero list once; a Form or Endo stores Scaled rows, see checks), so
+A Packed decodes its rows at most once and keeps them (decoded, matrix,
+and nonzeros, the decoded rows listed as checks stores a tensor).  The
+data objects of checks hold their int forms (a StructureTensor packs its
+nonzero list once; a Form or Endo stores Scaled rows, see checks), so
 scaled() here is otherwise for raw tuples that belong to no such object.
 scaled_equal compares two routes' results on cross-multiplied numerators,
 so neither is unscaled just to be compared.
 
 int_mat_mul and int_rank take int rows directly, such as a matrix's
-Scaled rows or a tensor's int planes: the Nijenhuis torsion, closedness
-and the parallel form in checks read single entries, so they multiply
-those rows as int matrices.  Rank and inversion run a fraction-free
+Scaled rows.  int_mat_mul serves only the matrix chains of checks
+(_mat_chain) and the mat_mul shim: the Nijenhuis torsion, closedness and
+the parallel form in checks read single entries off the nonzero lists
+instead and build no dense plane.  Rank and inversion run a fraction-free
 (Bareiss 1968) forward elimination on integer rows, which keeps
 intermediate entries as minors of the input instead of letting numerators
 and denominators blow up; int_rank eliminates in place, so it takes a copy,
@@ -47,24 +49,27 @@ metrics and the hypersymplectic operators), as Scaled rows.
 
 The dense Fraction helpers are mat_zero and fractions (an int row over a
 denominator, for unscaled and the collectors), both with the one shared
-ZERO for a zero entry.  The tensors of checks are stored, negated, permuted
-and summed as nonzero lists, packed_sparse packs one, and Packed.decoded is
-the one place packed rows become entries.  Every other operation has one
-implementation, on the int kernel; mat_mul, mat_rank, mat_inverse and
-tensor_contract are shims on it that only the benchmark tracer calls.
+ZERO for a zero entry.  The tensors of checks are stored, negated,
+permuted and summed as nonzero lists, packed_sparse packs one,
+Packed.decoded is the one place packed rows become entries, and
+Packed.nonzeros lists them back, once per tensor, for every reader that
+takes a list.  Every other operation has one implementation, on the int
+kernel; mat_mul, mat_rank, mat_inverse and tensor_contract are shims on it
+that only the benchmark tracer calls.
 
 A value built once and kept on an object goes through one of two
 mechanisms, both here.  _kept is an attribute built by its function on the
 first read and kept in the object's __dict__ under its name (Scaled.terms,
-Packed.decoded, the .scaled forms and the dataclass views of checks); a
-producer that holds the value presets it there (packed, .listed,
-Violation.of).  It takes no lock: two threads reading it first may both
-build it, equal immutable values of which one is kept (in Python 3.10 and
-3.11 functools.cached_property locked).  _once keeps a value per key and
-partner objects in the owner's memo: the verifiers' reports, constructions'
-doubles and inverses, and the forms kept per key (Scaled.columns,
-Packed.matrix, the views of checks, bialgebra's permuted tensors).  Both
-live as long as the owner, and _once keeps the partners alive too.
+Packed.decoded and .nonzeros, the .scaled forms and the dataclass views of
+checks); a producer that holds the value presets it there (packed,
+.listed, Violation.of).  It takes no lock: two threads reading it first
+may both build it, equal immutable values of which one is kept (in Python
+3.10 and 3.11 functools.cached_property locked).  _once keeps a value per
+key and partner objects in the owner's memo: the verifiers' reports,
+constructions' doubles and inverses, and the forms kept per key
+(Scaled.columns, Packed.matrix, the views of checks, bialgebra's permuted
+tensors).  Both live as long as the owner, and _once keeps the partners
+alive too.
 """
 
 from fractions import Fraction
@@ -384,6 +389,16 @@ class Packed(_PackedFields):
         zero = (0,) * self.cols
         rows = iter(_decode([R for plane in self.num for R in plane if R], self.width, self.cols))
         return tuple(tuple([next(rows) if R else zero for R in plane]) for plane in self.num)
+
+    @_kept
+    def nonzeros(self):
+        """The nonzero list (den, nz) of the decoded rows, in the stored form
+        of the tensors of checks: nz[a][b] lists (c, x) for each nonzero
+        numerator x of row (a, b); a zero row is listed empty, its decoded row
+        unread."""
+        return self.den, [[[(c, x) for c, x in enumerate(row) if x] if R else []
+                           for R, row in zip(plane, rows)]
+                          for plane, rows in zip(self.num, self.decoded)]
 
     def matrix(self, axes=(0, 1, 2)):
         """The Scaled matrix whose rows are the rows (a, b) of this tensor

@@ -195,7 +195,8 @@ def product_vec(c, u, v):
                 continue
             q = u[i] * v[j]
             for k in range(n):
-                w[k] += q * c[i][j][k]
+                if c[i][j][k]:
+                    w[k] += q * c[i][j][k]
     return tuple(w)
 
 
@@ -248,8 +249,10 @@ def brute_skew(c):
 
 
 def form_value(m, u, v):
-    return sum(u[i] * m[i][j] * v[j]
-               for i in range(len(u)) for j in range(len(v)))
+    """B(u, v) for the matrix m of B: the terms of zero u[i] or v[j] skipped,
+    as product_vec skips them."""
+    return sum((u[i] * m[i][j] * v[j] for i in range(len(u)) if u[i]
+                for j in range(len(v)) if v[j]), Fraction(0))
 
 
 def brute_closed(bracket_c, form_m):
@@ -307,9 +310,9 @@ def nijenhuis_plain(bracket_c, m):
     for the matrix m of N acting on column coordinates."""
     n = len(bracket_c)
 
-    def apply(v):
-        return tuple(sum((m[a][b] * v[b] for b in range(n)), Fraction(0))
-                     for a in range(n))
+    def apply(v):  # zero entries of v skipped
+        at = [b for b in range(n) if v[b]]
+        return tuple(sum((m[a][b] * v[b] for b in at), Fraction(0)) for a in range(n))
 
     cols = [apply(_basis(n, i)) for i in range(n)]
     planes = []

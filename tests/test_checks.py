@@ -1012,7 +1012,7 @@ class TestViolationCollector:
         assert [v.indices for v in got] == [(2, 0), (0, 1), (1, 1)]
 
     def test_zero_scalar_and_zero_tuple_skipped(self):
-        # an int row may also be a list, as torsion_violations' rows are
+        # an int row may also be a list, as _scatter's slots are
         res = [0, (0, 0), (0,), [0, 0], 1, [0, 2]]
         got = violations("z", [(i,) for i in range(6)], lambda i: res[i], 2)
         assert got == [Violation("z", (4,), Q(1, 2)), Violation("z", (5,), (Q(0), Q(1)))]
@@ -1158,7 +1158,7 @@ class TestScaledFormsConvertedOnce:
     however many kernel routes read it (a StructureTensor packs the rows of
     its nonzero list, linalg.packed_sparse; a Form or Endo built from its
     matrix takes linalg.scaled of it); a Form or Endo stored as its rows, and
-    a bracket read only through its int planes, is never converted, and raw
+    a bracket read only through its nonzero list, is never converted, and raw
     tuples of no data object (and no identity matrix) are converted only
     where a route needs them."""
 
@@ -1191,7 +1191,7 @@ class TestScaledFormsConvertedOnce:
         assert check_hypersymplectic(br, J, E, g).verdict
         # the three matrices, each once; the three forms are stored as the
         # rows of the contraction they are read off, and the bracket is read
-        # through its int planes, never packed
+        # through its nonzero list, never packed
         assert sorted(map(id, converted)) == sorted(map(id, (J.m, E.m, g.m)))
         assert "scaled" not in br.__dict__
         assert not any(map(self._is_identity, converted))
@@ -1201,7 +1201,7 @@ class TestScaledFormsConvertedOnce:
         converted.clear()
         assert check_parakahler(pk).verdict
         # the skew pairing is stored as its rows, and the bracket is read
-        # through its int planes
+        # through its nonzero list
         assert sorted(map(id, converted)) == sorted(map(id, (pk.E.m, pk.conn.nonzeros[1])))
         assert "scaled" not in pk.bracket.__dict__
 
@@ -1255,8 +1255,8 @@ _OP = {(0, 1, 0): Q(1, 2), (1, 0, 1): Q(-1), (1, 1, 1): Q(3)}
 KEPT = [(linalg.Scaled, "terms", lambda: Scaled([[1, 0], [2, -3]], 1)),
         (linalg.Scaled, "gain", lambda: Scaled([[1, 0], [2, -3]], 1)),
         (linalg.Packed, "decoded", lambda: st(2, _OP).scaled),
+        (linalg.Packed, "nonzeros", lambda: st(2, _OP).scaled),
         (StructureTensor, "scaled", lambda: st(2, _OP)),
-        (StructureTensor, "planes", lambda: st(2, _OP)),
         (checks._ScaledMatrix, "scaled", lambda: Form(2, AREA.m)),
         (checks._ScaledMatrix, "scaled_t", lambda: Endo(2, AREA.m)),
         (bialgebra.CoproductPair, "scaled", lambda: zero_coproducts(2)),

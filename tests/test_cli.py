@@ -13,6 +13,7 @@ from hypothesis import strategies as hs
 
 from symplie.checks import Endo, Form, RepTensor, op_add, st
 from symplie import checks, cli
+from symplie.bialgebra import drinfeld_double, zero_coproducts
 from symplie.catalog import catalog_get, catalog_list
 from symplie.cli import (
     MAX_DIM,
@@ -418,6 +419,16 @@ def test_double_path_builds_no_dense_view(tmp_path, refuse_dense_views):
     with open(path("empty"), "w", encoding="utf-8") as fh:
         fh.write("algebra empty\ndim %d\n" % MAX_DIM)
     assert run(["verify", path("empty"), "--check", "plsa", "--check", "plsba"]) == 0
+
+
+def test_double_coproducts_listed_once():
+    # drinfeld_double re-verifies the double's coproduct pair through
+    # CoproductPair.dual, which lists each Packed coproduct's rows once
+    # (Packed.nonzeros); the RepTensor the CLI writes shares that list
+    _, _, cp_d, _ = drinfeld_double(catalog_get("plsa-2d-IV").payload, zero_coproducts(2))
+    kept = [vars(t)["nonzeros"] for t in cp_d.scaled]
+    assert any(row for _, nz in kept for plane in nz for row in plane)
+    assert all(cli._rep(t).nonzeros is nz for t, nz in zip(cp_d.scaled, kept))
 
 
 class TestVerifyCommand:
